@@ -113,7 +113,7 @@ fn run_point(
     let exact_after_rebuild = fleet.supervisor().all_healthy()
         && fleet.merged_graph() == *reference.graph()
         && fleet.merged_props() == *reference.props()
-        && fleet.bfs(0) == ga_kernels::bfs::bfs_depths(&reference.graph().snapshot(), 0);
+        && fleet.bfs(0).value == ga_kernels::bfs::bfs_depths(&reference.graph().snapshot(), 0);
 
     if let Some(b) = &base {
         std::fs::remove_dir_all(b).ok();

@@ -86,11 +86,11 @@ fn run_point(
     let pagerank_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     let t2 = Instant::now();
-    let depth = flow.bfs(0);
+    let depth = flow.bfs(0).value;
     let bfs_ms = t2.elapsed().as_secs_f64() * 1e3;
 
     let t3 = Instant::now();
-    let cc = flow.components();
+    let cc = flow.components().value;
     let cc_ms = t3.elapsed().as_secs_f64() * 1e3;
 
     // Balance-limited ideal speedups: total work / max per-shard work.

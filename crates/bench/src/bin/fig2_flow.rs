@@ -40,7 +40,7 @@ use ga_obs::{Recorder, Step};
 use ga_stream::jaccard_stream::JaccardMonitor;
 use ga_stream::tri_inc::IncrementalTriangles;
 use ga_stream::update::{into_batches, rmat_edge_stream};
-use ga_stream::EventKind;
+use ga_stream::{EventKind, Priority};
 use std::time::Instant;
 
 /// `--checkpoint-dir DIR [--crash-after N] [--recover]`, parsed by hand
@@ -186,12 +186,11 @@ fn main() {
             }
             _ => None,
         };
-        let reports = if flow.is_durable() {
-            flow.process_stream_durable(&batch, trigger, Some(tri))
-                .expect("durable ingest")
-        } else {
-            flow.process_stream(&batch, trigger, Some(tri))
-        };
+        // One front for both modes: `pump` logs iff the engine is
+        // durable. A 1 000-update batch sits far below every watermark,
+        // so it is always admitted and processed at the `Full` rung.
+        assert!(flow.offer(Priority::Normal, batch).admitted());
+        let reports = flow.pump(1, trigger, Some(tri)).expect("ingest");
         triggered_runs += reports.len();
         processed_this_run += 1;
         if flow.is_durable() && processed_this_run.is_multiple_of(10) {

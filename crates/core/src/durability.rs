@@ -474,8 +474,6 @@ pub const CHECKPOINTS_RETAINED: usize = 2;
 pub struct Durability {
     dir: PathBuf,
     wal: Wal,
-    /// Sequence of the newest successfully written checkpoint.
-    last_checkpoint_seq: u64,
     /// Observability sink: checkpoint spans here, WAL spans in the open
     /// segment (re-attached after every rotation).
     recorder: Recorder,
@@ -505,7 +503,6 @@ impl Durability {
         Ok(Durability {
             dir,
             wal,
-            last_checkpoint_seq: seq,
             recorder: Recorder::disabled(),
         })
     }
@@ -518,19 +515,9 @@ impl Durability {
         self.recorder = recorder;
     }
 
-    /// The directory this manager owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Sequence number the next WAL append will carry.
     pub fn next_wal_seq(&self) -> u64 {
         self.wal.next_seq()
-    }
-
-    /// Sequence recorded by the newest successfully written checkpoint.
-    pub fn last_checkpoint_seq(&self) -> u64 {
-        self.last_checkpoint_seq
     }
 
     /// Append a batch to the WAL (fsynced). Returns its sequence.
@@ -565,7 +552,6 @@ impl Durability {
             self.wal = Wal::create(wal_path(&self.dir, seq), seq)?;
             self.wal.set_recorder(self.recorder.clone());
         }
-        self.last_checkpoint_seq = seq;
         self.prune()?;
         Ok(path)
     }
@@ -602,19 +588,13 @@ impl Durability {
     /// Load the newest usable checkpoint in `dir` and the WAL suffix
     /// after it. Returns the manager (ready to append), the checkpoint,
     /// and the `(seq, batch)` replay list in order.
+    ///
+    /// A non-empty deployment `label` (e.g. `"shard-03"`) is prefixed
+    /// onto every error, and file paths are attached to candidate load
+    /// failures — so a sharded recovery failure read from a CI log names
+    /// both the shard and the checkpoint file that sank it.
     #[allow(clippy::type_complexity)]
     pub fn recover(
-        dir: impl AsRef<Path>,
-    ) -> io::Result<(Durability, Checkpoint, Vec<(u64, UpdateBatch)>)> {
-        Self::recover_labeled(dir, "")
-    }
-
-    /// [`Self::recover`] with a deployment label (e.g. `"shard-03"`)
-    /// prefixed onto every error, and file paths attached to candidate
-    /// load failures — so a sharded recovery failure read from a CI log
-    /// names both the shard and the checkpoint file that sank it.
-    #[allow(clippy::type_complexity)]
-    pub fn recover_labeled(
         dir: impl AsRef<Path>,
         label: &str,
     ) -> io::Result<(Durability, Checkpoint, Vec<(u64, UpdateBatch)>)> {
@@ -695,12 +675,10 @@ impl Durability {
             }
             None => Wal::create(wal_path(&dir, expect), expect).map_err(tag)?,
         };
-        let last_checkpoint_seq = ckpt.next_wal_seq;
         Ok((
             Durability {
                 dir,
                 wal,
-                last_checkpoint_seq,
                 recorder: Recorder::disabled(),
             },
             ckpt,
@@ -915,7 +893,7 @@ mod tests {
             d.append(b).unwrap();
         }
         drop(d);
-        let (d2, ckpt, replay) = Durability::recover(&dir).unwrap();
+        let (d2, ckpt, replay) = Durability::recover(&dir, "").unwrap();
         assert_eq!(ckpt, init);
         assert_eq!(replay.len(), 3);
         assert_eq!(replay[0].0, 1);
@@ -949,7 +927,7 @@ mod tests {
         drop(d);
         // Recovery skips the torn file, lands on checkpoint 1, and the
         // WAL suffix still has the batch.
-        let (_, ckpt, replay) = Durability::recover(&dir).unwrap();
+        let (_, ckpt, replay) = Durability::recover(&dir, "").unwrap();
         assert_eq!(ckpt.next_wal_seq, 1);
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].1.updates, batch.updates);
@@ -975,7 +953,7 @@ mod tests {
         // The newest checkpoint fails to load -> fallback to the older
         // one, whose replay frames must still exist.
         faults::arm("checkpoint.load", faults::FaultMode::FailOnce);
-        let (_, ckpt, replay) = Durability::recover(&dir).unwrap();
+        let (_, ckpt, replay) = Durability::recover(&dir, "").unwrap();
         faults::clear_all();
         assert_eq!(ckpt.next_wal_seq, batches.len() as u64);
         assert_eq!(replay.len(), 1);

@@ -156,16 +156,16 @@ impl FaultPlan {
     }
 }
 
-/// The plan selected by the `GA_FAULT_SEED` environment variable, or
-/// `None` when unset/unparsable (test drivers then iterate the full
-/// matrix themselves).
+/// The `GA_FAULT_SEED` environment variable, or `None` when
+/// unset/unparsable (test drivers then iterate the full matrix
+/// themselves).
+fn fault_seed_from_env() -> Option<u64> {
+    std::env::var("GA_FAULT_SEED").ok()?.trim().parse().ok()
+}
+
+/// The plan selected by `GA_FAULT_SEED`, if set.
 pub fn plan_from_env() -> Option<FaultPlan> {
-    std::env::var("GA_FAULT_SEED")
-        .ok()?
-        .trim()
-        .parse::<u64>()
-        .ok()
-        .map(FaultPlan::from_seed)
+    fault_seed_from_env().map(FaultPlan::from_seed)
 }
 
 /// One point of the **shard** chaos matrix: which shard of a fleet is
@@ -404,26 +404,15 @@ impl SegmentFaultPlan {
     }
 }
 
-/// The segment plan selected by `GA_FAULT_SEED`, or `None` when the
-/// variable is unset/unparsable.
+/// The segment plan selected by `GA_FAULT_SEED`, if set.
 pub fn segment_plan_from_env() -> Option<SegmentFaultPlan> {
-    std::env::var("GA_FAULT_SEED")
-        .ok()?
-        .trim()
-        .parse::<u64>()
-        .ok()
-        .map(SegmentFaultPlan::from_seed)
+    fault_seed_from_env().map(SegmentFaultPlan::from_seed)
 }
 
 /// The shard plan selected by `GA_FAULT_SEED` for a fleet of
-/// `num_shards`, or `None` when the variable is unset/unparsable.
+/// `num_shards`, if set.
 pub fn shard_plan_from_env(num_shards: usize) -> Option<ShardFaultPlan> {
-    std::env::var("GA_FAULT_SEED")
-        .ok()?
-        .trim()
-        .parse::<u64>()
-        .ok()
-        .map(|s| ShardFaultPlan::from_seed(s, num_shards))
+    fault_seed_from_env().map(|s| ShardFaultPlan::from_seed(s, num_shards))
 }
 
 #[cfg(test)]

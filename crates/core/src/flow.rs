@@ -20,6 +20,28 @@
 //!
 //! Every stage increments [`FlowStats`] — the calibration counters the
 //! NORA model (`crate::model`) prices.
+//!
+//! # One write path
+//!
+//! Every update batch, whatever front it arrives through, runs the same
+//! private staged function (`FlowEngine::ingest`). A feature is a stage
+//! that [`FlowConfig`] (or the rung in force) switches on, never a
+//! second path:
+//!
+//! | # | stage | on when |
+//! |---|-------|---------|
+//! | 1 | WAL append, with retry and repair-before-retry, feeding the breaker | the front logs, [`FlowConfig::durability_dir`] / [`FlowConfig::recover`] attached a log, and the breaker has not suspended it |
+//! | 2 | apply to the graph; malformed updates quarantined | always ([`FlowConfig::vertex_limit`], [`FlowConfig::symmetrize`] shape it) |
+//! | 3 | monitor events drained and counted | rung above `Shed` (the apply is unmonitored there) |
+//! | 4 | triggers → seeds → extraction → analytic → write-back | the caller passed a trigger and an analytic; budgeted at `PartialDeadline`, skipped at `SeedsOnly` ([`FlowConfig::overload`]) |
+//! | 5 | freeze the CSR and publish the epoch | [`FlowEngine::serve_handle`] was called |
+//!
+//! The fronts only choose *(log?, rung)*: [`FlowEngine::process_stream`]
+//! is the un-logged front; [`FlowEngine::process_stream_durable`],
+//! [`FlowEngine::pump`] (rung from the admission-queue depth),
+//! [`FlowEngine::replay_dead_letters`] and sharded delivery are the
+//! logged ones; recovery replays the WAL suffix through the un-logged
+//! front. [`FlowEngine::checkpoint`] is out of band.
 
 use crate::durability::{Checkpoint, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
@@ -30,7 +52,7 @@ use ga_graph::{
 use ga_kernels::{topk, Budget, KernelCtx, Parallelism};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::admission::{
-    AdmissionConfig, AdmissionDecision, AdmissionQueue, AdmissionStats, Ewma, Priority,
+    AdmissionConfig, AdmissionDecision, AdmissionQueue, AdmissionStats, Priority,
 };
 use ga_stream::engine::QuarantinedUpdate;
 use ga_stream::epoch::{EpochSnapshot, SnapshotHandle};
@@ -39,7 +61,6 @@ use ga_stream::{Event, EventKind, StreamEngine};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// How the batch path picks its seed vertices (Fig. 2's "selection
 /// criteria" box).
@@ -198,81 +219,8 @@ pub struct FlowStats {
     pub tier: ga_graph::tier::TierStats,
 }
 
-impl IngestStats {
-    /// Add another shard's counters into this one.
-    pub fn merge(&mut self, o: &IngestStats) {
-        self.records_ingested += o.records_ingested;
-        self.entities_created += o.entities_created;
-        self.updates_applied += o.updates_applied;
-        self.updates_quarantined += o.updates_quarantined;
-        self.events_observed += o.events_observed;
-        self.triggers_fired += o.triggers_fired;
-    }
-}
-
-impl AnalyticsStats {
-    /// Add another shard's counters into this one.
-    pub fn merge(&mut self, o: &AnalyticsStats) {
-        self.batch_runs += o.batch_runs;
-        self.seeds_selected += o.seeds_selected;
-        self.subgraphs_extracted += o.subgraphs_extracted;
-        self.vertices_extracted += o.vertices_extracted;
-        self.edges_extracted += o.edges_extracted;
-        self.props_written_back += o.props_written_back;
-        self.globals_produced += o.globals_produced;
-        self.alerts_raised += o.alerts_raised;
-        self.kernel_cpu_ops += o.kernel_cpu_ops;
-        self.kernel_mem_bytes += o.kernel_mem_bytes;
-        self.kernel_edges_touched += o.kernel_edges_touched;
-    }
-}
-
-impl SnapshotStats {
-    /// Add another shard's counters into this one.
-    pub fn merge(&mut self, o: &SnapshotStats) {
-        self.rebuilds += o.rebuilds;
-        self.rows_reused += o.rows_reused;
-        self.mem_bytes += o.mem_bytes;
-    }
-}
-
-impl DurabilityStats {
-    /// Add another shard's counters into this one.
-    pub fn merge(&mut self, o: &DurabilityStats) {
-        self.retries += o.retries;
-        self.breaker_trips += o.breaker_trips;
-    }
-}
-
-impl OverloadStats {
-    /// Add another shard's counters into this one.
-    pub fn merge(&mut self, o: &OverloadStats) {
-        self.updates_shed += o.updates_shed;
-        self.deadline_partials += o.deadline_partials;
-        self.analytics_skipped += o.analytics_skipped;
-    }
-}
-
-impl FlowStats {
-    /// Add another engine's counters into this one, group by group —
-    /// how a sharded deployment reports one grouped record across its
-    /// shard-local engines. Ghost (replicated) work is counted on every
-    /// shard that performed it, so merged sums can exceed an unsharded
-    /// run's by exactly the replicated cross-shard work.
-    pub fn merge(&mut self, o: &FlowStats) {
-        self.ingest.merge(&o.ingest);
-        self.analytics.merge(&o.analytics);
-        self.snapshots.merge(&o.snapshots);
-        self.durability.merge(&o.durability);
-        self.overload.merge(&o.overload);
-        self.tier.merge(&o.tier);
-    }
-}
-
 /// Rung of the overload degradation ladder, least to most degraded.
-/// `Ord` follows declaration order, so `max(depth_level, latency_level)`
-/// picks the more degraded of the two signals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DegradationLevel {
     /// Normal operation: full analytics on every trigger.
     #[default]
@@ -300,11 +248,9 @@ impl DegradationLevel {
     }
 }
 
-/// Thresholds driving the degradation ladder. Depth thresholds are in
-/// queued *updates* (the [`AdmissionQueue::depth`] quantity) and are the
-/// deterministic signal; the latency thresholds consume a wall-clock
-/// EWMA of per-batch processing time and default to *off* so tests and
-/// reproducible runs are depth-driven only.
+/// Thresholds driving the degradation ladder, in queued *updates* (the
+/// [`AdmissionQueue::depth`] quantity) — a deterministic signal, so a
+/// fixed offered sequence always walks the same rungs.
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadConfig {
     /// Queue depth at or above which analytics run under the degraded
@@ -317,17 +263,6 @@ pub struct OverloadConfig {
     /// Op budget for analytic runs at `PartialDeadline` (see
     /// [`ga_kernels::Budget::ops`]).
     pub degraded_budget_ops: u64,
-    /// Optional wall-clock deadline composed into the degraded budget.
-    pub degraded_deadline: Option<Duration>,
-    /// Smoothing factor of the recent-latency EWMA.
-    pub latency_alpha: f64,
-    /// Mean batch latency above which to enter `PartialDeadline`
-    /// (`None` = latency never drives this rung).
-    pub latency_partial: Option<Duration>,
-    /// Mean batch latency above which to enter `SeedsOnly`.
-    pub latency_seeds_only: Option<Duration>,
-    /// Mean batch latency above which to enter `Shed`.
-    pub latency_shed: Option<Duration>,
 }
 
 impl Default for OverloadConfig {
@@ -338,11 +273,6 @@ impl Default for OverloadConfig {
             seeds_only_at: adm.normal_watermark,
             shed_at: adm.capacity,
             degraded_budget_ops: 1 << 20,
-            degraded_deadline: None,
-            latency_alpha: 0.2,
-            latency_partial: None,
-            latency_seeds_only: None,
-            latency_shed: None,
         }
     }
 }
@@ -362,12 +292,12 @@ pub struct BatchRunReport {
     pub alerts: Vec<String>,
 }
 
-/// Construction-time configuration for a [`FlowEngine`]: the one
-/// coherent way to set parallelism, budgets, retry/breaker, admission,
-/// overload thresholds, durability, and observability. (The scattered
-/// pre-PR-5 setters — `enable_durability`, `set_admission_config`,
-/// `set_retry_policy`, `set_breaker` — are gone; this builder is the
-/// only configuration surface.)
+/// Construction-time configuration for a [`FlowEngine`] — the only
+/// configuration surface: parallelism, retry/breaker, admission,
+/// overload thresholds, extraction, durability, tiering and
+/// observability are all set here and the engine's fields are private.
+/// Each setting switches one stage of the ingest pipeline (see the
+/// [module docs](self)) on or tunes it; none adds a second path.
 ///
 /// ```
 /// # use ga_core::flow::FlowEngine;
@@ -382,7 +312,6 @@ pub struct BatchRunReport {
 #[derive(Debug)]
 pub struct FlowConfig {
     parallelism: Parallelism,
-    budget: Budget,
     retry: RetryPolicy,
     breaker_threshold: u32,
     admission: AdmissionConfig,
@@ -402,7 +331,6 @@ impl Default for FlowConfig {
     fn default() -> Self {
         FlowConfig {
             parallelism: Parallelism::Auto,
-            budget: Budget::unlimited(),
             retry: RetryPolicy::none(),
             breaker_threshold: 3,
             admission: AdmissionConfig::default(),
@@ -428,13 +356,6 @@ impl FlowConfig {
     /// Serial/parallel kernel dispatch policy (default `Auto`).
     pub fn parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
-        self
-    }
-
-    /// Standing op/deadline budget for analytic runs (default
-    /// unlimited).
-    pub fn budget(mut self, b: Budget) -> Self {
-        self.budget = b;
         self
     }
 
@@ -549,51 +470,87 @@ impl FlowConfig {
 
     /// Build an engine over an existing persistent graph.
     pub fn build_with_graph(
-        self,
+        mut self,
         graph: DynamicGraph,
         props: PropertyStore,
     ) -> io::Result<FlowEngine> {
-        let mut engine = FlowEngine::with_graph(graph, props);
+        let durability_dir = self.durability_dir.take();
+        let mut stream = StreamEngine::with_graph(graph, props);
         if let Some(limit) = self.vertex_limit {
-            engine.stream.set_vertex_limit(limit);
+            stream.set_vertex_limit(limit);
         }
-        engine.stream.symmetrize = self.symmetrize;
-        let durability_dir = self.apply_runtime(&mut engine);
+        stream.symmetrize = self.symmetrize;
+        let mut engine = self.into_engine(stream);
         // Durability last: the initial checkpoint must capture the
-        // configured symmetrize/vertex-limit state.
+        // configured symmetrize/vertex-limit state, and any graph
+        // content or write-backs that predate the log (those are only
+        // durable via checkpoints).
         if let Some(dir) = durability_dir {
-            engine.enable_durability_impl(&dir)?;
+            let d = Durability::create(dir, &engine.snapshot(1))?;
+            engine.attach_durability(d);
         }
         Ok(engine)
     }
 
-    /// Recover an engine from a durability directory (see
-    /// [`FlowEngine::recover`]) and apply this configuration's runtime
-    /// settings to it. The persisted state knobs — `vertex_limit`,
-    /// `symmetrize`, and the durability directory itself — come from the
-    /// checkpoint, not from the builder, so replay stays deterministic.
+    /// Rebuild an engine from a durability directory: load the newest
+    /// usable checkpoint, replay the WAL suffix through the ingest
+    /// pipeline (quarantine included), and reattach the log for further
+    /// appends. This configuration is in force *during* the replay, so
+    /// a configured recorder sees one Ingest span per replayed frame.
+    ///
+    /// The recovered state — graph slots, property columns, stats,
+    /// batch-time watermark — is bit-identical to an uninterrupted run
+    /// over the same durable batches. The persisted state knobs —
+    /// `vertex_limit`, `symmetrize`, and the durability directory itself
+    /// — come from the checkpoint, not from the builder, so replay stays
+    /// deterministic. Registered analytics and monitors are NOT
+    /// persisted; re-register after recovery. Errors are prefixed with
+    /// [`Self::shard_label`] when one is set.
     pub fn recover(self, dir: impl AsRef<Path>) -> io::Result<FlowEngine> {
-        let mut engine = FlowEngine::recover_labeled(dir, &self.shard_label)?;
-        self.apply_runtime(&mut engine);
+        let (durability, ckpt, replay) = Durability::recover(dir, &self.shard_label)?;
+        let mut stream = StreamEngine::with_graph(ckpt.graph, ckpt.props);
+        stream.set_stats(ckpt.stream);
+        stream.symmetrize = ckpt.symmetrize;
+        stream.set_vertex_limit(ckpt.vertex_limit as usize);
+        stream.set_last_batch_time(ckpt.last_batch_time);
+        let mut engine = self.into_engine(stream);
+        engine.stats = ckpt.flow;
+        engine.attach_durability(durability);
+        for (_seq, batch) in &replay {
+            // The un-logged front: the frames are already in the log,
+            // and re-validation re-quarantines deterministically.
+            engine.process_stream(batch, |_| None, None);
+        }
         Ok(engine)
     }
 
-    /// Apply every non-persisted setting to `engine`; returns the
-    /// durability directory for the caller to act on (or ignore).
-    fn apply_runtime(self, engine: &mut FlowEngine) -> Option<PathBuf> {
-        engine.kernel_ctx.parallelism = self.parallelism;
-        engine.kernel_ctx.budget = self.budget;
-        engine.retry = self.retry;
-        engine.breaker = CircuitBreaker::new(self.breaker_threshold);
-        engine.admission = AdmissionQueue::new(self.admission);
-        engine.batch_latency = Ewma::new(self.overload.latency_alpha);
-        engine.overload = self.overload;
-        engine.extract = self.extract;
-        engine.project_columns = self.project_columns;
-        engine.compressed_adjacency = self.compressed_adjacency;
-        engine.tier_config = self.tier;
-        engine.set_recorder(self.recorder);
-        self.durability_dir
+    /// The one field-by-field constructor: every engine, fresh or
+    /// recovered, starts here.
+    fn into_engine(self, mut stream: StreamEngine) -> FlowEngine {
+        let mut kernel_ctx = KernelCtx::new(self.parallelism);
+        kernel_ctx.recorder = self.recorder.clone();
+        stream.set_recorder(self.recorder.clone());
+        FlowEngine {
+            stream,
+            analytics: Vec::new(),
+            stats: FlowStats::default(),
+            durability: None,
+            admission: AdmissionQueue::new(self.admission),
+            retry: self.retry,
+            breaker: CircuitBreaker::new(self.breaker_threshold),
+            durability_suspended: false,
+            level: DegradationLevel::Full,
+            overload_events: Vec::new(),
+            recorder: self.recorder,
+            overload: self.overload,
+            extract: self.extract,
+            project_columns: self.project_columns,
+            kernel_ctx,
+            compressed_adjacency: self.compressed_adjacency,
+            tier_config: self.tier,
+            tier: None,
+            serve: None,
+        }
     }
 }
 
@@ -626,8 +583,6 @@ pub struct FlowEngine {
     breaker: CircuitBreaker,
     /// True once the breaker tripped: the engine runs non-durably.
     durability_suspended: bool,
-    /// Recent per-batch processing latency (seconds).
-    batch_latency: Ewma,
     /// Current rung of the degradation ladder (for change events).
     level: DegradationLevel,
     /// Overload events (LoadShed / Degraded / CircuitBreaker) pending
@@ -635,18 +590,18 @@ pub struct FlowEngine {
     overload_events: Vec<Event>,
     /// Observability sink: span totals, latency histograms, and the
     /// unified event journal. Disabled (free) unless configured through
-    /// [`FlowConfig::recorder`] or [`Self::set_recorder`].
+    /// [`FlowConfig::recorder`].
     recorder: Recorder,
     /// Degradation-ladder thresholds.
-    pub overload: OverloadConfig,
+    overload: OverloadConfig,
     /// Extraction settings used by both paths.
-    pub extract: ExtractOptions,
+    extract: ExtractOptions,
     /// Property columns projected into extracted subgraphs.
-    pub project_columns: Vec<String>,
-    /// Kernel execution context handed to every analytic run; set its
-    /// `parallelism` to steer serial/parallel kernel dispatch and its
-    /// `budget` to impose a standing op/deadline budget on analytics.
-    pub kernel_ctx: KernelCtx,
+    project_columns: Vec<String>,
+    /// Kernel execution context handed to every analytic run: carries
+    /// the serial/parallel dispatch policy and the op budget (unlimited
+    /// except while a `PartialDeadline` batch is in the pipeline).
+    kernel_ctx: KernelCtx,
     /// When set ([`FlowConfig::compressed_adjacency`]), each batch run
     /// also refreshes the delta-varint compressed snapshot.
     compressed_adjacency: bool,
@@ -663,7 +618,8 @@ pub struct FlowEngine {
 }
 
 impl FlowEngine {
-    /// Engine over an empty persistent graph of `num_vertices`.
+    /// Engine over an empty persistent graph of `num_vertices`, with
+    /// the default [`FlowConfig`].
     pub fn new(num_vertices: usize) -> Self {
         Self::with_graph(
             DynamicGraph::new(num_vertices),
@@ -671,43 +627,22 @@ impl FlowEngine {
         )
     }
 
-    /// Start a [`FlowConfig`] builder — the one coherent way to
-    /// configure parallelism, budgets, retry/breaker, admission,
-    /// overload thresholds, durability, and observability at
-    /// construction time.
+    /// Start a [`FlowConfig`] builder — the only configuration surface.
     pub fn builder() -> FlowConfig {
         FlowConfig::default()
     }
 
-    /// Engine over an existing persistent graph.
+    /// Engine over an existing persistent graph, with the default
+    /// [`FlowConfig`].
     pub fn with_graph(graph: DynamicGraph, props: PropertyStore) -> Self {
-        let overload = OverloadConfig::default();
-        FlowEngine {
-            stream: StreamEngine::with_graph(graph, props),
-            analytics: Vec::new(),
-            stats: FlowStats::default(),
-            durability: None,
-            admission: AdmissionQueue::new(AdmissionConfig::default()),
-            retry: RetryPolicy::none(),
-            breaker: CircuitBreaker::new(3),
-            durability_suspended: false,
-            batch_latency: Ewma::new(overload.latency_alpha),
-            level: DegradationLevel::Full,
-            overload_events: Vec::new(),
-            recorder: Recorder::disabled(),
-            overload,
-            extract: ExtractOptions {
-                depth: 2,
-                max_vertices: 4096,
-                undirected_expand: false,
-            },
-            project_columns: Vec::new(),
-            kernel_ctx: KernelCtx::new(Parallelism::Auto),
-            compressed_adjacency: false,
-            tier_config: None,
-            tier: None,
-            serve: None,
-        }
+        FlowConfig::default()
+            .build_with_graph(graph, props)
+            .expect("the default configuration has no durability directory, so build does no IO")
+    }
+
+    /// [`FlowConfig::recover`] with the default configuration.
+    pub fn recover(dir: impl AsRef<Path>) -> io::Result<FlowEngine> {
+        FlowConfig::default().recover(dir)
     }
 
     /// A delta-varint compressed snapshot of the persistent graph,
@@ -720,11 +655,6 @@ impl FlowEngine {
     pub fn compressed_snapshot(&mut self) -> std::sync::Arc<CompressedCsr> {
         self.stream
             .compressed_csr_snapshot(self.kernel_ctx.parallelism)
-    }
-
-    /// Whether batch runs maintain the compressed adjacency mirror.
-    pub fn compressed_adjacency(&self) -> bool {
-        self.compressed_adjacency
     }
 
     // -----------------------------------------------------------------
@@ -875,18 +805,6 @@ impl FlowEngine {
     /// restored by recovery alongside [`FlowStats`]).
     pub fn stream_stats(&self) -> ga_stream::engine::StreamStats {
         self.stream.stats()
-    }
-
-    /// Attach (or replace) the observability recorder, threading it
-    /// through the kernel context, stream engine, WAL, and checkpoint
-    /// writer. Pass [`Recorder::disabled`] to turn instrumentation off.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.kernel_ctx.recorder = recorder.clone();
-        self.stream.set_recorder(recorder.clone());
-        if let Some(d) = self.durability.as_mut() {
-            d.set_recorder(recorder.clone());
-        }
-        self.recorder = recorder;
     }
 
     /// The attached recorder (disabled by default). Callers owning flow
@@ -1095,77 +1013,103 @@ impl FlowEngine {
         }
     }
 
-    /// The streaming path: apply a batch of updates, observe monitor
-    /// events, and for each event the `trigger` turns into seeds, run
-    /// the chosen analytic on the extracted neighborhood ("use the
-    /// modified vertices/edges as seeds into a subgraph extraction
-    /// process similar to that described for the batch process").
+    // -----------------------------------------------------------------
+    // The write path: one staged pipeline behind every front.
+    // -----------------------------------------------------------------
+
+    /// The ingest pipeline — the only code that appends to the WAL,
+    /// applies a batch to the stream engine, or freezes and publishes an
+    /// epoch ([`Self::publish_epoch`] is its last stage). Stages run in
+    /// the order of the [module docs'](self) table — WAL, apply, monitor
+    /// events, triggers + analytics, freeze + publish — each a plain
+    /// `if` on engine state; the fronts only pick a [`Front`].
+    ///
+    /// Returns the reports of analytic runs that executed and the number
+    /// of updates quarantined. It can only fail in the WAL stage, so an
+    /// `Err` means the batch was neither logged nor applied.
+    fn ingest(
+        &mut self,
+        batch: &UpdateBatch,
+        front: Front,
+        trigger: impl Fn(&Event) -> Option<Vec<VertexId>>,
+        analytic_idx: Option<usize>,
+    ) -> io::Result<(Vec<BatchRunReport>, usize)> {
+        if front.log && self.durability.is_some() && !self.durability_suspended {
+            let logged = self.durable_write(|d| d.append(batch), Durability::repair_wal);
+            // A failure that tripped the breaker suspended durability:
+            // the batch proceeds un-logged (degradation, not an error
+            // stream). Any other failure stops here.
+            if let (Err(e), false) = (logged, self.durability_suspended) {
+                return Err(e);
+            }
+        }
+        if front.drain_dead_letters {
+            // After the append, so a failed append leaves the
+            // quarantined updates retained instead of destroyed.
+            self.stream.drain_dead_letters();
+        }
+
+        let level = front.level;
+        let quarantined = if level == DegradationLevel::Shed {
+            self.stream.apply_batch_unmonitored(batch)
+        } else {
+            self.stream.apply_batch(batch)
+        };
+        self.stats.ingest.updates_applied += batch.updates.len() - quarantined;
+        self.stats.ingest.updates_quarantined += quarantined;
+
+        let events = self.stream.take_events();
+        self.stats.ingest.events_observed += events.len();
+
+        // At `PartialDeadline` analytics run under the degraded budget
+        // and may return typed partial results; at `SeedsOnly` triggers
+        // still fire and seeds are counted, but the run is skipped.
+        let standing_budget = (level == DegradationLevel::PartialDeadline).then(|| {
+            std::mem::replace(
+                &mut self.kernel_ctx.budget,
+                Budget::ops(self.overload.degraded_budget_ops),
+            )
+        });
+        let mut reports = Vec::new();
+        for ev in &events {
+            let Some(seeds) = trigger(ev) else { continue };
+            self.stats.ingest.triggers_fired += 1;
+            let Some(idx) = analytic_idx else { continue };
+            self.stats.analytics.seeds_selected += seeds.len();
+            if level == DegradationLevel::SeedsOnly {
+                self.stats.overload.analytics_skipped += 1;
+            } else {
+                reports.push(self.run_batch_on_seeds(&seeds, idx));
+            }
+        }
+        if let Some(budget) = standing_budget {
+            self.kernel_ctx.budget = budget;
+        }
+
+        self.publish_epoch();
+        Ok((reports, quarantined))
+    }
+
+    /// The streaming path, un-logged: apply a batch of updates, observe
+    /// monitor events, and for each event the `trigger` turns into
+    /// seeds, run the chosen analytic on the extracted neighborhood
+    /// ("use the modified vertices/edges as seeds into a subgraph
+    /// extraction process similar to that described for the batch
+    /// process"). Never touches the WAL, even on a durable engine — use
+    /// [`Self::process_stream_durable`] or [`Self::pump`] for batches
+    /// that must survive a crash.
     pub fn process_stream(
         &mut self,
         batch: &UpdateBatch,
         trigger: impl Fn(&Event) -> Option<Vec<VertexId>>,
         analytic_idx: Option<usize>,
     ) -> Vec<BatchRunReport> {
-        let reports = self.process_stream_inner(batch, trigger, analytic_idx, true);
-        self.publish_epoch();
-        reports
+        self.ingest(batch, Front::UNLOGGED, trigger, analytic_idx)
+            .expect("only the WAL stage can fail, and the un-logged front skips it")
+            .0
     }
 
-    /// Shared streaming path. With `run_analytics` false (the
-    /// `SeedsOnly` degradation rung) triggers still fire and seeds are
-    /// still selected/counted, but each would-be analytic run is skipped
-    /// and counted in `analytics_skipped` instead.
-    fn process_stream_inner(
-        &mut self,
-        batch: &UpdateBatch,
-        trigger: impl Fn(&Event) -> Option<Vec<VertexId>>,
-        analytic_idx: Option<usize>,
-        run_analytics: bool,
-    ) -> Vec<BatchRunReport> {
-        let quarantined = self.stream.apply_batch(batch);
-        self.stats.ingest.updates_applied += batch.updates.len() - quarantined;
-        self.stats.ingest.updates_quarantined += quarantined;
-        let events = self.stream.take_events();
-        self.stats.ingest.events_observed += events.len();
-        let mut reports = Vec::new();
-        for ev in &events {
-            if let Some(seeds) = trigger(ev) {
-                self.stats.ingest.triggers_fired += 1;
-                if let Some(idx) = analytic_idx {
-                    self.stats.analytics.seeds_selected += seeds.len();
-                    if run_analytics {
-                        reports.push(self.run_batch_on_seeds(&seeds, idx));
-                    } else {
-                        self.stats.overload.analytics_skipped += 1;
-                    }
-                }
-            }
-        }
-        reports
-    }
-
-    // -----------------------------------------------------------------
-    // Durability: WAL + checkpoint/recovery (crate::durability).
-    // -----------------------------------------------------------------
-
-    /// Make this engine durable: every subsequent
-    /// [`Self::process_stream_durable`] batch is written ahead to a log
-    /// in `dir`, and [`Self::checkpoint`] snapshots full state there.
-    ///
-    /// Writes an initial checkpoint capturing the *current* state, so
-    /// recovery always has a base — including any graph content or
-    /// analytic write-backs that predate durability (those are not in
-    /// the WAL and are only durable via checkpoints). Fails if `dir`
-    /// already holds engine state; use [`Self::recover`] for that.
-    fn enable_durability_impl(&mut self, dir: &Path) -> io::Result<()> {
-        let ckpt = self.snapshot(1);
-        let mut d = Durability::create(dir, &ckpt)?;
-        d.set_recorder(self.recorder.clone());
-        self.durability = Some(d);
-        Ok(())
-    }
-
-    /// Whether [`FlowConfig::durability_dir`] / [`Self::recover`]
+    /// Whether [`FlowConfig::durability_dir`] / [`FlowConfig::recover`]
     /// attached a durability directory.
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
@@ -1178,14 +1122,10 @@ impl FlowEngine {
         self.durability.as_ref().map(|d| d.next_wal_seq())
     }
 
-    /// Cursor of the newest successfully written checkpoint.
-    pub fn last_checkpoint_seq(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| d.last_checkpoint_seq())
-    }
-
-    /// Durable form of [`Self::process_stream`]: the batch is appended
+    /// Logged form of [`Self::process_stream`]: the batch is appended
     /// to the write-ahead log (fsynced) *before* it touches the engine,
-    /// so a crash at any later point replays it on recovery.
+    /// so a crash at any later point replays it on recovery. Errors on
+    /// an engine without durability.
     ///
     /// Transient append failures are retried per the configured
     /// [`FlowConfig::retry`] policy (the torn tail is repaired between
@@ -1201,56 +1141,46 @@ impl FlowEngine {
         trigger: impl Fn(&Event) -> Option<Vec<VertexId>>,
         analytic_idx: Option<usize>,
     ) -> io::Result<Vec<BatchRunReport>> {
-        if self.durability.is_none() {
-            return Err(io::Error::other(
-                "durability not enabled; build with durability_dir or recover first",
-            ));
+        if !self.is_durable() {
+            return Err(not_durable());
         }
-        self.append_with_retry(batch)?;
-        Ok(self.process_stream(batch, trigger, analytic_idx))
+        let front = Front::logged(DegradationLevel::Full);
+        Ok(self.ingest(batch, front, trigger, analytic_idx)?.0)
     }
 
-    /// Append `batch` to the WAL, retrying transient failures with the
-    /// configured backoff. Exhausted retries feed the circuit breaker;
-    /// when it trips the engine suspends durability (returning `Ok` so
-    /// the caller proceeds non-durably) instead of erroring forever.
-    fn append_with_retry(&mut self, batch: &UpdateBatch) -> io::Result<()> {
-        if self.durability_suspended || self.durability.is_none() {
-            return Ok(());
-        }
-        let mut attempt = 0u32;
-        let err = loop {
-            let d = self.durability.as_mut().unwrap();
-            match d.append(batch) {
-                Ok(_) => {
-                    self.breaker.record_success();
-                    return Ok(());
-                }
-                Err(e) => {
-                    // A failed append may have torn the log; truncate the
-                    // tail so the retried frame lands on a clean boundary.
-                    // A repair failure is itself a durability failure —
-                    // and on a hard storage fault the most likely
-                    // correlated one — so it must feed the breaker below
-                    // rather than bypass it.
-                    if let Err(re) = d.repair_wal() {
-                        break re;
-                    }
-                    if attempt < self.retry.max_retries {
-                        std::thread::sleep(self.retry.delay(attempt));
-                        attempt += 1;
-                        self.stats.durability.retries += 1;
-                    } else {
-                        break e;
-                    }
+    /// Shard delivery ([`crate::sharded::ShardedFlow`]): log iff this
+    /// engine is durable, no triggers; returns the quarantined count.
+    pub(crate) fn deliver(&mut self, batch: &UpdateBatch) -> io::Result<usize> {
+        let front = Front::logged(DegradationLevel::Full);
+        Ok(self.ingest(batch, front, |_| None, None)?.1)
+    }
+
+    fn attach_durability(&mut self, mut d: Durability) {
+        d.set_recorder(self.recorder.clone());
+        self.durability = Some(d);
+    }
+
+    /// Every durable write (WAL append, checkpoint) goes through here:
+    /// [`RetryPolicy::run`] retries it, the retries are counted, and the
+    /// outcome feeds the circuit breaker — an exhausted write that trips
+    /// it suspends durability (see [`Self::durability_suspended`]).
+    fn durable_write<T>(
+        &mut self,
+        write: impl FnMut(&mut Durability) -> io::Result<T>,
+        repair: impl FnMut(&mut Durability) -> io::Result<()>,
+    ) -> io::Result<T> {
+        let d = self.durability.as_mut().ok_or_else(not_durable)?;
+        let (result, retries) = self.retry.run(d, write, repair);
+        self.stats.durability.retries += retries as usize;
+        match &result {
+            Ok(_) => self.breaker.record_success(),
+            Err(_) => {
+                if self.breaker.record_failure() {
+                    self.trip_breaker();
                 }
             }
-        };
-        if self.breaker.record_failure() {
-            self.trip_breaker();
-            return Ok(());
         }
-        Err(err)
+        result
     }
 
     /// Record a breaker trip: suspend durable writes, raise an alert,
@@ -1259,15 +1189,21 @@ impl FlowEngine {
         self.durability_suspended = true;
         self.stats.durability.breaker_trips += 1;
         self.stats.analytics.alerts_raised += 1;
+        self.note_breaker(true);
+    }
+
+    /// Journal and queue a `CircuitBreaker` open/close event.
+    fn note_breaker(&mut self, open: bool) {
         let time = self.stream.last_batch_time();
+        let state = if open { "open" } else { "closed" };
         self.recorder
-            .journal(time, "circuit_breaker", "durability open".into());
+            .journal(time, "circuit_breaker", format!("durability {state}"));
         self.overload_events.push(Event {
             time,
             source: "flow",
             kind: EventKind::CircuitBreaker {
                 site: "durability",
-                open: true,
+                open,
             },
         });
     }
@@ -1287,7 +1223,8 @@ impl FlowEngine {
     }
 
     /// Write a checkpoint of the current state, rotate the WAL, and
-    /// prune old files. Returns the checkpoint's path.
+    /// prune old files — out of band, never inside the ingest pipeline.
+    /// Returns the checkpoint's path.
     ///
     /// Transient write failures are retried like WAL appends (the
     /// tmp-file + rename protocol makes a retried write safe), feeding
@@ -1295,82 +1232,17 @@ impl FlowEngine {
     /// suspended — a checkpoint is an explicit durability request the
     /// engine cannot silently skip.
     pub fn checkpoint(&mut self) -> io::Result<PathBuf> {
-        if self.durability.is_none() {
-            return Err(io::Error::other(
-                "durability not enabled; build with durability_dir or recover first",
-            ));
-        }
+        let seq = self.next_wal_seq().ok_or_else(not_durable)?;
         if self.durability_suspended {
             return Err(io::Error::other(
                 "durability suspended by the circuit breaker; call resume_durability",
             ));
         }
-        let seq = self.durability.as_ref().unwrap().next_wal_seq();
-        let ckpt = self.snapshot(seq);
         // Retries of this very write cannot be part of the image being
-        // written; the live counter is folded up after the write lands
-        // (recovered counters lag by exactly those retries, which the
-        // equivalence suite normalizes).
-        let mut attempt = 0u32;
-        let result = loop {
-            let d = self.durability.as_mut().unwrap();
-            match d.checkpoint(&ckpt) {
-                Ok(path) => break Ok(path),
-                Err(_) if attempt < self.retry.max_retries => {
-                    std::thread::sleep(self.retry.delay(attempt));
-                    attempt += 1;
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        self.stats.durability.retries += attempt as usize;
-        match result {
-            Ok(path) => {
-                self.breaker.record_success();
-                Ok(path)
-            }
-            Err(e) => {
-                if self.breaker.record_failure() {
-                    self.trip_breaker();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Rebuild an engine from a durability directory: load the newest
-    /// usable checkpoint, replay the WAL suffix through the normal
-    /// ingest path (quarantine included), and reattach the log for
-    /// further appends.
-    ///
-    /// The recovered state — graph slots, property columns, stats,
-    /// batch-time watermark — is bit-identical to an uninterrupted run
-    /// over the same durable batches. Configuration that is not state
-    /// (registered analytics, monitors, extraction options, kernel
-    /// context) is NOT persisted; re-register after recovery.
-    pub fn recover(dir: impl AsRef<Path>) -> io::Result<FlowEngine> {
-        Self::recover_labeled(dir, "")
-    }
-
-    /// [`Self::recover`] for one shard of a multi-engine deployment:
-    /// `label` (e.g. `"shard-03"`) is prefixed onto every durability
-    /// error so a failed recovery names the shard and the offending
-    /// checkpoint/WAL path.
-    pub fn recover_labeled(dir: impl AsRef<Path>, label: &str) -> io::Result<FlowEngine> {
-        let (durability, ckpt, replay) = Durability::recover_labeled(dir, label)?;
-        let mut engine = FlowEngine::with_graph(ckpt.graph, ckpt.props);
-        engine.stats = ckpt.flow;
-        engine.stream.set_stats(ckpt.stream);
-        engine.stream.symmetrize = ckpt.symmetrize;
-        engine.stream.set_vertex_limit(ckpt.vertex_limit as usize);
-        engine.stream.set_last_batch_time(ckpt.last_batch_time);
-        engine.durability = Some(durability);
-        for (_seq, batch) in &replay {
-            // Replay through the plain path: the frames are already in
-            // the log, and re-validation re-quarantines deterministically.
-            engine.process_stream(batch, |_| None, None);
-        }
-        Ok(engine)
+        // written: recovered counters lag the live one by exactly those
+        // retries, which the equivalence suite normalizes.
+        let ckpt = self.snapshot(seq);
+        self.durable_write(|d| d.checkpoint(&ckpt), |_| Ok(()))
     }
 
     /// Quarantined updates, oldest first (bounded dead-letter queue).
@@ -1380,7 +1252,7 @@ impl FlowEngine {
 
     /// Remove and return every quarantined update (oldest first),
     /// leaving the dead-letter queue empty. For re-admission through
-    /// the normal ingest path use [`Self::replay_dead_letters`], which
+    /// the ingest pipeline use [`Self::replay_dead_letters`], which
     /// WAL-logs the replay on durable engines.
     pub fn drain_dead_letters(&mut self) -> Vec<QuarantinedUpdate> {
         self.stream.drain_dead_letters()
@@ -1393,15 +1265,10 @@ impl FlowEngine {
         self.stream.set_last_batch_time(t);
     }
 
-    /// Set the vertex-id bound above which updates are quarantined.
+    /// Set the vertex-id bound above which updates are quarantined —
+    /// the operator's fix before [`Self::replay_dead_letters`].
     pub fn set_vertex_limit(&mut self, limit: usize) {
         self.stream.set_vertex_limit(limit);
-    }
-
-    /// Mirror edge updates in both directions (undirected mode). Must
-    /// match across crash/recovery for replay to reproduce state.
-    pub fn set_symmetrize(&mut self, symmetrize: bool) {
-        self.stream.symmetrize = symmetrize;
     }
 
     /// Whether edge updates are mirrored in both directions (persisted
@@ -1436,17 +1303,7 @@ impl FlowEngine {
         self.breaker.reset();
         if self.durability_suspended {
             self.durability_suspended = false;
-            let time = self.stream.last_batch_time();
-            self.recorder
-                .journal(time, "circuit_breaker", "durability closed".into());
-            self.overload_events.push(Event {
-                time,
-                source: "flow",
-                kind: EventKind::CircuitBreaker {
-                    site: "durability",
-                    open: false,
-                },
-            });
+            self.note_breaker(false);
         }
         Ok(())
     }
@@ -1497,13 +1354,11 @@ impl FlowEngine {
     }
 
     /// The rung of the degradation ladder the next pumped batch will be
-    /// processed at: the more degraded of the queue-depth signal
-    /// (deterministic) and the recent-latency EWMA signal (off unless
-    /// latency thresholds are configured).
+    /// processed at, from the admission-queue depth.
     pub fn degradation_level(&self) -> DegradationLevel {
         let depth = self.admission.depth();
         let o = &self.overload;
-        let by_depth = if depth >= o.shed_at {
+        if depth >= o.shed_at {
             DegradationLevel::Shed
         } else if depth >= o.seeds_only_at {
             DegradationLevel::SeedsOnly
@@ -1511,23 +1366,7 @@ impl FlowEngine {
             DegradationLevel::PartialDeadline
         } else {
             DegradationLevel::Full
-        };
-        let by_latency = match self.batch_latency.value() {
-            None => DegradationLevel::Full,
-            Some(secs) => {
-                let over = |t: Option<Duration>| t.is_some_and(|t| secs > t.as_secs_f64());
-                if over(o.latency_shed) {
-                    DegradationLevel::Shed
-                } else if over(o.latency_seeds_only) {
-                    DegradationLevel::SeedsOnly
-                } else if over(o.latency_partial) {
-                    DegradationLevel::PartialDeadline
-                } else {
-                    DegradationLevel::Full
-                }
-            }
-        };
-        by_depth.max(by_latency)
+        }
     }
 
     /// Emit a `Degraded` event when the ladder rung changed since the
@@ -1560,26 +1399,27 @@ impl FlowEngine {
         }
     }
 
-    /// Drain up to `max_batches` admitted batches through the streaming
-    /// path, each at the degradation level in force when it is popped
-    /// (high-priority batches first):
+    /// Drain up to `max_batches` admitted batches through the ingest
+    /// pipeline, each at the degradation level in force when it is
+    /// popped (high-priority batches first):
     ///
-    /// * `Full` — the normal [`Self::process_stream`] path.
+    /// * `Full` — every stage, as [`Self::process_stream_durable`].
     /// * `PartialDeadline` — analytics run under
-    ///   [`OverloadConfig::degraded_budget_ops`] (+ optional deadline)
-    ///   and may return typed partial results (`deadline_partials`).
+    ///   [`OverloadConfig::degraded_budget_ops`] and may return typed
+    ///   partial results (`deadline_partials`).
     /// * `SeedsOnly` — triggers still fire and seeds are selected, but
     ///   analytic runs are skipped (`analytics_skipped`).
     /// * `Shed` — updates are applied unmonitored: no events, no
     ///   triggers, minimal cost.
     ///
     /// Durable engines append every pumped batch (with retry) before it
-    /// touches the graph, at every level — degradation sacrifices
-    /// analytics, never durability. If an append fails without tripping
-    /// the breaker, the popped batch is re-queued at the front of its
-    /// class before the error is returned, so a durability error never
-    /// silently loses an admitted batch. Returns the reports of analytic
-    /// runs that did execute.
+    /// touches the graph, and serving engines publish it, at every
+    /// level — degradation sacrifices analytics, never durability or
+    /// freshness. If an append fails without tripping the breaker, the
+    /// popped batch is re-queued at the front of its class before the
+    /// error is returned, so a durability error never silently loses an
+    /// admitted batch. Returns the reports of analytic runs that did
+    /// execute.
     pub fn pump(
         &mut self,
         max_batches: usize,
@@ -1593,64 +1433,33 @@ impl FlowEngine {
             let Some((class, batch)) = self.admission.pop() else {
                 break;
             };
-            let t0 = Instant::now();
-            if let Err(e) = self.append_with_retry(&batch) {
-                // The batch never touched the graph; put it back at the
-                // front of its class so nothing admitted is lost to a
-                // durability error.
-                self.admission.requeue_front(class, batch);
-                return Err(e);
-            }
-            match level {
-                DegradationLevel::Full => {
-                    reports.extend(self.process_stream(&batch, &trigger, analytic_idx));
-                }
-                DegradationLevel::PartialDeadline => {
-                    let saved = std::mem::replace(
-                        &mut self.kernel_ctx.budget,
-                        match self.overload.degraded_deadline {
-                            Some(d) => {
-                                Budget::ops_and_deadline(self.overload.degraded_budget_ops, d)
-                            }
-                            None => Budget::ops(self.overload.degraded_budget_ops),
-                        },
-                    );
-                    reports.extend(self.process_stream(&batch, &trigger, analytic_idx));
-                    self.kernel_ctx.budget = saved;
-                }
-                DegradationLevel::SeedsOnly => {
-                    self.process_stream_inner(&batch, &trigger, analytic_idx, false);
-                }
-                DegradationLevel::Shed => {
-                    let quarantined = self.stream.apply_batch_unmonitored(&batch);
-                    self.stats.ingest.updates_applied += batch.updates.len() - quarantined;
-                    self.stats.ingest.updates_quarantined += quarantined;
+            match self.ingest(&batch, Front::logged(level), &trigger, analytic_idx) {
+                Ok((ran, _)) => reports.extend(ran),
+                Err(e) => {
+                    // The batch never touched the graph; put it back at
+                    // the front of its class so nothing admitted is lost
+                    // to a durability error.
+                    self.admission.requeue_front(class, batch);
+                    return Err(e);
                 }
             }
-            self.batch_latency.observe(t0.elapsed().as_secs_f64());
         }
         // Re-evaluate after draining so recovery back to Full is visible
         // without waiting for the next pump.
         let level = self.degradation_level();
         self.note_level(level);
-        // Degraded rungs (SeedsOnly/Shed) bypass process_stream, so
-        // republish here — degradation sheds analytics, never freshness.
-        self.publish_epoch();
         Ok(reports)
     }
 
-    /// Drain the dead-letter queue and re-admit every quarantined update
-    /// through the normal ingest path (after the operator fixed the
-    /// cause — e.g. [`Self::set_vertex_limit`]). The replay batch is
-    /// WAL-logged first on durable engines, so recovery reproduces it.
-    /// Still-invalid updates are re-quarantined.
+    /// Re-admit every quarantined update through the ingest pipeline
+    /// (after the operator fixed the cause — e.g.
+    /// [`Self::set_vertex_limit`]). On durable engines the replay batch
+    /// is WAL-logged *before* the dead-letter queue is drained, so
+    /// recovery reproduces it and a failed append leaves the quarantined
+    /// updates retained. Still-invalid updates are re-quarantined.
     ///
     /// Returns `(applied, requarantined)`.
     pub fn replay_dead_letters(&mut self) -> io::Result<(usize, usize)> {
-        // Build the replay batch from a *copy* of the queue and append
-        // it to the WAL before draining: if the append fails, the
-        // quarantined updates stay safely retained in the dead-letter
-        // queue instead of being destroyed with the error.
         let updates: Vec<_> = self
             .stream
             .dead_letters()
@@ -1663,14 +1472,43 @@ impl FlowEngine {
             time: self.stream.last_batch_time(),
             updates,
         };
-        if self.durability.is_some() {
-            self.append_with_retry(&batch)?;
-        }
-        self.stream.drain_dead_letters();
-        let before = self.stats.ingest.updates_quarantined;
-        self.process_stream(&batch, |_| None, None);
-        let requarantined = self.stats.ingest.updates_quarantined - before;
+        let front = Front {
+            drain_dead_letters: true,
+            ..Front::logged(DegradationLevel::Full)
+        };
+        let (_, requarantined) = self.ingest(&batch, front, |_| None, None)?;
         Ok((batch.updates.len() - requarantined, requarantined))
+    }
+}
+
+fn not_durable() -> io::Error {
+    io::Error::other("durability not enabled; build with durability_dir or recover first")
+}
+
+/// What a front asks of [`FlowEngine::ingest`]: whether to log, the
+/// degradation rung, and whether the batch is the dead-letter queue's
+/// own contents (drained once the batch is safely logged).
+#[derive(Clone, Copy)]
+struct Front {
+    /// Append to the WAL first — iff durability is attached and not
+    /// suspended, so logged fronts also serve in-memory engines.
+    log: bool,
+    level: DegradationLevel,
+    drain_dead_letters: bool,
+}
+
+impl Front {
+    const UNLOGGED: Front = Front {
+        log: false,
+        level: DegradationLevel::Full,
+        drain_dead_letters: false,
+    };
+    const fn logged(level: DegradationLevel) -> Front {
+        Front {
+            log: true,
+            level,
+            drain_dead_letters: false,
+        }
     }
 }
 
@@ -1807,6 +1645,14 @@ mod tests {
         FlowEngine::with_graph(g, PropertyStore::new(n))
     }
 
+    fn depth_one() -> ExtractOptions {
+        ExtractOptions {
+            depth: 1,
+            max_vertices: 4096,
+            undirected_expand: false,
+        }
+    }
+
     #[test]
     fn batch_path_writes_back_properties() {
         let mut e = engine_with_ring(20);
@@ -1835,7 +1681,6 @@ mod tests {
             .compressed_adjacency(true)
             .build_with_graph(g, props)
             .unwrap();
-        assert!(e.compressed_adjacency());
         let idx = e.register_analytic(Box::new(ComponentsAnalytic));
         e.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
         // The mirror decodes to the exact plain snapshot, and kernels
@@ -1883,9 +1728,13 @@ mod tests {
 
     #[test]
     fn projection_carries_columns_into_subgraph() {
-        let mut e = engine_with_ring(8);
+        let mut g = DynamicGraph::new(8);
+        g.insert_undirected(&gen::ring(8), 1);
+        let mut e = FlowEngine::builder()
+            .project_columns(vec!["score".into()])
+            .build_with_graph(g, PropertyStore::new(8))
+            .unwrap();
         e.props_mut().set_column_f64("score", &[0.0; 8]);
-        e.project_columns = vec!["score".into()];
         let idx = e.register_analytic(Box::new(ComponentsAnalytic));
         // Smoke: run succeeds with projection enabled.
         let r = e.run_batch(&SelectionCriteria::Explicit(vec![3]), idx);
@@ -1894,8 +1743,16 @@ mod tests {
 
     #[test]
     fn pagerank_analytic_writes_ranks() {
-        let mut e = engine_with_ring(12);
-        e.extract.depth = 6;
+        let mut g = DynamicGraph::new(12);
+        g.insert_undirected(&gen::ring(12), 1);
+        let mut e = FlowEngine::builder()
+            .extract(ExtractOptions {
+                depth: 6,
+                max_vertices: 4096,
+                undirected_expand: false,
+            })
+            .build_with_graph(g, PropertyStore::new(12))
+            .unwrap();
         let idx = e.register_analytic(Box::new(PageRankAnalytic { damping: 0.85 }));
         e.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
         let total: f64 = (0..12)
@@ -1920,8 +1777,10 @@ mod tests {
 
     #[test]
     fn streaming_trigger_runs_analytic() {
-        let mut e = FlowEngine::new(16);
-        e.extract.depth = 1;
+        let mut e = FlowEngine::builder()
+            .extract(depth_one())
+            .build(16)
+            .unwrap();
         e.register_monitor(Box::new(ga_stream::jaccard_stream::JaccardMonitor::new(
             0.99,
         )));
@@ -2120,15 +1979,17 @@ mod tests {
                 normal_watermark: 800,
                 bulk_watermark: 500,
             })
+            .extract(depth_one())
+            .overload(OverloadConfig {
+                partial_at: 100,
+                seeds_only_at: 200,
+                shed_at: 300,
+                degraded_budget_ops: 0, // any analytic run is partial
+            })
             .build(16)
             .unwrap();
-        e.extract.depth = 1;
         e.register_monitor(Box::new(PulseMonitor));
         let idx = e.register_analytic(Box::new(ComponentsAnalytic));
-        e.overload.partial_at = 100;
-        e.overload.seeds_only_at = 200;
-        e.overload.shed_at = 300;
-        e.overload.degraded_budget_ops = 0; // any analytic run is partial
         let trigger = |ev: &Event| match ev.kind {
             EventKind::GlobalValue { .. } => Some(vec![0]),
             _ => None,

@@ -9,11 +9,16 @@
 //! mode change (durability suspended, alert raised) instead of an
 //! unbounded error stream.
 //!
+//! [`RetryPolicy::run`] is the one retry loop; the flow engine wraps it
+//! with retry counting and breaker feeding for both WAL appends and
+//! checkpoint writes.
+//!
 //! Jitter is *seeded*, not sampled from the OS: `delay(attempt)` is a
 //! pure function of `(policy, attempt)`, so two runs with the same seed
 //! wait exactly as long — the crash-recovery matrix stays reproducible
 //! even with retries in the loop.
 
+use std::io;
 use std::time::Duration;
 
 /// Capped exponential backoff with deterministic jitter.
@@ -86,6 +91,40 @@ impl RetryPolicy {
         // 53 random bits → an f64 fraction in [0, 1).
         let frac = (splitmix64(self.seed ^ attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
         Duration::from_nanos(base.as_nanos() as u64 + (span as f64 * frac) as u64)
+    }
+
+    /// The retry loop for durable writes: call `write(target)` until it
+    /// succeeds or `max_retries` retries are spent, sleeping
+    /// [`Self::delay`] between attempts. After *every* failed attempt
+    /// `repair(target)` runs first (a failed WAL append may have torn
+    /// the log, and the retried frame must land on a clean boundary); a
+    /// repair failure is itself a durability failure — on a hard storage
+    /// fault the most likely correlated one — so it ends the loop with
+    /// its own error instead of being retried around.
+    ///
+    /// Returns the outcome and the number of retries spent, for the
+    /// caller to count and to feed its [`CircuitBreaker`].
+    pub fn run<C, T>(
+        &self,
+        target: &mut C,
+        mut write: impl FnMut(&mut C) -> io::Result<T>,
+        mut repair: impl FnMut(&mut C) -> io::Result<()>,
+    ) -> (io::Result<T>, u32) {
+        let mut retries = 0;
+        loop {
+            let err = match write(target) {
+                Ok(v) => return (Ok(v), retries),
+                Err(e) => e,
+            };
+            if let Err(repair_err) = repair(target) {
+                return (Err(repair_err), retries);
+            }
+            if retries == self.max_retries {
+                return (Err(err), retries);
+            }
+            std::thread::sleep(self.delay(retries));
+            retries += 1;
+        }
     }
 }
 

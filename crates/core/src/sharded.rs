@@ -11,7 +11,10 @@
 //!   its endpoints' owner shards. A cross-shard edge is delivered to
 //!   both owners; the second delivery materializes a *ghost* (halo)
 //!   entry and is priced at [`UPDATE_WIRE_BYTES`] in the cross-shard
-//!   traffic model.
+//!   traffic model. Every delivery enters its shard engine through the
+//!   one ingest pipeline (`FlowEngine::deliver`: log iff the shard is
+//!   durable) — the fleet has no apply code of its own, and every shard
+//!   engine's configuration comes from one `shard_config`.
 //! * **Batch analytics** — scatter-gather: each shard computes a
 //!   partial over the vertices it owns ([`ga_kernels::scatter`]), the
 //!   router merges. PageRank keeps every floating-point reduction in
@@ -24,7 +27,7 @@
 //!   (`base/shard-00`, `base/shard-01`, …), so recovery is
 //!   shard-local and a shard's recovery failure names the shard (its
 //!   errors are prefixed `[shard-NN]` via
-//!   [`FlowEngine::recover_labeled`]).
+//!   [`crate::flow::FlowConfig::shard_label`]).
 //! * **Replication** — with [`ShardedConfig::replicate`], every
 //!   delivery to a shard is mirrored to that shard's ring successor
 //!   (K=2 chain replication over the same router). The successor of
@@ -65,7 +68,7 @@
 //! degraded window under the shard fault matrix.
 
 use crate::faults::{check, with_scope};
-use crate::flow::{FlowEngine, FlowStats};
+use crate::flow::{FlowConfig, FlowEngine, FlowStats};
 use ga_graph::{DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId};
 use ga_kernels::cc::Components;
 use ga_kernels::pagerank::PageRankResult;
@@ -108,6 +111,19 @@ pub fn shard_dir(base: &Path, shard: usize) -> PathBuf {
 /// prefixes alike.
 pub fn shard_label(shard: usize) -> String {
     format!("shard-{shard:02}")
+}
+
+/// Copy into `out` every property cell of `store` whose vertex `keep`
+/// accepts, growing `out` to `store`'s width.
+fn copy_props(out: &mut PropertyStore, store: &PropertyStore, keep: impl Fn(VertexId) -> bool) {
+    out.grow(store.num_vertices());
+    for name in store.column_names() {
+        for v in (0..store.num_vertices() as VertexId).filter(|&v| keep(v)) {
+            if let Some(val) = store.get(name, v) {
+                out.set(name, v, val);
+            }
+        }
+    }
 }
 
 /// Cross-shard network bytes, per protocol, under the wire model the
@@ -238,11 +254,6 @@ impl ShardSupervisor {
     /// Consecutive-failure strikes currently held against `shard`.
     pub fn strikes(&self, shard: usize) -> u32 {
         self.strikes[shard]
-    }
-
-    /// The death threshold in force.
-    pub fn suspect_strikes(&self) -> u32 {
-        self.suspect_strikes
     }
 
     /// Transitions recorded so far (oldest first, capped at 1024;
@@ -445,14 +456,6 @@ pub struct ShardedConfig {
     tier: Option<ga_graph::tier::TierConfig>,
 }
 
-/// Derive shard `i`'s tier config from the fleet template: same knobs,
-/// shard-private segment directory (`base/shard-0i`).
-fn shard_tier_config(t: &ga_graph::tier::TierConfig, shard: usize) -> ga_graph::tier::TierConfig {
-    let mut cfg = t.clone();
-    cfg.dir = t.dir.join(shard_label(shard));
-    cfg
-}
-
 impl ShardedConfig {
     /// A config for `num_shards` shards (must be ≥ 1). Defaults match
     /// `FlowConfig`: symmetrize on, no durability, metrics off,
@@ -529,34 +532,43 @@ impl ShardedConfig {
         self
     }
 
+    /// Shard `i`'s engine configuration — the only place one is
+    /// assembled, so a fresh build, a fleet recovery, a WAL rebuild and
+    /// a replica rebuild cannot drift apart. (Recovery takes the
+    /// persisted knobs — symmetrize, vertex limit, durability directory
+    /// — from the checkpoint and ignores them here.)
+    fn shard_config(&self, i: usize) -> FlowConfig {
+        let label = shard_label(i);
+        let mut cfg = FlowEngine::builder()
+            .symmetrize(self.symmetrize)
+            // The supervisor owns shard-failure policy: it must
+            // classify a shard Dead before the engine-level breaker
+            // suspends durability underneath it.
+            .breaker_threshold(self.suspect_strikes.saturating_add(1));
+        if let Some(limit) = self.vertex_limit {
+            cfg = cfg.vertex_limit(limit);
+        }
+        if self.record_metrics {
+            cfg = cfg.recorder(Recorder::labeled(label.clone()));
+        }
+        if let Some(base) = &self.durability_base {
+            cfg = cfg.durability_dir(shard_dir(base, i));
+        }
+        if let Some(t) = &self.tier {
+            // Same knobs, shard-private segment directory.
+            let mut t = t.clone();
+            t.dir = t.dir.join(&label);
+            cfg = cfg.tiered(t);
+        }
+        cfg.shard_label(label)
+    }
+
     /// Build the fleet over an empty global graph of `num_vertices`.
     pub fn build(self, num_vertices: usize) -> io::Result<ShardedFlow> {
-        let plan = ShardPlan::new(self.num_shards);
-        let mut shards = Vec::with_capacity(self.num_shards);
-        for i in 0..self.num_shards {
-            let label = shard_label(i);
-            let mut cfg = FlowEngine::builder()
-                .symmetrize(self.symmetrize)
-                .shard_label(label.clone())
-                // The supervisor owns shard-failure policy: it must
-                // classify a shard Dead before the engine-level
-                // breaker suspends durability underneath it.
-                .breaker_threshold(self.suspect_strikes.saturating_add(1));
-            if let Some(limit) = self.vertex_limit {
-                cfg = cfg.vertex_limit(limit);
-            }
-            if self.record_metrics {
-                cfg = cfg.recorder(Recorder::labeled(label));
-            }
-            if let Some(base) = &self.durability_base {
-                cfg = cfg.durability_dir(shard_dir(base, i));
-            }
-            if let Some(t) = &self.tier {
-                cfg = cfg.tiered(shard_tier_config(t, i));
-            }
-            shards.push(cfg.build(num_vertices)?);
-        }
-        Ok(self.assemble(plan, shards, self.symmetrize))
+        let shards = (0..self.num_shards)
+            .map(|i| self.shard_config(i).build(num_vertices))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(self.assemble(shards))
     }
 
     /// Recover the whole fleet from per-shard durability directories
@@ -570,27 +582,13 @@ impl ShardedConfig {
     pub fn recover(mut self, base: impl AsRef<Path>) -> io::Result<ShardedFlow> {
         let base = base.as_ref();
         // Recovery implies durability: the recovered fleet keeps
-        // logging under the same base, so assemble() must see it —
-        // otherwise post-recovery ingest would silently bypass the WAL.
+        // logging under the same base — otherwise post-recovery ingest
+        // would silently bypass the WAL.
         self.durability_base = Some(base.to_path_buf());
-        let plan = ShardPlan::new(self.num_shards);
         let mut shards = Vec::with_capacity(self.num_shards);
         let mut failures: Vec<String> = Vec::new();
         for i in 0..self.num_shards {
-            let label = shard_label(i);
-            let result = with_scope(&label, || {
-                let mut cfg = FlowEngine::builder()
-                    .shard_label(label.clone())
-                    .breaker_threshold(self.suspect_strikes.saturating_add(1));
-                if self.record_metrics {
-                    cfg = cfg.recorder(Recorder::labeled(label.clone()));
-                }
-                if let Some(t) = &self.tier {
-                    cfg = cfg.tiered(shard_tier_config(t, i));
-                }
-                cfg.recover(shard_dir(base, i))
-            });
-            match result {
+            match self.recover_shard(i) {
                 Ok(engine) => shards.push(engine),
                 Err(e) => failures.push(e.to_string()),
             }
@@ -603,26 +601,32 @@ impl ShardedConfig {
                 failures.join("; ")
             )));
         }
-        let symmetrize = shards.first().map(|s| s.symmetrize()).unwrap_or(true);
-        Ok(self.assemble(plan, shards, symmetrize))
+        if let Some(first) = shards.first() {
+            self.symmetrize = first.symmetrize();
+        }
+        Ok(self.assemble(shards))
     }
 
-    fn assemble(&self, plan: ShardPlan, shards: Vec<FlowEngine>, symmetrize: bool) -> ShardedFlow {
+    /// Recover shard `i` from its directory under the durability base,
+    /// inside the shard's fault scope.
+    fn recover_shard(&self, i: usize) -> io::Result<FlowEngine> {
+        let base = self
+            .durability_base
+            .as_ref()
+            .ok_or_else(|| io::Error::other("durable fleet missing its base directory"))?;
+        with_scope(&shard_label(i), || {
+            self.shard_config(i).recover(shard_dir(base, i))
+        })
+    }
+
+    fn assemble(self, shards: Vec<FlowEngine>) -> ShardedFlow {
         let n = shards.len();
         ShardedFlow {
-            plan,
+            plan: ShardPlan::new(self.num_shards),
             supervisor: ShardSupervisor::new(n, self.suspect_strikes),
             labels: (0..n).map(shard_label).collect(),
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             shards,
-            symmetrize,
-            durable: self.durability_base.is_some(),
-            replicate: self.replicate,
-            vertex_limit: self.vertex_limit,
-            record_metrics: self.record_metrics,
-            suspect_strikes: self.suspect_strikes,
-            base: self.durability_base.clone(),
-            tier: self.tier.clone(),
             clock: 0,
             ghost_updates: 0,
             lost_updates: 0,
@@ -633,6 +637,7 @@ impl ShardedConfig {
             } else {
                 Recorder::disabled()
             },
+            config: self,
         }
     }
 }
@@ -648,16 +653,9 @@ pub struct ShardedFlow {
     /// dropped router deliveries, and (durable fleets) the backlog of
     /// a dead shard awaiting its rebuild.
     pending: Vec<VecDeque<UpdateBatch>>,
-    symmetrize: bool,
-    durable: bool,
-    replicate: bool,
-    vertex_limit: Option<usize>,
-    record_metrics: bool,
-    suspect_strikes: u32,
-    base: Option<PathBuf>,
-    /// Per-shard tier template (None = untiered fleet); reapplied when a
-    /// dead shard is rebuilt so the rebuilt member spills again.
-    tier: Option<ga_graph::tier::TierConfig>,
+    /// The fleet configuration every shard engine was built from, and
+    /// every rebuilt one will be (`ShardedConfig::shard_config`).
+    config: ShardedConfig,
     /// Fleet clock: the time of the last routed batch, used to stamp
     /// health events and journal lines.
     clock: Timestamp,
@@ -672,11 +670,6 @@ impl ShardedFlow {
     /// Start a [`ShardedConfig`] builder.
     pub fn builder(num_shards: usize) -> ShardedConfig {
         ShardedConfig::new(num_shards)
-    }
-
-    /// The partition in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 
     /// Number of shards.
@@ -710,9 +703,9 @@ impl ShardedFlow {
         self.supervisor.take_events()
     }
 
-    /// Whether deliveries are mirrored to ring-successor replicas.
-    pub fn replicated(&self) -> bool {
-        self.replicate
+    /// Whether every shard logs to its own WAL + checkpoint directory.
+    fn durable(&self) -> bool {
+        self.config.durability_base.is_some()
     }
 
     /// Ghost (second-copy) update deliveries so far.
@@ -774,7 +767,7 @@ impl ShardedFlow {
                 continue;
             }
             let succ = self.plan.successor(i);
-            if self.replicate && succ != i && self.supervisor.is_serving(succ) {
+            if self.config.replicate && succ != i && self.supervisor.is_serving(succ) {
                 failed_over.push(i);
             } else {
                 uncovered.push(i);
@@ -791,13 +784,24 @@ impl ShardedFlow {
         if self.supervisor.is_serving(owner) {
             return Some(owner);
         }
-        if self.replicate {
+        if self.config.replicate {
             let succ = self.plan.successor(owner);
             if succ != owner && self.supervisor.is_serving(succ) {
                 return Some(succ);
             }
         }
         None
+    }
+
+    /// Pair a scatter-gather result with the coverage it ran under.
+    fn run_verdict<T>(&self, value: T) -> ShardedRun<T> {
+        let (failed_over, uncovered) = self.coverage();
+        ShardedRun {
+            value,
+            completion: self.fleet_completion(),
+            failed_over,
+            uncovered,
+        }
     }
 
     fn serve_map(&self, n: usize) -> Vec<Option<usize>> {
@@ -862,7 +866,9 @@ impl ShardedFlow {
     /// across shards.
     pub fn process_batch(&mut self, batch: &UpdateBatch) -> io::Result<usize> {
         self.clock = batch.time;
-        let (sub, ghosts, replicas) = self.plan.route_batch_replicated(batch, self.replicate);
+        let (sub, ghosts, replicas) = self
+            .plan
+            .route_batch_replicated(batch, self.config.replicate);
         self.ghost_updates += ghosts;
         let ghost_bytes = ghosts * UPDATE_WIRE_BYTES;
         let replica_bytes = replicas * UPDATE_WIRE_BYTES;
@@ -890,11 +896,11 @@ impl ShardedFlow {
             self.kill_shard(i, "injected crash");
         }
         if !self.supervisor.is_serving(i) {
-            if self.durable {
+            if self.durable() {
                 // The rebuild will recover the WAL and then drain this
                 // backlog, so nothing is lost.
                 self.pending[i].push_back(b);
-            } else if !self.replicate {
+            } else if !self.config.replicate {
                 // No durability, no replica: this is the one genuine
                 // loss channel, and it is counted.
                 self.lost_updates += b.updates.len() as u64;
@@ -923,29 +929,22 @@ impl ShardedFlow {
         self.drain_pending(i)
     }
 
+    /// Hand one sub-batch to shard `i`'s engine, inside the shard's
+    /// fault scope. Returns updates quarantined.
+    fn deliver(&mut self, i: usize, batch: &UpdateBatch) -> io::Result<usize> {
+        let engine = &mut self.shards[i];
+        with_scope(&self.labels[i], || engine.deliver(batch))
+    }
+
     /// Deliver shard `i`'s queued sub-batches in order, stopping at
     /// the first failure (which takes a strike and leaves the batch
     /// queued for the next attempt). Returns updates quarantined.
     fn drain_pending(&mut self, i: usize) -> usize {
         let mut quarantined = 0;
         while let Some(batch) = self.pending[i].pop_front() {
-            let before = self.shards[i].stats().ingest.updates_quarantined;
-            let durable = self.durable;
-            let label = &self.labels[i];
-            let engine = &mut self.shards[i];
-            let result = with_scope(label, || {
-                if durable {
-                    engine
-                        .process_stream_durable(&batch, |_| None, None)
-                        .map(|_| ())
-                } else {
-                    engine.process_stream(&batch, |_| None, None);
-                    Ok(())
-                }
-            });
-            match result {
-                Ok(()) => {
-                    quarantined += self.shards[i].stats().ingest.updates_quarantined - before;
+            match self.deliver(i, &batch) {
+                Ok(q) => {
+                    quarantined += q;
                     let tr = self.supervisor.record_success(self.clock, i);
                     self.journal_transition(i, tr, "delivery succeeded");
                 }
@@ -953,17 +952,22 @@ impl ShardedFlow {
                     // The engine applies nothing on a failed durable
                     // append, so requeuing the whole batch is exact.
                     self.pending[i].push_front(batch);
-                    let msg = e.to_string();
-                    let tr = self.supervisor.record_error(self.clock, i, &msg);
-                    self.journal_transition(i, tr, &msg);
-                    if self.supervisor.health(i) == ShardHealth::Dead {
-                        self.decommission(i);
-                    }
+                    self.strike(i, &e.to_string());
                     break;
                 }
             }
         }
         quarantined
+    }
+
+    /// Take a health strike against shard `i`; a shard that struck out
+    /// is decommissioned.
+    fn strike(&mut self, i: usize, reason: &str) {
+        let tr = self.supervisor.record_error(self.clock, i, reason);
+        self.journal_transition(i, tr, reason);
+        if self.supervisor.health(i) == ShardHealth::Dead {
+            self.decommission(i);
+        }
     }
 
     /// Checkpoint every serving shard. A shard's checkpoint failure is
@@ -993,11 +997,7 @@ impl ShardedFlow {
                 }
                 Err(e) => {
                     let msg = e.to_string();
-                    let tr = self.supervisor.record_error(self.clock, i, &msg);
-                    self.journal_transition(i, tr, &msg);
-                    if self.supervisor.health(i) == ShardHealth::Dead {
-                        self.decommission(i);
-                    }
+                    self.strike(i, &msg);
                     report.failed.push((i, msg));
                 }
             }
@@ -1075,9 +1075,9 @@ impl ShardedFlow {
         let started = Instant::now();
         let tr = self.supervisor.begin_rebuild(self.clock, i);
         self.journal_transition(i, tr, "rebuild started");
-        let result = if self.durable {
+        let result = if self.durable() {
             self.rebuild_from_wal(i)
-        } else if self.replicate && self.num_shards() >= 2 {
+        } else if self.config.replicate && self.num_shards() >= 2 {
             self.rebuild_from_replica(i)
         } else {
             Err(io::Error::other(format!(
@@ -1107,33 +1107,12 @@ impl ShardedFlow {
     }
 
     fn rebuild_from_wal(&mut self, i: usize) -> io::Result<(RebuildSource, usize, usize)> {
-        let base = self
-            .base
-            .clone()
-            .ok_or_else(|| io::Error::other("durable fleet missing its base directory"))?;
-        let label = shard_label(i);
-        let engine = with_scope(&label, || {
-            let mut cfg = FlowEngine::builder()
-                .shard_label(label.clone())
-                .breaker_threshold(self.suspect_strikes.saturating_add(1));
-            if self.record_metrics {
-                cfg = cfg.recorder(Recorder::labeled(label.clone()));
-            }
-            if let Some(t) = &self.tier {
-                cfg = cfg.tiered(shard_tier_config(t, i));
-            }
-            cfg.recover(shard_dir(&base, i))
-        })?;
-        self.shards[i] = engine;
+        self.shards[i] = self.config.recover_shard(i)?;
         // Redeliver the backlog that queued while the shard was dead.
         let mut batches = 0;
         let mut updates = 0;
         while let Some(batch) = self.pending[i].pop_front() {
-            let engine = &mut self.shards[i];
-            let res = with_scope(&label, || {
-                engine.process_stream_durable(&batch, |_| None, None)
-            });
-            if let Err(e) = res {
+            if let Err(e) = self.deliver(i, &batch) {
                 self.pending[i].push_front(batch);
                 return Err(e);
             }
@@ -1192,30 +1171,11 @@ impl ShardedFlow {
         // `succ`) and the replica copies of `pred`'s (live on `pred`).
         let mut props = PropertyStore::new(0);
         for (src_shard, owned_by) in [(succ, i), (pred, pred)] {
-            let store = self.shards[src_shard].props();
-            props.grow(store.num_vertices());
-            for name in store.column_names() {
-                for v in 0..store.num_vertices() as VertexId {
-                    if self.plan.owner(v) == owned_by {
-                        if let Some(val) = store.get(name, v) {
-                            props.set(name, v, val);
-                        }
-                    }
-                }
-            }
+            copy_props(&mut props, self.shards[src_shard].props(), |v| {
+                self.plan.owner(v) == owned_by
+            });
         }
-        let label = shard_label(i);
-        let mut cfg = FlowEngine::builder()
-            .symmetrize(self.symmetrize)
-            .shard_label(label.clone())
-            .breaker_threshold(self.suspect_strikes.saturating_add(1));
-        if let Some(limit) = self.vertex_limit {
-            cfg = cfg.vertex_limit(limit);
-        }
-        if self.record_metrics {
-            cfg = cfg.recorder(Recorder::labeled(label));
-        }
-        let mut engine = cfg.build_with_graph(graph, props)?;
+        let mut engine = self.config.shard_config(i).build_with_graph(graph, props)?;
         engine.set_last_batch_time(self.clock);
         self.shards[i] = engine;
         self.pending[i].clear();
@@ -1251,30 +1211,11 @@ impl ShardedFlow {
     pub fn merged_props(&self) -> PropertyStore {
         let mut out = PropertyStore::new(0);
         for (shard, engine) in self.shards.iter().enumerate() {
-            let store = engine.props();
-            out.grow(store.num_vertices());
-            for name in store.column_names() {
-                for v in 0..store.num_vertices() as VertexId {
-                    if self.row_source(v) == Some(shard) {
-                        if let Some(val) = store.get(name, v) {
-                            out.set(name, v, val);
-                        }
-                    }
-                }
-            }
+            copy_props(&mut out, engine.props(), |v| {
+                self.row_source(v) == Some(shard)
+            });
         }
         out
-    }
-
-    /// One grouped stats record for the whole fleet (per-shard counters
-    /// summed; ghost work is counted on every shard that performed it).
-    /// A rebuilt shard's counters restart at its rebuild.
-    pub fn merged_stats(&self) -> FlowStats {
-        let mut total = FlowStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats());
-        }
-        total
     }
 
     /// Per-shard stats records (index = shard id).
@@ -1416,24 +1357,13 @@ impl ShardedFlow {
     /// are integers, so the result is exact for any shard count —
     /// identical to `bfs_depths` on the merged graph, including under
     /// replica failover.
-    pub fn bfs(&mut self, src: VertexId) -> Vec<u32> {
-        self.bfs_checked(src).value
-    }
-
-    /// [`ShardedFlow::bfs`] plus the fleet-coverage verdict it ran
-    /// under (see [`ShardedRun`]).
-    pub fn bfs_checked(&mut self, src: VertexId) -> ShardedRun<Vec<u32>> {
+    /// The result carries the fleet-coverage verdict it ran under (see
+    /// [`ShardedRun`]).
+    pub fn bfs(&mut self, src: VertexId) -> ShardedRun<Vec<u32>> {
         let n = self.global_width();
-        let (failed_over, uncovered) = self.coverage();
-        let completion = self.fleet_completion();
         let mut depth = vec![UNREACHED; n];
         if (src as usize) >= n {
-            return ShardedRun {
-                value: depth,
-                completion,
-                failed_over,
-                uncovered,
-            };
+            return self.run_verdict(depth);
         }
         let mut span = self.recorder.span(Step::BatchAnalytic);
         let serve = self.serve_map(n);
@@ -1466,12 +1396,7 @@ impl ShardedFlow {
         let bytes = FRONTIER_WIRE_BYTES * cross;
         self.traffic.bfs_bytes += bytes;
         span.add_net_bytes(bytes);
-        ShardedRun {
-            value: depth,
-            completion,
-            failed_over,
-            uncovered,
-        }
+        self.run_verdict(depth)
     }
 
     /// Scatter-gather connected components: each serving shard reduces
@@ -1480,16 +1405,10 @@ impl ShardedFlow {
     /// independent of shard count — identical to `wcc_union_find` on
     /// the merged graph. A dead shard's edges are covered by its
     /// ring-successor replica's local graph on replicated fleets.
-    pub fn components(&mut self) -> Components {
-        self.components_checked().value
-    }
-
-    /// [`ShardedFlow::components`] plus the fleet-coverage verdict it
-    /// ran under (see [`ShardedRun`]).
-    pub fn components_checked(&mut self) -> ShardedRun<Components> {
+    /// The result carries the fleet-coverage verdict it ran under (see
+    /// [`ShardedRun`]).
+    pub fn components(&mut self) -> ShardedRun<Components> {
         let n = self.global_width();
-        let (failed_over, uncovered) = self.coverage();
-        let completion = self.fleet_completion();
         let mut span = self.recorder.span(Step::BatchAnalytic);
         let mut pairs = Vec::new();
         let mut serving = 0usize;
@@ -1499,19 +1418,14 @@ impl ShardedFlow {
             }
             serving += 1;
             let csr = engine.graph().snapshot();
-            pairs.extend(cc_local_forest(&csr, self.symmetrize));
+            pairs.extend(cc_local_forest(&csr, self.config.symmetrize));
         }
         if serving > 1 {
             let bytes = FOREST_PAIR_WIRE_BYTES * pairs.len() as u64;
             self.traffic.components_bytes += bytes;
             span.add_net_bytes(bytes);
         }
-        ShardedRun {
-            value: cc_merge_forests(n, pairs),
-            completion,
-            failed_over,
-            uncovered,
-        }
+        self.run_verdict(cc_merge_forests(n, pairs))
     }
 
     // -----------------------------------------------------------------
@@ -1681,8 +1595,12 @@ mod tests {
             assert_eq!(pr.rank, reference_pr.rank, "{shards}-shard vs 1-shard");
 
             // BFS depths and components labels are exact integers.
-            assert_eq!(flow.bfs(0), bfs_depths(&snap, 0), "{shards}-shard bfs");
-            let cc = flow.components();
+            assert_eq!(
+                flow.bfs(0).value,
+                bfs_depths(&snap, 0),
+                "{shards}-shard bfs"
+            );
+            let cc = flow.components().value;
             let direct = wcc_union_find(&snap);
             assert_eq!(cc.label, direct.label, "{shards}-shard cc labels");
             assert_eq!(cc.count, direct.count, "{shards}-shard cc count");
@@ -1865,8 +1783,11 @@ mod tests {
         let a = plain.pagerank(0.85, 1e-10, 50);
         let b = repl.pagerank(0.85, 1e-10, 50);
         assert_eq!(a.rank, b.rank, "replication must not perturb pagerank");
-        assert_eq!(plain.bfs(0), repl.bfs(0));
-        assert_eq!(plain.components().label, repl.components().label);
+        assert_eq!(plain.bfs(0).value, repl.bfs(0).value);
+        assert_eq!(
+            plain.components().value.label,
+            repl.components().value.label
+        );
     }
 
     #[test]
@@ -1892,14 +1813,14 @@ mod tests {
         }
         assert_eq!(fleet.lost_updates(), 0, "replica holds every update");
         assert_eq!(fleet.merged_graph(), reference.merged_graph());
-        let run = fleet.bfs_checked(0);
+        let run = fleet.bfs(0);
         assert_eq!(run.completion, Completion::Degraded);
         assert_eq!(run.failed_over, vec![1]);
         assert!(run.uncovered.is_empty());
-        assert_eq!(run.value, reference.bfs(0));
-        let cc = fleet.components_checked();
+        assert_eq!(run.value, reference.bfs(0).value);
+        let cc = fleet.components();
         assert_eq!(cc.completion, Completion::Degraded);
-        assert_eq!(cc.value.label, reference.components().label);
+        assert_eq!(cc.value.label, reference.components().value.label);
         let pr = fleet.pagerank(0.85, 1e-10, 50);
         assert_eq!(pr.completion, Completion::Degraded);
         assert_eq!(pr.rank, reference.pagerank(0.85, 1e-10, 50).rank);
@@ -1935,7 +1856,7 @@ mod tests {
             fleet.process_batch(b).unwrap();
         }
         assert!(fleet.lost_updates() > 0, "loss is counted, not hidden");
-        let run = fleet.bfs_checked(0);
+        let run = fleet.bfs(0);
         assert_eq!(run.completion, Completion::Degraded);
         assert_eq!(run.uncovered, vec![0]);
         assert!(run.failed_over.is_empty());

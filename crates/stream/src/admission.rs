@@ -214,11 +214,6 @@ impl<T: Admissible> AdmissionQueue<T> {
         }
     }
 
-    /// The configured watermarks.
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
-    }
-
     /// Queued updates across all classes (the watermark quantity).
     pub fn depth(&self) -> usize {
         self.depth
@@ -334,36 +329,6 @@ impl<T: Admissible> AdmissionQueue<T> {
             }
         }
         None
-    }
-}
-
-/// Exponentially weighted moving average — the "recent latency" signal
-/// the degradation ladder consumes. `alpha` is the weight of the newest
-/// observation (0 < alpha <= 1).
-#[derive(Clone, Copy, Debug)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// New EWMA with smoothing factor `alpha`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in an observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        });
-    }
-
-    /// Current average; `None` before the first observation.
-    pub fn value(&self) -> Option<f64> {
-        self.value
     }
 }
 
@@ -558,19 +523,6 @@ mod tests {
         assert_eq!(q.stats().evicted[Priority::Bulk.idx()], 1);
         let (class, job) = q.pop().unwrap();
         assert_eq!((class, job.0), (Priority::High, 4));
-    }
-
-    #[test]
-    fn ewma_converges_toward_signal() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        e.observe(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        for _ in 0..20 {
-            e.observe(2.0);
-        }
-        let v = e.value().unwrap();
-        assert!((v - 2.0).abs() < 1e-3, "ewma {v}");
     }
 
     #[test]

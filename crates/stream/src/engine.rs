@@ -328,24 +328,6 @@ impl StreamEngine {
         self.dead_letters.drain(..).collect()
     }
 
-    /// Re-admit previously dead-lettered updates (after the operator
-    /// fixed the cause — e.g. raised the vertex limit). Each update is
-    /// re-validated at the current batch-time watermark, so entries that
-    /// were quarantined for `NonMonotonicTime` become admissible and
-    /// still-invalid entries are quarantined again.
-    ///
-    /// Returns `(applied, requarantined)`.
-    pub fn replay_dead_letters(&mut self, letters: Vec<QuarantinedUpdate>) -> (usize, usize) {
-        let before = self.stats.updates_quarantined;
-        let total = letters.len();
-        let time = self.last_batch_time;
-        for l in letters {
-            self.apply_one(&l.update, time, true);
-        }
-        let requarantined = self.stats.updates_quarantined - before;
-        (total - requarantined, requarantined)
-    }
-
     fn quarantine(&mut self, update: Update, time: Timestamp, reason: QuarantineReason) {
         self.stats.updates_quarantined += 1;
         if self.dead_letters.len() == DEAD_LETTER_CAP {
@@ -718,6 +700,13 @@ mod tests {
         assert_eq!(e.events().len(), 1);
     }
 
+    fn replay_batch(e: &StreamEngine, letters: Vec<QuarantinedUpdate>) -> UpdateBatch {
+        UpdateBatch {
+            time: e.last_batch_time(),
+            updates: letters.into_iter().map(|l| l.update).collect(),
+        }
+    }
+
     #[test]
     fn dead_letters_drain_and_replay_after_fix() {
         let mut e = StreamEngine::new(4);
@@ -741,10 +730,12 @@ mod tests {
         let letters = e.drain_dead_letters();
         assert_eq!(letters.len(), 2);
         assert_eq!(e.dead_letters().count(), 0);
-        // Operator fixes the cause, then replays.
+        // Operator fixes the cause, then replays the letters as a
+        // batch at the watermark (what `FlowEngine::replay_dead_letters`
+        // does, after logging it).
         e.set_vertex_limit(100);
-        let (applied, requarantined) = e.replay_dead_letters(letters);
-        assert_eq!((applied, requarantined), (1, 1));
+        let requarantined = e.apply_batch(&replay_batch(&e, letters));
+        assert_eq!(requarantined, 1);
         assert!(e.graph().has_edge(0, 50));
         // The NaN update is back in the dead-letter queue.
         assert_eq!(e.dead_letters().count(), 1);
@@ -776,8 +767,8 @@ mod tests {
             }],
         });
         let letters = e.drain_dead_letters();
-        let (applied, requarantined) = e.replay_dead_letters(letters);
-        assert_eq!((applied, requarantined), (1, 0));
+        let requarantined = e.apply_batch(&replay_batch(&e, letters));
+        assert_eq!(requarantined, 0);
         assert!(e.graph().has_edge(1, 2));
         assert_eq!(e.last_batch_time(), 10);
     }

@@ -77,5 +77,5 @@ pub use engine::{Monitor, StreamEngine};
 pub use epoch::{EpochSnapshot, SnapshotHandle, SnapshotReader};
 pub use events::{Event, EventKind};
 pub use queries::{Query, QueryResponse};
-pub use sharded::{ShardPlan, ShardRouter};
+pub use sharded::ShardPlan;
 pub use update::Update;

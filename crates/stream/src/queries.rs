@@ -10,13 +10,6 @@
 //! bit-identical responses, no matter how many reader threads run them
 //! concurrently — the property the serve layer's consistency gate and
 //! `tests/serve_props.rs` pin.
-//!
-//! The pre-PR-10 [`VertexQuery`]/`QueryServer` pair is absorbed here:
-//! the old enum survives one release as a `#[deprecated]` shell that
-//! converts [`Into`] the new [`Query`] (property names are owned
-//! `String`s now — no more `&'static str` plumbing), and the old
-//! server's scalar-alert test lives on as the serve layer's per-class
-//! threshold counters.
 
 use crate::epoch::EpochSnapshot;
 use ga_graph::{CsrGraph, PropertyStore, VertexId};
@@ -362,55 +355,6 @@ fn similar_vertices(csr: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64
     out
 }
 
-/// The pre-PR-10 query enum, kept for one release as a conversion
-/// shell into [`Query`]. Property names are owned `String`s now — the
-/// `&'static str` plumbing is gone from the public surface.
-#[deprecated(
-    since = "0.10.0",
-    note = "build a `Query` instead (this enum converts `Into<Query>`)"
-)]
-#[derive(Clone, Debug, PartialEq)]
-pub enum VertexQuery {
-    /// Read a named numeric property of a vertex.
-    GetProperty {
-        /// Target vertex.
-        vertex: VertexId,
-        /// Property column.
-        name: String,
-    },
-    /// Out-degree of a vertex.
-    Degree {
-        /// Target vertex.
-        vertex: VertexId,
-    },
-    /// Neighbor ids of a vertex (bounded).
-    Neighbors {
-        /// Target vertex.
-        vertex: VertexId,
-        /// Maximum neighbors to return.
-        limit: usize,
-    },
-    /// All vertices with Jaccard ≥ tau against the target.
-    SimilarVertices {
-        /// Target vertex.
-        vertex: VertexId,
-        /// Similarity threshold.
-        tau: f64,
-    },
-}
-
-#[allow(deprecated)]
-impl From<VertexQuery> for Query {
-    fn from(q: VertexQuery) -> Query {
-        match q {
-            VertexQuery::GetProperty { vertex, name } => Query::GetProperty { vertex, name },
-            VertexQuery::Degree { vertex } => Query::Degree { vertex },
-            VertexQuery::Neighbors { vertex, limit } => Query::Neighbors { vertex, limit },
-            VertexQuery::SimilarVertices { vertex, tau } => Query::SimilarVertices { vertex, tau },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,22 +539,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_enum_converts_into_query() {
+    fn owned_property_names_and_point_queries() {
         let snap = fixture();
-        let legacy = VertexQuery::GetProperty {
-            vertex: 3,
-            name: "risk".to_string(),
-        };
-        let q: Query = legacy.into();
+        let q = Query::get_property(3, "risk".to_string());
         assert_eq!(q.run(&snap), QueryResponse::Scalar(0.95));
-        let q: Query = VertexQuery::Degree { vertex: 0 }.into();
+        let q = Query::Degree { vertex: 0 };
         assert_eq!(q.run(&snap), QueryResponse::Scalar(2.0));
-        let q: Query = VertexQuery::SimilarVertices {
+        let q = Query::SimilarVertices {
             vertex: 0,
             tau: 0.9,
-        }
-        .into();
+        };
         assert_eq!(q.run(&snap), QueryResponse::Scored(vec![(3, 1.0)]));
     }
 

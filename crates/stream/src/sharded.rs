@@ -19,22 +19,20 @@
 //!    PageRank relies on.
 //!
 //! Resolving ghosts is therefore trivial: take each vertex's row from
-//! its owner shard and discard the rest ([`ShardRouter::merged_graph`]).
+//! its owner shard and discard the rest.
 //!
-//! The [`FlowEngine`]-level driver (checkpointing, scatter-gather
-//! analytics, per-shard recovery) lives in `ga-core`'s `sharded`
-//! module — the dependency arrow points from `ga-core` to this crate,
-//! so the flow-level router cannot live here.
-//!
-//! [`FlowEngine`]: https://docs.rs/ga-core
+//! This module is routing only. The one fleet type — `ShardedFlow`,
+//! N shard-local flow engines with merged views, checkpointing,
+//! scatter-gather analytics and per-shard recovery — lives in
+//! `ga-core`'s `sharded` module (the dependency arrow points from
+//! `ga-core` to this crate).
 
-use crate::engine::{StreamEngine, StreamStats};
 use crate::update::{Update, UpdateBatch};
-use ga_graph::{DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId};
+use ga_graph::VertexId;
 
 /// Per-update wire cost (bytes) assumed by the cross-shard traffic
 /// model — matches the WAL's batch encoding (`wal::encode_batch`) and
-/// the ingest span's network model in [`StreamEngine`].
+/// the ingest span's network model in [`crate::StreamEngine`].
 pub const UPDATE_WIRE_BYTES: u64 = 13;
 
 /// splitmix64 — the finalizer used to spread vertex ids across shards.
@@ -97,19 +95,14 @@ impl ShardPlan {
     ///
     /// Routing rule: edge updates go to **both** endpoints' owners
     /// (once, when they coincide); property updates go to the vertex's
-    /// owner only. Also returns the number of *ghost* deliveries (the
-    /// second copy of a cross-shard edge update) — the router's
-    /// cross-shard ingest traffic in updates.
-    pub fn route_batch(&self, batch: &UpdateBatch) -> (Vec<UpdateBatch>, u64) {
-        let (shards, ghosts, _) = self.route_batch_replicated(batch, false);
-        (shards, ghosts)
-    }
-
-    /// [`Self::route_batch`] with optional K=2 chain replication: with
-    /// `replicate` true (and ≥ 2 shards), every delivery to shard `s`
-    /// is mirrored to `s`'s ring successor, so the successor holds a
-    /// slot-exact copy of every row `s` owns and the fleet can fail
-    /// over to it when `s` dies.
+    /// owner only. A *ghost* delivery is the second copy of a
+    /// cross-shard edge update — the router's cross-shard ingest
+    /// traffic in updates.
+    ///
+    /// With `replicate` true (and ≥ 2 shards), K=2 chain replication:
+    /// every delivery to shard `s` is mirrored to `s`'s ring successor,
+    /// so the successor holds a slot-exact copy of every row `s` owns
+    /// and the fleet can fail over to it when `s` dies.
     ///
     /// Replica deliveries are *additional* fan-out, booked separately
     /// from ghosts: the return is `(sub_batches, ghosts, replicas)`
@@ -174,165 +167,10 @@ impl ShardPlan {
     }
 }
 
-/// N shard-local [`StreamEngine`]s behind one [`ShardPlan`] router.
-///
-/// This is the minimal (durability-free) sharded ingest path; the
-/// full-flow driver with per-shard WAL/checkpoints and scatter-gather
-/// analytics wraps `FlowEngine`s instead and lives in `ga-core`.
-pub struct ShardRouter {
-    plan: ShardPlan,
-    shards: Vec<StreamEngine>,
-    ghost_updates: u64,
-}
-
-impl ShardRouter {
-    /// `num_shards` engines, each pre-sized for `num_vertices` global
-    /// vertices and sharing the `symmetrize` setting.
-    pub fn new(num_shards: usize, num_vertices: usize, symmetrize: bool) -> ShardRouter {
-        let plan = ShardPlan::new(num_shards);
-        let shards = (0..num_shards)
-            .map(|_| {
-                let mut e = StreamEngine::new(num_vertices);
-                e.symmetrize = symmetrize;
-                e
-            })
-            .collect();
-        ShardRouter {
-            plan,
-            shards,
-            ghost_updates: 0,
-        }
-    }
-
-    /// The partition in force.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Shard-local engines (index = shard id).
-    pub fn shards(&self) -> &[StreamEngine] {
-        &self.shards
-    }
-
-    /// Mutable access to one shard's engine.
-    pub fn shard_mut(&mut self, i: usize) -> &mut StreamEngine {
-        &mut self.shards[i]
-    }
-
-    /// Route and apply one batch to every shard. Returns the total
-    /// number of quarantined updates across shards.
-    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> usize {
-        let (sub, ghosts) = self.plan.route_batch(batch);
-        self.ghost_updates += ghosts;
-        sub.iter()
-            .zip(self.shards.iter_mut())
-            .map(|(b, s)| s.apply_batch(b))
-            .sum()
-    }
-
-    /// Ghost (second-copy) deliveries so far — the cross-shard ingest
-    /// traffic in updates; multiply by [`UPDATE_WIRE_BYTES`] for the
-    /// byte model.
-    pub fn ghost_updates(&self) -> u64 {
-        self.ghost_updates
-    }
-
-    /// Resolve ghosts into one global graph: vertex `v`'s row is taken
-    /// verbatim (slot order, tombstones and all) from `v`'s owner
-    /// shard, so the result is bit-identical to the graph an unsharded
-    /// engine would hold after the same batches.
-    pub fn merged_graph(&self) -> DynamicGraph {
-        let width = self
-            .shards
-            .iter()
-            .map(|s| s.graph().num_vertices())
-            .max()
-            .unwrap_or(0);
-        let last = self
-            .shards
-            .iter()
-            .map(|s| s.graph().last_update())
-            .max()
-            .unwrap_or(0);
-        merge_owned_rows(
-            width,
-            last,
-            |v| self.plan.owner(v),
-            |shard, v| self.shards[shard].graph().row_slots(v),
-        )
-    }
-
-    /// Merge per-shard property stores: each vertex's properties come
-    /// from its owner shard (property updates are routed only there).
-    pub fn merged_props(&self) -> PropertyStore {
-        merge_owned_props(
-            |v| self.plan.owner(v),
-            self.shards.iter().map(|s| s.props()),
-        )
-    }
-
-    /// Sum of the shards' ingest counters. Ghost deliveries are counted
-    /// on every shard that applied them, so e.g. `edges_inserted` can
-    /// exceed the unsharded count — that surplus *is* the replicated
-    /// cross-shard work.
-    pub fn summed_stats(&self) -> StreamStats {
-        let mut total = StreamStats::default();
-        for s in &self.shards {
-            let st = s.stats();
-            total.edges_inserted += st.edges_inserted;
-            total.edges_updated += st.edges_updated;
-            total.edges_deleted += st.edges_deleted;
-            total.deletes_missed += st.deletes_missed;
-            total.props_set += st.props_set;
-            total.batches += st.batches;
-            total.events_emitted += st.events_emitted;
-            total.updates_quarantined += st.updates_quarantined;
-        }
-        total
-    }
-}
-
-/// Assemble a global graph by taking each vertex's slot row from its
-/// owner shard. `row(shard, v)` must yield `v`'s raw row on that shard
-/// (empty when the shard never grew to `v`).
-pub fn merge_owned_rows<'a>(
-    width: usize,
-    last_update: Timestamp,
-    owner: impl Fn(VertexId) -> usize,
-    row: impl Fn(usize, VertexId) -> &'a [EdgeRecord],
-) -> DynamicGraph {
-    let rows: Vec<Vec<EdgeRecord>> = (0..width as VertexId)
-        .map(|v| row(owner(v), v).to_vec())
-        .collect();
-    DynamicGraph::from_rows(rows, last_update)
-}
-
-/// Merge property stores by vertex ownership: every `(name, vertex,
-/// value)` cell whose vertex is owned by the store's shard survives.
-pub fn merge_owned_props<'a>(
-    owner: impl Fn(VertexId) -> usize,
-    stores: impl Iterator<Item = &'a PropertyStore>,
-) -> PropertyStore {
-    let mut out = PropertyStore::new(0);
-    for (shard, store) in stores.enumerate() {
-        out.grow(store.num_vertices());
-        for name in store.column_names().into_iter().map(str::to_string) {
-            for v in 0..store.num_vertices() as VertexId {
-                if owner(v) != shard {
-                    continue;
-                }
-                if let Some(value) = store.get(&name, v) {
-                    out.set(&name, v, value);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream};
 
     #[test]
@@ -402,7 +240,7 @@ mod tests {
             time: 42,
             updates: rmat_edge_stream(6, 300, 0.1, 2),
         };
-        let (plain, ghosts0) = plan.route_batch(&batch);
+        let (plain, ghosts0, _) = plan.route_batch_replicated(&batch, false);
         let (sub, ghosts, replicas) = plan.route_batch_replicated(&batch, true);
         assert_eq!(ghosts, ghosts0, "replication must not change ghost count");
         assert!(replicas > 0);
@@ -471,7 +309,7 @@ mod tests {
             time: 42,
             updates: rmat_edge_stream(6, 200, 0.1, 1),
         };
-        let (sub, ghosts) = plan.route_batch(&batch);
+        let (sub, ghosts, _) = plan.route_batch_replicated(&batch, false);
         assert_eq!(sub.len(), 3);
         let total: usize = sub.iter().map(|b| b.updates.len()).sum();
         assert_eq!(total as u64, batch.updates.len() as u64 + ghosts);
@@ -485,14 +323,27 @@ mod tests {
     fn merged_graph_matches_unsharded_engine() {
         for symmetrize in [false, true] {
             for shards in [1usize, 2, 4] {
-                let mut reference = StreamEngine::new(64);
-                reference.symmetrize = symmetrize;
-                let mut router = ShardRouter::new(shards, 64, symmetrize);
+                let plan = ShardPlan::new(shards);
+                let mut engines: Vec<StreamEngine> =
+                    (0..=shards).map(|_| StreamEngine::new(64)).collect();
+                for e in &mut engines {
+                    e.symmetrize = symmetrize;
+                }
+                let mut reference = engines.pop().unwrap();
                 for batch in into_batches(rmat_edge_stream(6, 1500, 0.25, 7), 100, 5) {
                     reference.apply_batch(&batch);
-                    router.apply_batch(&batch);
+                    let (sub, _, _) = plan.route_batch_replicated(&batch, false);
+                    for (b, e) in sub.iter().zip(engines.iter_mut()) {
+                        e.apply_batch(b);
+                    }
                 }
-                let merged = router.merged_graph();
+                // Resolve ghosts: each vertex's row, verbatim, from its
+                // owner shard.
+                let rows = (0..64 as VertexId)
+                    .map(|v| engines[plan.owner(v)].graph().row_slots(v).to_vec())
+                    .collect();
+                let merged =
+                    ga_graph::DynamicGraph::from_rows(rows, reference.graph().last_update());
                 assert_eq!(
                     merged,
                     *reference.graph(),

@@ -79,6 +79,6 @@ pub mod prelude {
     pub use ga_stream::update::{into_batches, rmat_edge_stream, uniform_edge_stream, UpdateBatch};
     pub use ga_stream::{
         AdmissionConfig, EpochSnapshot, Event, EventKind, Monitor, Priority, Query, QueryResponse,
-        ShardPlan, ShardRouter, SnapshotHandle, SnapshotReader, StreamEngine, Update,
+        ShardPlan, SnapshotHandle, SnapshotReader, StreamEngine, Update,
     };
 }

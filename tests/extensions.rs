@@ -15,8 +15,6 @@ use graph_analytics::kernels::{coloring, mis};
 use graph_analytics::linalg::kron::{kron, kron_power};
 use graph_analytics::linalg::semiring::OrAnd;
 use graph_analytics::linalg::{CooMatrix, CsrMatrix};
-#[allow(deprecated)]
-use graph_analytics::stream::queries::VertexQuery;
 use graph_analytics::stream::queries::{Query, QueryResponse};
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream};
 use graph_analytics::stream::window::{DegreeTopK, SlidingWindow};
@@ -55,10 +53,6 @@ fn unified_queries_over_streamed_graph() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    // The deprecated enum still converts into the unified surface.
-    #[allow(deprecated)]
-    let q: Query = VertexQuery::Degree { vertex: 3 }.into();
-    assert_eq!(q.run(&snap), (Query::Degree { vertex: 3 }).run(&snap));
 }
 
 #[test]

@@ -24,8 +24,9 @@
 //! fleet size (default: 2 and 4 both run).
 
 use ga_core::faults::{self, FaultMode, ShardFaultPlan, SHARD_MATRIX_SIZE};
-use ga_core::flow::FlowEngine;
+use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_core::sharded::{RebuildSource, ShardHealth, ShardedFlow};
+use ga_graph::tier::TierConfig;
 use ga_graph::CsrBuilder;
 use ga_kernels::bfs::bfs_depths;
 use ga_kernels::cc::wcc_union_find;
@@ -102,11 +103,11 @@ fn assert_exact(fleet: &ShardedFlow, reference: &FlowEngine, ctx: &str) {
 fn assert_analytics_match(fleet: &mut ShardedFlow, reference: &FlowEngine, ctx: &str) {
     let snap = reference.graph().snapshot();
     assert_eq!(
-        fleet.bfs(0),
+        fleet.bfs(0).value,
         bfs_depths(&snap, 0),
         "bfs depths diverged ({ctx})"
     );
-    let cc = fleet.components();
+    let cc = fleet.components().value;
     let direct = wcc_union_find(&snap);
     assert_eq!(cc.label, direct.label, "cc labels diverged ({ctx})");
     let rev = CsrBuilder::new(reference.graph().num_vertices())
@@ -154,7 +155,7 @@ fn run_matrix_point(shards: usize, seed: u64) {
 
         // Analytics during the outage: typed degraded, exact values
         // whenever the replica covers the dead shard.
-        let run = fleet.bfs_checked(0);
+        let run = fleet.bfs(0);
         assert_eq!(run.completion, Completion::Degraded, "{ctx}");
         let covered = run.failed_over.contains(&plan.shard);
         if covered {
@@ -293,11 +294,11 @@ fn unprotected_outage_reports_degraded_and_loss() {
         fleet.process_batch(b).unwrap();
     }
     assert!(fleet.lost_updates() > 0, "loss must be counted");
-    let run = fleet.bfs_checked(0);
+    let run = fleet.bfs(0);
     assert_eq!(run.completion, Completion::Degraded);
     assert_eq!(run.uncovered, vec![1]);
     assert!(run.failed_over.is_empty());
-    let cc = fleet.components_checked();
+    let cc = fleet.components();
     assert_eq!(cc.completion, Completion::Degraded);
     assert!(fleet.rebuild_shard(1).is_err());
 }
@@ -389,6 +390,41 @@ fn crash_armed_during_outage_fires_on_the_rebuilt_shard() {
     );
     assert_eq!(fleet.lost_updates(), 0, "the replica still covers it");
     faults::clear_all();
+}
+
+/// A shard rebuilt from its replicas comes back with the fleet's tier
+/// template, like every other way of building a shard engine: its next
+/// batch run spills a tier again and the fleet scrub covers it.
+#[test]
+fn replica_rebuilt_shard_keeps_its_tier() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    faults::clear_all();
+    let base = tmpdir("rebuilt-tier");
+    let victim = 1;
+    let mut fleet = ShardedFlow::builder(3)
+        .replicate(true)
+        .tiered(TierConfig::new(&base).segment_rows(8).ram_budget(2 << 10))
+        .build(1 << SCALE)
+        .unwrap();
+    for b in workload(67) {
+        fleet.process_batch(&b).unwrap();
+    }
+    fleet.kill_shard(victim, "tier check");
+    let report = fleet.rebuild_shard(victim).unwrap();
+    assert_eq!(report.source, RebuildSource::Replica);
+
+    let shard = fleet.shard_mut(victim);
+    let idx = shard.register_analytic(Box::new(PageRankAnalytic { damping: 0.85 }));
+    shard.run_batch(&SelectionCriteria::TopKDegree { k: 4 }, idx);
+    assert!(
+        fleet.shards()[victim].tier().is_some(),
+        "the rebuilt shard lost its tier"
+    );
+    assert!(
+        fleet.scrub_tiers().iter().any(|(i, _, _)| *i == victim),
+        "the fleet scrub skipped the rebuilt shard"
+    );
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// Satellite: the merged dead-letter surface aggregates quarantined

@@ -230,3 +230,35 @@ fn pre_pr5_setter_shims_are_gone_and_builder_covers_them() {
     assert_eq!(*r.graph(), live);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn recovery_replays_under_the_configured_recorder() {
+    // Checkpoint mid-run, crash, recover with a recorder on the builder:
+    // the configuration is in force during WAL replay, so the recorder
+    // sees exactly one Ingest span per replayed frame.
+    let dir = tmpdir("recover-spans");
+    let mut e = FlowEngine::builder()
+        .durability_dir(&dir)
+        .build(1 << 8)
+        .unwrap();
+    let batches = into_batches(rmat_edge_stream(8, 1_200, 0.1, 4), 100, 1);
+    let checkpoint_after = 5;
+    for (i, b) in batches.iter().enumerate() {
+        e.process_stream_durable(b, |_| None, None).unwrap();
+        if i + 1 == checkpoint_after {
+            e.checkpoint().unwrap();
+        }
+    }
+    let (live_graph, live_props) = (e.graph().clone(), e.props().clone());
+    drop(e);
+
+    let r = FlowEngine::builder()
+        .recorder(Recorder::enabled())
+        .recover(&dir)
+        .unwrap();
+    let replayed = (batches.len() - checkpoint_after) as u64;
+    assert_eq!(r.metrics().step(Step::Ingest).count, replayed);
+    assert_eq!(*r.graph(), live_graph);
+    assert_eq!(*r.props(), live_props);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -124,12 +124,12 @@ fn scatter_gather_agrees_with_unsharded_kernels() {
                     bfs_depths(&snap, 0)
                 };
                 assert_eq!(
-                    flow.bfs(0),
+                    flow.bfs(0).value,
                     bfs_ref,
                     "bfs depths (shards={shards} seed={seed})"
                 );
 
-                let cc = flow.components();
+                let cc = flow.components().value;
                 let direct = if compressed {
                     wcc_union_find(&CompressedCsr::from_csr(&snap))
                 } else {

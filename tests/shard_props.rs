@@ -5,8 +5,9 @@
 //! timestamps, slot order and all) to the graph an unsharded engine
 //! holds after the same update stream.
 
+use ga_core::sharded::ShardedFlow;
 use ga_stream::engine::StreamEngine;
-use ga_stream::sharded::{ShardPlan, ShardRouter};
+use ga_stream::sharded::ShardPlan;
 use ga_stream::update::{Update, UpdateBatch};
 use proptest::prelude::*;
 
@@ -58,18 +59,21 @@ proptest! {
         let symmetrize = sym == 1;
         let mut reference = StreamEngine::new(N as usize);
         reference.symmetrize = symmetrize;
-        let mut router = ShardRouter::new(shards, N as usize, symmetrize);
+        let mut fleet = ShardedFlow::builder(shards)
+            .symmetrize(symmetrize)
+            .build(N as usize)
+            .unwrap();
         for b in script_to_batches(&script, batch) {
             reference.apply_batch(&b);
-            router.apply_batch(&b);
+            fleet.process_batch(&b).unwrap();
         }
-        let merged = router.merged_graph();
+        let merged = fleet.merged_graph();
         // DynamicGraph equality is content-based over raw slot rows:
         // live records, tombstones, weights, and timestamps all count.
         prop_assert_eq!(&merged, reference.graph());
         prop_assert_eq!(merged.num_tombstones(), reference.graph().num_tombstones());
         prop_assert_eq!(merged.num_live_edges(), reference.graph().num_live_edges());
-        prop_assert_eq!(&router.merged_props(), reference.props());
+        prop_assert_eq!(&fleet.merged_props(), reference.props());
     }
 
     /// Every update lands on its owner shard(s) and nowhere else, and
@@ -80,7 +84,8 @@ proptest! {
         let plan = ShardPlan::new(shards);
         let batches = script_to_batches(&script, 32);
         for b in &batches {
-            let (sub, ghosts) = plan.route_batch(b);
+            let (sub, ghosts, replicas) = plan.route_batch_replicated(b, false);
+            prop_assert_eq!(replicas, 0);
             prop_assert_eq!(sub.len(), shards);
             let mut expect_ghosts = 0u64;
             let mut expect_total = 0usize;
