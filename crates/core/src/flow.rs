@@ -32,16 +32,19 @@
 //! |---|-------|---------|
 //! | 1 | WAL append, with retry and repair-before-retry, feeding the breaker | the front logs, [`FlowConfig::durability_dir`] / [`FlowConfig::recover`] attached a log, and the breaker has not suspended it |
 //! | 2 | apply to the graph; malformed updates quarantined | always ([`FlowConfig::vertex_limit`], [`FlowConfig::symmetrize`] shape it) |
-//! | 3 | monitor events drained and counted | rung above `Shed` (the apply is unmonitored there) |
+//! | 3 | monitor events drained and counted | always (at `Shed` the apply is unmonitored, so there are none) |
 //! | 4 | triggers → seeds → extraction → analytic → write-back | the caller passed a trigger and an analytic; budgeted at `PartialDeadline`, skipped at `SeedsOnly` ([`FlowConfig::overload`]) |
-//! | 5 | freeze the CSR and publish the epoch | [`FlowEngine::serve_handle`] was called |
+//! | 5 | freeze the CSR and publish the epoch | [`FlowEngine::serve_handle`] was called; per batch at `Full` and `PartialDeadline`, once per [`FlowEngine::pump`] call for its `SeedsOnly` and `Shed` batches |
 //!
 //! The fronts only choose *(log?, rung)*: [`FlowEngine::process_stream`]
 //! is the un-logged front; [`FlowEngine::process_stream_durable`],
 //! [`FlowEngine::pump`] (rung from the admission-queue depth),
 //! [`FlowEngine::replay_dead_letters`] and sharded delivery are the
 //! logged ones; recovery replays the WAL suffix through the un-logged
-//! front. [`FlowEngine::checkpoint`] is out of band.
+//! front. The one exception: `replay_dead_letters` also asks stage 1 to
+//! drain the dead-letter queue once its batch is logged, which keeps
+//! append-before-drain inside the pipeline. [`FlowEngine::checkpoint`]
+//! is out of band.
 
 use crate::durability::{Checkpoint, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
@@ -1017,12 +1020,13 @@ impl FlowEngine {
     // The write path: one staged pipeline behind every front.
     // -----------------------------------------------------------------
 
-    /// The ingest pipeline — the only code that appends to the WAL,
-    /// applies a batch to the stream engine, or freezes and publishes an
-    /// epoch ([`Self::publish_epoch`] is its last stage). Stages run in
-    /// the order of the [module docs'](self) table — WAL, apply, monitor
-    /// events, triggers + analytics, freeze + publish — each a plain
-    /// `if` on engine state; the fronts only pick a [`Front`].
+    /// The ingest pipeline — the only code that appends to the WAL or
+    /// applies a batch to the stream engine; its last stage,
+    /// [`Self::publish_epoch`], is the only code that freezes and
+    /// publishes an epoch. Stages run in the order of the
+    /// [module docs'](self) table — WAL, apply, monitor events, triggers
+    /// and analytics, freeze and publish — each a plain `if` on engine
+    /// state; the fronts only pick a [`Front`].
     ///
     /// Returns the reports of analytic runs that executed and the number
     /// of updates quarantined. It can only fail in the WAL stage, so an
@@ -1086,7 +1090,15 @@ impl FlowEngine {
             self.kernel_ctx.budget = budget;
         }
 
-        self.publish_epoch();
+        // `SeedsOnly` and `Shed` exist to make a batch cheap, and the
+        // freeze rewrites the whole CSR: those rungs leave it to `pump`,
+        // which publishes once after its loop.
+        if matches!(
+            level,
+            DegradationLevel::Full | DegradationLevel::PartialDeadline
+        ) {
+            self.publish_epoch();
+        }
         Ok((reports, quarantined))
     }
 
@@ -1413,8 +1425,10 @@ impl FlowEngine {
     ///   triggers, minimal cost.
     ///
     /// Durable engines append every pumped batch (with retry) before it
-    /// touches the graph, and serving engines publish it, at every
-    /// level — degradation sacrifices analytics, never durability or
+    /// touches the graph, at every level, and serving engines publish
+    /// everything pumped before `pump` returns — per batch at `Full` and
+    /// `PartialDeadline`, once after the loop for `SeedsOnly` and `Shed`
+    /// batches. Degradation sacrifices analytics, never durability or
     /// freshness. If an append fails without tripping the breaker, the
     /// popped batch is re-queued at the front of its class before the
     /// error is returned, so a durability error never silently loses an
@@ -1448,6 +1462,9 @@ impl FlowEngine {
         // without waiting for the next pump.
         let level = self.degradation_level();
         self.note_level(level);
+        // One freeze for everything the `SeedsOnly`/`Shed` rungs applied
+        // (a no-op when the last batch already published).
+        self.publish_epoch();
         Ok(reports)
     }
 

@@ -156,16 +156,6 @@ pub enum QueryResponse {
     NoPath,
 }
 
-impl QueryResponse {
-    /// Scalar view, if this response carries one.
-    pub fn as_scalar(&self) -> Option<f64> {
-        match self {
-            QueryResponse::Scalar(x) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
 /// Execute `q` against a frozen CSR + property store directly (the
 /// internal form [`Query::run`] wraps; also used by the sharded router
 /// which serves per-shard arrays).

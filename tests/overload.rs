@@ -426,6 +426,52 @@ fn dead_letters_replay_through_the_durable_path() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The freeze rewrites the whole CSR, so the rungs that exist to make a
+/// batch cheap must not pay it per batch: a serving engine publishes per
+/// batch at `Full`/`PartialDeadline`, once per pump for everything it
+/// applied at `SeedsOnly`/`Shed` — and readers still see all of it.
+#[test]
+fn degraded_rungs_publish_once_per_pump() {
+    let mut e = FlowEngine::builder()
+        .overload(OverloadConfig {
+            partial_at: 20,
+            seeds_only_at: 30,
+            shed_at: 50,
+            ..OverloadConfig::default()
+        })
+        .build(64)
+        .unwrap();
+    let handle = e.serve_handle();
+    // Ten batches of ten distinct edges: depth 100, 90, … 10 at pop.
+    for b in 0..10u32 {
+        let updates = (0..10)
+            .map(|k| Update::EdgeInsert {
+                src: b,
+                dst: 20 + k,
+                weight: 1.0,
+            })
+            .collect();
+        e.offer(Priority::Normal, UpdateBatch { time: 1, updates });
+    }
+    let before = handle.publishes();
+
+    // Depths 100..=50: six batches, all at `Shed`.
+    assert_eq!(e.degradation_level(), DegradationLevel::Shed);
+    e.pump(6, |_| None, None).unwrap();
+    assert_eq!(e.degradation_level(), DegradationLevel::SeedsOnly);
+    assert_eq!(handle.publishes() - before, 1, "one freeze per Shed pump");
+    // Readers see every applied edge (stored in both directions).
+    assert_eq!(handle.load().unwrap().csr.num_edges(), 2 * 60);
+
+    // Depths 40, 30 (`SeedsOnly`: deferred), 20 (`PartialDeadline`),
+    // 10 (`Full`): the last two publish per batch and leave the
+    // post-loop publish nothing to do.
+    e.pump(10, |_| None, None).unwrap();
+    assert_eq!(e.degradation_level(), DegradationLevel::Full);
+    assert_eq!(handle.publishes() - before, 3);
+    assert_eq!(handle.load().unwrap().csr.num_edges(), 2 * 100);
+}
+
 proptest! {
     /// Backoff delays are always inside [base, cap], for any policy
     /// shape, seed, and attempt number (including shift-overflow
