@@ -55,7 +55,7 @@ fn bench_full_freeze(c: &mut Criterion) {
     let mut group = c.benchmark_group("snapshot_full");
     group.throughput(Throughput::Elements(g.num_live_edges() as u64));
     group.bench_function("legacy_global_sort", |b| {
-        b.iter(|| black_box(g.snapshot_legacy()))
+        b.iter(|| black_box(ga_bench::global_sort_freeze(&g)))
     });
     group.bench_function("rowwise_serial", |b| {
         b.iter(|| black_box(freeze(&g, Parallelism::Serial)))

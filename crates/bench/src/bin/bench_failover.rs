@@ -10,8 +10,7 @@
 //! * **update loss** — must be zero: while the shard is dead its
 //!   ring-successor replica absorbs its share (in-memory) or the
 //!   backlog queues for redelivery (durable). Any loss aborts with a
-//!   non-zero exit, which is what CI's `--assert-zero-loss` invocation
-//!   relies on;
+//!   non-zero exit — the gate CI relies on;
 //! * **degraded window** — how many batches the fleet served in the
 //!   typed-degraded state, and whether merged state was *still*
 //!   bit-identical to an unkilled reference during the outage (replica
@@ -25,7 +24,7 @@
 //!
 //! ```sh
 //! cargo run --release -p ga-bench --bin bench_failover
-//! # smoke (CI): GA_BENCH_SMOKE=1 ... -- --assert-zero-loss
+//! # smoke (CI): GA_BENCH_SMOKE=1 cargo run ... --bin bench_failover
 //! ```
 
 use ga_bench::header;
@@ -220,9 +219,7 @@ fn main() {
     println!("\nwrote BENCH_failover.json");
 
     // Zero loss and post-rebuild bit-identity are the whole point of
-    // the protocol: any violation is fatal (CI passes
-    // --assert-zero-loss to make the intent explicit on the command
-    // line, but the gate is unconditional).
+    // the protocol: any violation is fatal.
     let bad: Vec<String> = points
         .iter()
         .filter(|p| p.lost_updates != 0 || !p.exact_after_rebuild)

@@ -3,25 +3,21 @@
 //! For the five GAP Benchmark Suite kernels (BFS, PageRank, SSSP,
 //! connected components, triangle counting) over two graph shapes
 //! (skewed R-MAT and flat uniform), the driver runs each kernel on the
-//! plain `CsrGraph` and on the delta-varint [`CompressedCsr`], plus
-//! pull-mode PageRank against its cache-blocked variant at forced
-//! equal iteration counts, and records:
+//! plain `CsrGraph` and on the delta-varint [`CompressedCsr`]
+//! (PageRank at a forced iteration count), and records:
 //!
 //! * **agreement** — every kernel must return *bit-identical* results
-//!   on both adjacency representations, and blocked PageRank must
-//!   match pull PageRank exactly (any divergence aborts with a
-//!   non-zero exit, which is what CI's `--assert-agreement`
-//!   invocation relies on);
+//!   on both adjacency representations (any divergence aborts with a
+//!   non-zero exit, at every scale — the gate CI relies on);
 //! * **compression** — encoded adjacency bytes vs the plain 4 B/edge
 //!   layout; at scale ≥ 13 the R-MAT ratio is gated at ≥ 2×;
-//! * **wall clock** — best-of-N trials per kernel per representation;
-//!   at scale ≥ 13 blocked PageRank is gated to beat pull.
+//! * **wall clock** — best-of-N trials per kernel per representation.
 //!
 //! Results land in `BENCH_gap.json`.
 //!
 //! ```sh
 //! cargo run --release -p ga-bench --bin bench_gap
-//! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 ... -- --assert-agreement
+//! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 cargo run ... --bin bench_gap
 //! ```
 
 use ga_bench::{eng, header};
@@ -36,7 +32,7 @@ fn smoke() -> bool {
 }
 
 const DAMPING: f64 = 0.85;
-/// Equal-iteration PageRank comparison: tol 0 forces every sweep.
+/// Fixed-iteration PageRank: tol 0 forces every sweep.
 const PR_ITERS: usize = 20;
 
 struct KernelPoint {
@@ -52,9 +48,6 @@ struct ShapePoint {
     compressed_adj_bytes: u64,
     ratio: f64,
     kernels: Vec<KernelPoint>,
-    pr_pull_ms: f64,
-    pr_blocked_ms: f64,
-    pr_blocked_agrees: bool,
 }
 
 /// Best-of-`trials` wall time for `f`, keeping the last result.
@@ -118,24 +111,12 @@ fn run_shape(
     let (bc_ms, bc) = time_best(trials, || bfs::bfs_with(&c, src, &ctx));
     push("bfs", bp_ms, bc_ms, bp.depth == bc.depth);
 
-    // The three PageRank variants are interleaved within each trial so
-    // slow minutes on a shared machine hit all of them equally.
-    let (mut pp_ms, mut pc_ms, mut blk_ms) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let (mut pp, mut pc, mut blk) = (None, None, None);
-    for _ in 0..trials {
-        let t = Instant::now();
-        pp = Some(pagerank::pagerank_with(&g, DAMPING, 0.0, PR_ITERS, &ctx));
-        pp_ms = pp_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        pc = Some(pagerank::pagerank_with(&c, DAMPING, 0.0, PR_ITERS, &ctx));
-        pc_ms = pc_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        blk = Some(pagerank::pagerank_blocked_with(
-            &g, DAMPING, 0.0, PR_ITERS, &ctx,
-        ));
-        blk_ms = blk_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let (pp, pc, blk) = (pp.unwrap(), pc.unwrap(), blk.unwrap());
+    let (pp_ms, pp) = time_best(trials, || {
+        pagerank::pagerank_with(&g, DAMPING, 0.0, PR_ITERS, &ctx)
+    });
+    let (pc_ms, pc) = time_best(trials, || {
+        pagerank::pagerank_with(&c, DAMPING, 0.0, PR_ITERS, &ctx)
+    });
     push("pr", pp_ms, pc_ms, pp.rank == pc.rank);
 
     let (sp_ms, sp) = time_best(trials, || sssp::sssp_auto_with(&g, src, &ctx));
@@ -160,18 +141,6 @@ fn run_shape(
     let (tc_ms, tc) = time_best(trials, || triangles::count_global_with(&c, &ctx));
     push("tc", tp_ms, tc_ms, tp == tc);
 
-    // Pull vs cache-blocked PageRank at forced equal iterations.
-    let pr_blocked_agrees = blk.rank == pp.rank && blk.work == pp.work;
-    println!(
-        "  pr: pull  {pp_ms:8.2} ms, blocked    {blk_ms:8.2} ms ({:+5.1}%) | {}",
-        (blk_ms / pp_ms - 1.0) * 100.0,
-        if pr_blocked_agrees {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        },
-    );
-
     let plain_adj_bytes = c.plain_adjacency_bytes();
     let compressed_adj_bytes = c.adjacency_bytes();
     let ratio = plain_adj_bytes as f64 / compressed_adj_bytes as f64;
@@ -187,9 +156,6 @@ fn run_shape(
         compressed_adj_bytes,
         ratio,
         kernels,
-        pr_pull_ms: pp_ms,
-        pr_blocked_ms: blk_ms,
-        pr_blocked_agrees,
     }
 }
 
@@ -199,10 +165,6 @@ fn json_shape(p: &ShapePoint) -> String {
     j.push_str(&format!(
         "      \"plain_adj_bytes\": {}, \"compressed_adj_bytes\": {}, \"compression_ratio\": {:.3},\n",
         p.plain_adj_bytes, p.compressed_adj_bytes, p.ratio
-    ));
-    j.push_str(&format!(
-        "      \"pagerank_pull_ms\": {:.2}, \"pagerank_blocked_ms\": {:.2}, \"blocked_agrees\": {},\n",
-        p.pr_pull_ms, p.pr_blocked_ms, p.pr_blocked_agrees
     ));
     j.push_str("      \"kernels\": [\n");
     for (i, k) in p.kernels.iter().enumerate() {
@@ -223,10 +185,8 @@ fn json_shape(p: &ShapePoint) -> String {
 fn main() {
     let smoke = smoke();
     // Full runs default to scale 18: the f64 contribution array (2 MiB)
-    // plus rank vectors decisively outgrow this host's 2 MiB L2, which
-    // is the regime cache blocking exists for — at scale 16 the whole
-    // pull working set is nearly L2-resident and the blocked-vs-pull
-    // margin drowns in co-tenant noise.
+    // plus rank vectors decisively outgrow this host's 2 MiB L2, the
+    // regime PageRank's cache blocking exists for.
     let scale: u32 = std::env::var("GA_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -277,9 +237,7 @@ fn main() {
     println!("\nwrote BENCH_gap.json");
 
     // Agreement is the whole point of the representation swap:
-    // divergence is always fatal (CI passes --assert-agreement to make
-    // the intent explicit on the command line, but the gate is
-    // unconditional).
+    // divergence is always fatal, at every scale.
     let mut diverged: Vec<String> = Vec::new();
     for p in [&rmat, &uniform] {
         for k in &p.kernels {
@@ -287,17 +245,14 @@ fn main() {
                 diverged.push(format!("{}/{}", p.shape, k.kernel));
             }
         }
-        if !p.pr_blocked_agrees {
-            diverged.push(format!("{}/pr-blocked", p.shape));
-        }
     }
     if !diverged.is_empty() {
         eprintln!("DIVERGENCE between adjacency representations: {diverged:?}");
         std::process::exit(1);
     }
-    println!("all kernels bit-identical across plain, compressed, and blocked paths");
+    println!("all kernels bit-identical across plain and compressed adjacency");
 
-    // Performance gates only bind at GAP-meaningful sizes; the CI
+    // The compression gate only binds at GAP-meaningful sizes; the CI
     // smoke at scale 12 checks agreement alone.
     if scale >= 13 {
         if rmat.ratio < 2.0 {
@@ -307,16 +262,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if rmat.pr_blocked_ms >= rmat.pr_pull_ms {
-            eprintln!(
-                "blocked-PageRank gate: blocked {:.2} ms not faster than pull {:.2} ms on R-MAT",
-                rmat.pr_blocked_ms, rmat.pr_pull_ms
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "gates passed: R-MAT compression {:.2}x >= 2x, blocked PR {:.2} ms < pull {:.2} ms",
-            rmat.ratio, rmat.pr_blocked_ms, rmat.pr_pull_ms
-        );
+        println!("gate passed: R-MAT compression {:.2}x >= 2x", rmat.ratio);
     }
 }

@@ -9,9 +9,8 @@
 //! thread. Latency is reported as exact p50/p99/p999 from the raw
 //! sample set, per offered rate, sharded and unsharded.
 //!
-//! Consistency is gated unconditionally on every run (the
-//! `--assert-consistency` flag is accepted for explicitness but the
-//! checks never switch off): reader-observed epochs must be monotonic,
+//! Consistency is gated unconditionally on every run: reader-observed
+//! epochs must be monotonic,
 //! every answered query must come from one coherent generation, the
 //! final served snapshot must answer bit-identically to a fresh
 //! single-threaded replay of the same update stream, and the sharded
@@ -289,9 +288,6 @@ fn assert_router_consistency(flow: &mut ShardedFlow, handle: &SnapshotHandle, n:
 
 fn main() {
     let smoke = smoke();
-    // --assert-consistency is the CI spelling; the gates below run
-    // unconditionally either way.
-    let _ = std::env::args().any(|a| a == "--assert-consistency");
     let scale: u32 = if smoke { 10 } else { 13 };
     let n = 1u32 << scale;
     let total_updates = if smoke { 20_000 } else { 200_000 };

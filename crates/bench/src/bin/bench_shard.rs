@@ -7,8 +7,7 @@
 //!
 //! * **agreement** — merged kernel outputs must be *bit-identical* to
 //!   the 1-shard ground truth (any divergence aborts with a non-zero
-//!   exit, which is what CI's `--assert-agreement` invocation relies
-//!   on);
+//!   exit — the gate CI relies on);
 //! * **cross-shard traffic** — bytes per kernel under the wire model
 //!   (ghost updates × 13 B at ingest, 8 B per cross-shard rank pull,
 //!   4 B per exchanged frontier candidate, 8 B per forest pair);
@@ -25,7 +24,7 @@
 //!
 //! ```sh
 //! cargo run --release -p ga-bench --bin bench_shard
-//! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 ... -- --assert-agreement
+//! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 cargo run ... --bin bench_shard
 //! ```
 
 use ga_bench::{eng, header};
@@ -270,8 +269,7 @@ fn main() {
     println!("\nwrote BENCH_shard.json");
 
     // Agreement is the whole point of the protocol: divergence is
-    // always fatal (CI passes --assert-agreement to make the intent
-    // explicit on the command line, but the gate is unconditional).
+    // always fatal.
     let diverged: Vec<String> = rmat
         .iter()
         .map(|p| ("rmat", p))

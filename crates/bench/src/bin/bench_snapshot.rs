@@ -92,7 +92,7 @@ fn main() {
     let (n, m) = (g.num_vertices(), g.num_live_edges());
     println!("graph: {n} vertices, {m} live directed edges");
 
-    let legacy_ms = time_ms(reps, || g.snapshot_legacy());
+    let legacy_ms = time_ms(reps, || ga_bench::global_sort_freeze(&g));
     let rowwise_serial_ms = time_ms(reps, || freeze(&g, Parallelism::Serial));
     let rowwise_parallel_ms = time_ms(reps, || freeze(&g, Parallelism::Parallel));
     println!("full freeze:  legacy {legacy_ms:9.3} ms");

@@ -49,6 +49,15 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// The tuple-materializing, globally-sorting `CsrBuilder` freeze the
+/// row-wise snapshot path replaced — the baseline the snapshot benches
+/// time `ga_graph::snapshot::freeze` against.
+pub fn global_sort_freeze(g: &ga_graph::DynamicGraph) -> ga_graph::CsrGraph {
+    ga_graph::CsrBuilder::new(g.num_vertices())
+        .weighted_edges(g.edges().map(|(u, v, w, _)| (u, v, w)))
+        .build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,11 +42,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"GAC1";
-/// Current checkpoint format. Version 3 appends the tier-IO group to
-/// the version-2 per-group [`FlowStats`] layout; versions 2 (grouped,
-/// no tier) and 1 (the flat 25-field layout) are still decoded for
-/// checkpoints written by older builds, with tier counters defaulting
-/// to zero.
+/// The checkpoint format [`encode_checkpoint`] writes and the only one
+/// [`decode_checkpoint`] reads: per-group [`FlowStats`] sections
+/// including the tier-IO group.
 const VERSION: u16 = 3;
 
 /// A complete, self-contained snapshot of engine state.
@@ -170,56 +168,14 @@ fn push_flow_stats(out: &mut Vec<u8>, s: &FlowStats) {
     );
 }
 
-/// Decode the version-1 flat 25-field layout into the grouped struct.
-fn take_flow_stats_v1(r: &mut &[u8]) -> io::Result<FlowStats> {
-    let f = take_stats(r, 25, "FlowStats")?;
-    Ok(FlowStats {
-        ingest: IngestStats {
-            records_ingested: f[0],
-            entities_created: f[1],
-            updates_applied: f[10],
-            updates_quarantined: f[11],
-            events_observed: f[12],
-            triggers_fired: f[13],
-        },
-        analytics: AnalyticsStats {
-            batch_runs: f[2],
-            seeds_selected: f[3],
-            subgraphs_extracted: f[4],
-            vertices_extracted: f[5],
-            edges_extracted: f[6],
-            props_written_back: f[7],
-            globals_produced: f[8],
-            alerts_raised: f[9],
-            kernel_cpu_ops: f[14],
-            kernel_mem_bytes: f[15],
-            kernel_edges_touched: f[16],
-        },
-        snapshots: SnapshotStats {
-            rebuilds: f[17],
-            rows_reused: f[18],
-            mem_bytes: f[19],
-        },
-        durability: DurabilityStats {
-            retries: f[23],
-            breaker_trips: f[24],
-        },
-        overload: OverloadStats {
-            updates_shed: f[20],
-            deadline_partials: f[21],
-            analytics_skipped: f[22],
-        },
-        tier: Default::default(),
-    })
-}
-
-/// Decode the version-2 grouped layout.
-fn take_flow_stats_v2(r: &mut &[u8]) -> io::Result<FlowStats> {
+/// Decode what [`push_flow_stats`] wrote.
+fn take_flow_stats(r: &mut &[u8]) -> io::Result<FlowStats> {
     let i = take_stats(r, 6, "IngestStats")?;
     let a = take_stats(r, 11, "AnalyticsStats")?;
     let sn = take_stats(r, 3, "SnapshotStats")?;
     let d = take_stats(r, 2, "DurabilityStats")?;
     let o = take_stats(r, 3, "OverloadStats")?;
+    let t = take_stats(r, 20, "TierStats")?;
     Ok(FlowStats {
         ingest: IngestStats {
             records_ingested: i[0],
@@ -256,37 +212,29 @@ fn take_flow_stats_v2(r: &mut &[u8]) -> io::Result<FlowStats> {
             deadline_partials: o[1],
             analytics_skipped: o[2],
         },
-        tier: Default::default(),
+        tier: ga_graph::tier::TierStats {
+            spilled_segments: t[0] as u64,
+            spilled_bytes: t[1] as u64,
+            cache_hits: t[2] as u64,
+            cache_misses: t[3] as u64,
+            read_bytes: t[4] as u64,
+            prefetches: t[5] as u64,
+            prefetch_denied: t[6] as u64,
+            evictions: t[7] as u64,
+            corrupt_segments: t[8] as u64,
+            scrubbed_segments: t[9] as u64,
+            scrub_bytes: t[10] as u64,
+            scrub_errors: t[11] as u64,
+            repaired_segments: t[12] as u64,
+            lost_segments: t[13] as u64,
+            lost_rows: t[14] as u64,
+            slow_ios: t[15] as u64,
+            pinned_fallbacks: t[16] as u64,
+            breaker_trips: t[17] as u64,
+            write_failures: t[18] as u64,
+            read_failures: t[19] as u64,
+        },
     })
-}
-
-/// Decode the version-3 layout: version 2 plus the tier-IO group.
-fn take_flow_stats_v3(r: &mut &[u8]) -> io::Result<FlowStats> {
-    let mut flow = take_flow_stats_v2(r)?;
-    let t = take_stats(r, 20, "TierStats")?;
-    flow.tier = ga_graph::tier::TierStats {
-        spilled_segments: t[0] as u64,
-        spilled_bytes: t[1] as u64,
-        cache_hits: t[2] as u64,
-        cache_misses: t[3] as u64,
-        read_bytes: t[4] as u64,
-        prefetches: t[5] as u64,
-        prefetch_denied: t[6] as u64,
-        evictions: t[7] as u64,
-        corrupt_segments: t[8] as u64,
-        scrubbed_segments: t[9] as u64,
-        scrub_bytes: t[10] as u64,
-        scrub_errors: t[11] as u64,
-        repaired_segments: t[12] as u64,
-        lost_segments: t[13] as u64,
-        lost_rows: t[14] as u64,
-        slow_ios: t[15] as u64,
-        pinned_fallbacks: t[16] as u64,
-        breaker_trips: t[17] as u64,
-        write_failures: t[18] as u64,
-        read_failures: t[19] as u64,
-    };
-    Ok(flow)
 }
 
 fn push_stream_stats(out: &mut Vec<u8>, s: &StreamStats) {
@@ -379,9 +327,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
         )));
     }
     let version = u16::from_le_bytes(take_array(&mut r, "version")?);
-    if version == 0 || version > VERSION {
+    if version != VERSION {
         return Err(corrupt(format!(
-            "unsupported version {version} (this build reads versions 1..={VERSION})"
+            "unsupported version {version} (this build reads version {VERSION})"
         )));
     }
     let _reserved = u16::from_le_bytes(take_array::<2>(&mut r, "header")?);
@@ -407,11 +355,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
     let (props_bytes, rest) = r.split_at(props_len);
     r = rest;
     let props = gio::read_props(props_bytes)?;
-    let flow = match version {
-        1 => take_flow_stats_v1(&mut r)?,
-        2 => take_flow_stats_v2(&mut r)?,
-        _ => take_flow_stats_v3(&mut r)?,
-    };
+    let flow = take_flow_stats(&mut r)?;
     let s = take_stats(&mut r, 8, "StreamStats")?;
     let stream = StreamStats {
         edges_inserted: s[0],
@@ -787,74 +731,17 @@ mod tests {
         assert_eq!(c, back);
     }
 
-    /// Re-encode `c` exactly as the version-1 (flat 25-field) writer
-    /// did, byte for byte, so the legacy decode path is pinned against
-    /// the historical layout rather than against this build's encoder.
-    fn encode_checkpoint_v1(c: &Checkpoint) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&1u16.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-        out.push(c.symmetrize as u8);
-        out.extend_from_slice(&c.vertex_limit.to_le_bytes());
-        out.extend_from_slice(&c.last_batch_time.to_le_bytes());
-        out.extend_from_slice(&c.next_wal_seq.to_le_bytes());
-        let mut graph_buf = Vec::new();
-        gio::write_dynamic(&c.graph, &mut graph_buf).unwrap();
-        out.extend_from_slice(&(graph_buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&graph_buf);
-        let mut props_buf = Vec::new();
-        gio::write_props(&c.props, &mut props_buf).unwrap();
-        out.extend_from_slice(&(props_buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&props_buf);
-        let (i, a) = (&c.flow.ingest, &c.flow.analytics);
-        let (sn, d, o) = (&c.flow.snapshots, &c.flow.durability, &c.flow.overload);
-        let flat = [
-            i.records_ingested,
-            i.entities_created,
-            a.batch_runs,
-            a.seeds_selected,
-            a.subgraphs_extracted,
-            a.vertices_extracted,
-            a.edges_extracted,
-            a.props_written_back,
-            a.globals_produced,
-            a.alerts_raised,
-            i.updates_applied,
-            i.updates_quarantined,
-            i.events_observed,
-            i.triggers_fired,
-            a.kernel_cpu_ops,
-            a.kernel_mem_bytes,
-            a.kernel_edges_touched,
-            sn.rebuilds,
-            sn.rows_reused,
-            sn.mem_bytes,
-            o.updates_shed,
-            o.deadline_partials,
-            o.analytics_skipped,
-            d.retries,
-            d.breaker_trips,
-        ];
-        push_group(&mut out, &flat);
-        push_stream_stats(&mut out, &c.stream);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
     #[test]
-    fn legacy_v1_checkpoint_decodes_into_grouped_stats() {
-        let c = sample_checkpoint();
-        let v1 = encode_checkpoint_v1(&c);
-        let v2 = encode_checkpoint(&c).unwrap();
-        assert_ne!(v1, v2, "v2 must actually change the wire format");
-        let back = decode_checkpoint(&v1).unwrap();
-        assert_eq!(back, c, "v1 flat fields must land in the right groups");
-        assert_eq!(back.flow.ingest.updates_applied, 40);
-        assert_eq!(back.flow.snapshots.mem_bytes, 1234);
-        assert_eq!(back.flow.durability.retries, 4);
-        assert_eq!(back.flow.overload.updates_shed, 17);
+    fn other_format_versions_are_refused_not_misread() {
+        let good = encode_checkpoint(&sample_checkpoint()).unwrap();
+        for version in [0u16, 1, 2, VERSION + 1] {
+            let mut body = good[..good.len() - 4].to_vec();
+            body[4..6].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            let err = decode_checkpoint(&body).unwrap_err();
+            assert!(err.to_string().contains("unsupported version"), "{err}");
+        }
     }
 
     #[test]

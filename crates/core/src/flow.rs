@@ -203,9 +203,7 @@ pub struct OverloadStats {
 
 /// The instrumentation record (the paper's "explicit instrumentation"),
 /// grouped by pipeline concern. The GAC1 checkpoint codec serialises
-/// these groups as stats version 3 (version 2 plus the tier group) and
-/// still decodes the version-2 grouped layout and the flat 25-field
-/// version-1 layout older checkpoints carry.
+/// one length-prefixed section per group.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// Bulk + streaming ingest.
@@ -709,6 +707,7 @@ impl FlowEngine {
         } else {
             None
         };
+        self.fold_snapshot_stats();
         let serve = self.serve.as_mut().unwrap();
         let props = match &serve.props {
             Some((v, arc)) if *v == props_version => Arc::clone(arc),
@@ -727,6 +726,17 @@ impl FlowEngine {
             props,
         });
         serve.last = Some((stamp, props_version));
+    }
+
+    /// Drain the snapshot cache's counters into `FlowStats` — after
+    /// every freeze, whichever path asked for it (a batch analytic or an
+    /// epoch publish), so a serving engine that never runs an analytic
+    /// still reports what its freezes cost.
+    fn fold_snapshot_stats(&mut self) {
+        let s = self.stream.take_snapshot_stats();
+        self.stats.snapshots.rebuilds += s.rebuilds() as usize;
+        self.stats.snapshots.rows_reused += s.rows_reused as usize;
+        self.stats.snapshots.mem_bytes += s.mem_bytes as usize;
     }
 
     /// The live segment tier, if [`FlowConfig::tiered`] is on and a
@@ -895,10 +905,7 @@ impl FlowEngine {
             self.stream
                 .compressed_csr_snapshot(self.kernel_ctx.parallelism);
         }
-        let snap_stats = self.stream.take_snapshot_stats();
-        self.stats.snapshots.rebuilds += snap_stats.rebuilds() as usize;
-        self.stats.snapshots.rows_reused += snap_stats.rows_reused as usize;
-        self.stats.snapshots.mem_bytes += snap_stats.mem_bytes as usize;
+        self.fold_snapshot_stats();
         if let Some(cfg) = &self.tier_config {
             // Respill only when the snapshot actually changed; a repeat
             // trigger on an unchanged graph keeps the warm tier. Spill

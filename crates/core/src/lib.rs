@@ -51,7 +51,7 @@ pub mod faults;
 pub mod flow;
 pub mod model;
 pub mod nora;
-pub mod retry;
+pub use ga_graph::retry;
 pub mod serve;
 pub mod sharded;
 pub mod taxonomy;

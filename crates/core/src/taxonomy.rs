@@ -105,10 +105,10 @@ pub struct KernelEntry {
     pub impl_path: &'static str,
     /// Implementation variants this workspace carries beyond the row's
     /// canonical `impl_path` — alternate engines and representations
-    /// (e.g. cache-blocked pull PageRank, frontier-bitmap traversal,
-    /// compressed adjacency). Variants are *not* Fig. 1 rows: the
-    /// figure's 22-row shape is pinned, and every variant computes the
-    /// row's kernel bit-identically.
+    /// (e.g. delta-push PageRank, frontier-bitmap traversal, compressed
+    /// adjacency). Variants are *not* Fig. 1 rows: the figure's 22-row
+    /// shape is pinned, and every variant computes the row's kernel
+    /// bit-identically.
     pub variants: &'static [&'static str],
 }
 
@@ -279,9 +279,8 @@ pub fn registry() -> Vec<KernelEntry> {
             outputs: &[ComputeVertexProperty],
             impl_path: "ga_kernels::pagerank::pagerank",
             variants: &[
-                "cache-blocked pull (L1/L2-resident accumulation)",
                 "Gauss-Southwell delta push",
-                "compressed adjacency (delta-varint CSR)",
+                "compressed adjacency (delta-varint CSR), decoded once per call",
             ],
         },
         KernelEntry {
@@ -516,7 +515,7 @@ mod tests {
             .filter(|l| rows.iter().any(|k| l.starts_with(k.name)))
             .count();
         assert_eq!(kernel_rows, 22, "variants must not become rows");
-        assert!(table.contains("variants: cache-blocked pull"));
+        assert!(table.contains("variants: Gauss-Southwell delta push"));
         assert!(table.contains("frontier-bitmap"));
     }
 }

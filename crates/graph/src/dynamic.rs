@@ -14,7 +14,7 @@
 //! * cheap [`DynamicGraph::snapshot`] freezes into a [`CsrGraph`] for the
 //!   batch analytics on the right side of Fig. 2.
 
-use crate::{CsrBuilder, CsrGraph, Edge, Timestamp, VertexId, Weight};
+use crate::{CsrGraph, Edge, Timestamp, VertexId, Weight};
 
 /// One live or tombstoned directed edge slot.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -151,12 +151,6 @@ impl DynamicGraph {
         self.row_version
             .get(u as usize)
             .is_some_and(|&rv| rv > since)
-    }
-
-    /// Number of rows whose content changed after version `since` — the
-    /// delta size a snapshot rebuild will face.
-    pub fn dirty_rows_since(&self, since: u64) -> usize {
-        self.row_version.iter().filter(|&&rv| rv > since).count()
     }
 
     /// Bump the change counter and stamp row `u` with it.
@@ -345,8 +339,9 @@ impl DynamicGraph {
     /// come from a counting pass over per-row live counts and each row
     /// is sorted independently (in parallel for large graphs), so no
     /// `(u, v, w)` tuple vector is materialized and no global
-    /// `O(E log E)` sort runs. Output is bit-identical to the legacy
-    /// [`CsrBuilder`] path ([`Self::snapshot_legacy`]).
+    /// `O(E log E)` sort runs. Output is bit-identical to feeding
+    /// [`Self::edges`] through `CsrBuilder`, which the tests keep as
+    /// the oracle.
     pub fn snapshot(&self) -> CsrGraph {
         crate::snapshot::freeze(self, crate::par::Parallelism::Auto)
     }
@@ -356,28 +351,6 @@ impl DynamicGraph {
     /// same row-wise freeze as [`Self::snapshot`].
     pub fn snapshot_since(&self, since: Timestamp) -> CsrGraph {
         crate::snapshot::freeze_since(self, since, crate::par::Parallelism::Auto)
-    }
-
-    /// The original tuple-materializing, globally-sorting snapshot path.
-    /// Kept as the reference implementation the proptest suite and the
-    /// snapshot benchmarks compare the row-wise and delta paths against;
-    /// prefer [`Self::snapshot`].
-    pub fn snapshot_legacy(&self) -> CsrGraph {
-        CsrBuilder::new(self.num_vertices())
-            .weighted_edges(self.edges().map(|(u, v, w, _)| (u, v, w)))
-            .build()
-    }
-
-    /// Legacy-path counterpart of [`Self::snapshot_since`] (reference
-    /// for equivalence tests).
-    pub fn snapshot_since_legacy(&self, since: Timestamp) -> CsrGraph {
-        CsrBuilder::new(self.num_vertices())
-            .weighted_edges(
-                self.edges()
-                    .filter(|&(_, _, _, ts)| ts >= since)
-                    .map(|(u, v, w, _)| (u, v, w)),
-            )
-            .build()
     }
 
     /// Apply the edge list of `g` as undirected inserts (helper for tests

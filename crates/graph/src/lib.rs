@@ -45,6 +45,7 @@ pub mod gen;
 pub mod io;
 pub mod par;
 pub mod props;
+pub mod retry;
 pub mod snapshot;
 pub mod stats;
 pub mod sub;

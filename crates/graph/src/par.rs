@@ -1,9 +1,8 @@
 //! Parallel CSR iteration helpers.
 //!
-//! The batch kernels share three data-parallel access patterns over a
-//! [`CsrGraph`](crate::CsrGraph) snapshot: map a function over every vertex, expand a
-//! frontier by claiming undiscovered neighbors, and sum a per-vertex
-//! quantity (typically degrees). Centralizing them here keeps each
+//! The batch kernels share two data-parallel access patterns over an
+//! [`Adjacency`]: expand a frontier by claiming undiscovered neighbors,
+//! and sum the frontier's degrees. Centralizing them here keeps each
 //! kernel's parallel variant small and makes the work-partitioning
 //! strategy uniform across kernels.
 
@@ -44,16 +43,6 @@ impl Parallelism {
             Parallelism::Auto => rayon::current_num_threads() > 1 && work >= AUTO_WORK_CUTOFF,
         }
     }
-}
-
-/// Map `f` over vertices `0..n` in parallel, collecting results in
-/// vertex order (identical to the sequential `(0..n).map(f).collect()`).
-pub fn par_vertex_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(VertexId) -> T + Send + Sync,
-{
-    (0..n as VertexId).into_par_iter().map(f).collect()
 }
 
 /// Expand `frontier` one level in parallel: for each frontier vertex `u`
@@ -120,26 +109,11 @@ pub fn frontier_degree_sum<G: Adjacency>(g: &G, frontier: &[VertexId]) -> usize 
     frontier.par_iter().map(|&v| g.degree(v)).sum()
 }
 
-/// Sum `f` over vertices `0..n` in parallel.
-pub fn par_vertex_sum<F>(n: usize, f: F) -> u64
-where
-    F: Fn(VertexId) -> u64 + Send + Sync,
-{
-    (0..n as VertexId).into_par_iter().map(f).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
     use crate::CsrGraph;
-
-    #[test]
-    fn vertex_map_matches_sequential() {
-        let par = par_vertex_map(100, |v| v * 2);
-        let seq: Vec<VertexId> = (0..100).map(|v| v * 2).collect();
-        assert_eq!(par, seq);
-    }
 
     #[test]
     fn frontier_expand_discovers_neighbors() {
@@ -160,9 +134,6 @@ mod tests {
         let g = CsrGraph::from_edges_undirected(5, &gen::path(5));
         assert_eq!(frontier_degree_sum(&g, &[0, 2]), 3);
         // Sum of out-degrees equals the directed edge count.
-        assert_eq!(
-            par_vertex_sum(5, |v| g.degree(v) as u64),
-            g.num_edges() as u64
-        );
+        assert_eq!(frontier_degree_sum(&g, &[0, 1, 2, 3, 4]), g.num_edges());
     }
 }

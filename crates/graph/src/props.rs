@@ -22,17 +22,6 @@ pub enum PropValue {
     Str(String),
 }
 
-impl PropValue {
-    /// Numeric view used by ordering helpers; strings order as NaN-free 0.
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            PropValue::U64(x) => *x as f64,
-            PropValue::F64(x) => *x,
-            PropValue::Str(_) => 0.0,
-        }
-    }
-}
-
 impl From<u64> for PropValue {
     fn from(x: u64) -> Self {
         PropValue::U64(x)

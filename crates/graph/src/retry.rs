@@ -1,17 +1,20 @@
 //! Retry with capped exponential backoff, deterministic seeded jitter,
-//! and a circuit breaker for the durability path.
+//! and a circuit breaker — the workspace's one failure policy for IO.
 //!
 //! The paper's flow (Fig. 2) assumes storage that occasionally hiccups:
-//! a WAL append or checkpoint write can fail transiently without the
-//! analytics pipeline being wrong — only *late*. The right response is
-//! bounded retry, and when the fault turns out not to be transient, a
-//! breaker that converts "fail every batch forever" into one explicit
-//! mode change (durability suspended, alert raised) instead of an
-//! unbounded error stream.
+//! a WAL append, checkpoint write or segment read can fail transiently
+//! without the analytics pipeline being wrong — only *late*. The right
+//! response is bounded retry, and when the fault turns out not to be
+//! transient, a breaker that converts "fail every IO forever" into one
+//! explicit mode change instead of an unbounded error stream.
 //!
-//! [`RetryPolicy::run`] is the one retry loop; the flow engine wraps it
-//! with retry counting and breaker feeding for both WAL appends and
-//! checkpoint writes.
+//! [`RetryPolicy::run`] is the one retry loop and [`CircuitBreaker`] the
+//! one consecutive-failure breaker. They live here, beside the fault
+//! registry ([`crate::faults`]), so both users can reach them: the flow
+//! engine (`ga-core`) wraps WAL appends and checkpoint writes (open =
+//! durability suspended, alert raised), and the segment tier
+//! ([`crate::tier`]) wraps segment reads and writes (open = serve from
+//! the pinned-in-RAM snapshot).
 //!
 //! Jitter is *seeded*, not sampled from the OS: `delay(attempt)` is a
 //! pure function of `(policy, attempt)`, so two runs with the same seed
@@ -93,7 +96,7 @@ impl RetryPolicy {
         Duration::from_nanos(base.as_nanos() as u64 + (span as f64 * frac) as u64)
     }
 
-    /// The retry loop for durable writes: call `write(target)` until it
+    /// The retry loop for fallible IO: call `write(target)` until it
     /// succeeds or `max_retries` retries are spent, sleeping
     /// [`Self::delay`] between attempts. After *every* failed attempt
     /// `repair(target)` runs first (a failed WAL append may have torn
@@ -133,7 +136,8 @@ impl RetryPolicy {
 /// Counts *exhausted-retry* failures (not individual attempts). After
 /// `threshold` consecutive failures the breaker trips open; a success
 /// while still closed resets the count. The owner decides what "open"
-/// means — the flow engine suspends durable writes and raises an alert.
+/// means — the flow engine suspends durable writes and raises an alert,
+/// the segment tier degrades to pinned-in-RAM operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CircuitBreaker {
     threshold: u32,

@@ -13,7 +13,7 @@
 //!   row's neighbors sorted independently (rayon over disjoint row
 //!   ranges behind the [`Parallelism`] knob). No `(u, v, w)` tuple
 //!   vector is materialized and no global `O(E log E)` sort runs; the
-//!   output is bit-identical to the legacy `CsrBuilder` path.
+//!   output is bit-identical to the global-sort `CsrBuilder` path.
 //! * [`SnapshotCache`] — serves repeat snapshots by memcpy-ing the
 //!   previous CSR's clean-row slices and rebuilding only rows whose
 //!   [`DynamicGraph::version`] generation moved, with retired snapshot
@@ -36,7 +36,7 @@ use std::sync::Arc;
 const PAR_LEAF_EDGES: usize = 8_192;
 
 /// Freeze the live edges of `g` into a weighted [`CsrGraph`] row by
-/// row. Bit-identical to `DynamicGraph::snapshot_legacy`.
+/// row. Bit-identical to feeding `g.edges()` through `CsrBuilder`.
 pub fn freeze(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
     freeze_where(g, par, |_| true)
 }
@@ -74,8 +74,8 @@ fn freeze_where(
         parallel,
         &|u, tgt, wts, buf| gather_row(&rows[u], &keep, tgt, wts, buf),
     );
-    // The legacy builder only marks a graph weighted once it sees an
-    // edge; match it bit-for-bit on the edgeless case.
+    // `CsrBuilder` only marks a graph weighted once it sees an edge;
+    // match it bit-for-bit on the edgeless case.
     let weights = (total > 0).then_some(weights);
     CsrGraph::from_parts(offsets, targets, weights)
 }
@@ -425,12 +425,20 @@ impl SnapshotCache {
     }
 
     /// Build the new CSR, copying clean-row slices from the previous
-    /// snapshot and re-gathering dirty rows from the dynamic graph.
+    /// snapshot and re-gathering dirty rows from the dynamic graph. A
+    /// cold cache has nothing to copy from (and no retired arrays to
+    /// recycle): that is a plain [`freeze`].
     fn rebuild(&mut self, g: &DynamicGraph, par: Parallelism) -> CsrGraph {
         let rows = g.raw_rows();
         let n = rows.len();
-        let prev = self.prev.as_ref();
-        let (prev_version, prev_n) = prev.map_or((0, 0), |p| (p.version, p.num_vertices));
+        let Some(p) = self.prev.as_ref() else {
+            let csr = freeze(g, par);
+            self.stats.full_rebuilds += 1;
+            self.stats.rows_rebuilt += n as u64;
+            self.stats.mem_bytes += written_bytes(&csr);
+            return csr;
+        };
+        let (prev_version, prev_n) = (p.version, p.num_vertices);
         // A row is dirty when its generation moved past the cached
         // version or it did not exist at the previous freeze.
         let dirty = move |g: &DynamicGraph, u: usize| {
@@ -448,83 +456,80 @@ impl SnapshotCache {
         };
         offsets.resize(n + 1, 0);
         let parallel = par.use_parallel(g.num_live_edges());
-        match prev {
-            Some(p) => {
-                let pg = &p.csr;
-                count_rows(&mut offsets, parallel, |u| {
-                    if dirty(g, u) {
-                        rows[u].iter().filter(|r| !r.deleted).count() as u64
-                    } else {
-                        pg.degree(u as VertexId) as u64
-                    }
-                });
-            }
-            None => count_rows(&mut offsets, parallel, |u| {
+        let pg = Arc::clone(&p.csr);
+        count_rows(&mut offsets, parallel, |u| {
+            if dirty(g, u) {
                 rows[u].iter().filter(|r| !r.deleted).count() as u64
-            }),
-        }
+            } else {
+                pg.degree(u as VertexId) as u64
+            }
+        });
         prefix_sum(&mut offsets);
         let total = offsets[n] as usize;
         targets.resize(total, 0);
         weights.resize(total, 0.0);
 
         let keep = |_: &EdgeRecord| true;
-        match prev {
-            Some(p) => {
-                let pg = Arc::clone(&p.csr);
-                let poff = pg.raw_offsets();
-                let ptgt = pg.raw_targets();
-                let pwts = pg.raw_weights().unwrap_or(&[]);
-                fill_rows(
-                    &offsets,
-                    0,
-                    n,
-                    0,
-                    &mut targets,
-                    &mut weights,
-                    parallel,
-                    &|u, tgt, wts, buf| {
-                        if dirty(g, u) {
-                            gather_row(&rows[u], &keep, tgt, wts, buf);
-                        } else {
-                            let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
-                            tgt.copy_from_slice(&ptgt[s..e]);
-                            wts.copy_from_slice(&pwts[s..e]);
-                        }
-                    },
-                );
-                let rebuilt = (0..n).filter(|&u| dirty(g, u)).count() as u64;
-                self.stats.delta_rebuilds += 1;
-                self.stats.rows_rebuilt += rebuilt;
-                self.stats.rows_reused += n as u64 - rebuilt;
-            }
-            None => {
-                fill_rows(
-                    &offsets,
-                    0,
-                    n,
-                    0,
-                    &mut targets,
-                    &mut weights,
-                    parallel,
-                    &|u, tgt, wts, buf| gather_row(&rows[u], &keep, tgt, wts, buf),
-                );
-                self.stats.full_rebuilds += 1;
-                self.stats.rows_rebuilt += n as u64;
-            }
-        }
-        self.stats.mem_bytes += (offsets.len() * std::mem::size_of::<u64>()
-            + targets.len() * std::mem::size_of::<VertexId>()
-            + weights.len() * std::mem::size_of::<Weight>()) as u64;
+        let poff = pg.raw_offsets();
+        let ptgt = pg.raw_targets();
+        let pwts = pg.raw_weights().unwrap_or(&[]);
+        fill_rows(
+            &offsets,
+            0,
+            n,
+            0,
+            &mut targets,
+            &mut weights,
+            parallel,
+            &|u, tgt, wts, buf| {
+                if dirty(g, u) {
+                    gather_row(&rows[u], &keep, tgt, wts, buf);
+                } else {
+                    let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
+                    tgt.copy_from_slice(&ptgt[s..e]);
+                    wts.copy_from_slice(&pwts[s..e]);
+                }
+            },
+        );
+        let rebuilt = (0..n).filter(|&u| dirty(g, u)).count() as u64;
+        self.stats.delta_rebuilds += 1;
+        self.stats.rows_rebuilt += rebuilt;
+        self.stats.rows_reused += n as u64 - rebuilt;
         let weights = (total > 0).then_some(weights);
-        CsrGraph::from_parts(offsets, targets, weights)
+        let csr = CsrGraph::from_parts(offsets, targets, weights);
+        self.stats.mem_bytes += written_bytes(&csr);
+        csr
     }
+}
+
+/// Bytes a rebuild wrote into `csr`'s arrays (offsets + targets +
+/// weights) — the measured memory-bandwidth price of the copy step.
+fn written_bytes(csr: &CsrGraph) -> u64 {
+    (std::mem::size_of_val(csr.raw_offsets())
+        + std::mem::size_of_val(csr.raw_targets())
+        + csr.raw_weights().map_or(0, std::mem::size_of_val)) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use crate::{gen, CsrBuilder};
+
+    /// The oracle: materialize every live `(u, v, w)` tuple (at or after
+    /// `since`) and let `CsrBuilder` sort them globally.
+    fn oracle_since(g: &DynamicGraph, since: Timestamp) -> CsrGraph {
+        CsrBuilder::new(g.num_vertices())
+            .weighted_edges(
+                g.edges()
+                    .filter(|&(_, _, _, ts)| ts >= since)
+                    .map(|(u, v, w, _)| (u, v, w)),
+            )
+            .build()
+    }
+
+    fn oracle(g: &DynamicGraph) -> CsrGraph {
+        oracle_since(g, 0)
+    }
 
     /// Assert two CSR graphs are bit-identical (arrays, not semantics).
     fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
@@ -544,14 +549,14 @@ mod tests {
     }
 
     #[test]
-    fn rowwise_matches_legacy_on_rmat() {
+    fn rowwise_matches_oracle_on_rmat() {
         let g = rmat_dynamic(9, 8, 3);
-        assert_identical(&freeze(&g, Parallelism::Serial), &g.snapshot_legacy());
-        assert_identical(&freeze(&g, Parallelism::Parallel), &g.snapshot_legacy());
+        assert_identical(&freeze(&g, Parallelism::Serial), &oracle(&g));
+        assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
     }
 
     #[test]
-    fn rowwise_matches_legacy_with_tombstones() {
+    fn rowwise_matches_oracle_with_tombstones() {
         let mut g = rmat_dynamic(8, 6, 5);
         // Tombstone every third edge of every fourth row.
         for u in (0..g.num_vertices() as VertexId).step_by(4) {
@@ -560,29 +565,29 @@ mod tests {
                 g.delete_edge(u, v, 1_000_000);
             }
         }
-        assert_identical(&freeze(&g, Parallelism::Parallel), &g.snapshot_legacy());
+        assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
     }
 
     #[test]
-    fn since_window_matches_legacy() {
+    fn since_window_matches_oracle() {
         let g = rmat_dynamic(8, 4, 11);
         let mid = g.last_update() / 2;
         assert_identical(
             &freeze_since(&g, mid, Parallelism::Serial),
-            &g.snapshot_since_legacy(mid),
+            &oracle_since(&g, mid),
         );
         assert_identical(
             &freeze_since(&g, mid, Parallelism::Parallel),
-            &g.snapshot_since_legacy(mid),
+            &oracle_since(&g, mid),
         );
     }
 
     #[test]
     fn empty_and_isolated() {
         let g = DynamicGraph::new(0);
-        assert_identical(&freeze(&g, Parallelism::Serial), &g.snapshot_legacy());
+        assert_identical(&freeze(&g, Parallelism::Serial), &oracle(&g));
         let g = DynamicGraph::new(17);
-        assert_identical(&freeze(&g, Parallelism::Parallel), &g.snapshot_legacy());
+        assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
     }
 
     #[test]
@@ -612,7 +617,7 @@ mod tests {
             999_999,
         );
         let snap = c.snapshot(&g, Parallelism::Serial);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
         let s = c.stats();
         assert_eq!(s.delta_rebuilds, 1);
         assert_eq!(s.rows_rebuilt as usize, n + 2); // full build + 2 dirty
@@ -628,7 +633,7 @@ mod tests {
         let far = (g.num_vertices() + 10) as VertexId;
         g.insert_edge(far, 0, 1.0, 77);
         let snap = c.snapshot(&g, Parallelism::Serial);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
         assert!(snap.has_edge(far, 0));
     }
 
@@ -645,7 +650,7 @@ mod tests {
         }
         g.compact();
         let snap = c.snapshot(&g, Parallelism::Parallel);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
     }
 
     #[test]
@@ -657,7 +662,7 @@ mod tests {
             g.insert_edge(u, (u + 1) % g.num_vertices() as VertexId, 9.0, 600_000);
         }
         let snap = c.snapshot(&g, Parallelism::Parallel);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
         assert_eq!(c.stats().rows_reused, 0);
     }
 
@@ -673,7 +678,7 @@ mod tests {
         assert!(c.spare.is_some() || c.prev.is_some());
         g.insert_edge(1, 2, 1.5, 1000);
         let snap = c.snapshot(&g, Parallelism::Serial);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
     }
 
     #[test]
@@ -683,11 +688,11 @@ mod tests {
         let a = c.compressed_snapshot(&g, Parallelism::Serial);
         let b = c.compressed_snapshot(&g, Parallelism::Serial);
         assert!(Arc::ptr_eq(&a, &b), "unchanged version served from cache");
-        assert_identical(&a.to_csr(), &g.snapshot_legacy());
+        assert_identical(&a.to_csr(), &oracle(&g));
         g.insert_edge(1, 2, 3.0, 888_888);
         let d = c.compressed_snapshot(&g, Parallelism::Serial);
         assert!(!Arc::ptr_eq(&a, &d), "version bump must re-encode");
-        assert_identical(&d.to_csr(), &g.snapshot_legacy());
+        assert_identical(&d.to_csr(), &oracle(&g));
         // Re-encoding went through the plain cache's delta path.
         assert_eq!(c.stats().delta_rebuilds, 1);
     }

@@ -1,5 +1,5 @@
-//! Tiered larger-than-RAM storage: cold CSR rows and property columns
-//! spill to CRC-framed disk segments behind a budgeted page cache.
+//! Tiered larger-than-RAM storage: cold CSR rows spill to CRC-framed
+//! disk segments behind a budgeted page cache.
 //!
 //! The paper's NORA boil works a 4–7 TB set and finds "disk is the
 //! tall pole" (E3); ROADMAP item 3 asks for that regime to be
@@ -29,9 +29,10 @@
 //!   rot proactively, [`TieredCsr::repair_from`] that restores
 //!   quarantined/missing segments from a source of truth (resident
 //!   copy, or the checkpoint+WAL-recovered graph the flow hands in) —
-//!   with honest refusal and counted loss when no source exists — and
-//!   a consecutive-failure circuit breaker that degrades to
-//!   pinned-in-RAM operation when the device keeps failing.
+//!   with honest refusal and counted loss when no source exists.
+//!   Failed IO goes through the workspace's one retry loop
+//!   ([`RetryPolicy::run`]) and one [`CircuitBreaker`], which degrades
+//!   the tier to pinned-in-RAM operation when the device keeps failing.
 //!
 //! All five batch kernels run bit-identically over a `TieredCsr`
 //! because rows decode to exactly the source CSR's sorted target
@@ -39,12 +40,14 @@
 
 use crate::faults::{self, Intercept};
 use crate::io::{crc32, Crc32};
-use crate::{Adjacency, CsrGraph, PropertyStore, VertexId, Weight};
+use crate::retry::{CircuitBreaker, RetryPolicy};
+use crate::{Adjacency, CsrGraph, VertexId, Weight};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Magic tag of the `GAS1` segment file format.
 pub const MAGIC_SEGMENT: &[u8; 4] = b"GAS1";
@@ -52,6 +55,17 @@ pub const MAGIC_SEGMENT: &[u8; 4] = b"GAS1";
 const SEGMENT_VERSION: u16 = 1;
 /// Upper bound on any payload length read from an untrusted header.
 const MAX_PAYLOAD: u64 = 1 << 32;
+/// Segment IO is retried twice, immediately: reads retry under the
+/// tier mutex, where a backoff sleep would stall every reader.
+const IO_RETRY: RetryPolicy = RetryPolicy {
+    max_retries: 2,
+    base: Duration::ZERO,
+    cap: Duration::ZERO,
+    seed: 0,
+};
+/// Consecutive exhausted-retry IO failures before the breaker opens and
+/// the tier degrades to pinned-in-RAM operation.
+const BREAKER_THRESHOLD: u32 = 4;
 
 /// What a segment file holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,8 +74,6 @@ pub enum SegmentKind {
     Rows,
     /// A contiguous range of reverse (in-edge) CSR rows.
     RevRows,
-    /// One property column (GAP1-encoded single-column store).
-    PropColumn,
 }
 
 impl SegmentKind {
@@ -69,7 +81,6 @@ impl SegmentKind {
         match self {
             SegmentKind::Rows => 0,
             SegmentKind::RevRows => 1,
-            SegmentKind::PropColumn => 2,
         }
     }
 
@@ -77,7 +88,6 @@ impl SegmentKind {
         match tag {
             0 => Some(SegmentKind::Rows),
             1 => Some(SegmentKind::RevRows),
-            2 => Some(SegmentKind::PropColumn),
             _ => None,
         }
     }
@@ -87,7 +97,6 @@ impl SegmentKind {
         match self {
             SegmentKind::Rows => "rows",
             SegmentKind::RevRows => "rev",
-            SegmentKind::PropColumn => "prop",
         }
     }
 }
@@ -546,7 +555,10 @@ impl SegmentStore {
 // ---------------------------------------------------------------------
 
 /// Knobs for a [`TieredCsr`]. Built with struct-update syntax over
-/// [`TierConfig::new`] or the builder-style `with_*` methods.
+/// [`TierConfig::new`] or the builder-style methods. Sequential
+/// prefetch (always on, shaped by the IO budget), the IO retry budget
+/// (2 immediate retries) and the breaker threshold (4 consecutive
+/// failures) are constants: no caller ever needed another value.
 #[derive(Clone, Debug)]
 pub struct TierConfig {
     /// Directory segments spill to.
@@ -561,16 +573,6 @@ pub struct TierConfig {
     /// prefetch only spends budget left over after demand misses, so a
     /// tight budget degrades to demand paging instead of thrashing.
     pub io_budget_bytes: u64,
-    /// Prefetch the next sequential segment after a demand miss when
-    /// the IO budget allows.
-    pub prefetch: bool,
-    /// Extra attempts after a failed segment read.
-    pub read_retries: u32,
-    /// Extra attempts after a failed segment write.
-    pub write_retries: u32,
-    /// Consecutive unrecovered IO failures before the breaker trips
-    /// and the tier degrades to pinned-in-RAM operation.
-    pub breaker_threshold: u32,
     /// Keep the source snapshot `Arc` as the pinned-in-RAM fallback.
     /// Without it, a tripped breaker (or an unrepairable segment) can
     /// only count the loss honestly.
@@ -579,17 +581,13 @@ pub struct TierConfig {
 
 impl TierConfig {
     /// Defaults: 64 MiB RAM budget, 1024-row segments, unlimited IO
-    /// budget, prefetch on, 2 read/write retries, breaker at 4.
+    /// budget, pinned fallback kept.
     pub fn new(dir: impl Into<PathBuf>) -> TierConfig {
         TierConfig {
             dir: dir.into(),
             ram_budget_bytes: 64 << 20,
             segment_rows: 1024,
             io_budget_bytes: u64::MAX,
-            prefetch: true,
-            read_retries: 2,
-            write_retries: 2,
-            breaker_threshold: 4,
             keep_pin: true,
         }
     }
@@ -609,25 +607,6 @@ impl TierConfig {
     /// Set the per-window IO budget.
     pub fn io_budget(mut self, bytes: u64) -> Self {
         self.io_budget_bytes = bytes;
-        self
-    }
-
-    /// Enable/disable sequential prefetch.
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.prefetch = on;
-        self
-    }
-
-    /// Set read/write retry budgets.
-    pub fn retries(mut self, read: u32, write: u32) -> Self {
-        self.read_retries = read;
-        self.write_retries = write;
-        self
-    }
-
-    /// Set the consecutive-failure breaker threshold.
-    pub fn breaker_threshold(mut self, n: u32) -> Self {
-        self.breaker_threshold = n.max(1);
         self
     }
 
@@ -759,10 +738,19 @@ struct TierState {
     resident_bytes: u64,
     clock: u64,
     io_window_spent: u64,
-    consecutive_failures: u32,
-    pinned_mode: bool,
+    /// Open = pinned-in-RAM operation.
+    breaker: CircuitBreaker,
     quarantined: Vec<SegmentId>,
     stats: TierStats,
+}
+
+impl TierState {
+    /// Feed one exhausted-retry IO failure to the breaker.
+    fn io_failed(&mut self) {
+        if self.breaker.record_failure() {
+            self.stats.breaker_trips += 1;
+        }
+    }
 }
 
 /// An [`Adjacency`] served from CRC-framed disk segments behind a
@@ -843,17 +831,16 @@ impl TieredCsr {
                 resident_bytes: 0,
                 clock: 0,
                 io_window_spent: 0,
-                consecutive_failures: 0,
-                pinned_mode: false,
+                breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
                 quarantined: Vec::new(),
                 stats: TierStats::default(),
             }),
         };
         for seg in 0..num_fwd_segs {
-            tier.spill_one(snap, false, seg)?;
+            tier.spill_one(snap, false, seg);
         }
         for seg in 0..num_rev_segs {
-            tier.spill_one(snap, true, seg)?;
+            tier.spill_one(snap, true, seg);
         }
         Ok(tier)
     }
@@ -864,9 +851,20 @@ impl TieredCsr {
         (start as VertexId, count as u32)
     }
 
-    /// Spill one segment, retrying per config. On persistent failure
-    /// the segment is kept resident (non-evictable) instead of lost.
-    fn spill_one(&mut self, snap: &CsrGraph, rev: bool, seg: usize) -> io::Result<()> {
+    /// One segment write through the one retry loop.
+    fn write_retrying(
+        &self,
+        kind: SegmentKind,
+        seg: usize,
+        payload: &[u8],
+    ) -> io::Result<IoOutcome> {
+        let write = |_: &mut ()| self.store.write(kind, seg as u64, payload);
+        IO_RETRY.run(&mut (), write, |_| Ok(())).0
+    }
+
+    /// Spill one segment. On persistent failure the segment is kept
+    /// resident (non-evictable) instead of lost.
+    fn spill_one(&mut self, snap: &CsrGraph, rev: bool, seg: usize) {
         let (start, count) = self.seg_range(seg);
         let payload = encode_rows_payload(snap, rev, start, count);
         let kind = if rev {
@@ -874,46 +872,32 @@ impl TieredCsr {
         } else {
             SegmentKind::Rows
         };
+        let written = self.write_retrying(kind, seg, &payload);
         let state = self.state.get_mut().unwrap();
-        let mut attempt = 0;
-        loop {
-            match self.store.write(kind, seg as u64, &payload) {
-                Ok(out) => {
-                    state.stats.spilled_segments += 1;
-                    state.stats.spilled_bytes += out.bytes;
-                    state.stats.slow_ios += u64::from(out.slowed);
-                    state.consecutive_failures = 0;
-                    if rev {
-                        self.rev_seg_bytes[seg] = out.bytes;
-                    } else {
-                        self.fwd_seg_bytes[seg] = out.bytes;
-                    }
-                    return Ok(());
+        match written {
+            Ok(out) => {
+                state.stats.spilled_segments += 1;
+                state.stats.spilled_bytes += out.bytes;
+                state.stats.slow_ios += u64::from(out.slowed);
+                state.breaker.record_success();
+                if rev {
+                    self.rev_seg_bytes[seg] = out.bytes;
+                } else {
+                    self.fwd_seg_bytes[seg] = out.bytes;
                 }
-                Err(e) if attempt < self.config.write_retries => {
-                    let _ = e;
-                    attempt += 1;
-                }
-                Err(_) => {
-                    // Keep the rows resident; a disk that refused the
-                    // write does not get to own the only copy.
-                    state.stats.write_failures += 1;
-                    state.consecutive_failures += 1;
-                    if state.consecutive_failures >= self.config.breaker_threshold
-                        && !state.pinned_mode
-                    {
-                        state.pinned_mode = true;
-                        state.stats.breaker_trips += 1;
-                    }
-                    let mut decoded =
-                        decode_rows_payload(&payload).expect("freshly encoded payload must decode");
-                    decoded.no_disk_copy = true;
-                    state.clock += 1;
-                    decoded.last_used = state.clock;
-                    state.resident_bytes += decoded.bytes;
-                    state.resident.insert((rev, seg), decoded);
-                    return Ok(());
-                }
+            }
+            Err(_) => {
+                // Keep the rows resident; a disk that refused the
+                // write does not get to own the only copy.
+                state.stats.write_failures += 1;
+                state.io_failed();
+                let mut decoded =
+                    decode_rows_payload(&payload).expect("freshly encoded payload must decode");
+                decoded.no_disk_copy = true;
+                state.clock += 1;
+                decoded.last_used = state.clock;
+                state.resident_bytes += decoded.bytes;
+                state.resident.insert((rev, seg), decoded);
             }
         }
     }
@@ -921,11 +905,6 @@ impl TieredCsr {
     /// Number of vertices per segment.
     pub fn segment_rows(&self) -> usize {
         self.config.segment_rows
-    }
-
-    /// Forward + reverse segment count.
-    pub fn num_segments(&self) -> usize {
-        self.num_fwd_segs + self.num_rev_segs
     }
 
     /// Decoded bytes currently resident in the page cache.
@@ -950,7 +929,7 @@ impl TieredCsr {
 
     /// True once the breaker has tripped to pinned-in-RAM operation.
     pub fn pinned_mode(&self) -> bool {
-        self.state.lock().unwrap().pinned_mode
+        self.state.lock().unwrap().breaker.is_open()
     }
 
     /// Currently quarantined segments (cleared by repair).
@@ -989,55 +968,48 @@ impl TieredCsr {
         } else {
             SegmentKind::Rows
         };
-        let mut attempt = 0;
-        loop {
-            match self.store.read(kind, seg as u64) {
-                Ok((payload, out)) => {
-                    state.stats.read_bytes += out.bytes;
-                    state.stats.slow_ios += u64::from(out.slowed);
-                    state.io_window_spent = state.io_window_spent.saturating_add(out.bytes);
-                    state.consecutive_failures = 0;
-                    match decode_rows_payload(&payload) {
-                        Ok(mut decoded) => {
-                            state.clock += 1;
-                            decoded.last_used = state.clock;
-                            state.resident_bytes += decoded.bytes;
-                            state.resident.insert((rev, seg), decoded);
-                            self.evict_over_budget(state, (rev, seg));
-                            return true;
-                        }
-                        Err(_) => {
-                            // Frame CRC passed but the payload lied —
-                            // treat as corrupt, same as the store would.
-                            let _ = self.store.quarantine(kind, seg as u64);
-                            state.stats.corrupt_segments += 1;
-                            state.quarantined.push((kind, seg as u64));
-                            return false;
-                        }
+        // Only a failed IO is retried; a verdict on the bytes (corrupt,
+        // missing) is final the first time.
+        let read = |_: &mut ()| match self.store.read(kind, seg as u64) {
+            Err(SegmentReadError::Io(e)) => Err(e),
+            verdict => Ok(verdict),
+        };
+        match IO_RETRY.run(&mut (), read, |_| Ok(())).0 {
+            Ok(Ok((payload, out))) => {
+                state.stats.read_bytes += out.bytes;
+                state.stats.slow_ios += u64::from(out.slowed);
+                state.io_window_spent = state.io_window_spent.saturating_add(out.bytes);
+                state.breaker.record_success();
+                match decode_rows_payload(&payload) {
+                    Ok(mut decoded) => {
+                        state.clock += 1;
+                        decoded.last_used = state.clock;
+                        state.resident_bytes += decoded.bytes;
+                        state.resident.insert((rev, seg), decoded);
+                        self.evict_over_budget(state, (rev, seg));
+                        true
+                    }
+                    Err(_) => {
+                        // Frame CRC passed but the payload lied —
+                        // treat as corrupt, same as the store would.
+                        let _ = self.store.quarantine(kind, seg as u64);
+                        state.stats.corrupt_segments += 1;
+                        state.quarantined.push((kind, seg as u64));
+                        false
                     }
                 }
-                Err(SegmentReadError::Io(_)) if attempt < self.config.read_retries => {
-                    attempt += 1;
-                }
-                Err(SegmentReadError::Io(_)) => {
-                    state.stats.read_failures += 1;
-                    state.consecutive_failures += 1;
-                    if state.consecutive_failures >= self.config.breaker_threshold
-                        && !state.pinned_mode
-                    {
-                        state.pinned_mode = true;
-                        state.stats.breaker_trips += 1;
-                    }
-                    return false;
-                }
-                Err(SegmentReadError::Corrupt(_)) => {
-                    state.stats.corrupt_segments += 1;
-                    state.quarantined.push((kind, seg as u64));
-                    return false;
-                }
-                Err(SegmentReadError::Missing) => {
-                    return false;
-                }
+            }
+            Ok(Err(SegmentReadError::Corrupt(_))) => {
+                state.stats.corrupt_segments += 1;
+                state.quarantined.push((kind, seg as u64));
+                false
+            }
+            // Missing: repair's job, not a device failure.
+            Ok(Err(_)) => false,
+            Err(_) => {
+                state.stats.read_failures += 1;
+                state.io_failed();
+                false
             }
         }
     }
@@ -1067,7 +1039,7 @@ impl TieredCsr {
     /// Issue a budgeted sequential prefetch of `seg + 1` after a
     /// demand miss of `seg`.
     fn maybe_prefetch(&self, state: &mut TierState, rev: bool, seg: usize) {
-        if !self.config.prefetch || state.pinned_mode {
+        if state.breaker.is_open() {
             return;
         }
         let next = seg + 1;
@@ -1104,7 +1076,7 @@ impl TieredCsr {
     ) -> R {
         let seg = self.seg_of(v);
         let mut state = self.state.lock().unwrap();
-        if state.pinned_mode {
+        if state.breaker.is_open() {
             if let Some(pin) = &self.pin {
                 state.stats.pinned_fallbacks += 1;
                 let row = if rev {
@@ -1228,32 +1200,24 @@ impl TieredCsr {
                     })
                 };
                 match payload {
-                    Some(payload) => {
-                        let mut attempt = 0;
-                        loop {
-                            match self.store.write(kind, seg as u64, &payload) {
-                                Ok(out) => {
-                                    state.stats.repaired_segments += 1;
-                                    state.stats.spilled_bytes += out.bytes;
-                                    state.stats.slow_ios += u64::from(out.slowed);
-                                    report.repaired.push((kind, seg as u64));
-                                    report.bytes += out.bytes;
-                                    // The rewritten copy is good again:
-                                    // a resident twin may evict freely.
-                                    if let Some(res) = state.resident.get_mut(&(rev, seg)) {
-                                        res.no_disk_copy = false;
-                                    }
-                                    break;
-                                }
-                                Err(_) if attempt < self.config.write_retries => attempt += 1,
-                                Err(_) => {
-                                    state.stats.write_failures += 1;
-                                    report.unrepairable.push((kind, seg as u64));
-                                    break;
-                                }
+                    Some(payload) => match self.write_retrying(kind, seg, &payload) {
+                        Ok(out) => {
+                            state.stats.repaired_segments += 1;
+                            state.stats.spilled_bytes += out.bytes;
+                            state.stats.slow_ios += u64::from(out.slowed);
+                            report.repaired.push((kind, seg as u64));
+                            report.bytes += out.bytes;
+                            // The rewritten copy is good again: a
+                            // resident twin may evict freely.
+                            if let Some(res) = state.resident.get_mut(&(rev, seg)) {
+                                res.no_disk_copy = false;
                             }
                         }
-                    }
+                        Err(_) => {
+                            state.stats.write_failures += 1;
+                            report.unrepairable.push((kind, seg as u64));
+                        }
+                    },
                     None => {
                         state.stats.lost_segments += 1;
                         report.unrepairable.push((kind, seg as u64));
@@ -1313,70 +1277,6 @@ impl Adjacency for TieredCsr {
     }
 }
 
-// ---------------------------------------------------------------------
-// Property-column spill.
-// ---------------------------------------------------------------------
-
-/// Spill every property column of `props` as one `PropColumn` segment
-/// each (GAP1 single-column payloads), column index = position in the
-/// sorted name list. Returns `(segments, bytes, slow_ios)`; a write
-/// that keeps failing after `retries` attempts returns the error and
-/// the caller keeps serving the column from RAM (honest degradation,
-/// no partial truth on disk).
-pub fn spill_prop_columns(
-    store: &SegmentStore,
-    props: &PropertyStore,
-    retries: u32,
-) -> io::Result<(u64, u64, u64)> {
-    store.clear(SegmentKind::PropColumn)?;
-    let mut names = props.column_names();
-    names.sort_unstable();
-    let all: Vec<VertexId> = (0..props.num_vertices() as VertexId).collect();
-    let (mut segs, mut bytes, mut slow) = (0u64, 0u64, 0u64);
-    for (idx, name) in names.iter().enumerate() {
-        let single = props.project(&all, &[name]);
-        let mut payload = Vec::new();
-        crate::io::write_props(&single, &mut payload)?;
-        let mut attempt = 0;
-        let out = loop {
-            match store.write(SegmentKind::PropColumn, idx as u64, &payload) {
-                Ok(out) => break out,
-                Err(_) if attempt < retries => attempt += 1,
-                Err(e) => return Err(e),
-            }
-        };
-        segs += 1;
-        bytes += out.bytes;
-        slow += u64::from(out.slowed);
-    }
-    Ok((segs, bytes, slow))
-}
-
-/// Load every live `PropColumn` segment back into one store. Corrupt
-/// segments are quarantined by the read and reported in the second
-/// return value (by index) for repair; their columns are absent from
-/// the result rather than silently wrong.
-pub fn load_prop_columns(
-    store: &SegmentStore,
-    num_vertices: usize,
-) -> io::Result<(PropertyStore, Vec<u64>)> {
-    let mut merged = PropertyStore::new(num_vertices);
-    let mut corrupt = Vec::new();
-    let back_map: Vec<VertexId> = (0..num_vertices as VertexId).collect();
-    for idx in store.list(SegmentKind::PropColumn)? {
-        match store.read(SegmentKind::PropColumn, idx) {
-            Ok((payload, _)) => {
-                let single = crate::io::read_props(&payload[..])?;
-                merged.write_back(&single, &back_map);
-            }
-            Err(SegmentReadError::Corrupt(_)) => corrupt.push(idx),
-            Err(SegmentReadError::Missing) => corrupt.push(idx),
-            Err(SegmentReadError::Io(e)) => return Err(e),
-        }
-    }
-    Ok((merged, corrupt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1409,7 +1309,7 @@ mod tests {
 
     #[test]
     fn segment_codec_detects_bit_flips_and_truncation() {
-        let frame = encode_segment(SegmentKind::PropColumn, 3, b"hello segment");
+        let frame = encode_segment(SegmentKind::RevRows, 3, b"hello segment");
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x40;
@@ -1490,20 +1390,25 @@ mod tests {
         faults::clear_all();
         let snap = sample_graph();
         let dir = tmpdir("breaker");
-        let cfg = TierConfig::new(&dir)
-            .segment_rows(64)
-            .retries(0, 0)
-            .breaker_threshold(2);
-        let tier = TieredCsr::spill(&snap, cfg).unwrap();
+        let tier = TieredCsr::spill(&snap, TierConfig::new(&dir).segment_rows(64)).unwrap();
         faults::arm("segment.read", FaultMode::FailEveryNth(1));
         for v in snap.vertices() {
             let got: Vec<VertexId> = Adjacency::neighbors(&tier, v).collect();
             assert_eq!(got, snap.neighbors(v), "pinned fallback must stay exact");
         }
+        let fired = faults::fired_count("segment.read");
         faults::clear_all();
         let s = tier.stats();
-        assert!(s.pinned_fallbacks > 0);
-        assert!(s.breaker_trips >= 1);
+        // Every fetch spends the whole retry budget, and the breaker
+        // opens on the BREAKER_THRESHOLD-th consecutive exhausted fetch —
+        // after which no read reaches the device at all.
+        assert_eq!(s.read_failures, u64::from(BREAKER_THRESHOLD));
+        assert_eq!(
+            fired,
+            u64::from(BREAKER_THRESHOLD) * u64::from(IO_RETRY.max_retries + 1)
+        );
+        assert_eq!(s.pinned_fallbacks, snap.num_vertices() as u64);
+        assert_eq!(s.breaker_trips, 1);
         assert!(tier.pinned_mode());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1547,32 +1452,6 @@ mod tests {
         let s = tier.stats();
         assert_eq!(s.prefetches, 0);
         assert!(s.prefetch_denied > 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prop_columns_round_trip_and_detect_corruption() {
-        let dir = tmpdir("props");
-        let store = SegmentStore::open(&dir).unwrap();
-        let mut props = PropertyStore::new(8);
-        props.set_column_f64("rank", &[0.5; 8]);
-        props.set_column_u64("component", &[3; 8]);
-        let (segs, bytes, _) = spill_prop_columns(&store, &props, 2).unwrap();
-        assert_eq!(segs, 2);
-        assert!(bytes > 0);
-        let (loaded, corrupt) = load_prop_columns(&store, 8).unwrap();
-        assert!(corrupt.is_empty());
-        assert_eq!(loaded.get_f64("rank", 3), Some(0.5));
-        assert_eq!(loaded.get("component", 0).map(|v| v.as_f64()), Some(3.0));
-        // Rot one column; it must be reported, not half-loaded.
-        let path = store.segment_path(SegmentKind::PropColumn, 0);
-        let mut b = fs::read(&path).unwrap();
-        let last = b.len() - 1;
-        b[last] ^= 0xFF;
-        fs::write(&path, &b).unwrap();
-        let (loaded, corrupt) = load_prop_columns(&store, 8).unwrap();
-        assert_eq!(corrupt, vec![0]);
-        assert!(!loaded.has_column("component") || !loaded.has_column("rank"));
         let _ = fs::remove_dir_all(&dir);
     }
 }

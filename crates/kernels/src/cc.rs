@@ -157,18 +157,13 @@ fn label_prop_serial<G: Adjacency>(g: &G, budget: &Budget) -> (Vec<VertexId>, us
     (label, sweeps)
 }
 
-/// WCC by **parallel** min-label propagation: Jacobi sweeps (every
-/// vertex reads the previous sweep's labels, all vertices update
-/// concurrently). Takes more sweeps than the Gauss–Seidel serial engine
-/// but converges to the same unique fixpoint — `label[v]` = min vertex
-/// id in v's component — so after `normalize` the labels are
-/// bit-identical to [`wcc_label_prop`]'s.
-pub fn wcc_label_prop_parallel<G: Adjacency>(g: &G) -> Components {
-    normalize(label_prop_parallel(g, &Budget::unlimited()).0)
-}
-
-/// Parallel Jacobi min-label sweeps; returns raw labels and sweep count.
-/// Budget handling mirrors [`label_prop_serial`].
+/// Parallel Jacobi min-label sweeps (every vertex reads the previous
+/// sweep's labels, all vertices update concurrently); returns raw labels
+/// and sweep count. Takes more sweeps than the Gauss–Seidel serial
+/// engine but converges to the same unique fixpoint — `label[v]` = min
+/// vertex id in v's component — so after `normalize` the labels are
+/// bit-identical to [`wcc_label_prop`]'s. Budget handling mirrors
+/// [`label_prop_serial`].
 ///
 /// Sweeps after the first scan only the [`Frontier`] of affected
 /// vertices, split by degree sum across the pool. An inactive vertex's
@@ -222,9 +217,9 @@ fn label_prop_parallel<G: Adjacency>(g: &G, budget: &Budget) -> (Vec<VertexId>, 
     (label, sweeps)
 }
 
-/// Instrumented, dispatching WCC: runs [`wcc_label_prop`] or
-/// [`wcc_label_prop_parallel`] per the context's [`crate::Parallelism`]
-/// and flushes the propagation's cost into the context counters. Labels
+/// Instrumented, dispatching WCC: runs serial Gauss–Seidel or parallel
+/// Jacobi label propagation per the context's [`crate::Parallelism`] and
+/// flushes the propagation's cost into the context counters. Labels
 /// are identical across both engines (and match [`wcc_union_find`] on
 /// symmetric graphs).
 pub fn wcc_with<G: Adjacency>(g: &G, ctx: &KernelCtx) -> Components {

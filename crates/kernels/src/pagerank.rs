@@ -1,30 +1,28 @@
 //! PageRank (Fig. 1 row "PR") — the canonical "compute a new property
 //! for each vertex" centrality kernel.
 //!
-//! Three engines:
-//! * [`pagerank`] — synchronous pull-based power iteration,
-//!   rayon-parallel over vertices, with proper dangling-mass
-//!   redistribution so ranks always sum to 1; generic over
-//!   [`Adjacency`] so it runs bit-identically on plain or compressed
-//!   rows;
-//! * [`pagerank_blocked`] — the same power iteration cache-blocked the
-//!   GAP way: contributions are hoisted to one division per vertex and
-//!   the in-edges are laid out in (destination-block, source-block)
-//!   segments so each segment's reads and writes both fit in L2. Ranks
-//!   are **bit-identical** to [`pagerank`] at equal iteration counts;
+//! Two engines:
+//! * [`pagerank`] — synchronous pull-based power iteration with proper
+//!   dangling-mass redistribution so ranks always sum to 1, cache-blocked
+//!   the GAP way: contributions are hoisted to one division per vertex
+//!   and the in-edges are laid out once per call in (destination-block,
+//!   source-block) segments so each segment's reads and writes both fit
+//!   in L2. Generic over [`Adjacency`]: the adjacency is read once, to
+//!   build that layout, so plain, compressed and tiered rows run the
+//!   same sweeps and return **bit-identical** ranks — the sums are taken
+//!   in exactly the order a naive per-vertex pull over `in_neighbors`
+//!   takes them (the test module keeps that loop as the reference);
 //! * [`pagerank_delta`] — Gauss–Southwell residual pushing, the
 //!   asynchronous formulation the streaming variant (`ga-stream`)
 //!   shares its update rule with.
 
 use crate::ctx::{Completion, KernelCtx};
-use ga_graph::par::par_vertex_map;
-use ga_graph::{Adjacency, CsrGraph, VertexId};
-use rayon::prelude::*;
+use ga_graph::{Adjacency, VertexId};
 
 /// Pushes between budget consults in the delta engine.
 const BUDGET_CHECK_PUSHES: usize = 1024;
 
-/// Destination-block width for [`pagerank_blocked`]: 2^12 f64
+/// Destination-block width for [`pagerank_with`]: 2^12 f64
 /// accumulators = 32 KiB, resident in L1d. Must stay ≤ 2^16 so a
 /// block-local destination index fits in a `u16` segment entry.
 const DST_BLOCK: usize = 1 << 12;
@@ -74,96 +72,11 @@ pub fn pagerank<G: Adjacency>(g: &G, damping: f64, tol: f64, max_iters: usize) -
     pagerank_with(g, damping, tol, max_iters, &KernelCtx::default())
 }
 
-/// Instrumented, dispatching pull PageRank (see [`pagerank`]).
+/// Instrumented, dispatching pull PageRank (see [`pagerank`]) — the GAP
+/// cache-blocked formulation.
 ///
-/// Serial and parallel execution produce **bit-identical** rank vectors:
-/// only the embarrassingly parallel per-vertex pull sweep is
-/// parallelized, while the dangling-mass and residual reductions — whose
-/// floating-point result depends on summation order — are computed
-/// serially in both modes.
-pub fn pagerank_with<G: Adjacency>(
-    g: &G,
-    damping: f64,
-    tol: f64,
-    max_iters: usize,
-    ctx: &KernelCtx,
-) -> PageRankResult {
-    assert!(g.has_reverse(), "pull PageRank needs a reverse index");
-    let n = g.num_vertices();
-    if n == 0 {
-        return PageRankResult {
-            rank: vec![],
-            work: 0,
-            residual: 0.0,
-            completion: Completion::Complete,
-        };
-    }
-    let parallel = ctx.parallelism.use_parallel(g.num_edges());
-    let (m, nv) = (g.num_edges() as u64, n as u64);
-    let inv_n = 1.0 / n as f64;
-    let mut rank = vec![inv_n; n];
-    let out_deg: Vec<f64> = (0..n as VertexId).map(|v| g.degree(v) as f64).collect();
-    let mut iters = 0;
-    let mut residual = f64::INFINITY;
-    let mut completion = Completion::Complete;
-    while iters < max_iters && residual > tol {
-        // Budget check at the sweep boundary: stop at the last
-        // completed iteration, never mid-sweep.
-        completion = ctx.budget.check(iters as u64 * (2 * m + 4 * nv));
-        if completion.is_partial() {
-            break;
-        }
-        // Dangling vertices spread their rank uniformly.
-        let dangling: f64 = (0..n).filter(|&v| out_deg[v] == 0.0).map(|v| rank[v]).sum();
-        let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
-        let pull = |v: VertexId| {
-            let mut acc = 0.0;
-            for u in g.in_neighbors(v) {
-                acc += rank[u as usize] / out_deg[u as usize];
-            }
-            base + damping * acc
-        };
-        let new_rank: Vec<f64> = if parallel {
-            par_vertex_map(n, pull)
-        } else {
-            (0..n as VertexId).map(pull).collect()
-        };
-        residual = (0..n).map(|v| (new_rank[v] - rank[v]).abs()).sum();
-        rank = new_rank;
-        iters += 1;
-    }
-    flush_power_iteration(g, ctx, iters as u64, m, nv);
-    PageRankResult {
-        rank,
-        work: iters,
-        residual,
-        completion,
-    }
-}
-
-/// Counter flush shared by the pull engines. Per sweep: every in-edge
-/// pulled once — the in-row adjacency bytes actually streamed (4/entry
-/// plain, the encoded length compressed) plus ~12 bytes of rank math —
-/// and every vertex read + written (~24 bytes, ~4 ops).
-fn flush_power_iteration<G: Adjacency>(g: &G, ctx: &KernelCtx, sweeps: u64, m: u64, nv: u64) {
-    let in_adj_bytes: u64 = (0..nv as VertexId).map(|v| g.in_row_bytes(v)).sum();
-    ctx.counters.flush(
-        sweeps * (2 * m + 4 * nv),
-        sweeps * (in_adj_bytes + 12 * m + 24 * nv),
-        sweeps * m,
-    );
-}
-
-/// Cache-blocked pull PageRank (see [`pagerank_blocked_with`]).
-pub fn pagerank_blocked(g: &CsrGraph, damping: f64, tol: f64, max_iters: usize) -> PageRankResult {
-    pagerank_blocked_with(g, damping, tol, max_iters, &KernelCtx::default())
-}
-
-/// Cache-blocked pull power iteration over the row-wise CSR — the GAP
-/// PageRank formulation.
-///
-/// Two changes over [`pagerank_with`], neither of which alters a single
-/// bit of the result:
+/// Two things set it apart from a per-vertex pull loop, neither of
+/// which alters a single bit of the result:
 ///
 /// 1. **Hoisted contributions**: `rank[u] / out_deg[u]` is computed once
 ///    per vertex per sweep instead of once per edge (same operands →
@@ -172,19 +85,24 @@ pub fn pagerank_blocked(g: &CsrGraph, damping: f64, tol: f64, max_iters: usize) 
 /// 2. **L2 blocking**: in-edges are laid out once per call into
 ///    (destination-block × source-block) segments of block-local
 ///    `(u16, u16)` index pairs — 4 bytes per edge, the same stream
-///    width as a plain CSR row. A sweep walks each destination block's
-///    segments in ascending source order, so every edge's read lands
-///    in an L2-resident contribution slice and its write in an
-///    L1-resident accumulator block. Per destination the additions
-///    happen in ascending source order — exactly the order
-///    [`pagerank_with`] pulls `in_neighbors` — so sums are bit-identical.
+///    width as a plain CSR row. This is the only time `g`'s rows are
+///    read, so a compressed adjacency decodes each varint once per call
+///    and a tiered one pages each segment in once, however many sweeps
+///    follow. A sweep walks each destination block's segments in
+///    ascending source order, so every edge's read lands in an
+///    L2-resident contribution slice and its write in an L1-resident
+///    accumulator block. Per destination the additions happen in
+///    ascending source order — exactly the order of `in_neighbors` — so
+///    sums are bit-identical to the per-vertex pull.
 ///
-/// Dangling-mass and residual reductions stay serial and identical, and
-/// the sweep-boundary budget formula matches [`pagerank_with`], so at
-/// equal iteration counts the two engines return identical results in
-/// less wall time here.
-pub fn pagerank_blocked_with(
-    g: &CsrGraph,
+/// Serial and parallel execution produce **bit-identical** rank vectors:
+/// only the layout build and the per-block sweep are parallelized (one
+/// edge-balanced group of whole blocks per pool thread, see
+/// `par_blocks`), while the dangling-mass and residual reductions —
+/// whose floating-point result depends on summation order — are
+/// computed serially in both modes.
+pub fn pagerank_with<G: Adjacency>(
+    g: &G,
     damping: f64,
     tol: f64,
     max_iters: usize,
@@ -212,25 +130,29 @@ pub fn pagerank_blocked_with(
     // destination's sources ascending within and across segments.
     // Block-local u16 indices keep the edge stream at 4 B/edge.
     let num_src_blocks = n.div_ceil(SRC_BLOCK).max(1);
-    let dst_ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(DST_BLOCK)
-        .map(|lo| (lo, (lo + DST_BLOCK).min(n)))
+    let dst_range = |b: usize| (b * DST_BLOCK, ((b + 1) * DST_BLOCK).min(n));
+    let block_edges: Vec<u64> = (0..n.div_ceil(DST_BLOCK))
+        .map(|b| {
+            let (lo, hi) = dst_range(b);
+            (lo..hi).map(|v| g.in_degree(v as VertexId) as u64).sum()
+        })
         .collect();
-    let build = |&(lo, hi): &(usize, usize)| -> Vec<Vec<(u16, u16)>> {
-        let mut segs = vec![Vec::new(); num_src_blocks];
+    let threads = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let cuts = balanced_cuts(&block_edges, threads);
+    let mut blocks = vec![vec![Vec::<(u16, u16)>::new(); num_src_blocks]; block_edges.len()];
+    par_blocks(&mut blocks, 0, &cuts, &|b, segs| {
+        let (lo, hi) = dst_range(b);
         for v in lo..hi {
             let local = (v - lo) as u16;
-            for &u in g.in_neighbors(v as VertexId) {
+            for u in g.in_neighbors(v as VertexId) {
                 segs[u as usize / SRC_BLOCK].push((local, (u as usize % SRC_BLOCK) as u16));
             }
         }
-        segs
-    };
-    let blocks: Vec<Vec<Vec<(u16, u16)>>> = if parallel {
-        dst_ranges.par_iter().map(build).collect()
-    } else {
-        dst_ranges.iter().map(build).collect()
-    };
+    });
 
     // Two bit-identical inner loops (the summation order is the same
     // either way): on skewed graphs a hub destination's additions form
@@ -244,10 +166,13 @@ pub fn pagerank_blocked_with(
     let mut residual = f64::INFINITY;
     let mut completion = Completion::Complete;
     while iters < max_iters && residual > tol {
+        // Budget check at the sweep boundary: stop at the last
+        // completed iteration, never mid-sweep.
         completion = ctx.budget.check(iters as u64 * (2 * m + 4 * nv));
         if completion.is_partial() {
             break;
         }
+        // Dangling vertices spread their rank uniformly.
         let dangling: f64 = (0..n).filter(|&v| out_deg[v] == 0.0).map(|v| rank[v]).sum();
         let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
         for u in 0..n {
@@ -256,47 +181,16 @@ pub fn pagerank_blocked_with(
             contrib[u] = rank[u] / out_deg[u];
         }
         let mut new_rank = vec![0.0f64; n];
-        // Recursive join over destination blocks: each level splits the
-        // (rank chunk, segments, range) triples in half so disjoint
-        // `&mut` rank slices fan out across the pool.
-        fn sweep<F>(
-            out: &mut [f64],
-            blocks: &[Vec<Vec<(u16, u16)>>],
-            ranges: &[(usize, usize)],
-            parallel: bool,
-            f: &F,
-        ) where
-            F: Fn(&mut [f64], &[Vec<(u16, u16)>], (usize, usize)) + Sync,
-        {
-            match blocks.len() {
-                0 => {}
-                1 => f(out, &blocks[0], ranges[0]),
-                k => {
-                    let mid = k / 2;
-                    let (lo_out, hi_out) = out.split_at_mut(ranges[mid].0 - ranges[0].0);
-                    let (lb, hb) = blocks.split_at(mid);
-                    let (lr, hr) = ranges.split_at(mid);
-                    if parallel {
-                        rayon::join(
-                            || sweep(lo_out, lb, lr, parallel, f),
-                            || sweep(hi_out, hb, hr, parallel, f),
-                        );
-                    } else {
-                        sweep(lo_out, lb, lr, parallel, f);
-                        sweep(hi_out, hb, hr, parallel, f);
-                    }
-                }
-            }
-        }
-        let sweep_block = |out: &mut [f64], segs: &[Vec<(u16, u16)>], (lo, hi): (usize, usize)| {
-            let mut acc = vec![0.0f64; hi - lo];
-            for (s, seg) in segs.iter().enumerate() {
+        let mut out_blocks: Vec<&mut [f64]> = new_rank.chunks_mut(DST_BLOCK).collect();
+        par_blocks(&mut out_blocks, 0, &cuts, &|b, out| {
+            let mut acc = vec![0.0f64; out.len()];
+            for (s, seg) in blocks[b].iter().enumerate() {
                 let window = &contrib[s * SRC_BLOCK..((s + 1) * SRC_BLOCK).min(contrib.len())];
                 if hub_runs {
                     // Entries for one destination are consecutive, so
                     // each run accumulates in a register (seeded from
                     // the partial sum so the addition chain — and
-                    // therefore every bit — matches the plain pull
+                    // therefore every bit — matches the per-vertex pull
                     // order) instead of bouncing through an
                     // accumulator store per edge.
                     let mut i = 0;
@@ -318,18 +212,74 @@ pub fn pagerank_blocked_with(
             for (o, a) in out.iter_mut().zip(acc) {
                 *o = base + damping * a;
             }
-        };
-        sweep(&mut new_rank, &blocks, &dst_ranges, parallel, &sweep_block);
+        });
         residual = (0..n).map(|v| (new_rank[v] - rank[v]).abs()).sum();
         rank = new_rank;
         iters += 1;
     }
-    flush_power_iteration(g, ctx, iters as u64, m, nv);
+    // Per sweep: every in-edge pulled once — the in-row adjacency bytes
+    // (4/entry plain, the encoded length compressed) plus ~12 bytes of
+    // rank math — and every vertex read + written (~24 bytes, ~4 ops).
+    let sweeps = iters as u64;
+    let in_adj_bytes: u64 = (0..n as VertexId).map(|v| g.in_row_bytes(v)).sum();
+    ctx.counters.flush(
+        sweeps * (2 * m + 4 * nv),
+        sweeps * (in_adj_bytes + 12 * m + 24 * nv),
+        sweeps * m,
+    );
     PageRankResult {
         rank,
         work: iters,
         residual,
         completion,
+    }
+}
+
+/// Ends (exclusive block indices, ascending, last = `weights.len()`) of
+/// at most `groups` runs of consecutive blocks carrying roughly equal
+/// total weight — a skewed graph packs most of its in-edges into its
+/// first few destination blocks, so an equal-count split would idle
+/// every thread but one.
+fn balanced_cuts(weights: &[u64], groups: usize) -> Vec<usize> {
+    let total: u64 = weights.iter().sum();
+    let mut cuts = Vec::with_capacity(groups);
+    let mut acc = 0u64;
+    for (i, w) in weights.iter().enumerate() {
+        acc += w;
+        let closed = cuts.len() as u64 + 1;
+        if closed < groups as u64 && acc * groups as u64 >= total * closed {
+            cuts.push(i + 1);
+        }
+    }
+    if cuts.last() != Some(&weights.len()) {
+        cuts.push(weights.len());
+    }
+    cuts
+}
+
+/// Run `f(block, item)` on every per-block item, the groups delimited
+/// by `cuts` concurrently and each group's blocks in order: one
+/// `rayon::join` level per group, so a pool of T threads runs T
+/// cache-blocked serial passes rather than a task per block evicting
+/// each other's L1/L2-resident working sets. `base` is the block index
+/// of `items[0]`.
+fn par_blocks<I: Send>(
+    items: &mut [I],
+    base: usize,
+    cuts: &[usize],
+    f: &(impl Fn(usize, &mut I) + Sync),
+) {
+    let run = |items: &mut [I], base: usize| {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(base + i, item);
+        }
+    };
+    match cuts {
+        [] | [_] => run(items, base),
+        [cut, rest @ ..] => {
+            let (head, tail) = items.split_at_mut(cut - base);
+            rayon::join(|| run(head, base), || par_blocks(tail, *cut, rest, f));
+        }
     }
 }
 
@@ -432,7 +382,7 @@ pub fn pagerank_delta_with<G: Adjacency>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::{gen, CompressedCsr, CsrBuilder};
+    use ga_graph::{gen, CompressedCsr, CsrBuilder, CsrGraph};
 
     fn with_reverse(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
         CsrBuilder::new(n)
@@ -502,32 +452,66 @@ mod tests {
         }
     }
 
+    /// The reference: one addition per in-edge in `in_neighbors` order,
+    /// one division per edge, nothing hoisted or blocked.
+    fn naive_pull(g: &CsrGraph, damping: f64, tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
+        let n = g.num_vertices();
+        let inv_n = 1.0 / n as f64;
+        let mut rank = vec![inv_n; n];
+        let (mut iters, mut residual) = (0, f64::INFINITY);
+        while iters < max_iters && residual > tol {
+            let dangling: f64 = g
+                .vertices()
+                .filter(|&v| g.degree(v) == 0)
+                .map(|v| rank[v as usize])
+                .sum();
+            let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
+            let new: Vec<f64> = g
+                .vertices()
+                .map(|v| {
+                    let pulled = g
+                        .in_neighbors(v)
+                        .iter()
+                        .fold(0.0, |acc, &u| acc + rank[u as usize] / g.degree(u) as f64);
+                    base + damping * pulled
+                })
+                .collect();
+            residual = (0..n).map(|v| (new[v] - rank[v]).abs()).sum();
+            rank = new;
+            iters += 1;
+        }
+        (rank, iters)
+    }
+
     #[test]
-    fn blocked_is_bit_identical_to_pull() {
-        let edges = gen::rmat(11, 10 << 11, gen::RmatParams::GRAPH500, 9);
-        let g = CsrBuilder::new(1 << 11)
-            .edges(edges.iter().copied())
+    fn engine_is_bit_identical_to_naive_pull() {
+        let rmat = CsrBuilder::new(1 << 11)
+            .edges(gen::rmat(11, 10 << 11, gen::RmatParams::GRAPH500, 9))
             .symmetrize(true)
             .dedup(true)
             .drop_self_loops(true)
             .reverse(true)
             .build();
-        // Fixed iteration count (tol 0 so neither engine converges
-        // early) — the protocol the bench harness uses.
-        for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
-            let plain = pagerank_with(&g, 0.85, 0.0, 20, &ctx);
-            let blocked = pagerank_blocked_with(&g, 0.85, 0.0, 20, &ctx);
-            assert_eq!(plain.work, blocked.work);
-            assert_eq!(plain.rank, blocked.rank, "blocked ranks must be exact");
-            assert_eq!(plain.residual, blocked.residual);
+        // Flat degrees (register-run loop off) with dangling vertices.
+        let uniform = with_reverse(300, &gen::erdos_renyi(300, 900, 5));
+        // A ring plus a 200-in-degree hub: the register-run loop on.
+        let mut hub_edges = gen::ring(400);
+        hub_edges.extend((1..=200u32).map(|v| (v, 0)));
+        let hub = with_reverse(400, &hub_edges);
+        assert!(hub.vertices().map(|v| hub.in_degree(v)).max() >= Some(128));
+        assert!(uniform.vertices().map(|v| uniform.in_degree(v)).max() < Some(128));
+        // tol 0 pins the sweep count (the bench protocol); 1e-10 lets
+        // convergence decide, so `work` is compared too.
+        for g in [&rmat, &uniform, &hub] {
+            for (tol, max_iters) in [(0.0, 20), (1e-10, 300)] {
+                let (rank, iters) = naive_pull(g, 0.85, tol, max_iters);
+                for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+                    let r = pagerank_with(g, 0.85, tol, max_iters, &ctx);
+                    assert_eq!(r.work, iters);
+                    assert_eq!(r.rank, rank, "ranks must match the naive pull exactly");
+                }
+            }
         }
-        // And under normal convergence, including dangling vertices.
-        let dedges = gen::erdos_renyi(300, 900, 5);
-        let dg = with_reverse(300, &dedges);
-        let a = pagerank_with(&dg, 0.85, 1e-10, 300, &KernelCtx::serial());
-        let b = pagerank_blocked_with(&dg, 0.85, 1e-10, 300, &KernelCtx::serial());
-        assert_eq!(a.work, b.work);
-        assert_eq!(a.rank, b.rank);
     }
 
     #[test]
@@ -619,7 +603,5 @@ mod tests {
         assert!(r.rank.is_empty());
         let d = pagerank_delta(&g, 0.85, 1e-6);
         assert!(d.rank.is_empty());
-        let b = pagerank_blocked(&g, 0.85, 1e-6, 10);
-        assert!(b.rank.is_empty());
     }
 }

@@ -68,10 +68,10 @@ pub fn local_out_degrees(g: &DynamicGraph) -> Vec<u32> {
 
 /// One owned PageRank pull sweep: for each vertex in `owned` (ascending
 /// order), pull `rank[u] / out_deg[u]` over its in-adjacency and return
-/// `(v, base + damping * acc)` pairs. Arithmetic matches
-/// [`crate::pagerank::pagerank_with`]'s inner loop term-for-term; the
-/// caller supplies the global `rank`/`out_deg` vectors and the
-/// dangling-corrected `base`.
+/// `(v, base + damping * acc)` pairs. Every value equals the one
+/// [`crate::pagerank::pagerank_with`]'s sweep produces (same quotients,
+/// added in the same ascending-source order); the caller supplies the
+/// global `rank`/`out_deg` vectors and the dangling-corrected `base`.
 pub fn pagerank_owned_sweep(
     in_adj: &[Vec<VertexId>],
     owned: &[VertexId],

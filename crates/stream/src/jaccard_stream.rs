@@ -3,8 +3,8 @@
 //! **Form 1 (update-driven):** "On addition of an edge, a Jaccard kernel
 //! may ask what the graph modification does to the maximum Jaccard
 //! coefficient the two vertices may have with any other" —
-//! [`JaccardMonitor`] recomputes the endpoints' best coefficients after
-//! each structural update and emits a [`EventKind::PairThreshold`] event
+//! [`JaccardMonitor`] recomputes the endpoints' coefficients after each
+//! structural update and emits a [`EventKind::PairThreshold`] event
 //! when a pair crosses the configured threshold.
 //!
 //! **Form 2 (query-driven):** "a sequence of vertices, where for each
@@ -68,9 +68,6 @@ pub struct JaccardMonitor {
     /// 2-hop scans are quadratic; every production streaming-Jaccard
     /// system applies such a cap).
     pub degree_cap: usize,
-    /// Best coefficient seen per vertex (the "maximum Jaccard the vertex
-    /// has with any other" the paper describes tracking).
-    best: HashMap<VertexId, f64>,
     /// Pairs already reported (suppress duplicate events).
     reported: HashSet<(VertexId, VertexId)>,
 }
@@ -81,14 +78,8 @@ impl JaccardMonitor {
         JaccardMonitor {
             tau,
             degree_cap: 128,
-            best: HashMap::new(),
             reported: HashSet::new(),
         }
-    }
-
-    /// Best coefficient currently tracked for `v` (0 if never computed).
-    pub fn best_of(&self, v: VertexId) -> f64 {
-        self.best.get(&v).copied().unwrap_or(0.0)
     }
 
     fn scan_endpoint(
@@ -101,14 +92,7 @@ impl JaccardMonitor {
         if g.degree(v) > self.degree_cap {
             return;
         }
-        let matches = for_vertex_dynamic(g, v, self.tau);
-        if let Some(&(_, best)) = matches.first() {
-            let e = self.best.entry(v).or_insert(0.0);
-            if best > *e {
-                *e = best;
-            }
-        }
-        for (other, j) in matches {
+        for (other, j) in for_vertex_dynamic(g, v, self.tau) {
             let key = (v.min(other), v.max(other));
             if self.reported.insert(key) {
                 out.push(Event {

@@ -52,9 +52,7 @@ pub use ga_stream as stream;
 /// assert!(flow.metrics().steps_covered() > 0);
 /// ```
 pub mod prelude {
-    pub use ga_core::faults::{
-        SegmentFaultPlan, ShardFaultPlan, SEGMENT_MATRIX_SIZE, SHARD_MATRIX_SIZE,
-    };
+    pub use ga_core::faults::{FaultPlan, MATRIX_SIZE};
     pub use ga_core::flow::{
         BatchRunReport, ComponentsAnalytic, DegradationLevel, FlowConfig, FlowEngine, FlowStats,
         OverloadConfig, PageRankAnalytic, SelectionCriteria, TriangleAnalytic,

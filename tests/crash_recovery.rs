@@ -1,6 +1,6 @@
 //! Crash/recovery equivalence across a deterministic fault matrix.
 //!
-//! Protocol, for every point of the matrix (`ga_core::faults::FaultPlan`):
+//! Protocol, for every point of the matrix (`ga_core::faults::FaultPlan::crash`):
 //!
 //! 1. **Reference run**: feed N seeded R-MAT batches through a durable
 //!    engine with no faults; record final graph, props, and stats.
@@ -117,8 +117,8 @@ fn faulted_run(dir: &PathBuf, batches: &[UpdateBatch], plan: &FaultPlan) {
         .unwrap();
     plan.arm();
     for (i, b) in batches.iter().enumerate() {
-        if i == plan.crash_after_batches {
-            if plan.checkpoint_before_crash {
+        if i == plan.after_batches {
+            if plan.checkpoint_first {
                 // A checkpoint fault must not kill the engine — the
                 // state is still live and the WAL still has everything.
                 let _ = e.checkpoint();
@@ -147,7 +147,7 @@ fn faulted_run(dir: &PathBuf, batches: &[UpdateBatch], plan: &FaultPlan) {
 fn recover_and_resume(dir: &PathBuf, batches: &[UpdateBatch], plan: &FaultPlan) -> FinalState {
     // checkpoint.load faults are part of some plans: re-arm them for
     // the recovery itself (the crash consumed the write-side fault).
-    if plan.site == Some("checkpoint.load") {
+    if plan.targets("checkpoint.load") {
         plan.arm();
     }
     let e_recovered = FlowEngine::builder()
@@ -197,7 +197,7 @@ fn assert_equivalent(seed_tag: &str, reference: &FinalState, recovered: &FinalSt
 }
 
 fn check_matrix_point(seed: u64) {
-    let plan = FaultPlan::from_seed(seed);
+    let plan = FaultPlan::crash(seed);
     let tag = format!("seed {seed} ({plan:?})");
     let batches = workload(42);
 
@@ -230,7 +230,7 @@ fn check_matrix_point(seed: u64) {
 #[test]
 fn recovery_equivalence_across_fault_matrix() {
     let _g = LOCK.lock().unwrap();
-    match ga_core::faults::plan_from_env() {
+    match FaultPlan::from_env(FaultPlan::crash) {
         // CI: one matrix point per process, selected by GA_FAULT_SEED.
         Some(plan) => check_matrix_point(plan.seed),
         // Local: sweep the whole matrix.

@@ -248,12 +248,6 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
         "{tag}: compressed Afforest differs"
     );
 
-    // Cache-blocked pull PageRank: bit-identical to plain pull at equal
-    // iteration counts.
-    let rb = pagerank::pagerank_blocked_with(g, 0.85, 1e-10, 200, &s);
-    assert_eq!(rs.rank, rb.rank, "{tag}: blocked PR ranks differ");
-    assert_eq!(rs.work, rb.work, "{tag}: blocked PR sweeps differ");
-
     // Compressed weighted SSSP, both engines.
     let cw = CompressedCsr::from_csr(&wg);
     let dcs = sssp::sssp_with(&cw, 0, 0.5, &s);

@@ -1,7 +1,7 @@
 //! Shard fault tolerance suite — the CI `failover` job's workload.
 //!
 //! Protocol, for every point of the shard fault matrix
-//! (`ga_core::faults::ShardFaultPlan`) × the `GA_SHARDS` counts:
+//! (`ga_core::faults::FaultPlan::shard`) × the `GA_SHARDS` counts:
 //!
 //! 1. **Reference run**: feed N seeded batches (edges + property sets)
 //!    through an unsharded engine with no faults.
@@ -23,7 +23,7 @@
 //! runs; unset, the whole matrix runs in-process. `GA_SHARDS` pins the
 //! fleet size (default: 2 and 4 both run).
 
-use ga_core::faults::{self, FaultMode, ShardFaultPlan, SHARD_MATRIX_SIZE};
+use ga_core::faults::{self, FaultMode, FaultPlan, MATRIX_SIZE};
 use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_core::sharded::{RebuildSource, ShardHealth, ShardedFlow};
 use ga_graph::tier::TierConfig;
@@ -51,9 +51,9 @@ fn shard_counts() -> Vec<usize> {
 }
 
 fn seeds() -> Vec<u64> {
-    match faults::shard_plan_from_env(2) {
+    match FaultPlan::from_env(|seed| FaultPlan::shard(seed, 2)) {
         Some(p) => vec![p.seed],
-        None => (0..SHARD_MATRIX_SIZE).collect(),
+        None => (0..MATRIX_SIZE).collect(),
     }
 }
 
@@ -121,7 +121,7 @@ fn assert_analytics_match(fleet: &mut ShardedFlow, reference: &FlowEngine, ctx: 
 
 /// One matrix point: durable + replicated fleet vs unsharded reference.
 fn run_matrix_point(shards: usize, seed: u64) {
-    let plan = ShardFaultPlan::from_seed(seed, shards);
+    let plan = FaultPlan::shard(seed, shards);
     let ctx = format!("shards={shards} seed={seed} plan={plan:?}");
     let base = tmpdir(&format!("matrix-{shards}-{seed}"));
     let mut fleet = ShardedFlow::builder(shards)
@@ -132,9 +132,9 @@ fn run_matrix_point(shards: usize, seed: u64) {
     let mut reference = FlowEngine::new(1 << SCALE);
 
     for (k, batch) in workload(seed).iter().enumerate() {
-        if k == plan.fault_after_batches {
+        if k == plan.after_batches {
             plan.arm();
-            if plan.checkpoint_at_fault {
+            if plan.checkpoint_first {
                 fleet.checkpoint().unwrap();
             }
             if plan.kill {
@@ -200,11 +200,7 @@ fn run_matrix_point(shards: usize, seed: u64) {
     // The outage and recovery left an audit trail. Route drops never
     // change health (the batch just queues for redelivery) — they are
     // observable as a delivery-drop count instead.
-    let route_drop = plan
-        .site
-        .as_deref()
-        .is_some_and(|s| s.ends_with("/route.drop"));
-    if route_drop {
+    if plan.targets("route.drop") {
         assert!(fleet.dropped_deliveries() > 0, "no drops counted ({ctx})");
     } else {
         let events = fleet.take_health_events();

@@ -262,3 +262,23 @@ fn recovery_replays_under_the_configured_recorder() {
     assert_eq!(*r.props(), live_props);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A serving engine freezes a snapshot for every publish, analytic or
+/// no analytic: `FlowStats.snapshots` must report those freezes (it used
+/// to fold the cache counters only inside `run_batch`, so a pure
+/// ingest-and-serve engine read `rebuilds == 0, mem_bytes == 0` forever).
+#[test]
+fn serving_without_analytics_still_counts_its_freezes() {
+    let mut flow = FlowEngine::new(1 << 8);
+    let handle = flow.serve_handle();
+    // Insert-only batches: every one moves the graph, so every publish
+    // is one rebuild.
+    for b in into_batches(rmat_edge_stream(8, 1_200, 0.0, 5), 200, 1) {
+        flow.process_stream(&b, |_| None, None);
+    }
+    let s = flow.stats().snapshots;
+    assert_eq!(handle.publishes(), 1 + 6, "initial publish + one per batch");
+    assert_eq!(s.rebuilds as u64, handle.publishes());
+    assert!(s.mem_bytes > 0);
+    assert!(s.rows_reused > 0, "delta freezes reuse clean rows");
+}

@@ -7,7 +7,7 @@
 //! growth mid-stream.
 
 use graph_analytics::graph::snapshot::{freeze, freeze_since};
-use graph_analytics::graph::{CsrGraph, DynamicGraph, Parallelism, SnapshotCache};
+use graph_analytics::graph::{CsrBuilder, CsrGraph, DynamicGraph, Parallelism, SnapshotCache};
 use proptest::prelude::*;
 
 /// One step of a random mutation history.
@@ -51,6 +51,22 @@ fn apply(g: &mut DynamicGraph, ops: &[Op], t0: u64) {
     }
 }
 
+/// The oracle: materialize every live `(u, v, w)` tuple (at or after
+/// `since`) and let `CsrBuilder` sort them globally.
+fn oracle_since(g: &DynamicGraph, since: u64) -> CsrGraph {
+    CsrBuilder::new(g.num_vertices())
+        .weighted_edges(
+            g.edges()
+                .filter(|&(_, _, _, ts)| ts >= since)
+                .map(|(u, v, w, _)| (u, v, w)),
+        )
+        .build()
+}
+
+fn oracle(g: &DynamicGraph) -> CsrGraph {
+    oracle_since(g, 0)
+}
+
 fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
     assert_eq!(a.raw_offsets(), b.raw_offsets(), "offsets differ");
     assert_eq!(a.raw_targets(), b.raw_targets(), "targets differ");
@@ -65,7 +81,7 @@ proptest! {
     fn rowwise_freeze_matches_legacy((n, ops) in history()) {
         let mut g = DynamicGraph::new(n);
         apply(&mut g, &ops, 0);
-        let legacy = g.snapshot_legacy();
+        let legacy = oracle(&g);
         assert_identical(&freeze(&g, Parallelism::Serial), &legacy);
         assert_identical(&freeze(&g, Parallelism::Parallel), &legacy);
         // The default entry point routes through the same path.
@@ -77,7 +93,7 @@ proptest! {
     fn since_freeze_matches_legacy(((n, ops), cut) in (history(), 0u64..120)) {
         let mut g = DynamicGraph::new(n);
         apply(&mut g, &ops, 0);
-        let legacy = g.snapshot_since_legacy(cut);
+        let legacy = oracle_since(&g, cut);
         assert_identical(&freeze_since(&g, cut, Parallelism::Serial), &legacy);
         assert_identical(&g.snapshot_since(cut), &legacy);
     }
@@ -93,10 +109,10 @@ proptest! {
         apply(&mut g, before, 0);
         let mut cache = SnapshotCache::new();
         let first = cache.snapshot(&g, Parallelism::Serial);
-        assert_identical(&first, &g.snapshot_legacy());
+        assert_identical(&first, &oracle(&g));
         apply(&mut g, after, split as u64);
         let second = cache.snapshot(&g, Parallelism::Serial);
-        assert_identical(&second, &g.snapshot_legacy());
+        assert_identical(&second, &oracle(&g));
         // And a third snapshot with no intervening change is the same Arc.
         let third = cache.snapshot(&g, Parallelism::Serial);
         prop_assert!(std::sync::Arc::ptr_eq(&second, &third));
@@ -111,7 +127,7 @@ proptest! {
         for (i, chunk) in ops.chunks(7).enumerate() {
             apply(&mut g, chunk, (i * 7) as u64);
             let snap = cache.snapshot(&g, Parallelism::Serial);
-            assert_identical(&snap, &g.snapshot_legacy());
+            assert_identical(&snap, &oracle(&g));
         }
         let s = cache.stats();
         prop_assert_eq!(
@@ -137,7 +153,7 @@ proptest! {
             g.compact();
         }
         let snap = cache.snapshot(&g, Parallelism::Serial);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
         prop_assert_eq!(snap.num_edges(), 0);
     }
 
@@ -154,6 +170,6 @@ proptest! {
             g.insert_edge(u, (u + 1) % rows, 2.5, 5_000 + u as u64);
         }
         let snap = cache.snapshot(&g, Parallelism::Parallel);
-        assert_identical(&snap, &g.snapshot_legacy());
+        assert_identical(&snap, &oracle(&g));
     }
 }

@@ -1,7 +1,7 @@
 //! Segment-IO chaos matrix for the tiered larger-than-RAM store.
 //!
-//! Protocol, for every point of [`ga_core::faults::SegmentFaultPlan`]
-//! (CI loops `GA_FAULT_SEED` over `0..SEGMENT_MATRIX_SIZE`; unset, the
+//! Protocol, for every point of [`ga_core::faults::FaultPlan::segment`]
+//! (CI loops `GA_FAULT_SEED` over `0..MATRIX_SIZE`; unset, the
 //! whole matrix runs in-process):
 //!
 //! 1. **Direct harness**: spill a weighted, symmetrized, reverse-indexed
@@ -19,7 +19,7 @@
 //!    `ShardedFlow::scrub_tiers`, quarantined, and repaired from that
 //!    shard's own recovered state; the other shards stay clean.
 
-use ga_core::faults::{self, SegmentFaultPlan, SEGMENT_MATRIX_SIZE};
+use ga_core::faults::{self, FaultPlan, MATRIX_SIZE};
 use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_core::sharded::{shard_label, ShardedFlow};
 use ga_graph::tier::{TierConfig, TieredCsr};
@@ -41,9 +41,9 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 fn seeds() -> Vec<u64> {
-    match faults::segment_plan_from_env() {
+    match FaultPlan::from_env(FaultPlan::segment) {
         Some(p) => vec![p.seed],
-        None => (0..SEGMENT_MATRIX_SIZE).collect(),
+        None => (0..MATRIX_SIZE).collect(),
     }
 }
 
@@ -89,7 +89,7 @@ fn fingerprint<A: Adjacency>(g: &A) -> Fingerprint {
 /// spill-forcing budget leaves all five kernels bit-identical, before
 /// and after scrub + repair, with zero counted loss.
 fn check_kernel_point(seed: u64) {
-    let plan = SegmentFaultPlan::from_seed(seed);
+    let plan = FaultPlan::segment(seed);
     let tag = format!("seed {seed} ({plan:?})");
     faults::clear_all();
 
@@ -109,7 +109,6 @@ fn check_kernel_point(seed: u64) {
     let cfg = TierConfig::new(&dir)
         .segment_rows(32)
         .ram_budget(budget)
-        .retries(2, 2)
         .keep_pin(true);
     let tier = TieredCsr::spill(&g, cfg).unwrap();
 
@@ -151,7 +150,7 @@ fn check_kernel_point(seed: u64) {
             "{tag}: Delay plan lost a segment"
         );
     }
-    if plan.site == "segment.scrub" && !plan.slow_only() {
+    if plan.targets("segment.scrub") && !plan.slow_only() {
         // An injected scrub IO error is device trouble, not a verdict
         // on the bytes: counted, never quarantined.
         assert!(s.scrub_errors > 0, "{tag}: scrub fault never fired");
@@ -183,7 +182,7 @@ fn workload(seed: u64) -> Vec<UpdateBatch> {
 /// analytics, and recovers to the exact same graph — zero acknowledged
 /// updates lost to the tier fault.
 fn check_durable_point(seed: u64) {
-    let plan = SegmentFaultPlan::from_seed(seed);
+    let plan = FaultPlan::segment(seed);
     let tag = format!("seed {seed} ({plan:?})");
     faults::clear_all();
     let batches = workload(7);
@@ -205,8 +204,7 @@ fn check_durable_point(seed: u64) {
     let dir = tmpdir(&format!("durable-{seed}"));
     let cfg = TierConfig::new(dir.join("tier"))
         .segment_rows(8)
-        .ram_budget(2 << 10)
-        .retries(2, 2);
+        .ram_budget(2 << 10);
     let mut e = FlowEngine::builder()
         .durability_dir(&dir)
         .tiered(cfg)
