@@ -21,9 +21,11 @@
 //! fill over disjoint byte slices. `to_csr()` round-trips exactly.
 
 use crate::csr::CsrGraph;
+use crate::par::Parallelism;
 use crate::{VertexId, Weight};
+use rayon::prelude::*;
 
-/// Edge-count threshold below which build passes run serially.
+/// Byte spans up to this long are encoded by one task of the fill pass.
 const PAR_LEAF_EDGES: usize = 8192;
 
 /// Bytes needed to LEB128-encode `x`.
@@ -82,17 +84,10 @@ impl CompressedRows {
         row: impl Fn(VertexId) -> &'g [VertexId] + Sync,
     ) -> Self {
         // Pass 1: exact encoded byte length per row.
-        let sizes: Vec<u64> = if num_edges >= PAR_LEAF_EDGES {
-            use rayon::prelude::*;
-            (0..n as VertexId)
-                .into_par_iter()
-                .map(|v| row_encoded_len(row(v)))
-                .collect()
-        } else {
-            (0..n as VertexId)
-                .map(|v| row_encoded_len(row(v)))
-                .collect()
-        };
+        let sizes: Vec<u64> = (0..n as VertexId)
+            .into_par_iter()
+            .map(|v| row_encoded_len(row(v)))
+            .collect();
 
         let mut edge_offsets = vec![0u64; n + 1];
         let mut byte_offsets = vec![0u64; n + 1];
@@ -101,10 +96,12 @@ impl CompressedRows {
             byte_offsets[v + 1] = byte_offsets[v] + sizes[v];
         }
 
-        // Pass 2: encode rows into disjoint slices of one buffer.
+        // Pass 2: encode rows into disjoint slices of one buffer. Its joins
+        // wake a worker at once: not worth it below the `Auto` cutoff (E20).
+        let parallel = Parallelism::Auto.use_parallel(num_edges);
         let total = byte_offsets[n] as usize;
         let mut bytes = vec![0u8; total];
-        fill_rows(&mut bytes, 0, n, &byte_offsets, &row);
+        fill_rows(&mut bytes, 0, n, &byte_offsets, parallel, &row);
         CompressedRows {
             edge_offsets,
             byte_offsets,
@@ -156,10 +153,11 @@ fn fill_rows<'g>(
     lo: usize,
     hi: usize,
     byte_offsets: &[u64],
+    parallel: bool,
     row: &(impl Fn(VertexId) -> &'g [VertexId] + Sync),
 ) {
     let span = (byte_offsets[hi] - byte_offsets[lo]) as usize;
-    if hi - lo <= 1 || span <= PAR_LEAF_EDGES {
+    if !parallel || hi - lo <= 1 || span <= PAR_LEAF_EDGES {
         let base = byte_offsets[lo] as usize;
         for (v, &off) in byte_offsets.iter().enumerate().take(hi).skip(lo) {
             let mut pos = off as usize - base;
@@ -176,8 +174,8 @@ fn fill_rows<'g>(
     let cut = (byte_offsets[mid] - byte_offsets[lo]) as usize;
     let (left, right) = out.split_at_mut(cut);
     rayon::join(
-        || fill_rows(left, lo, mid, byte_offsets, row),
-        || fill_rows(right, mid, hi, byte_offsets, row),
+        || fill_rows(left, lo, mid, byte_offsets, true, row),
+        || fill_rows(right, mid, hi, byte_offsets, true, row),
     );
 }
 

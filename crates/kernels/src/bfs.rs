@@ -280,10 +280,12 @@ pub fn bfs_parallel_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget
         }
         level += 1;
         frontier = par_frontier_expand(g, &frontier, |u, v| {
-            // Claim v exactly once across threads.
-            let claimed = parent[v as usize]
-                .compare_exchange(UNREACHED, u, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
+            // Claim v exactly once; edges into claimed vertices stop at the load.
+            let slot = &parent[v as usize];
+            let claimed = slot.load(Ordering::Relaxed) == UNREACHED
+                && slot
+                    .compare_exchange(UNREACHED, u, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
             if claimed {
                 depth_atomic[v as usize].store(level, Ordering::Relaxed);
             }
