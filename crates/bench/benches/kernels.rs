@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ga_graph::{gen, CsrBuilder, CsrGraph};
-use ga_kernels::{bc, bfs, cc, jaccard, kcore, pagerank, sssp, triangles, KernelCtx};
+use ga_kernels::{bc, bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx};
 use std::hint::black_box;
 
 fn rmat_graph(scale: u32, deg: usize) -> CsrGraph {
@@ -66,9 +66,6 @@ fn bench_pagerank(c: &mut Criterion) {
     let g = rmat_graph(13, 16);
     group.bench_function("pull_power", |b| {
         b.iter(|| pagerank::pagerank(black_box(&g), 0.85, 1e-6, 50))
-    });
-    group.bench_function("delta_push", |b| {
-        b.iter(|| pagerank::pagerank_delta(black_box(&g), 0.85, 1e-4))
     });
     group.finish();
 }
@@ -147,13 +144,6 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kcore(c: &mut Criterion) {
-    let g = rmat_graph(14, 16);
-    c.bench_function("kcore_peel_s14", |b| {
-        b.iter(|| kcore::core_numbers(black_box(&g)))
-    });
-}
-
 criterion_group!(
     name = benches;
     // Bounded measurement so `cargo bench --workspace` finishes in
@@ -162,6 +152,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_bc, bench_jaccard, bench_kcore, bench_serial_vs_parallel
+    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_bc, bench_jaccard, bench_serial_vs_parallel
 );
 criterion_main!(benches);

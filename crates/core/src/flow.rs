@@ -50,7 +50,7 @@ use crate::durability::{Checkpoint, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use ga_graph::sub::{extract_ball, Subgraph};
 use ga_graph::{
-    CompressedCsr, DynamicGraph, ExtractOptions, PropertyStore, SnapshotEpoch, VertexId,
+    CompressedCsr, CsrBuilder, DynamicGraph, ExtractOptions, PropertyStore, SnapshotEpoch, VertexId,
 };
 use ga_kernels::{topk, Budget, KernelCtx, Parallelism};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
@@ -1540,7 +1540,10 @@ impl Front {
 // Built-in analytics wrapping the kernel crate.
 // ---------------------------------------------------------------------
 
-/// PageRank over the extracted subgraph; writes `pagerank` back.
+/// PageRank over the extracted subgraph; writes `pagerank` back and
+/// reports the sweeps run as `pagerank_iters`. Runs the one PageRank
+/// engine, `pagerank_with`, with GAP's stopping rule (L1 change below
+/// 1e-4, at most 20 sweeps).
 pub struct PageRankAnalytic {
     /// Damping factor (0.85 typical).
     pub damping: f64,
@@ -1551,9 +1554,14 @@ impl BatchAnalytic for PageRankAnalytic {
         "pagerank"
     }
     fn run(&self, sub: &Subgraph, ctx: &KernelCtx) -> AnalyticOutput {
-        let r = ga_kernels::pagerank::pagerank_delta_with(&sub.graph, self.damping, 1e-3, ctx);
+        // Pull PageRank reads in-neighbors: give the ball a reverse index.
+        let g = CsrBuilder::new(sub.num_vertices())
+            .edges(sub.graph.edges())
+            .reverse(true)
+            .build();
+        let r = ga_kernels::pagerank::pagerank_with(&g, self.damping, 1e-4, 20, ctx);
         AnalyticOutput {
-            globals: vec![("pagerank_pushes".into(), r.work as f64)],
+            globals: vec![("pagerank_iters".into(), r.work as f64)],
             vertex_props: vec![("pagerank".into(), r.rank)],
             alerts: vec![],
         }
@@ -1592,8 +1600,7 @@ impl BatchAnalytic for TriangleAnalytic {
         "triangles"
     }
     fn run(&self, sub: &Subgraph, ctx: &KernelCtx) -> AnalyticOutput {
-        let c = ga_kernels::cluster::clustering_coefficients(&sub.graph);
-        let triangles = ga_kernels::triangles::count_global_with(&sub.graph, ctx);
+        let c = ga_kernels::cluster::clustering_coefficients(&sub.graph, ctx);
         let mut alerts = vec![];
         if c.transitivity > self.alert_transitivity {
             alerts.push(format!(
@@ -1604,7 +1611,7 @@ impl BatchAnalytic for TriangleAnalytic {
         }
         AnalyticOutput {
             globals: vec![
-                ("triangles".into(), triangles as f64),
+                ("triangles".into(), c.triangles as f64),
                 ("transitivity".into(), c.transitivity),
             ],
             vertex_props: vec![("clustering".into(), c.local)],
@@ -1797,6 +1804,24 @@ mod tests {
         assert_eq!(r.alerts.len(), 1);
         assert_eq!(r.globals[0].1, 10.0); // C(5,3)
         assert_eq!(e.stats().analytics.alerts_raised, 1);
+        // The one per-vertex pass still books its wedge comparisons.
+        assert!(e.stats().analytics.kernel_cpu_ops > 0);
+
+        // On a ball cut out of a larger graph, the global derived from
+        // the per-vertex pass equals an independent global count.
+        let g = ga_graph::CsrGraph::from_edges_undirected(200, &gen::erdos_renyi(200, 1_600, 7));
+        let sub = extract_ball(&g, &[0, 1], &ExtractOptions::default(), None);
+        assert!(sub.num_vertices() < 200);
+        let ctx = KernelCtx::serial();
+        let out = TriangleAnalytic {
+            alert_transitivity: 1.0,
+        }
+        .run(&sub, &ctx);
+        assert_eq!(out.globals[0].0, "triangles");
+        let expect = ga_kernels::triangles::count_global(&sub.graph);
+        assert!(expect > 0);
+        assert_eq!(out.globals[0].1, expect as f64);
+        assert!(ctx.snapshot().cpu_ops > 0);
     }
 
     #[test]

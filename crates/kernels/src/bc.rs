@@ -50,7 +50,7 @@ fn accumulate_from(g: &CsrGraph, s: VertexId, bc: &mut [f64]) {
 }
 
 /// Exact Brandes betweenness (directed; for undirected inputs pass a
-/// symmetrized graph and halve the scores via [`normalize_undirected`]).
+/// symmetrized graph and halve the scores).
 /// Parallel over sources.
 pub fn brandes(g: &CsrGraph) -> Vec<f64> {
     let n = g.num_vertices();
@@ -111,14 +111,6 @@ pub fn sampled(g: &CsrGraph, num_samples: usize, seed: u64) -> Vec<f64> {
     bc
 }
 
-/// Halve scores for symmetrized graphs (each undirected path counted in
-/// both directions).
-pub fn normalize_undirected(bc: &mut [f64]) {
-    for x in bc {
-        *x /= 2.0;
-    }
-}
-
 /// Top-`k` vertices by centrality, descending (ties by id) — the
 /// membership set the streaming form watches.
 pub fn top_k(bc: &[f64], k: usize) -> Vec<(VertexId, f64)> {
@@ -140,8 +132,7 @@ mod tests {
     #[test]
     fn path_center_is_most_between() {
         let g = CsrGraph::from_edges_undirected(5, &gen::path(5));
-        let mut bc = brandes(&g);
-        normalize_undirected(&mut bc);
+        let bc: Vec<f64> = brandes(&g).iter().map(|x| x / 2.0).collect();
         // Path 0-1-2-3-4: bc = [0, 3, 4, 3, 0].
         assert_eq!(bc, vec![0.0, 3.0, 4.0, 3.0, 0.0]);
     }
@@ -149,8 +140,7 @@ mod tests {
     #[test]
     fn star_center_carries_all() {
         let g = CsrGraph::from_edges_undirected(5, &gen::star(5));
-        let mut bc = brandes(&g);
-        normalize_undirected(&mut bc);
+        let bc: Vec<f64> = brandes(&g).iter().map(|x| x / 2.0).collect();
         // Center: all C(4,2) = 6 leaf pairs route through it.
         assert_eq!(bc[0], 6.0);
         for &leaf_bc in &bc[1..5] {

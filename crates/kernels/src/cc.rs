@@ -1,10 +1,8 @@
-//! Connected components (Fig. 1 rows "CCW" and "CCS").
+//! Weakly connected components (Fig. 1 row "CCW"; "CCS" is survey-only).
 //!
-//! Weakly connected components via [`wcc_union_find`] (sequential DSU,
-//! deterministic labels) and [`wcc_label_prop`] (iterative min-label
-//! propagation, the Pregel/parallel formulation — rayon-parallel hook
-//! point). Strongly connected components via [`scc_tarjan`] (iterative,
-//! no recursion, safe on deep graphs) and [`scc_kosaraju`].
+//! [`wcc_union_find`] (sequential DSU, deterministic labels) and
+//! [`wcc_label_prop`] (iterative min-label propagation, the
+//! Pregel/parallel formulation — rayon-parallel hook point).
 //!
 //! All return a label vector where `label[v]` identifies v's component;
 //! labels are normalized to the minimum vertex id in the component so
@@ -12,7 +10,7 @@
 
 use crate::ctx::{Budget, KernelCtx};
 use crate::UnionFind;
-use ga_graph::{Adjacency, CsrGraph, Frontier, VertexId};
+use ga_graph::{Adjacency, Frontier, VertexId};
 use rayon::prelude::*;
 
 /// Component labelling.
@@ -338,125 +336,10 @@ pub fn wcc_afforest<G: Adjacency>(g: &G) -> Components {
     }
 }
 
-/// Tarjan's SCC, iterative formulation (explicit stack; no recursion).
-pub fn scc_tarjan(g: &CsrGraph) -> Components {
-    let n = g.num_vertices();
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<VertexId> = Vec::new();
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut next_index = 0u32;
-
-    // Work stack frames: (vertex, next-neighbor-position).
-    let mut work: Vec<(VertexId, usize)> = Vec::new();
-    for root in 0..n as VertexId {
-        if index[root as usize] != UNSET {
-            continue;
-        }
-        work.push((root, 0));
-        while let Some(&mut (v, ref mut pos)) = work.last_mut() {
-            if *pos == 0 {
-                index[v as usize] = next_index;
-                lowlink[v as usize] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v as usize] = true;
-            }
-            let nbrs = g.neighbors(v);
-            let mut descended = false;
-            while *pos < nbrs.len() {
-                let w = nbrs[*pos];
-                *pos += 1;
-                if index[w as usize] == UNSET {
-                    work.push((w, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            }
-            if descended {
-                continue;
-            }
-            // v finished.
-            if lowlink[v as usize] == index[v as usize] {
-                // Pop the SCC rooted at v.
-                loop {
-                    let w = stack.pop().unwrap();
-                    on_stack[w as usize] = false;
-                    label[w as usize] = v;
-                    if w == v {
-                        break;
-                    }
-                }
-            }
-            work.pop();
-            if let Some(&mut (parent, _)) = work.last_mut() {
-                lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-            }
-        }
-    }
-    normalize(label)
-}
-
-/// Kosaraju's SCC: forward finish-order DFS, then reverse-graph sweep.
-pub fn scc_kosaraju(g: &CsrGraph) -> Components {
-    let n = g.num_vertices();
-    let gt = g.transpose();
-    // Iterative DFS computing finish order on g.
-    let mut visited = vec![false; n];
-    let mut order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut stack: Vec<(VertexId, usize)> = Vec::new();
-    for root in 0..n as VertexId {
-        if visited[root as usize] {
-            continue;
-        }
-        visited[root as usize] = true;
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut pos)) = stack.last_mut() {
-            let nbrs = g.neighbors(v);
-            if *pos < nbrs.len() {
-                let w = nbrs[*pos];
-                *pos += 1;
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    stack.push((w, 0));
-                }
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-    // Sweep transpose in reverse finish order.
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut assigned = vec![false; n];
-    let mut dfs: Vec<VertexId> = Vec::new();
-    for &root in order.iter().rev() {
-        if assigned[root as usize] {
-            continue;
-        }
-        dfs.push(root);
-        assigned[root as usize] = true;
-        while let Some(v) = dfs.pop() {
-            label[v as usize] = root;
-            for &w in gt.neighbors(v) {
-                if !assigned[w as usize] {
-                    assigned[w as usize] = true;
-                    dfs.push(w);
-                }
-            }
-        }
-    }
-    normalize(label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::{gen, CsrBuilder};
+    use ga_graph::{gen, CsrBuilder, CsrGraph};
 
     #[test]
     fn wcc_two_islands() {
@@ -489,64 +372,6 @@ mod tests {
             .build();
         let c = wcc_label_prop(&g);
         assert_eq!(c.count, 1);
-    }
-
-    #[test]
-    fn scc_cycle_plus_tail() {
-        // 0 -> 1 -> 2 -> 0 cycle, 2 -> 3 tail
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        for c in [scc_tarjan(&g), scc_kosaraju(&g)] {
-            assert_eq!(c.count, 2);
-            assert_eq!(c.label[0], c.label[1]);
-            assert_eq!(c.label[1], c.label[2]);
-            assert_ne!(c.label[3], c.label[0]);
-        }
-    }
-
-    #[test]
-    fn scc_dag_all_singletons() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let c = scc_tarjan(&g);
-        assert_eq!(c.count, 4);
-    }
-
-    #[test]
-    fn scc_engines_agree_on_random() {
-        for seed in 10..14 {
-            let edges = gen::erdos_renyi(150, 300, seed);
-            let g = CsrGraph::from_edges(150, &edges);
-            let a = scc_tarjan(&g);
-            let b = scc_kosaraju(&g);
-            assert_eq!(a.label, b.label, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn scc_refines_wcc() {
-        // Every SCC is inside one WCC.
-        let edges = gen::erdos_renyi(100, 150, 77);
-        let g = CsrGraph::from_edges(100, &edges);
-        let und = CsrGraph::from_edges_undirected(100, &edges);
-        let scc = scc_tarjan(&g);
-        let wcc = wcc_union_find(&und);
-        for v in g.vertices() {
-            for u in g.vertices() {
-                if scc.label[u as usize] == scc.label[v as usize] {
-                    assert_eq!(wcc.label[u as usize], wcc.label[v as usize]);
-                }
-            }
-        }
-        assert!(scc.count >= wcc.count);
-    }
-
-    #[test]
-    fn deep_path_no_stack_overflow() {
-        // 100k-vertex directed path: recursion-based Tarjan would blow the
-        // stack; the iterative one must not.
-        let n = 100_000;
-        let g = CsrGraph::from_edges(n, &gen::path(n));
-        let c = scc_tarjan(&g);
-        assert_eq!(c.count, n);
     }
 
     #[test]
@@ -609,77 +434,6 @@ mod tests {
         let g = CsrGraph::from_edges(0, &[]);
         assert_eq!(wcc_union_find(&g).count, 0);
         let g1 = CsrGraph::from_edges(1, &[]);
-        assert_eq!(scc_tarjan(&g1).count, 1);
-    }
-}
-
-/// The condensation of a directed graph: one vertex per SCC, edges
-/// between distinct components (deduplicated). The result is a DAG —
-/// the standard "higher level view" of directed reachability structure.
-pub fn condensation(g: &CsrGraph) -> (Components, CsrGraph) {
-    let scc = scc_tarjan(g);
-    // Dense-renumber SCC labels in sorted order.
-    let mut distinct: Vec<VertexId> = scc.label.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let dense = |l: VertexId| distinct.binary_search(&l).unwrap() as VertexId;
-    let mut edges = Vec::new();
-    for (u, v) in g.edges() {
-        let (cu, cv) = (dense(scc.label[u as usize]), dense(scc.label[v as usize]));
-        if cu != cv {
-            edges.push((cu, cv));
-        }
-    }
-    let dag = CsrGraph::from_edges(distinct.len(), &edges);
-    (scc, dag)
-}
-
-#[cfg(test)]
-mod condensation_tests {
-    use super::*;
-    use ga_graph::gen;
-
-    fn is_dag(g: &CsrGraph) -> bool {
-        // A graph is a DAG iff every SCC is a singleton and loop-free.
-        scc_tarjan(g).count == g.num_vertices()
-    }
-
-    #[test]
-    fn condenses_cycle_plus_tail() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        let (scc, dag) = condensation(&g);
-        assert_eq!(scc.count, 2);
-        assert_eq!(dag.num_vertices(), 2);
-        assert_eq!(dag.num_edges(), 1);
-        assert!(is_dag(&dag));
-    }
-
-    #[test]
-    fn condensation_always_acyclic() {
-        for seed in 0..4 {
-            let edges = gen::erdos_renyi(80, 240, seed);
-            let g = CsrGraph::from_edges(80, &edges);
-            let (scc, dag) = condensation(&g);
-            assert!(is_dag(&dag), "seed {seed}");
-            assert_eq!(dag.num_vertices(), scc.count);
-        }
-    }
-
-    #[test]
-    fn dag_condensation_is_identity_shaped() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let (scc, dag) = condensation(&g);
-        assert_eq!(scc.count, 4);
-        assert_eq!(dag.num_vertices(), 4);
-        assert_eq!(dag.num_edges(), 4);
-    }
-
-    #[test]
-    fn parallel_cross_edges_deduplicated() {
-        // Two SCCs with two parallel cross edges.
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2), (0, 2), (1, 3)]);
-        let (_, dag) = condensation(&g);
-        assert_eq!(dag.num_vertices(), 2);
-        assert_eq!(dag.num_edges(), 1);
+        assert_eq!(wcc_union_find(&g1).count, 1);
     }
 }

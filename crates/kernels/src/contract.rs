@@ -76,15 +76,15 @@ pub fn contract_by_label(g: &CsrGraph, label: &[VertexId], edge_weight: &[f64]) 
     }
 }
 
-/// Unweighted convenience wrapper: weights are edge multiplicities.
-pub fn contract(g: &CsrGraph, label: &[VertexId]) -> Contraction {
-    contract_by_label(g, label, &vec![1.0; g.num_edges()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ga_graph::gen;
+
+    /// Unit weights: contracted weights are edge multiplicities.
+    fn contract(g: &CsrGraph, label: &[VertexId]) -> Contraction {
+        contract_by_label(g, label, &vec![1.0; g.num_edges()])
+    }
 
     #[test]
     fn two_triangles_to_two_vertices() {

@@ -58,13 +58,6 @@ pub fn for_vertex(g: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
     out
 }
 
-/// Top-`k` most similar vertices to `u`.
-pub fn top_k_for_vertex(g: &CsrGraph, u: VertexId, k: usize) -> Vec<(VertexId, f64)> {
-    let mut all = for_vertex(g, u, 0.0);
-    all.truncate(k);
-    all
-}
-
 /// Every unordered pair `(u, v)` with `J(u, v) >= tau`, parallel over
 /// source vertices. Pairs are emitted once with `u < v`, sorted.
 ///
@@ -183,7 +176,8 @@ mod tests {
     #[test]
     fn top_k_ordering() {
         let g = und(6, &[(0, 1), (0, 2), (3, 1), (3, 2), (4, 1), (5, 1)]);
-        let top = top_k_for_vertex(&g, 0, 2);
+        let mut top = for_vertex(&g, 0, 0.0);
+        top.truncate(2);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, 3); // shares both neighbors
         assert!(top[0].1 >= top[1].1);

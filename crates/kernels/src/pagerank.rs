@@ -1,26 +1,20 @@
 //! PageRank (Fig. 1 row "PR") — the canonical "compute a new property
 //! for each vertex" centrality kernel.
 //!
-//! Two engines:
-//! * [`pagerank`] — synchronous pull-based power iteration with proper
-//!   dangling-mass redistribution so ranks always sum to 1, cache-blocked
-//!   the GAP way: contributions are hoisted to one division per vertex
-//!   and the in-edges are laid out once per call in (destination-block,
-//!   source-block) segments so each segment's reads and writes both fit
-//!   in L2. Generic over [`Adjacency`]: the adjacency is read once, to
-//!   build that layout, so plain, compressed and tiered rows run the
-//!   same sweeps and return **bit-identical** ranks — the sums are taken
-//!   in exactly the order a naive per-vertex pull over `in_neighbors`
-//!   takes them (the test module keeps that loop as the reference);
-//! * [`pagerank_delta`] — Gauss–Southwell residual pushing, the
-//!   asynchronous formulation the streaming variant (`ga-stream`)
-//!   shares its update rule with.
+//! One engine, [`pagerank_with`] (and its default-context wrapper
+//! [`pagerank`]): synchronous pull-based power iteration with proper
+//! dangling-mass redistribution so ranks always sum to 1, cache-blocked
+//! the GAP way: contributions are hoisted to one division per vertex and
+//! the in-edges are laid out once per call in (destination-block,
+//! source-block) segments so each segment's reads and writes both fit in
+//! L2. Generic over [`Adjacency`]: the adjacency is read once, to build
+//! that layout, so plain, compressed and tiered rows run the same sweeps
+//! and return **bit-identical** ranks — the sums are taken in exactly the
+//! order a naive per-vertex pull over `in_neighbors` takes them (the test
+//! module keeps that loop as the reference).
 
 use crate::ctx::{Completion, KernelCtx};
 use ga_graph::{Adjacency, VertexId};
-
-/// Pushes between budget consults in the delta engine.
-const BUDGET_CHECK_PUSHES: usize = 1024;
 
 /// Destination-block width for [`pagerank_with`]: 2^12 f64
 /// accumulators = 32 KiB, resident in L1d. Must stay ≤ 2^16 so a
@@ -37,14 +31,13 @@ const SRC_BLOCK: usize = 1 << 14;
 pub struct PageRankResult {
     /// Rank per vertex; sums to 1.
     pub rank: Vec<f64>,
-    /// Iterations (power method) or pushes (delta) executed.
+    /// Power-iteration sweeps executed.
     pub work: usize,
-    /// Final residual (L1 change of last sweep, or max residual).
+    /// Final residual (L1 change of the last sweep).
     pub residual: f64,
     /// Whether the run converged or stopped at the context's budget.
     /// A partial result is the rank vector after the last *completed*
-    /// sweep (power method) or push (delta) — always a valid
-    /// distribution, just less converged.
+    /// sweep — always a valid distribution, just less converged.
     pub completion: Completion,
 }
 
@@ -283,102 +276,6 @@ fn par_blocks<I: Send>(
     }
 }
 
-/// Gauss–Southwell delta PageRank: keep per-vertex residuals, repeatedly
-/// push any residual above `tol * (1/n)` to out-neighbors. Works on
-/// forward edges only (no reverse index needed). Ranks are normalized to
-/// sum to 1 on return.
-pub fn pagerank_delta<G: Adjacency>(g: &G, damping: f64, tol: f64) -> PageRankResult {
-    pagerank_delta_with(g, damping, tol, &KernelCtx::serial())
-}
-
-/// Instrumented [`pagerank_delta`]. The Gauss–Southwell engine is
-/// inherently sequential (each push depends on the residuals left by the
-/// previous one), so the context's parallelism knob is ignored; its
-/// counters still receive the exact push/edge traffic.
-pub fn pagerank_delta_with<G: Adjacency>(
-    g: &G,
-    damping: f64,
-    tol: f64,
-    ctx: &KernelCtx,
-) -> PageRankResult {
-    let n = g.num_vertices();
-    if n == 0 {
-        return PageRankResult {
-            rank: vec![],
-            work: 0,
-            residual: 0.0,
-            completion: Completion::Complete,
-        };
-    }
-    let inv_n = 1.0 / n as f64;
-    let threshold = tol * inv_n;
-    let mut rank = vec![0.0f64; n];
-    let mut residual = vec![(1.0 - damping) * inv_n; n];
-    // FIFO processing order: breadth-order residual pushing converges in
-    // far fewer pushes than LIFO (a stack re-pushes the same hot vertex
-    // with ever-smaller residuals before its neighborhood settles).
-    let mut queue: std::collections::VecDeque<VertexId> = (0..n as VertexId).collect();
-    let mut queued = vec![true; n];
-    let mut pushes = 0usize;
-    let mut edges_scanned = 0u64;
-    let mut adj_bytes = 0u64;
-    let mut completion = Completion::Complete;
-    // Budget checks are amortized: one consult per ~1k pushes.
-    let mut next_check = BUDGET_CHECK_PUSHES;
-    while let Some(v) = queue.pop_front() {
-        if pushes >= next_check {
-            next_check = pushes + BUDGET_CHECK_PUSHES;
-            completion = ctx.budget.check(4 * pushes as u64 + 3 * edges_scanned);
-            if completion.is_partial() {
-                break;
-            }
-        }
-        queued[v as usize] = false;
-        let r = residual[v as usize];
-        if r < threshold {
-            continue;
-        }
-        residual[v as usize] = 0.0;
-        rank[v as usize] += r;
-        pushes += 1;
-        let deg = g.degree(v);
-        if deg == 0 {
-            continue; // dangling mass handled by final normalization
-        }
-        edges_scanned += deg as u64;
-        adj_bytes += g.row_bytes(v);
-        let share = damping * r / deg as f64;
-        for u in g.neighbors(v) {
-            residual[u as usize] += share;
-            if residual[u as usize] >= threshold && !queued[u as usize] {
-                queued[u as usize] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    let total: f64 = rank.iter().sum();
-    if total > 0.0 {
-        for r in &mut rank {
-            *r /= total;
-        }
-    }
-    let max_res = residual.iter().cloned().fold(0.0, f64::max);
-    // Per push: residual/rank updates (~4 ops, 32 bytes); per edge
-    // scanned: the adjacency bytes actually streamed plus one residual
-    // add + threshold check (~3 ops, 16 bytes of residual traffic).
-    ctx.counters.flush(
-        4 * pushes as u64 + 3 * edges_scanned,
-        32 * pushes as u64 + adj_bytes + 16 * edges_scanned,
-        edges_scanned,
-    );
-    PageRankResult {
-        rank,
-        work: pushes,
-        residual: max_res,
-        completion,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,24 +329,6 @@ mod tests {
         let sum: f64 = r.rank.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert!(r.rank[1] > r.rank[0]);
-    }
-
-    #[test]
-    fn delta_matches_power_iteration() {
-        for seed in 0..3 {
-            let edges = gen::erdos_renyi(120, 600, seed);
-            let g = with_reverse(120, &edges);
-            let a = pagerank(&g, 0.85, 1e-10, 500);
-            let b = pagerank_delta(&g, 0.85, 1e-7);
-            for v in 0..120 {
-                assert!(
-                    (a.rank[v] - b.rank[v]).abs() < 1e-4,
-                    "seed {seed} v {v}: {} vs {}",
-                    a.rank[v],
-                    b.rank[v]
-                );
-            }
-        }
     }
 
     /// The reference: one addition per in-edge in `in_neighbors` order,
@@ -601,7 +480,5 @@ mod tests {
         let g = with_reverse(0, &[]);
         let r = pagerank(&g, 0.85, 1e-6, 10);
         assert!(r.rank.is_empty());
-        let d = pagerank_delta(&g, 0.85, 1e-6);
-        assert!(d.rank.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! criteria* stage both reduce to: rank all vertices by some metric,
 //! keep the k best. A bounded binary heap keeps the scan O(n log k).
 
-use ga_graph::{CsrGraph, PropertyStore, VertexId};
+use ga_graph::{PropertyStore, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -51,11 +51,6 @@ pub fn top_k_by(
     out
 }
 
-/// Top-`k` by out-degree.
-pub fn top_k_degree(g: &CsrGraph, k: usize) -> Vec<(VertexId, f64)> {
-    top_k_by(g.num_vertices(), k, |v| Some(g.degree(v) as f64))
-}
-
 /// Top-`k` by a numeric property column (vertices without the property
 /// are skipped).
 pub fn top_k_property(props: &PropertyStore, name: &str, k: usize) -> Vec<(VertexId, f64)> {
@@ -65,7 +60,11 @@ pub fn top_k_property(props: &PropertyStore, name: &str, k: usize) -> Vec<(Verte
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::gen;
+    use ga_graph::{gen, CsrGraph};
+
+    fn top_k_degree(g: &CsrGraph, k: usize) -> Vec<(VertexId, f64)> {
+        top_k_by(g.num_vertices(), k, |v| Some(g.degree(v) as f64))
+    }
 
     #[test]
     fn degree_topk_on_star() {

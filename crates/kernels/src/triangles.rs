@@ -1,4 +1,4 @@
-//! Triangle counting and listing (Fig. 1 rows "GTC" and "TL").
+//! Triangle counting (Fig. 1 row "GTC"; "TL" is survey-only).
 //!
 //! The Graph Challenge kernels. All functions expect an **undirected**
 //! (symmetrized, deduplicated, loop-free) snapshot. The workhorse is the
@@ -26,24 +26,6 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
         }
     }
     c
-}
-
-/// Sorted-slice intersection contents.
-pub fn intersect(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Rank vertices by (degree, id); orienting edges low-rank -> high-rank
@@ -138,43 +120,40 @@ pub fn count_global_with<G: Adjacency>(g: &G, ctx: &KernelCtx) -> u64 {
 }
 
 /// Per-vertex triangle counts (each triangle increments all three
-/// corners). Uses full sorted neighborhoods so corners are credited.
-pub fn count_per_vertex(g: &CsrGraph) -> Vec<u64> {
+/// corners), so `Σ counts = 3 ×` the global count. One serial pass over
+/// the same oriented wedges as [`count_global_with`], flushed into
+/// `ctx`'s counters with the same comparison tally.
+pub fn count_per_vertex(g: &CsrGraph, ctx: &KernelCtx) -> Vec<u64> {
     let rank = rank_order(g);
     let fwd = oriented(g, &rank);
     let n = g.num_vertices();
     let mut counts = vec![0u64; n];
+    let mut ops = 0u64;
     for u in 0..n {
         let fu = &fwd[u];
         for &v in fu {
-            for &w in &intersect(fu, &fwd[v as usize]) {
-                counts[u] += 1;
-                counts[v as usize] += 1;
-                counts[w as usize] += 1;
+            let fv = &fwd[v as usize];
+            ops += (fu.len() + fv.len()) as u64;
+            let (mut i, mut j) = (0, 0);
+            while i < fu.len() && j < fv.len() {
+                match fu[i].cmp(&fv[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        counts[u] += 1;
+                        counts[v as usize] += 1;
+                        counts[fu[i] as usize] += 1;
+                        i += 1;
+                        j += 1;
+                    }
+                }
             }
         }
     }
+    let adj_bytes: u64 = (0..n as VertexId).map(|v| g.row_bytes(v)).sum();
+    ctx.counters
+        .flush(ops, adj_bytes + 8 * ops, g.num_edges() as u64 / 2);
     counts
-}
-
-/// List all triangles as `(a, b, c)` with `a < b < c` (vertex ids),
-/// sorted lexicographically — the `O(|V|^k)` output row of Fig. 1.
-pub fn list_triangles(g: &CsrGraph) -> Vec<(VertexId, VertexId, VertexId)> {
-    let rank = rank_order(g);
-    let fwd = oriented(g, &rank);
-    let mut out = Vec::new();
-    for u in 0..g.num_vertices() as VertexId {
-        let fu = &fwd[u as usize];
-        for &v in fu {
-            for &w in &intersect(fu, &fwd[v as usize]) {
-                let mut t = [u, v, w];
-                t.sort_unstable();
-                out.push((t[0], t[1], t[2]));
-            }
-        }
-    }
-    out.sort_unstable();
-    out
 }
 
 /// Brute-force O(n^3) reference counter for tests.
@@ -209,23 +188,20 @@ mod tests {
     fn single_triangle() {
         let g = und(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(count_global(&g), 1);
-        assert_eq!(count_per_vertex(&g), vec![1, 1, 1]);
-        assert_eq!(list_triangles(&g), vec![(0, 1, 2)]);
+        assert_eq!(count_per_vertex(&g, &KernelCtx::serial()), vec![1, 1, 1]);
     }
 
     #[test]
     fn square_no_triangles() {
         let g = und(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         assert_eq!(count_global(&g), 0);
-        assert!(list_triangles(&g).is_empty());
     }
 
     #[test]
     fn k4_has_four() {
         let g = und(4, &gen::complete(4));
         assert_eq!(count_global(&g), 4);
-        assert_eq!(count_per_vertex(&g), vec![3, 3, 3, 3]);
-        assert_eq!(list_triangles(&g).len(), 4);
+        assert_eq!(count_per_vertex(&g, &KernelCtx::serial()), vec![3, 3, 3, 3]);
     }
 
     #[test]
@@ -250,23 +226,11 @@ mod tests {
     fn per_vertex_sums_to_three_times_global() {
         let edges = gen::erdos_renyi(60, 400, 9);
         let g = und(60, &edges);
-        let per = count_per_vertex(&g);
-        assert_eq!(per.iter().sum::<u64>(), 3 * count_global(&g));
-    }
-
-    #[test]
-    fn listing_matches_count_and_is_canonical() {
-        let edges = gen::erdos_renyi(30, 140, 4);
-        let g = und(30, &edges);
-        let list = list_triangles(&g);
-        assert_eq!(list.len() as u64, count_global(&g));
-        for &(a, b, c) in &list {
-            assert!(a < b && b < c);
-            assert!(g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c));
-        }
-        let mut dedup = list.clone();
-        dedup.dedup();
-        assert_eq!(dedup.len(), list.len());
+        let (pc, gc) = (KernelCtx::serial(), KernelCtx::serial());
+        let per = count_per_vertex(&g, &pc);
+        assert_eq!(per.iter().sum::<u64>(), 3 * count_global_with(&g, &gc));
+        // Same wedges, same tally: the two passes book identical work.
+        assert_eq!(pc.snapshot(), gc.snapshot());
     }
 
     #[test]
@@ -302,7 +266,6 @@ mod tests {
     #[test]
     fn intersect_helpers() {
         assert_eq!(intersect_count(&[1, 3, 5], &[2, 3, 5, 7]), 2);
-        assert_eq!(intersect(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
         assert_eq!(intersect_count(&[], &[1]), 0);
     }
 }

@@ -231,7 +231,7 @@ mod tests {
             e.apply_batch(&b);
         }
         let snap = e.graph().snapshot();
-        let batch = ga_kernels::cluster::clustering_coefficients(&snap);
+        let batch = ga_kernels::cluster::clustering_coefficients(&snap, &Default::default());
         for v in 0..snap.num_vertices() as u32 {
             let live = counter.borrow().local_clustering(e.graph(), v);
             assert!(

@@ -1,7 +1,7 @@
 //! Integration coverage for the extension modules (DESIGN.md §7):
-//! sliding windows, the generic query stream, coloring, Kronecker
-//! products, problem-size scaling, and the calibration loop — each
-//! exercised through the public facade, together.
+//! sliding windows, the generic query stream, Kronecker products,
+//! problem-size scaling, and the calibration loop — each exercised
+//! through the public facade, together.
 
 use graph_analytics::core::calibrate::{calibrate, CostCoefficients, MeasuredRun};
 use graph_analytics::core::flow::FlowEngine;
@@ -10,8 +10,6 @@ use graph_analytics::core::flow::{
 };
 use graph_analytics::core::model::{baseline2012, evaluate, lightweight, nora_steps_scaled};
 use graph_analytics::core::nora::NoraStats;
-use graph_analytics::graph::{gen, CsrGraph};
-use graph_analytics::kernels::{coloring, mis};
 use graph_analytics::linalg::kron::{kron, kron_power};
 use graph_analytics::linalg::semiring::OrAnd;
 use graph_analytics::linalg::{CooMatrix, CsrMatrix};
@@ -53,19 +51,6 @@ fn unified_queries_over_streamed_graph() {
             other => panic!("unexpected {other:?}"),
         }
     }
-}
-
-#[test]
-fn coloring_refines_mis_structure() {
-    // Color classes are independent sets; the first color class of a
-    // greedy coloring is maximal (it is exactly greedy MIS).
-    let edges = gen::erdos_renyi(80, 300, 3);
-    let g = CsrGraph::from_edges_undirected(80, &edges);
-    let c = coloring::greedy(&g);
-    coloring::validate_coloring(&g, &c).unwrap();
-    let class0: Vec<bool> = (0..80).map(|v| c.color[v] == 0).collect();
-    mis::validate_mis(&g, &class0).unwrap();
-    assert_eq!(class0, mis::greedy(&g));
 }
 
 #[test]

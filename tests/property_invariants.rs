@@ -2,7 +2,7 @@
 //! structures and kernels — the invariants DESIGN.md §6 lists.
 
 use graph_analytics::graph::{io, CsrBuilder, CsrGraph, DynamicGraph};
-use graph_analytics::kernels::{bfs, cc, jaccard, kcore, mis, pagerank, triangles, UnionFind};
+use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, triangles, UnionFind};
 use graph_analytics::linalg::ops::{ewise_mul, spgemm, spmv};
 use graph_analytics::linalg::semiring::{OrAnd, PlusTimes};
 use graph_analytics::linalg::{CooMatrix, CsrMatrix};
@@ -158,31 +158,6 @@ proptest! {
         let sum: f64 = r.rank.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-6);
         prop_assert!(r.rank.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn mis_always_valid((n, edges) in edge_list()) {
-        let g = CsrGraph::from_edges_undirected(n, &edges);
-        let s = mis::luby(&g, 7);
-        prop_assert!(mis::validate_mis(&g, &s).is_ok());
-        let gr = mis::greedy(&g);
-        prop_assert!(mis::validate_mis(&g, &gr).is_ok());
-    }
-
-    #[test]
-    fn kcore_is_monotone_under_edge_addition((n, edges) in edge_list()) {
-        let g1 = CsrGraph::from_edges_undirected(n, &edges);
-        // Add one more edge (if possible) and check coreness never drops.
-        if n >= 2 {
-            let mut more = edges.clone();
-            more.push((0, (n - 1) as u32));
-            let g2 = CsrGraph::from_edges_undirected(n, &more);
-            let c1 = kcore::core_numbers(&g1);
-            let c2 = kcore::core_numbers(&g2);
-            for v in 0..n {
-                prop_assert!(c2[v] >= c1[v], "coreness dropped at {v}");
-            }
-        }
     }
 
     #[test]
