@@ -1636,12 +1636,7 @@ impl BatchAnalytic for JaccardAnalytic {
         "jaccard"
     }
     fn run(&self, sub: &Subgraph, ctx: &KernelCtx) -> AnalyticOutput {
-        let pairs = ga_kernels::jaccard::all_pairs_above(&sub.graph, self.tau);
-        // The Jaccard kernel isn't internally instrumented yet; record
-        // the dominant traffic (every adjacency list read per probed
-        // pair's merge) analytically.
-        let m = sub.graph.num_edges() as u64;
-        ctx.counters.flush(2 * m, 8 * m, m);
+        let pairs = ga_kernels::jaccard::all_pairs_above_with(&sub.graph, self.tau, ctx);
         let mut best = vec![0.0f64; sub.num_vertices()];
         let mut alerts = Vec::new();
         for &(a, b, j) in &pairs {

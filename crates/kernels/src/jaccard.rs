@@ -11,11 +11,20 @@
 //! * [`pair`] — one coefficient,
 //! * [`for_vertex`] — all non-zero coefficients of one vertex against its
 //!   2-hop neighborhood (the streaming *query* form's batch core),
-//! * [`all_pairs_above`] — every pair with `J >= tau` (the
-//!   near-quadratic-output batch form, threshold-pruned).
+//! * [`all_pairs_above`] / [`all_pairs_above_with`] — every pair with
+//!   `J >= tau` (the near-quadratic-output batch form, threshold-pruned).
+//!
+//! The all-pairs engine is GAP-style: no hashed container on the inner
+//! loop. Each pool chunk owns one dense `u32` count per vertex plus a
+//! list of the counts it touched. Source `u` walks its wedges
+//! `u – w – v` only into the upper triangle (`v > u`, the tail of the
+//! sorted row `N(w)`), so each pair is counted once, and candidates come
+//! out in ascending `v` without a comparison sort of the output: the
+//! whole pair list arrives in `(u, v)` order.
 //!
 //! Expects an undirected snapshot with sorted neighbor slices.
 
+use crate::ctx::KernelCtx;
 use crate::triangles::intersect_count;
 use ga_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
@@ -64,19 +73,137 @@ pub fn for_vertex(g: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
 /// Pruning: only pairs sharing at least one neighbor can have J > 0, so
 /// enumeration walks wedges instead of all O(n^2) pairs.
 pub fn all_pairs_above(g: &CsrGraph, tau: f64) -> Vec<(VertexId, VertexId, f64)> {
+    all_pairs_above_with(g, tau, &KernelCtx::parallel())
+}
+
+/// Instrumented, dispatching all-pairs form: the dense-accumulator wedge
+/// engine run serially or in parallel over source vertices per the
+/// context's [`crate::Parallelism`]. Both engines count the same integer
+/// `inter` and `union` for every pair and divide once, so they return
+/// bit-identical pairs in the same `(u, v)` order and flush identical
+/// counters: `cpu_ops` = wedges walked + candidates scored, `mem_bytes`
+/// = row bytes read + 4 B per counted wedge, `edges_touched` = row
+/// entries read.
+pub fn all_pairs_above_with(
+    g: &CsrGraph,
+    tau: f64,
+    ctx: &KernelCtx,
+) -> Vec<(VertexId, VertexId, f64)> {
     assert!(tau > 0.0, "tau must be positive; 0 would emit O(n^2) pairs");
     let n = g.num_vertices();
-    let mut out: Vec<(VertexId, VertexId, f64)> = (0..n as VertexId)
-        .into_par_iter()
-        .flat_map_iter(|u| {
-            for_vertex(g, u, tau)
-                .into_iter()
-                .filter(move |&(v, _)| u < v)
-                .map(move |(v, j)| (u, v, j))
-        })
-        .collect();
-    out.sort_by_key(|r| (r.0, r.1));
-    out
+    let scan = |mut acc: Accumulator, u: VertexId| {
+        acc.visit(g, u, tau);
+        acc
+    };
+    let found = if ctx.parallelism.use_parallel(g.num_edges()) {
+        // One accumulator per pool chunk; chunks cover ascending vertex
+        // ranges and come back in base order, so concatenating their
+        // pairs keeps the `(u, v)` order.
+        let parts: Vec<Found> = (0..n as VertexId)
+            .into_par_iter()
+            .fold(|| Accumulator::new(n), scan)
+            .map(|acc| acc.found)
+            .collect();
+        let mut all = Found {
+            pairs: Vec::with_capacity(parts.iter().map(|f| f.pairs.len()).sum()),
+            ..Found::default()
+        };
+        for f in parts {
+            all.pairs.extend(f.pairs);
+            all.wedges += f.wedges;
+            all.scored += f.scored;
+        }
+        all
+    } else {
+        (0..n as VertexId).fold(Accumulator::new(n), scan).found
+    };
+    // Rows read: every source row in full plus the walked tail of each
+    // neighbor row (one entry per wedge); each wedge also bumps a count.
+    let id = std::mem::size_of::<VertexId>() as u64;
+    let entries = g.num_edges() as u64 + found.wedges;
+    ctx.counters.flush(
+        found.wedges + found.scored,
+        id * entries + 4 * found.wedges,
+        entries,
+    );
+    found.pairs
+}
+
+/// The pairs one run of the engine kept, and the work it did.
+#[derive(Default)]
+struct Found {
+    pairs: Vec<(VertexId, VertexId, f64)>,
+    /// Upper-triangle wedges `u – w – v` (`v > u`) walked.
+    wedges: u64,
+    /// Distinct candidates `v` whose coefficient was computed.
+    scored: u64,
+}
+
+/// Dense shared-neighbor counts of one pool chunk, reused from one
+/// source vertex to the next: every count is back at zero after
+/// [`Accumulator::visit`].
+struct Accumulator {
+    counts: Vec<u32>,
+    /// Candidates whose count left zero for the current source.
+    touched: Vec<VertexId>,
+    found: Found,
+}
+
+impl Accumulator {
+    fn new(n: usize) -> Self {
+        Accumulator {
+            counts: vec![0; n],
+            touched: Vec::new(),
+            found: Found::default(),
+        }
+    }
+
+    /// Count `u`'s upper-triangle wedges and keep each candidate with
+    /// `J >= tau`, in ascending `v`.
+    fn visit(&mut self, g: &CsrGraph, u: VertexId, tau: f64) {
+        let nu = g.neighbors(u);
+        for &w in nu {
+            let nw = g.neighbors(w);
+            let above = &nw[nw.partition_point(|&v| v <= u)..];
+            self.found.wedges += above.len() as u64;
+            for &v in above {
+                let c = &mut self.counts[v as usize];
+                if *c == 0 {
+                    self.touched.push(v);
+                }
+                *c += 1;
+            }
+        }
+        self.found.scored += self.touched.len() as u64;
+        // The same integers `for_vertex` divides, so the same bits.
+        let pairs = &mut self.found.pairs;
+        let mut score = |v: VertexId, inter: u32| {
+            let inter = inter as usize;
+            let union = nu.len() + g.degree(v) - inter;
+            let j = inter as f64 / union as f64;
+            if j >= tau {
+                pairs.push((u, v, j));
+            }
+        };
+        // Ascending `v` either way. A dense touched set (the
+        // `Frontier::is_dense` rule, over 1/16 of all vertices) is
+        // cheaper to find by scanning the counts above `u` than by
+        // sorting the list.
+        let n = self.counts.len();
+        if self.touched.len() * 16 > n {
+            for (v, c) in self.counts.iter_mut().enumerate().skip(u as usize + 1) {
+                if *c != 0 {
+                    score(v as VertexId, std::mem::take(c));
+                }
+            }
+        } else {
+            self.touched.sort_unstable();
+            for &v in &self.touched {
+                score(v, std::mem::take(&mut self.counts[v as usize]));
+            }
+        }
+        self.touched.clear();
+    }
 }
 
 /// Brute-force reference for tests.
@@ -161,6 +288,114 @@ mod tests {
                 assert!((a.2 - b.2).abs() < 1e-12);
             }
         }
+    }
+
+    /// The parent all-pairs form: `for_vertex` from every source, upper
+    /// half kept, then sorted. The dense engine must reproduce it bit for
+    /// bit, even on directed input where `J` is not symmetric.
+    fn via_for_vertex(g: &CsrGraph, tau: f64) -> Vec<(VertexId, VertexId, f64)> {
+        let mut out: Vec<_> = (0..g.num_vertices() as VertexId)
+            .flat_map(|u| {
+                for_vertex(g, u, tau)
+                    .into_iter()
+                    .filter(move |&(v, _)| u < v)
+                    .map(move |(v, j)| (u, v, j))
+            })
+            .collect();
+        out.sort_by_key(|r| (r.0, r.1));
+        out
+    }
+
+    /// Exact `(u, v)` and `f64::to_bits` of every pair.
+    fn bits(pairs: &[(VertexId, VertexId, f64)]) -> Vec<(VertexId, VertexId, u64)> {
+        pairs.iter().map(|&(u, v, j)| (u, v, j.to_bits())).collect()
+    }
+
+    /// Both engines against the brute-force reference, with identical
+    /// counters; returns the pairs.
+    fn check_engines(g: &CsrGraph, tau: f64, tag: &str) -> Vec<(VertexId, VertexId, f64)> {
+        let (s, p) = (KernelCtx::serial(), KernelCtx::parallel());
+        let serial = all_pairs_above_with(g, tau, &s);
+        let parallel = all_pairs_above_with(g, tau, &p);
+        let brute = all_pairs_brute(g, tau);
+        assert_eq!(bits(&serial), bits(&brute), "{tag}: serial vs brute");
+        assert_eq!(bits(&parallel), bits(&brute), "{tag}: parallel vs brute");
+        assert_eq!(bits(&serial), bits(&via_for_vertex(g, tau)), "{tag}");
+        assert_eq!(s.snapshot(), p.snapshot(), "{tag}: counters differ");
+        assert!(s.snapshot().cpu_ops > 0, "{tag}: nothing tallied");
+        serial
+    }
+
+    #[test]
+    fn hub_and_leaves_twins_match_brute_force() {
+        // Hubs 0..4; leaves 4..44 hang off every hub, leaves 44..64 off
+        // hubs 0 and 1 only: 780 + 190 leaf pairs at J = 1, the shape of
+        // a ball around hubs.
+        let mut edges = Vec::new();
+        for leaf in 4..64u32 {
+            let hubs = if leaf < 44 { 4 } else { 2 };
+            edges.extend((0..hubs).map(|h| (h, leaf)));
+        }
+        let g = und(64, &edges);
+        let pairs = check_engines(&g, 0.5, "hub-and-leaves");
+        let twins = pairs.iter().filter(|p| p.0 >= 4 && p.2 == 1.0).count();
+        assert_eq!(twins, 780 + 190);
+    }
+
+    #[test]
+    fn rmat_with_self_loops_matches_brute_force() {
+        for seed in [1, 2] {
+            let edges = gen::rmat(9, 8 << 9, gen::RmatParams::GRAPH500, seed);
+            let g = ga_graph::CsrBuilder::new(1 << 9)
+                .edges(edges.iter().copied())
+                .symmetrize(true)
+                .dedup(true)
+                .build();
+            assert!(g.vertices().any(|v| g.has_edge(v, v)), "want self-loops");
+            for tau in [0.1, 0.5] {
+                check_engines(&g, tau, &format!("rmat seed {seed} tau {tau}"));
+            }
+            // Directed, where J(u, v) from u's side is what both forms
+            // keep: still the parent's bits.
+            let d = ga_graph::CsrBuilder::new(1 << 9)
+                .edges(edges.iter().copied())
+                .dedup(true)
+                .build();
+            let (s, p) = (KernelCtx::serial(), KernelCtx::parallel());
+            let reference = bits(&via_for_vertex(&d, 0.2));
+            assert_eq!(bits(&all_pairs_above_with(&d, 0.2, &s)), reference);
+            assert_eq!(bits(&all_pairs_above_with(&d, 0.2, &p)), reference);
+        }
+    }
+
+    #[test]
+    fn both_emission_branches_match_brute_force() {
+        // A star on 0..100 and a path on 100..200: a leaf's upper 2-hop
+        // set is nearly every other leaf (dense: scanned), a path
+        // vertex's is one vertex (sparse: sorted list).
+        let n = 200usize;
+        let mut edges: Vec<(u32, u32)> = (1..100).map(|v| (0, v)).collect();
+        edges.extend((100..199).map(|v| (v, v + 1)));
+        let g = und(n, &edges);
+        let upper_two_hop = |u: VertexId| {
+            let mut vs: Vec<VertexId> = g
+                .neighbors(u)
+                .iter()
+                .flat_map(|&w| g.neighbors(w).iter().copied())
+                .filter(|&v| v > u)
+                .collect();
+            vs.sort_unstable();
+            vs.dedup();
+            vs.len()
+        };
+        let sizes: Vec<usize> = (0..n as VertexId).map(upper_two_hop).collect();
+        assert!(sizes.iter().any(|&t| t * 16 > n), "no dense source");
+        assert!(
+            sizes.iter().any(|&t| t > 0 && t * 16 <= n),
+            "no sparse source"
+        );
+        let pairs = check_engines(&g, 0.3, "star+path");
+        assert_eq!(pairs.iter().filter(|p| p.1 < 100).count(), 99 * 98 / 2);
     }
 
     #[test]

@@ -120,16 +120,15 @@ pub fn count_global_with<G: Adjacency>(g: &G, ctx: &KernelCtx) -> u64 {
 }
 
 /// Per-vertex triangle counts (each triangle increments all three
-/// corners), so `Σ counts = 3 ×` the global count. One serial pass over
-/// the same oriented wedges as [`count_global_with`], flushed into
+/// corners), so `Σ counts = 3 ×` the global count. The same oriented
+/// wedges as [`count_global_with`], serial or parallel over source
+/// vertices per the context's [`crate::Parallelism`], flushed into
 /// `ctx`'s counters with the same comparison tally.
 pub fn count_per_vertex(g: &CsrGraph, ctx: &KernelCtx) -> Vec<u64> {
     let rank = rank_order(g);
     let fwd = oriented(g, &rank);
     let n = g.num_vertices();
-    let mut counts = vec![0u64; n];
-    let mut ops = 0u64;
-    for u in 0..n {
+    let corners = |(mut counts, mut ops): (Vec<u64>, u64), u: usize| {
         let fu = &fwd[u];
         for &v in fu {
             let fv = &fwd[v as usize];
@@ -149,7 +148,28 @@ pub fn count_per_vertex(g: &CsrGraph, ctx: &KernelCtx) -> Vec<u64> {
                 }
             }
         }
-    }
+        (counts, ops)
+    };
+    let (counts, ops) = if ctx.parallelism.use_parallel(g.num_edges()) {
+        // A triangle found from `u` bumps corners anywhere in the graph,
+        // so each pool chunk counts into a dense vector of its own. The
+        // integer sums, added in chunk order, equal the serial pass.
+        let parts: Vec<(Vec<u64>, u64)> = (0..n)
+            .into_par_iter()
+            .fold(|| (vec![0; n], 0), corners)
+            .collect();
+        parts
+            .into_iter()
+            .reduce(|(mut acc, ops), (part, more)| {
+                for (a, b) in acc.iter_mut().zip(part) {
+                    *a += b;
+                }
+                (acc, ops + more)
+            })
+            .unwrap_or_default()
+    } else {
+        (0..n).fold((vec![0; n], 0), corners)
+    };
     let adj_bytes: u64 = (0..n as VertexId).map(|v| g.row_bytes(v)).sum();
     ctx.counters
         .flush(ops, adj_bytes + 8 * ops, g.num_edges() as u64 / 2);
@@ -231,6 +251,18 @@ mod tests {
         assert_eq!(per.iter().sum::<u64>(), 3 * count_global_with(&g, &gc));
         // Same wedges, same tally: the two passes book identical work.
         assert_eq!(pc.snapshot(), gc.snapshot());
+    }
+
+    #[test]
+    fn per_vertex_serial_and_parallel_agree() {
+        let edges = gen::rmat(10, 16 << 10, gen::RmatParams::GRAPH500, 3);
+        let g = und(1 << 10, &edges);
+        let (s, p) = (KernelCtx::serial(), KernelCtx::parallel());
+        let serial = count_per_vertex(&g, &s);
+        assert_eq!(serial, count_per_vertex(&g, &p));
+        assert_eq!(s.snapshot(), p.snapshot());
+        assert_eq!(serial.iter().sum::<u64>(), 3 * count_global(&g));
+        assert!(count_global(&g) > 0, "want a non-trivial instance");
     }
 
     #[test]

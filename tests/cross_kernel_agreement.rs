@@ -4,7 +4,7 @@
 //! story about the same graph.
 
 use graph_analytics::graph::{gen, CompressedCsr, CsrBuilder, CsrGraph};
-use graph_analytics::kernels::{bfs, cc, pagerank, sssp, triangles, KernelCtx, UNREACHED};
+use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx, UNREACHED};
 use graph_analytics::linalg::algos;
 use graph_analytics::stream::tri_inc::IncrementalTriangles;
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream};
@@ -160,8 +160,9 @@ fn components_match_reachability_closure() {
 // ---------------------------------------------------------------------
 // Serial vs parallel engine agreement: the same kernel dispatched
 // through `KernelCtx::serial()` and `KernelCtx::parallel()` must return
-// identical answers. BFS depths, CC labels, triangle counts, and SSSP
-// distances are exact by construction; PageRank is bit-identical too
+// identical answers. BFS depths, CC labels, triangle counts (global and
+// per vertex), Jaccard pairs, and SSSP distances are exact by
+// construction; PageRank is bit-identical too
 // (only the order-insensitive per-vertex pull sweep is parallelized)
 // but is checked to the issue's 1e-9 contract.
 // ---------------------------------------------------------------------
@@ -191,6 +192,33 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
         triangles::count_global_with(g, &s),
         triangles::count_global_with(g, &p),
         "{tag}: triangle counts differ"
+    );
+
+    let (ts, tp) = (KernelCtx::serial(), KernelCtx::parallel());
+    assert_eq!(
+        triangles::count_per_vertex(g, &ts),
+        triangles::count_per_vertex(g, &tp),
+        "{tag}: per-vertex triangle counts differ"
+    );
+    assert_eq!(
+        ts.snapshot(),
+        tp.snapshot(),
+        "{tag}: per-vertex tallies differ"
+    );
+
+    // Jaccard pairs: same `(u, v)` order, same coefficient bits.
+    let bits = |ctx: &KernelCtx| -> Vec<(u32, u32, u64)> {
+        jaccard::all_pairs_above_with(g, 0.3, ctx)
+            .into_iter()
+            .map(|(u, v, j)| (u, v, j.to_bits()))
+            .collect()
+    };
+    let (js, jp) = (KernelCtx::serial(), KernelCtx::parallel());
+    assert_eq!(bits(&js), bits(&jp), "{tag}: Jaccard pairs differ");
+    assert_eq!(
+        js.snapshot(),
+        jp.snapshot(),
+        "{tag}: Jaccard tallies differ"
     );
 
     let rs = pagerank::pagerank_with(g, 0.85, 1e-10, 200, &s);
