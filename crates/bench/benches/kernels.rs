@@ -55,9 +55,7 @@ fn bench_cc(c: &mut Criterion) {
     group.bench_function("union_find", |b| {
         b.iter(|| cc::wcc_union_find(black_box(&g)))
     });
-    group.bench_function("label_prop", |b| {
-        b.iter(|| cc::wcc_label_prop(black_box(&g)))
-    });
+    group.bench_function("afforest", |b| b.iter(|| cc::wcc_afforest(black_box(&g))));
     group.finish();
 }
 
@@ -104,22 +102,16 @@ fn bench_jaccard(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel engine on the same input — the speedup points the
-/// issue's acceptance criteria read. Scale defaults to 18 (Graph500
-/// "toy" class); override with `GA_BENCH_SCALE` (CI smoke uses 10).
+/// Serial vs parallel engine on the same input, for the kernels that
+/// choose an engine by `Parallelism` (WCC and SSSP run one engine in
+/// both modes). Scale defaults to 18 (Graph500 "toy" class); override
+/// with `GA_BENCH_SCALE` (CI smoke uses 10).
 fn bench_serial_vs_parallel(c: &mut Criterion) {
     let scale: u32 = std::env::var("GA_BENCH_SCALE")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(18);
     let g = rmat_graph(scale, 16);
-    let wedges = gen::with_random_weights(
-        &gen::rmat(scale, 16 << scale, gen::RmatParams::GRAPH500, 7),
-        0.1,
-        2.0,
-        8,
-    );
-    let wg = CsrGraph::from_weighted_edges(1usize << scale, &wedges);
     let (ser, par) = (KernelCtx::serial(), KernelCtx::parallel());
 
     let mut group = c.benchmark_group("serial_vs_parallel");
@@ -131,14 +123,8 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("pagerank", mode), |b| {
             b.iter(|| pagerank::pagerank_with(black_box(&g), 0.85, 1e-6, 20, ctx))
         });
-        group.bench_function(BenchmarkId::new("cc", mode), |b| {
-            b.iter(|| cc::wcc_with(black_box(&g), ctx))
-        });
         group.bench_function(BenchmarkId::new("triangles", mode), |b| {
             b.iter(|| triangles::count_global_with(black_box(&g), ctx))
-        });
-        group.bench_function(BenchmarkId::new("sssp", mode), |b| {
-            b.iter(|| sssp::sssp_with(black_box(&wg), 0, 0.5, ctx))
         });
     }
     group.finish();

@@ -1418,7 +1418,7 @@ impl ShardedFlow {
             }
             serving += 1;
             let csr = engine.graph().snapshot();
-            pairs.extend(cc_local_forest(&csr, self.config.symmetrize));
+            pairs.extend(cc_local_forest(&csr));
         }
         if serving > 1 {
             let bytes = FOREST_PAIR_WIRE_BYTES * pairs.len() as u64;

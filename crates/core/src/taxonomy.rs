@@ -196,7 +196,6 @@ pub fn registry() -> Vec<KernelEntry> {
             outputs: &[ComputeVertexProperty, OutputO1Events],
             impl_path: "ga_kernels::cc::wcc_union_find",
             variants: &[
-                "frontier label propagation (active-set sweeps)",
                 "afforest (sampled union-find)",
                 "compressed adjacency (delta-varint CSR)",
             ],

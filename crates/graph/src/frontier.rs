@@ -5,10 +5,8 @@
 //! iterate when the frontier is small) and a dense bitmap (O(1)
 //! membership, cheap to scan when the frontier covers much of the
 //! graph). [`Frontier`] packages that pair — with duplicate-free
-//! insertion, density probes for representation switching, and a
-//! degree-aware partitioner so parallel expansion splits by *edge* work
-//! rather than vertex count — and is shared by BFS, the delta-stepping
-//! SSSP bucket scans, and the label-propagation / Afforest CC kernels.
+//! insertion and density probes for representation switching — and is
+//! shared by BFS and the delta-stepping SSSP bucket scans.
 
 use crate::adjacency::Adjacency;
 use crate::VertexId;
@@ -17,8 +15,8 @@ use crate::VertexId;
 ///
 /// `insert` is duplicate-free (the bitmap is the authority), so kernels
 /// that may discover a vertex through several edges — SSSP bucket
-/// relaxations, changed-neighbor sets in label propagation — get
-/// dedup for free instead of scanning a vertex once per discovery.
+/// relaxations — get dedup for free instead of scanning a vertex once
+/// per discovery.
 #[derive(Clone, Debug)]
 pub struct Frontier {
     bits: Vec<u64>,
@@ -79,22 +77,6 @@ impl Frontier {
         self.sparse.iter().copied()
     }
 
-    /// The sparse list itself, in insertion order.
-    #[inline]
-    pub fn as_slice(&self) -> &[VertexId] {
-        &self.sparse
-    }
-
-    /// Members in ascending vertex order, scanned from the bitmap —
-    /// the dense representation's iteration, O(n/64 + len).
-    pub fn iter_ascending(&self) -> AscendingBits<'_> {
-        AscendingBits {
-            bits: &self.bits,
-            word_idx: 0,
-            current: self.bits.first().copied().unwrap_or(0),
-        }
-    }
-
     /// Fraction of all vertices in the frontier, for density-based
     /// representation switching (GAP's top-down/bottom-up test uses
     /// frontier *edges*; see [`Frontier::edge_sum`] for that).
@@ -121,16 +103,6 @@ impl Frontier {
         self.sparse.iter().map(|&v| g.degree(v) as u64).sum()
     }
 
-    /// Split the sparse list into at most `max_chunks` contiguous ranges
-    /// of roughly equal total degree, so parallel expansion partitions
-    /// by edge work instead of vertex count (one hub vertex no longer
-    /// serializes a whole chunk). Returns `(start, end)` index pairs
-    /// into [`Frontier::as_slice`]; every member is covered exactly once
-    /// and order is preserved.
-    pub fn degree_chunks<G: Adjacency>(&self, g: &G, max_chunks: usize) -> Vec<(usize, usize)> {
-        crate::par::degree_chunks(g, &self.sparse, max_chunks)
-    }
-
     /// Remove all members. O(len): clears only the words the members
     /// touch, so sparse frontiers over huge graphs stay cheap.
     pub fn clear(&mut self) {
@@ -154,37 +126,9 @@ impl<'a> IntoIterator for &'a Frontier {
     }
 }
 
-/// Ascending-order iterator over a frontier's bitmap.
-#[derive(Clone, Debug)]
-pub struct AscendingBits<'a> {
-    bits: &'a [u64],
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for AscendingBits<'_> {
-    type Item = VertexId;
-
-    fn next(&mut self) -> Option<VertexId> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros();
-                self.current &= self.current - 1;
-                return Some((self.word_idx * 64) as VertexId + bit);
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.bits.len() {
-                return None;
-            }
-            self.current = self.bits[self.word_idx];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::CsrGraph;
 
     #[test]
     fn insert_dedups_and_tracks_order() {
@@ -194,9 +138,7 @@ mod tests {
         assert!(!f.insert(7));
         assert!(f.insert(64));
         assert_eq!(f.len(), 3);
-        assert_eq!(f.as_slice(), &[7, 3, 64]);
-        let asc: Vec<VertexId> = f.iter_ascending().collect();
-        assert_eq!(asc, vec![3, 7, 64]);
+        assert_eq!(f.iter().collect::<Vec<_>>(), vec![7, 3, 64]);
         assert!(f.contains(64));
         assert!(!f.contains(63));
     }
@@ -210,7 +152,7 @@ mod tests {
         f.clear();
         assert!(f.is_empty());
         assert!(!f.contains(65));
-        assert_eq!(f.iter_ascending().count(), 0);
+        assert_eq!(f.iter().count(), 0);
         assert!(f.insert(65));
     }
 
@@ -228,33 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn degree_chunks_cover_in_order() {
-        // Star: vertex 0 has degree 9, leaves degree 1.
-        let edges: Vec<_> = (1..10).flat_map(|v| [(0, v), (v, 0)]).collect();
-        let g = CsrGraph::from_edges(10, &edges);
-        let mut f = Frontier::new(10);
-        for v in 0..10 {
-            f.insert(v);
-        }
-        let chunks = f.degree_chunks(&g, 4);
-        assert!(!chunks.is_empty() && chunks.len() <= 4);
-        let mut covered = Vec::new();
-        let mut prev_end = 0;
-        for &(s, e) in &chunks {
-            assert_eq!(s, prev_end, "chunks must tile the sparse list");
-            assert!(e > s);
-            prev_end = e;
-            covered.extend_from_slice(&f.as_slice()[s..e]);
-        }
-        assert_eq!(prev_end, f.len());
-        assert_eq!(covered, f.as_slice());
-    }
-
-    #[test]
     fn empty_frontier_over_empty_graph() {
         let f = Frontier::new(0);
         assert!(f.is_empty());
         assert_eq!(f.density(), 0.0);
-        assert_eq!(f.iter_ascending().count(), 0);
+        assert_eq!(f.iter().count(), 0);
     }
 }

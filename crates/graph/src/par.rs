@@ -130,6 +130,27 @@ mod tests {
     }
 
     #[test]
+    fn degree_chunks_cover_in_order() {
+        // Star: vertex 0 has degree 9, leaves degree 1.
+        let edges: Vec<_> = (1..10).flat_map(|v| [(0, v), (v, 0)]).collect();
+        let g = CsrGraph::from_edges(10, &edges);
+        let frontier: Vec<VertexId> = (0..10).collect();
+        let chunks = degree_chunks(&g, &frontier, 4);
+        assert!(!chunks.is_empty() && chunks.len() <= 4);
+        let mut covered = Vec::new();
+        let mut prev_end = 0;
+        for &(s, e) in &chunks {
+            assert_eq!(s, prev_end, "chunks must tile the frontier");
+            assert!(e > s);
+            prev_end = e;
+            covered.extend_from_slice(&frontier[s..e]);
+        }
+        assert_eq!(prev_end, frontier.len());
+        assert_eq!(covered, frontier);
+        assert!(degree_chunks(&g, &[], 4).is_empty());
+    }
+
+    #[test]
     fn degree_sums() {
         let g = CsrGraph::from_edges_undirected(5, &gen::path(5));
         assert_eq!(frontier_degree_sum(&g, &[0, 2]), 3);

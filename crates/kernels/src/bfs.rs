@@ -1,14 +1,17 @@
 //! Breadth-first search — the Graph500 kernel and the paper's canonical
 //! connectedness primitive.
 //!
-//! Three engines:
+//! Engines:
 //! * [`bfs`] — classic top-down queue BFS,
-//! * [`bfs_bottom_up`] — level-synchronous bottom-up sweep (each
-//!   unvisited vertex scans its in-neighbors for a frontier member),
-//! * [`bfs_direction_optimizing`] — Beamer-style hybrid that switches
-//!   bottom-up when the frontier grows past a fraction of the edges, the
-//!   strategy GRAPH500 winners use on skewed (R-MAT) graphs. Frontiers
-//!   live in the shared [`Frontier`] bitmap + sparse-list structure.
+//! * [`bfs_direction_optimizing`] — Beamer-style hybrid that switches to
+//!   a bottom-up step (each unvisited vertex scans its in-neighbors for
+//!   a frontier member) when the frontier grows past a fraction of the
+//!   edges, the strategy GRAPH500 winners use on skewed (R-MAT) graphs.
+//!   Frontiers live in the shared [`Frontier`] bitmap + sparse-list
+//!   structure,
+//! * [`bfs_with`] — the instrumented, budgeted entry point: the queue
+//!   engine, or a level-synchronous parallel engine, per the context's
+//!   [`crate::Parallelism`].
 //!
 //! Every engine is generic over [`Adjacency`], so it runs unchanged —
 //! and bit-identically — over a plain [`CsrGraph`] or a delta-varint
@@ -79,7 +82,7 @@ pub fn bfs<G: Adjacency>(g: &G, src: VertexId) -> BfsResult {
 
 /// Top-down queue BFS that consults `budget` every ~1k pops and stops
 /// with a typed partial result (covered frontier so far) on exhaustion.
-pub fn bfs_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) -> BfsResult {
+fn bfs_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) -> BfsResult {
     let n = g.num_vertices();
     let mut depth = vec![UNREACHED; n];
     let mut parent = vec![UNREACHED as VertexId; n];
@@ -118,63 +121,6 @@ pub fn bfs_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) -> BfsR
     }
 }
 
-/// Level-synchronous bottom-up BFS. Requires the reverse index (or an
-/// undirected graph, where out-neighbors suffice); falls back to
-/// out-neighbors when no reverse index is present.
-pub fn bfs_bottom_up<G: Adjacency>(g: &G, src: VertexId) -> BfsResult {
-    let n = g.num_vertices();
-    let mut depth = vec![UNREACHED; n];
-    let mut parent = vec![UNREACHED as VertexId; n];
-    let mut frontier = Frontier::new(n);
-    depth[src as usize] = 0;
-    parent[src as usize] = src;
-    frontier.insert(src);
-    let mut reached = 1;
-    let mut level = 0u32;
-    // Two frontiers swapped between levels; `next` is cleared in
-    // O(frontier) instead of re-allocated each level.
-    let mut next = Frontier::new(n);
-    loop {
-        for v in 0..n as VertexId {
-            if depth[v as usize] != UNREACHED {
-                continue;
-            }
-            let found = if g.has_reverse() {
-                bottom_up_scan(g.in_neighbors(v), &frontier)
-            } else {
-                bottom_up_scan(g.neighbors(v), &frontier)
-            };
-            if let Some(u) = found {
-                depth[v as usize] = level + 1;
-                parent[v as usize] = u;
-                next.insert(v);
-                reached += 1;
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-        level += 1;
-    }
-    BfsResult {
-        depth,
-        parent,
-        reached,
-        completion: Completion::Complete,
-    }
-}
-
-/// First predecessor of a bottom-up candidate found in the frontier.
-#[inline]
-fn bottom_up_scan(
-    mut preds: impl Iterator<Item = VertexId>,
-    frontier: &Frontier,
-) -> Option<VertexId> {
-    preds.find(|&u| frontier.contains(u))
-}
-
 /// Direction-optimizing BFS (Beamer): top-down while the frontier is
 /// small, bottom-up once `frontier_edges > total_edges / alpha`.
 ///
@@ -205,7 +151,7 @@ pub fn bfs_direction_optimizing<G: Adjacency>(g: &G, src: VertexId, alpha: usize
                 if depth[v as usize] != UNREACHED {
                     continue;
                 }
-                if let Some(u) = bottom_up_scan(g.in_neighbors(v), &frontier) {
+                if let Some(u) = g.in_neighbors(v).find(|&u| frontier.contains(u)) {
                     depth[v as usize] = level + 1;
                     parent[v as usize] = u;
                     next.insert(v);
@@ -249,16 +195,11 @@ pub fn bfs_depths<G: Adjacency>(g: &G, src: VertexId) -> Vec<u32> {
 /// Level-synchronous parallel BFS: each level's frontier is expanded
 /// with rayon, vertices claimed by atomic compare-exchange on the
 /// parent array (the standard shared-memory formulation; parents may
-/// differ from the sequential engines but depths are identical).
-pub fn bfs_parallel<G: Adjacency>(g: &G, src: VertexId) -> BfsResult {
-    bfs_parallel_budgeted(g, src, &Budget::unlimited())
-}
-
-/// [`bfs_parallel`] with a cooperative budget consulted at each level
-/// boundary (the natural cancellation point of a level-synchronous
-/// engine); on exhaustion the covered levels are returned as a partial
-/// result.
-pub fn bfs_parallel_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) -> BfsResult {
+/// differ from the sequential engines but depths are identical). The
+/// budget is consulted at each level boundary (the natural cancellation
+/// point of a level-synchronous engine); on exhaustion the covered
+/// levels are returned as a partial result.
+fn bfs_parallel_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) -> BfsResult {
     use std::sync::atomic::{AtomicU32, Ordering};
     let n = g.num_vertices();
     let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
@@ -304,9 +245,10 @@ pub fn bfs_parallel_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget
     }
 }
 
-/// Instrumented, dispatching BFS: runs the serial queue engine or
-/// [`bfs_parallel`] per the context's [`crate::Parallelism`] and flushes
-/// the traversal's cost into the context counters.
+/// Instrumented, dispatching BFS: runs the serial queue engine or the
+/// level-synchronous parallel engine per the context's
+/// [`crate::Parallelism`] and flushes the traversal's cost into the
+/// context counters.
 ///
 /// Depths and reach counts are identical across both engines; parallel
 /// parent pointers may pick a different (equally valid) BFS tree.
@@ -383,9 +325,9 @@ mod tests {
         let g = rmat_graph(9);
         for &src in &[0u32, 7, 100] {
             let a = bfs(&g, src);
-            let b = bfs_bottom_up(&g, src);
+            let b = bfs_with(&g, src, &KernelCtx::parallel());
             let c = bfs_direction_optimizing(&g, src, 15);
-            assert_eq!(a.depth, b.depth, "bottom-up mismatch src={src}");
+            assert_eq!(a.depth, b.depth, "parallel mismatch src={src}");
             assert_eq!(a.depth, c.depth, "hybrid mismatch src={src}");
             assert_eq!(a.reached, c.reached);
             a.validate(&g, src).unwrap();
@@ -479,7 +421,7 @@ mod parallel_tests {
         let g = CsrGraph::from_edges_undirected(1 << 10, &edges);
         for &src in &[0u32, 5, 99] {
             let seq = bfs(&g, src);
-            let par = bfs_parallel(&g, src);
+            let par = bfs_with(&g, src, &KernelCtx::parallel());
             assert_eq!(seq.depth, par.depth, "src {src}");
             assert_eq!(seq.reached, par.reached);
             par.validate(&g, src).unwrap();
@@ -489,7 +431,7 @@ mod parallel_tests {
     #[test]
     fn parallel_on_disconnected() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (3, 4)]);
-        let r = bfs_parallel(&g, 0);
+        let r = bfs_with(&g, 0, &KernelCtx::parallel());
         assert_eq!(r.reached, 2);
         assert_eq!(r.depth[3], UNREACHED);
     }

@@ -3,16 +3,16 @@
 //!
 //! Every hot batch kernel has a `*_with(g, ..., &KernelCtx)` entry point
 //! that (a) dispatches between its serial and rayon-parallel engine
-//! according to [`Parallelism`], and (b) records the work it did in the
-//! context's [`OpCounters`]. The plain entry points (`bfs::bfs`,
+//! according to [`Parallelism`] — WCC and SSSP run one engine for every
+//! mode — and (b) records the work it did in the context's
+//! [`OpCounters`]. The plain entry points (`bfs::bfs`,
 //! `pagerank::pagerank`, ...) remain unchanged for callers that don't
 //! care.
 //!
 //! Serial and parallel engines of the same kernel are interchangeable:
-//! BFS depths, component labels, and triangle counts are bit-identical,
-//! SSSP distances are exact, and PageRank ranks agree to well below 1e-9
-//! (the agreement suite in `tests/cross_kernel_agreement.rs` enforces
-//! this).
+//! BFS depths and triangle counts are bit-identical, and PageRank ranks
+//! agree to well below 1e-9 (the agreement suite in
+//! `tests/cross_kernel_agreement.rs` enforces this).
 
 use ga_graph::counters::{OpCounters, OpSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};

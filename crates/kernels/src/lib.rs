@@ -7,10 +7,10 @@
 //!
 //! | Fig. 1 row | module |
 //! |---|---|
-//! | BFS: Breadth First Search | [`bfs`] (top-down, bottom-up, direction-optimizing) |
-//! | SSSP: Single Source Shortest Path | [`sssp`] (Dijkstra, Bellman–Ford, delta-stepping) |
+//! | BFS: Breadth First Search | [`bfs`] (top-down, direction-optimizing, level-synchronous parallel) |
+//! | SSSP: Single Source Shortest Path | [`sssp`] (delta-stepping; Dijkstra and Bellman–Ford as references) |
 //! | APSP: All Pairs Shortest Path | survey-only (see `ga_core::taxonomy`) |
-//! | CCW: Weakly Connected Components | [`cc`] (union-find, label propagation, afforest) |
+//! | CCW: Weakly Connected Components | [`cc`] (union-find with Afforest sampling; plain union-find as reference) |
 //! | CCS: Strongly Connected Components | survey-only (see `ga_core::taxonomy`) |
 //! | PR: PageRank | [`pagerank`] |
 //! | BC: Betweenness Centrality | [`bc`] (Brandes exact + sampled) |

@@ -29,7 +29,7 @@
 //! owner's) serves the same predicates, and every bit-identity
 //! argument above carries over unchanged.
 
-use crate::cc::{wcc_afforest, wcc_union_find, Components};
+use crate::cc::{wcc_afforest, Components};
 use crate::UnionFind;
 use ga_graph::{CsrGraph, DynamicGraph, VertexId};
 
@@ -105,16 +105,9 @@ pub fn bfs_owned_expand(g: &DynamicGraph, owned_frontier: &[VertexId]) -> Vec<Ve
 
 /// Reduce a shard-local graph to a spanning forest: `(v, label)` pairs
 /// with `label != v`, where `label` is the min vertex id of v's
-/// component *within this shard's edges*. Uses the fast
-/// [`wcc_afforest`] kernel when its contract holds (symmetric adjacency
-/// or a reverse index), plain union-find otherwise; both normalize to
-/// min-id labels, so the emitted pairs are identical either way.
-pub fn cc_local_forest(g: &CsrGraph, symmetric: bool) -> Vec<(VertexId, VertexId)> {
-    let comps = if symmetric || g.has_reverse() {
-        wcc_afforest(g)
-    } else {
-        wcc_union_find(g)
-    };
+/// component *within this shard's edges*, edge direction ignored.
+pub fn cc_local_forest(g: &CsrGraph) -> Vec<(VertexId, VertexId)> {
+    let comps = wcc_afforest(g);
     comps
         .label
         .iter()
@@ -126,7 +119,7 @@ pub fn cc_local_forest(g: &CsrGraph, symmetric: bool) -> Vec<(VertexId, VertexId
 /// Merge shard forests into global components over `n_global` vertices.
 /// Labels come from [`UnionFind::labels`] (min vertex id per set), so
 /// the result is independent of pair order and shard count, and matches
-/// [`wcc_union_find`] on the merged graph.
+/// [`crate::cc::wcc_union_find`] on the merged graph.
 pub fn cc_merge_forests<I>(n_global: usize, pairs: I) -> Components
 where
     I: IntoIterator<Item = (VertexId, VertexId)>,
@@ -145,6 +138,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::wcc_union_find;
     use crate::pagerank::pagerank_with;
     use crate::KernelCtx;
     use ga_graph::gen;
@@ -169,8 +163,8 @@ mod tests {
             80,
             &edges.iter().copied().skip(1).step_by(2).collect::<Vec<_>>(),
         );
-        let mut pairs = cc_local_forest(&sub_a, true);
-        pairs.extend(cc_local_forest(&sub_b, true));
+        let mut pairs = cc_local_forest(&sub_a);
+        pairs.extend(cc_local_forest(&sub_b));
         let merged = cc_merge_forests(80, pairs);
         assert_eq!(direct.label, merged.label);
         assert_eq!(direct.count, merged.count);

@@ -1,25 +1,22 @@
 //! Single-source shortest paths (Fig. 1 row "SSSP").
 //!
-//! Three classic engines with different work/parallelism trade-offs:
-//! [`dijkstra`] (binary heap, non-negative weights), [`bellman_ford`]
-//! (handles negative edges, detects negative cycles), and
-//! [`delta_stepping`] (bucketed relaxation — the algorithm of choice on
-//! the parallel machines the paper surveys). The delta engines run
-//! their bucket scans over [`Frontier`] sets, so a vertex relaxed
-//! through several edges in one phase is scanned once, not once per
-//! discovery; [`auto_delta`] picks the GAP-style bucket width when the
-//! caller has no better estimate. All engines are generic over
+//! [`sssp_with`] is the one instrumented engine for every
+//! [`crate::Parallelism`]: [`delta_stepping`] (bucketed relaxation, the
+//! algorithm of choice on the parallel machines the paper surveys)
+//! under the context's budget. [`dijkstra`] (binary heap, non-negative
+//! weights) and [`bellman_ford`] (handles negative edges, detects
+//! negative cycles) are the references it is checked against. The delta
+//! engine runs its bucket scans over [`Frontier`] sets, so a vertex
+//! relaxed through several edges in one phase is scanned once, not once
+//! per discovery; [`auto_delta`] picks the GAP-style bucket width when
+//! the caller has no better estimate. All engines are generic over
 //! [`Adjacency`] (plain or compressed rows, bit-identical results).
 
 use crate::ctx::{Budget, Completion, KernelCtx};
 use crate::INF;
 use ga_graph::{Adjacency, CsrGraph, Frontier, VertexId, Weight};
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Heap pops between budget consults in the Dijkstra engine.
-const BUDGET_CHECK_POPS: usize = 1024;
 
 /// Output of an SSSP run.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,10 +29,9 @@ pub struct SsspResult {
     pub parent: Vec<VertexId>,
     /// Whether relaxation ran to a fixed point or stopped at the
     /// context's budget. A partial result reports the covered frontier:
-    /// distances settled before the stop are final (Dijkstra pops /
-    /// delta buckets settle in nondecreasing order), later finite
-    /// entries are tentative upper bounds, and [`INF`] may merely mean
-    /// not-yet-relaxed.
+    /// distances settled before the stop are final (delta buckets settle
+    /// in nondecreasing order), later finite entries are tentative upper
+    /// bounds, and [`INF`] may merely mean not-yet-relaxed.
     pub completion: Completion,
 }
 
@@ -103,13 +99,6 @@ impl PartialOrd for HeapItem {
 /// Dijkstra with a lazy-deletion binary heap. Weights must be
 /// non-negative.
 pub fn dijkstra<G: Adjacency>(g: &G, src: VertexId) -> SsspResult {
-    dijkstra_budgeted(g, src, &Budget::unlimited())
-}
-
-/// Dijkstra that consults `budget` every ~1k heap pops; on exhaustion
-/// the distances settled so far (a distance-ball around the source) are
-/// returned as a typed partial result.
-pub fn dijkstra_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) -> SsspResult {
     let n = g.num_vertices();
     let mut dist = vec![INF; n];
     let mut parent = vec![u32::MAX as VertexId; n];
@@ -117,21 +106,10 @@ pub fn dijkstra_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) ->
     dist[src as usize] = 0.0;
     parent[src as usize] = src;
     heap.push(HeapItem { dist: 0.0, v: src });
-    let mut completion = Completion::Complete;
-    let mut pops = 0usize;
-    let mut edges = 0u64;
     while let Some(HeapItem { dist: d, v: u }) = heap.pop() {
         if d > dist[u as usize] {
             continue; // stale entry
         }
-        pops += 1;
-        if pops.is_multiple_of(BUDGET_CHECK_POPS) {
-            completion = budget.check(2 * edges + 4 * pops as u64);
-            if completion.is_partial() {
-                break;
-            }
-        }
-        edges += g.degree(u) as u64;
         for (v, w) in g.weighted_neighbors(u) {
             debug_assert!(w >= 0.0, "dijkstra requires non-negative weights");
             let nd = d + w;
@@ -145,7 +123,7 @@ pub fn dijkstra_budgeted<G: Adjacency>(g: &G, src: VertexId, budget: &Budget) ->
     SsspResult {
         dist,
         parent,
-        completion,
+        completion: Completion::Complete,
     }
 }
 
@@ -199,8 +177,7 @@ pub fn bellman_ford<G: Adjacency>(g: &G, src: VertexId) -> Result<SsspResult, ()
 /// Bucket scans run over [`Frontier`] sets: a vertex pushed into the
 /// bucket through several improving edges is scanned once per phase,
 /// and the heavy pass visits each settled vertex exactly once per
-/// bucket. The serial and parallel engines apply the same dedup at the
-/// same phase boundaries, so their results stay mutually bit-identical.
+/// bucket.
 pub fn delta_stepping<G: Adjacency>(g: &G, src: VertexId, delta: Weight) -> SsspResult {
     delta_stepping_budgeted(g, src, delta, &Budget::unlimited())
 }
@@ -208,7 +185,7 @@ pub fn delta_stepping<G: Adjacency>(g: &G, src: VertexId, delta: Weight) -> Sssp
 /// [`delta_stepping`] with a cooperative budget consulted at each bucket
 /// boundary (every distance settled in earlier buckets is final); on
 /// exhaustion the settled buckets are returned as a partial result.
-pub fn delta_stepping_budgeted<G: Adjacency>(
+fn delta_stepping_budgeted<G: Adjacency>(
     g: &G,
     src: VertexId,
     delta: Weight,
@@ -302,122 +279,6 @@ pub fn delta_stepping_budgeted<G: Adjacency>(
     }
 }
 
-/// Parallel delta-stepping: the same bucketed relaxation as
-/// [`delta_stepping`], with each phase's edge scan fanned out across the
-/// thread pool. Relaxation *requests* `(v, candidate_dist, u)` are
-/// gathered in parallel (reads only), then committed serially in
-/// deterministic frontier order — so distances AND parents are exact and
-/// reproducible, not just the distances.
-pub fn delta_stepping_parallel<G: Adjacency>(g: &G, src: VertexId, delta: Weight) -> SsspResult {
-    delta_stepping_parallel_budgeted(g, src, delta, &Budget::unlimited())
-}
-
-/// [`delta_stepping_parallel`] with a cooperative budget consulted at
-/// each bucket boundary, mirroring [`delta_stepping_budgeted`].
-pub fn delta_stepping_parallel_budgeted<G: Adjacency>(
-    g: &G,
-    src: VertexId,
-    delta: Weight,
-    budget: &Budget,
-) -> SsspResult {
-    assert!(delta > 0.0, "delta must be positive");
-    let n = g.num_vertices();
-    let mut dist = vec![INF; n];
-    let mut parent = vec![u32::MAX as VertexId; n];
-    let mut buckets: Vec<Vec<VertexId>> = Vec::new();
-    let bucket_of = |d: Weight| (d / delta) as usize;
-
-    let push = |buckets: &mut Vec<Vec<VertexId>>, v: VertexId, d: Weight| {
-        let b = bucket_of(d);
-        if b >= buckets.len() {
-            buckets.resize_with(b + 1, Vec::new);
-        }
-        buckets[b].push(v);
-    };
-
-    // Gather improving relaxations of the frontier's (light|heavy) edges
-    // in parallel; `dist` is only read here, mutation happens at the
-    // caller's serial commit. Work is split by degree sum so one hub
-    // cannot serialize a chunk; chunks tile the frontier in order, so
-    // the gathered request order matches a sequential scan.
-    let gather =
-        |batch: &Frontier, dist: &[Weight], light: bool| -> Vec<(VertexId, Weight, VertexId)> {
-            let chunks = batch.degree_chunks(g, rayon::current_num_threads() * 4);
-            chunks
-                .par_iter()
-                .flat_map_iter(|&(s, e)| {
-                    batch.as_slice()[s..e].iter().flat_map(move |&u| {
-                        let du = dist[u as usize];
-                        g.weighted_neighbors(u).filter_map(move |(v, w)| {
-                            let nd = du + w;
-                            ((w < delta) == light && nd < dist[v as usize]).then_some((v, nd, u))
-                        })
-                    })
-                })
-                .collect()
-        };
-
-    dist[src as usize] = 0.0;
-    parent[src as usize] = src;
-    push(&mut buckets, src, 0.0);
-
-    let mut completion = Completion::Complete;
-    let mut edges_scanned = 0u64;
-    let mut settled_total = 0u64;
-    let mut batch = Frontier::new(n);
-    let mut settled = Frontier::new(n);
-    let mut i = 0;
-    while i < buckets.len() {
-        completion = budget.check(2 * edges_scanned + 4 * settled_total);
-        if completion.is_partial() {
-            break;
-        }
-        settled.clear();
-        loop {
-            batch.clear();
-            for u in std::mem::take(&mut buckets[i]) {
-                if bucket_of(dist[u as usize]) == i {
-                    batch.insert(u);
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            for u in batch.iter() {
-                if settled.insert(u) {
-                    settled_total += 1;
-                }
-            }
-            if budget.is_limited() {
-                edges_scanned += batch.iter().map(|u| g.degree(u) as u64).sum::<u64>();
-            }
-            for (v, nd, u) in gather(&batch, &dist, true) {
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    parent[v as usize] = u;
-                    push(&mut buckets, v, nd);
-                }
-            }
-        }
-        if budget.is_limited() {
-            edges_scanned += settled.iter().map(|u| g.degree(u) as u64).sum::<u64>();
-        }
-        for (v, nd, u) in gather(&settled, &dist, false) {
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                parent[v as usize] = u;
-                push(&mut buckets, v, nd);
-            }
-        }
-        i += 1;
-    }
-    SsspResult {
-        dist,
-        parent,
-        completion,
-    }
-}
-
 /// GAP-style bucket width for [`delta_stepping`]: average edge weight ×
 /// average out-degree. Intuition: a bucket should hold roughly one
 /// expected hop's worth of distance so the light phase finds real
@@ -446,16 +307,11 @@ pub fn auto_delta<G: Adjacency>(g: &G) -> Weight {
     }
 }
 
-/// Instrumented, dispatching SSSP: runs [`delta_stepping`] or
-/// [`delta_stepping_parallel`] per the context's [`crate::Parallelism`]
-/// and flushes the relaxation traffic into the context counters.
-/// Distances are exact (identical path-weight sums) in both modes.
+/// Instrumented SSSP: runs the [`delta_stepping`] engine under the
+/// context's budget for every [`crate::Parallelism`] and flushes the
+/// relaxation traffic into the context counters.
 pub fn sssp_with<G: Adjacency>(g: &G, src: VertexId, delta: Weight, ctx: &KernelCtx) -> SsspResult {
-    let r = if ctx.parallelism.use_parallel(g.num_edges()) {
-        delta_stepping_parallel_budgeted(g, src, delta, &ctx.budget)
-    } else {
-        delta_stepping_budgeted(g, src, delta, &ctx.budget)
-    };
+    let r = delta_stepping_budgeted(g, src, delta, &ctx.budget);
     // Every settled vertex scans its out-row twice (light phase + heavy
     // phase); re-relaxations within a bucket add more, so this is a
     // lower-bound estimate. Adjacency traffic is charged at the
@@ -579,44 +435,22 @@ mod tests {
         let g = weighted_random(9, 5);
         let full = delta_stepping(&g, 0, 0.7);
         assert_eq!(full.completion, Completion::Complete);
-        // Trips at the first boundary with nonzero spend: bucket 0
-        // settles, everything later is cut.
-        let partial = delta_stepping_budgeted(&g, 0, 0.7, &Budget::ops(1));
-        assert_eq!(partial.completion, Completion::OpBudgetExhausted);
         let settled = |r: &SsspResult| r.dist.iter().filter(|&&d| d != INF).count();
-        assert!(settled(&partial) < settled(&full));
-        // Distances inside the settled bucket are final, not tentative.
-        for v in g.vertices() {
-            let d = partial.dist[v as usize];
-            if d < 0.7 {
-                assert!((d - full.dist[v as usize]).abs() < 1e-12, "vertex {v}");
+        for mut ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+            // Trips at the first boundary with nonzero spend: bucket 0
+            // settles, everything later is cut.
+            ctx.budget = Budget::ops(1);
+            let partial = sssp_with(&g, 0, 0.7, &ctx);
+            assert_eq!(partial.completion, Completion::OpBudgetExhausted);
+            assert!(settled(&partial) < settled(&full));
+            // Distances inside the settled bucket are final, not tentative.
+            for v in g.vertices() {
+                let d = partial.dist[v as usize];
+                if d < 0.7 {
+                    assert!((d - full.dist[v as usize]).abs() < 1e-12, "vertex {v}");
+                }
             }
         }
-        // Parallel engine stops at the same boundary with the same
-        // settled-bucket distances.
-        let par = delta_stepping_parallel_budgeted(&g, 0, 0.7, &Budget::ops(1));
-        assert_eq!(par.completion, Completion::OpBudgetExhausted);
-        for v in g.vertices() {
-            let d = par.dist[v as usize];
-            if d < 0.7 {
-                assert!((d - full.dist[v as usize]).abs() < 1e-12, "vertex {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn budget_stops_dijkstra_deterministically() {
-        let g = weighted_random(13, 9);
-        let full = dijkstra(&g, 0);
-        let partial = dijkstra_budgeted(&g, 0, &Budget::ops(1));
-        assert_eq!(partial.completion, Completion::OpBudgetExhausted);
-        let settled = |r: &SsspResult| r.dist.iter().filter(|&&d| d != INF).count();
-        assert!(
-            settled(&partial) < settled(&full),
-            "budget must cut coverage"
-        );
-        let again = dijkstra_budgeted(&g, 0, &Budget::ops(1));
-        assert_eq!(partial.dist, again.dist);
     }
 
     #[test]
@@ -651,14 +485,6 @@ mod tests {
         let comp = delta_stepping(&c, 0, 0.7);
         assert_eq!(plain.dist, comp.dist);
         assert_eq!(plain.parent, comp.parent);
-        let pp = delta_stepping_parallel(&g, 0, 0.7);
-        let cp = delta_stepping_parallel(&c, 0, 0.7);
-        assert_eq!(pp.dist, cp.dist);
-        assert_eq!(pp.parent, cp.parent);
-        // Engines agree with each other, too (exact: same relaxation
-        // sequence up to gather/commit batching).
-        assert_eq!(plain.dist, pp.dist);
-        assert_eq!(plain.parent, pp.parent);
         // The compressed run books fewer adjacency bytes for the same
         // op count.
         let (pc, cc) = (KernelCtx::serial(), KernelCtx::serial());

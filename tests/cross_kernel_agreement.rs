@@ -4,7 +4,9 @@
 //! story about the same graph.
 
 use graph_analytics::graph::{gen, CompressedCsr, CsrBuilder, CsrGraph};
-use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx, UNREACHED};
+use graph_analytics::kernels::{
+    bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx, INF, UNREACHED,
+};
 use graph_analytics::linalg::algos;
 use graph_analytics::stream::tri_inc::IncrementalTriangles;
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream};
@@ -160,11 +162,12 @@ fn components_match_reachability_closure() {
 // ---------------------------------------------------------------------
 // Serial vs parallel engine agreement: the same kernel dispatched
 // through `KernelCtx::serial()` and `KernelCtx::parallel()` must return
-// identical answers. BFS depths, CC labels, triangle counts (global and
-// per vertex), Jaccard pairs, and SSSP distances are exact by
-// construction; PageRank is bit-identical too
-// (only the order-insensitive per-vertex pull sweep is parallelized)
-// but is checked to the issue's 1e-9 contract.
+// identical answers. BFS depths, triangle counts (global and per
+// vertex) and Jaccard pairs are exact by construction; PageRank is
+// bit-identical too (only the order-insensitive per-vertex pull sweep
+// is parallelized) but is checked to a 1e-9 contract. CC and SSSP run
+// one engine under every context, so they are checked against their
+// references (union-find, Dijkstra) and across representations.
 // ---------------------------------------------------------------------
 
 /// Run every parallelizable kernel both ways on `g` and assert
@@ -182,11 +185,17 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
     assert_eq!(cs.label, cp.label, "{tag}: CC labels differ");
     assert_eq!(cs.count, cp.count, "{tag}: CC counts differ");
 
-    // The Afforest/Shiloach-Vishkin variant must agree label-for-label
-    // with the union-find dispatch on the same (symmetric) graph.
-    let ca = cc::wcc_afforest(g);
-    assert_eq!(cs.label, ca.label, "{tag}: Afforest CC labels differ");
-    assert_eq!(cs.count, ca.count, "{tag}: Afforest CC counts differ");
+    // The one engine (Afforest, the giant-component skip on) must agree
+    // label-for-label with the plain union-find reference.
+    let ca = cc::wcc_union_find(g);
+    assert_eq!(
+        cs.label, ca.label,
+        "{tag}: CC labels differ from union-find"
+    );
+    assert_eq!(
+        cs.count, ca.count,
+        "{tag}: CC counts differ from union-find"
+    );
 
     assert_eq!(
         triangles::count_global_with(g, &s),
@@ -236,9 +245,14 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
     let wedges = gen::with_random_weights(&edge_list(g), 0.1, 3.0, 11);
     let wg = CsrGraph::from_weighted_edges(g.num_vertices(), &wedges);
     let ds = sssp::sssp_with(&wg, 0, 0.5, &s);
-    let dp = sssp::sssp_with(&wg, 0, 0.5, &p);
-    assert_eq!(ds.dist, dp.dist, "{tag}: SSSP distances differ");
-    assert_eq!(ds.parent, dp.parent, "{tag}: SSSP parents differ");
+    let dj = sssp::dijkstra(&wg, 0);
+    for v in g.vertices() {
+        let (a, b) = (ds.dist[v as usize], dj.dist[v as usize]);
+        assert!(
+            (a - b).abs() < 1e-3 || (a == INF && b == INF),
+            "{tag}: SSSP differs from Dijkstra at {v}: {a} vs {b}"
+        );
+    }
 
     // Compressed-adjacency legs: every kernel must return the same
     // bits on the delta-varint representation, under both engines.
@@ -270,25 +284,13 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
             );
         }
     }
-    assert_eq!(
-        cc::wcc_afforest(&c).label,
-        ca.label,
-        "{tag}: compressed Afforest differs"
-    );
 
-    // Compressed weighted SSSP, both engines.
-    let cw = CompressedCsr::from_csr(&wg);
-    let dcs = sssp::sssp_with(&cw, 0, 0.5, &s);
-    let dcp = sssp::sssp_with(&cw, 0, 0.5, &p);
-    assert_eq!(ds.dist, dcs.dist, "{tag}: compressed serial SSSP differs");
+    // Compressed weighted SSSP: the same distances and parents.
+    let dc = sssp::sssp_with(&CompressedCsr::from_csr(&wg), 0, 0.5, &s);
+    assert_eq!(ds.dist, dc.dist, "{tag}: compressed SSSP differs");
     assert_eq!(
-        ds.parent, dcs.parent,
-        "{tag}: compressed serial SSSP parents differ"
-    );
-    assert_eq!(ds.dist, dcp.dist, "{tag}: compressed parallel SSSP differs");
-    assert_eq!(
-        ds.parent, dcp.parent,
-        "{tag}: compressed parallel SSSP parents differ"
+        ds.parent, dc.parent,
+        "{tag}: compressed SSSP parents differ"
     );
 }
 

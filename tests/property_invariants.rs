@@ -1,8 +1,8 @@
 //! Workspace-level property-based tests (proptest) over the core data
 //! structures and kernels — the invariants DESIGN.md §6 lists.
 
-use graph_analytics::graph::{io, CsrBuilder, CsrGraph, DynamicGraph};
-use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, triangles, UnionFind};
+use graph_analytics::graph::{io, CompressedCsr, CsrBuilder, CsrGraph, DynamicGraph};
+use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, triangles, KernelCtx, UnionFind};
 use graph_analytics::linalg::ops::{ewise_mul, spgemm, spmv};
 use graph_analytics::linalg::semiring::{OrAnd, PlusTimes};
 use graph_analytics::linalg::{CooMatrix, CsrMatrix};
@@ -121,11 +121,16 @@ proptest! {
     }
 
     #[test]
-    fn wcc_engines_agree((n, edges) in edge_list()) {
-        let g = CsrGraph::from_edges_undirected(n, &edges);
-        let a = cc::wcc_union_find(&g);
-        let b = cc::wcc_label_prop(&g);
-        prop_assert_eq!(a.label, b.label);
+    fn wcc_engines_agree(((n, edges), reverse) in (edge_list(), 0u32..2)) {
+        // Arbitrary directed edges: weak components ignore direction
+        // whether or not a reverse index lets the engine skip.
+        let g = CsrBuilder::new(n).edges(edges).reverse(reverse == 1).build();
+        let c = CompressedCsr::from_csr(&g);
+        let want = cc::wcc_union_find(&g);
+        for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+            prop_assert_eq!(&cc::wcc_with(&g, &ctx), &want);
+            prop_assert_eq!(&cc::wcc_with(&c, &ctx), &want);
+        }
     }
 
     #[test]

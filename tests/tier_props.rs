@@ -148,6 +148,12 @@ proptest! {
                 prop_assert_eq!(got_in, g.in_neighbors(v).to_vec(), "in row {}", v);
             }
         }
+        // The WCC engine reads the tier as it reads the CSR, and finds
+        // weak components with or without a reverse index.
+        prop_assert_eq!(
+            cc::wcc_with(&tier, &KernelCtx::serial()),
+            cc::wcc_union_find(&*g)
+        );
         let s = tier.stats();
         prop_assert_eq!(s.lost_rows, 0);
         prop_assert_eq!(s.corrupt_segments, 0);
@@ -202,6 +208,7 @@ fn five_kernels_bit_identical_over_tier() {
     let c1 = cc::wcc_union_find(&*g);
     let c2 = cc::wcc_union_find(&tier);
     assert_eq!(c1.label, c2.label, "components diverge");
+    assert_eq!(c1, cc::wcc_with(&tier, &KernelCtx::serial()));
 
     let t1 = triangles::count_global(&*g);
     let t2 = triangles::count_global(&tier);
