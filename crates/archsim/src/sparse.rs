@@ -46,13 +46,13 @@ pub struct SpgemmWork {
 /// Count the work of C = A·B without materializing C (plus an exact
 /// nnz(C) pass, which is cheap at these scales).
 pub fn spgemm_work<T: Copy>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> SpgemmWork {
-    assert_eq!(a.ncols, b.nrows);
+    assert_eq!(a.dim(), b.dim());
     let mut macs = 0u64;
     let mut fetched = 0u64;
     let mut row_fetches = 0u64;
     let mut out = 0u64;
-    let mut marker = vec![u32::MAX; b.ncols];
-    for r in 0..a.nrows {
+    let mut marker = vec![u32::MAX; b.dim()];
+    for r in 0..a.dim() {
         let mut row_nnz = 0u64;
         for &k in a.row_indices(r) {
             let bl = b.row_indices(k as usize).len() as u64;
@@ -256,19 +256,22 @@ mod tests {
     use super::*;
     use ga_linalg::ops::spgemm;
     use ga_linalg::semiring::PlusTimes;
-    use ga_linalg::CooMatrix;
+
+    use ga_graph::CsrBuilder;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix<f64> {
+    /// `nnz_per_row` uniform columns per row; repeated columns sum.
+    pub(super) fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix<f64> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut coo = CooMatrix::new(n, n);
+        let mut edges = Vec::with_capacity(n * nnz_per_row);
         for r in 0..n as u32 {
             for _ in 0..nnz_per_row {
-                coo.push(r, rng.gen_range(0..n) as u32, 1.0);
+                edges.push((r, rng.gen_range(0..n) as u32));
             }
         }
-        coo.to_csr(|a, b| a + b)
+        let g = CsrBuilder::new(n).edges(edges).build();
+        CsrMatrix::from_graph(&g, |_, _, _| 1.0, |x, y| x + y)
     }
 
     #[test]
@@ -350,35 +353,25 @@ mod tests {
 /// Element traffic of one SpMV `y = A·x` (the other workhorse the §V-A
 /// machine accelerates: PageRank, BFS-as-SpMV, Bellman–Ford all reduce
 /// to it).
-pub fn spmv_work<T: Copy>(a: &ga_linalg::CsrMatrix<T>) -> SpgemmWork {
+pub fn spmv_work<T: Copy>(a: &CsrMatrix<T>) -> SpgemmWork {
     let nnz = a.nnz() as u64;
     SpgemmWork {
         macs: nnz,
         // Stream A's elements plus one x gather per element.
         elements_in: 2 * nnz,
-        elements_out: a.nrows as u64,
+        elements_out: a.dim() as u64,
         row_fetches: nnz,
     }
 }
 
 #[cfg(test)]
 mod spmv_tests {
+    use super::tests::random_sparse;
     use super::*;
-    use ga_linalg::CooMatrix;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn spmv_pipeline_advantage_mirrors_spgemm() {
-        let n = 1 << 15;
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut coo = CooMatrix::new(n, n);
-        for r in 0..n as u32 {
-            for _ in 0..8 {
-                coo.push(r, rng.gen_range(0..n) as u32, 1.0);
-            }
-        }
-        let a = coo.to_csr(|x, y| x + y);
+        let a = random_sparse(1 << 15, 8, 5);
         let w = spmv_work(&a);
         assert_eq!(w.macs, a.nnz() as u64);
         let mut cold = CacheNode::xt4();

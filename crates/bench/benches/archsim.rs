@@ -4,10 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ga_archsim::emu::{gups, pointer_chase, EmuConfig, ExecModel};
 use ga_archsim::sparse::{simulate_pipeline, spgemm_work, PipelineNode};
+use ga_bench::random_sparse;
 use ga_core::model::{all_configs, evaluate, nora_steps};
-use ga_linalg::CooMatrix;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 
 fn bench_emu_sim(c: &mut Criterion) {
@@ -30,15 +28,7 @@ fn bench_emu_sim(c: &mut Criterion) {
 }
 
 fn bench_sparse_sim(c: &mut Criterion) {
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let n = 4096;
-    let mut coo = CooMatrix::new(n, n);
-    for r in 0..n as u32 {
-        for _ in 0..8 {
-            coo.push(r, rng.gen_range(0..n) as u32, 1.0);
-        }
-    }
-    let a = coo.to_csr(|x, y| x + y);
+    let a = random_sparse(4096, 8, 1);
     let node = PipelineNode::fpga_prototype();
     c.bench_function("sparse_spgemm_work_4k", |b| {
         b.iter(|| {

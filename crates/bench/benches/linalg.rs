@@ -2,25 +2,12 @@
 //! and the matrix-language kernels vs their direct counterparts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ga_bench::random_sparse;
 use ga_graph::{gen, CsrGraph};
 use ga_linalg::algos;
 use ga_linalg::ops::{spgemm, spmv};
 use ga_linalg::semiring::PlusTimes;
-use ga_linalg::{CooMatrix, CsrMatrix};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-
-fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix<f64> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut coo = CooMatrix::new(n, n);
-    for r in 0..n as u32 {
-        for _ in 0..nnz_per_row {
-            coo.push(r, rng.gen_range(0..n) as u32, 1.0);
-        }
-    }
-    coo.to_csr(|a, b| a + b)
-}
 
 fn bench_spmv(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv");

@@ -16,21 +16,7 @@ use ga_archsim::sparse::{
     simulate_cache, simulate_pipeline, simulate_pipeline_multinode, spgemm_work, CacheNode,
     PipelineNode,
 };
-use ga_bench::{eng, header};
-use ga_linalg::CooMatrix;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> ga_linalg::CsrMatrix<f64> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut coo = CooMatrix::new(n, n);
-    for r in 0..n as u32 {
-        for _ in 0..nnz_per_row {
-            coo.push(r, rng.gen_range(0..n) as u32, 1.0);
-        }
-    }
-    coo.to_csr(|a, b| a + b)
-}
+use ga_bench::{eng, header, random_sparse};
 
 fn main() {
     header("Fig. 4 / §V-A — sparse pipeline processor vs cache node (SpGEMM)");

@@ -58,6 +58,22 @@ pub fn global_sort_freeze(g: &ga_graph::DynamicGraph) -> ga_graph::CsrGraph {
         .build()
 }
 
+/// The random square operand of the Fig. 4 sweeps and the sparse
+/// benches: `nnz_per_row` uniform columns per row (ChaCha8, `seed`),
+/// every entry 1.0, repeated columns summed.
+pub fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> ga_linalg::CsrMatrix<f64> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut edges = Vec::with_capacity(n * nnz_per_row);
+    for r in 0..n as u32 {
+        for _ in 0..nnz_per_row {
+            edges.push((r, rng.gen_range(0..n) as u32));
+        }
+    }
+    let g = ga_graph::CsrBuilder::new(n).edges(edges).build();
+    ga_linalg::CsrMatrix::from_graph(&g, |_, _, _| 1.0, |a, b| a + b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

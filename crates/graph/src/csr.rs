@@ -16,7 +16,7 @@ use rayon::prelude::*;
 /// Construction sorts and (optionally) deduplicates edges; neighbor
 /// slices are therefore sorted, which the intersection-based kernels
 /// (triangles, Jaccard) rely on.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
@@ -25,7 +25,7 @@ pub struct CsrGraph {
     rev: Option<Box<ReverseIndex>>,
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct ReverseIndex {
     offsets: Vec<u64>,
     sources: Vec<VertexId>,
@@ -210,8 +210,10 @@ impl CsrGraph {
         }
     }
 
-    /// Raw offsets array (`num_vertices + 1` entries). Exposed for the
-    /// linear-algebra crate, which shares this layout.
+    /// Raw offsets array (`num_vertices + 1` entries): row `v` is
+    /// `raw_targets()[offsets[v]..offsets[v + 1]]`. A `ga-linalg`
+    /// matrix is an unweighted graph plus a value array indexed the same
+    /// way.
     #[inline]
     pub fn raw_offsets(&self) -> &[u64] {
         &self.offsets
@@ -228,6 +230,27 @@ impl CsrGraph {
     #[inline]
     pub fn raw_weights(&self) -> Option<&[Weight]> {
         self.weights.as_deref()
+    }
+
+    /// Assemble an unweighted graph from CSR arrays whose rows are
+    /// already sorted — the constructor for code that emits rows in
+    /// order itself (the sparse-matrix products of `ga-linalg`).
+    ///
+    /// # Panics
+    /// Panics unless `offsets` is non-empty, starts at 0, never
+    /// decreases and ends at `targets.len()`, and every row is strictly
+    /// increasing with targets below `offsets.len() - 1`.
+    pub fn from_sorted_rows(offsets: Vec<u64>, targets: Vec<VertexId>) -> CsrGraph {
+        let n = offsets.len().checked_sub(1).expect("offsets is empty");
+        assert_eq!(offsets[0], 0, "offsets must start at 0");
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets decrease");
+        assert_eq!(offsets[n], targets.len() as u64, "offsets miss targets");
+        for v in 0..n {
+            let row = &targets[offsets[v] as usize..offsets[v + 1] as usize];
+            let ok = row.windows(2).all(|p| p[0] < p[1]) && row.iter().all(|&t| (t as usize) < n);
+            assert!(ok, "row {v} is unsorted or out of range");
+        }
+        CsrGraph::from_parts(offsets, targets, None)
     }
 
     /// Assemble a graph directly from CSR arrays (no sort, no checks
@@ -555,6 +578,35 @@ mod tests {
         let t = g.transpose();
         assert_eq!(t.edge_weight(1, 0), Some(7.0));
         assert_eq!(t.edge_weight(2, 1), Some(9.0));
+    }
+
+    #[test]
+    fn from_sorted_rows_matches_builder() {
+        let g = diamond();
+        let h = CsrGraph::from_sorted_rows(g.raw_offsets().to_vec(), g.raw_targets().to_vec());
+        assert_eq!(
+            (h.raw_offsets(), h.raw_targets()),
+            (g.raw_offsets(), g.raw_targets())
+        );
+        assert!(!h.is_weighted() && !h.has_reverse());
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 is unsorted or out of range")]
+    fn from_sorted_rows_rejects_repeated_target() {
+        CsrGraph::from_sorted_rows(vec![0, 2, 2], vec![1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 is unsorted or out of range")]
+    fn from_sorted_rows_rejects_target_out_of_range() {
+        CsrGraph::from_sorted_rows(vec![0, 1, 1], vec![2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets decrease")]
+    fn from_sorted_rows_rejects_decreasing_offsets() {
+        CsrGraph::from_sorted_rows(vec![0, 2, 1, 2], vec![0, 1]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`reachability`] — boolean closure by repeated squaring.
 
 use crate::csr::CsrMatrix;
-use crate::ops::{ewise_mul, reduce_all, spgemm, spmspv_push, spmv};
+use crate::ops::{ewise_add, ewise_mul, reduce_all, spgemm, spmspv_push, spmv};
 use crate::semiring::{MinPlus, OrAnd, PlusTimes};
 use ga_graph::{CsrGraph, VertexId};
 
@@ -22,7 +22,7 @@ use ga_graph::{CsrGraph, VertexId};
 pub fn bfs_levels(g: &CsrGraph, src: VertexId) -> Vec<u32> {
     let n = g.num_vertices();
     // "Aᵀ in CSR" == row u lists u's out-neighbors, i.e. the graph itself.
-    let at = CsrMatrix::out_adjacency_from_graph(g).map(|_| true);
+    let at = CsrMatrix::from_graph(g, |_, _, _| true, |x, _| x);
     let mut level = vec![u32::MAX; n];
     let mut visited = vec![false; n];
     level[src as usize] = 0;
@@ -31,8 +31,7 @@ pub fn bfs_levels(g: &CsrGraph, src: VertexId) -> Vec<u32> {
     let mut depth = 0u32;
     while !frontier.is_empty() {
         depth += 1;
-        let next = spmspv_push(OrAnd, &at, &frontier, Some(&visited));
-        frontier = next;
+        frontier = spmspv_push(OrAnd, &at, &frontier, Some(&visited));
         for &(v, _) in &frontier {
             visited[v as usize] = true;
             level[v as usize] = depth;
@@ -46,25 +45,16 @@ pub fn bfs_levels(g: &CsrGraph, src: VertexId) -> Vec<u32> {
 pub fn bellman_ford(g: &CsrGraph, src: VertexId) -> Vec<f64> {
     let n = g.num_vertices();
     // Min-plus semantics: parallel edges combine with ⊕ = min, not +.
-    let mut coo = crate::coo::CooMatrix::new(n, n);
-    for (u, v, w) in g.weighted_edges() {
-        coo.push(v, u, w as f64);
-    }
-    let a = coo.to_csr(f64::min);
+    let a = CsrMatrix::from_graph(&g.transpose(), |_, _, w| w as f64, f64::min);
     let mut d = vec![f64::INFINITY; n];
     d[src as usize] = 0.0;
     for _ in 0..n {
         let relaxed = spmv(MinPlus, &a, &d);
-        let mut changed = false;
-        for v in 0..n {
-            if relaxed[v] < d[v] {
-                d[v] = relaxed[v];
-                changed = true;
-            }
-        }
-        if !changed {
+        let next: Vec<f64> = relaxed.iter().zip(&d).map(|(&r, &x)| r.min(x)).collect();
+        if next == d {
             break;
         }
+        d = next;
     }
     d
 }
@@ -76,14 +66,11 @@ pub fn pagerank(g: &CsrGraph, damping: f64, tol: f64, max_iters: usize) -> Vec<f
         return Vec::new();
     }
     // M[i][j] = 1/outdeg(j) for edge j->i.
-    let mut coo = crate::coo::CooMatrix::new(n, n);
-    for u in g.vertices() {
-        let d = g.degree(u) as f64;
-        for &v in g.neighbors(u) {
-            coo.push(v, u, 1.0 / d);
-        }
-    }
-    let m = coo.to_csr(|a, b| a + b);
+    let m = CsrMatrix::from_graph(
+        &g.transpose(),
+        |_, j, _| 1.0 / g.degree(j) as f64,
+        |a, b| a + b,
+    );
     let dangling: Vec<usize> = (0..n).filter(|&v| g.degree(v as u32) == 0).collect();
     let inv_n = 1.0 / n as f64;
     let mut rank = vec![inv_n; n];
@@ -104,10 +91,9 @@ pub fn pagerank(g: &CsrGraph, damping: f64, tol: f64, max_iters: usize) -> Vec<f
 /// Global triangle count: with `L` the strict lower triangle of the
 /// symmetric boolean adjacency, `count = Σ (L·L) ⊙ L` over plus-times.
 pub fn triangle_count(g: &CsrGraph) -> u64 {
-    let a = CsrMatrix::out_adjacency_from_graph(g).map(|_| 1u64);
-    let l = a.tril();
+    let l = CsrMatrix::from_graph(g, |_, _, _| 1u64, |x, _| x).tril();
     let ll = spgemm(PlusTimes, &l, &l);
-    let masked = ewise_mul(PlusTimes, &ll, &l.map(|_| 1u64));
+    let masked = ewise_mul(PlusTimes, &ll, &l);
     reduce_all(PlusTimes, &masked)
 }
 
@@ -116,9 +102,9 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
 /// only).
 pub fn reachability(g: &CsrGraph) -> CsrMatrix<bool> {
     let n = g.num_vertices();
-    let a = CsrMatrix::out_adjacency_from_graph(g).map(|_| true);
+    let a = CsrMatrix::from_graph(g, |_, _, _| true, |x, _| x);
     let i = CsrMatrix::identity(n, true);
-    let mut r = crate::ops::ewise_add(OrAnd, &a, &i);
+    let mut r = ewise_add(OrAnd, &a, &i);
     loop {
         let r2 = spgemm(OrAnd, &r, &r);
         if r2.nnz() == r.nnz() {

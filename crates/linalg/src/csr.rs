@@ -1,86 +1,113 @@
-//! Compressed-sparse-row matrix — the row-major format Fig. 4 hardwires.
+//! Compressed-sparse-row matrix — the row-major format Fig. 4 hardwires,
+//! stored as a [`CsrGraph`] pattern plus one value per stored edge.
 
-use crate::csc::CscMatrix;
-use ga_graph::CsrGraph;
+use ga_graph::{CsrGraph, VertexId, Weight};
 
-/// CSR matrix over `T`. Rows are sorted by column index; no explicit
-/// zeros are stored (the semiring's `zero()` is implicit).
+/// Square sparse matrix over `T`: row `r` holds the entries
+/// `(c, values[i])` for the out-edges `r -> c` of an unweighted
+/// [`CsrGraph`], `i` being the edge's index in
+/// [`CsrGraph::raw_targets`]. Rows are sorted by column, each
+/// `(row, col)` is stored at most once, and no explicit zeros are stored
+/// by the products (the semiring's `zero()` is implicit).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix<T> {
-    /// Row count.
-    pub nrows: usize,
-    /// Column count.
-    pub ncols: usize,
-    /// `indptr[r]..indptr[r+1]` bounds row r in `indices`/`values`.
-    pub indptr: Vec<u64>,
-    /// Column index per entry (sorted within a row).
-    pub indices: Vec<u32>,
-    /// Value per entry.
-    pub values: Vec<T>,
+    pattern: CsrGraph,
+    pub(crate) values: Vec<T>,
 }
 
 impl<T: Copy> CsrMatrix<T> {
-    /// Assemble from raw arrays (debug-checked invariants).
-    pub fn from_raw(
-        nrows: usize,
-        ncols: usize,
-        indptr: Vec<u64>,
-        indices: Vec<u32>,
-        values: Vec<T>,
+    /// The matrix of a graph: each stored edge `(row, col, w)` becomes
+    /// `value(row, col, w)`, and parallel edges merge with `combine`
+    /// (`+` for counts and sums, `min` for min-plus). Pass `g` for the
+    /// out-orientation `A[src][dst]` and `g.transpose()` for the
+    /// in-orientation `A[dst][src]` of the paper's footnote 3, where
+    /// `A · x` propagates values along edge direction.
+    pub fn from_graph(
+        g: &CsrGraph,
+        value: impl Fn(VertexId, VertexId, Weight) -> T,
+        combine: impl Fn(T, T) -> T,
     ) -> Self {
-        debug_assert_eq!(indptr.len(), nrows + 1);
-        debug_assert_eq!(indices.len(), values.len());
-        debug_assert_eq!(*indptr.last().unwrap_or(&0) as usize, indices.len());
+        Self::build_rows(g.num_vertices(), |r, cols, vals| {
+            let start = cols.len();
+            for (c, w) in g.weighted_neighbors(r as VertexId) {
+                let v = value(r as VertexId, c, w);
+                if cols[start..].last() == Some(&c) {
+                    let last = vals.last_mut().expect("parallel to cols");
+                    *last = combine(*last, v);
+                } else {
+                    cols.push(c);
+                    vals.push(v);
+                }
+            }
+        })
+    }
+
+    /// Build an `n × n` matrix row by row: `row(r, cols, vals)` appends
+    /// row `r`'s entries in increasing column order.
+    pub(crate) fn build_rows(
+        n: usize,
+        mut row: impl FnMut(usize, &mut Vec<VertexId>, &mut Vec<T>),
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for r in 0..n {
+            row(r, &mut cols, &mut vals);
+            offsets.push(cols.len() as u64);
+        }
+        Self::from_parts(offsets, cols, vals)
+    }
+
+    /// Assemble from sorted CSR arrays; the pattern constructor checks
+    /// them.
+    pub(crate) fn from_parts(offsets: Vec<u64>, cols: Vec<VertexId>, values: Vec<T>) -> Self {
+        assert_eq!(cols.len(), values.len());
         CsrMatrix {
-            nrows,
-            ncols,
-            indptr,
-            indices,
+            pattern: CsrGraph::from_sorted_rows(offsets, cols),
             values,
         }
     }
 
-    /// Empty (all-zero) matrix.
-    pub fn zero(nrows: usize, ncols: usize) -> Self {
-        CsrMatrix {
-            nrows,
-            ncols,
-            indptr: vec![0; nrows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
+    /// Diagonal matrix with `one` on the diagonal.
+    pub fn identity(n: usize, one: T) -> Self {
+        Self::from_parts(
+            (0..=n as u64).collect(),
+            (0..n as VertexId).collect(),
+            vec![one; n],
+        )
     }
 
-    /// Identity-like diagonal matrix with `one` on the diagonal.
-    pub fn identity(n: usize, one: T) -> Self {
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            indptr: (0..=n as u64).collect(),
-            indices: (0..n as u32).collect(),
-            values: vec![one; n],
-        }
+    /// The sparsity pattern as a graph: an edge `r -> c` per stored
+    /// entry, so every graph kernel runs on a matrix.
+    pub fn pattern(&self) -> &CsrGraph {
+        &self.pattern
+    }
+
+    /// Row (and column) count.
+    pub fn dim(&self) -> usize {
+        self.pattern.num_vertices()
     }
 
     /// Stored entries.
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        self.values.len()
     }
 
     /// Column indices of row `r`.
     #[inline]
-    pub fn row_indices(&self, r: usize) -> &[u32] {
-        &self.indices[self.indptr[r] as usize..self.indptr[r + 1] as usize]
+    pub fn row_indices(&self, r: usize) -> &[VertexId] {
+        self.pattern.neighbors(r as VertexId)
     }
 
     /// Values of row `r`.
     #[inline]
     pub fn row_values(&self, r: usize) -> &[T] {
-        &self.values[self.indptr[r] as usize..self.indptr[r + 1] as usize]
+        let o = self.pattern.raw_offsets();
+        &self.values[o[r] as usize..o[r + 1] as usize]
     }
 
     /// `(col, val)` pairs of row `r`.
-    pub fn row(&self, r: usize) -> impl Iterator<Item = (u32, T)> + '_ {
+    pub fn row(&self, r: usize) -> impl Iterator<Item = (VertexId, T)> + '_ {
         self.row_indices(r)
             .iter()
             .zip(self.row_values(r))
@@ -88,213 +115,133 @@ impl<T: Copy> CsrMatrix<T> {
     }
 
     /// Entry `(r, c)` if stored.
-    pub fn get(&self, r: usize, c: u32) -> Option<T> {
+    pub fn get(&self, r: usize, c: VertexId) -> Option<T> {
         let idx = self.row_indices(r).binary_search(&c).ok()?;
         Some(self.row_values(r)[idx])
-    }
-
-    /// Transpose (CSR of the transpose = CSC of self, rebuilt as CSR).
-    pub fn transpose(&self) -> CsrMatrix<T> {
-        let mut indptr = vec![0u64; self.ncols + 1];
-        for &c in &self.indices {
-            indptr[c as usize + 1] += 1;
-        }
-        for i in 0..self.ncols {
-            indptr[i + 1] += indptr[i];
-        }
-        let mut cursor = indptr.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = self.values.clone();
-        for r in 0..self.nrows {
-            for (c, v) in self.row(r) {
-                let slot = cursor[c as usize] as usize;
-                indices[slot] = r as u32;
-                values[slot] = v;
-                cursor[c as usize] += 1;
-            }
-        }
-        CsrMatrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
-    /// View as CSC (column-compressed) of the same logical matrix.
-    pub fn to_csc(&self) -> CscMatrix<T> {
-        let t = self.transpose();
-        CscMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr: t.indptr,
-            indices: t.indices,
-            values: t.values,
-        }
     }
 
     /// Apply `f` to every stored value.
     pub fn map<U: Copy>(&self, f: impl Fn(T) -> U) -> CsrMatrix<U> {
         CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
+            pattern: self.pattern.clone(),
             values: self.values.iter().map(|&v| f(v)).collect(),
         }
     }
 
     /// Keep entries where `pred(row, col, val)` holds.
-    pub fn filter(&self, pred: impl Fn(usize, u32, T) -> bool) -> CsrMatrix<T> {
-        let mut indptr = vec![0u64; self.nrows + 1];
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.nrows {
-            for (c, v) in self.row(r) {
-                if pred(r, c, v) {
-                    indices.push(c);
-                    values.push(v);
-                }
+    pub fn filter(&self, pred: impl Fn(usize, VertexId, T) -> bool) -> Self {
+        Self::build_rows(self.dim(), |r, cols, vals| {
+            for (c, v) in self.row(r).filter(|&(c, v)| pred(r, c, v)) {
+                cols.push(c);
+                vals.push(v);
             }
-            indptr[r + 1] = indices.len() as u64;
-        }
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr,
-            indices,
-            values,
-        }
+        })
     }
 
     /// Strict lower-triangular part (the `L` of triangle counting).
-    pub fn tril(&self) -> CsrMatrix<T> {
+    pub fn tril(&self) -> Self {
         self.filter(|r, c, _| (c as usize) < r)
-    }
-
-    /// Strict upper-triangular part.
-    pub fn triu(&self) -> CsrMatrix<T> {
-        self.filter(|r, c, _| (c as usize) > r)
-    }
-
-    /// Reduce each row with ⊕-like `f`, seeded by `init`.
-    pub fn reduce_rows(&self, init: T, f: impl Fn(T, T) -> T) -> Vec<T> {
-        (0..self.nrows)
-            .map(|r| self.row_values(r).iter().fold(init, |acc, &v| f(acc, v)))
-            .collect()
-    }
-}
-
-impl CsrMatrix<f64> {
-    /// Adjacency matrix of a graph: `A[dst][src] = weight`, the
-    /// (i,j)=edge-from-j-to-i convention of the paper's footnote 3, so
-    /// `A · x` propagates values along edge direction.
-    pub fn adjacency_from_graph(g: &CsrGraph) -> CsrMatrix<f64> {
-        let mut coo = crate::coo::CooMatrix::new(g.num_vertices(), g.num_vertices());
-        for (u, v, w) in g.weighted_edges() {
-            coo.push(v, u, w as f64);
-        }
-        coo.to_csr(|a, b| a + b)
-    }
-
-    /// Row-major adjacency `A[src][dst] = weight` (the usual
-    /// out-neighbor orientation; `x · A` propagates along edges).
-    pub fn out_adjacency_from_graph(g: &CsrGraph) -> CsrMatrix<f64> {
-        let mut coo = crate::coo::CooMatrix::new(g.num_vertices(), g.num_vertices());
-        for (u, v, w) in g.weighted_edges() {
-            coo.push(u, v, w as f64);
-        }
-        coo.to_csr(|a, b| a + b)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::coo::CooMatrix;
+    use ga_graph::CsrBuilder;
+
+    /// `n × n` matrix from `(row, col, val)` triplets; repeated
+    /// coordinates sum.
+    pub(crate) fn triplets(n: usize, entries: &[(u32, u32, f32)]) -> CsrMatrix<f64> {
+        let g = CsrBuilder::new(n)
+            .weighted_edges(entries.iter().copied())
+            .build();
+        CsrMatrix::from_graph(&g, |_, _, w| w as f64, |a, b| a + b)
+    }
 
     fn sample() -> CsrMatrix<f64> {
         // [1 0 2]
         // [0 0 3]
         // [4 5 0]
-        let mut m = CooMatrix::new(3, 3);
-        for &(r, c, v) in &[
-            (0, 0, 1.0),
-            (0, 2, 2.0),
-            (1, 2, 3.0),
-            (2, 0, 4.0),
-            (2, 1, 5.0),
-        ] {
-            m.push(r, c, v);
-        }
-        m.to_csr(|a, b| a + b)
+        triplets(
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 2, 2.0),
+                (1, 2, 3.0),
+                (2, 0, 4.0),
+                (2, 1, 5.0),
+            ],
+        )
     }
 
     #[test]
     fn shape_and_access() {
         let m = sample();
-        assert_eq!((m.nrows, m.ncols, m.nnz()), (3, 3, 5));
+        assert_eq!((m.dim(), m.nnz()), (3, 5));
         assert_eq!(m.get(0, 2), Some(2.0));
         assert_eq!(m.get(1, 0), None);
         assert_eq!(m.row_indices(2), &[0, 1]);
+        assert_eq!(m.pattern().neighbors(2), &[0, 1]);
     }
 
     #[test]
-    fn transpose_involution() {
-        let m = sample();
-        let t = m.transpose();
-        assert_eq!(t.get(2, 0), Some(2.0));
-        assert_eq!(t.get(0, 2), Some(4.0));
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn csc_matches_transpose() {
-        let m = sample();
-        let csc = m.to_csc();
-        // Column 2 of m = {0: 2.0, 1: 3.0}.
-        assert_eq!(csc.col_indices(2), &[0, 1]);
-        assert_eq!(csc.col_values(2), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn identity_and_zero() {
+    fn identity() {
         let i: CsrMatrix<f64> = CsrMatrix::identity(3, 1.0);
         assert_eq!(i.nnz(), 3);
         assert_eq!(i.get(1, 1), Some(1.0));
-        let z: CsrMatrix<f64> = CsrMatrix::zero(2, 5);
-        assert_eq!(z.nnz(), 0);
+        assert_eq!(i.get(1, 2), None);
     }
 
     #[test]
-    fn tril_triu_partition_offdiagonal() {
-        let m = sample();
-        let l = m.tril();
-        let u = m.triu();
-        assert_eq!(l.nnz(), 2); // (2,0), (2,1)
-        assert_eq!(u.nnz(), 2); // (0,2), (1,2)
-        assert_eq!(l.nnz() + u.nnz() + 1, m.nnz()); // +1 diagonal (0,0)
+    fn tril_keeps_strict_lower_triangle() {
+        let l = sample().tril();
+        assert_eq!(l.nnz(), 2);
+        assert_eq!((l.get(2, 0), l.get(2, 1)), (Some(4.0), Some(5.0)));
     }
 
     #[test]
-    fn map_and_filter_and_reduce() {
+    fn map_and_filter() {
         let m = sample();
         let doubled = m.map(|v| v * 2.0);
         assert_eq!(doubled.get(2, 1), Some(10.0));
         let big = m.filter(|_, _, v| v >= 3.0);
         assert_eq!(big.nnz(), 3);
-        let sums = m.reduce_rows(0.0, |a, b| a + b);
-        assert_eq!(sums, vec![3.0, 3.0, 9.0]);
+        assert_eq!(big.get(0, 2), None);
     }
 
     #[test]
     fn adjacency_orientations() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let a = CsrMatrix::adjacency_from_graph(&g);
-        assert_eq!(a.get(1, 0), Some(1.0)); // edge 0->1 => A[1][0]
-        let o = CsrMatrix::out_adjacency_from_graph(&g);
-        assert_eq!(o.get(0, 1), Some(1.0));
-        assert_eq!(a.transpose(), o);
+        let out = CsrMatrix::from_graph(&g, |_, _, w| w as f64, |a, b| a + b);
+        assert_eq!(out.get(0, 1), Some(1.0)); // edge 0->1 => A[0][1]
+        let inn = CsrMatrix::from_graph(&g.transpose(), |_, _, w| w as f64, |a, b| a + b);
+        assert_eq!(inn.get(1, 0), Some(1.0)); // edge 0->1 => A[1][0]
+        assert_eq!(inn.get(0, 1), None);
+    }
+
+    #[test]
+    fn build_and_convert() {
+        let m = triplets(3, &[(0, 1, 2.0), (2, 0, 5.0), (0, 1, 3.0)]);
+        assert_eq!(m.nnz(), 2);
+        assert_eq!(m.get(0, 1), Some(5.0));
+        assert_eq!(m.get(2, 0), Some(5.0));
+        assert_eq!(m.get(1, 1), None);
+    }
+
+    #[test]
+    fn empty_matrix() {
+        let m = triplets(2, &[]);
+        assert_eq!((m.dim(), m.nnz()), (2, 0));
+    }
+
+    #[test]
+    fn duplicate_combine_order_independent_for_sum() {
+        let m = triplets(1, &[(0, 0, 1.0), (0, 0, 2.0), (0, 0, 4.0)]);
+        assert_eq!(m.get(0, 0), Some(7.0));
+        let g = CsrBuilder::new(1)
+            .weighted_edges([(0, 0, 3.0), (0, 0, 1.0), (0, 0, 2.0)])
+            .build();
+        let low = CsrMatrix::from_graph(&g, |_, _, w| w as f64, f64::min);
+        assert_eq!(low.get(0, 0), Some(1.0));
     }
 }

@@ -6,33 +6,27 @@
 //! workload generator and the linear-algebra substrate (Kepner–Gilbert
 //! devote a chapter to exactly this construction).
 
-use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::semiring::Semiring;
 
 /// Exact Kronecker product C = A ⊗ B over a semiring's multiply.
 ///
-/// `C[(ra*mb + rb), (ca*nb + cb)] = A[ra,ca] ⊗ B[rb,cb]`.
+/// `C[(ra*nb + rb), (ca*nb + cb)] = A[ra,ca] ⊗ B[rb,cb]`. Row `ra*nb + rb`
+/// walks A's row `ra` and, inside it, B's row `rb`, so columns come out
+/// in increasing order and rows are emitted already sorted.
 pub fn kron<T: Copy, S: Semiring<T>>(s: S, a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> CsrMatrix<T> {
-    let (mb, nb) = (b.nrows, b.ncols);
-    let mut coo = CooMatrix::new(a.nrows * mb, a.ncols * nb);
-    for ra in 0..a.nrows {
-        for (ca, va) in a.row(ra) {
-            for rb in 0..mb {
-                for (cb, vb) in b.row(rb) {
-                    let v = s.mul(va, vb);
-                    if !s.is_zero(v) {
-                        coo.push(
-                            (ra * mb + rb) as u32,
-                            (ca as usize * nb + cb as usize) as u32,
-                            v,
-                        );
-                    }
+    let nb = b.dim();
+    CsrMatrix::build_rows(a.dim() * nb, |r, cols, vals| {
+        for (ca, va) in a.row(r / nb) {
+            for (cb, vb) in b.row(r % nb) {
+                let v = s.mul(va, vb);
+                if !s.is_zero(v) {
+                    cols.push(ca * nb as u32 + cb);
+                    vals.push(v);
                 }
             }
         }
-    }
-    coo.to_csr(|x, _| x)
+    })
 }
 
 /// The k-th Kronecker power `A^{⊗k}` (k >= 1).
@@ -48,23 +42,23 @@ pub fn kron_power<T: Copy, S: Semiring<T>>(s: S, a: &CsrMatrix<T>, k: u32) -> Cs
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::tests::triplets as m;
     use crate::semiring::{OrAnd, PlusTimes};
+    use ga_graph::CsrBuilder;
 
-    fn m(entries: &[(u32, u32, f64)], nr: usize, nc: usize) -> CsrMatrix<f64> {
-        let mut c = CooMatrix::new(nr, nc);
-        for &(r, col, v) in entries {
-            c.push(r, col, v);
-        }
-        c.to_csr(|a, b| a + b)
+    /// The Graph500-style boolean initiator `[1 1; 1 0]`.
+    fn initiator() -> CsrMatrix<bool> {
+        let g = CsrBuilder::new(2).edges([(0, 0), (0, 1), (1, 0)]).build();
+        CsrMatrix::from_graph(&g, |_, _, _| true, |x, _| x)
     }
 
     #[test]
     fn kron_2x2_by_hand() {
         // A = [1 2; 0 3], B = [0 1; 1 0]
-        let a = m(&[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)], 2, 2);
-        let b = m(&[(0, 1, 1.0), (1, 0, 1.0)], 2, 2);
+        let a = m(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
+        let b = m(2, &[(0, 1, 1.0), (1, 0, 1.0)]);
         let c = kron(PlusTimes, &a, &b);
-        assert_eq!((c.nrows, c.ncols), (4, 4));
+        assert_eq!(c.dim(), 4);
         assert_eq!(c.nnz(), 3 * 2);
         // A[0,0]*B = block (0,0): entries (0,1)=1, (1,0)=1
         assert_eq!(c.get(0, 1), Some(1.0));
@@ -79,31 +73,25 @@ mod tests {
 
     #[test]
     fn nnz_multiplies() {
-        let a = m(&[(0, 0, 1.0), (1, 0, 1.0), (1, 1, 1.0)], 2, 2);
-        let b = m(&[(0, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0)], 2, 2);
+        let a = m(2, &[(0, 0, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        let b = m(2, &[(0, 1, 1.0), (1, 0, 1.0), (0, 0, 1.0)]);
         let c = kron(PlusTimes, &a, &b);
         assert_eq!(c.nnz(), a.nnz() * b.nnz());
     }
 
     #[test]
     fn power_grows_exponentially() {
-        // Graph500-style boolean initiator.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, true);
-        coo.push(0, 1, true);
-        coo.push(1, 0, true);
-        let a = coo.to_csr(|x, _| x);
-        let p3 = kron_power(OrAnd, &a, 3);
-        assert_eq!((p3.nrows, p3.ncols), (8, 8));
+        let p3 = kron_power(OrAnd, &initiator(), 3);
+        assert_eq!(p3.dim(), 8);
         assert_eq!(p3.nnz(), 27); // 3^3
     }
 
     #[test]
     fn kron_with_identity_is_block_diagonal() {
-        let a = m(&[(0, 1, 5.0), (1, 0, 7.0)], 2, 2);
+        let a = m(2, &[(0, 1, 5.0), (1, 0, 7.0)]);
         let i = CsrMatrix::identity(3, 1.0);
         let c = kron(PlusTimes, &i, &a);
-        assert_eq!((c.nrows, c.ncols), (6, 6));
+        assert_eq!(c.dim(), 6);
         assert_eq!(c.nnz(), 6);
         // Block k holds A at offset 2k.
         for k in 0..3usize {
@@ -118,12 +106,7 @@ mod tests {
     fn kron_degree_structure_matches_rmat_intuition() {
         // The Kronecker power of a skewed initiator concentrates degree
         // on low-index vertices — the R-MAT skew.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, true);
-        coo.push(0, 1, true);
-        coo.push(1, 0, true);
-        let a = coo.to_csr(|x, _| x);
-        let p = kron_power(OrAnd, &a, 4); // 16x16
+        let p = kron_power(OrAnd, &initiator(), 4); // 16x16
         let deg0 = p.row_indices(0).len();
         let deg_last = p.row_indices(15).len();
         assert!(deg0 > deg_last, "vertex 0 deg {deg0} vs last {deg_last}");

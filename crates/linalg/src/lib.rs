@@ -5,12 +5,14 @@
 //! matrix-language kernels it accelerates ("graphs expressed as boolean
 //! adjacency matrices").
 //!
-//! * [`coo::CooMatrix`], [`csr::CsrMatrix`], [`csc::CscMatrix`] — the
-//!   three classic sparse formats; CSR/CSC are the ones the Fig. 4
-//!   hardware "hardwires".
+//! * [`csr::CsrMatrix`] — the one sparse layout: a square matrix whose
+//!   pattern is a `ga_graph::CsrGraph` (the row layout the Fig. 4
+//!   hardware "hardwires") plus one value per stored edge. Matrices are
+//!   built from graphs with [`CsrMatrix::from_graph`], and any matrix's
+//!   [`pattern`](CsrMatrix::pattern) is a graph every kernel runs on.
 //! * [`semiring`] — the algebraic structures GraphBLAS substitutes for
-//!   (+, ×): plus-times, min-plus (shortest paths), or-and
-//!   (reachability) and friends.
+//!   (+, ×): plus-times, min-plus (shortest paths) and or-and
+//!   (reachability).
 //! * [`ops`] — SpMV, sparse-vector SpMSpV, masked variants, element-wise
 //!   union/intersection, and Gustavson SpGEMM (the exact dataflow the
 //!   Fig. 4 pipeline implements in hardware).
@@ -19,19 +21,17 @@
 //!   as `L·L ⊙ L`, Bellman–Ford as min-plus SpMV. Each is cross-checked
 //!   against the direct implementations in `ga-kernels` by the
 //!   integration tests.
+//! * [`kron`] — exact Kronecker products, whose patterns are graphs
+//!   with closed-form triangle counts, degrees and components.
 
 #![warn(missing_docs)]
 
 pub mod algos;
-pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod kron;
 pub mod ops;
 pub mod semiring;
 
-pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use semiring::Semiring;
 

@@ -21,116 +21,42 @@ pub trait Semiring<T: Copy>: Copy {
     fn is_zero(&self, a: T) -> bool;
 }
 
+/// Implement [`Semiring`] from its (0, ⊕, ⊗) triple; `is_zero` compares
+/// with the zero.
+macro_rules! semiring {
+    ($s:ty, $t:ty, $zero:expr, |$a:ident, $b:ident| $add:expr, $mul:expr) => {
+        impl Semiring<$t> for $s {
+            fn zero(&self) -> $t {
+                $zero
+            }
+            fn add(&self, $a: $t, $b: $t) -> $t {
+                $add
+            }
+            fn mul(&self, $a: $t, $b: $t) -> $t {
+                $mul
+            }
+            fn is_zero(&self, a: $t) -> bool {
+                a == $zero
+            }
+        }
+    };
+}
+
 /// Standard arithmetic (+, ×, 0): path counting, PageRank, SpGEMM.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlusTimes;
-
-impl Semiring<f64> for PlusTimes {
-    fn zero(&self) -> f64 {
-        0.0
-    }
-    fn add(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-    fn mul(&self, a: f64, b: f64) -> f64 {
-        a * b
-    }
-    fn is_zero(&self, a: f64) -> bool {
-        a == 0.0
-    }
-}
-
-impl Semiring<u64> for PlusTimes {
-    fn zero(&self) -> u64 {
-        0
-    }
-    fn add(&self, a: u64, b: u64) -> u64 {
-        a + b
-    }
-    fn mul(&self, a: u64, b: u64) -> u64 {
-        a * b
-    }
-    fn is_zero(&self, a: u64) -> bool {
-        a == 0
-    }
-}
+semiring!(PlusTimes, f64, 0.0, |a, b| a + b, a * b);
+semiring!(PlusTimes, u64, 0, |a, b| a + b, a * b);
 
 /// Tropical (min, +, ∞): shortest paths (Bellman–Ford as SpMV).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MinPlus;
-
-impl Semiring<f64> for MinPlus {
-    fn zero(&self) -> f64 {
-        f64::INFINITY
-    }
-    fn add(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
-    }
-    fn mul(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-    fn is_zero(&self, a: f64) -> bool {
-        a == f64::INFINITY
-    }
-}
-
-/// (max, min, -∞): bottleneck/widest paths.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaxMin;
-
-impl Semiring<f64> for MaxMin {
-    fn zero(&self) -> f64 {
-        f64::NEG_INFINITY
-    }
-    fn add(&self, a: f64, b: f64) -> f64 {
-        a.max(b)
-    }
-    fn mul(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
-    }
-    fn is_zero(&self, a: f64) -> bool {
-        a == f64::NEG_INFINITY
-    }
-}
+semiring!(MinPlus, f64, f64::INFINITY, |a, b| a.min(b), a + b);
 
 /// Boolean (∨, ∧, false): reachability, BFS frontiers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OrAnd;
-
-impl Semiring<bool> for OrAnd {
-    fn zero(&self) -> bool {
-        false
-    }
-    fn add(&self, a: bool, b: bool) -> bool {
-        a || b
-    }
-    fn mul(&self, a: bool, b: bool) -> bool {
-        a && b
-    }
-    fn is_zero(&self, a: bool) -> bool {
-        !a
-    }
-}
-
-/// (min, first, ∞-as-MAX) over u32: BFS parent selection — ⊗ keeps the
-/// row index (carried in the value), ⊕ keeps the smallest parent.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MinFirst;
-
-impl Semiring<u32> for MinFirst {
-    fn zero(&self) -> u32 {
-        u32::MAX
-    }
-    fn add(&self, a: u32, b: u32) -> u32 {
-        a.min(b)
-    }
-    fn mul(&self, a: u32, _b: u32) -> u32 {
-        a
-    }
-    fn is_zero(&self, a: u32) -> bool {
-        a == u32::MAX
-    }
-}
+semiring!(OrAnd, bool, false, |a, b| a || b, a && b);
 
 #[cfg(test)]
 mod tests {
@@ -179,20 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn max_min_axioms() {
-        check_axioms::<f64>(MaxMin, &[f64::NEG_INFINITY, 0.0, 2.0, 9.0]);
-    }
-
-    #[test]
     fn or_and_axioms() {
         check_axioms::<bool>(OrAnd, &[false, true]);
-    }
-
-    #[test]
-    fn min_first_keeps_left() {
-        let s = MinFirst;
-        assert_eq!(s.mul(4, 9), 4);
-        assert_eq!(s.add(4, 2), 2);
-        assert!(s.is_zero(u32::MAX));
     }
 }

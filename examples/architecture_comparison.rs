@@ -16,7 +16,7 @@ use graph_analytics::core::model::{
     all_upgrades, baseline2012, emu3, evaluate, nora_steps, stack_only_3d,
 };
 use graph_analytics::graph::gen;
-use graph_analytics::linalg::CooMatrix;
+use graph_analytics::linalg::CsrMatrix;
 use graph_analytics::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -25,13 +25,14 @@ fn main() {
     // --- the sparse pipeline machine (Fig. 4) -------------------------
     let n = 1 << 17;
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let mut coo = CooMatrix::new(n, n);
+    let mut edges = Vec::with_capacity(n * 8);
     for r in 0..n as u32 {
         for _ in 0..8 {
-            coo.push(r, rng.gen_range(0..n) as u32, 1.0);
+            edges.push((r, rng.gen_range(0..n) as u32));
         }
     }
-    let a = coo.to_csr(|x, y| x + y);
+    let g = CsrBuilder::new(n).edges(edges).build();
+    let a = CsrMatrix::from_graph(&g, |_, _, _| 1.0, |x, y| x + y);
     let w = spgemm_work(&a, &a);
     let pipe = simulate_pipeline(&w, &PipelineNode::fpga_prototype());
     let mut xt4 = CacheNode::xt4();

@@ -11,7 +11,7 @@ use graph_analytics::graph::gen;
 use graph_analytics::linalg::algos;
 use graph_analytics::linalg::kron::kron_power;
 use graph_analytics::linalg::semiring::OrAnd;
-use graph_analytics::linalg::CooMatrix;
+use graph_analytics::linalg::CsrMatrix;
 use graph_analytics::prelude::*;
 
 fn main() {
@@ -69,16 +69,12 @@ fn main() {
     );
 
     // Kronecker powers: the Graph500 generator, exactly.
-    let mut coo = CooMatrix::new(2, 2);
-    coo.push(0, 0, true);
-    coo.push(0, 1, true);
-    coo.push(1, 0, true);
-    let initiator = coo.to_csr(|x, _| x);
+    let init = CsrBuilder::new(2).edges([(0, 0), (0, 1), (1, 0)]).build();
+    let initiator = CsrMatrix::from_graph(&init, |_, _, _| true, |x, _| x);
     let k6 = kron_power(OrAnd, &initiator, 6);
     println!(
-        "Kronecker power 6 of the Graph500 initiator: {}x{}, {} nnz (3^6 = 729)",
-        k6.nrows,
-        k6.ncols,
+        "Kronecker power 6 of the Graph500 initiator: {0}x{0}, {1} nnz (3^6 = 729)",
+        k6.dim(),
         k6.nnz()
     );
 }

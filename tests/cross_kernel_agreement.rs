@@ -101,15 +101,21 @@ fn sssp_unit_weights_match_bfs() {
 #[test]
 fn bellman_ford_matrix_language_matches_dijkstra() {
     let edges = gen::with_random_weights(&gen::erdos_renyi(150, 800, 4), 0.1, 3.0, 5);
-    let g = CsrGraph::from_weighted_edges(150, &edges);
-    let dij = sssp::dijkstra(&g, 0);
-    let bf = algos::bellman_ford(&g, 0);
-    for v in g.vertices() {
-        let (a, b) = (dij.dist[v as usize] as f64, bf[v as usize]);
-        assert!(
-            (a - b).abs() < 1e-3 || (a.is_infinite() && b.is_infinite()),
-            "v={v}: {a} vs {b}"
-        );
+    // The same (u, v) pairs again with fresh weights: parallel edges the
+    // matrix must merge with min, not +.
+    let repeats = gen::with_random_weights(&gen::erdos_renyi(150, 800, 4), 0.1, 3.0, 6);
+    let multi: Vec<_> = edges.iter().chain(&repeats).copied().collect();
+    for edges in [edges, multi] {
+        let g = CsrGraph::from_weighted_edges(150, &edges);
+        let dij = sssp::dijkstra(&g, 0);
+        let bf = algos::bellman_ford(&g, 0);
+        for v in g.vertices() {
+            let (a, b) = (dij.dist[v as usize] as f64, bf[v as usize]);
+            assert!(
+                (a - b).abs() < 1e-3 || (a.is_infinite() && b.is_infinite()),
+                "v={v}: {a} vs {b}"
+            );
+        }
     }
 }
 

@@ -10,9 +10,11 @@ use graph_analytics::core::flow::{
 };
 use graph_analytics::core::model::{baseline2012, evaluate, lightweight, nora_steps_scaled};
 use graph_analytics::core::nora::NoraStats;
+use graph_analytics::graph::{gen, CsrBuilder, CsrGraph};
+use graph_analytics::kernels::{cc, triangles, KernelCtx};
 use graph_analytics::linalg::kron::{kron, kron_power};
 use graph_analytics::linalg::semiring::OrAnd;
-use graph_analytics::linalg::{CooMatrix, CsrMatrix};
+use graph_analytics::linalg::CsrMatrix;
 use graph_analytics::stream::queries::{Query, QueryResponse};
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream};
 use graph_analytics::stream::window::{DegreeTopK, SlidingWindow};
@@ -58,14 +60,10 @@ fn kron_power_degree_distribution_matches_rmat_marginals() {
     // The exact Kronecker power of the Graph500 initiator has total
     // edge count 3^k; the sampled R-MAT stream draws from the same
     // product distribution, so row-0 (the "celebrity") dominates both.
-    let mut coo = CooMatrix::new(2, 2);
-    coo.push(0, 0, true);
-    coo.push(0, 1, true);
-    coo.push(1, 0, true);
-    let init = coo.to_csr(|x, _| x);
-    let p5 = kron_power(OrAnd, &init, 5);
+    let init = CsrBuilder::new(2).edges([(0, 0), (0, 1), (1, 0)]).build();
+    let p5 = kron_power(OrAnd, &boolean(&init), 5);
     assert_eq!(p5.nnz(), 243); // 3^5
-    let max_row = (0..p5.nrows)
+    let max_row = (0..p5.dim())
         .max_by_key(|&r| p5.row_indices(r).len())
         .unwrap();
     assert_eq!(max_row, 0);
@@ -73,8 +71,65 @@ fn kron_power_degree_distribution_matches_rmat_marginals() {
     // kron(A, B) shape laws.
     let i3: CsrMatrix<bool> = CsrMatrix::identity(3, true);
     let k = kron(OrAnd, &p5, &i3);
-    assert_eq!((k.nrows, k.ncols), (96, 96));
+    assert_eq!(k.dim(), 96);
     assert_eq!(k.nnz(), 243 * 3);
+}
+
+/// The boolean matrix of a graph's edges.
+fn boolean(g: &CsrGraph) -> CsrMatrix<bool> {
+    CsrMatrix::from_graph(g, |_, _, _| true, |x, _| x)
+}
+
+#[test]
+fn kronecker_graphs_match_closed_forms() {
+    // A Kronecker product's pattern is itself a graph whose answers
+    // follow from its factors: stored entries multiply, degrees
+    // multiply, a product of k simple symmetric factors has
+    // 6^(k-1) * prod(t_f) triangles (tr((A⊗B)^3) = tr(A^3) tr(B^3), and
+    // tr(A^3) = 6t), and (Weichsel) a product of connected factors is
+    // connected when one factor is non-bipartite, with exactly two
+    // components when both are bipartite.
+    let k4 = boolean(&CsrGraph::from_edges_undirected(4, &gen::complete(4)));
+    let (k4_tri, k4_deg) = (4u64, 3usize);
+
+    let p = kron_power(OrAnd, &k4, 5);
+    let g = p.pattern();
+    assert_eq!(g.num_vertices(), 1024);
+    assert_eq!(g.num_edges(), 12usize.pow(5));
+    assert!(g.num_edges() >= 100_000);
+    assert!(g.vertices().all(|v| g.degree(v) == k4_deg.pow(5)));
+    let closed = 6u64.pow(4) * k4_tri.pow(5);
+    assert_eq!(closed, 1_327_104);
+    for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+        assert_eq!(triangles::count_global_with(g, &ctx), closed);
+        assert_eq!(cc::wcc_with(g, &ctx).count, 1);
+    }
+
+    // Triangle plus a pendant vertex hung off vertex 2.
+    let paw = CsrGraph::from_edges_undirected(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+    let paw_deg = [2, 2, 3, 1];
+    let p = kron(OrAnd, &kron_power(OrAnd, &k4, 4), &boolean(&paw));
+    let g = p.pattern();
+    assert_eq!(g.num_edges(), 12usize.pow(4) * paw.num_edges());
+    for v in g.vertices() {
+        assert_eq!(
+            g.degree(v),
+            k4_deg.pow(4) * paw_deg[v as usize % 4],
+            "v={v}"
+        );
+    }
+    let closed = 6u64.pow(4) * k4_tri.pow(4);
+    assert_eq!(closed, 331_776);
+    for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+        assert_eq!(triangles::count_global_with(g, &ctx), closed);
+        assert_eq!(cc::wcc_with(g, &ctx).count, 1);
+    }
+
+    // Two bipartite factors: the path on three vertices, squared.
+    let p3 = boolean(&CsrGraph::from_edges_undirected(3, &gen::path(3)));
+    let g = kron(OrAnd, &p3, &p3);
+    assert_eq!(g.nnz(), 16);
+    assert_eq!(cc::wcc_with(g.pattern(), &KernelCtx::serial()).count, 2);
 }
 
 #[test]

@@ -10,8 +10,8 @@ use graph_analytics::core::model::{
     all_but_cpu, all_upgrades, baseline2012, cpu_upgrade, disk_upgrade, emu1, emu2, emu3, evaluate,
     lightweight, mem_upgrade, net_upgrade, nora_steps, stack_only_3d, xcaliber, Resource,
 };
-use graph_analytics::graph::{gen, CsrGraph};
-use graph_analytics::linalg::CooMatrix;
+use graph_analytics::graph::{gen, CsrBuilder, CsrGraph};
+use graph_analytics::linalg::CsrMatrix;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -122,13 +122,14 @@ fn sparse_pipeline_order_of_magnitude() {
     // node for a Cray XT4" once the operand spills the cache.
     let n = 1 << 17;
     let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let mut coo = CooMatrix::new(n, n);
+    let mut edges = Vec::with_capacity(n * 8);
     for r in 0..n as u32 {
         for _ in 0..8 {
-            coo.push(r, rng.gen_range(0..n) as u32, 1.0);
+            edges.push((r, rng.gen_range(0..n) as u32));
         }
     }
-    let a = coo.to_csr(|x, y| x + y);
+    let g = CsrBuilder::new(n).edges(edges).build();
+    let a = CsrMatrix::from_graph(&g, |_, _, _| 1.0, |x, y| x + y);
     let w = spgemm_work(&a, &a);
     let mut xt4 = CacheNode::xt4();
     xt4.hit_rate = (2e6 / (a.nnz() as f64 * 8.0)).min(0.95);

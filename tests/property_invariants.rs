@@ -5,8 +5,17 @@ use graph_analytics::graph::{io, CompressedCsr, CsrBuilder, CsrGraph, DynamicGra
 use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, triangles, KernelCtx, UnionFind};
 use graph_analytics::linalg::ops::{ewise_mul, spgemm, spmv};
 use graph_analytics::linalg::semiring::{OrAnd, PlusTimes};
-use graph_analytics::linalg::{CooMatrix, CsrMatrix};
+use graph_analytics::linalg::CsrMatrix;
 use proptest::prelude::*;
+
+/// `n × n` matrix from `(row, col, val)` triplets; repeated coordinates
+/// sum.
+fn triplets(n: usize, entries: &[(u32, u32, u32)]) -> CsrMatrix<f64> {
+    let g = CsrBuilder::new(n)
+        .weighted_edges(entries.iter().map(|&(r, c, v)| (r, c, v as f32)))
+        .build();
+    CsrMatrix::from_graph(&g, |_, _, w| w as f64, |x, y| x + y)
+}
 
 /// Strategy: a random directed edge list over `n <= 40` vertices.
 fn edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -169,11 +178,7 @@ proptest! {
     fn spgemm_distributes_over_identity((n, entries) in (2usize..20).prop_flat_map(|n| {
         (Just(n), prop::collection::vec((0..n as u32, 0..n as u32, 1u32..5), 0..40))
     })) {
-        let mut coo = CooMatrix::new(n, n);
-        for &(r, c, v) in &entries {
-            coo.push(r, c, v as f64);
-        }
-        let a = coo.to_csr(|x, y| x + y);
+        let a = triplets(n, &entries);
         let i = CsrMatrix::identity(n, 1.0);
         prop_assert_eq!(spgemm(PlusTimes, &a, &i), a.clone());
         prop_assert_eq!(spgemm(PlusTimes, &i, &a), a);
@@ -182,7 +187,7 @@ proptest! {
     #[test]
     fn boolean_square_is_two_hop((n, edges) in edge_list()) {
         let g = CsrGraph::from_edges(n, &edges);
-        let a = CsrMatrix::out_adjacency_from_graph(&g).map(|_| true);
+        let a = CsrMatrix::from_graph(&g, |_, _, _| true, |x, _| x);
         let a2 = spgemm(OrAnd, &a, &a);
         // a2[u][w] iff exists v: u->v->w.
         for u in 0..n {
@@ -200,11 +205,7 @@ proptest! {
     fn spmv_linear_in_x((n, entries) in (2usize..16).prop_flat_map(|n| {
         (Just(n), prop::collection::vec((0..n as u32, 0..n as u32, 1u32..4), 0..30))
     })) {
-        let mut coo = CooMatrix::new(n, n);
-        for &(r, c, v) in &entries {
-            coo.push(r, c, v as f64);
-        }
-        let a = coo.to_csr(|x, y| x + y);
+        let a = triplets(n, &entries);
         let x = vec![1.0; n];
         let y1 = spmv(PlusTimes, &a, &x);
         let x2: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
@@ -220,11 +221,8 @@ proptest! {
         (Just(n), e.clone(), e)
     })) {
         let build = |edges: &[(u32, u32)]| {
-            let mut coo = CooMatrix::new(n, n);
-            for &(r, c) in edges {
-                coo.push(r, c, 1.0f64);
-            }
-            coo.to_csr(|x, _| x)
+            let g = CsrBuilder::new(n).edges(edges.iter().copied()).build();
+            CsrMatrix::from_graph(&g, |_, _, _| 1.0f64, |x, _| x)
         };
         let a = build(&e1);
         let b = build(&e2);
