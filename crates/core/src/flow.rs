@@ -1977,15 +1977,24 @@ mod tests {
 
     #[test]
     fn zero_budget_run_counts_deadline_partial() {
-        let mut e = engine_with_ring(20);
-        let idx = e.register_analytic(Box::new(ComponentsAnalytic));
-        e.kernel_ctx.budget = Budget::ops(0);
-        e.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
-        assert_eq!(e.stats().overload.deadline_partials, 1);
-        // An unlimited run does not count one.
-        e.kernel_ctx.budget = Budget::unlimited();
-        e.run_batch(&SelectionCriteria::Explicit(vec![5]), idx);
-        assert_eq!(e.stats().overload.deadline_partials, 1);
+        let analytics: [Box<dyn BatchAnalytic>; 2] = [
+            Box::new(ComponentsAnalytic),
+            Box::new(TriangleAnalytic {
+                alert_transitivity: 1.0,
+            }),
+        ];
+        for analytic in analytics {
+            let name = analytic.name();
+            let mut e = engine_with_ring(20);
+            let idx = e.register_analytic(analytic);
+            e.kernel_ctx.budget = Budget::ops(0);
+            e.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
+            assert_eq!(e.stats().overload.deadline_partials, 1, "{name}");
+            // An unlimited run does not count one.
+            e.kernel_ctx.budget = Budget::unlimited();
+            e.run_batch(&SelectionCriteria::Explicit(vec![5]), idx);
+            assert_eq!(e.stats().overload.deadline_partials, 1, "{name}");
+        }
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! Local coefficient of v = triangles(v) / (deg(v) choose 2); the global
 //! coefficient is the mean of local values, and transitivity is
-//! 3·triangles / wedges. Expects an undirected snapshot.
+//! 3·triangles / wedges. Expects an undirected snapshot; the per-vertex
+//! triangles come from [`count_per_vertex`], on any [`Adjacency`].
 
 use crate::ctx::KernelCtx;
 use crate::triangles::count_per_vertex;
-use ga_graph::CsrGraph;
+use ga_graph::Adjacency;
 
 /// Per-vertex and aggregate clustering numbers.
 #[derive(Clone, Debug)]
@@ -23,8 +24,9 @@ pub struct ClusteringResult {
 
 /// Compute local coefficients, their mean, transitivity and the global
 /// triangle count from one per-vertex triangle pass, whose work is
-/// flushed into `ctx`'s counters.
-pub fn clustering_coefficients(g: &CsrGraph, ctx: &KernelCtx) -> ClusteringResult {
+/// flushed into `ctx`'s counters (cut short by a limited budget, when
+/// every number covers only the triangles found).
+pub fn clustering_coefficients<G: Adjacency>(g: &G, ctx: &KernelCtx) -> ClusteringResult {
     let n = g.num_vertices();
     let tri = count_per_vertex(g, ctx);
     let mut local = vec![0.0; n];
@@ -60,7 +62,7 @@ pub fn clustering_coefficients(g: &CsrGraph, ctx: &KernelCtx) -> ClusteringResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::gen;
+    use ga_graph::{gen, CsrGraph};
 
     #[test]
     fn triangle_is_fully_clustered() {

@@ -1,10 +1,15 @@
 //! Triangle counting (Fig. 1 row "GTC"; "TL" is survey-only).
 //!
 //! The Graph Challenge kernels. All functions expect an **undirected**
-//! (symmetrized, deduplicated, loop-free) snapshot. The workhorse is the
-//! degree-ordered merge-intersection: each triangle {a,b,c} is counted
-//! exactly once at its lowest-ranked vertex, so global count needs no
-//! division and parallelizes cleanly.
+//! (symmetrized, deduplicated, loop-free) snapshot. One walk serves
+//! both entry points. Edges are oriented from lower to higher
+//! (degree, id) rank into one flat CSR, so each triangle {a,b,c} is
+//! found exactly once, from its lowest-ranked corner: the global count
+//! needs no division and parallelizes cleanly. For a source `u` the
+//! walk stamps `u`'s oriented row into a dense marker array, then probes
+//! the marker once per entry of each oriented neighbor's row — one
+//! predictable load per wedge entry instead of a sorted-list merge (the
+//! dense per-chunk accumulator of [`crate::jaccard`]).
 
 use crate::ctx::KernelCtx;
 use ga_graph::{Adjacency, CsrGraph, VertexId};
@@ -42,138 +47,127 @@ fn rank_order<G: Adjacency>(g: &G) -> Vec<u32> {
     rank
 }
 
-/// Build the rank-oriented forward adjacency (sorted by rank then id).
-fn oriented<G: Adjacency>(g: &G, rank: &[u32]) -> Vec<Vec<VertexId>> {
-    let n = g.num_vertices();
-    let mut fwd: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for u in 0..n as VertexId {
-        for v in g.neighbors(u) {
-            if rank[v as usize] > rank[u as usize] {
-                fwd[u as usize].push(v);
-            }
-        }
-    }
-    for row in &mut fwd {
-        row.sort_unstable();
-    }
-    fwd
+/// The rank-oriented graph as one flat CSR (`offsets`, `targets`): row
+/// `u` holds `u`'s neighbors of higher rank, still sorted by id. A
+/// count pass sizes the rows and a fill pass writes them, both over
+/// source vertices in parallel when `parallel`.
+fn oriented<G: Adjacency>(g: &G, parallel: bool) -> (Vec<usize>, Vec<VertexId>) {
+    let rank = &rank_order(g);
+    let n = g.num_vertices() as VertexId;
+    let up = |u: VertexId| {
+        g.neighbors(u)
+            .filter(move |&v| rank[v as usize] > rank[u as usize])
+    };
+    let counts: Vec<usize> = if parallel {
+        (0..n).into_par_iter().map(|u| up(u).count()).collect()
+    } else {
+        (0..n).map(|u| up(u).count()).collect()
+    };
+    let mut offsets = vec![0];
+    offsets.extend(counts.iter().scan(0, |end, &c| {
+        *end += c;
+        Some(*end)
+    }));
+    let targets = if parallel {
+        (0..n).into_par_iter().flat_map_iter(up).collect()
+    } else {
+        (0..n).flat_map(up).collect()
+    };
+    (offsets, targets)
 }
 
-/// Global triangle count via rank-ordered intersection (parallel).
+/// The oriented-triangle walk behind both entry points: `triangle(found,
+/// u, v, w)` runs once per triangle, at its lowest-ranked corner `u`.
+/// Serial or parallel over source vertices per the context's
+/// [`crate::Parallelism`]; each pool chunk keeps one `found`, combined
+/// by `merge`, and one marker array, reused from source to source
+/// (source `u` stamps `u + 1`, so none is ever cleared). A limited
+/// budget forces the serial engine: it is consulted every 256 sources,
+/// and a partial result is only meaningful with a deterministic vertex
+/// order. `cpu_ops` counts the stamps set plus the probes made.
+fn walk<G: Adjacency, A: Send>(
+    g: &G,
+    ctx: &KernelCtx,
+    empty: impl Fn() -> A + Sync,
+    triangle: impl Fn(&mut A, usize, VertexId, VertexId) + Sync,
+    merge: impl Fn(A, A) -> A + Sync,
+) -> A {
+    let n = g.num_vertices();
+    let parallel = ctx.parallelism.use_parallel(g.num_edges()) && !ctx.budget.is_limited();
+    let (offsets, targets) = oriented(g, parallel);
+    let row = |u: usize| &targets[offsets[u]..offsets[u + 1]];
+    let visit = |(mut stamp, mut found, mut ops): (Vec<u32>, A, u64), u: usize| {
+        let mark = u as u32 + 1;
+        for &v in row(u) {
+            stamp[v as usize] = mark;
+        }
+        ops += row(u).len() as u64;
+        for &v in row(u) {
+            ops += row(v as usize).len() as u64;
+            for &w in row(v as usize) {
+                if stamp[w as usize] == mark {
+                    triangle(&mut found, u, v, w);
+                }
+            }
+        }
+        (stamp, found, ops)
+    };
+    let (found, ops) = if parallel {
+        (0..n)
+            .into_par_iter()
+            .fold(|| (vec![0; n], empty(), 0), visit)
+            .map(|(_, found, ops)| (found, ops))
+            .reduce(|| (empty(), 0), |(a, x), (b, y)| (merge(a, b), x + y))
+    } else {
+        let mut probe = (vec![0; n], empty(), 0);
+        for u in 0..n {
+            if u % 256 == 0 && ctx.budget.check(probe.2).is_partial() {
+                break;
+            }
+            probe = visit(probe, u);
+        }
+        (probe.1, probe.2)
+    };
+    // Each stamp and each probe touches one 4-byte id and one 4-byte
+    // marker; the count and fill passes each stream every adjacency row
+    // once, charged at the representation's actual byte cost (varint
+    // rows on a compressed graph).
+    let adj_bytes: u64 = (0..n as VertexId).map(|v| g.row_bytes(v)).sum();
+    ctx.counters
+        .flush(ops, 2 * adj_bytes + 8 * ops, g.num_edges() as u64 / 2);
+    found
+}
+
+/// Global triangle count via the oriented walk (parallel).
 pub fn count_global<G: Adjacency>(g: &G) -> u64 {
     count_global_with(g, &KernelCtx::parallel())
 }
 
-/// Instrumented, dispatching global triangle count: serial or parallel
-/// rank-ordered intersection per the context's [`crate::Parallelism`].
-/// The count is an exact integer sum, so both engines return the
-/// identical value.
+/// Instrumented, dispatching global triangle count: the serial or
+/// parallel oriented walk per the context's [`crate::Parallelism`]. The
+/// count is an exact integer sum, so both engines return the identical
+/// value.
 pub fn count_global_with<G: Adjacency>(g: &G, ctx: &KernelCtx) -> u64 {
-    let rank = rank_order(g);
-    let fwd = oriented(g, &rank);
-    // Per oriented wedge (u, v): a merge intersection costing at most
-    // |fwd(u)| + |fwd(v)| comparisons. Tally comparisons alongside the
-    // count so the counters reflect the true (skew-dependent) work.
-    let body = |u: usize| {
-        let fu = &fwd[u];
-        let (mut c, mut ops) = (0u64, 0u64);
-        for &v in fu {
-            let fv = &fwd[v as usize];
-            c += intersect_count(fu, fv) as u64;
-            ops += (fu.len() + fv.len()) as u64;
-        }
-        (c, ops)
-    };
-    let n = g.num_vertices();
-    // A limited budget forces the serial engine: per-vertex early exit
-    // needs a sequential scan, and a partial count is only meaningful
-    // with a deterministic vertex order.
-    let (count, ops) = if ctx.parallelism.use_parallel(g.num_edges()) && !ctx.budget.is_limited() {
-        (0..n)
-            .into_par_iter()
-            .map(body)
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-    } else if ctx.budget.is_limited() {
-        let (mut count, mut ops) = (0u64, 0u64);
-        for u in 0..n {
-            if u % 256 == 0 && ctx.budget.check(ops).is_partial() {
-                break;
-            }
-            let (c, o) = body(u);
-            count += c;
-            ops += o;
-        }
-        (count, ops)
-    } else {
-        (0..n).map(body).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-    };
-    // Each comparison reads one 4-byte id from each side; the
-    // orientation pass streams every adjacency row once, charged at the
-    // representation's actual byte cost (varint rows on a compressed
-    // graph).
-    let adj_bytes: u64 = (0..g.num_vertices() as VertexId)
-        .map(|v| g.row_bytes(v))
-        .sum();
-    ctx.counters
-        .flush(ops, adj_bytes + 8 * ops, g.num_edges() as u64 / 2);
-    count
+    walk(g, ctx, || 0, |c, _, _, _| *c += 1, |a, b| a + b)
 }
 
 /// Per-vertex triangle counts (each triangle increments all three
-/// corners), so `Σ counts = 3 ×` the global count. The same oriented
-/// wedges as [`count_global_with`], serial or parallel over source
-/// vertices per the context's [`crate::Parallelism`], flushed into
-/// `ctx`'s counters with the same comparison tally.
-pub fn count_per_vertex(g: &CsrGraph, ctx: &KernelCtx) -> Vec<u64> {
-    let rank = rank_order(g);
-    let fwd = oriented(g, &rank);
+/// corners), so `Σ counts = 3 ×` the global count: the walk, engine
+/// choice, budget and counters of [`count_global_with`], with a dense
+/// count vector per pool chunk whose integer sums equal the serial pass.
+pub fn count_per_vertex<G: Adjacency>(g: &G, ctx: &KernelCtx) -> Vec<u64> {
     let n = g.num_vertices();
-    let corners = |(mut counts, mut ops): (Vec<u64>, u64), u: usize| {
-        let fu = &fwd[u];
-        for &v in fu {
-            let fv = &fwd[v as usize];
-            ops += (fu.len() + fv.len()) as u64;
-            let (mut i, mut j) = (0, 0);
-            while i < fu.len() && j < fv.len() {
-                match fu[i].cmp(&fv[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        counts[u] += 1;
-                        counts[v as usize] += 1;
-                        counts[fu[i] as usize] += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-        (counts, ops)
-    };
-    let (counts, ops) = if ctx.parallelism.use_parallel(g.num_edges()) {
-        // A triangle found from `u` bumps corners anywhere in the graph,
-        // so each pool chunk counts into a dense vector of its own. The
-        // integer sums, added in chunk order, equal the serial pass.
-        let parts: Vec<(Vec<u64>, u64)> = (0..n)
-            .into_par_iter()
-            .fold(|| (vec![0; n], 0), corners)
-            .collect();
-        parts
-            .into_iter()
-            .reduce(|(mut acc, ops), (part, more)| {
-                for (a, b) in acc.iter_mut().zip(part) {
-                    *a += b;
-                }
-                (acc, ops + more)
-            })
-            .unwrap_or_default()
-    } else {
-        (0..n).fold((vec![0; n], 0), corners)
-    };
-    let adj_bytes: u64 = (0..n as VertexId).map(|v| g.row_bytes(v)).sum();
-    ctx.counters
-        .flush(ops, adj_bytes + 8 * ops, g.num_edges() as u64 / 2);
-    counts
+    walk(
+        g,
+        ctx,
+        || vec![0; n],
+        |c, u, v, w| {
+            c[u] += 1;
+            c[v as usize] += 1;
+            c[w as usize] += 1;
+        },
+        |a, b| a.into_iter().zip(b).map(|(x, y)| x + y).collect(),
+    )
 }
 
 /// Brute-force O(n^3) reference counter for tests.
@@ -275,6 +269,20 @@ mod tests {
         assert!(ctx.budget.hits() >= 1);
         // Unlimited context still gets the exact count.
         assert_eq!(count_global_with(&g, &KernelCtx::serial()), 120);
+    }
+
+    #[test]
+    fn limited_budget_stops_per_vertex_counts_early() {
+        use crate::ctx::Budget;
+        let edges = gen::rmat(10, 16 << 10, gen::RmatParams::GRAPH500, 3);
+        let g = und(1 << 10, &edges);
+        let full = count_per_vertex(&g, &KernelCtx::serial());
+        let mut ctx = KernelCtx::parallel();
+        ctx.budget = Budget::ops(1);
+        let part = count_per_vertex(&g, &ctx);
+        assert!(ctx.budget.hits() >= 1);
+        assert!(part.iter().zip(&full).all(|(p, f)| p <= f));
+        assert!(part.iter().sum::<u64>() < full.iter().sum::<u64>());
     }
 
     #[test]

@@ -210,8 +210,9 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
     );
 
     let (ts, tp) = (KernelCtx::serial(), KernelCtx::parallel());
+    let per_vertex = triangles::count_per_vertex(g, &ts);
     assert_eq!(
-        triangles::count_per_vertex(g, &ts),
+        per_vertex,
         triangles::count_per_vertex(g, &tp),
         "{tag}: per-vertex triangle counts differ"
     );
@@ -278,6 +279,26 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
             triangles::count_global_with(g, &s),
             triangles::count_global_with(&c, ctx),
             "{tag}: compressed {eng} triangle count differs"
+        );
+
+        // Per-vertex counts: the same corners and the same walk, read
+        // from fewer bytes.
+        let tc = KernelCtx::new(ctx.parallelism);
+        assert_eq!(
+            per_vertex,
+            triangles::count_per_vertex(&c, &tc),
+            "{tag}: compressed {eng} per-vertex triangle counts differ"
+        );
+        let (plain, packed) = (ts.snapshot(), tc.snapshot());
+        assert_eq!(
+            plain.cpu_ops, packed.cpu_ops,
+            "{tag}: compressed {eng} per-vertex work differs"
+        );
+        assert!(
+            packed.mem_bytes < plain.mem_bytes,
+            "{tag}: compressed {eng} per-vertex pass books {} bytes, plain {}",
+            packed.mem_bytes,
+            plain.mem_bytes
         );
 
         let rc = pagerank::pagerank_with(&c, 0.85, 1e-10, 200, ctx);

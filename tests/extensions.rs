@@ -86,7 +86,9 @@ fn kronecker_graphs_match_closed_forms() {
     // follow from its factors: stored entries multiply, degrees
     // multiply, a product of k simple symmetric factors has
     // 6^(k-1) * prod(t_f) triangles (tr((A⊗B)^3) = tr(A^3) tr(B^3), and
-    // tr(A^3) = 6t), and (Weichsel) a product of connected factors is
+    // tr(A^3) = 6t) and 2^(k-1) * prod(t_f(i_f)) at vertex (i_1..i_k)
+    // (diag((A⊗B)^3) = diag(A^3) ⊗ diag(B^3), and (A^3)_ii = 2t(i)),
+    // and (Weichsel) a product of connected factors is
     // connected when one factor is non-bipartite, with exactly two
     // components when both are bipartite.
     let k4 = boolean(&CsrGraph::from_edges_undirected(4, &gen::complete(4)));
@@ -100,8 +102,15 @@ fn kronecker_graphs_match_closed_forms() {
     assert!(g.vertices().all(|v| g.degree(v) == k4_deg.pow(5)));
     let closed = 6u64.pow(4) * k4_tri.pow(5);
     assert_eq!(closed, 1_327_104);
+    // Every K4 vertex sits on 3 triangles.
+    let at_vertex = 2u64.pow(4) * 3u64.pow(5);
+    assert_eq!(at_vertex, 3888);
     for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
         assert_eq!(triangles::count_global_with(g, &ctx), closed);
+        assert_eq!(
+            triangles::count_per_vertex(g, &ctx),
+            vec![at_vertex; g.num_vertices()]
+        );
         assert_eq!(cc::wcc_with(g, &ctx).count, 1);
     }
 
@@ -120,8 +129,16 @@ fn kronecker_graphs_match_closed_forms() {
     }
     let closed = 6u64.pow(4) * k4_tri.pow(4);
     assert_eq!(closed, 331_776);
+    // The paw's vertices 0, 1, 2 sit on its one triangle, 3 on none.
+    let paw_tri = [1, 1, 1, 0];
+    let at_vertex: Vec<u64> = g
+        .vertices()
+        .map(|v| 2u64.pow(4) * 3u64.pow(4) * paw_tri[v as usize % 4])
+        .collect();
+    assert_eq!(at_vertex.iter().sum::<u64>(), 3 * closed);
     for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
         assert_eq!(triangles::count_global_with(g, &ctx), closed);
+        assert_eq!(triangles::count_per_vertex(g, &ctx), at_vertex);
         assert_eq!(cc::wcc_with(g, &ctx).count, 1);
     }
 

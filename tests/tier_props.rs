@@ -213,6 +213,13 @@ fn five_kernels_bit_identical_over_tier() {
     let t1 = triangles::count_global(&*g);
     let t2 = triangles::count_global(&tier);
     assert_eq!(t1, t2, "triangle counts diverge");
+    for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+        assert_eq!(
+            triangles::count_per_vertex(&*g, &ctx),
+            triangles::count_per_vertex(&tier, &ctx),
+            "per-vertex triangle counts diverge"
+        );
+    }
 
     let s = tier.stats();
     assert!(s.cache_misses > 0, "budget must actually force paging");
