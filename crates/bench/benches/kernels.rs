@@ -24,8 +24,8 @@ fn bench_bfs(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("top_down", scale), &g, |b, g| {
             b.iter(|| bfs::bfs(black_box(g), 0))
         });
-        group.bench_with_input(BenchmarkId::new("direction_opt", scale), &g, |b, g| {
-            b.iter(|| bfs::bfs_direction_optimizing(black_box(g), 0, 15))
+        group.bench_with_input(BenchmarkId::new("bfs_with", scale), &g, |b, g| {
+            b.iter(|| bfs::bfs_with(black_box(g), 0, &KernelCtx::serial()))
         });
     }
     group.finish();
@@ -102,10 +102,11 @@ fn bench_jaccard(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel engine on the same input, for the kernels that
-/// choose an engine by `Parallelism` (WCC and SSSP run one engine in
-/// both modes). Scale defaults to 18 (Graph500 "toy" class); override
-/// with `GA_BENCH_SCALE` (CI smoke uses 10).
+/// Serial vs parallel on the same input, for the kernels whose work
+/// goes on the pool under `Parallelism` (BFS's bottom-up steps, the
+/// PageRank sweep, triangles; WCC and SSSP run serially in both modes).
+/// Scale defaults to 18 (Graph500 "toy" class); override with
+/// `GA_BENCH_SCALE` (CI smoke uses 10).
 fn bench_serial_vs_parallel(c: &mut Criterion) {
     let scale: u32 = std::env::var("GA_BENCH_SCALE")
         .ok()

@@ -30,6 +30,7 @@
 use ga_bench::header;
 use ga_core::flow::FlowEngine;
 use ga_core::sharded::{RebuildSource, ShardedFlow};
+use ga_kernels::{bfs::bfs_with, KernelCtx};
 use ga_stream::update::{into_batches, rmat_edge_stream, UpdateBatch};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -109,10 +110,11 @@ fn run_point(
     };
     assert_eq!(report.source, want, "rebuild took the wrong source");
 
+    let serial = KernelCtx::serial();
     let exact_after_rebuild = fleet.supervisor().all_healthy()
         && fleet.merged_graph() == *reference.graph()
         && fleet.merged_props() == *reference.props()
-        && fleet.bfs(0).value == ga_kernels::bfs::bfs_depths(&reference.graph().snapshot(), 0);
+        && fleet.bfs(0).value == bfs_with(&reference.graph().snapshot(), 0, &serial).depth;
 
     if let Some(b) = &base {
         std::fs::remove_dir_all(b).ok();

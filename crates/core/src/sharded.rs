@@ -1355,8 +1355,8 @@ impl ShardedFlow {
 
     /// Scatter-gather BFS: level-synchronous frontier exchange. Depths
     /// are integers, so the result is exact for any shard count —
-    /// identical to `bfs_depths` on the merged graph, including under
-    /// replica failover.
+    /// identical to `ga_kernels::bfs::bfs_with`'s depths on the merged
+    /// graph, including under replica failover.
     /// The result carries the fleet-coverage verdict it ran under (see
     /// [`ShardedRun`]).
     pub fn bfs(&mut self, src: VertexId) -> ShardedRun<Vec<u32>> {
@@ -1557,7 +1557,7 @@ impl ShardedQueryRouter {
 mod tests {
     use super::*;
     use ga_graph::CsrBuilder;
-    use ga_kernels::bfs::bfs_depths;
+    use ga_kernels::bfs::bfs_with;
     use ga_kernels::cc::wcc_union_find;
     use ga_kernels::pagerank::pagerank_with;
     use ga_kernels::KernelCtx;
@@ -1597,7 +1597,7 @@ mod tests {
             // BFS depths and components labels are exact integers.
             assert_eq!(
                 flow.bfs(0).value,
-                bfs_depths(&snap, 0),
+                bfs_with(&snap, 0, &KernelCtx::serial()).depth,
                 "{shards}-shard bfs"
             );
             let cc = flow.components().value;

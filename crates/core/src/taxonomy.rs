@@ -106,10 +106,9 @@ pub struct KernelEntry {
     pub impl_path: &'static str,
     /// Implementation variants this workspace carries beyond the row's
     /// canonical `impl_path` — alternate engines and representations
-    /// (e.g. bottom-up BFS, frontier-bitmap traversal, compressed
-    /// adjacency). Variants are *not* Fig. 1 rows: the figure's 22-row
-    /// shape is pinned, and every variant computes the row's kernel
-    /// bit-identically.
+    /// (e.g. bottom-up BFS, compressed adjacency). Variants are *not*
+    /// Fig. 1 rows: the figure's 22-row shape is pinned, and every
+    /// variant computes the row's kernel bit-identically.
     pub variants: &'static [&'static str],
 }
 
@@ -170,10 +169,10 @@ pub fn registry() -> Vec<KernelEntry> {
                 (KeplerGilbert, Batch),
             ],
             outputs: &[ComputeVertexProperty, OutputO1Events],
-            impl_path: "ga_kernels::bfs::bfs_direction_optimizing",
+            impl_path: "ga_kernels::bfs::bfs_with",
             variants: &[
-                "frontier-bitmap (ga_graph::Frontier dual representation)",
-                "bottom-up / direction-optimizing",
+                "bottom-up / direction-optimizing (GAP's switch rule)",
+                "bottom-up steps over 64-vertex blocks, serial or on the pool",
                 "compressed adjacency (delta-varint CSR)",
             ],
         },
@@ -497,7 +496,7 @@ mod tests {
             ga_stream::firehose::UnboundedKeyDetector,
             ga_stream::firehose::TwoLevelDetector,
             ga_kernels::bc::brandes,
-            ga_kernels::bfs::bfs_direction_optimizing,
+            ga_kernels::bfs::bfs_with,
             ga_kernels::topk::top_k_by,
             ga_kernels::cc::wcc_union_find,
             ga_kernels::cluster::clustering_coefficients,
@@ -566,6 +565,6 @@ mod tests {
             .count();
         assert_eq!(kernel_rows, 22, "variants must not become rows");
         assert!(table.contains("variants: compressed adjacency (delta-varint CSR), decoded once"));
-        assert!(table.contains("frontier-bitmap"));
+        assert!(table.contains("64-vertex blocks"));
     }
 }

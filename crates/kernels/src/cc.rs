@@ -10,7 +10,7 @@
 //! reverse index. `label[v]` is the minimum vertex id in v's component,
 //! so independent algorithms compare bit-for-bit.
 
-use crate::ctx::{Budget, KernelCtx};
+use crate::ctx::{prefix_bytes, Budget, KernelCtx};
 use crate::UnionFind;
 use ga_graph::{Adjacency, VertexId};
 
@@ -109,12 +109,7 @@ fn afforest<G: Adjacency>(g: &G, budget: &Budget) -> (Components, Scanned) {
     let n = g.num_vertices();
     let mut uf = UnionFind::new(n);
     let mut s = Scanned::default();
-    // Bytes of `u`'s first `k` out-entries: exact on plain rows, pro rata
-    // on encoded ones.
-    let head_bytes = |u: VertexId, k: usize| match g.degree(u) {
-        0 => 0,
-        d => g.row_bytes(u) * k as u64 / d as u64,
-    };
+    let head_bytes = |u: VertexId, k: usize| prefix_bytes(g.row_bytes(u), g.degree(u), k);
     let linked = in_blocks(n, budget, &mut s, |u, s| {
         let k = g.degree(u).min(NEIGHBOR_ROUNDS);
         for v in g.neighbors(u).take(k) {

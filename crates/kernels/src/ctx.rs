@@ -3,14 +3,14 @@
 //!
 //! Every hot batch kernel has a `*_with(g, ..., &KernelCtx)` entry point
 //! that (a) dispatches between its serial and rayon-parallel engine
-//! according to [`Parallelism`] — WCC and SSSP run one engine for every
-//! mode — and (b) records the work it did in the context's
+//! according to [`Parallelism`] — BFS, WCC and SSSP run one engine for
+//! every mode — and (b) records the work it did in the context's
 //! [`OpCounters`]. The plain entry points (`bfs::bfs`,
 //! `pagerank::pagerank`, ...) remain unchanged for callers that don't
 //! care.
 //!
 //! Serial and parallel engines of the same kernel are interchangeable:
-//! BFS depths and triangle counts are bit-identical, and PageRank ranks
+//! BFS trees and triangle counts are bit-identical, and PageRank ranks
 //! agree to well below 1e-9 (the agreement suite in
 //! `tests/cross_kernel_agreement.rs` enforces this).
 
@@ -53,7 +53,7 @@ impl Completion {
 /// A cooperative time/op budget for batch kernels.
 ///
 /// Budgeted kernels consult [`Budget::check`] at iteration boundaries
-/// (per sweep, per level, every ~1k queue pops) with their running op
+/// (per sweep, per level, per block of vertices) with their running op
 /// estimate — the same estimate they flush into [`OpCounters`] — and
 /// stop early with a typed partial result when either bound is hit.
 /// Exhaustions are tallied so the flow layer can count
@@ -191,6 +191,16 @@ impl KernelCtx {
     /// Drain the counter tally (copy then reset).
     pub fn take(&self) -> OpSnapshot {
         self.counters.take()
+    }
+}
+
+/// Bytes of the first `k` of a row's `len` entries, when the whole row
+/// takes `row_bytes`: exact on plain rows, pro rata on encoded ones. The
+/// kernels that stop a row scan early book what they read with it.
+pub(crate) fn prefix_bytes(row_bytes: u64, len: usize, k: usize) -> u64 {
+    match len {
+        0 => 0,
+        len => row_bytes * k as u64 / len as u64,
     }
 }
 

@@ -185,10 +185,9 @@ impl Accumulator {
                 pairs.push((u, v, j));
             }
         };
-        // Ascending `v` either way. A dense touched set (the
-        // `Frontier::is_dense` rule, over 1/16 of all vertices) is
-        // cheaper to find by scanning the counts above `u` than by
-        // sorting the list.
+        // Ascending `v` either way. A dense touched set (over 1/16 of
+        // all vertices) is cheaper to find by scanning the counts above
+        // `u` than by sorting the list.
         let n = self.counts.len();
         if self.touched.len() * 16 > n {
             for (v, c) in self.counts.iter_mut().enumerate().skip(u as usize + 1) {

@@ -1,5 +1,5 @@
-//! The GAP suite on the parallel engines — chunked frontier scans,
-//! nested joins, per-vertex ranges, from the plain and the compressed
+//! The GAP suite on the parallel engines — bottom-up BFS blocks, nested
+//! joins, per-vertex ranges, from the plain and the compressed
 //! adjacency — runs on the pool's `current_num_threads() - 1` workers
 //! and no other thread. A test binary of its own with this single test,
 //! so nothing else moves the process's thread count.
@@ -33,10 +33,11 @@ fn parallel_kernel_suite_runs_on_the_fixed_pool() {
     let ctx = KernelCtx::parallel();
     for _ in 0..3 {
         for src in [0, 7, 1023] {
-            assert_eq!(
-                bfs::bfs_with(&g, src, &ctx).depth,
-                bfs::bfs_with(&c, src, &ctx).depth
-            );
+            let want = bfs::bfs(&g, src);
+            for r in [bfs::bfs_with(&g, src, &ctx), bfs::bfs_with(&c, src, &ctx)] {
+                assert_eq!(r.depth, want.depth);
+                assert_eq!(r.parent, want.parent);
+            }
             sssp::sssp_auto_with(&g, src, &ctx);
         }
         pagerank::pagerank_with(&g, 0.85, 0.0, 5, &ctx);

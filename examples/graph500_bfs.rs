@@ -42,6 +42,7 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let mut teps: Vec<f64> = Vec::new();
     let mut validated = 0;
+    let ctx = KernelCtx::default();
     for _ in 0..64 {
         // Search keys must touch the connected part (degree > 0).
         let key = loop {
@@ -51,7 +52,7 @@ fn main() {
             }
         };
         let t = Instant::now();
-        let r = bfs::bfs_direction_optimizing(&g, key, 15);
+        let r = bfs::bfs_with(&g, key, &ctx);
         let dt = t.elapsed().as_secs_f64();
         // Traversed edges ≈ edges incident to the reached component.
         let traversed: usize = (0..g.num_vertices() as u32)

@@ -24,7 +24,7 @@ fn main() {
         g.num_edges()
     );
 
-    let b = bfs::bfs_direction_optimizing(&g, 0, 15);
+    let b = bfs::bfs_with(&g, 0, &KernelCtx::default());
     println!("BFS from 0: reached {} vertices", b.reached);
 
     let comps = cc::wcc_union_find(&g);

@@ -168,7 +168,7 @@ fn components_match_reachability_closure() {
 // ---------------------------------------------------------------------
 // Serial vs parallel engine agreement: the same kernel dispatched
 // through `KernelCtx::serial()` and `KernelCtx::parallel()` must return
-// identical answers. BFS depths, triangle counts (global and per
+// identical answers. BFS trees, triangle counts (global and per
 // vertex) and Jaccard pairs are exact by construction; PageRank is
 // bit-identical too (only the order-insensitive per-vertex pull sweep
 // is parallelized) but is checked to a 1e-9 contract. CC and SSSP run
@@ -183,8 +183,7 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
 
     let bs = bfs::bfs_with(g, 0, &s);
     let bp = bfs::bfs_with(g, 0, &p);
-    assert_eq!(bs.depth, bp.depth, "{tag}: BFS depths differ");
-    assert_eq!(bs.reached, bp.reached, "{tag}: BFS reach differs");
+    assert_eq!(bs, bp, "{tag}: BFS trees differ");
 
     let cs = cc::wcc_with(g, &s);
     let cp = cc::wcc_with(g, &p);
@@ -266,7 +265,7 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
     let c = CompressedCsr::from_csr(g);
     for (ctx, eng) in [(&s, "serial"), (&p, "parallel")] {
         let bc = bfs::bfs_with(&c, 0, ctx);
-        assert_eq!(bs.depth, bc.depth, "{tag}: compressed {eng} BFS differs");
+        assert_eq!(bs, bc, "{tag}: compressed {eng} BFS differs");
 
         let cc2 = cc::wcc_with(&c, ctx);
         assert_eq!(cs.label, cc2.label, "{tag}: compressed {eng} CC differs");

@@ -28,7 +28,7 @@ use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_core::sharded::{RebuildSource, ShardHealth, ShardedFlow};
 use ga_graph::tier::TierConfig;
 use ga_graph::CsrBuilder;
-use ga_kernels::bfs::bfs_depths;
+use ga_kernels::bfs::bfs_with;
 use ga_kernels::cc::wcc_union_find;
 use ga_kernels::pagerank::pagerank_with;
 use ga_kernels::{Completion, KernelCtx};
@@ -104,7 +104,7 @@ fn assert_analytics_match(fleet: &mut ShardedFlow, reference: &FlowEngine, ctx: 
     let snap = reference.graph().snapshot();
     assert_eq!(
         fleet.bfs(0).value,
-        bfs_depths(&snap, 0),
+        bfs_with(&snap, 0, &KernelCtx::serial()).depth,
         "bfs depths diverged ({ctx})"
     );
     let cc = fleet.components().value;
@@ -162,7 +162,7 @@ fn run_matrix_point(shards: usize, seed: u64) {
             assert_exact(&fleet, &reference, &format!("dead window, {ctx}"));
             assert_eq!(
                 run.value,
-                bfs_depths(&reference.graph().snapshot(), 0),
+                bfs_with(&reference.graph().snapshot(), 0, &KernelCtx::serial()).depth,
                 "failover bfs diverged ({ctx})"
             );
             let pr = fleet.pagerank(0.85, 1e-10, 50);

@@ -21,7 +21,7 @@
 use ga_core::flow::FlowEngine;
 use ga_core::sharded::{shard_dir, shard_label, RebuildSource, ShardedConfig, ShardedFlow};
 use ga_graph::{CompressedCsr, CsrBuilder};
-use ga_kernels::bfs::bfs_depths;
+use ga_kernels::bfs::bfs_with;
 use ga_kernels::cc::wcc_union_find;
 use ga_kernels::pagerank::pagerank_with;
 use ga_kernels::KernelCtx;
@@ -119,9 +119,9 @@ fn scatter_gather_agrees_with_unsharded_kernels() {
                 );
 
                 let bfs_ref = if compressed {
-                    bfs_depths(&CompressedCsr::from_csr(&snap), 0)
+                    bfs_with(&CompressedCsr::from_csr(&snap), 0, &KernelCtx::serial()).depth
                 } else {
-                    bfs_depths(&snap, 0)
+                    bfs_with(&snap, 0, &KernelCtx::serial()).depth
                 };
                 assert_eq!(
                     flow.bfs(0).value,
