@@ -288,10 +288,10 @@ pub fn registry() -> Vec<KernelEntry> {
                 (GraphAlgorithmPlatform, Batch),
             ],
             outputs: &[ComputeVertexProperty, OutputO1Events],
-            impl_path: "ga_kernels::sssp::delta_stepping",
+            impl_path: "ga_kernels::sssp::sssp_with",
             variants: &[
-                "frontier bucket scans (delta-stepping batches)",
-                "auto-delta (GAP heuristic)",
+                "Jacobi bucket phases, one row read per settle, serial or on the pool",
+                "auto-delta (Meyer–Sanders: heaviest weight × n / m)",
                 "compressed adjacency (delta-varint CSR)",
             ],
         },
@@ -506,7 +506,7 @@ mod tests {
             ga_graph::dynamic::DynamicGraph,
             ga_kernels::jaccard::all_pairs_above,
             ga_kernels::pagerank::pagerank,
-            ga_kernels::sssp::delta_stepping,
+            ga_kernels::sssp::sssp_with,
             ga_stream::correlate::correlate_batch,
         ];
         let mut listed: Vec<String> = registry()

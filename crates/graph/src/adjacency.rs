@@ -65,6 +65,15 @@ pub trait Adjacency: Sync {
         4 * self.in_degree(v) as u64
     }
 
+    /// Heaviest edge weight: 1.0 on an unweighted graph with edges, 0.0
+    /// without edges. The default decodes every row; representations
+    /// that keep their weights in one flat array read that instead.
+    fn max_weight(&self) -> Weight {
+        let rows = 0..self.num_vertices() as VertexId;
+        rows.flat_map(|u| self.weighted_neighbors(u))
+            .fold(0.0, |max, (_, w)| max.max(w))
+    }
+
     /// Total adjacency bytes held (forward + reverse rows).
     #[inline]
     fn adjacency_bytes(&self) -> u64 {
@@ -124,6 +133,20 @@ impl Adjacency for CsrGraph {
     #[inline]
     fn in_neighbors(&self, v: VertexId) -> Self::Neighbors<'_> {
         CsrGraph::in_neighbors(self, v).iter().copied()
+    }
+
+    fn max_weight(&self) -> Weight {
+        flat_max_weight(self.raw_weights(), self.num_edges())
+    }
+}
+
+/// [`Adjacency::max_weight`] over one flat weight array (`None`: unit
+/// weights on `m` edges).
+fn flat_max_weight(weights: Option<&[Weight]>, m: usize) -> Weight {
+    match weights {
+        Some(w) => w.iter().fold(0.0, |max, &w| max.max(w)),
+        None if m > 0 => 1.0,
+        None => 0.0,
     }
 }
 
@@ -217,6 +240,10 @@ impl Adjacency for CompressedCsr {
     #[inline]
     fn adjacency_bytes(&self) -> u64 {
         CompressedCsr::adjacency_bytes(self)
+    }
+
+    fn max_weight(&self) -> Weight {
+        flat_max_weight(self.weights.as_deref(), self.num_edges())
     }
 }
 

@@ -221,7 +221,7 @@ impl ExactSizeIterator for RowDecoder<'_> {}
 #[derive(Clone, Debug, Default)]
 pub struct CompressedCsr {
     fwd: CompressedRows,
-    weights: Option<Vec<Weight>>,
+    pub(crate) weights: Option<Vec<Weight>>,
     rev: Option<Box<CompressedRows>>,
 }
 

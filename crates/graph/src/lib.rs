@@ -40,7 +40,6 @@ pub mod counters;
 pub mod csr;
 pub mod dynamic;
 pub mod faults;
-pub mod frontier;
 pub mod gen;
 pub mod io;
 pub mod par;
@@ -56,7 +55,6 @@ pub use compress::CompressedCsr;
 pub use counters::{OpCounters, OpSnapshot};
 pub use csr::{CsrBuilder, CsrGraph};
 pub use dynamic::{DynamicGraph, EdgeRecord};
-pub use frontier::Frontier;
 pub use par::Parallelism;
 pub use props::{PropValue, PropertyStore};
 pub use snapshot::{SnapshotCache, SnapshotEpoch, SnapshotStats};

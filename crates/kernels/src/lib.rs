@@ -8,7 +8,7 @@
 //! | Fig. 1 row | module |
 //! |---|---|
 //! | BFS: Breadth First Search | [`bfs`] (direction-optimizing; queue BFS as reference) |
-//! | SSSP: Single Source Shortest Path | [`sssp`] (delta-stepping; Dijkstra and Bellman–Ford as references) |
+//! | SSSP: Single Source Shortest Path | [`sssp`] (delta-stepping in Jacobi phases; Dijkstra and Bellman–Ford as references) |
 //! | APSP: All Pairs Shortest Path | survey-only (see `ga_core::taxonomy`) |
 //! | CCW: Weakly Connected Components | [`cc`] (union-find with Afforest sampling; plain union-find as reference) |
 //! | CCS: Strongly Connected Components | survey-only (see `ga_core::taxonomy`) |

@@ -1,7 +1,7 @@
-//! The GAP suite on the parallel engines — bottom-up BFS blocks, nested
-//! joins, per-vertex ranges, from the plain and the compressed
-//! adjacency — runs on the pool's `current_num_threads() - 1` workers
-//! and no other thread. A test binary of its own with this single test,
+//! The GAP suite on the parallel engines — bottom-up BFS blocks, SSSP
+//! bucket phases, nested joins, per-vertex ranges, from the plain and
+//! the compressed adjacency — runs on the pool's
+//! `current_num_threads() - 1` workers and no other thread. A test binary of its own with this single test,
 //! so nothing else moves the process's thread count.
 
 use ga_graph::gen::{self, RmatParams};
@@ -38,7 +38,13 @@ fn parallel_kernel_suite_runs_on_the_fixed_pool() {
                 assert_eq!(r.depth, want.depth);
                 assert_eq!(r.parent, want.parent);
             }
-            sssp::sssp_auto_with(&g, src, &ctx);
+            let want = sssp::dijkstra(&g, src);
+            for r in [
+                sssp::sssp_auto_with(&g, src, &ctx),
+                sssp::sssp_auto_with(&c, src, &ctx),
+            ] {
+                assert_eq!(r, want);
+            }
         }
         pagerank::pagerank_with(&g, 0.85, 0.0, 5, &ctx);
         assert_eq!(cc::wcc_with(&g, &ctx), cc::wcc_with(&c, &ctx));

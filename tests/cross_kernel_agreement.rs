@@ -4,9 +4,7 @@
 //! story about the same graph.
 
 use graph_analytics::graph::{gen, CompressedCsr, CsrBuilder, CsrGraph};
-use graph_analytics::kernels::{
-    bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx, INF, UNREACHED,
-};
+use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx, UNREACHED};
 use graph_analytics::linalg::algos;
 use graph_analytics::stream::tri_inc::IncrementalTriangles;
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream};
@@ -250,15 +248,17 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
     // SSSP on the same topology with deterministic random weights.
     let wedges = gen::with_random_weights(&edge_list(g), 0.1, 3.0, 11);
     let wg = CsrGraph::from_weighted_edges(g.num_vertices(), &wedges);
-    let ds = sssp::sssp_with(&wg, 0, 0.5, &s);
+    // Whole results (parents too) equal Dijkstra's, and both modes read
+    // the same rows.
     let dj = sssp::dijkstra(&wg, 0);
-    for v in g.vertices() {
-        let (a, b) = (ds.dist[v as usize], dj.dist[v as usize]);
-        assert!(
-            (a - b).abs() < 1e-3 || (a == INF && b == INF),
-            "{tag}: SSSP differs from Dijkstra at {v}: {a} vs {b}"
-        );
-    }
+    let (ss, sp) = (KernelCtx::serial(), KernelCtx::parallel());
+    assert_eq!(sssp::sssp_with(&wg, 0, 0.5, &ss), dj, "{tag}: serial SSSP");
+    assert_eq!(
+        sssp::sssp_with(&wg, 0, 0.5, &sp),
+        dj,
+        "{tag}: parallel SSSP"
+    );
+    assert_eq!(ss.snapshot(), sp.snapshot(), "{tag}: SSSP tallies differ");
 
     // Compressed-adjacency legs: every kernel must return the same
     // bits on the delta-varint representation, under both engines.
@@ -311,12 +311,21 @@ fn assert_serial_parallel_agree(g: &CsrGraph, tag: &str) {
         }
     }
 
-    // Compressed weighted SSSP: the same distances and parents.
-    let dc = sssp::sssp_with(&CompressedCsr::from_csr(&wg), 0, 0.5, &s);
-    assert_eq!(ds.dist, dc.dist, "{tag}: compressed SSSP differs");
+    // Compressed weighted SSSP: the same result and work, read from
+    // fewer bytes.
+    let sc = KernelCtx::serial();
+    let dc = sssp::sssp_with(&CompressedCsr::from_csr(&wg), 0, 0.5, &sc);
+    assert_eq!(dc, dj, "{tag}: compressed SSSP differs");
+    let (plain, packed) = (ss.snapshot(), sc.snapshot());
     assert_eq!(
-        ds.parent, dc.parent,
-        "{tag}: compressed SSSP parents differ"
+        plain.cpu_ops, packed.cpu_ops,
+        "{tag}: compressed SSSP work differs"
+    );
+    assert!(
+        packed.mem_bytes < plain.mem_bytes,
+        "{tag}: compressed SSSP books {} bytes, plain {}",
+        packed.mem_bytes,
+        plain.mem_bytes
     );
 }
 
