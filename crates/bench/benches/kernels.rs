@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ga_graph::{gen, CsrBuilder, CsrGraph};
-use ga_kernels::{bc, bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx};
+use ga_kernels::{bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx};
 use std::hint::black_box;
 
 fn rmat_graph(scale: u32, deg: usize) -> CsrGraph {
@@ -80,17 +80,6 @@ fn bench_triangles(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bc(c: &mut Criterion) {
-    let mut group = c.benchmark_group("betweenness");
-    group.sample_size(10);
-    let g = rmat_graph(10, 16);
-    group.bench_function("brandes_exact", |b| b.iter(|| bc::brandes(black_box(&g))));
-    group.bench_function("sampled_64", |b| {
-        b.iter(|| bc::sampled(black_box(&g), 64, 1))
-    });
-    group.finish();
-}
-
 fn bench_jaccard(c: &mut Criterion) {
     let mut group = c.benchmark_group("jaccard");
     let g = rmat_graph(12, 8);
@@ -141,6 +130,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_bc, bench_jaccard, bench_serial_vs_parallel
+    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_jaccard, bench_serial_vs_parallel
 );
 criterion_main!(benches);

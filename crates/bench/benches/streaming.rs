@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ga_stream::engine::StreamEngine;
 use ga_stream::firehose::{FixedKeyDetector, TwoLevelDetector, UnboundedKeyDetector};
-use ga_stream::jaccard_stream::JaccardQueryEngine;
+use ga_stream::jaccard_stream::for_vertex_dynamic;
 use ga_stream::tri_inc::IncrementalTriangles;
 use ga_stream::update::{firehose_stream, into_batches, rmat_edge_stream, two_level_stream};
 use std::hint::black_box;
@@ -59,13 +59,12 @@ fn bench_jaccard_query_latency(c: &mut Criterion) {
         .take(64)
         .collect();
     assert!(!targets.is_empty());
-    let mut q = JaccardQueryEngine::new(0.1);
     let mut i = 0;
     c.bench_function("jaccard_query_rmat16", |b| {
         b.iter(|| {
             let v = targets[i % targets.len()];
             i += 1;
-            black_box(q.query(engine.graph(), v))
+            black_box(for_vertex_dynamic(engine.graph(), v, 0.1))
         })
     });
 }

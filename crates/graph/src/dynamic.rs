@@ -346,13 +346,6 @@ impl DynamicGraph {
         crate::snapshot::freeze(self, crate::par::Parallelism::Auto)
     }
 
-    /// Freeze only edges with `timestamp >= since` — a temporal window
-    /// view for "what changed recently" analytics. Routed through the
-    /// same row-wise freeze as [`Self::snapshot`].
-    pub fn snapshot_since(&self, since: Timestamp) -> CsrGraph {
-        crate::snapshot::freeze_since(self, since, crate::par::Parallelism::Auto)
-    }
-
     /// Apply the edge list of `g` as undirected inserts (helper for tests
     /// and generators).
     pub fn insert_undirected(&mut self, edges: &[Edge], ts: Timestamp) {
@@ -508,16 +501,6 @@ mod tests {
         assert!(s.has_edge(0, 1));
         assert!(!s.has_edge(1, 2));
         assert_eq!(s.edge_weight(2, 3), Some(4.0));
-    }
-
-    #[test]
-    fn snapshot_since_windows() {
-        let mut g = DynamicGraph::new(3);
-        g.insert_edge(0, 1, 1.0, 10);
-        g.insert_edge(1, 2, 1.0, 20);
-        let recent = g.snapshot_since(15);
-        assert_eq!(recent.num_edges(), 1);
-        assert!(recent.has_edge(1, 2));
     }
 
     #[test]

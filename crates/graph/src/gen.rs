@@ -218,32 +218,6 @@ pub fn with_random_weights(edges: &[Edge], lo: Weight, hi: Weight, seed: u64) ->
         .collect()
 }
 
-/// A planted-partition (stochastic block) graph: `communities` groups of
-/// `group_size` vertices; intra-group edge probability `p_in`, inter
-/// `p_out`. Ground truth for community-detection tests is "vertex /
-/// group_size".
-pub fn planted_partition(
-    communities: usize,
-    group_size: usize,
-    p_in: f64,
-    p_out: f64,
-    seed: u64,
-) -> Vec<Edge> {
-    let n = communities * group_size;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut edges = Vec::new();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let same = u / group_size == v / group_size;
-            let p = if same { p_in } else { p_out };
-            if rng.gen::<f64>() < p {
-                edges.push((u as VertexId, v as VertexId));
-            }
-        }
-    }
-    edges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,13 +306,5 @@ mod tests {
         let w = with_random_weights(&edges, 1.0, 5.0, 2);
         assert!(w.iter().all(|&(_, _, x)| (1.0..5.0).contains(&x)));
         assert_eq!(w.len(), edges.len());
-    }
-
-    #[test]
-    fn planted_partition_denser_inside() {
-        let edges = planted_partition(4, 25, 0.5, 0.01, 9);
-        let intra = edges.iter().filter(|&&(u, v)| u / 25 == v / 25).count();
-        let inter = edges.len() - intra;
-        assert!(intra > inter * 2, "intra {intra} vs inter {inter}");
     }
 }

@@ -8,12 +8,12 @@
 //! that dominates the X-Caliber/two-level-memory configurations). This
 //! module makes that copy scale with the *delta* instead of the graph:
 //!
-//! * [`freeze`] / [`freeze_since`] — freeze a [`DynamicGraph`] row by
-//!   row: offsets from a counting pass over per-row live counts, each
-//!   row's neighbors sorted independently (rayon over disjoint row
-//!   ranges behind the [`Parallelism`] knob). No `(u, v, w)` tuple
-//!   vector is materialized and no global `O(E log E)` sort runs; the
-//!   output is bit-identical to the global-sort `CsrBuilder` path.
+//! * [`freeze`] — freeze a [`DynamicGraph`] row by row: offsets from a
+//!   counting pass over per-row live counts, each row's neighbors
+//!   sorted independently (rayon over disjoint row ranges behind the
+//!   [`Parallelism`] knob). No `(u, v, w)` tuple vector is materialized
+//!   and no global `O(E log E)` sort runs; the output is bit-identical
+//!   to the global-sort `CsrBuilder` path.
 //! * [`SnapshotCache`] — serves repeat snapshots by memcpy-ing the
 //!   previous CSR's clean-row slices and rebuilding only rows whose
 //!   [`DynamicGraph::version`] generation moved, with retired snapshot
@@ -27,7 +27,7 @@
 use crate::compress::CompressedCsr;
 use crate::dynamic::EdgeRecord;
 use crate::par::Parallelism;
-use crate::{CsrGraph, DynamicGraph, Timestamp, VertexId, Weight};
+use crate::{CsrGraph, DynamicGraph, VertexId, Weight};
 use std::sync::Arc;
 
 /// Row ranges below this many edges are filled sequentially inside one
@@ -39,27 +39,12 @@ const PAR_LEAF_EDGES: usize = 8_192;
 /// Freeze the live edges of `g` into a weighted [`CsrGraph`] row by
 /// row. Bit-identical to feeding `g.edges()` through `CsrBuilder`.
 pub fn freeze(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
-    freeze_where(g, par, |_| true)
-}
-
-/// Freeze only live edges with `timestamp >= since` — the temporal
-/// window snapshot, on the same row-wise path.
-pub fn freeze_since(g: &DynamicGraph, since: Timestamp, par: Parallelism) -> CsrGraph {
-    freeze_where(g, par, move |r| r.timestamp >= since)
-}
-
-/// Row-wise freeze keeping live records that satisfy `keep`.
-fn freeze_where(
-    g: &DynamicGraph,
-    par: Parallelism,
-    keep: impl Fn(&EdgeRecord) -> bool + Sync,
-) -> CsrGraph {
     let rows = g.raw_rows();
     let n = rows.len();
     let mut offsets = vec![0u64; n + 1];
     let parallel = par.use_parallel(g.num_live_edges());
     count_rows(&mut offsets, parallel, |u| {
-        rows[u].iter().filter(|r| !r.deleted && keep(r)).count() as u64
+        rows[u].iter().filter(|r| !r.deleted).count() as u64
     });
     prefix_sum(&mut offsets);
     let total = offsets[n] as usize;
@@ -73,7 +58,7 @@ fn freeze_where(
         &mut targets,
         &mut weights,
         parallel,
-        &|u, tgt, wts, buf| gather_row(&rows[u], &keep, tgt, wts, buf),
+        &|u, tgt, wts, buf| gather_row(&rows[u], tgt, wts, buf),
     );
     // `CsrBuilder` only marks a graph weighted once it sees an edge;
     // match it bit-for-bit on the edgeless case.
@@ -118,23 +103,18 @@ fn prefix_sum(offsets: &mut [u64]) {
     }
 }
 
-/// Collect row `row`'s kept records into `(tgt, wts)`, sorted by
+/// Collect row `row`'s live records into `(tgt, wts)`, sorted by
 /// destination. `buf` is gather scratch reused across rows of one
 /// sequential leaf. Rows hold at most one record per destination, so a
 /// sort by destination alone is deterministic.
 fn gather_row(
     row: &[EdgeRecord],
-    keep: &(impl Fn(&EdgeRecord) -> bool + Sync),
     tgt: &mut [VertexId],
     wts: &mut [Weight],
     buf: &mut Vec<(VertexId, Weight)>,
 ) {
     buf.clear();
-    buf.extend(
-        row.iter()
-            .filter(|r| !r.deleted && keep(r))
-            .map(|r| (r.dst, r.weight)),
-    );
+    buf.extend(row.iter().filter(|r| !r.deleted).map(|r| (r.dst, r.weight)));
     buf.sort_unstable_by_key(|&(d, _)| d);
     for (i, &(d, w)) in buf.iter().enumerate() {
         tgt[i] = d;
@@ -469,7 +449,6 @@ impl SnapshotCache {
         targets.resize(total, 0);
         weights.resize(total, 0.0);
 
-        let keep = |_: &EdgeRecord| true;
         let poff = pg.raw_offsets();
         let ptgt = pg.raw_targets();
         let pwts = pg.raw_weights().unwrap_or(&[]);
@@ -483,7 +462,7 @@ impl SnapshotCache {
             parallel,
             &|u, tgt, wts, buf| {
                 if dirty[u] {
-                    gather_row(&rows[u], &keep, tgt, wts, buf);
+                    gather_row(&rows[u], tgt, wts, buf);
                 } else {
                     let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
                     tgt.copy_from_slice(&ptgt[s..e]);
@@ -513,22 +492,14 @@ fn written_bytes(csr: &CsrGraph) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gen, CsrBuilder};
+    use crate::{gen, CsrBuilder, Timestamp};
 
-    /// The oracle: materialize every live `(u, v, w)` tuple (at or after
-    /// `since`) and let `CsrBuilder` sort them globally.
-    fn oracle_since(g: &DynamicGraph, since: Timestamp) -> CsrGraph {
-        CsrBuilder::new(g.num_vertices())
-            .weighted_edges(
-                g.edges()
-                    .filter(|&(_, _, _, ts)| ts >= since)
-                    .map(|(u, v, w, _)| (u, v, w)),
-            )
-            .build()
-    }
-
+    /// The oracle: materialize every live `(u, v, w)` tuple and let
+    /// `CsrBuilder` sort them globally.
     fn oracle(g: &DynamicGraph) -> CsrGraph {
-        oracle_since(g, 0)
+        CsrBuilder::new(g.num_vertices())
+            .weighted_edges(g.edges().map(|(u, v, w, _)| (u, v, w)))
+            .build()
     }
 
     /// Assert two CSR graphs are bit-identical (arrays, not semantics).
@@ -566,20 +537,6 @@ mod tests {
             }
         }
         assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
-    }
-
-    #[test]
-    fn since_window_matches_oracle() {
-        let g = rmat_dynamic(8, 4, 11);
-        let mid = g.last_update() / 2;
-        assert_identical(
-            &freeze_since(&g, mid, Parallelism::Serial),
-            &oracle_since(&g, mid),
-        );
-        assert_identical(
-            &freeze_since(&g, mid, Parallelism::Parallel),
-            &oracle_since(&g, mid),
-        );
     }
 
     #[test]

@@ -1284,7 +1284,9 @@ mod tests {
     use crate::gen;
     use std::sync::Mutex as StdMutex;
 
-    // The fault registry is process-global; serialize fault tests.
+    // The fault registry is process-global: every test that spills or
+    // reads segments holds this lock, so a fault armed by one test never
+    // fires in another.
     static LOCK: StdMutex<()> = StdMutex::new(());
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1325,6 +1327,7 @@ mod tests {
 
     #[test]
     fn tiered_rows_match_source_and_respect_budget() {
+        let _g = LOCK.lock().unwrap();
         let snap = sample_graph();
         let cfg = TierConfig::new(tmpdir("rows"))
             .segment_rows(32)
@@ -1344,6 +1347,7 @@ mod tests {
 
     #[test]
     fn scrub_detects_corruption_and_repair_restores() {
+        let _g = LOCK.lock().unwrap();
         let snap = sample_graph();
         let dir = tmpdir("scrub");
         let cfg = TierConfig::new(&dir).segment_rows(64).keep_pin(false);
@@ -1372,6 +1376,7 @@ mod tests {
 
     #[test]
     fn repair_without_source_refuses_and_counts_loss() {
+        let _g = LOCK.lock().unwrap();
         let snap = sample_graph();
         let dir = tmpdir("refuse");
         let cfg = TierConfig::new(&dir).segment_rows(64).keep_pin(false);
@@ -1435,6 +1440,7 @@ mod tests {
 
     #[test]
     fn io_budget_denies_prefetch_but_not_demand() {
+        let _g = LOCK.lock().unwrap();
         let snap = sample_graph();
         let dir = tmpdir("budget");
         // A 1-byte IO window: every prefetch is denied, demand misses

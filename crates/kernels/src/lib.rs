@@ -13,13 +13,13 @@
 //! | CCW: Weakly Connected Components | [`cc`] (union-find with Afforest sampling; plain union-find as reference) |
 //! | CCS: Strongly Connected Components | survey-only (see `ga_core::taxonomy`) |
 //! | PR: PageRank | [`pagerank`] |
-//! | BC: Betweenness Centrality | [`bc`] (Brandes exact + sampled) |
+//! | BC: Betweenness Centrality | survey-only (see `ga_core::taxonomy`) |
 //! | CCO: Clustering Coefficients | [`cluster`] |
 //! | GTC: Global Triangle Counting | [`triangles`] |
 //! | TL: Triangle Listing | survey-only (see `ga_core::taxonomy`) |
 //! | Jaccard | [`jaccard`] |
-//! | CD: Community Detection | [`community`] (label propagation, Louvain) |
-//! | GC: Graph Contraction | [`contract`] |
+//! | CD: Community Detection | survey-only (see `ga_core::taxonomy`) |
+//! | GC: Graph Contraction | survey-only (see `ga_core::taxonomy`) |
 //! | GP: Graph Partitioning | survey-only (see `ga_core::taxonomy`) |
 //! | MIS: Maximally Independent Set | survey-only (see `ga_core::taxonomy`) |
 //! | SI: Subgraph Isomorphism | survey-only (see `ga_core::taxonomy`) |
@@ -34,19 +34,16 @@
 //! are generic over [`ga_graph::Adjacency`], so they run on plain,
 //! compressed and tiered snapshots alike; the rest take a
 //! [`ga_graph::CsrGraph`]. Kernels whose mathematical definition assumes
-//! an undirected graph (triangles, clustering, Jaccard, communities)
-//! expect a symmetrized snapshot (`CsrGraph::from_edges_undirected` or a
+//! an undirected graph (triangles, clustering, Jaccard) expect a
+//! symmetrized snapshot (`CsrGraph::from_edges_undirected` or a
 //! symmetric stream's `DynamicGraph::snapshot`) and say so in their
 //! docs.
 
 #![warn(missing_docs)]
 
-pub mod bc;
 pub mod bfs;
 pub mod cc;
 pub mod cluster;
-pub mod community;
-pub mod contract;
 pub mod ctx;
 pub mod jaccard;
 pub mod pagerank;

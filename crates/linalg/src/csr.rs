@@ -120,14 +120,6 @@ impl<T: Copy> CsrMatrix<T> {
         Some(self.row_values(r)[idx])
     }
 
-    /// Apply `f` to every stored value.
-    pub fn map<U: Copy>(&self, f: impl Fn(T) -> U) -> CsrMatrix<U> {
-        CsrMatrix {
-            pattern: self.pattern.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// Keep entries where `pred(row, col, val)` holds.
     pub fn filter(&self, pred: impl Fn(usize, VertexId, T) -> bool) -> Self {
         Self::build_rows(self.dim(), |r, cols, vals| {
@@ -200,10 +192,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn map_and_filter() {
+    fn filter_keeps_matching_entries() {
         let m = sample();
-        let doubled = m.map(|v| v * 2.0);
-        assert_eq!(doubled.get(2, 1), Some(10.0));
         let big = m.filter(|_, _, v| v >= 3.0);
         assert_eq!(big.nnz(), 3);
         assert_eq!(big.get(0, 2), None);

@@ -31,8 +31,8 @@ pub trait Monitor {
         out: &mut Vec<Event>,
     );
 
-    /// Called at the end of each batch (for batch-granularity monitors
-    /// like warm-start PageRank or top-k trackers). Default: no-op.
+    /// Called at the end of each batch, for monitors that report at
+    /// batch granularity. Default: no-op.
     fn on_batch_end(&mut self, _graph: &DynamicGraph, _time: Timestamp, _out: &mut Vec<Event>) {}
 }
 

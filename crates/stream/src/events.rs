@@ -1,25 +1,13 @@
-//! Typed event outputs.
-//!
-//! Fig. 1's last column group classifies kernel outputs: graph
-//! modification, per-vertex property, global value, **O(1) events**,
-//! **O(|V|) lists**, and **O(|V|^k) lists**. [`Event`] carries that
-//! classification so the flow engine (and tests) can check that a
-//! monitor's output volume matches its declared class.
+//! Typed event outputs: what the monitors, the Firehose detectors and
+//! the flow's overload ladder report. Every payload is O(1); Fig. 1's
+//! output columns (O(1) events, O(|V|) and O(|V|^k) lists) are
+//! annotations of the taxonomy rows (`ga_core::taxonomy::OutputCol`).
 
 use ga_graph::{Timestamp, VertexId};
 
 /// What a streaming monitor observed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EventKind {
-    /// A metric crossed a threshold at a vertex (O(1) payload).
-    Threshold {
-        /// Metric name.
-        metric: &'static str,
-        /// Vertex where the crossing happened.
-        vertex: VertexId,
-        /// The observed value.
-        value: f64,
-    },
     /// A pair metric crossed a threshold (O(1) payload).
     PairThreshold {
         /// Metric name.
@@ -30,27 +18,6 @@ pub enum EventKind {
         b: VertexId,
         /// The observed value.
         value: f64,
-    },
-    /// Two components merged (O(1) payload).
-    ComponentMerge {
-        /// Surviving component label.
-        kept: VertexId,
-        /// Absorbed component label.
-        absorbed: VertexId,
-    },
-    /// A deletion split state is unknown; a recompute was triggered.
-    RecomputeTriggered {
-        /// What was recomputed.
-        what: &'static str,
-    },
-    /// The top-k membership of a metric changed (top-k list payload).
-    TopKChange {
-        /// Metric name.
-        metric: &'static str,
-        /// Vertices that entered the top-k.
-        entered: Vec<VertexId>,
-        /// Vertices that left the top-k.
-        left: Vec<VertexId>,
     },
     /// An anomalous key was detected (O(1) payload).
     Anomaly {
@@ -108,54 +75,4 @@ pub struct Event {
     pub source: &'static str,
     /// Payload.
     pub kind: EventKind,
-}
-
-/// Output-size class from Fig. 1's output columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OutputClass {
-    /// Fixed-size payload per event.
-    O1,
-    /// Payload may grow with |V| (top-k lists etc.).
-    OV,
-    /// Payload may grow superlinearly (pair/triple lists).
-    OVk,
-}
-
-impl EventKind {
-    /// The output-size class of this event kind.
-    pub fn output_class(&self) -> OutputClass {
-        match self {
-            EventKind::Threshold { .. }
-            | EventKind::PairThreshold { .. }
-            | EventKind::ComponentMerge { .. }
-            | EventKind::RecomputeTriggered { .. }
-            | EventKind::Anomaly { .. }
-            | EventKind::GlobalValue { .. }
-            | EventKind::LoadShed { .. }
-            | EventKind::Degraded { .. }
-            | EventKind::CircuitBreaker { .. } => OutputClass::O1,
-            EventKind::TopKChange { .. } => OutputClass::OV,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn output_classes() {
-        let e = EventKind::Threshold {
-            metric: "jaccard",
-            vertex: 3,
-            value: 0.5,
-        };
-        assert_eq!(e.output_class(), OutputClass::O1);
-        let t = EventKind::TopKChange {
-            metric: "bc",
-            entered: vec![1],
-            left: vec![2],
-        };
-        assert_eq!(t.output_class(), OutputClass::OV);
-    }
 }

@@ -10,7 +10,7 @@
 //! **Form 2 (query-driven):** "a sequence of vertices, where for each
 //! provided vertex the kernel should return what other vertices have a
 //! non-zero Jaccard coefficient (perhaps greater than some threshold)" —
-//! [`JaccardQueryEngine`] answers such queries against the live graph;
+//! [`for_vertex_dynamic`] answers one such query against the live graph;
 //! its per-query latency is experiment E7 (the paper projects "10s of
 //! microseconds" on Emu-class hardware).
 
@@ -20,18 +20,6 @@ use crate::update::Update;
 use ga_graph::dynamic::ApplyResult;
 use ga_graph::{DynamicGraph, Timestamp, VertexId};
 use std::collections::{HashMap, HashSet};
-
-/// Jaccard coefficient of two vertices on the live graph.
-pub fn pair_dynamic(g: &DynamicGraph, u: VertexId, v: VertexId) -> f64 {
-    let nu: HashSet<VertexId> = g.neighbor_ids(u).collect();
-    let nv: HashSet<VertexId> = g.neighbor_ids(v).collect();
-    if nu.is_empty() && nv.is_empty() {
-        return 0.0;
-    }
-    let inter = nu.intersection(&nv).count();
-    let union = nu.len() + nv.len() - inter;
-    inter as f64 / union as f64
-}
 
 /// All vertices with Jaccard >= tau against `u` on the live graph,
 /// sorted by descending coefficient (ties by id). The 2-hop candidate
@@ -136,39 +124,12 @@ impl Monitor for JaccardMonitor {
     }
 }
 
-/// Form 2: the independent-query stream engine.
-pub struct JaccardQueryEngine {
-    /// Threshold applied to query answers.
-    pub tau: f64,
-    /// Queries served (instrumentation).
-    pub queries: usize,
-}
-
-impl JaccardQueryEngine {
-    /// Engine answering queries at threshold `tau`.
-    pub fn new(tau: f64) -> Self {
-        JaccardQueryEngine { tau, queries: 0 }
-    }
-
-    /// Answer one query: all vertices with J(u, ·) >= tau right now.
-    pub fn query(&mut self, g: &DynamicGraph, u: VertexId) -> Vec<(VertexId, f64)> {
-        self.queries += 1;
-        for_vertex_dynamic(g, u, self.tau)
-    }
-
-    /// Serve a query stream, returning per-query answer sizes (the
-    /// latency benchmark wraps this).
-    pub fn serve(&mut self, g: &DynamicGraph, queries: &[VertexId]) -> Vec<usize> {
-        queries.iter().map(|&q| self.query(g, q).len()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream, UpdateBatch};
-    use ga_kernels::jaccard;
+    use ga_kernels::{jaccard, KernelCtx};
 
     fn insert(src: VertexId, dst: VertexId) -> Update {
         Update::EdgeInsert {
@@ -178,19 +139,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dynamic_pair_matches_batch() {
-        let mut e = StreamEngine::new(1 << 6);
-        for b in into_batches(rmat_edge_stream(6, 500, 0.1, 2), 100, 0) {
-            e.apply_batch(&b);
+    /// Runs the monitor and, after every update it observes, checks it
+    /// against `all_pairs_above_with` on that update's post-state.
+    struct CheckedAgainstBatch {
+        monitor: JaccardMonitor,
+        /// Every pair the monitor has emitted so far.
+        emitted: HashSet<(VertexId, VertexId)>,
+    }
+
+    impl Monitor for CheckedAgainstBatch {
+        fn name(&self) -> &'static str {
+            self.monitor.name()
         }
-        let snap = e.graph().snapshot();
-        for u in 0..20u32 {
-            for v in 20..40u32 {
-                let a = pair_dynamic(e.graph(), u, v);
-                let b = jaccard::pair(&snap, u, v);
-                assert!((a - b).abs() < 1e-12, "({u},{v}): {a} vs {b}");
+
+        fn on_update(
+            &mut self,
+            g: &DynamicGraph,
+            update: &Update,
+            result: ApplyResult,
+            time: Timestamp,
+            out: &mut Vec<Event>,
+        ) {
+            let first = out.len();
+            self.monitor.on_update(g, update, result, time, out);
+            let tau = self.monitor.tau;
+            let batch: HashMap<(VertexId, VertexId), f64> =
+                jaccard::all_pairs_above_with(&g.snapshot(), tau, &KernelCtx::serial())
+                    .into_iter()
+                    .map(|(a, b, j)| ((a, b), j))
+                    .collect();
+            // Every emitted pair is above tau now, with the batch bits.
+            for ev in &out[first..] {
+                let EventKind::PairThreshold { a, b, value, .. } = ev.kind else {
+                    panic!("unexpected event {ev:?}");
+                };
+                assert_eq!(
+                    batch.get(&(a, b)).map(|j| j.to_bits()),
+                    Some(value.to_bits()),
+                    "emitted ({a},{b}) = {value} after {update:?}"
+                );
+                self.emitted.insert((a, b));
             }
+            // Every pair above tau at an endpoint the update touched and
+            // the cap admits has been emitted, now or earlier.
+            let touched = match *update {
+                Update::EdgeInsert { src, dst, .. } if result == ApplyResult::Inserted => {
+                    [src, dst]
+                }
+                Update::EdgeDelete { src, dst } if result == ApplyResult::Deleted => [src, dst],
+                _ => return,
+            };
+            let cap = self.monitor.degree_cap;
+            for (&(a, b), j) in &batch {
+                let scanned = touched
+                    .iter()
+                    .any(|&x| (x == a || x == b) && g.degree(x) <= cap);
+                assert!(
+                    !scanned || self.emitted.contains(&(a, b)),
+                    "({a},{b}) has J = {j} >= {tau} after {update:?} but was never emitted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn monitor_agrees_with_all_pairs_after_every_update() {
+        // The default cap (no vertex of a scale-6 graph reaches it) and
+        // a cap that skips the R-MAT hubs.
+        for (tau, cap, seed) in [(0.5, 128, 2), (0.3, 6, 7)] {
+            let mut monitor = JaccardMonitor::new(tau);
+            monitor.degree_cap = cap;
+            let mut e = StreamEngine::new(1 << 6);
+            e.register(Box::new(CheckedAgainstBatch {
+                monitor,
+                emitted: HashSet::new(),
+            }));
+            for b in into_batches(rmat_edge_stream(6, 800, 0.2, seed), 50, 0) {
+                e.apply_batch(&b);
+            }
+            assert!(e.stats().edges_deleted > 0, "no delete exercised");
+            assert!(!e.events().is_empty(), "no pair crossed {tau}");
         }
     }
 
@@ -254,20 +282,5 @@ mod tests {
             .events()
             .iter()
             .all(|ev| !matches!(ev.kind, EventKind::PairThreshold { a: 0, b: 1, .. })));
-    }
-
-    #[test]
-    fn query_engine_counts_and_answers() {
-        let mut e = StreamEngine::new(1 << 6);
-        for b in into_batches(rmat_edge_stream(6, 500, 0.0, 8), 100, 0) {
-            e.apply_batch(&b);
-        }
-        let mut q = JaccardQueryEngine::new(0.1);
-        let answers = q.serve(e.graph(), &[0, 1, 2, 3, 4]);
-        assert_eq!(q.queries, 5);
-        assert_eq!(answers.len(), 5);
-        // Answers agree with the direct function.
-        let direct = for_vertex_dynamic(e.graph(), 0, 0.1);
-        assert_eq!(answers[0], direct.len());
     }
 }

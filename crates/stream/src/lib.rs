@@ -16,61 +16,40 @@
 //!
 //! This crate implements that machinery:
 //!
-//! * [`update`] — the update/query stream types and deterministic stream
-//!   generators (R-MAT edge streams, Firehose-style packet streams).
-//! * [`engine`] — [`engine::StreamEngine`]: applies updates to a
-//!   [`ga_graph::DynamicGraph`], drives registered incremental
-//!   [`engine::Monitor`]s, and collects [`events::Event`]s.
-//! * [`events`] — typed events with the O(1) / O(|V|) / top-k output
-//!   categories of Fig. 1's output columns.
-//! * [`cc_inc`] — incremental weakly connected components.
-//! * [`tri_inc`] — incremental global/per-edge triangle counting.
-//! * [`pr_inc`] — warm-start incremental PageRank.
-//! * [`jaccard_stream`] — both streaming Jaccard forms: edge-update
-//!   threshold monitoring and the low-latency per-vertex query engine
-//!   (the "10s of microseconds" workload of §V-B).
-//! * [`epoch`] — epoch-based snapshot handoff: the ingest thread
-//!   publishes frozen CSR + property generations to a
-//!   [`epoch::SnapshotHandle`] that unbounded reader threads load
-//!   wait-free.
-//! * [`queries`] — the unified [`queries::Query`] surface: point reads,
-//!   k-hop, filtered traversal, shortest path, similarity, and top-k,
-//!   each a pure function of one published [`epoch::EpochSnapshot`].
-//! * [`bc_topk`] — top-n betweenness membership tracking (the "does the
-//!   update change the top-n" question of §II).
-//! * [`correlate`] — geo & temporal correlation (the VAST-style last
-//!   row of Fig. 1), batch and streaming forms.
-//! * [`window`] — temporal sliding-window views and the streaming
-//!   "Search for Largest" (top-k degree) tracker.
-//! * [`firehose`] — the three Firehose anomaly detectors: fixed key,
-//!   unbounded key, two-level key.
-//! * [`wal`] — CRC32-framed write-ahead log making the update stream
-//!   durable (torn-tail-tolerant replay for crash recovery).
-//! * [`admission`] — bounded, priority-classed admission queue: the
-//!   overload front door that sheds bulk traffic first and never grows
-//!   past its configured capacity.
-//! * [`sharded`] — hash-partitioned update routing across N shard-local
-//!   engines with ghost (halo) edges, the stream half of the sharded
-//!   scale-out architecture (the flow-level driver lives in `ga-core`).
+//! | module | what it holds | what runs it |
+//! |---|---|---|
+//! | [`update`] | update/query stream types and deterministic generators (R-MAT edge streams, Firehose packet streams) | every front |
+//! | [`engine`] | [`engine::StreamEngine`]: applies updates to a [`ga_graph::DynamicGraph`], drives registered [`engine::Monitor`]s, collects [`events::Event`]s | `ga_core::flow` |
+//! | [`events`] | typed event payloads | every monitor, the flow's overload ladder |
+//! | [`tri_inc`] | [`tri_inc::IncrementalTriangles`]: global and per-vertex triangle counts (streaming GTC) | `fig2_flow` |
+//! | [`jaccard_stream`] | [`jaccard_stream::JaccardMonitor`] (update-driven threshold pairs) and the live-graph per-vertex query timed by E7 (§V-B's "10s of microseconds") | `FlowEngine` triggers, `fig2_flow`, `calibrated_model`, `bench_obs` |
+//! | [`firehose`] | the three Firehose anomaly detectors: fixed key, unbounded key, two-level key | `streaming_firehose` example, Criterion `firehose` group |
+//! | [`epoch`] | epoch-based snapshot handoff: the ingest thread publishes frozen CSR + property generations that reader threads load wait-free | `ga_core::serve` |
+//! | [`queries`] | the unified [`queries::Query`] surface: point reads, k-hop, filtered traversal, shortest path, similarity, top-k, each a pure function of one [`epoch::EpochSnapshot`] | `ga_core::serve` |
+//! | [`wal`] | CRC32-framed write-ahead log with torn-tail-tolerant replay | durable fronts |
+//! | [`admission`] | bounded, priority-classed admission queue that sheds bulk traffic first | `FlowEngine::offer` |
+//! | [`sharded`] | hash-partitioned update routing across shard-local engines with ghost edges (the flow-level driver lives in `ga-core`) | `ga_core::sharded` |
+//!
+//! A monitor stays in this crate only if something runs it and a test
+//! checks it against its batch kernel after every batch of a random
+//! stream with deletes (`triangles` for [`tri_inc`], `jaccard` for
+//! [`jaccard_stream`]). Fig. 1's streaming marks whose incremental form
+//! nothing runs (components, PageRank, betweenness top-n, geo & temporal
+//! correlation) live in the rows of `ga_core::taxonomy`, not in code.
 
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod bc_topk;
-pub mod cc_inc;
-pub mod correlate;
 pub mod engine;
 pub mod epoch;
 pub mod events;
 pub mod firehose;
 pub mod jaccard_stream;
-pub mod pr_inc;
 pub mod queries;
 pub mod sharded;
 pub mod tri_inc;
 pub mod update;
 pub mod wal;
-pub mod window;
 
 pub use admission::{Admissible, AdmissionConfig, AdmissionDecision, AdmissionQueue, Priority};
 pub use engine::{Monitor, StreamEngine};

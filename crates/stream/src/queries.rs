@@ -13,6 +13,7 @@
 
 use crate::epoch::EpochSnapshot;
 use ga_graph::{CsrGraph, PropertyStore, VertexId};
+use ga_kernels::jaccard;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -312,55 +313,42 @@ fn shortest_path(csr: &CsrGraph, src: VertexId, dst: VertexId) -> QueryResponse 
     }
 }
 
-/// 2-hop Jaccard scan over the frozen CSR: all vertices with
-/// J(u, v) ≥ tau, descending coefficient, ties by id. One query costs
-/// O(Σ_{w∈N(u)} deg(w)) — the "10s of microseconds" E5/E7 workload.
+/// [`jaccard::for_vertex`] on the frozen CSR: all vertices with
+/// J(u, v) ≥ tau, descending coefficient, ties by id; a vertex outside
+/// the graph has none. One query costs O(Σ_{w∈N(u)} deg(w)) — the
+/// "10s of microseconds" E5/E7 workload.
 fn similar_vertices(csr: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
-    let n = csr.num_vertices();
-    if (u as usize) >= n {
+    if (u as usize) >= csr.num_vertices() {
         return Vec::new();
     }
-    let nu = csr.neighbors(u);
-    let deg_u = nu.len();
-    let mut shared: std::collections::HashMap<VertexId, usize> = std::collections::HashMap::new();
-    for &w in nu {
-        if (w as usize) >= n {
-            continue;
-        }
-        for &x in csr.neighbors(w) {
-            if x != u {
-                *shared.entry(x).or_default() += 1;
-            }
-        }
-    }
-    let mut out: Vec<(VertexId, f64)> = shared
-        .into_iter()
-        .filter_map(|(v, inter)| {
-            let union = deg_u + csr.degree(v) - inter;
-            let j = inter as f64 / union as f64;
-            (j >= tau && j > 0.0).then_some((v, j))
-        })
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
+    jaccard::for_vertex(csr, u, tau)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::{DynamicGraph, Parallelism, SnapshotCache};
+    use ga_graph::{gen, DynamicGraph, Parallelism, SnapshotCache};
     use std::sync::Arc;
 
     /// The legacy fixture: 6 vertices, 0-1, 0-2, 3 shares both with 0,
     /// plus the "risk" column.
     fn fixture() -> EpochSnapshot {
-        let mut g = DynamicGraph::new(6);
-        for (u, v) in [(0, 1), (0, 2), (3, 1), (3, 2)] {
+        let mut p = PropertyStore::new(6);
+        p.set_column_f64("risk", &[0.1, 0.2, 0.3, 0.95, 0.0, 0.0]);
+        undirected_epoch(6, [(0, 1), (0, 2), (3, 1), (3, 2)], p)
+    }
+
+    /// One epoch of the undirected graph on `n` vertices with `edges`.
+    fn undirected_epoch(
+        n: usize,
+        edges: impl IntoIterator<Item = (VertexId, VertexId)>,
+        p: PropertyStore,
+    ) -> EpochSnapshot {
+        let mut g = DynamicGraph::new(n);
+        for (u, v) in edges {
             g.insert_edge(u, v, 1.0, 1);
             g.insert_edge(v, u, 1.0, 1);
         }
-        let mut p = PropertyStore::new(6);
-        p.set_column_f64("risk", &[0.1, 0.2, 0.3, 0.95, 0.0, 0.0]);
         let mut cache = SnapshotCache::new();
         let (csr, stamp) = cache.snapshot_stamped(&g, Parallelism::Serial);
         EpochSnapshot {
@@ -414,6 +402,30 @@ mod tests {
             .run(&snap),
             QueryResponse::Scored(vec![(3, 1.0)])
         );
+        // On an R-MAT graph it is `jaccard::for_vertex` bit for bit, and
+        // the vertex one past the last answers empty.
+        let n = 1 << 7;
+        let edges = gen::rmat(7, 1 << 10, gen::RmatParams::GRAPH500, 4);
+        let loops_dropped = edges.into_iter().filter(|(u, v)| u != v);
+        let snap = undirected_epoch(n, loops_dropped, PropertyStore::new(n));
+        let bits = |r: &[(VertexId, f64)]| -> Vec<(VertexId, u64)> {
+            r.iter().map(|&(v, j)| (v, j.to_bits())).collect()
+        };
+        for vertex in 0..=n as VertexId {
+            for tau in [0.05, 0.3] {
+                let QueryResponse::Scored(got) =
+                    (Query::SimilarVertices { vertex, tau }).run(&snap)
+                else {
+                    panic!("SimilarVertices must answer Scored");
+                };
+                let want = if (vertex as usize) < n {
+                    jaccard::for_vertex(&snap.csr, vertex, tau)
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(bits(&got), bits(&want), "vertex {vertex}, tau {tau}");
+            }
+        }
     }
 
     #[test]

@@ -129,7 +129,8 @@ mod tests {
     use super::*;
     use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream, UpdateBatch};
-    use ga_kernels::triangles::count_global;
+    use ga_kernels::triangles::{count_global_with, count_per_vertex};
+    use ga_kernels::KernelCtx;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -204,22 +205,23 @@ mod tests {
     }
 
     #[test]
-    fn matches_batch_count_on_rmat_stream() {
+    fn matches_batch_kernels_after_every_batch() {
         let counter = Rc::new(RefCell::new(IncrementalTriangles::new()));
         let mut e = StreamEngine::new(1 << 7);
         e.register(Box::new(Shared(counter.clone())));
-        let stream = rmat_edge_stream(7, 3000, 0.15, 11);
-        for b in into_batches(stream, 64, 0) {
+        let ctx = KernelCtx::serial();
+        for b in into_batches(rmat_edge_stream(7, 3000, 0.15, 11), 64, 0) {
             e.apply_batch(&b);
+            let snap = e.graph().snapshot();
+            let c = counter.borrow();
+            let t = b.time;
+            assert_eq!(c.global(), count_global_with(&snap, &ctx), "batch {t}");
+            for (v, &n) in count_per_vertex(&snap, &ctx).iter().enumerate() {
+                assert_eq!(c.vertex(v as VertexId), n, "vertex {v}, batch {t}");
+            }
         }
-        let snapshot = e.graph().snapshot();
-        let batch_count = count_global(&snapshot);
-        assert_eq!(counter.borrow().global(), batch_count);
-        // Per-vertex totals must also sum to 3x global.
-        let sum: u64 = (0..snapshot.num_vertices() as u32)
-            .map(|v| counter.borrow().vertex(v))
-            .sum();
-        assert_eq!(sum, 3 * batch_count);
+        assert!(e.stats().edges_deleted > 0, "no delete exercised");
+        assert!(counter.borrow().global() > 0, "no triangle formed");
     }
 
     #[test]

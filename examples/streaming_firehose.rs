@@ -7,7 +7,7 @@
 
 use graph_analytics::prelude::*;
 use graph_analytics::stream::firehose::{FixedKeyDetector, TwoLevelDetector, UnboundedKeyDetector};
-use graph_analytics::stream::jaccard_stream::JaccardQueryEngine;
+use graph_analytics::stream::jaccard_stream::for_vertex_dynamic;
 use graph_analytics::stream::tri_inc::IncrementalTriangles;
 use graph_analytics::stream::update::{firehose_stream, two_level_stream};
 use std::time::Instant;
@@ -75,9 +75,11 @@ fn main() {
         .filter(|&v| (8..=64).contains(&g.degree(v)))
         .take(1_000)
         .collect();
-    let mut q = JaccardQueryEngine::new(0.1);
     let t = Instant::now();
-    let answers = q.serve(g, &targets);
+    let answers: Vec<usize> = targets
+        .iter()
+        .map(|&v| for_vertex_dynamic(g, v, 0.1).len())
+        .collect();
     let per_query = t.elapsed() / targets.len() as u32;
     println!(
         "jaccard query stream: {} queries, mean answer size {:.1}, {per_query:?} per query",

@@ -1,7 +1,7 @@
-//! Integration coverage for the extension modules (DESIGN.md §7):
-//! sliding windows, the generic query stream, Kronecker products,
-//! problem-size scaling, and the calibration loop — each exercised
-//! through the public facade, together.
+//! Integration coverage for the extension modules (DESIGN.md §7): the
+//! generic query stream, Kronecker products, problem-size scaling, and
+//! the calibration loop — each exercised through the public facade,
+//! together.
 
 use graph_analytics::core::calibrate::{calibrate, CostCoefficients, MeasuredRun};
 use graph_analytics::core::flow::FlowEngine;
@@ -17,27 +17,6 @@ use graph_analytics::linalg::semiring::OrAnd;
 use graph_analytics::linalg::CsrMatrix;
 use graph_analytics::stream::queries::{Query, QueryResponse};
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream};
-use graph_analytics::stream::window::{DegreeTopK, SlidingWindow};
-use graph_analytics::stream::StreamEngine;
-
-#[test]
-fn window_and_topk_monitors_ride_one_stream() {
-    let mut e = StreamEngine::new(1 << 8);
-    let mut w = SlidingWindow::new(1 << 8, 10);
-    w.degree_alert = 16;
-    e.register(Box::new(w));
-    e.register(Box::new(DegreeTopK::new(3)));
-    for batch in into_batches(rmat_edge_stream(8, 4_000, 0.1, 5), 200, 0) {
-        e.apply_batch(&batch);
-    }
-    // Both monitors produced events on a skewed stream.
-    let sources: std::collections::HashSet<&str> = e.events().iter().map(|ev| ev.source).collect();
-    assert!(sources.contains("window"), "no window events: {sources:?}");
-    assert!(
-        sources.contains("degree_topk"),
-        "no top-k events: {sources:?}"
-    );
-}
 
 #[test]
 fn unified_queries_over_streamed_graph() {

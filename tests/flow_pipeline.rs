@@ -13,8 +13,8 @@ use graph_analytics::core::sharded::ShardedFlow;
 use graph_analytics::graph::{DynamicGraph, ExtractOptions, PropertyStore};
 use graph_analytics::stream::engine::StreamStats;
 use graph_analytics::stream::jaccard_stream::JaccardMonitor;
+use graph_analytics::stream::tri_inc::IncrementalTriangles;
 use graph_analytics::stream::update::{into_batches, rmat_edge_stream, Update, UpdateBatch};
-use graph_analytics::stream::window::DegreeTopK;
 use graph_analytics::stream::{EventKind, Priority};
 use std::path::PathBuf;
 
@@ -225,6 +225,14 @@ fn pipeline_batches() -> Vec<UpdateBatch> {
     into_batches(updates, 100, 1)
 }
 
+/// A triangle counter that reports every change of the global count,
+/// so every front emits events.
+fn triangle_monitor() -> Box<IncrementalTriangles> {
+    let mut tri = IncrementalTriangles::new();
+    tri.report_stride = 1;
+    Box::new(tri)
+}
+
 fn pipeline_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("ga_flow_pipeline")
@@ -268,7 +276,7 @@ fn every_front_is_the_same_pipeline() {
             cfg = cfg.durability_dir(&dir);
         }
         let mut e = cfg.build(PIPELINE_VERTEX_LIMIT).unwrap();
-        e.register_monitor(Box::new(DegreeTopK::new(3)));
+        e.register_monitor(triangle_monitor());
         head.iter().for_each(|b| front(&mut e, b));
         let mid = Outcome::of(&e);
         if durable {
@@ -301,9 +309,7 @@ fn every_front_is_the_same_pipeline() {
             cfg = cfg.durability_base(&base);
         }
         let mut fleet = cfg.build(PIPELINE_VERTEX_LIMIT).unwrap();
-        fleet
-            .shard_mut(0)
-            .register_monitor(Box::new(DegreeTopK::new(3)));
+        fleet.shard_mut(0).register_monitor(triangle_monitor());
         for b in head {
             fleet.process_batch(b).unwrap();
         }

@@ -3,10 +3,9 @@
 //! freeze and the cached delta rebuild must be **bit-identical**
 //! (`raw_offsets` / `raw_targets` / `raw_weights`) to the legacy
 //! tuple-materializing `CsrBuilder` snapshot — including tombstone-heavy
-//! histories, all-rows-dirty batches, temporal windows, and vertex
-//! growth mid-stream.
+//! histories, all-rows-dirty batches, and vertex growth mid-stream.
 
-use graph_analytics::graph::snapshot::{freeze, freeze_since};
+use graph_analytics::graph::snapshot::freeze;
 use graph_analytics::graph::{CsrBuilder, CsrGraph, DynamicGraph, Parallelism, SnapshotCache};
 use proptest::prelude::*;
 
@@ -51,20 +50,12 @@ fn apply(g: &mut DynamicGraph, ops: &[Op], t0: u64) {
     }
 }
 
-/// The oracle: materialize every live `(u, v, w)` tuple (at or after
-/// `since`) and let `CsrBuilder` sort them globally.
-fn oracle_since(g: &DynamicGraph, since: u64) -> CsrGraph {
-    CsrBuilder::new(g.num_vertices())
-        .weighted_edges(
-            g.edges()
-                .filter(|&(_, _, _, ts)| ts >= since)
-                .map(|(u, v, w, _)| (u, v, w)),
-        )
-        .build()
-}
-
+/// The oracle: materialize every live `(u, v, w)` tuple and let
+/// `CsrBuilder` sort them globally.
 fn oracle(g: &DynamicGraph) -> CsrGraph {
-    oracle_since(g, 0)
+    CsrBuilder::new(g.num_vertices())
+        .weighted_edges(g.edges().map(|(u, v, w, _)| (u, v, w)))
+        .build()
 }
 
 fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
@@ -86,16 +77,6 @@ proptest! {
         assert_identical(&freeze(&g, Parallelism::Parallel), &legacy);
         // The default entry point routes through the same path.
         assert_identical(&g.snapshot(), &legacy);
-    }
-
-    /// Temporal-window snapshots through the row-wise path == legacy.
-    #[test]
-    fn since_freeze_matches_legacy(((n, ops), cut) in (history(), 0u64..120)) {
-        let mut g = DynamicGraph::new(n);
-        apply(&mut g, &ops, 0);
-        let legacy = oracle_since(&g, cut);
-        assert_identical(&freeze_since(&g, cut, Parallelism::Serial), &legacy);
-        assert_identical(&g.snapshot_since(cut), &legacy);
     }
 
     /// Delta rebuilds stay bit-identical across an arbitrary split of
