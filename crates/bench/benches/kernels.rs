@@ -99,10 +99,7 @@ fn bench_jaccard(c: &mut Criterion) {
 /// Scale defaults to 18 (Graph500 "toy" class); override with
 /// `GA_BENCH_SCALE` (CI smoke uses 10).
 fn bench_serial_vs_parallel(c: &mut Criterion) {
-    let scale: u32 = std::env::var("GA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(18);
+    let scale = ga_bench::scale(18, 18);
     let g = rmat_graph(scale, 16);
     let (ser, par) = (KernelCtx::serial(), KernelCtx::parallel());
 

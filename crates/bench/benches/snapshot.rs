@@ -1,13 +1,12 @@
 //! Criterion benches for the incremental snapshot pipeline (E12).
 //!
-//! Two questions, matching the issue's acceptance criteria:
+//! Two questions:
 //!
 //! * `snapshot_full` — is the row-wise freeze (counting-sort offsets +
 //!   per-row sorts) at least as fast as the legacy tuple-materializing
 //!   global-sort `CsrBuilder` path on a full rebuild?
 //! * `snapshot_delta` — how much does the dirty-row delta rebuild save
-//!   at 0.1% / 1% / 10% dirty rows on an R-MAT stream? (The ≥5x-at-≤1%
-//!   criterion; `bench_snapshot` emits the machine-readable numbers.)
+//!   at 0.1% / 1% / 10% dirty rows on an R-MAT stream?
 //!
 //! Scale defaults to 16; override with `GA_BENCH_SCALE` (CI smoke uses
 //! 10).
@@ -17,13 +16,6 @@ use ga_graph::gen;
 use ga_graph::snapshot::{freeze, SnapshotCache};
 use ga_graph::{DynamicGraph, Parallelism};
 use std::hint::black_box;
-
-fn scale() -> u32 {
-    std::env::var("GA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16)
-}
 
 fn rmat_dynamic(scale: u32, edges_per_v: usize, seed: u64) -> DynamicGraph {
     let n = 1usize << scale;
@@ -51,7 +43,7 @@ fn dirty_rows(g: &mut DynamicGraph, frac: f64, ts: u64) -> usize {
 }
 
 fn bench_full_freeze(c: &mut Criterion) {
-    let g = rmat_dynamic(scale(), 8, 3);
+    let g = rmat_dynamic(ga_bench::scale(16, 16), 8, 3);
     let mut group = c.benchmark_group("snapshot_full");
     group.throughput(Throughput::Elements(g.num_live_edges() as u64));
     group.bench_function("legacy_global_sort", |b| {
@@ -75,7 +67,7 @@ fn bench_delta_rebuild(c: &mut Criterion) {
     ] {
         // A warm cache over the base graph, then `frac` of rows dirtied:
         // every iteration clones the warm cache and pays only the delta.
-        let mut g = rmat_dynamic(scale(), 8, 3);
+        let mut g = rmat_dynamic(ga_bench::scale(16, 16), 8, 3);
         let mut cache = SnapshotCache::new();
         cache.snapshot(&g, Parallelism::Auto);
         dirty_rows(&mut g, frac, u64::MAX);

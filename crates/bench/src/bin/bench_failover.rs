@@ -27,18 +27,13 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 cargo run ... --bin bench_failover
 //! ```
 
-use ga_bench::header;
+use ga_bench::{header, scale, smoke};
 use ga_core::flow::FlowEngine;
 use ga_core::sharded::{RebuildSource, ShardedFlow};
 use ga_kernels::{bfs::bfs_with, KernelCtx};
 use ga_stream::update::{into_batches, rmat_edge_stream, UpdateBatch};
 use std::path::PathBuf;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const SHARD_COUNTS: [usize; 2] = [2, 4];
 
@@ -136,10 +131,7 @@ fn run_point(
 
 fn main() {
     let smoke = smoke();
-    let scale: u32 = std::env::var("GA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 10 } else { 12 });
+    let scale = scale(12, 10);
     let num_vertices = 1usize << scale;
     let total_updates = 8usize << scale.min(14);
     let batch_len = 256;

@@ -15,7 +15,7 @@
 //! # CI gate: --assert-overhead fails the process if overhead >= 5%
 //! ```
 
-use ga_bench::header;
+use ga_bench::{header, smoke};
 use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::jaccard_stream::JaccardMonitor;
@@ -23,11 +23,6 @@ use ga_stream::update::{into_batches, rmat_edge_stream, UpdateBatch};
 use ga_stream::EventKind;
 use std::hint::black_box;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 /// One full flow pass: stream + triggered analytics + two batch runs.
 /// Returns the final snapshot so the enabled run's coverage is checked.

@@ -21,7 +21,7 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 shrinks scale and rates
 //! ```
 
-use ga_bench::header;
+use ga_bench::{header, smoke};
 use ga_core::flow::FlowEngine;
 use ga_core::serve::{QueryOutcome, QueryService, ServeConfig, TenantConfig};
 use ga_core::sharded::ShardedFlow;
@@ -30,11 +30,6 @@ use ga_stream::update::{into_batches, rmat_edge_stream, Update, UpdateBatch};
 use ga_stream::{Query, SnapshotHandle};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 /// Deterministic per-thread vertex sequence (splitmix64).
 fn splitmix(state: &mut u64) -> u64 {

@@ -27,15 +27,10 @@
 //! # smoke (CI): GA_BENCH_SMOKE=1 GA_BENCH_SCALE=12 cargo run ... --bin bench_shard
 //! ```
 
-use ga_bench::{eng, header};
+use ga_bench::{eng, header, scale, smoke};
 use ga_core::sharded::{CrossShardTraffic, ShardedFlow};
 use ga_stream::update::{into_batches, rmat_edge_stream, uniform_edge_stream, UpdateBatch};
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DAMPING: f64 = 0.85;
@@ -212,10 +207,7 @@ fn json_points(points: &[ShardPoint]) -> String {
 
 fn main() {
     let smoke = smoke();
-    let scale: u32 = std::env::var("GA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 12 } else { 13 });
+    let scale = scale(13, 12);
     let total_updates = 12usize << scale.min(14);
     let batch_len = 512;
     let num_vertices = 1usize << scale;

@@ -14,22 +14,21 @@
 //!   [`TieredCsr::repair_from`] after a byte of one segment is rotted
 //!   on disk;
 //! * **zero loss** — after repair, BFS over the tier must be
-//!   bit-identical to the in-RAM run with no `lost_rows`/`lost_segments`
-//!   (`--assert-zero-loss` turns any violation into a non-zero exit,
-//!   which is what CI relies on);
+//!   bit-identical to the in-RAM run with no `lost_rows`/`lost_segments`;
 //! * **projected vs measured disk** — a tiered `FlowEngine` batch is
 //!   priced through `ga_core::calibrate`: the tier's spill and demand
 //!   reads must show up as disk demand on the Snapshot and Extraction
 //!   rows of the measured-vs-projected table, in agreement.
 //!
-//! Results land in `BENCH_tiered.json`.
+//! Results land in `BENCH_tiered.json`. A budget point that loses data,
+//! or tier IO missing from the model, fails the run at every scale.
 //!
 //! ```sh
 //! cargo run --release -p ga-bench --bin bench_tiered
-//! # smoke (CI): GA_BENCH_SMOKE=1 ... -- --assert-zero-loss
+//! # smoke (CI): GA_BENCH_SMOKE=1 cargo run ... --bin bench_tiered
 //! ```
 
-use ga_bench::{eng, header};
+use ga_bench::{eng, header, scale, smoke};
 use ga_core::calibrate::{measured_demands, projected_step_demands, CostCoefficients};
 use ga_core::flow::{FlowEngine, PageRankAnalytic, SelectionCriteria};
 use ga_graph::tier::{TierConfig, TieredCsr};
@@ -40,11 +39,6 @@ use ga_stream::update::{into_batches, rmat_edge_stream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-fn smoke() -> bool {
-    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-        || std::env::args().any(|a| a == "--smoke")
-}
 
 const BUDGET_PCTS: [u64; 3] = [100, 50, 25];
 
@@ -196,11 +190,7 @@ fn run_model_comparison(scale: u32) -> Vec<ModelRow> {
 
 fn main() {
     let smoke = smoke();
-    let assert_zero_loss = std::env::args().any(|a| a == "--assert-zero-loss");
-    let scale: u32 = std::env::var("GA_BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 12 } else { 16 });
+    let scale = scale(16, 12);
     let num_vertices = 1usize << scale;
     let edges = gen::rmat(scale, 8 << scale, gen::RmatParams::GRAPH500, 42);
     let g = Arc::new(
@@ -315,15 +305,13 @@ fn main() {
     std::fs::write("BENCH_tiered.json", &j).expect("write BENCH_tiered.json");
     println!("\nwrote BENCH_tiered.json");
 
-    if assert_zero_loss {
-        if !all_zero_loss {
-            eprintln!("FAIL: a budget point lost data or diverged after repair");
-            std::process::exit(1);
-        }
-        if !model_disk_seen {
-            eprintln!("FAIL: tier IO did not appear as disk demand in the cost model");
-            std::process::exit(1);
-        }
-        println!("zero-loss assertion held at every budget");
+    if !all_zero_loss {
+        eprintln!("FAIL: a budget point lost data or diverged after repair");
+        std::process::exit(1);
     }
+    if !model_disk_seen {
+        eprintln!("FAIL: tier IO did not appear as disk demand in the cost model");
+        std::process::exit(1);
+    }
+    println!("zero-loss assertion held at every budget");
 }

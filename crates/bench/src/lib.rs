@@ -11,11 +11,47 @@
 //! | `fig4_sparse` | Fig. 4 / §V-A, sparse pipeline vs cache node SpGEMM sweep |
 //! | `fig5_emu` | Fig. 5 / §V-B, migrating threads vs remote access |
 //! | `fig6_size_perf` | Fig. 6, size (racks) vs performance for all systems |
+//! | `ablation_emu` | §V-B ablation, Fig. 5 vs packet size, hop latency and references per element |
+//! | `calibrated_model` | §VI, measured counters priced through the cost model |
 //!
-//! plus Criterion benches (`kernels`, `streaming`, `linalg`, `archsim`)
-//! for wall-clock numbers on this machine.
+//! Sweeps no other harness takes yet, each writing one `BENCH_*.json`
+//! and failing the run when its gate does not hold:
+//!
+//! | binary | sweeps | gate |
+//! |---|---|---|
+//! | `bench_shard` | shard counts 1/2/4/8 (E15) | merged kernels equal the 1-shard run |
+//! | `bench_failover` | one shard killed, WAL vs replica rebuild (E16) | zero update loss, rebuilt = unkilled |
+//! | `bench_tiered` | RAM budgets 100/50/25 % (E18) | zero loss after repair, tier IO priced as disk |
+//! | `bench_serve` | offered QPS, frozen and under ingest (E19) | monotone epochs, served = replay |
+//! | `bench_obs` | recorder off vs on (E14) | overhead < 5 % with `--assert-overhead` |
+//!
+//! Criterion benches time single operations; end-to-end and per-layer
+//! numbers, the GAP kernel cells included, come from `bench_e2e`:
+//!
+//! | bench | groups |
+//! |---|---|
+//! | `kernels` | `bfs`, `sssp`, `connected_components`, `pagerank`, `triangles`, `jaccard`, `serial_vs_parallel` |
+//! | `streaming` | `stream_ingest`, `jaccard_query_rmat16`, `firehose` |
+//! | `linalg` | `spmv`, `spgemm`, `matrix_vs_direct` |
+//! | `archsim` | `emu_pointer_chase_100k`, `emu_gups_100k`, `sparse_spgemm_work_4k`, `nora_model_all_configs` |
+//! | `snapshot` | `snapshot_full`, `snapshot_delta` (E12) |
 
 #![warn(missing_docs)]
+
+/// Smoke mode (`GA_BENCH_SMOKE=1` or `--smoke`): a CI-sized run.
+pub fn smoke() -> bool {
+    std::env::var("GA_BENCH_SMOKE").is_ok_and(|v| v == "1")
+        || std::env::args().any(|a| a == "--smoke")
+}
+
+/// The R-MAT scale of a run: `GA_BENCH_SCALE` when it parses, else
+/// `smoke` in smoke mode and `full` otherwise.
+pub fn scale(full: u32, smoke: u32) -> u32 {
+    std::env::var("GA_BENCH_SCALE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(if self::smoke() { smoke } else { full })
+}
 
 /// Format a floating value with engineering-style suffixes.
 pub fn eng(x: f64) -> String {

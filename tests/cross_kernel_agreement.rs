@@ -361,3 +361,64 @@ fn serial_parallel_agree_on_star() {
         .build();
     assert_serial_parallel_agree(&g, "star-513");
 }
+
+/// The two graphs of the GAP-style kernel pass (EXPERIMENTS E17):
+/// skewed R-MAT and flat Erdős–Rényi at scale 12, 16 edges per vertex,
+/// random weights, symmetrized, simple, with a reverse index.
+fn gap_graphs() -> [(&'static str, CsrGraph); 2] {
+    let (scale, n) = (12, 1usize << 12);
+    [
+        (
+            "gap rmat",
+            gen::rmat(scale, 16 * n, gen::RmatParams::GRAPH500, 42),
+        ),
+        ("gap uniform", gen::erdos_renyi(n, 16 * n, 42)),
+    ]
+    .map(|(tag, edges)| {
+        let g = CsrBuilder::new(n)
+            .weighted_edges(gen::with_random_weights(&edges, 0.05, 1.0, 7))
+            .symmetrize(true)
+            .dedup(true)
+            .drop_self_loops(true)
+            .reverse(true)
+            .build();
+        (tag, g)
+    })
+}
+
+#[test]
+fn serial_parallel_agree_on_gap_graphs() {
+    for (tag, g) in gap_graphs() {
+        assert_serial_parallel_agree(&g, tag);
+
+        // Plain and compressed adjacency from the max-degree source,
+        // stricter than the helper: PageRank rank bits at 20 forced
+        // sweeps, and SSSP at the automatic bucket width on the graph's
+        // own weights.
+        let c = CompressedCsr::from_csr(&g);
+        let src = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+        let ctx = KernelCtx::parallel();
+        assert_eq!(
+            bfs::bfs_with(&g, src, &ctx).depth,
+            bfs::bfs_with(&c, src, &ctx).depth,
+            "{tag}: compressed BFS depths differ"
+        );
+        let bits = |r: pagerank::PageRankResult| -> Vec<u64> {
+            r.rank.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(pagerank::pagerank_with(&g, 0.85, 0.0, 20, &ctx)),
+            bits(pagerank::pagerank_with(&c, 0.85, 0.0, 20, &ctx)),
+            "{tag}: compressed PageRank bits differ"
+        );
+        let (sp, sc) = (
+            sssp::sssp_auto_with(&g, src, &ctx),
+            sssp::sssp_auto_with(&c, src, &ctx),
+        );
+        assert_eq!(sp.dist, sc.dist, "{tag}: compressed SSSP distances differ");
+        assert_eq!(
+            sp.parent, sc.parent,
+            "{tag}: compressed SSSP parents differ"
+        );
+    }
+}

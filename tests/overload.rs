@@ -1,15 +1,19 @@
-//! Overload resilience, end to end: a firehose offered at 10× the drain
-//! rate must leave the engine standing — queue bounded by the admission
-//! capacity, zero high-priority loss, deterministic shed counts — while
-//! transient durability faults are ridden out on retries and persistent
-//! ones trip the breaker into explicit non-durable degradation.
+//! Overload resilience, end to end: a firehose offered at 1–16× the
+//! drain rate, with a per-batch PageRank analytic riding on it, must
+//! leave the engine standing — queue bounded by the admission capacity,
+//! zero high-priority loss, back to `Full` once drained, deterministic
+//! shed counts — while transient durability faults are ridden out on
+//! retries and persistent ones trip the breaker into explicit
+//! non-durable degradation.
 
 use ga_core::faults::{self, FaultMode};
-use ga_core::flow::{DegradationLevel, FlowEngine, FlowStats, OverloadConfig};
+use ga_core::flow::{DegradationLevel, FlowEngine, FlowStats, OverloadConfig, PageRankAnalytic};
 use ga_core::retry::RetryPolicy;
+use ga_graph::dynamic::ApplyResult;
+use ga_graph::DynamicGraph;
 use ga_stream::admission::{AdmissionConfig, AdmissionStats, Priority};
 use ga_stream::update::{rmat_edge_stream, Update, UpdateBatch};
-use ga_stream::EventKind;
+use ga_stream::{Event, EventKind, Monitor};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -57,9 +61,40 @@ const CFG: AdmissionConfig = AdmissionConfig {
     bulk_watermark: 800,
 };
 
-/// Offer 10 batches per single pumped batch — a 10× overload — then
-/// drain; return the counters the determinism check compares.
-fn soak(seed: u64) -> (AdmissionStats, FlowStats, usize) {
+/// One event per batch end, so the analytic triggers once per batch
+/// and its cost scales with batches, not updates.
+struct Pulse;
+
+impl Monitor for Pulse {
+    fn name(&self) -> &'static str {
+        "pulse"
+    }
+    fn on_update(
+        &mut self,
+        _: &DynamicGraph,
+        _: &Update,
+        _: ApplyResult,
+        _: u64,
+        _: &mut Vec<Event>,
+    ) {
+    }
+    fn on_batch_end(&mut self, _: &DynamicGraph, time: u64, out: &mut Vec<Event>) {
+        out.push(Event {
+            time,
+            source: "pulse",
+            kind: EventKind::GlobalValue {
+                metric: "pulse",
+                value: 1.0,
+            },
+        });
+    }
+}
+
+/// Offer `rate` batches per single pumped batch — a `rate`× overload —
+/// with a pulse-triggered PageRank analytic, then drain. Asserts the
+/// overload gates (queue within capacity after every offer, no High
+/// loss, back to `Full`) and returns the counters the callers compare.
+fn soak(seed: u64, rate: usize) -> (AdmissionStats, FlowStats, usize) {
     let mut e = FlowEngine::builder()
         .admission(CFG)
         .overload(OverloadConfig {
@@ -70,28 +105,64 @@ fn soak(seed: u64) -> (AdmissionStats, FlowStats, usize) {
         })
         .build(128)
         .unwrap();
+    e.register_monitor(Box::new(Pulse));
+    let pr = e.register_analytic(Box::new(PageRankAnalytic { damping: 0.85 }));
+    let trigger = |ev: &Event| {
+        matches!(
+            ev.kind,
+            EventKind::GlobalValue {
+                metric: "pulse",
+                ..
+            }
+        )
+        .then(|| vec![0])
+    };
     let mut max_depth = 0;
-    for round in firehose(20, 20, seed).chunks(10) {
+    for round in firehose(20, 20, seed).chunks(rate) {
         for (class, batch) in round {
             e.offer(*class, batch.clone());
             assert!(
                 e.queue_depth() <= CFG.capacity,
-                "queue exceeded its capacity bound"
+                "{rate}x: queue exceeded its capacity bound"
             );
         }
         max_depth = max_depth.max(e.queue_depth());
-        e.pump(1, |_| None, None).unwrap();
+        e.pump(1, trigger, Some(pr)).unwrap();
     }
     while e.queue_depth() > 0 {
-        e.pump(64, |_| None, None).unwrap();
+        e.pump(64, trigger, Some(pr)).unwrap();
     }
-    assert_eq!(e.degradation_level(), DegradationLevel::Full);
-    (e.admission_stats(), e.stats(), max_depth)
+    let adm = e.admission_stats();
+    assert_eq!(
+        adm.lost(Priority::High),
+        0,
+        "{rate}x: high-priority updates lost"
+    );
+    assert_eq!(e.degradation_level(), DegradationLevel::Full, "{rate}x");
+    (adm, e.stats(), max_depth)
+}
+
+#[test]
+fn every_offered_rate_keeps_the_overload_gates() {
+    for rate in [1, 2, 4, 8, 16] {
+        let (adm, flow, _) = soak(3, rate);
+        assert!(
+            flow.analytics.batch_runs > 0,
+            "{rate}x: the analytic never ran"
+        );
+        if rate == 1 {
+            // Offered at the drain rate: nothing queues, nothing is shed.
+            assert_eq!(adm.total_lost(), 0);
+            assert_eq!(flow.overload.analytics_skipped, 0);
+        } else {
+            assert!(flow.overload.updates_shed > 0, "{rate}x shed nothing");
+        }
+    }
 }
 
 #[test]
 fn firehose_sheds_bulk_first_never_high() {
-    let (adm, flow, max_depth) = soak(99);
+    let (adm, flow, max_depth) = soak(99, 10);
     let offered_total: usize = adm.offered.iter().sum();
     assert_eq!(offered_total, 20 * 10 * 20);
 
@@ -140,7 +211,7 @@ fn firehose_sheds_bulk_first_never_high() {
 fn soak_is_deterministic() {
     // Shed/evict decisions are clock-free: two identical soaks must
     // produce identical counters, batch for batch.
-    assert_eq!(soak(7), soak(7));
+    assert_eq!(soak(7, 10), soak(7, 10));
 }
 
 #[test]
