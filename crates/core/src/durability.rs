@@ -293,19 +293,27 @@ pub fn encode_checkpoint(c: &Checkpoint) -> io::Result<Vec<u8>> {
     out.extend_from_slice(&c.vertex_limit.to_le_bytes());
     out.extend_from_slice(&c.last_batch_time.to_le_bytes());
     out.extend_from_slice(&c.next_wal_seq.to_le_bytes());
-    let mut graph_buf = Vec::new();
-    gio::write_dynamic(&c.graph, &mut graph_buf)?;
-    out.extend_from_slice(&(graph_buf.len() as u64).to_le_bytes());
-    out.extend_from_slice(&graph_buf);
-    let mut props_buf = Vec::new();
-    gio::write_props(&c.props, &mut props_buf)?;
-    out.extend_from_slice(&(props_buf.len() as u64).to_le_bytes());
-    out.extend_from_slice(&props_buf);
+    push_section(&mut out, |o| gio::write_dynamic(&c.graph, o))?;
+    push_section(&mut out, |o| gio::write_props(&c.props, o))?;
     push_flow_stats(&mut out, &c.flow);
     push_stream_stats(&mut out, &c.stream);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     Ok(out)
+}
+
+/// Encode one section straight into `out` behind its `u64` byte length,
+/// which is patched in once the section is written.
+fn push_section(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    encode(out)?;
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 /// Deserialize and CRC-verify a checkpoint.

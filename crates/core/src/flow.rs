@@ -170,7 +170,7 @@ pub struct SnapshotStats {
     /// CSR snapshot rebuilds (full + delta) the batch path performed.
     pub rebuilds: usize,
     /// Rows whose CSR slices were reused from the previous snapshot
-    /// instead of re-sorted (the delta path's savings).
+    /// instead of re-gathered (the delta path's savings).
     pub rows_reused: usize,
     /// Bytes written into snapshot arrays.
     pub mem_bytes: usize,

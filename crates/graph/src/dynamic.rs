@@ -5,12 +5,14 @@
 //! updates, such as additions or deletions to vertices or edges, or
 //! modification of their properties". [`DynamicGraph`] provides that:
 //!
-//! * per-vertex adjacency stored in growable blocks (amortized O(1)
-//!   insert, no global re-allocation storms),
+//! * per-vertex adjacency rows kept **sorted by destination**, tombstones
+//!   included, so a lookup is a binary search and a freeze copies each
+//!   row in order without sorting it,
 //! * **timestamps** on every edge (paper §II: "edges may have time-stamps
 //!   in addition to properties"),
-//! * **lazy deletion** — deleted slots are tombstoned and reused by later
-//!   inserts, with an explicit [`DynamicGraph::compact`] sweep,
+//! * **lazy deletion** — deleted slots are tombstoned and revived or
+//!   reused in place by later inserts, with an explicit
+//!   [`DynamicGraph::compact`] sweep,
 //! * cheap [`DynamicGraph::snapshot`] freezes into a [`CsrGraph`] for the
 //!   batch analytics on the right side of Fig. 2.
 
@@ -31,6 +33,13 @@ pub struct EdgeRecord {
 
 /// A mutable directed multigraph-free graph with timestamps and lazy
 /// deletion.
+///
+/// Every row is strictly sorted by `dst`, tombstones included: an
+/// insert revives a tombstone of the same destination, else reuses a
+/// tombstone just before or at the insertion point, else shifts the
+/// tail. The slot layout is therefore a deterministic function of each
+/// row's update sequence, which checkpoints, replicas and shard merges
+/// rely on to stay slot-exact.
 ///
 /// Out-of-range vertex ids never panic: inserts grow the vertex space on
 /// demand, deletes report [`ApplyResult::Missing`], and queries return
@@ -199,39 +208,31 @@ impl DynamicGraph {
         }
         self.touch_row(u);
         let row = &mut self.adj[u as usize];
-        let mut free: Option<usize> = None;
-        for (i, rec) in row.iter_mut().enumerate() {
-            if rec.dst == v {
-                if rec.deleted {
-                    rec.deleted = false;
-                    rec.weight = weight;
-                    rec.timestamp = ts;
-                    self.live_edges += 1;
-                    self.tombstones -= 1;
-                    return ApplyResult::Inserted;
-                }
-                rec.weight = weight;
-                rec.timestamp = ts;
-                return ApplyResult::Updated;
-            }
-            if rec.deleted && free.is_none() {
-                free = Some(i);
-            }
-        }
         let rec = EdgeRecord {
             dst: v,
             weight,
             timestamp: ts,
             deleted: false,
         };
-        match free {
-            Some(i) => {
+        let i = match row.binary_search_by_key(&v, |r| r.dst) {
+            Ok(i) if !row[i].deleted => {
                 row[i] = rec;
-                self.tombstones -= 1;
+                return ApplyResult::Updated;
             }
-            None => row.push(rec),
-        }
+            Ok(i) => i,
+            // Only a tombstone beside the insertion point can take `v`
+            // without unsorting the row.
+            Err(i) if i > 0 && row[i - 1].deleted => i - 1,
+            Err(i) if i < row.len() && row[i].deleted => i,
+            Err(i) => {
+                row.insert(i, rec);
+                self.live_edges += 1;
+                return ApplyResult::Inserted;
+            }
+        };
+        row[i] = rec;
         self.live_edges += 1;
+        self.tombstones -= 1;
         ApplyResult::Inserted
     }
 
@@ -242,18 +243,16 @@ impl DynamicGraph {
         if u as usize >= self.adj.len() {
             return ApplyResult::Missing;
         }
-        for i in 0..self.adj[u as usize].len() {
-            let rec = &mut self.adj[u as usize][i];
-            if rec.dst == v && !rec.deleted {
-                rec.deleted = true;
-                rec.timestamp = ts;
-                self.live_edges -= 1;
-                self.tombstones += 1;
-                self.touch_row(u);
-                return ApplyResult::Deleted;
-            }
-        }
-        ApplyResult::Missing
+        let row = &mut self.adj[u as usize];
+        let Some(rec) = Self::find(row, v).map(|i| &mut row[i]) else {
+            return ApplyResult::Missing;
+        };
+        rec.deleted = true;
+        rec.timestamp = ts;
+        self.live_edges -= 1;
+        self.tombstones += 1;
+        self.touch_row(u);
+        ApplyResult::Deleted
     }
 
     /// Remove a vertex by tombstoning every incident edge (both
@@ -276,12 +275,20 @@ impl DynamicGraph {
 
     /// True if a live edge `u -> v` exists (false for out-of-range `u`).
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.row(u).iter().any(|r| r.dst == v && !r.deleted)
+        self.edge(u, v).is_some()
     }
 
     /// The live record for `u -> v`, if any.
     pub fn edge(&self, u: VertexId, v: VertexId) -> Option<&EdgeRecord> {
-        self.row(u).iter().find(|r| r.dst == v && !r.deleted)
+        let row = self.row(u);
+        Self::find(row, v).map(|i| &row[i])
+    }
+
+    /// Slot of the live record for `v` in a sorted `row`, if any.
+    fn find(row: &[EdgeRecord], v: VertexId) -> Option<usize> {
+        row.binary_search_by_key(&v, |r| r.dst)
+            .ok()
+            .filter(|&i| !row[i].deleted)
     }
 
     /// Live out-degree of `v` (0 for out-of-range ids).
@@ -336,10 +343,10 @@ impl DynamicGraph {
     /// batch side.
     ///
     /// Runs the row-wise freeze ([`crate::snapshot::freeze`]): offsets
-    /// come from a counting pass over per-row live counts and each row
-    /// is sorted independently (in parallel for large graphs), so no
-    /// `(u, v, w)` tuple vector is materialized and no global
-    /// `O(E log E)` sort runs. Output is bit-identical to feeding
+    /// come from a counting pass over per-row live counts and each
+    /// already-sorted row is copied without its tombstones (in parallel
+    /// for large graphs), so no `(u, v, w)` tuple vector is materialized
+    /// and no sort runs. Output is bit-identical to feeding
     /// [`Self::edges`] through `CsrBuilder`, which the tests keep as
     /// the oracle.
     pub fn snapshot(&self) -> CsrGraph {
@@ -355,15 +362,15 @@ impl DynamicGraph {
         }
     }
 
-    /// Raw adjacency rows *including tombstones*, in slot order — the
+    /// Raw adjacency rows *including tombstones*, sorted by `dst` — the
     /// checkpoint codec serializes these verbatim so a recovered graph is
     /// bit-identical (same slot layout, same tombstones) to the original.
     pub(crate) fn raw_rows(&self) -> &[Vec<EdgeRecord>] {
         &self.adj
     }
 
-    /// The raw slot row of vertex `v` *including tombstones*, in slot
-    /// order. Sharded routers use this to lift owned rows out of a shard
+    /// The raw slot row of vertex `v` *including tombstones*, sorted by
+    /// `dst`. Sharded routers use this to lift owned rows out of a shard
     /// verbatim, so a merged graph can be compared slot-for-slot against
     /// an unsharded run. Empty for out-of-range ids (a shard that never
     /// saw an edge near `v` simply has no row for it).
@@ -371,16 +378,16 @@ impl DynamicGraph {
         self.row(v)
     }
 
-    /// Assemble a graph from raw slot rows (tombstones included);
-    /// live/tombstone counts are recomputed, versions reset to zero.
-    /// Inverse of reading every row via [`Self::row_slots`].
+    /// Assemble a graph from raw slot rows (tombstones included), each
+    /// strictly sorted by `dst`; live/tombstone counts are recomputed,
+    /// versions reset to zero. Inverse of reading every row via
+    /// [`Self::row_slots`].
     pub fn from_rows(adj: Vec<Vec<EdgeRecord>>, last_update: Timestamp) -> Self {
-        Self::from_raw_parts(adj, last_update)
-    }
-
-    /// Rebuild a graph from checkpointed rows; live/tombstone counts are
-    /// recomputed from the records.
-    pub(crate) fn from_raw_parts(adj: Vec<Vec<EdgeRecord>>, last_update: Timestamp) -> Self {
+        debug_assert!(
+            adj.iter()
+                .all(|row| row.windows(2).all(|p| p[0].dst < p[1].dst)),
+            "rows must be strictly sorted by dst"
+        );
         let mut live_edges = 0;
         let mut tombstones = 0;
         for row in &adj {
@@ -421,25 +428,60 @@ mod tests {
         assert_eq!(g.num_tombstones(), 1);
     }
 
+    /// Row `v` as `(dst, deleted)` pairs, in slot order.
+    fn slots(g: &DynamicGraph, v: VertexId) -> Vec<(VertexId, bool)> {
+        g.row_slots(v).iter().map(|r| (r.dst, r.deleted)).collect()
+    }
+
     #[test]
     fn tombstone_reuse() {
-        let mut g = DynamicGraph::new(3);
+        let mut g = DynamicGraph::new(64);
         g.insert_edge(0, 1, 1.0, 1);
         g.delete_edge(0, 1, 2);
-        // Re-inserting the same edge reuses the slot in place.
+        // Re-inserting the same edge revives the slot in place.
         assert_eq!(g.insert_edge(0, 1, 5.0, 3), ApplyResult::Inserted);
         assert_eq!(g.num_tombstones(), 0);
         assert_eq!(g.num_live_edges(), 1);
-        // Different target reuses a *free* slot.
+        assert_eq!(g.edge(0, 1).unwrap().weight, 5.0);
+        // A different target reuses the tombstone beside its insertion
+        // point: here the slot just before it.
         g.delete_edge(0, 1, 4);
-        g.insert_edge(0, 2, 1.0, 5);
-        assert_eq!(g.adj_len(0), 1);
-    }
-
-    impl DynamicGraph {
-        fn adj_len(&self, v: VertexId) -> usize {
-            self.adj[v as usize].len()
+        g.insert_edge(0, 10, 1.0, 5);
+        assert_eq!(slots(&g, 0), [(10, false)]);
+        for v in [20, 30, 40] {
+            g.insert_edge(0, v, 1.0, 6);
         }
+        g.delete_edge(0, 20, 7);
+        g.insert_edge(0, 25, 1.0, 8);
+        assert_eq!(
+            slots(&g, 0),
+            [(10, false), (25, false), (30, false), (40, false)]
+        );
+        // ... or the slot just at it.
+        g.delete_edge(0, 40, 9);
+        g.insert_edge(0, 35, 1.0, 10);
+        g.delete_edge(0, 10, 11);
+        g.insert_edge(0, 0, 1.0, 12);
+        assert_eq!(
+            slots(&g, 0),
+            [(0, false), (25, false), (30, false), (35, false)]
+        );
+        // A tombstone anywhere else stays, and the tail shifts instead.
+        g.delete_edge(0, 25, 13);
+        g.insert_edge(0, 50, 1.0, 14);
+        g.insert_edge(0, 33, 1.0, 15);
+        assert_eq!(
+            slots(&g, 0),
+            [
+                (0, false),
+                (25, true),
+                (30, false),
+                (33, false),
+                (35, false),
+                (50, false)
+            ]
+        );
+        assert_eq!((g.num_live_edges(), g.num_tombstones()), (5, 1));
     }
 
     #[test]

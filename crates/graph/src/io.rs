@@ -44,36 +44,37 @@ const MAX_ELEMS: u64 = 1 << 32;
 // CRC32 (IEEE, reflected) — integrity checksum for checkpoints + WAL.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the byte-wise table and `T[k][i]` is
+/// the CRC of byte `i` followed by `k` zero bytes, so one step folds
+/// eight input bytes with eight lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 256;
+    while i < 8 * 256 {
+        let prev = t[i / 256 - 1][i % 256];
+        t[i / 256][i % 256] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+        i += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE 802.3) of `data` — the frame/file checksum used by the
 /// WAL and checkpoint formats.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    Crc32::new().update(data).finish()
 }
 
 /// Incremental [`crc32`]: feed chunks as they are produced and finish
@@ -92,11 +93,17 @@ impl Crc32 {
         Crc32 { state: !0u32 }
     }
 
-    /// Absorb one chunk.
+    /// Absorb one chunk, eight bytes per step.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
+        let t = &CRC32_TABLES;
         let mut c = self.state;
-        for &b in data {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let x = u64::from_le_bytes(w.try_into().unwrap()) ^ c as u64;
+            c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as usize & 0xFF]);
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
         self
@@ -361,7 +368,7 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<CsrGraph> {
 // ---------------------------------------------------------------------
 
 /// Serialize the *complete* dynamic graph state — every adjacency slot
-/// in order, tombstones included — so that
+/// in `dst` order, tombstones included — so that
 /// `read_dynamic(write_dynamic(g)) == g` holds structurally (slot
 /// layout, weights, timestamps, deletion flags, counters).
 pub fn write_dynamic(g: &DynamicGraph, w: impl Write) -> io::Result<()> {
@@ -383,7 +390,8 @@ pub fn write_dynamic(g: &DynamicGraph, w: impl Write) -> io::Result<()> {
     out.flush()
 }
 
-/// Deserialize a dynamic graph written by [`write_dynamic`].
+/// Deserialize a dynamic graph written by [`write_dynamic`]. A row out
+/// of `dst` order is sorted; a row naming one target twice is corrupt.
 pub fn read_dynamic(r: impl Read) -> io::Result<DynamicGraph> {
     const F: &str = "GAD1";
     let mut input = BufReader::new(r);
@@ -435,9 +443,15 @@ pub fn read_dynamic(r: impl Read) -> io::Result<DynamicGraph> {
                 deleted: flag[0] == 1,
             });
         }
+        // Rows are sorted by `dst` in memory; files written before that
+        // invariant may hold them in insertion order.
+        row.sort_unstable_by_key(|r| r.dst);
+        if let Some(p) = row.windows(2).find(|p| p[0].dst == p[1].dst) {
+            return Err(corrupt(F, format!("row {u}: repeated target {}", p[0].dst)));
+        }
         adj.push(row);
     }
-    Ok(DynamicGraph::from_raw_parts(adj, last_update))
+    Ok(DynamicGraph::from_rows(adj, last_update))
 }
 
 // ---------------------------------------------------------------------
@@ -650,6 +664,38 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time definition the sliced loop must reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 167 + 13) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let chunk = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(chunk),
+                    crc32_bytewise(chunk),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&data), crc32_bytewise(&data));
+    }
+
     #[test]
     fn crc32_incremental_matches_one_shot() {
         assert_eq!(Crc32::new().finish(), crc32(b""));
@@ -858,6 +904,52 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("flag"));
+    }
+
+    /// A hand-built `GAD1` file: one row per entry of `rows`, each slot
+    /// `(dst, deleted)` with weight `dst + 0.5` and timestamp `dst`.
+    fn gad1_bytes(rows: &[&[(u32, bool)]]) -> Vec<u8> {
+        let mut b = b"GAD1".to_vec();
+        b.extend(1u16.to_le_bytes());
+        b.extend(0u16.to_le_bytes());
+        b.extend((rows.len() as u64).to_le_bytes());
+        b.extend(9u64.to_le_bytes());
+        for row in rows {
+            b.extend((row.len() as u64).to_le_bytes());
+            for &(dst, deleted) in row.iter() {
+                b.extend(dst.to_le_bytes());
+                b.extend((dst as f32 + 0.5).to_le_bytes());
+                b.extend((dst as u64).to_le_bytes());
+                b.push(deleted as u8);
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn dynamic_sorts_a_row_written_in_insertion_order() {
+        let g =
+            read_dynamic(&gad1_bytes(&[&[(3, false), (1, true), (2, false)], &[], &[], &[]])[..])
+                .unwrap();
+        let dsts: Vec<_> = g.row_slots(0).iter().map(|r| (r.dst, r.deleted)).collect();
+        assert_eq!(dsts, [(1, true), (2, false), (3, false)]);
+        assert_eq!(g.edge(0, 3).unwrap().weight, 3.5);
+        assert_eq!((g.num_live_edges(), g.num_tombstones()), (2, 1));
+        let mut sorted = DynamicGraph::new(4);
+        sorted.insert_edge(0, 2, 2.5, 2);
+        sorted.insert_edge(0, 3, 3.5, 3);
+        assert_eq!(g.snapshot().raw_targets(), sorted.snapshot().raw_targets());
+    }
+
+    #[test]
+    fn dynamic_rejects_a_repeated_target() {
+        let bytes = gad1_bytes(&[&[], &[(2, false), (0, true), (2, true)], &[]]);
+        let err = read_dynamic(&bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("row 1: repeated target 2"),
+            "{err}"
+        );
     }
 
     #[test]

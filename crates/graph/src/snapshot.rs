@@ -9,16 +9,17 @@
 //! module makes that copy scale with the *delta* instead of the graph:
 //!
 //! * [`freeze`] — freeze a [`DynamicGraph`] row by row: offsets from a
-//!   counting pass over per-row live counts, each row's neighbors
-//!   sorted independently (rayon over disjoint row ranges behind the
-//!   [`Parallelism`] knob). No `(u, v, w)` tuple vector is materialized
-//!   and no global `O(E log E)` sort runs; the output is bit-identical
-//!   to the global-sort `CsrBuilder` path.
+//!   counting pass over per-row live counts, then each row's live
+//!   records copied in order (rayon over disjoint row ranges behind the
+//!   [`Parallelism`] knob). Rows are kept sorted by destination, so no
+//!   `(u, v, w)` tuple vector is materialized and no sort of any kind
+//!   runs; the output is bit-identical to the global-sort `CsrBuilder`
+//!   path.
 //! * [`SnapshotCache`] — serves repeat snapshots by memcpy-ing the
 //!   previous CSR's clean-row slices and rebuilding only rows whose
 //!   [`DynamicGraph::version`] generation moved, with retired snapshot
 //!   arrays recycled as scratch instead of re-allocated. A trigger that
-//!   dirties 0.1% of rows pays for 0.1% of the sorts.
+//!   dirties 0.1% of rows pays for 0.1% of the row gathers.
 //!
 //! LDBC Graphalytics makes the same point from the benchmark side:
 //! evolving-graph workloads are dominated by snapshot/rebuild overhead,
@@ -58,7 +59,7 @@ pub fn freeze(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
         &mut targets,
         &mut weights,
         parallel,
-        &|u, tgt, wts, buf| gather_row(&rows[u], tgt, wts, buf),
+        &|u, tgt, wts| gather_row(&rows[u], tgt, wts),
     );
     // `CsrBuilder` only marks a graph weighted once it sees an edge;
     // match it bit-for-bit on the edgeless case.
@@ -103,26 +104,18 @@ fn prefix_sum(offsets: &mut [u64]) {
     }
 }
 
-/// Collect row `row`'s live records into `(tgt, wts)`, sorted by
-/// destination. `buf` is gather scratch reused across rows of one
-/// sequential leaf. Rows hold at most one record per destination, so a
-/// sort by destination alone is deterministic.
-fn gather_row(
-    row: &[EdgeRecord],
-    tgt: &mut [VertexId],
-    wts: &mut [Weight],
-    buf: &mut Vec<(VertexId, Weight)>,
-) {
-    buf.clear();
-    buf.extend(row.iter().filter(|r| !r.deleted).map(|r| (r.dst, r.weight)));
-    buf.sort_unstable_by_key(|&(d, _)| d);
-    for (i, &(d, w)) in buf.iter().enumerate() {
-        tgt[i] = d;
-        wts[i] = w;
+/// Copy row `row`'s live records into `(tgt, wts)`. The row is sorted
+/// by destination (a [`DynamicGraph`] invariant), so dropping its
+/// tombstones leaves the CSR row.
+fn gather_row(row: &[EdgeRecord], tgt: &mut [VertexId], wts: &mut [Weight]) {
+    let live = row.iter().filter(|r| !r.deleted);
+    for ((t, w), r) in tgt.iter_mut().zip(wts.iter_mut()).zip(live) {
+        *t = r.dst;
+        *w = r.weight;
     }
 }
 
-/// Run `fill(u, targets_slice, weights_slice, scratch)` for every row in
+/// Run `fill(u, targets_slice, weights_slice)` for every row in
 /// `lo..hi`, handing each row exactly its slice of the output arrays.
 /// `base` is the edge offset where `targets`/`weights` begin. Large
 /// ranges split recursively via `rayon::join` on disjoint sub-slices, so
@@ -138,16 +131,14 @@ fn fill_rows<F>(
     parallel: bool,
     fill: &F,
 ) where
-    F: Fn(usize, &mut [VertexId], &mut [Weight], &mut Vec<(VertexId, Weight)>) + Sync,
+    F: Fn(usize, &mut [VertexId], &mut [Weight]) + Sync,
 {
     let work = (offsets[hi] - offsets[lo]) as usize;
     if !parallel || hi - lo <= 1 || work <= PAR_LEAF_EDGES {
-        let mut buf = Vec::new();
         for u in lo..hi {
             let s = (offsets[u] - base) as usize;
             let e = (offsets[u + 1] - base) as usize;
-            let (tgt, wts) = (&mut targets[s..e], &mut weights[s..e]);
-            fill(u, tgt, wts, &mut buf);
+            fill(u, &mut targets[s..e], &mut weights[s..e]);
         }
         return;
     }
@@ -177,7 +168,7 @@ pub struct SnapshotStats {
     pub delta_rebuilds: u64,
     /// Rows whose slices were memcpy'd from the previous snapshot.
     pub rows_reused: u64,
-    /// Rows re-gathered and re-sorted from the dynamic graph.
+    /// Rows re-gathered from the dynamic graph.
     pub rows_rebuilt: u64,
     /// Bytes written into snapshot arrays (offsets + targets + weights)
     /// across all rebuilds — the measured memory-bandwidth price of the
@@ -231,7 +222,7 @@ pub struct SnapshotEpoch {
 /// graph version it observed. On the next request it memcpy's the
 /// slices of every row whose generation counter did not move and
 /// re-gathers only dirty rows — so a trigger-driven batch run whose
-/// update batch touched 50 of a million rows re-sorts 50 rows. Retired
+/// update batch touched 50 of a million rows re-gathers 50 rows. Retired
 /// snapshot arrays are recycled as build buffers when no analytic still
 /// holds the `Arc`.
 ///
@@ -460,9 +451,9 @@ impl SnapshotCache {
             &mut targets,
             &mut weights,
             parallel,
-            &|u, tgt, wts, buf| {
+            &|u, tgt, wts| {
                 if dirty[u] {
-                    gather_row(&rows[u], tgt, wts, buf);
+                    gather_row(&rows[u], tgt, wts);
                 } else {
                     let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
                     tgt.copy_from_slice(&ptgt[s..e]);

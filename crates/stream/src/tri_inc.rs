@@ -62,9 +62,23 @@ impl IncrementalTriangles {
         }
     }
 
+    /// Live neighbors shared by `u` and `v`: a merge of the two rows,
+    /// which the graph keeps sorted by destination.
     fn common_neighbors(g: &DynamicGraph, u: VertexId, v: VertexId) -> Vec<VertexId> {
-        let nu: std::collections::HashSet<VertexId> = g.neighbor_ids(u).collect();
-        g.neighbor_ids(v).filter(|w| nu.contains(w)).collect()
+        let (mut a, mut b) = (g.neighbor_ids(u).peekable(), g.neighbor_ids(v).peekable());
+        let mut common = Vec::new();
+        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+            if x <= y {
+                a.next();
+            }
+            if y <= x {
+                b.next();
+            }
+            if x == y {
+                common.push(x);
+            }
+        }
+        common
     }
 
     fn bump(&mut self, v: VertexId, delta: i64) {

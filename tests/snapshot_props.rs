@@ -4,29 +4,38 @@
 //! (`raw_offsets` / `raw_targets` / `raw_weights`) to the legacy
 //! tuple-materializing `CsrBuilder` snapshot — including tombstone-heavy
 //! histories, all-rows-dirty batches, and vertex growth mid-stream.
+//! Every op of a history is also checked against a `BTreeMap` model of
+//! the live edges, through the binary-searched lookups and the
+//! sorted-row invariant the freeze relies on.
 
 use graph_analytics::graph::snapshot::freeze;
 use graph_analytics::graph::{CsrBuilder, CsrGraph, DynamicGraph, Parallelism, SnapshotCache};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One step of a random mutation history.
 #[derive(Clone, Debug)]
 enum Op {
     Insert(u32, u32, u32),
     Delete(u32, u32),
+    AddVertices(usize),
+    DeleteVertex(u32),
     Compact,
 }
 
 /// Strategy: a graph size and a mutation sequence. Ids range slightly
 /// past `n` so vertex-growth paths get exercised; weights are small ints
-/// so float equality is exact. Roughly 60% inserts, 30% deletes, 10%
+/// so float equality is exact. Roughly 60% inserts, 30% deletes and
+/// 10% split between vertex additions, vertex deletions and
 /// compactions.
 fn history() -> impl Strategy<Value = (usize, Vec<Op>)> {
     (2usize..24).prop_flat_map(|n| {
         let hi = n as u32 + 4;
-        let op = (0u32..10, 0..hi, 0..hi, 0u32..16).prop_map(|(kind, u, v, w)| match kind {
-            0..=5 => Op::Insert(u, v, w),
-            6..=8 => Op::Delete(u, v),
+        let op = (0u32..40, 0..hi, 0..hi, 0u32..16).prop_map(|(kind, u, v, w)| match kind {
+            0..=23 => Op::Insert(u, v, w),
+            24..=35 => Op::Delete(u, v),
+            36 => Op::AddVertices(1 + v as usize % 3),
+            37 | 38 => Op::DeleteVertex(u),
             _ => Op::Compact,
         });
         (Just(n), prop::collection::vec(op, 0..120))
@@ -35,19 +44,80 @@ fn history() -> impl Strategy<Value = (usize, Vec<Op>)> {
 
 fn apply(g: &mut DynamicGraph, ops: &[Op], t0: u64) {
     for (i, op) in ops.iter().enumerate() {
-        let ts = t0 + i as u64;
-        match *op {
-            Op::Insert(u, v, w) => {
-                g.insert_edge(u, v, w as f32 + 0.5, ts);
-            }
-            Op::Delete(u, v) => {
-                g.delete_edge(u, v, ts);
-            }
-            Op::Compact => {
-                g.compact();
-            }
+        apply_one(g, op, t0 + i as u64);
+    }
+}
+
+fn apply_one(g: &mut DynamicGraph, op: &Op, ts: u64) {
+    match *op {
+        Op::Insert(u, v, w) => {
+            g.insert_edge(u, v, w as f32 + 0.5, ts);
+        }
+        Op::Delete(u, v) => {
+            g.delete_edge(u, v, ts);
+        }
+        Op::AddVertices(k) => {
+            g.add_vertices(k);
+        }
+        Op::DeleteVertex(v) => {
+            g.delete_vertex(v, ts);
+        }
+        Op::Compact => {
+            g.compact();
         }
     }
+}
+
+/// Live edges `(u, v) -> (weight, timestamp)`, kept the obvious way.
+type Model = BTreeMap<(u32, u32), (f32, u64)>;
+
+fn apply_model(m: &mut Model, op: &Op, ts: u64) {
+    match *op {
+        Op::Insert(u, v, w) => {
+            m.insert((u, v), (w as f32 + 0.5, ts));
+        }
+        Op::Delete(u, v) => {
+            m.remove(&(u, v));
+        }
+        Op::DeleteVertex(x) => m.retain(|&(u, v), _| u != x && v != x),
+        Op::AddVertices(_) | Op::Compact => {}
+    }
+}
+
+/// Every row strictly sorted by `dst`, its live slots exactly the
+/// model's, and every lookup agreeing with the model.
+fn assert_matches_model(g: &DynamicGraph, m: &Model) {
+    let n = g.num_vertices() as u32;
+    let mut tombstones = 0;
+    for u in 0..n + 2 {
+        let slots = g.row_slots(u);
+        assert!(
+            slots.windows(2).all(|p| p[0].dst < p[1].dst),
+            "row {} unsorted",
+            u
+        );
+        tombstones += slots.iter().filter(|r| r.deleted).count();
+        let live: Vec<(u32, f32, u64)> = slots
+            .iter()
+            .filter(|r| !r.deleted)
+            .map(|r| (r.dst, r.weight, r.timestamp))
+            .collect();
+        let want: Vec<(u32, f32, u64)> = m
+            .range((u, 0)..=(u, u32::MAX))
+            .map(|(&(_, v), &(w, ts))| (v, w, ts))
+            .collect();
+        assert_eq!(&live, &want, "row {}", u);
+        assert_eq!(g.degree(u), want.len());
+        let ids: Vec<u32> = g.neighbor_ids(u).collect();
+        assert_eq!(ids, want.iter().map(|e| e.0).collect::<Vec<_>>());
+        for v in 0..n + 2 {
+            let rec = g.edge(u, v).map(|r| (r.weight, r.timestamp));
+            assert_eq!(rec, m.get(&(u, v)).copied(), "edge({}, {})", u, v);
+            assert_eq!(g.has_edge(u, v), rec.is_some());
+        }
+    }
+    assert_eq!(g.num_live_edges(), m.len());
+    assert_eq!(g.num_tombstones(), tombstones);
 }
 
 /// The oracle: materialize every live `(u, v, w)` tuple and let
@@ -66,6 +136,18 @@ fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// After every op, rows and lookups agree with the model.
+    #[test]
+    fn rows_stay_sorted_and_match_the_model((n, ops) in history()) {
+        let mut g = DynamicGraph::new(n);
+        let mut model = Model::new();
+        for (i, op) in ops.iter().enumerate() {
+            apply_one(&mut g, op, i as u64);
+            apply_model(&mut model, op, i as u64);
+            assert_matches_model(&g, &model);
+        }
+    }
 
     /// Row-wise freeze (serial and parallel) == legacy builder output.
     #[test]
