@@ -2,8 +2,8 @@
 //!
 //! For shard counts 1/2/4/8 over two stream shapes (skewed R-MAT and
 //! flat uniform), the driver routes the same update stream through an
-//! N-shard [`ShardedFlow`], runs the scatter-gather kernels (PageRank,
-//! BFS, connected components), and records:
+//! N-shard [`ShardedFlow`], runs the fleet kernels (PageRank, BFS,
+//! connected components), and records:
 //!
 //! * **agreement** — merged kernel outputs must be *bit-identical* to
 //!   the 1-shard ground truth (any divergence aborts with a non-zero
@@ -13,8 +13,9 @@
 //!   4 B per exchanged frontier candidate, 8 B per forest pair);
 //! * **balance-limited speedup** — total work over max per-shard work,
 //!   the upper bound a perfectly overlapped deployment could reach
-//!   (shards here execute serially in one process, so *measured* wall
-//!   time shows replication overhead instead — both are reported);
+//!   (shards here ingest serially in one process and each kernel runs
+//!   once on the merged graph, so *measured* wall time shows
+//!   replication and merge overhead instead — both are reported);
 //! * wall clock per phase.
 //!
 //! Results land in `BENCH_shard.json`. This is the paper's §V

@@ -31,11 +31,12 @@
 //!   latency digests (the §V-B "tens of microseconds" point-query
 //!   workload, made concurrent).
 //! * [`sharded`] — scale-out: the property graph hash-partitioned
-//!   across N shard-local flow engines with ghost (halo) edges,
-//!   scatter-gather batch analytics whose merged results are
-//!   bit-identical for any shard count, shard-local recovery, and a
-//!   measured cross-shard traffic model (the §V network-bound
-//!   scale-out argument, made testable).
+//!   across N shard-local flow engines with ghost (halo) edges, batch
+//!   analytics that run the one engine per kernel on the merged graph
+//!   (bit-identical for any shard count), shard-local recovery,
+//!   replica failover, and a cross-shard traffic model priced from the
+//!   partition (the §V network-bound scale-out argument, made
+//!   testable).
 //! * [`model`] — **Figs. 3 & 6**: the four-resource (CPU, memory, disk,
 //!   network) parameterized performance model of the 9-step NORA
 //!   pipeline, with the paper's system configurations (2012 baseline,

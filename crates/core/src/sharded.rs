@@ -1,7 +1,7 @@
 //! Sharded multi-engine scale-out: N shard-local [`FlowEngine`]s
-//! behind one hash-partition router, with scatter-gather batch
-//! analytics whose merged results are **bit-identical** for every
-//! shard count — now self-healing under shard failure.
+//! behind one hash-partition router, with batch analytics whose
+//! results are **bit-identical** for every shard count — now
+//! self-healing under shard failure.
 //!
 //! This is the flow-level half of the sharded architecture; update
 //! routing and the partition itself live in `ga_stream::sharded`
@@ -15,14 +15,15 @@
 //!   one ingest pipeline (`FlowEngine::deliver`: log iff the shard is
 //!   durable) — the fleet has no apply code of its own, and every shard
 //!   engine's configuration comes from one `shard_config`.
-//! * **Batch analytics** — scatter-gather: each shard computes a
-//!   partial over the vertices it owns ([`ga_kernels::scatter`]), the
-//!   router merges. PageRank keeps every floating-point reduction in
-//!   global vertex order (mirroring `pagerank_with`'s determinism
-//!   argument), BFS exchanges integer frontiers level-synchronously,
-//!   and components union shard-local spanning forests through a
-//!   min-id-normalizing union-find — so each merged answer is
-//!   bit-identical to the unsharded kernel on the merged graph.
+//! * **Batch analytics** — PageRank, BFS and components run the one
+//!   engine per kernel (`pagerank_with`, `bfs_with`, `wcc_with`) on
+//!   the freeze of [`ShardedFlow::merged_graph`], so each answer is the
+//!   unsharded kernel's on the merged graph by construction. The
+//!   fleet's job is the network demand a distributed run would place
+//!   on Kogge's fourth resource: each kernel prices the bytes its
+//!   partitioned protocol would exchange (rank pulls, frontier
+//!   candidates, spanning-forest pairs) from the serving partition,
+//!   under [`CrossShardTraffic`].
 //! * **Durability** — each shard owns its WAL + checkpoint directory
 //!   (`base/shard-00`, `base/shard-01`, …), so recovery is
 //!   shard-local and a shard's recovery failure names the shard (its
@@ -41,8 +42,8 @@
 //!   after [`DEFAULT_SUSPECT_STRIKES`] consecutive failures (or an
 //!   injected/announced crash); a success while Suspect heals it.
 //!   Every transition is journaled through the router recorder.
-//! * **Failover** — while a shard is down, merged views and
-//!   scatter-gather analytics serve that shard's vertices from the
+//! * **Failover** — while a shard is down, merged views and batch
+//!   analytics serve that shard's vertices from the
 //!   ring-successor replica: values stay exact, and results carry a
 //!   typed [`Completion::Degraded`] instead of panicking or silently
 //!   dropping rows. Without replication the down shard's rows are
@@ -69,13 +70,13 @@
 
 use crate::faults::{check, with_scope};
 use crate::flow::{FlowConfig, FlowEngine, FlowStats};
-use ga_graph::{DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId};
-use ga_kernels::cc::Components;
-use ga_kernels::pagerank::PageRankResult;
-use ga_kernels::scatter::{
-    bfs_owned_expand, cc_local_forest, cc_merge_forests, owned_in_adjacency, pagerank_owned_sweep,
+use ga_graph::{
+    CsrBuilder, CsrGraph, DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId,
 };
-use ga_kernels::{Completion, UNREACHED};
+use ga_kernels::bfs::bfs_with;
+use ga_kernels::cc::{wcc_with, Components};
+use ga_kernels::pagerank::{pagerank_with, PageRankResult};
+use ga_kernels::{Completion, KernelCtx, UNREACHED};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::engine::QuarantinedUpdate;
 use ga_stream::sharded::{ShardPlan, UPDATE_WIRE_BYTES};
@@ -126,6 +127,15 @@ fn copy_props(out: &mut PropertyStore, store: &PropertyStore, keep: impl Fn(Vert
     }
 }
 
+/// Out-edges of `v` in `g` whose target is served by a different shard
+/// than `v` (`serve[x]`: the shard serving `x`'s row, if any).
+fn cross_edges(g: &CsrGraph, serve: &[Option<usize>], v: VertexId) -> u64 {
+    g.neighbors(v)
+        .iter()
+        .filter(|&&c| serve[c as usize] != serve[v as usize])
+        .count() as u64
+}
+
 /// Cross-shard network bytes, per protocol, under the wire model the
 /// module docs describe. All zero in a 1-shard deployment — traffic
 /// only counts bytes that actually cross a shard boundary.
@@ -136,14 +146,15 @@ pub struct CrossShardTraffic {
     /// Replica (ring-successor) update deliveries during ingest; zero
     /// unless the fleet was built with [`ShardedConfig::replicate`].
     pub replication_bytes: u64,
-    /// Rank values pulled from non-owner shards, summed over PageRank
-    /// iterations.
+    /// Rank values pulled across a serving-shard boundary (one per
+    /// crossing merged edge), summed over PageRank iterations.
     pub pagerank_bytes: u64,
-    /// Frontier candidates handed to a different owner shard during
-    /// BFS level exchanges.
+    /// Frontier candidates handed to a different serving shard during
+    /// BFS level exchanges (one per crossing out-edge of a reached
+    /// vertex).
     pub bfs_bytes: u64,
-    /// Spanning-forest pairs shipped to the router for the components
-    /// merge.
+    /// Spanning-forest pairs each serving shard would ship to the
+    /// router for the components merge (one per local non-root vertex).
     pub components_bytes: u64,
 }
 
@@ -423,7 +434,7 @@ impl CheckpointReport {
     }
 }
 
-/// A scatter-gather result plus the fleet-coverage verdict it was
+/// A fleet kernel result plus the fleet-coverage verdict it was
 /// computed under. `completion` is [`Completion::Complete`] only when
 /// every shard was serving; otherwise [`Completion::Degraded`], with
 /// the gap itemized: `failed_over` shards were served exactly from
@@ -793,7 +804,7 @@ impl ShardedFlow {
         None
     }
 
-    /// Pair a scatter-gather result with the coverage it ran under.
+    /// Pair a fleet kernel result with the coverage it ran under.
     fn run_verdict<T>(&self, value: T) -> ShardedRun<T> {
         let (failed_over, uncovered) = self.coverage();
         ShardedRun {
@@ -802,10 +813,6 @@ impl ShardedFlow {
             failed_over,
             uncovered,
         }
-    }
-
-    fn serve_map(&self, n: usize) -> Vec<Option<usize>> {
-        (0..n as VertexId).map(|v| self.row_source(v)).collect()
     }
 
     fn journal_transition(
@@ -1266,166 +1273,94 @@ impl ShardedFlow {
         Ok((replayed, requeued))
     }
 
-    /// Scatter-gather PageRank over the merged graph, bit-identical to
-    /// `pagerank_with` on an unsharded engine for any shard count: each
-    /// shard pulls over the complete in-adjacency of the vertices it
-    /// serves (ascending source order), while the dangling-mass and
-    /// residual reductions run at the router in global vertex order.
-    /// Under failover the replica serves its dead predecessor's
-    /// vertices with exact rows; the result's `completion` is then
-    /// [`Completion::Degraded`].
-    pub fn pagerank(&mut self, damping: f64, tol: f64, max_iters: usize) -> PageRankResult {
-        let n = self.global_width();
-        let completion = self.fleet_completion();
-        if n == 0 {
-            return PageRankResult {
-                rank: vec![],
-                work: 0,
-                residual: 0.0,
-                completion,
-            };
-        }
-        let mut span = self.recorder.span(Step::BatchAnalytic);
-        // Scatter phase setup: per-shard served vertex lists and
-        // in-adjacencies, plus global out-degrees from the serving
-        // rows (the owner's, or its replica's exact copy).
-        let serve = self.serve_map(n);
-        let mut owned: Vec<Vec<VertexId>> = vec![Vec::new(); self.shards.len()];
-        for v in 0..n as VertexId {
-            if let Some(s) = serve[v as usize] {
-                owned[s].push(v);
-            }
-        }
-        let in_adj: Vec<Vec<Vec<VertexId>>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| owned_in_adjacency(s.graph(), n, |v| serve[v as usize] == Some(i)))
+    /// The merged graph frozen for a kernel run, with the shard that
+    /// serves each vertex's row (`None`: no serving copy, empty row).
+    fn frozen_merge(&self) -> (CsrGraph, Vec<Option<usize>>) {
+        let serve = (0..self.global_width() as VertexId)
+            .map(|v| self.row_source(v))
             .collect();
-        // Rank values pulled across a shard boundary, per iteration.
-        let cross_in: u64 = in_adj
-            .iter()
-            .enumerate()
-            .map(|(i, adj)| {
-                adj.iter()
-                    .flatten()
-                    .filter(|&&u| serve[u as usize] != Some(i))
-                    .count() as u64
-            })
-            .sum();
-        // The serving shard holds each vertex's exact out-row, so its
-        // live degree *is* the global out-degree.
-        let out_deg: Vec<f64> = (0..n as VertexId)
-            .map(|v| match serve[v as usize] {
-                Some(s) => self.shards[s].graph().degree(v) as f64,
-                None => 0.0,
-            })
-            .collect();
-        let inv_n = 1.0 / n as f64;
-        let mut rank = vec![inv_n; n];
-        let mut iters = 0;
-        let mut residual = f64::INFINITY;
-        while iters < max_iters && residual > tol {
-            // Router-side serial reductions in global vertex order —
-            // the same summation order as the unsharded kernel.
-            let dangling: f64 = (0..n).filter(|&v| out_deg[v] == 0.0).map(|v| rank[v]).sum();
-            let base = (1.0 - damping) * inv_n + damping * dangling * inv_n;
-            let mut next = rank.clone();
-            for i in 0..self.shards.len() {
-                for (v, r) in
-                    pagerank_owned_sweep(&in_adj[i], &owned[i], &rank, &out_deg, base, damping)
-                {
-                    next[v as usize] = r;
-                }
-            }
-            residual = (0..n).map(|v| (next[v] - rank[v]).abs()).sum();
-            rank = next;
-            iters += 1;
-        }
-        let bytes = iters as u64 * RANK_WIRE_BYTES * cross_in;
-        self.traffic.pagerank_bytes += bytes;
-        span.add_net_bytes(bytes);
-        PageRankResult {
-            rank,
-            work: iters,
-            residual,
-            completion,
-        }
+        (self.merged_graph().snapshot(), serve)
     }
 
-    /// Scatter-gather BFS: level-synchronous frontier exchange. Depths
-    /// are integers, so the result is exact for any shard count —
-    /// identical to `ga_kernels::bfs::bfs_with`'s depths on the merged
-    /// graph, including under replica failover.
-    /// The result carries the fleet-coverage verdict it ran under (see
+    /// PageRank over [`Self::merged_graph`]: the one engine,
+    /// `pagerank_with`, on its freeze with a reverse index. Ranks are
+    /// bit-identical to an unsharded engine's for any shard count, and
+    /// under replica failover. A row with no serving copy is empty, so
+    /// its vertex is dangling and the ranks stay a distribution.
+    /// `completion` is [`Self::fleet_completion`]. Priced as a pull
+    /// across partitions: 8 B (one `f64`) per sweep per merged edge
+    /// whose endpoints have different serving shards.
+    pub fn pagerank(&mut self, damping: f64, tol: f64, max_iters: usize) -> PageRankResult {
+        let mut span = self.recorder.span(Step::BatchAnalytic);
+        let (snap, serve) = self.frozen_merge();
+        let csr = CsrBuilder::new(snap.num_vertices())
+            .edges(snap.edges())
+            .reverse(true)
+            .build();
+        let mut run = pagerank_with(&csr, damping, tol, max_iters, &KernelCtx::default());
+        let cross: u64 = snap.vertices().map(|v| cross_edges(&snap, &serve, v)).sum();
+        let bytes = run.work as u64 * RANK_WIRE_BYTES * cross;
+        self.traffic.pagerank_bytes += bytes;
+        span.add_net_bytes(bytes);
+        run.completion = self.fleet_completion();
+        run
+    }
+
+    /// BFS depths from `src` over [`Self::merged_graph`]: the one
+    /// engine, `bfs_with`, on its freeze, so depths equal an unsharded
+    /// engine's, including under replica failover. Priced as a
+    /// level-synchronous frontier exchange: 4 B (one vertex id) per
+    /// out-edge of a reached vertex whose target has a different
+    /// serving shard (an unserved target counts as different). The
+    /// result carries the fleet-coverage verdict it ran under (see
     /// [`ShardedRun`]).
     pub fn bfs(&mut self, src: VertexId) -> ShardedRun<Vec<u32>> {
         let n = self.global_width();
-        let mut depth = vec![UNREACHED; n];
         if (src as usize) >= n {
-            return self.run_verdict(depth);
+            return self.run_verdict(vec![UNREACHED; n]);
         }
         let mut span = self.recorder.span(Step::BatchAnalytic);
-        let serve = self.serve_map(n);
-        depth[src as usize] = 0;
-        let mut frontier = vec![src];
-        let mut d = 0u32;
-        let mut cross = 0u64;
-        while !frontier.is_empty() {
-            let mut per_shard: Vec<Vec<VertexId>> = vec![Vec::new(); self.shards.len()];
-            for &v in &frontier {
-                if let Some(s) = serve[v as usize] {
-                    per_shard[s].push(v);
-                }
-            }
-            let mut next = Vec::new();
-            for (i, f) in per_shard.iter().enumerate() {
-                for c in bfs_owned_expand(self.shards[i].graph(), f) {
-                    if serve[c as usize] != Some(i) {
-                        cross += 1;
-                    }
-                    if (c as usize) < n && depth[c as usize] == UNREACHED {
-                        depth[c as usize] = d + 1;
-                        next.push(c);
-                    }
-                }
-            }
-            d += 1;
-            frontier = next;
-        }
+        let (snap, serve) = self.frozen_merge();
+        let depth = bfs_with(&snap, src, &KernelCtx::default()).depth;
+        let cross: u64 = snap
+            .vertices()
+            .filter(|&v| depth[v as usize] != UNREACHED)
+            .map(|v| cross_edges(&snap, &serve, v))
+            .sum();
         let bytes = FRONTIER_WIRE_BYTES * cross;
         self.traffic.bfs_bytes += bytes;
         span.add_net_bytes(bytes);
         self.run_verdict(depth)
     }
 
-    /// Scatter-gather connected components: each serving shard reduces
-    /// its local edges to a spanning forest, the router unions the
-    /// forests. Min-id label normalization makes the result
-    /// independent of shard count — identical to `wcc_union_find` on
-    /// the merged graph. A dead shard's edges are covered by its
-    /// ring-successor replica's local graph on replicated fleets.
-    /// The result carries the fleet-coverage verdict it ran under (see
-    /// [`ShardedRun`]).
+    /// Weakly connected components of [`Self::merged_graph`]: the one
+    /// engine, `wcc_with`, on its freeze, so labels and count equal an
+    /// unsharded engine's. Priced, when more than one shard serves, as
+    /// each serving shard shipping a spanning forest of its local
+    /// edges: 8 B (two vertex ids) per local vertex that is not its
+    /// local component's root. The result carries the fleet-coverage
+    /// verdict it ran under (see [`ShardedRun`]).
     pub fn components(&mut self) -> ShardedRun<Components> {
-        let n = self.global_width();
         let mut span = self.recorder.span(Step::BatchAnalytic);
-        let mut pairs = Vec::new();
-        let mut serving = 0usize;
-        for (i, engine) in self.shards.iter().enumerate() {
-            if !self.supervisor.is_serving(i) {
-                continue;
-            }
-            serving += 1;
-            let csr = engine.graph().snapshot();
-            pairs.extend(cc_local_forest(&csr));
-        }
-        if serving > 1 {
-            let bytes = FOREST_PAIR_WIRE_BYTES * pairs.len() as u64;
+        let ctx = KernelCtx::default();
+        let serving: Vec<&FlowEngine> = (0..self.shards.len())
+            .filter(|&i| self.supervisor.is_serving(i))
+            .map(|i| &self.shards[i])
+            .collect();
+        if serving.len() > 1 {
+            let pairs: usize = serving
+                .iter()
+                .map(|engine| {
+                    let local = engine.graph().snapshot();
+                    local.num_vertices() - wcc_with(&local, &ctx).count
+                })
+                .sum();
+            let bytes = FOREST_PAIR_WIRE_BYTES * pairs as u64;
             self.traffic.components_bytes += bytes;
             span.add_net_bytes(bytes);
         }
-        self.run_verdict(cc_merge_forests(n, pairs))
+        let components = wcc_with(&self.merged_graph().snapshot(), &ctx);
+        self.run_verdict(components)
     }
 
     // -----------------------------------------------------------------
@@ -1556,11 +1491,7 @@ impl ShardedQueryRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::CsrBuilder;
-    use ga_kernels::bfs::bfs_with;
     use ga_kernels::cc::wcc_union_find;
-    use ga_kernels::pagerank::pagerank_with;
-    use ga_kernels::KernelCtx;
     use ga_stream::update::{into_batches, rmat_edge_stream};
 
     fn drive(flow: &mut ShardedFlow, scale: u32, total: usize, seed: u64) {
@@ -1570,7 +1501,7 @@ mod tests {
     }
 
     #[test]
-    fn scatter_gather_matches_unsharded_kernels() {
+    fn fleet_kernels_match_unsharded_kernels() {
         let mut one = ShardedFlow::builder(1).build(64).unwrap();
         drive(&mut one, 6, 1200, 11);
         let reference_pr = one.pagerank(0.85, 1e-10, 60);
@@ -1865,5 +1796,36 @@ mod tests {
             err.to_string().contains("no rebuild source"),
             "unexpected: {err}"
         );
+    }
+
+    #[test]
+    fn uncovered_pagerank_stays_a_distribution() {
+        // The loss test's fleet: shard 0 dies with no replica, so its
+        // rows are gone while shard 1 still holds ghost edges from them.
+        let mut fleet = ShardedFlow::builder(2).build(64).unwrap();
+        let batches = into_batches(rmat_edge_stream(6, 600, 0.2, 21), 100, 1);
+        let (head, tail) = batches.split_at(3);
+        for b in head {
+            fleet.process_batch(b).unwrap();
+        }
+        fleet.kill_shard(0, "no safety net");
+        for b in tail {
+            fleet.process_batch(b).unwrap();
+        }
+        let pr = fleet.pagerank(0.85, 1e-10, 50);
+        assert_eq!(pr.completion, Completion::Degraded);
+        assert_eq!(fleet.coverage(), (vec![], vec![0]));
+        assert!(pr.rank.iter().all(|r| r.is_finite()), "{:?}", pr.rank);
+        let sum: f64 = pr.rank.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-9, "ranks sum to {sum}");
+
+        let merged = fleet.merged_graph();
+        let csr = CsrBuilder::new(merged.num_vertices())
+            .edges(merged.snapshot().edges())
+            .reverse(true)
+            .build();
+        let kernel = pagerank_with(&csr, 0.85, 1e-10, 50, &KernelCtx::serial());
+        assert_eq!(pr.work, kernel.work);
+        assert_eq!(pr.rank, kernel.rank);
     }
 }

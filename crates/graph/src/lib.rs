@@ -19,8 +19,8 @@
 //!   index.
 //!
 //! On top of those sit deterministic workload generators ([`gen`]),
-//! subgraph extraction with property projection ([`sub`]), plain-text and
-//! binary I/O ([`io`]), and whole-graph statistics ([`stats`]).
+//! subgraph extraction with property projection ([`sub`]), and
+//! plain-text and binary I/O ([`io`]).
 //!
 //! ```
 //! use ga_graph::{gen, CsrGraph};
@@ -46,7 +46,6 @@ pub mod par;
 pub mod props;
 pub mod retry;
 pub mod snapshot;
-pub mod stats;
 pub mod sub;
 pub mod tier;
 

@@ -9,7 +9,7 @@
 //! [`CsrGraph`] plus a `back_map` to translate results back to the
 //! persistent graph's ids.
 
-use crate::{Adjacency, CsrBuilder, CsrGraph, DynamicGraph, PropertyStore, VertexId};
+use crate::{Adjacency, CsrBuilder, CsrGraph, PropertyStore, VertexId};
 use std::collections::VecDeque;
 
 /// Extraction parameters.
@@ -81,84 +81,6 @@ pub fn extract_ball<A: Adjacency + ?Sized>(
     );
     induce(g.num_vertices(), &members, props, |u, out| {
         out.extend(g.neighbors(u))
-    })
-}
-
-/// BFS ball extraction straight from the live [`DynamicGraph`] — the
-/// streaming-trigger path of Fig. 2 where modified vertices become seeds
-/// without waiting for a full snapshot.
-pub fn extract_ball_dynamic(
-    g: &DynamicGraph,
-    seeds: &[VertexId],
-    opts: &ExtractOptions,
-    props: Option<(&PropertyStore, &[&str])>,
-) -> Subgraph {
-    let members = bfs_ball_members(
-        |v, out: &mut Vec<VertexId>| out.extend(g.neighbor_ids(v)),
-        g.num_vertices(),
-        seeds,
-        opts,
-    );
-    induce(g.num_vertices(), &members, props, |u, out| {
-        out.extend(g.neighbor_ids(u))
-    })
-}
-
-/// Path-corridor extraction: find a shortest path between `a` and `b`
-/// (unweighted BFS), then take a ball of `opts.depth` around every path
-/// vertex — the paper's "out some distance from some path between two or
-/// more seeds". Returns `None` when `b` is unreachable from `a`.
-pub fn extract_path_corridor(
-    g: &CsrGraph,
-    a: VertexId,
-    b: VertexId,
-    opts: &ExtractOptions,
-    props: Option<(&PropertyStore, &[&str])>,
-) -> Option<Subgraph> {
-    let path = shortest_path(g, a, b)?;
-    Some(extract_ball(g, &path, opts, props))
-}
-
-/// Unweighted shortest path `a -> b` via BFS with parent pointers.
-pub fn shortest_path(g: &CsrGraph, a: VertexId, b: VertexId) -> Option<Vec<VertexId>> {
-    let n = g.num_vertices();
-    let mut parent: Vec<VertexId> = vec![VertexId::MAX; n];
-    let mut q = VecDeque::new();
-    parent[a as usize] = a;
-    q.push_back(a);
-    while let Some(u) = q.pop_front() {
-        if u == b {
-            break;
-        }
-        for &v in g.neighbors(u) {
-            if parent[v as usize] == VertexId::MAX {
-                parent[v as usize] = u;
-                q.push_back(v);
-            }
-        }
-    }
-    if parent[b as usize] == VertexId::MAX {
-        return None;
-    }
-    let mut path = vec![b];
-    let mut cur = b;
-    while cur != a {
-        cur = parent[cur as usize];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
-/// Induce a subgraph over an explicit member set (public for callers
-/// that compute membership themselves, e.g. community extraction).
-pub fn induced_subgraph(
-    g: &CsrGraph,
-    members: &[VertexId],
-    props: Option<(&PropertyStore, &[&str])>,
-) -> Subgraph {
-    induce(g.num_vertices(), members, props, |u, out| {
-        out.extend_from_slice(g.neighbors(u))
     })
 }
 
@@ -333,65 +255,5 @@ mod tests {
         assert_eq!(sub.back_map, vec![1, 2, 3]);
         assert_eq!(sub.props.get_f64("score", 0), Some(0.1));
         assert!(!sub.props.has_column("junk"));
-    }
-
-    #[test]
-    fn shortest_path_on_line() {
-        let g = line_graph(8);
-        let p = shortest_path(&g, 1, 5).unwrap();
-        assert_eq!(p, vec![1, 2, 3, 4, 5]);
-        assert_eq!(shortest_path(&g, 3, 3).unwrap(), vec![3]);
-    }
-
-    #[test]
-    fn shortest_path_unreachable() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(shortest_path(&g, 0, 3).is_none());
-    }
-
-    #[test]
-    fn path_corridor_covers_path() {
-        let g = line_graph(12);
-        let sub = extract_path_corridor(
-            &g,
-            2,
-            8,
-            &ExtractOptions {
-                depth: 1,
-                ..Default::default()
-            },
-            None,
-        )
-        .unwrap();
-        // Path 2..=8 plus radius-1 fringe {1, 9}.
-        assert_eq!(sub.back_map, vec![1, 2, 3, 4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn dynamic_extraction_sees_live_edges_only() {
-        let mut d = DynamicGraph::new(5);
-        d.insert_undirected(&gen::path(5), 1);
-        d.delete_edge(2, 3, 2);
-        d.delete_edge(3, 2, 2);
-        let sub = extract_ball_dynamic(
-            &d,
-            &[2],
-            &ExtractOptions {
-                depth: 3,
-                ..Default::default()
-            },
-            None,
-        );
-        // 3 and 4 unreachable after the cut.
-        assert_eq!(sub.back_map, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let sub = induced_subgraph(&g, &[0, 1, 2], None);
-        assert_eq!(sub.graph.num_edges(), 2); // 0->1, 1->2
-        assert!(sub.graph.has_edge(0, 1));
-        assert!(sub.graph.has_edge(1, 2));
     }
 }

@@ -25,10 +25,11 @@
 //! | SI: Subgraph Isomorphism | survey-only (see `ga_core::taxonomy`) |
 //! | Search for "Largest" | [`topk`] |
 //!
-//! [`scatter`] runs the kernels across a sharded fleet. The streaming
-//! (S-column) forms live in the `ga-stream` crate; the linear-algebra
-//! formulations (Kepner–Gilbert) live in `ga-linalg` and are
-//! cross-checked against these implementations in tests.
+//! A sharded fleet (`ga_core::sharded`) runs these same engines on its
+//! merged graph. The streaming (S-column) forms live in the `ga-stream`
+//! crate; the linear-algebra formulations (Kepner–Gilbert) live in
+//! `ga-linalg` and are cross-checked against these implementations in
+//! tests.
 //!
 //! The five GAP kernels (BFS, SSSP, WCC, PageRank, triangle counting)
 //! are generic over [`ga_graph::Adjacency`], so they run on plain,
@@ -47,7 +48,6 @@ pub mod cluster;
 pub mod ctx;
 pub mod jaccard;
 pub mod pagerank;
-pub mod scatter;
 pub mod sssp;
 pub mod topk;
 pub mod triangles;

@@ -15,15 +15,15 @@
 //!    would hold.
 //! 2. **Ghost rows are complete for incident edges.** The owner of `v`
 //!    also sees every edge `(u, v)` pointing *at* `v`, so it holds the
-//!    complete in-adjacency of `v` — the property scatter-gather
-//!    PageRank relies on.
+//!    complete in-adjacency of `v` — the halo a partitioned pull
+//!    PageRank would read without a remote fetch.
 //!
 //! Resolving ghosts is therefore trivial: take each vertex's row from
 //! its owner shard and discard the rest.
 //!
 //! This module is routing only. The one fleet type — `ShardedFlow`,
 //! N shard-local flow engines with merged views, checkpointing,
-//! scatter-gather analytics and per-shard recovery — lives in
+//! batch analytics and per-shard recovery — lives in
 //! `ga-core`'s `sharded` module (the dependency arrow points from
 //! `ga-core` to this crate).
 

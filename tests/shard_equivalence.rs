@@ -1,12 +1,12 @@
 //! Sharded scale-out equivalence suite — the CI `shard-matrix` job's
 //! workload.
 //!
-//! Three contracts, each checked across shard counts and seeds:
+//! Four contracts, each checked across shard counts and seeds:
 //!
-//! 1. **Scatter-gather agreement**: merged PageRank / BFS / components
-//!    results from an N-shard [`ShardedFlow`] are *bit-identical* to
-//!    the unsharded kernels on the merged graph — and to the 1-shard
-//!    run, so the whole scaling curve computes one answer.
+//! 1. **Kernel agreement**: PageRank / BFS / components results from
+//!    an N-shard [`ShardedFlow`] are *bit-identical* to the unsharded
+//!    kernels on the merged graph — and to the 1-shard run, so the
+//!    whole scaling curve computes one answer.
 //! 2. **Sharded recovery equivalence**: crash-and-recover on per-shard
 //!    durability directories reproduces graph, properties, and stats
 //!    exactly (recovery is shard-local).
@@ -14,6 +14,10 @@
 //!    recovery with one error naming *every* bad shard (`[shard-01]`,
 //!    `[shard-02]`, …) and the offending file paths — the whole blast
 //!    radius is diagnosable from a single CI log line.
+//! 4. **Pinned traffic**: the five cross-shard byte counters are fixed
+//!    for R-MAT and uniform streams at 1/2/4/8 shards, with and without
+//!    replication, after a replica-covered kill, and (all but PageRank)
+//!    after an uncovered one.
 //!
 //! With `GA_SHARDS` set (the CI matrix), only that shard count runs;
 //! unset, counts 1/2/4 all run in-process.
@@ -24,7 +28,7 @@ use ga_graph::{CompressedCsr, CsrBuilder};
 use ga_kernels::bfs::bfs_with;
 use ga_kernels::cc::wcc_union_find;
 use ga_kernels::pagerank::pagerank_with;
-use ga_kernels::KernelCtx;
+use ga_kernels::{KernelCtx, UNREACHED};
 use ga_stream::update::{into_batches, rmat_edge_stream, uniform_edge_stream, UpdateBatch};
 use std::path::PathBuf;
 
@@ -140,6 +144,119 @@ fn scatter_gather_agrees_with_unsharded_kernels() {
             }
         }
     }
+}
+
+/// Stream seed of the pinned cross-shard traffic table.
+const TRAFFIC_SEED: u64 = 3;
+
+/// Cross-shard bytes after one `pagerank(0.85, 1e-10, 50)`, one
+/// `bfs(0)` and one `components()` on seed 3's stream, per
+/// `(uniform, shards, replicate)`:
+/// `[ingest, replication, pagerank, bfs, components]`.
+#[rustfmt::skip]
+const TRAFFIC: [(bool, usize, bool, [u64; 5]); 16] = [
+    (false, 1, false, [0, 0, 0, 0, 0]),
+    (false, 1, true, [0, 0, 0, 0, 0]),
+    (false, 2, false, [10075, 0, 70560, 1176, 936]),
+    (false, 2, true, [10075, 8125, 70560, 1176, 992]),
+    (false, 4, false, [14196, 0, 107520, 1792, 1616]),
+    (false, 4, true, [14196, 22321, 107520, 1792, 1896]),
+    (false, 8, false, [16276, 0, 123360, 2056, 2544]),
+    (false, 8, true, [16276, 29523, 123360, 2056, 3296]),
+    (true, 1, false, [0, 0, 0, 0, 0]),
+    (true, 1, true, [0, 0, 0, 0, 0]),
+    (true, 2, false, [8736, 0, 88944, 2616, 1008]),
+    (true, 2, true, [8736, 9464, 88944, 2616, 1008]),
+    (true, 4, false, [13910, 0, 136000, 4000, 2008]),
+    (true, 4, true, [13910, 23374, 136000, 4000, 2016]),
+    (true, 8, false, [16276, 0, 158848, 4672, 3896]),
+    (true, 8, true, [16276, 29861, 158848, 4672, 4032]),
+];
+
+/// The same, on a replicated 4-shard R-MAT fleet whose shard 1 dies
+/// halfway through the stream and is served by its replica.
+const TRAFFIC_AFTER_KILL: [u64; 5] = [14196, 22321, 88800, 1480, 1400];
+
+/// `[ingest, replication, bfs, components]` on a 2-shard R-MAT fleet
+/// whose shard 0 dies halfway through the stream with no replica.
+const TRAFFIC_UNCOVERED: [u64; 4] = [10075, 0, 588, 0];
+
+/// Run the three fleet kernels and read the five traffic counters.
+fn kernel_traffic(flow: &mut ShardedFlow) -> [u64; 5] {
+    flow.pagerank(0.85, 1e-10, 50);
+    flow.bfs(0);
+    flow.components();
+    let t = flow.traffic();
+    [
+        t.ingest_bytes,
+        t.replication_bytes,
+        t.pagerank_bytes,
+        t.bfs_bytes,
+        t.components_bytes,
+    ]
+}
+
+/// The wire model prices the same bytes for every configuration it has
+/// ever priced: a kernel rewrite that moves a single traffic counter
+/// changes what `bench_shard` reports as network demand.
+#[test]
+fn cross_shard_traffic_is_pinned() {
+    for (uniform, shards, replicate, want) in TRAFFIC {
+        let mut flow = ShardedFlow::builder(shards)
+            .replicate(replicate)
+            .build(1 << SCALE)
+            .unwrap();
+        for b in workload(TRAFFIC_SEED, uniform) {
+            flow.process_batch(&b).unwrap();
+        }
+        assert_eq!(
+            kernel_traffic(&mut flow),
+            want,
+            "traffic (uniform={uniform} shards={shards} replicate={replicate})"
+        );
+    }
+
+    let mut flow = ShardedFlow::builder(4)
+        .replicate(true)
+        .build(1 << SCALE)
+        .unwrap();
+    let batches = workload(TRAFFIC_SEED, false);
+    let (head, tail) = batches.split_at(batches.len() / 2);
+    for b in head {
+        flow.process_batch(b).unwrap();
+    }
+    flow.kill_shard(1, "pinned kill");
+    for b in tail {
+        flow.process_batch(b).unwrap();
+    }
+    assert_eq!(flow.coverage(), (vec![1], vec![]));
+    assert_eq!(kernel_traffic(&mut flow), TRAFFIC_AFTER_KILL, "after kill");
+
+    // Uncovered: shard 0 of 2 dies with no replica. PageRank's bytes
+    // are left out: the scatter-gather protocol these figures were
+    // recorded under also priced pulls out of vertices no shard
+    // serves, so there is no shared figure to pin.
+    let mut flow = ShardedFlow::builder(2).build(1 << SCALE).unwrap();
+    for b in head {
+        flow.process_batch(b).unwrap();
+    }
+    flow.kill_shard(0, "pinned kill");
+    for b in tail {
+        flow.process_batch(b).unwrap();
+    }
+    assert_eq!(flow.coverage(), (vec![], vec![0]));
+    let [ingest, replication, _, bfs, components] = kernel_traffic(&mut flow);
+    assert_eq!(
+        [ingest, replication, bfs, components],
+        TRAFFIC_UNCOVERED,
+        "uncovered"
+    );
+    // A BFS from a vertex no shard serves reaches only itself: it ships
+    // no frontier.
+    let lost = (0..1 << SCALE).find(|&v| flow.row_source(v).is_none());
+    let run = flow.bfs(lost.expect("shard 0 owns a vertex"));
+    assert_eq!(run.value.iter().filter(|&&d| d != UNREACHED).count(), 1);
+    assert_eq!(flow.traffic().bfs_bytes, bfs, "bfs from an unserved vertex");
 }
 
 #[test]
