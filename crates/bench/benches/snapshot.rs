@@ -49,11 +49,12 @@ fn bench_full_freeze(c: &mut Criterion) {
     group.bench_function("legacy_global_sort", |b| {
         b.iter(|| black_box(ga_bench::global_sort_freeze(&g)))
     });
+    let (n, m, rows) = (g.num_vertices(), g.num_live_edges(), |v| g.row_slots(v));
     group.bench_function("rowwise_serial", |b| {
-        b.iter(|| black_box(freeze(&g, Parallelism::Serial)))
+        b.iter(|| black_box(freeze(n, m, rows, Parallelism::Serial)))
     });
     group.bench_function("rowwise_parallel", |b| {
-        b.iter(|| black_box(freeze(&g, Parallelism::Parallel)))
+        b.iter(|| black_box(freeze(n, m, rows, Parallelism::Parallel)))
     });
     group.finish();
 }

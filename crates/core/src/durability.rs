@@ -47,10 +47,11 @@ const MAGIC: &[u8; 4] = b"GAC1";
 /// including the tier-IO group.
 const VERSION: u16 = 3;
 
-/// A complete, self-contained snapshot of engine state.
+/// A complete, self-contained snapshot of engine state, as
+/// [`decode_checkpoint`] returns it; the writers take a [`CheckpointRef`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
-    /// The persistent graph, slot-exact (tombstones + timestamps).
+    /// The persistent graph: its live rows, weights and timestamps.
     pub graph: DynamicGraph,
     /// The property columns.
     pub props: PropertyStore,
@@ -67,6 +68,44 @@ pub struct Checkpoint {
     pub last_batch_time: Timestamp,
     /// First WAL sequence number NOT reflected in this checkpoint.
     pub next_wal_seq: u64,
+}
+
+/// The engine state [`encode_checkpoint`] writes, with the graph and
+/// property columns borrowed, so taking a checkpoint copies nothing but
+/// the encoded bytes. A `&Checkpoint` converts into one.
+#[derive(Clone, Copy, Debug)]
+pub struct CheckpointRef<'a> {
+    /// The persistent graph.
+    pub graph: &'a DynamicGraph,
+    /// The property columns.
+    pub props: &'a PropertyStore,
+    /// See [`Checkpoint::flow`].
+    pub flow: FlowStats,
+    /// See [`Checkpoint::stream`].
+    pub stream: StreamStats,
+    /// See [`Checkpoint::symmetrize`].
+    pub symmetrize: bool,
+    /// See [`Checkpoint::vertex_limit`].
+    pub vertex_limit: u64,
+    /// See [`Checkpoint::last_batch_time`].
+    pub last_batch_time: Timestamp,
+    /// See [`Checkpoint::next_wal_seq`].
+    pub next_wal_seq: u64,
+}
+
+impl<'a> From<&'a Checkpoint> for CheckpointRef<'a> {
+    fn from(c: &'a Checkpoint) -> Self {
+        CheckpointRef {
+            graph: &c.graph,
+            props: &c.props,
+            flow: c.flow,
+            stream: c.stream,
+            symmetrize: c.symmetrize,
+            vertex_limit: c.vertex_limit,
+            last_batch_time: c.last_batch_time,
+            next_wal_seq: c.next_wal_seq,
+        }
+    }
 }
 
 fn corrupt(what: impl std::fmt::Display) -> io::Error {
@@ -284,7 +323,8 @@ fn take_u64(r: &mut &[u8], what: &str) -> io::Result<u64> {
 }
 
 /// Serialize a checkpoint (including the trailing CRC32).
-pub fn encode_checkpoint(c: &Checkpoint) -> io::Result<Vec<u8>> {
+pub fn encode_checkpoint<'a>(c: impl Into<CheckpointRef<'a>>) -> io::Result<Vec<u8>> {
+    let c = c.into();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
@@ -293,8 +333,8 @@ pub fn encode_checkpoint(c: &Checkpoint) -> io::Result<Vec<u8>> {
     out.extend_from_slice(&c.vertex_limit.to_le_bytes());
     out.extend_from_slice(&c.last_batch_time.to_le_bytes());
     out.extend_from_slice(&c.next_wal_seq.to_le_bytes());
-    push_section(&mut out, |o| gio::write_dynamic(&c.graph, o))?;
-    push_section(&mut out, |o| gio::write_props(&c.props, o))?;
+    push_section(&mut out, |o| gio::write_dynamic(c.graph, o))?;
+    push_section(&mut out, |o| gio::write_props(c.props, o))?;
     push_flow_stats(&mut out, &c.flow);
     push_stream_stats(&mut out, &c.stream);
     let crc = crc32(&out);
@@ -435,7 +475,11 @@ impl Durability {
     /// Initialize a fresh durability directory with `initial` as
     /// checkpoint zero. Fails if `dir` already holds engine state
     /// (recover instead of silently clobbering it).
-    pub fn create(dir: impl AsRef<Path>, initial: &Checkpoint) -> io::Result<Durability> {
+    pub fn create<'a>(
+        dir: impl AsRef<Path>,
+        initial: impl Into<CheckpointRef<'a>>,
+    ) -> io::Result<Durability> {
+        let initial = initial.into();
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         if !list_numbered(&dir, "ckpt-", ".gac")?.is_empty()
@@ -487,7 +531,8 @@ impl Durability {
 
     /// Write `ckpt` durably, rotate the WAL, and prune per retention.
     /// On success returns the checkpoint's path.
-    pub fn checkpoint(&mut self, ckpt: &Checkpoint) -> io::Result<PathBuf> {
+    pub fn checkpoint<'a>(&mut self, ckpt: impl Into<CheckpointRef<'a>>) -> io::Result<PathBuf> {
+        let ckpt = ckpt.into();
         let seq = ckpt.next_wal_seq;
         // The span counts attempts: a failed write still records its
         // wall time, with zero disk bytes.
@@ -643,7 +688,7 @@ impl Durability {
 /// Passes the `"checkpoint.write"` fault site; an injected short write
 /// tears the file at its *final* path, modelling a crash inside a
 /// non-atomic writer, which recovery must survive via fallback.
-fn write_checkpoint_file(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
+fn write_checkpoint_file(dir: &Path, ckpt: CheckpointRef) -> io::Result<PathBuf> {
     let bytes = encode_checkpoint(ckpt)?;
     let path = ckpt_path(dir, ckpt.next_wal_seq);
     match faults::intercept("checkpoint.write") {

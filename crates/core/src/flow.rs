@@ -46,7 +46,7 @@
 //! append-before-drain inside the pipeline. [`FlowEngine::checkpoint`]
 //! is out of band.
 
-use crate::durability::{Checkpoint, Durability};
+use crate::durability::{CheckpointRef, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use ga_graph::sub::{extract_ball, Subgraph};
 use ga_graph::{
@@ -487,7 +487,7 @@ impl FlowConfig {
         // content or write-backs that predate the log (those are only
         // durable via checkpoints).
         if let Some(dir) = durability_dir {
-            let d = Durability::create(dir, &engine.snapshot(1))?;
+            let d = Durability::create(dir, checkpoint_ref(&engine.stream, engine.stats, 1))?;
             engine.attach_durability(d);
         }
         Ok(engine)
@@ -1046,7 +1046,7 @@ impl FlowEngine {
         analytic_idx: Option<usize>,
     ) -> io::Result<(Vec<BatchRunReport>, usize)> {
         if front.log && self.durability.is_some() && !self.durability_suspended {
-            let logged = self.durable_write(|d| d.append(batch), Durability::repair_wal);
+            let logged = self.durable_write(|d, _| d.append(batch), Durability::repair_wal);
             // A failure that tripped the breaker suspended durability:
             // the batch proceeds un-logged (degradation, not an error
             // stream). Any other failure stops here.
@@ -1183,13 +1183,16 @@ impl FlowEngine {
     /// [`RetryPolicy::run`] retries it, the retries are counted, and the
     /// outcome feeds the circuit breaker — an exhausted write that trips
     /// it suspends durability (see [`Self::durability_suspended`]).
+    /// `write` also gets the stream engine, borrowed, so a checkpoint
+    /// encodes the live graph and columns without copying them.
     fn durable_write<T>(
         &mut self,
-        write: impl FnMut(&mut Durability) -> io::Result<T>,
+        mut write: impl FnMut(&mut Durability, &StreamEngine) -> io::Result<T>,
         repair: impl FnMut(&mut Durability) -> io::Result<()>,
     ) -> io::Result<T> {
         let d = self.durability.as_mut().ok_or_else(not_durable)?;
-        let (result, retries) = self.retry.run(d, write, repair);
+        let stream = &self.stream;
+        let (result, retries) = self.retry.run(d, |d| write(d, stream), repair);
         self.stats.durability.retries += retries as usize;
         match &result {
             Ok(_) => self.breaker.record_success(),
@@ -1227,20 +1230,6 @@ impl FlowEngine {
         });
     }
 
-    /// Snapshot current state as a checkpoint with the given cursor.
-    fn snapshot(&self, next_wal_seq: u64) -> Checkpoint {
-        Checkpoint {
-            graph: self.stream.graph().clone(),
-            props: self.stream.props().clone(),
-            flow: self.stats,
-            stream: self.stream.stats(),
-            symmetrize: self.stream.symmetrize,
-            vertex_limit: self.stream.vertex_limit() as u64,
-            last_batch_time: self.stream.last_batch_time(),
-            next_wal_seq,
-        }
-    }
-
     /// Write a checkpoint of the current state, rotate the WAL, and
     /// prune old files — out of band, never inside the ingest pipeline.
     /// Returns the checkpoint's path.
@@ -1260,8 +1249,11 @@ impl FlowEngine {
         // Retries of this very write cannot be part of the image being
         // written: recovered counters lag the live one by exactly those
         // retries, which the equivalence suite normalizes.
-        let ckpt = self.snapshot(seq);
-        self.durable_write(|d| d.checkpoint(&ckpt), |_| Ok(()))
+        let flow = self.stats;
+        self.durable_write(
+            |d, stream| d.checkpoint(checkpoint_ref(stream, flow, seq)),
+            |_| Ok(()),
+        )
     }
 
     /// Quarantined updates, oldest first (bounded dead-letter queue).
@@ -1502,6 +1494,21 @@ impl FlowEngine {
         };
         let (_, requarantined) = self.ingest(&batch, front, |_| None, None)?;
         Ok((batch.updates.len() - requarantined, requarantined))
+    }
+}
+
+/// The checkpoint image of `stream`'s state with flow counters `flow`
+/// and recovery cursor `next_wal_seq`, borrowing the graph and columns.
+fn checkpoint_ref(stream: &StreamEngine, flow: FlowStats, next_wal_seq: u64) -> CheckpointRef<'_> {
+    CheckpointRef {
+        graph: stream.graph(),
+        props: stream.props(),
+        flow,
+        stream: stream.stats(),
+        symmetrize: stream.symmetrize,
+        vertex_limit: stream.vertex_limit() as u64,
+        last_batch_time: stream.last_batch_time(),
+        next_wal_seq,
     }
 }
 

@@ -17,13 +17,14 @@
 //!   engine's configuration comes from one `shard_config`.
 //! * **Batch analytics** — PageRank, BFS and components run the one
 //!   engine per kernel (`pagerank_with`, `bfs_with`, `wcc_with`) on
-//!   the freeze of [`ShardedFlow::merged_graph`], so each answer is the
-//!   unsharded kernel's on the merged graph by construction. The
-//!   fleet's job is the network demand a distributed run would place
-//!   on Kogge's fourth resource: each kernel prices the bytes its
-//!   partitioned protocol would exchange (rank pulls, frontier
-//!   candidates, spanning-forest pairs) from the serving partition,
-//!   under [`CrossShardTraffic`].
+//!   one freeze that reads each vertex's row from the shard serving
+//!   it — [`ShardedFlow::merged_graph`]'s freeze, without building that
+//!   graph — so each answer is the unsharded kernel's on the merged
+//!   graph by construction. The fleet's job is the network demand a
+//!   distributed run would place on Kogge's fourth resource: each
+//!   kernel prices the bytes its partitioned protocol would exchange
+//!   (rank pulls, frontier candidates, spanning-forest pairs) from the
+//!   serving partition, under [`CrossShardTraffic`].
 //! * **Durability** — each shard owns its WAL + checkpoint directory
 //!   (`base/shard-00`, `base/shard-01`, …), so recovery is
 //!   shard-local and a shard's recovery failure names the shard (its
@@ -33,7 +34,7 @@
 //!   delivery to a shard is mirrored to that shard's ring successor
 //!   (K=2 chain replication over the same router). The successor of
 //!   `owner(v)` therefore receives *every* update that touches `v`'s
-//!   row, making replica rows slot-exact copies of owner rows. The
+//!   row, making replica rows exact copies of owner rows. The
 //!   mirror copies are priced at [`UPDATE_WIRE_BYTES`] under
 //!   [`CrossShardTraffic::replication_bytes`].
 //! * **Health supervision** — a [`ShardSupervisor`] classifies each
@@ -70,18 +71,21 @@
 
 use crate::faults::{check, with_scope};
 use crate::flow::{FlowConfig, FlowEngine, FlowStats};
+use ga_graph::snapshot::freeze;
 use ga_graph::{
-    CsrBuilder, CsrGraph, DynamicGraph, EdgeRecord, PropertyStore, Timestamp, VertexId,
+    CsrBuilder, CsrGraph, DynamicGraph, Parallelism, PropertyStore, Timestamp, VertexId,
 };
 use ga_kernels::bfs::bfs_with;
 use ga_kernels::cc::{wcc_with, Components};
 use ga_kernels::pagerank::{pagerank_with, PageRankResult};
+use ga_kernels::union_find::UnionFind;
 use ga_kernels::{Completion, KernelCtx, UNREACHED};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::engine::QuarantinedUpdate;
 use ga_stream::sharded::{ShardPlan, UPDATE_WIRE_BYTES};
 use ga_stream::update::UpdateBatch;
 use ga_stream::{Query, QueryResponse, SnapshotHandle};
+use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -127,13 +131,31 @@ fn copy_props(out: &mut PropertyStore, store: &PropertyStore, keep: impl Fn(Vert
     }
 }
 
-/// Out-edges of `v` in `g` whose target is served by a different shard
-/// than `v` (`serve[x]`: the shard serving `x`'s row, if any).
-fn cross_edges(g: &CsrGraph, serve: &[Option<usize>], v: VertexId) -> u64 {
-    g.neighbors(v)
-        .iter()
-        .filter(|&&c| serve[c as usize] != serve[v as usize])
-        .count() as u64
+/// Edges in a spanning forest of `g`'s live edges, taken as undirected:
+/// the unions a [`UnionFind`] over them performs.
+fn forest_pairs(g: &DynamicGraph) -> usize {
+    let mut uf = UnionFind::new(g.num_vertices());
+    g.edges().filter(|&(u, v, ..)| uf.union(u, v)).count()
+}
+
+/// Out-edges of the vertices `from` keeps in `g` whose target is served
+/// by a different shard than their source (`serve[x]`: the shard serving
+/// `x`'s row, if any). Zero without a pass when one shard, or none,
+/// serves every row: there is no boundary to cross.
+fn cross_edges(g: &CsrGraph, serve: &[Option<usize>], from: impl Fn(VertexId) -> bool) -> u64 {
+    if serve.windows(2).all(|p| p[0] == p[1]) {
+        return 0;
+    }
+    let mut cross = 0;
+    for v in g.vertices().filter(|&v| from(v)) {
+        let sv = serve[v as usize];
+        cross += g
+            .neighbors(v)
+            .iter()
+            .filter(|&&c| serve[c as usize] != sv)
+            .count();
+    }
+    cross as u64
 }
 
 /// Cross-shard network bytes, per protocol, under the wire model the
@@ -515,7 +537,7 @@ impl ShardedConfig {
     }
 
     /// Mirror every delivery to the owner's ring successor (K=2 chain
-    /// replication, default off). Replica rows are slot-exact copies
+    /// replication, default off). Replica rows are exact copies
     /// of owner rows, so merged views and analytics can fail over to
     /// them when a shard dies; the mirror copies are priced under
     /// [`CrossShardTraffic::replication_bytes`]. A no-op with one
@@ -1142,38 +1164,25 @@ impl ShardedFlow {
         let succ = self.plan.successor(i);
         let pred = self.plan.predecessor(i);
         let width = self.global_width();
-        let last = self
-            .shards
-            .iter()
-            .map(|s| s.graph().last_update())
-            .max()
-            .unwrap_or(0);
-        let mut rows: Vec<Vec<EdgeRecord>> = Vec::with_capacity(width);
+        let held = |x: VertexId| [i, pred].contains(&self.plan.owner(x));
+        let mut rows = Vec::with_capacity(width);
         for v in 0..width as VertexId {
-            let owner = self.plan.owner(v);
             let Some(src) = self.row_source(v) else {
                 return Err(io::Error::other(format!(
                     "cannot rebuild {} from replicas: no serving copy of vertex {v}'s row",
                     shard_label(i)
                 )));
             };
-            let slots = self.shards[src].graph().row_slots(v);
-            if owner == i || owner == pred {
-                rows.push(slots.to_vec());
-            } else {
-                rows.push(
-                    slots
-                        .iter()
-                        .filter(|r| {
-                            let d = self.plan.owner(r.dst);
-                            d == i || d == pred
-                        })
-                        .cloned()
-                        .collect(),
-                );
-            }
+            let (whole, slots) = (held(v), self.shards[src].graph().row_slots(v));
+            rows.push(
+                slots
+                    .iter()
+                    .filter(|r| whole || held(r.dst))
+                    .copied()
+                    .collect(),
+            );
         }
-        let graph = DynamicGraph::from_rows(rows, last);
+        let graph = DynamicGraph::from_rows(rows, self.last_update());
         // Properties: shard `i` holds its owned columns (replicated on
         // `succ`) and the replica copies of `pred`'s (live on `pred`).
         let mut props = PropertyStore::new(0);
@@ -1192,25 +1201,26 @@ impl ShardedFlow {
     /// Resolve ghosts into one global graph: each vertex's row comes
     /// verbatim from the shard serving it — its owner, or (while the
     /// owner is down, on replicated fleets) the ring-successor
-    /// replica, whose rows are slot-exact copies. With every shard
+    /// replica, whose rows are exact copies. With every shard
     /// serving, the result is bit-identical to an unsharded engine's
     /// graph after the same batches; under single-shard failure with
     /// replication it still is. Rows with no serving copy are empty.
+    /// The fleet's kernels freeze the serving rows without building
+    /// this copy; it is the oracle their results are checked against.
     pub fn merged_graph(&self) -> DynamicGraph {
-        let width = self.global_width();
-        let last = self
-            .shards
-            .iter()
-            .map(|s| s.graph().last_update())
-            .max()
-            .unwrap_or(0);
-        let rows: Vec<Vec<EdgeRecord>> = (0..width as VertexId)
+        let rows = (0..self.global_width() as VertexId)
             .map(|v| match self.row_source(v) {
                 Some(s) => self.shards[s].graph().row_slots(v).to_vec(),
                 None => Vec::new(),
             })
             .collect();
-        DynamicGraph::from_rows(rows, last)
+        DynamicGraph::from_rows(rows, self.last_update())
+    }
+
+    /// The newest update timestamp any shard holds.
+    fn last_update(&self) -> Timestamp {
+        let newest = self.shards.iter().map(|s| s.graph().last_update());
+        newest.max().unwrap_or(0)
     }
 
     /// Merge per-shard property stores by vertex ownership, following
@@ -1275,11 +1285,22 @@ impl ShardedFlow {
 
     /// The merged graph frozen for a kernel run, with the shard that
     /// serves each vertex's row (`None`: no serving copy, empty row).
+    /// The one freeze reads each row straight from its serving shard,
+    /// so no merged [`DynamicGraph`] is built; the result equals
+    /// [`Self::merged_graph`]'s freeze.
     fn frozen_merge(&self) -> (CsrGraph, Vec<Option<usize>>) {
-        let serve = (0..self.global_width() as VertexId)
+        let serve: Vec<Option<usize>> = (0..self.global_width() as VertexId)
             .map(|v| self.row_source(v))
             .collect();
-        (self.merged_graph().snapshot(), serve)
+        let graphs: Vec<&DynamicGraph> = self.shards.iter().map(|s| s.graph()).collect();
+        let edges = graphs.iter().map(|g| g.num_live_edges()).sum();
+        let snap = freeze(
+            serve.len(),
+            edges,
+            |v| serve[v as usize].map_or(&[][..], |s| graphs[s].row_slots(v)),
+            Parallelism::Auto,
+        );
+        (snap, serve)
     }
 
     /// PageRank over [`Self::merged_graph`]: the one engine,
@@ -1298,7 +1319,7 @@ impl ShardedFlow {
             .reverse(true)
             .build();
         let mut run = pagerank_with(&csr, damping, tol, max_iters, &KernelCtx::default());
-        let cross: u64 = snap.vertices().map(|v| cross_edges(&snap, &serve, v)).sum();
+        let cross = cross_edges(&snap, &serve, |_| true);
         let bytes = run.work as u64 * RANK_WIRE_BYTES * cross;
         self.traffic.pagerank_bytes += bytes;
         span.add_net_bytes(bytes);
@@ -1322,11 +1343,7 @@ impl ShardedFlow {
         let mut span = self.recorder.span(Step::BatchAnalytic);
         let (snap, serve) = self.frozen_merge();
         let depth = bfs_with(&snap, src, &KernelCtx::default()).depth;
-        let cross: u64 = snap
-            .vertices()
-            .filter(|&v| depth[v as usize] != UNREACHED)
-            .map(|v| cross_edges(&snap, &serve, v))
-            .sum();
+        let cross = cross_edges(&snap, &serve, |v| depth[v as usize] != UNREACHED);
         let bytes = FRONTIER_WIRE_BYTES * cross;
         self.traffic.bfs_bytes += bytes;
         span.add_net_bytes(bytes);
@@ -1338,28 +1355,24 @@ impl ShardedFlow {
     /// unsharded engine's. Priced, when more than one shard serves, as
     /// each serving shard shipping a spanning forest of its local
     /// edges: 8 B (two vertex ids) per local vertex that is not its
-    /// local component's root. The result carries the fleet-coverage
-    /// verdict it ran under (see [`ShardedRun`]).
+    /// local component's root, i.e. per union a [`UnionFind`] over the
+    /// shard's live edges performs; the shards count their forests in
+    /// parallel, on the pool, as a distributed run would. The result
+    /// carries the fleet-coverage verdict it ran under (see
+    /// [`ShardedRun`]).
     pub fn components(&mut self) -> ShardedRun<Components> {
         let mut span = self.recorder.span(Step::BatchAnalytic);
-        let ctx = KernelCtx::default();
-        let serving: Vec<&FlowEngine> = (0..self.shards.len())
+        let serving: Vec<&DynamicGraph> = (0..self.shards.len())
             .filter(|&i| self.supervisor.is_serving(i))
-            .map(|i| &self.shards[i])
+            .map(|i| self.shards[i].graph())
             .collect();
         if serving.len() > 1 {
-            let pairs: usize = serving
-                .iter()
-                .map(|engine| {
-                    let local = engine.graph().snapshot();
-                    local.num_vertices() - wcc_with(&local, &ctx).count
-                })
-                .sum();
+            let pairs: usize = serving.par_iter().map(|g| forest_pairs(g)).sum();
             let bytes = FOREST_PAIR_WIRE_BYTES * pairs as u64;
             self.traffic.components_bytes += bytes;
             span.add_net_bytes(bytes);
         }
-        let components = wcc_with(&self.merged_graph().snapshot(), &ctx);
+        let components = wcc_with(&self.frozen_merge().0, &KernelCtx::default());
         self.run_verdict(components)
     }
 
@@ -1624,6 +1637,26 @@ mod tests {
         assert!(t.components_bytes > 0, "{t:?}");
         assert_eq!(t.replication_bytes, 0, "replication off by default");
         assert_eq!(t.ingest_bytes, four.ghost_updates() * UPDATE_WIRE_BYTES);
+    }
+
+    /// On a directed fleet a local edge need not have its reverse, so
+    /// the union-find pricing is checked against the definition it
+    /// replaced: local width minus the local graph's WCC count.
+    #[test]
+    fn forest_pricing_matches_local_components_on_a_directed_fleet() {
+        let mut fleet = ShardedFlow::builder(4).symmetrize(false).build(64).unwrap();
+        drive(&mut fleet, 6, 800, 5);
+        fleet.components();
+        let pairs: usize = fleet
+            .shards()
+            .iter()
+            .map(|s| {
+                let local = s.graph().snapshot();
+                local.num_vertices() - wcc_with(&local, &KernelCtx::default()).count
+            })
+            .sum();
+        let t = fleet.traffic();
+        assert_eq!(t.components_bytes, FOREST_PAIR_WIRE_BYTES * pairs as u64);
     }
 
     #[test]

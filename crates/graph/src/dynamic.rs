@@ -5,20 +5,18 @@
 //! updates, such as additions or deletions to vertices or edges, or
 //! modification of their properties". [`DynamicGraph`] provides that:
 //!
-//! * per-vertex adjacency rows kept **sorted by destination**, tombstones
-//!   included, so a lookup is a binary search and a freeze copies each
-//!   row in order without sorting it,
+//! * per-vertex adjacency rows that hold exactly the live out-edges,
+//!   **sorted by destination**, so a lookup is a binary search, an
+//!   insert or a delete shifts the row's tail, and a freeze copies each
+//!   row whole without sorting or filtering it,
 //! * **timestamps** on every edge (paper §II: "edges may have time-stamps
 //!   in addition to properties"),
-//! * **lazy deletion** — deleted slots are tombstoned and revived or
-//!   reused in place by later inserts, with an explicit
-//!   [`DynamicGraph::compact`] sweep,
 //! * cheap [`DynamicGraph::snapshot`] freezes into a [`CsrGraph`] for the
 //!   batch analytics on the right side of Fig. 2.
 
 use crate::{CsrGraph, Edge, Timestamp, VertexId, Weight};
 
-/// One live or tombstoned directed edge slot.
+/// One live directed edge slot (16 bytes).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdgeRecord {
     /// Target vertex.
@@ -27,19 +25,15 @@ pub struct EdgeRecord {
     pub weight: Weight,
     /// Time the edge was inserted or last modified.
     pub timestamp: Timestamp,
-    /// Tombstone flag; set by `delete_edge`, cleared on slot reuse.
-    pub deleted: bool,
 }
 
-/// A mutable directed multigraph-free graph with timestamps and lazy
-/// deletion.
+/// A mutable directed multigraph-free graph with timestamps.
 ///
-/// Every row is strictly sorted by `dst`, tombstones included: an
-/// insert revives a tombstone of the same destination, else reuses a
-/// tombstone just before or at the insertion point, else shifts the
-/// tail. The slot layout is therefore a deterministic function of each
-/// row's update sequence, which checkpoints, replicas and shard merges
-/// rely on to stay slot-exact.
+/// Every row is the strictly `dst`-sorted set of `u`'s live out-edges:
+/// an insert of a new destination shifts the tail right, a delete
+/// removes its slot. A row is therefore a function of the live edge set
+/// alone, so checkpoints, replicas and shard merges agree whenever
+/// their live rows do.
 ///
 /// Out-of-range vertex ids never panic: inserts grow the vertex space on
 /// demand, deletes report [`ApplyResult::Missing`], and queries return
@@ -59,7 +53,6 @@ pub struct EdgeRecord {
 pub struct DynamicGraph {
     adj: Vec<Vec<EdgeRecord>>,
     live_edges: usize,
-    tombstones: usize,
     last_update: Timestamp,
     /// Monotone structural-change counter; bumped by every mutation that
     /// can alter a row's snapshot content.
@@ -70,15 +63,14 @@ pub struct DynamicGraph {
     row_version: Vec<u64>,
 }
 
-/// Equality is over graph *content* (slots, tombstones, timestamps,
-/// counters) — the version counters are snapshot-cache metadata and two
-/// graphs that hold identical content compare equal regardless of the
-/// mutation history that produced them (recovery relies on this).
+/// Equality is over graph *content* (rows, timestamps, counters) — the
+/// version counters are snapshot-cache metadata and two graphs that
+/// hold identical content compare equal regardless of the mutation
+/// history that produced them (recovery relies on this).
 impl PartialEq for DynamicGraph {
     fn eq(&self, other: &Self) -> bool {
         self.adj == other.adj
             && self.live_edges == other.live_edges
-            && self.tombstones == other.tombstones
             && self.last_update == other.last_update
     }
 }
@@ -90,9 +82,9 @@ pub enum ApplyResult {
     Inserted,
     /// The edge already existed; weight/timestamp were refreshed.
     Updated,
-    /// A tombstoned or absent edge was deleted (no-op delete).
+    /// An absent edge was deleted (no-op delete).
     Missing,
-    /// An existing edge was tombstoned.
+    /// An existing edge was removed.
     Deleted,
 }
 
@@ -102,7 +94,6 @@ impl DynamicGraph {
         DynamicGraph {
             adj: vec![Vec::new(); num_vertices],
             live_edges: 0,
-            tombstones: 0,
             last_update: 0,
             version: 0,
             row_version: vec![0; num_vertices],
@@ -126,16 +117,10 @@ impl DynamicGraph {
         self.adj.len()
     }
 
-    /// Number of live (non-tombstoned) directed edges.
+    /// Number of live directed edges.
     #[inline]
     pub fn num_live_edges(&self) -> usize {
         self.live_edges
-    }
-
-    /// Number of tombstoned slots awaiting compaction.
-    #[inline]
-    pub fn num_tombstones(&self) -> usize {
-        self.tombstones
     }
 
     /// Timestamp of the most recent structural update.
@@ -212,54 +197,38 @@ impl DynamicGraph {
             dst: v,
             weight,
             timestamp: ts,
-            deleted: false,
         };
-        let i = match row.binary_search_by_key(&v, |r| r.dst) {
-            Ok(i) if !row[i].deleted => {
+        match row.binary_search_by_key(&v, |r| r.dst) {
+            Ok(i) => {
                 row[i] = rec;
-                return ApplyResult::Updated;
+                ApplyResult::Updated
             }
-            Ok(i) => i,
-            // Only a tombstone beside the insertion point can take `v`
-            // without unsorting the row.
-            Err(i) if i > 0 && row[i - 1].deleted => i - 1,
-            Err(i) if i < row.len() && row[i].deleted => i,
             Err(i) => {
                 row.insert(i, rec);
                 self.live_edges += 1;
-                return ApplyResult::Inserted;
+                ApplyResult::Inserted
             }
-        };
-        row[i] = rec;
-        self.live_edges += 1;
-        self.tombstones -= 1;
-        ApplyResult::Inserted
+        }
     }
 
-    /// Tombstone the directed edge `u -> v` if live. Out-of-range
+    /// Remove the directed edge `u -> v` if present. Out-of-range
     /// endpoints are a no-op ([`ApplyResult::Missing`]), not a panic.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId, ts: Timestamp) -> ApplyResult {
         self.last_update = self.last_update.max(ts);
-        if u as usize >= self.adj.len() {
-            return ApplyResult::Missing;
-        }
-        let row = &mut self.adj[u as usize];
-        let Some(rec) = Self::find(row, v).map(|i| &mut row[i]) else {
+        let Ok(i) = self.row_slots(u).binary_search_by_key(&v, |r| r.dst) else {
             return ApplyResult::Missing;
         };
-        rec.deleted = true;
-        rec.timestamp = ts;
+        self.adj[u as usize].remove(i);
         self.live_edges -= 1;
-        self.tombstones += 1;
         self.touch_row(u);
         ApplyResult::Deleted
     }
 
-    /// Remove a vertex by tombstoning every incident edge (both
+    /// Remove a vertex by deleting every incident edge (both
     /// directions). The id remains allocated; degree drops to zero.
     pub fn delete_vertex(&mut self, v: VertexId, ts: Timestamp) -> usize {
         let mut removed = 0;
-        let out: Vec<VertexId> = self.neighbors(v).map(|r| r.dst).collect();
+        let out: Vec<VertexId> = self.neighbor_ids(v).collect();
         for u in out {
             if self.delete_edge(v, u, ts) == ApplyResult::Deleted {
                 removed += 1;
@@ -280,31 +249,20 @@ impl DynamicGraph {
 
     /// The live record for `u -> v`, if any.
     pub fn edge(&self, u: VertexId, v: VertexId) -> Option<&EdgeRecord> {
-        let row = self.row(u);
-        Self::find(row, v).map(|i| &row[i])
-    }
-
-    /// Slot of the live record for `v` in a sorted `row`, if any.
-    fn find(row: &[EdgeRecord], v: VertexId) -> Option<usize> {
+        let row = self.row_slots(u);
         row.binary_search_by_key(&v, |r| r.dst)
             .ok()
-            .filter(|&i| !row[i].deleted)
+            .map(|i| &row[i])
     }
 
     /// Live out-degree of `v` (0 for out-of-range ids).
     pub fn degree(&self, v: VertexId) -> usize {
-        self.row(v).iter().filter(|r| !r.deleted).count()
+        self.row_slots(v).len()
     }
 
     /// Iterate live out-edge records of `v` (empty for out-of-range ids).
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = &EdgeRecord> {
-        self.row(v).iter().filter(|r| !r.deleted)
-    }
-
-    /// Adjacency row of `v`, empty when `v` is out of range.
-    #[inline]
-    fn row(&self, v: VertexId) -> &[EdgeRecord] {
-        self.adj.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
+        self.row_slots(v).iter()
     }
 
     /// Iterate live out-neighbor ids of `v`.
@@ -316,41 +274,28 @@ impl DynamicGraph {
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, Weight, Timestamp)> + '_ {
         self.adj.iter().enumerate().flat_map(|(u, row)| {
             row.iter()
-                .filter(|r| !r.deleted)
                 .map(move |r| (u as VertexId, r.dst, r.weight, r.timestamp))
         })
-    }
-
-    /// Physically remove tombstones. Returns slots reclaimed.
-    pub fn compact(&mut self) -> usize {
-        let mut reclaimed = 0;
-        for u in 0..self.adj.len() {
-            let row = &mut self.adj[u];
-            let before = row.len();
-            row.retain(|r| !r.deleted);
-            let removed = before - row.len();
-            if removed > 0 {
-                reclaimed += removed;
-                self.touch_row(u as VertexId);
-            }
-        }
-        self.tombstones = 0;
-        reclaimed
     }
 
     /// Freeze the live edges into an immutable weighted [`CsrGraph`]
     /// snapshot — the hand-off from the streaming side of Fig. 2 to the
     /// batch side.
     ///
-    /// Runs the row-wise freeze ([`crate::snapshot::freeze`]): offsets
-    /// come from a counting pass over per-row live counts and each
-    /// already-sorted row is copied without its tombstones (in parallel
+    /// Runs the row-wise freeze ([`crate::snapshot::freeze`]) over
+    /// [`Self::row_slots`]: offsets come from a counting pass over row
+    /// lengths and each already-sorted row is copied whole (in parallel
     /// for large graphs), so no `(u, v, w)` tuple vector is materialized
     /// and no sort runs. Output is bit-identical to feeding
     /// [`Self::edges`] through `CsrBuilder`, which the tests keep as
     /// the oracle.
     pub fn snapshot(&self) -> CsrGraph {
-        crate::snapshot::freeze(self, crate::par::Parallelism::Auto)
+        crate::snapshot::freeze(
+            self.num_vertices(),
+            self.live_edges,
+            |v| self.row_slots(v),
+            crate::par::Parallelism::Auto,
+        )
     }
 
     /// Apply the edge list of `g` as undirected inserts (helper for tests
@@ -362,48 +307,31 @@ impl DynamicGraph {
         }
     }
 
-    /// Raw adjacency rows *including tombstones*, sorted by `dst` — the
-    /// checkpoint codec serializes these verbatim so a recovered graph is
-    /// bit-identical (same slot layout, same tombstones) to the original.
-    pub(crate) fn raw_rows(&self) -> &[Vec<EdgeRecord>] {
-        &self.adj
-    }
-
-    /// The raw slot row of vertex `v` *including tombstones*, sorted by
-    /// `dst`. Sharded routers use this to lift owned rows out of a shard
-    /// verbatim, so a merged graph can be compared slot-for-slot against
-    /// an unsharded run. Empty for out-of-range ids (a shard that never
-    /// saw an edge near `v` simply has no row for it).
+    /// The slot row of vertex `v`: its live out-edges, sorted by `dst`.
+    /// The checkpoint codec writes these verbatim, and sharded routers
+    /// lift owned rows out of a shard with it, so a merged graph can be
+    /// compared row-for-row against an unsharded run. Empty for
+    /// out-of-range ids (a shard that never saw an edge near `v` simply
+    /// has no row for it).
+    #[inline]
     pub fn row_slots(&self, v: VertexId) -> &[EdgeRecord] {
-        self.row(v)
+        self.adj.get(v as usize).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Assemble a graph from raw slot rows (tombstones included), each
-    /// strictly sorted by `dst`; live/tombstone counts are recomputed,
-    /// versions reset to zero. Inverse of reading every row via
-    /// [`Self::row_slots`].
+    /// Assemble a graph from slot rows, each strictly sorted by `dst`;
+    /// the live count is recomputed, versions reset to zero. Inverse of
+    /// reading every row via [`Self::row_slots`].
     pub fn from_rows(adj: Vec<Vec<EdgeRecord>>, last_update: Timestamp) -> Self {
         debug_assert!(
             adj.iter()
                 .all(|row| row.windows(2).all(|p| p[0].dst < p[1].dst)),
             "rows must be strictly sorted by dst"
         );
-        let mut live_edges = 0;
-        let mut tombstones = 0;
-        for row in &adj {
-            for rec in row {
-                if rec.deleted {
-                    tombstones += 1;
-                } else {
-                    live_edges += 1;
-                }
-            }
-        }
+        let live_edges = adj.iter().map(Vec::len).sum();
         let rows = adj.len();
         DynamicGraph {
             adj,
             live_edges,
-            tombstones,
             last_update,
             version: 0,
             row_version: vec![0; rows],
@@ -425,67 +353,19 @@ mod tests {
         assert_eq!(g.delete_edge(0, 1, 3), ApplyResult::Deleted);
         assert_eq!(g.delete_edge(0, 1, 4), ApplyResult::Missing);
         assert_eq!(g.num_live_edges(), 0);
-        assert_eq!(g.num_tombstones(), 1);
-    }
-
-    /// Row `v` as `(dst, deleted)` pairs, in slot order.
-    fn slots(g: &DynamicGraph, v: VertexId) -> Vec<(VertexId, bool)> {
-        g.row_slots(v).iter().map(|r| (r.dst, r.deleted)).collect()
-    }
-
-    #[test]
-    fn tombstone_reuse() {
-        let mut g = DynamicGraph::new(64);
-        g.insert_edge(0, 1, 1.0, 1);
-        g.delete_edge(0, 1, 2);
-        // Re-inserting the same edge revives the slot in place.
-        assert_eq!(g.insert_edge(0, 1, 5.0, 3), ApplyResult::Inserted);
-        assert_eq!(g.num_tombstones(), 0);
-        assert_eq!(g.num_live_edges(), 1);
+        assert!(g.row_slots(0).is_empty(), "a delete removes its slot");
+        // Re-inserting after the delete is a new edge again.
+        assert_eq!(g.insert_edge(0, 1, 5.0, 5), ApplyResult::Inserted);
         assert_eq!(g.edge(0, 1).unwrap().weight, 5.0);
-        // A different target reuses the tombstone beside its insertion
-        // point: here the slot just before it.
-        g.delete_edge(0, 1, 4);
-        g.insert_edge(0, 10, 1.0, 5);
-        assert_eq!(slots(&g, 0), [(10, false)]);
-        for v in [20, 30, 40] {
-            g.insert_edge(0, v, 1.0, 6);
-        }
-        g.delete_edge(0, 20, 7);
-        g.insert_edge(0, 25, 1.0, 8);
-        assert_eq!(
-            slots(&g, 0),
-            [(10, false), (25, false), (30, false), (40, false)]
-        );
-        // ... or the slot just at it.
-        g.delete_edge(0, 40, 9);
-        g.insert_edge(0, 35, 1.0, 10);
-        g.delete_edge(0, 10, 11);
-        g.insert_edge(0, 0, 1.0, 12);
-        assert_eq!(
-            slots(&g, 0),
-            [(0, false), (25, false), (30, false), (35, false)]
-        );
-        // A tombstone anywhere else stays, and the tail shifts instead.
-        g.delete_edge(0, 25, 13);
-        g.insert_edge(0, 50, 1.0, 14);
-        g.insert_edge(0, 33, 1.0, 15);
-        assert_eq!(
-            slots(&g, 0),
-            [
-                (0, false),
-                (25, true),
-                (30, false),
-                (33, false),
-                (35, false),
-                (50, false)
-            ]
-        );
-        assert_eq!((g.num_live_edges(), g.num_tombstones()), (5, 1));
     }
 
     #[test]
-    fn degree_ignores_tombstones() {
+    fn an_edge_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<EdgeRecord>(), 16);
+    }
+
+    #[test]
+    fn degree_counts_live_edges() {
         let mut g = DynamicGraph::new(4);
         g.insert_edge(0, 1, 1.0, 1);
         g.insert_edge(0, 2, 1.0, 1);
@@ -494,6 +374,7 @@ mod tests {
         assert_eq!(g.degree(0), 2);
         let ids: Vec<_> = g.neighbor_ids(0).collect();
         assert_eq!(ids, vec![1, 3]);
+        assert_eq!(g.row_slots(0).len(), 2);
     }
 
     #[test]
@@ -516,19 +397,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 5);
         g.insert_edge(4, 0, 1.0, 1);
         assert!(g.has_edge(4, 0));
-    }
-
-    #[test]
-    fn compact_reclaims() {
-        let mut g = DynamicGraph::new(2);
-        for i in 0..10 {
-            g.insert_edge(0, 1, i as f32, i);
-            g.delete_edge(0, 1, i);
-        }
-        assert_eq!(g.num_tombstones(), 1);
-        assert_eq!(g.compact(), 1);
-        assert_eq!(g.num_tombstones(), 0);
-        assert_eq!(g.degree(0), 0);
     }
 
     #[test]
@@ -577,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn equality_sees_tombstones_and_timestamps() {
+    fn equality_sees_deletes_and_timestamps() {
         let build = |delete: bool| {
             let mut g = DynamicGraph::new(3);
             g.insert_edge(0, 1, 1.0, 1);

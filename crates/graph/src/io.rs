@@ -7,8 +7,8 @@
 //!
 //! * `GAG1` — immutable [`CsrGraph`] snapshots (offsets, targets,
 //!   optional weights),
-//! * `GAD1` — full [`DynamicGraph`] state *including tombstones and
-//!   timestamps*, slot-exact so a checkpointed graph restores
+//! * `GAD1` — full [`DynamicGraph`] state, every live slot with its
+//!   weight and timestamp, so a checkpointed graph restores
 //!   bit-identical to the original,
 //! * `GAP1` — [`PropertyStore`] columns (u64/f64/string, with presence
 //!   masks).
@@ -364,13 +364,16 @@ pub fn load(path: impl AsRef<Path>) -> io::Result<CsrGraph> {
 }
 
 // ---------------------------------------------------------------------
-// GAD1: DynamicGraph checkpoints (tombstones + timestamps included).
+// GAD1: DynamicGraph checkpoints (live slots + timestamps).
 // ---------------------------------------------------------------------
 
-/// Serialize the *complete* dynamic graph state — every adjacency slot
-/// in `dst` order, tombstones included — so that
-/// `read_dynamic(write_dynamic(g)) == g` holds structurally (slot
-/// layout, weights, timestamps, deletion flags, counters).
+/// Serialize the *complete* dynamic graph state — every row's live
+/// slots in `dst` order, with weights and timestamps — so that
+/// `read_dynamic(write_dynamic(g)) == g` holds structurally.
+///
+/// Each slot ends in a one-byte deletion flag, kept so the layout is
+/// unchanged from files whose rows still held deleted slots: this
+/// writer always writes 0, and [`read_dynamic`] drops a slot flagged 1.
 pub fn write_dynamic(g: &DynamicGraph, w: impl Write) -> io::Result<()> {
     let mut out = BufWriter::new(w);
     out.write_all(MAGIC_DYNAMIC)?;
@@ -378,20 +381,23 @@ pub fn write_dynamic(g: &DynamicGraph, w: impl Write) -> io::Result<()> {
     out.write_all(&0u16.to_le_bytes())?; // reserved
     out.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
     out.write_all(&g.last_update().to_le_bytes())?;
-    for row in g.raw_rows() {
+    for v in 0..g.num_vertices() as VertexId {
+        let row = g.row_slots(v);
         out.write_all(&(row.len() as u64).to_le_bytes())?;
         for rec in row {
             out.write_all(&rec.dst.to_le_bytes())?;
             out.write_all(&rec.weight.to_le_bytes())?;
             out.write_all(&rec.timestamp.to_le_bytes())?;
-            out.write_all(&[rec.deleted as u8])?;
+            out.write_all(&[0])?; // deletion flag
         }
     }
     out.flush()
 }
 
 /// Deserialize a dynamic graph written by [`write_dynamic`]. A row out
-/// of `dst` order is sorted; a row naming one target twice is corrupt.
+/// of `dst` order is sorted; a row naming one target twice (flagged or
+/// not) is corrupt; a slot whose deletion flag is 1 is dropped, so a
+/// file whose rows hold deleted slots loads to its live edges.
 pub fn read_dynamic(r: impl Read) -> io::Result<DynamicGraph> {
     const F: &str = "GAD1";
     let mut input = BufReader::new(r);
@@ -406,13 +412,15 @@ pub fn read_dynamic(r: impl Read) -> io::Result<DynamicGraph> {
     let last_update: Timestamp =
         read_u64(&mut input).map_err(|_| corrupt(F, "truncated in last_update"))?;
     let mut adj: Vec<Vec<EdgeRecord>> = Vec::with_capacity(n.min(1 << 20));
+    // One row's slots with their deletion flags, reused across rows.
+    let mut slots: Vec<(EdgeRecord, bool)> = Vec::new();
     for u in 0..n {
         let len = checked_count(
             read_u64(&mut input).map_err(|_| corrupt(F, format!("truncated in row {u} length")))?,
             "row",
             F,
         )?;
-        let mut row = Vec::with_capacity(len.min(1 << 16));
+        slots.clear();
         for s in 0..len {
             let dst = read_u32(&mut input)
                 .map_err(|_| corrupt(F, format!("truncated in row {u} slot {s}")))?;
@@ -436,19 +444,24 @@ pub fn read_dynamic(r: impl Read) -> io::Result<DynamicGraph> {
                     format!("row {u} slot {s}: invalid deletion flag {}", flag[0]),
                 ));
             }
-            row.push(EdgeRecord {
+            let rec = EdgeRecord {
                 dst,
                 weight,
                 timestamp,
-                deleted: flag[0] == 1,
-            });
+            };
+            slots.push((rec, flag[0] == 1));
         }
         // Rows are sorted by `dst` in memory; files written before that
         // invariant may hold them in insertion order.
-        row.sort_unstable_by_key(|r| r.dst);
-        if let Some(p) = row.windows(2).find(|p| p[0].dst == p[1].dst) {
-            return Err(corrupt(F, format!("row {u}: repeated target {}", p[0].dst)));
+        slots.sort_unstable_by_key(|(r, _)| r.dst);
+        if let Some(p) = slots.windows(2).find(|p| p[0].0.dst == p[1].0.dst) {
+            return Err(corrupt(
+                F,
+                format!("row {u}: repeated target {}", p[0].0.dst),
+            ));
         }
+        let mut row = Vec::with_capacity(slots.len());
+        row.extend(slots.iter().filter(|s| !s.1).map(|s| s.0));
         adj.push(row);
     }
     Ok(DynamicGraph::from_rows(adj, last_update))
@@ -854,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_round_trip_preserves_tombstones_and_timestamps() {
+    fn dynamic_round_trip_preserves_rows_and_timestamps() {
         let mut g = DynamicGraph::new(5);
         g.insert_edge(0, 1, 1.5, 10);
         g.insert_edge(0, 2, 2.5, 11);
@@ -865,9 +878,12 @@ mod tests {
         write_dynamic(&g, &mut buf).unwrap();
         let g2 = read_dynamic(&buf[..]).unwrap();
         assert_eq!(g, g2);
-        assert_eq!(g2.num_tombstones(), 1);
+        assert_eq!(g2.num_live_edges(), 3);
         assert_eq!(g2.last_update(), 14);
         assert_eq!(g2.edge(0, 2).unwrap().timestamp, 11);
+        // Header(8) + n(8) + last_update(8), then per row a u64 length
+        // and 17-byte slots: three live slots, no deleted one, written.
+        assert_eq!(buf.len(), 24 + 5 * 8 + 3 * 17);
     }
 
     #[test]
@@ -907,8 +923,10 @@ mod tests {
     }
 
     /// A hand-built `GAD1` file: one row per entry of `rows`, each slot
-    /// `(dst, deleted)` with weight `dst + 0.5` and timestamp `dst`.
-    fn gad1_bytes(rows: &[&[(u32, bool)]]) -> Vec<u8> {
+    /// `(dst, deletion flag)` with weight `dst + 0.5` and timestamp
+    /// `dst`. Flag 1 is how files written while rows still kept deleted
+    /// slots marked them.
+    fn gad1_bytes(rows: &[&[(u32, u8)]]) -> Vec<u8> {
         let mut b = b"GAD1".to_vec();
         b.extend(1u16.to_le_bytes());
         b.extend(0u16.to_le_bytes());
@@ -916,34 +934,88 @@ mod tests {
         b.extend(9u64.to_le_bytes());
         for row in rows {
             b.extend((row.len() as u64).to_le_bytes());
-            for &(dst, deleted) in row.iter() {
+            for &(dst, flag) in row.iter() {
                 b.extend(dst.to_le_bytes());
                 b.extend((dst as f32 + 0.5).to_le_bytes());
                 b.extend((dst as u64).to_le_bytes());
-                b.push(deleted as u8);
+                b.push(flag);
             }
         }
         b
     }
 
+    /// The graph holding `edges`, each `(u, v)` inserted with weight
+    /// `v + 0.5` and timestamp `v` as [`gad1_bytes`] writes them.
+    fn inserted(n: usize, edges: &[(u32, u32)]) -> DynamicGraph {
+        let mut g = DynamicGraph::new(n);
+        for &(u, v) in edges {
+            g.insert_edge(u, v, v as f32 + 0.5, v as u64);
+        }
+        g
+    }
+
+    fn assert_frozen_identical(a: &DynamicGraph, b: &DynamicGraph) {
+        let (a, b) = (a.snapshot(), b.snapshot());
+        assert_eq!(a.raw_offsets(), b.raw_offsets());
+        assert_eq!(a.raw_targets(), b.raw_targets());
+        assert_eq!(a.raw_weights(), b.raw_weights());
+    }
+
     #[test]
     fn dynamic_sorts_a_row_written_in_insertion_order() {
-        let g =
-            read_dynamic(&gad1_bytes(&[&[(3, false), (1, true), (2, false)], &[], &[], &[]])[..])
-                .unwrap();
-        let dsts: Vec<_> = g.row_slots(0).iter().map(|r| (r.dst, r.deleted)).collect();
-        assert_eq!(dsts, [(1, true), (2, false), (3, false)]);
+        let g = read_dynamic(&gad1_bytes(&[&[(3, 0), (1, 1), (2, 0)], &[], &[], &[]])[..]).unwrap();
+        let dsts: Vec<_> = g.row_slots(0).iter().map(|r| r.dst).collect();
+        assert_eq!(dsts, [2, 3]);
         assert_eq!(g.edge(0, 3).unwrap().weight, 3.5);
-        assert_eq!((g.num_live_edges(), g.num_tombstones()), (2, 1));
-        let mut sorted = DynamicGraph::new(4);
-        sorted.insert_edge(0, 2, 2.5, 2);
-        sorted.insert_edge(0, 3, 3.5, 3);
-        assert_eq!(g.snapshot().raw_targets(), sorted.snapshot().raw_targets());
+        assert_eq!(g.num_live_edges(), 2);
+        assert_frozen_identical(&g, &inserted(4, &[(0, 2), (0, 3)]));
+    }
+
+    #[test]
+    fn dynamic_drops_the_deleted_slots_of_an_older_file() {
+        // Rows as a writer that kept deleted slots in place left them:
+        // sorted, with flagged slots between and around the live ones,
+        // and one row that holds nothing live.
+        let bytes = gad1_bytes(&[
+            &[(1, 1), (2, 0), (4, 1), (5, 0)],
+            &[(0, 1)],
+            &[(0, 0), (3, 1)],
+            &[],
+            &[(1, 0), (2, 1), (3, 0)],
+            &[],
+        ]);
+        let g = read_dynamic(&bytes[..]).unwrap();
+        let want = inserted(6, &[(0, 2), (0, 5), (2, 0), (4, 1), (4, 3)]);
+        let rows = |g: &DynamicGraph| -> Vec<Vec<EdgeRecord>> {
+            (0..6).map(|v| g.row_slots(v).to_vec()).collect()
+        };
+        assert_eq!(rows(&g), rows(&want), "only the live slots load");
+        assert_eq!(g.num_live_edges(), 5);
+        assert_eq!(g.last_update(), 9);
+        assert_frozen_identical(&g, &want);
+        // Written again, the file holds only those live slots.
+        let mut again = Vec::new();
+        write_dynamic(&g, &mut again).unwrap();
+        assert_eq!(again.len(), 24 + 6 * 8 + 5 * 17);
+        assert_eq!(read_dynamic(&again[..]).unwrap(), g);
+    }
+
+    #[test]
+    fn dynamic_rejects_a_flag_above_one() {
+        let bytes = gad1_bytes(&[&[], &[(0, 1), (2, 7)], &[]]);
+        let err = read_dynamic(&bytes[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("row 1 slot 1: invalid deletion flag 7"),
+            "{err}"
+        );
     }
 
     #[test]
     fn dynamic_rejects_a_repeated_target() {
-        let bytes = gad1_bytes(&[&[], &[(2, false), (0, true), (2, true)], &[]]);
+        // A flagged slot counts: dropping it must not hide the repeat.
+        let bytes = gad1_bytes(&[&[], &[(2, 0), (0, 1), (2, 1)], &[]]);
         let err = read_dynamic(&bytes[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(

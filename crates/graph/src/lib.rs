@@ -8,8 +8,8 @@
 //! graph storage:
 //!
 //! * a **persistent, mutable property graph** that absorbs streaming
-//!   updates — [`DynamicGraph`] (a STINGER-inspired blocked adjacency
-//!   structure with timestamps and lazy deletion) together with a
+//!   updates — [`DynamicGraph`] (a STINGER-inspired adjacency structure
+//!   whose sorted rows hold only live, timestamped edges) together with a
 //!   [`PropertyStore`] holding arbitrarily many named, typed vertex
 //!   property columns ("thousands of properties per vertex" in the
 //!   paper's words), and

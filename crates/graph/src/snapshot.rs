@@ -8,13 +8,14 @@
 //! that dominates the X-Caliber/two-level-memory configurations). This
 //! module makes that copy scale with the *delta* instead of the graph:
 //!
-//! * [`freeze`] — freeze a [`DynamicGraph`] row by row: offsets from a
-//!   counting pass over per-row live counts, then each row's live
-//!   records copied in order (rayon over disjoint row ranges behind the
-//!   [`Parallelism`] knob). Rows are kept sorted by destination, so no
-//!   `(u, v, w)` tuple vector is materialized and no sort of any kind
-//!   runs; the output is bit-identical to the global-sort `CsrBuilder`
-//!   path.
+//! * [`freeze`] — freeze rows read through an accessor (a
+//!   [`DynamicGraph`]'s own, or a fleet's serving rows): offsets from a
+//!   counting pass over row lengths, then each row copied whole, in
+//!   order (rayon over disjoint row ranges behind the [`Parallelism`]
+//!   knob). Rows hold only live edges, sorted by destination, so no
+//!   `(u, v, w)` tuple vector is materialized, nothing is filtered and
+//!   no sort of any kind runs; the output is bit-identical to the
+//!   global-sort `CsrBuilder` path.
 //! * [`SnapshotCache`] — serves repeat snapshots by memcpy-ing the
 //!   previous CSR's clean-row slices and rebuilding only rows whose
 //!   [`DynamicGraph::version`] generation moved, with retired snapshot
@@ -37,20 +38,44 @@ use std::sync::Arc;
 /// the same from 1 k to 256 k edges per leaf (EXPERIMENTS E20).
 const PAR_LEAF_EDGES: usize = 8_192;
 
-/// Freeze the live edges of `g` into a weighted [`CsrGraph`] row by
-/// row. Bit-identical to feeding `g.edges()` through `CsrBuilder`.
-pub fn freeze(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
-    let rows = g.raw_rows();
-    let n = rows.len();
-    let mut offsets = vec![0u64; n + 1];
-    let parallel = par.use_parallel(g.num_live_edges());
-    count_rows(&mut offsets, parallel, |u| {
-        rows[u].iter().filter(|r| !r.deleted).count() as u64
-    });
+/// Freeze `n` rows, row `v` read through `row(v)` and sorted by `dst`
+/// as [`DynamicGraph::row_slots`] is, into a weighted [`CsrGraph`]: the
+/// row lengths give the offsets, then each row is copied whole (in
+/// parallel when `par` judges `edges`, the edge total, large enough).
+/// Bit-identical to feeding the rows' edges through `CsrBuilder`.
+pub fn freeze<'g>(
+    n: usize,
+    edges: usize,
+    row: impl Fn(VertexId) -> &'g [EdgeRecord] + Sync,
+    par: Parallelism,
+) -> CsrGraph {
+    let gather = |u: usize, tgt: &mut [VertexId], wts: &mut [Weight]| {
+        gather_row(row(u as VertexId), tgt, wts)
+    };
+    let parallel = par.use_parallel(edges);
+    assemble(n, &row, parallel, &gather, SpareParts::default())
+}
+
+/// The one CSR build under [`freeze`] and the delta rebuild: row `v`'s
+/// length `row(v).len()` gives its offsets, then `fill(u, tgt, wts)`
+/// writes row `u`'s slice, into `spare`'s arrays (cleared, reused).
+fn assemble<'g>(
+    n: usize,
+    row: &(impl Fn(VertexId) -> &'g [EdgeRecord] + Sync),
+    parallel: bool,
+    fill: &(impl Fn(usize, &mut [VertexId], &mut [Weight]) + Sync),
+    (mut offsets, mut targets, mut weights): SpareParts,
+) -> CsrGraph {
+    offsets.clear();
+    offsets.resize(n + 1, 0);
+    let len = |u| row(u as VertexId).len() as u64;
+    count_rows(&mut offsets[1..], 0, parallel, &len);
     prefix_sum(&mut offsets);
     let total = offsets[n] as usize;
-    let mut targets = vec![0 as VertexId; total];
-    let mut weights = vec![0.0 as Weight; total];
+    targets.clear();
+    targets.resize(total, 0);
+    weights.clear();
+    weights.resize(total, 0.0);
     fill_rows(
         &offsets,
         0,
@@ -59,7 +84,7 @@ pub fn freeze(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
         &mut targets,
         &mut weights,
         parallel,
-        &|u, tgt, wts| gather_row(&rows[u], tgt, wts),
+        fill,
     );
     // `CsrBuilder` only marks a graph weighted once it sees an edge;
     // match it bit-for-bit on the edgeless case.
@@ -67,17 +92,13 @@ pub fn freeze(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
     CsrGraph::from_parts(offsets, targets, weights)
 }
 
-/// Fill `offsets[1..=n]` with per-row counts (`offsets[0]` stays 0).
-fn count_rows(offsets: &mut [u64], parallel: bool, count: impl Fn(usize) -> u64 + Sync) {
-    count_range(&mut offsets[1..], 0, parallel, &count);
-}
-
 /// Rows per leaf task of the parallel counting pass (as flat: 256–64 k).
 const COUNT_LEAF_ROWS: usize = 2_048;
 
-/// Write `count(base + i)` into `slots[i]`, splitting large ranges via
-/// `rayon::join` on disjoint sub-slices.
-fn count_range(
+/// Write `count(base + i)` into `slots[i]` (`offsets[1..]` gets each
+/// row's count), splitting large ranges via `rayon::join` on disjoint
+/// sub-slices.
+fn count_rows(
     slots: &mut [u64],
     base: usize,
     parallel: bool,
@@ -92,8 +113,8 @@ fn count_range(
     let mid = slots.len() / 2;
     let (a, b) = slots.split_at_mut(mid);
     rayon::join(
-        || count_range(a, base, true, count),
-        || count_range(b, base + mid, true, count),
+        || count_rows(a, base, true, count),
+        || count_rows(b, base + mid, true, count),
     );
 }
 
@@ -104,12 +125,10 @@ fn prefix_sum(offsets: &mut [u64]) {
     }
 }
 
-/// Copy row `row`'s live records into `(tgt, wts)`. The row is sorted
-/// by destination (a [`DynamicGraph`] invariant), so dropping its
-/// tombstones leaves the CSR row.
+/// Copy row `row` into `(tgt, wts)`. The row is sorted by destination
+/// (a [`DynamicGraph`] invariant), so it is the CSR row as it stands.
 fn gather_row(row: &[EdgeRecord], tgt: &mut [VertexId], wts: &mut [Weight]) {
-    let live = row.iter().filter(|r| !r.deleted);
-    for ((t, w), r) in tgt.iter_mut().zip(wts.iter_mut()).zip(live) {
+    for ((t, w), r) in tgt.iter_mut().zip(wts.iter_mut()).zip(row) {
         *t = r.dst;
         *w = r.weight;
     }
@@ -196,8 +215,9 @@ impl SnapshotStats {
     }
 }
 
-/// A retired snapshot's previous arrays, kept to recycle allocations.
-type SparePartsPool = Option<(Vec<u64>, Vec<VertexId>, Vec<Weight>)>;
+/// A retired snapshot's arrays (offsets, targets, weights), kept to
+/// recycle their allocations.
+type SpareParts = (Vec<u64>, Vec<VertexId>, Vec<Weight>);
 
 /// Identity stamp of one published snapshot generation.
 ///
@@ -244,7 +264,7 @@ pub struct SnapshotEpoch {
 pub struct SnapshotCache {
     prev: Option<CachedSnapshot>,
     prev_compressed: Option<CachedCompressed>,
-    spare: SparePartsPool,
+    spare: Option<SpareParts>,
     stats: SnapshotStats,
     /// Monotonic rebuild counter backing [`SnapshotEpoch::epoch`].
     epoch: u64,
@@ -401,10 +421,9 @@ impl SnapshotCache {
     /// cold cache has nothing to copy from (and no retired arrays to
     /// recycle): that is a plain [`freeze`].
     fn rebuild(&mut self, g: &DynamicGraph, par: Parallelism) -> CsrGraph {
-        let rows = g.raw_rows();
-        let n = rows.len();
+        let n = g.num_vertices();
         let Some(p) = self.prev.as_ref() else {
-            let csr = freeze(g, par);
+            let csr = freeze(n, g.num_live_edges(), |v| g.row_slots(v), par);
             self.stats.full_rebuilds += 1;
             self.stats.rows_rebuilt += n as u64;
             self.stats.mem_bytes += written_bytes(&csr);
@@ -416,57 +435,28 @@ impl SnapshotCache {
             .map(|u| u >= p.num_vertices || g.row_changed_since(u as VertexId, p.version))
             .collect();
 
-        let (mut offsets, mut targets, mut weights) = match self.spare.take() {
-            Some((mut o, mut t, mut w)) => {
-                o.clear();
-                t.clear();
-                w.clear();
-                (o, t, w)
-            }
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
-        offsets.resize(n + 1, 0);
-        let parallel = par.use_parallel(g.num_live_edges());
-        let pg = Arc::clone(&p.csr);
-        count_rows(&mut offsets, parallel, |u| {
+        let poff = p.csr.raw_offsets();
+        let ptgt = p.csr.raw_targets();
+        let pwts = p.csr.raw_weights().unwrap_or(&[]);
+        let fill = |u: usize, tgt: &mut [VertexId], wts: &mut [Weight]| {
             if dirty[u] {
-                rows[u].iter().filter(|r| !r.deleted).count() as u64
+                gather_row(g.row_slots(u as VertexId), tgt, wts);
             } else {
-                pg.degree(u as VertexId) as u64
+                let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
+                tgt.copy_from_slice(&ptgt[s..e]);
+                wts.copy_from_slice(&pwts[s..e]);
             }
-        });
-        prefix_sum(&mut offsets);
-        let total = offsets[n] as usize;
-        targets.resize(total, 0);
-        weights.resize(total, 0.0);
-
-        let poff = pg.raw_offsets();
-        let ptgt = pg.raw_targets();
-        let pwts = pg.raw_weights().unwrap_or(&[]);
-        fill_rows(
-            &offsets,
-            0,
-            n,
-            0,
-            &mut targets,
-            &mut weights,
-            parallel,
-            &|u, tgt, wts| {
-                if dirty[u] {
-                    gather_row(&rows[u], tgt, wts);
-                } else {
-                    let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
-                    tgt.copy_from_slice(&ptgt[s..e]);
-                    wts.copy_from_slice(&pwts[s..e]);
-                }
-            },
-        );
+        };
+        // A clean row's length is its previous CSR degree, so every row
+        // counts its offsets from the graph.
+        let rows = |v| g.row_slots(v);
+        let parallel = par.use_parallel(g.num_live_edges());
+        let spare = self.spare.take().unwrap_or_default();
+        let csr = assemble(n, &rows, parallel, &fill, spare);
         let rebuilt = dirty.iter().filter(|&&d| d).count() as u64;
         self.stats.delta_rebuilds += 1;
         self.stats.rows_rebuilt += rebuilt;
         self.stats.rows_reused += n as u64 - rebuilt;
-        let weights = (total > 0).then_some(weights);
-        let csr = CsrGraph::from_parts(offsets, targets, weights);
         self.stats.mem_bytes += written_bytes(&csr);
         csr
     }
@@ -493,6 +483,16 @@ mod tests {
             .build()
     }
 
+    /// The one freeze over `g`'s own rows.
+    fn freeze_g(g: &DynamicGraph, par: Parallelism) -> CsrGraph {
+        freeze(
+            g.num_vertices(),
+            g.num_live_edges(),
+            |v| g.row_slots(v),
+            par,
+        )
+    }
+
     /// Assert two CSR graphs are bit-identical (arrays, not semantics).
     fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
         assert_eq!(a.raw_offsets(), b.raw_offsets(), "offsets differ");
@@ -513,29 +513,29 @@ mod tests {
     #[test]
     fn rowwise_matches_oracle_on_rmat() {
         let g = rmat_dynamic(9, 8, 3);
-        assert_identical(&freeze(&g, Parallelism::Serial), &oracle(&g));
-        assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
+        assert_identical(&freeze_g(&g, Parallelism::Serial), &oracle(&g));
+        assert_identical(&freeze_g(&g, Parallelism::Parallel), &oracle(&g));
     }
 
     #[test]
-    fn rowwise_matches_oracle_with_tombstones() {
+    fn rowwise_matches_oracle_after_deletes() {
         let mut g = rmat_dynamic(8, 6, 5);
-        // Tombstone every third edge of every fourth row.
+        // Delete every third edge of every fourth row.
         for u in (0..g.num_vertices() as VertexId).step_by(4) {
             let nbrs: Vec<VertexId> = g.neighbor_ids(u).collect();
             for &v in nbrs.iter().step_by(3) {
                 g.delete_edge(u, v, 1_000_000);
             }
         }
-        assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
+        assert_identical(&freeze_g(&g, Parallelism::Parallel), &oracle(&g));
     }
 
     #[test]
     fn empty_and_isolated() {
         let g = DynamicGraph::new(0);
-        assert_identical(&freeze(&g, Parallelism::Serial), &oracle(&g));
+        assert_identical(&freeze_g(&g, Parallelism::Serial), &oracle(&g));
         let g = DynamicGraph::new(17);
-        assert_identical(&freeze(&g, Parallelism::Parallel), &oracle(&g));
+        assert_identical(&freeze_g(&g, Parallelism::Parallel), &oracle(&g));
     }
 
     #[test]
@@ -586,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_after_compact_stays_identical() {
+    fn delta_after_deletes_stays_identical() {
         let mut g = rmat_dynamic(7, 6, 17);
         let mut c = SnapshotCache::new();
         c.snapshot(&g, Parallelism::Serial);
@@ -596,7 +596,6 @@ mod tests {
                 g.delete_edge(u, v, 500_000);
             }
         }
-        g.compact();
         let snap = c.snapshot(&g, Parallelism::Parallel);
         assert_identical(&snap, &oracle(&g));
     }

@@ -11,7 +11,7 @@
 //!    from checkpoint + WAL suffix; the driver derives where the
 //!    durable history ends from `next_wal_seq` (frame `i` = batch
 //!    `i-1`) and feeds the remaining batches.
-//! 4. **Assert**: graph (slot-exact, tombstones + timestamps), property
+//! 4. **Assert**: graph (slot-exact: live rows + timestamps), property
 //!    columns, `FlowStats`, and `StreamStats` are identical to the
 //!    reference run's.
 //!
@@ -171,7 +171,7 @@ fn recover_and_resume(dir: &PathBuf, batches: &[UpdateBatch], plan: &FaultPlan) 
 fn assert_equivalent(seed_tag: &str, reference: &FinalState, recovered: &FinalState) {
     assert_eq!(
         reference.graph, recovered.graph,
-        "{seed_tag}: graph diverged (slots/tombstones/timestamps)"
+        "{seed_tag}: graph diverged (slots/timestamps)"
     );
     assert_eq!(
         reference.props, recovered.props,

@@ -95,7 +95,6 @@ proptest! {
         write_dynamic(&g, &mut buf).unwrap();
         let g2 = read_dynamic(&buf[..]).unwrap();
         prop_assert_eq!(&g, &g2);
-        prop_assert_eq!(g.num_tombstones(), g2.num_tombstones());
     }
 
     #[test]

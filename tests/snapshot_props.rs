@@ -1,12 +1,12 @@
 //! Property-based equivalence suite for the incremental snapshot
-//! pipeline: across random insert/delete/compact sequences, the row-wise
+//! pipeline: across random insert/delete sequences, the row-wise
 //! freeze and the cached delta rebuild must be **bit-identical**
 //! (`raw_offsets` / `raw_targets` / `raw_weights`) to the legacy
-//! tuple-materializing `CsrBuilder` snapshot — including tombstone-heavy
+//! tuple-materializing `CsrBuilder` snapshot — including delete-heavy
 //! histories, all-rows-dirty batches, and vertex growth mid-stream.
 //! Every op of a history is also checked against a `BTreeMap` model of
-//! the live edges, through the binary-searched lookups and the
-//! sorted-row invariant the freeze relies on.
+//! the live edges: every row, slot for slot, the binary-searched
+//! lookups, and the sorted-row invariant the freeze relies on.
 
 use graph_analytics::graph::snapshot::freeze;
 use graph_analytics::graph::{CsrBuilder, CsrGraph, DynamicGraph, Parallelism, SnapshotCache};
@@ -20,23 +20,20 @@ enum Op {
     Delete(u32, u32),
     AddVertices(usize),
     DeleteVertex(u32),
-    Compact,
 }
 
 /// Strategy: a graph size and a mutation sequence. Ids range slightly
 /// past `n` so vertex-growth paths get exercised; weights are small ints
-/// so float equality is exact. Roughly 60% inserts, 30% deletes and
-/// 10% split between vertex additions, vertex deletions and
-/// compactions.
+/// so float equality is exact. Roughly 60% inserts, 32% deletes and
+/// 8% split between vertex additions and vertex deletions.
 fn history() -> impl Strategy<Value = (usize, Vec<Op>)> {
     (2usize..24).prop_flat_map(|n| {
         let hi = n as u32 + 4;
         let op = (0u32..40, 0..hi, 0..hi, 0u32..16).prop_map(|(kind, u, v, w)| match kind {
             0..=23 => Op::Insert(u, v, w),
-            24..=35 => Op::Delete(u, v),
-            36 => Op::AddVertices(1 + v as usize % 3),
-            37 | 38 => Op::DeleteVertex(u),
-            _ => Op::Compact,
+            24..=36 => Op::Delete(u, v),
+            37 => Op::AddVertices(1 + v as usize % 3),
+            _ => Op::DeleteVertex(u),
         });
         (Just(n), prop::collection::vec(op, 0..120))
     })
@@ -62,9 +59,6 @@ fn apply_one(g: &mut DynamicGraph, op: &Op, ts: u64) {
         Op::DeleteVertex(v) => {
             g.delete_vertex(v, ts);
         }
-        Op::Compact => {
-            g.compact();
-        }
     }
 }
 
@@ -80,15 +74,15 @@ fn apply_model(m: &mut Model, op: &Op, ts: u64) {
             m.remove(&(u, v));
         }
         Op::DeleteVertex(x) => m.retain(|&(u, v), _| u != x && v != x),
-        Op::AddVertices(_) | Op::Compact => {}
+        Op::AddVertices(_) => {}
     }
 }
 
-/// Every row strictly sorted by `dst`, its live slots exactly the
-/// model's, and every lookup agreeing with the model.
+/// Every row strictly sorted by `dst`, its slots exactly the model's,
+/// and every lookup agreeing with the model.
 fn assert_matches_model(g: &DynamicGraph, m: &Model) {
     let n = g.num_vertices() as u32;
-    let mut tombstones = 0;
+    let mut slots_total = 0;
     for u in 0..n + 2 {
         let slots = g.row_slots(u);
         assert!(
@@ -96,17 +90,16 @@ fn assert_matches_model(g: &DynamicGraph, m: &Model) {
             "row {} unsorted",
             u
         );
-        tombstones += slots.iter().filter(|r| r.deleted).count();
-        let live: Vec<(u32, f32, u64)> = slots
+        slots_total += slots.len();
+        let row: Vec<(u32, f32, u64)> = slots
             .iter()
-            .filter(|r| !r.deleted)
             .map(|r| (r.dst, r.weight, r.timestamp))
             .collect();
         let want: Vec<(u32, f32, u64)> = m
             .range((u, 0)..=(u, u32::MAX))
             .map(|(&(_, v), &(w, ts))| (v, w, ts))
             .collect();
-        assert_eq!(&live, &want, "row {}", u);
+        assert_eq!(&row, &want, "row {}", u);
         assert_eq!(g.degree(u), want.len());
         let ids: Vec<u32> = g.neighbor_ids(u).collect();
         assert_eq!(ids, want.iter().map(|e| e.0).collect::<Vec<_>>());
@@ -117,7 +110,7 @@ fn assert_matches_model(g: &DynamicGraph, m: &Model) {
         }
     }
     assert_eq!(g.num_live_edges(), m.len());
-    assert_eq!(g.num_tombstones(), tombstones);
+    assert_eq!(slots_total, g.num_live_edges(), "rows hold live slots only");
 }
 
 /// The oracle: materialize every live `(u, v, w)` tuple and let
@@ -155,8 +148,10 @@ proptest! {
         let mut g = DynamicGraph::new(n);
         apply(&mut g, &ops, 0);
         let legacy = oracle(&g);
-        assert_identical(&freeze(&g, Parallelism::Serial), &legacy);
-        assert_identical(&freeze(&g, Parallelism::Parallel), &legacy);
+        let rows = |v| g.row_slots(v);
+        let (n, m) = (g.num_vertices(), g.num_live_edges());
+        assert_identical(&freeze(n, m, rows, Parallelism::Serial), &legacy);
+        assert_identical(&freeze(n, m, rows, Parallelism::Parallel), &legacy);
         // The default entry point routes through the same path.
         assert_identical(&g.snapshot(), &legacy);
     }
@@ -199,11 +194,11 @@ proptest! {
         );
     }
 
-    /// Tombstone-heavy histories: after a first snapshot, every live
-    /// edge is deleted (rows become tombstone-only), optionally
-    /// compacted, and the delta rebuild must still match.
+    /// Delete-heavy histories: after a first snapshot, every live edge
+    /// is deleted (every row empties), and the delta rebuild must still
+    /// match.
     #[test]
-    fn tombstone_heavy_matches_legacy(((n, ops), compact_at_end) in (history(), 0u32..2)) {
+    fn tombstone_heavy_matches_legacy((n, ops) in history()) {
         let mut g = DynamicGraph::new(n);
         let mut cache = SnapshotCache::new();
         apply(&mut g, &ops, 0);
@@ -212,9 +207,7 @@ proptest! {
         for (i, &(u, v)) in live.iter().enumerate() {
             g.delete_edge(u, v, 1_000 + i as u64);
         }
-        if compact_at_end == 1 {
-            g.compact();
-        }
+        prop_assert_eq!(g.edges().count(), 0);
         let snap = cache.snapshot(&g, Parallelism::Serial);
         assert_identical(&snap, &oracle(&g));
         prop_assert_eq!(snap.num_edges(), 0);
