@@ -1,12 +1,19 @@
 //! Criterion benches for the streaming side: update ingestion through
-//! incremental monitors, Firehose detector throughput, and experiment
-//! E7 — the per-query latency of streaming Jaccard (the paper's §V-B
-//! "10s of microseconds" claim, here measured on a real CPU).
+//! incremental monitors, Firehose detector throughput, experiment E7 —
+//! the per-query latency of streaming Jaccard (the paper's §V-B "10s of
+//! microseconds" claim, here measured on a real CPU) — and the two
+//! serving scans, top-k and k-hop, on a published snapshot (E32).
+//!
+//! The `queries` group's R-MAT scale defaults to 16; override with
+//! `GA_BENCH_SCALE` (CI smoke uses 10).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use ga_core::flow::FlowEngine;
+use ga_graph::{gen, DynamicGraph, PropertyStore};
 use ga_stream::engine::StreamEngine;
 use ga_stream::firehose::{FixedKeyDetector, TwoLevelDetector, UnboundedKeyDetector};
 use ga_stream::jaccard_stream::for_vertex_dynamic;
+use ga_stream::queries::Query;
 use ga_stream::tri_inc::IncrementalTriangles;
 use ga_stream::update::{firehose_stream, into_batches, rmat_edge_stream, two_level_stream};
 use std::hint::black_box;
@@ -113,6 +120,57 @@ fn bench_firehose(c: &mut Criterion) {
     group.finish();
 }
 
+/// E32: `TopKByProperty{8}` and `KHop{2, limit 64}` — the scan classes
+/// of `bench_e2e`'s serving mix — on a published R-MAT snapshot with
+/// eight edges per vertex and a "w" column on half the vertices.
+/// `topk_8_ascending` ranks a column that rises with vertex id, where
+/// every slot outranks the heap's floor and replaces its root: the
+/// bounded heap's worst case.
+fn bench_queries(c: &mut Criterion) {
+    let scale = ga_bench::scale(16, 10);
+    let n = 1usize << scale;
+    let mut g = DynamicGraph::new(n);
+    for (i, (u, v)) in gen::rmat(scale, 8 * n, gen::RmatParams::GRAPH500, 5)
+        .into_iter()
+        .enumerate()
+    {
+        g.insert_edge(u, v, 1.0, i as u64);
+    }
+    let mut props = PropertyStore::new(n);
+    for v in (0..n as u32).step_by(2) {
+        props.set("w", v, (v.wrapping_mul(2_654_435_761) % 1000) as f64);
+        props.set("ascending", v, v as f64);
+    }
+    let snap = FlowEngine::with_graph(g, props)
+        .serve_handle()
+        .load()
+        .expect("serve_handle publishes the first generation");
+    let origins: Vec<u32> = (0..n as u32).step_by((n / 64).max(1)).collect();
+    let mut group = c.benchmark_group("queries");
+    let topk = Query::top_k_by_property("w", 8);
+    group.bench_function("topk_8", |b| b.iter(|| black_box(topk.run(&snap))));
+    let rising = Query::top_k_by_property("ascending", 8);
+    group.bench_function("topk_8_ascending", |b| {
+        b.iter(|| black_box(rising.run(&snap)))
+    });
+    let mut i = 0;
+    group.bench_function("khop_2_limit64", |b| {
+        b.iter(|| {
+            let vertex = origins[i % origins.len()];
+            i += 1;
+            black_box(
+                Query::KHop {
+                    vertex,
+                    hops: 2,
+                    limit: 64,
+                }
+                .run(&snap),
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     // Bounded measurement so `cargo bench --workspace` finishes in
@@ -121,6 +179,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_update_ingest, bench_jaccard_query_latency, bench_firehose
+    targets = bench_update_ingest, bench_jaccard_query_latency, bench_firehose, bench_queries
 );
 criterion_main!(benches);

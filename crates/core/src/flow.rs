@@ -847,12 +847,13 @@ impl FlowEngine {
     pub fn select_seeds(&self, criteria: &SelectionCriteria) -> Vec<VertexId> {
         match criteria {
             SelectionCriteria::Explicit(v) => v.clone(),
-            SelectionCriteria::TopKProperty { name, k } => {
-                topk::top_k_property(self.stream.props(), name, *k)
-                    .into_iter()
-                    .map(|(v, _)| v)
-                    .collect()
-            }
+            SelectionCriteria::TopKProperty { name, k } => self
+                .stream
+                .props()
+                .top_k_f64(name, *k)
+                .into_iter()
+                .map(|(v, _)| v)
+                .collect(),
             SelectionCriteria::TopKDegree { k } => {
                 let g = self.stream.graph();
                 topk::top_k_by(g.num_vertices(), *k, |v| Some(g.degree(v) as f64))

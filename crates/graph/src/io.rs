@@ -18,7 +18,7 @@
 //! those files and the write-ahead log.
 
 use crate::dynamic::EdgeRecord;
-use crate::props::Column;
+use crate::props::{Column, Dense};
 use crate::{CsrBuilder, CsrGraph, DynamicGraph, PropertyStore, Timestamp, VertexId, Weight};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -494,7 +494,7 @@ pub fn write_props(p: &PropertyStore, w: impl Write) -> io::Result<()> {
         match col {
             Column::U64(vals) => {
                 out.write_all(&[COL_TAG_U64])?;
-                for v in vals {
+                for v in vals.iter() {
                     match v {
                         Some(x) => {
                             out.write_all(&[1])?;
@@ -506,7 +506,7 @@ pub fn write_props(p: &PropertyStore, w: impl Write) -> io::Result<()> {
             }
             Column::F64(vals) => {
                 out.write_all(&[COL_TAG_F64])?;
-                for v in vals {
+                for v in vals.iter() {
                     match v {
                         Some(x) => {
                             out.write_all(&[1])?;
@@ -579,7 +579,7 @@ pub fn read_props(r: impl Read) -> io::Result<PropertyStore> {
             .map_err(|_| corrupt(F, format!("truncated in column {name:?} type tag")))?;
         let col = match tag[0] {
             COL_TAG_U64 => {
-                let mut vals = Vec::with_capacity(n.min(1 << 20));
+                let mut vals = Dense::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
                     vals.push(if presence(&mut input, &name)? {
                         Some(read_u64(&mut input).map_err(|_| {
@@ -592,7 +592,7 @@ pub fn read_props(r: impl Read) -> io::Result<PropertyStore> {
                 Column::U64(vals)
             }
             COL_TAG_F64 => {
-                let mut vals = Vec::with_capacity(n.min(1 << 20));
+                let mut vals = Dense::with_capacity(n.min(1 << 20));
                 for _ in 0..n {
                     vals.push(if presence(&mut input, &name)? {
                         Some(read_f64(&mut input).map_err(|_| {
@@ -1075,5 +1075,108 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("presence"));
+    }
+
+    /// Slot `i` of the hand-written GAP1 image: `deg` (u64), `label`
+    /// (str) and `rank` (f64), each with gaps.
+    fn gap1_slot(i: u32) -> (Option<u64>, Option<String>, Option<f64>) {
+        let deg = i
+            .is_multiple_of(3)
+            .then(|| if i == 69 { u64::MAX } else { i as u64 * 1000 });
+        let label = (i % 5 == 1).then(|| format!("v{i}"));
+        let rank = i.is_multiple_of(2).then(|| match i {
+            0 => -0.0,
+            2 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            _ => (i as f64 - 30.0) / 4.0,
+        });
+        (deg, label, rank)
+    }
+
+    /// The [`gap1_slot`] image of 70 vertices (past one 64-slot presence
+    /// word) written byte by byte, with the offset of each column's
+    /// first presence byte. Columns come in name order, as
+    /// `write_props` writes them.
+    fn gap1_bytes() -> (Vec<u8>, Vec<usize>) {
+        const N: u32 = 70;
+        let mut b = b"GAP1".to_vec();
+        b.extend(1u16.to_le_bytes());
+        b.extend(0u16.to_le_bytes());
+        b.extend((N as u64).to_le_bytes());
+        b.extend(3u32.to_le_bytes());
+        let mut firsts = Vec::new();
+        let value = |c: usize, i: u32| -> Option<Vec<u8>> {
+            let (deg, label, rank) = gap1_slot(i);
+            match c {
+                0 => deg.map(|x| x.to_le_bytes().to_vec()),
+                1 => label.map(|s| [&(s.len() as u32).to_le_bytes()[..], s.as_bytes()].concat()),
+                _ => rank.map(|x| x.to_le_bytes().to_vec()),
+            }
+        };
+        // Type tags: 0 u64, 1 f64, 2 str.
+        for (c, (name, tag)) in [("deg", 0u8), ("label", 2), ("rank", 1)]
+            .into_iter()
+            .enumerate()
+        {
+            b.extend((name.len() as u16).to_le_bytes());
+            b.extend(name.as_bytes());
+            b.push(tag);
+            firsts.push(b.len());
+            for i in 0..N {
+                match value(c, i) {
+                    Some(bytes) => {
+                        b.push(1);
+                        b.extend(bytes);
+                    }
+                    None => b.push(0),
+                }
+            }
+        }
+        (b, firsts)
+    }
+
+    #[test]
+    fn props_hand_written_bytes_load_and_re_encode_identically() {
+        let (bytes, firsts) = gap1_bytes();
+        let p = read_props(&bytes[..]).unwrap();
+        let mut want = PropertyStore::new(70);
+        for i in 0..70 {
+            let (deg, label, rank) = gap1_slot(i);
+            if let Some(x) = deg {
+                want.set("deg", i, x);
+            }
+            if let Some(x) = label {
+                want.set("label", i, x);
+            }
+            if let Some(x) = rank {
+                want.set("rank", i, x);
+            }
+        }
+        assert_eq!(p, want);
+        assert_eq!(p.column_count("deg"), 24);
+        assert_eq!(p.get("deg", 1), None);
+        assert_eq!(
+            p.get_f64("rank", 0).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        let mut again = Vec::new();
+        write_props(&p, &mut again).unwrap();
+        assert_eq!(again, bytes);
+        let mut again = Vec::new();
+        write_props(&want, &mut again).unwrap();
+        assert_eq!(again, bytes);
+
+        for (name, at) in ["deg", "label", "rank"].into_iter().zip(firsts) {
+            for byte in [2, 255] {
+                let mut bad = bytes.clone();
+                bad[at] = byte;
+                let err = read_props(&bad[..]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert_eq!(
+                    err.to_string(),
+                    format!("GAP1: {name}: invalid presence byte {byte}")
+                );
+            }
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! extraction can copy "only a small subset of the properties".
 
 use crate::VertexId;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A single property value.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,36 +44,125 @@ impl From<String> for PropValue {
     }
 }
 
-/// One typed column, stored densely with a presence mask.
+/// A numeric column: one value per slot plus a presence bitmap, 8 B
+/// and one bit a slot. An absent slot holds `T::default()` and every
+/// bit past `values.len()` is clear, so derived equality compares
+/// contents.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Dense<T> {
+    values: Vec<T>,
+    present: Vec<u64>,
+}
+
+impl<T: Copy + Default> Dense<T> {
+    /// `len` absent slots.
+    fn new(len: usize) -> Self {
+        Dense {
+            values: vec![T::default(); len],
+            present: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Every slot present.
+    fn full(values: Vec<T>) -> Self {
+        let mut present = vec![!0u64; values.len().div_ceil(64)];
+        let tail = values.len() % 64;
+        if let Some(last) = present.last_mut().filter(|_| tail != 0) {
+            *last = (1 << tail) - 1;
+        }
+        Dense { values, present }
+    }
+
+    /// Empty, with room for `cap` slots before reallocating.
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        Dense {
+            values: Vec::with_capacity(cap),
+            present: Vec::with_capacity(cap.div_ceil(64)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Append one slot.
+    pub(crate) fn push(&mut self, x: Option<T>) {
+        let i = self.values.len();
+        if i.is_multiple_of(64) {
+            self.present.push(0);
+        }
+        self.values.push(x.unwrap_or_default());
+        if x.is_some() {
+            self.present[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Grow to `len` slots; the new ones are absent.
+    fn grow(&mut self, len: usize) {
+        if len > self.values.len() {
+            self.values.resize(len, T::default());
+            self.present.resize(len.div_ceil(64), 0);
+        }
+    }
+
+    fn set(&mut self, i: usize, x: T) {
+        self.values[i] = x;
+        self.present[i / 64] |= 1 << (i % 64);
+    }
+
+    pub(crate) fn get(&self, i: usize) -> Option<T> {
+        let word = *self.present.get(i / 64)?;
+        (word >> (i % 64) & 1 == 1).then(|| self.values[i])
+    }
+
+    fn count(&self) -> usize {
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Every slot in order, `None` where absent.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Option<T>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// The present slots in order as `(slot, value)`: a walk over the
+    /// set bits of each presence word.
+    fn present_slots(&self) -> impl Iterator<Item = (VertexId, T)> + '_ {
+        self.present.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let b = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some(((w * 64 + b) as VertexId, self.values[w * 64 + b]))
+            })
+        })
+    }
+}
+
+/// One typed column. Numeric columns are [`Dense`]; strings keep an
+/// `Option` per slot.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Column {
-    U64(Vec<Option<u64>>),
-    F64(Vec<Option<f64>>),
+    U64(Dense<u64>),
+    F64(Dense<f64>),
     Str(Vec<Option<String>>),
 }
 
 impl Column {
     fn new_for(value: &PropValue, len: usize) -> Column {
         match value {
-            PropValue::U64(_) => Column::U64(vec![None; len]),
-            PropValue::F64(_) => Column::F64(vec![None; len]),
+            PropValue::U64(_) => Column::U64(Dense::new(len)),
+            PropValue::F64(_) => Column::F64(Dense::new(len)),
             PropValue::Str(_) => Column::Str(vec![None; len]),
         }
     }
 
-    fn len(&self) -> usize {
+    /// Grow to `len` slots (never shrinks); the new ones are absent.
+    fn grow(&mut self, len: usize) {
         match self {
-            Column::U64(v) => v.len(),
-            Column::F64(v) => v.len(),
-            Column::Str(v) => v.len(),
-        }
-    }
-
-    fn resize(&mut self, len: usize) {
-        match self {
-            Column::U64(v) => v.resize(len, None),
-            Column::F64(v) => v.resize(len, None),
-            Column::Str(v) => v.resize(len, None),
+            Column::U64(v) => v.grow(len),
+            Column::F64(v) => v.grow(len),
+            Column::Str(v) if len > v.len() => v.resize(len, None),
+            Column::Str(_) => {}
         }
     }
 
@@ -80,11 +170,11 @@ impl Column {
         let i = v as usize;
         match (self, value) {
             (Column::U64(col), PropValue::U64(x)) => {
-                col[i] = Some(x);
+                col.set(i, x);
                 true
             }
             (Column::F64(col), PropValue::F64(x)) => {
-                col[i] = Some(x);
+                col.set(i, x);
                 true
             }
             (Column::Str(col), PropValue::Str(x)) => {
@@ -98,19 +188,97 @@ impl Column {
     fn get(&self, v: VertexId) -> Option<PropValue> {
         let i = v as usize;
         match self {
-            Column::U64(col) => col.get(i)?.map(PropValue::U64),
-            Column::F64(col) => col.get(i)?.map(PropValue::F64),
+            Column::U64(col) => col.get(i).map(PropValue::U64),
+            Column::F64(col) => col.get(i).map(PropValue::F64),
             Column::Str(col) => col.get(i)?.clone().map(PropValue::Str),
+        }
+    }
+
+    /// Slot `v` as f64; a Str column has no numeric value.
+    fn get_f64(&self, v: VertexId) -> Option<f64> {
+        let i = v as usize;
+        match self {
+            Column::U64(col) => col.get(i).map(|x| x as f64),
+            Column::F64(col) => col.get(i),
+            Column::Str(_) => None,
         }
     }
 
     fn count(&self) -> usize {
         match self {
-            Column::U64(col) => col.iter().filter(|x| x.is_some()).count(),
-            Column::F64(col) => col.iter().filter(|x| x.is_some()).count(),
+            Column::U64(col) => col.count(),
+            Column::F64(col) => col.count(),
             Column::Str(col) => col.iter().filter(|x| x.is_some()).count(),
         }
     }
+}
+
+/// A top-k candidate ordered by rank: larger [`total_key`] first, then
+/// smaller id first, so `a > b` means `a` ranks higher. Every top-k in
+/// the workspace ranks in this order: `total_cmp` descending, then id
+/// ascending.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ranked(i64, Reverse<VertexId>);
+
+impl Ranked {
+    fn new(x: f64, v: VertexId) -> Self {
+        Ranked(total_key(x.to_bits()), Reverse(v))
+    }
+
+    /// `(vertex, value)`, the value bit for bit as offered.
+    fn unpack(self) -> (VertexId, f64) {
+        (self.1 .0, f64::from_bits(total_key(self.0 as u64) as u64))
+    }
+}
+
+/// An f64's bits as an integer that orders as [`f64::total_cmp`] orders
+/// the f64: the sign bit stays, and a negative value flips its other
+/// bits. The flip undoes itself.
+fn total_key(bits: u64) -> i64 {
+    let b = bits as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
+}
+
+/// The best `k` of at most `n` candidates, best first in [`Ranked`]
+/// order, in one pass through a bounded min-heap whose root is the worst
+/// kept. The heap reserves what the input can fill, so any `k` is safe.
+fn best_k(
+    k: usize,
+    n: usize,
+    candidates: impl Iterator<Item = (VertexId, f64)>,
+) -> Vec<(VertexId, f64)> {
+    let mut kept = BinaryHeap::with_capacity(k.min(n));
+    // `for_each`, not `for`: a flattened walk folds word by word.
+    candidates.for_each(|(v, x)| {
+        let c = Ranked::new(x, v);
+        if kept.len() < k {
+            kept.push(Reverse(c));
+        } else if let Some(mut worst) = kept.peek_mut() {
+            if c > worst.0 {
+                *worst = Reverse(c);
+            }
+        }
+    });
+    kept.into_sorted_vec()
+        .into_iter()
+        .map(|Reverse(c)| c.unpack())
+        .collect()
+}
+
+/// The `k` vertices of `0..n` with the largest `metric` (vertices where
+/// it is `None` are skipped), best first: `total_cmp` descending, then
+/// id ascending — the order of [`PropertyStore::top_k_f64`]. One pass,
+/// O(n log k).
+pub fn top_k_by(
+    n: usize,
+    k: usize,
+    metric: impl Fn(VertexId) -> Option<f64>,
+) -> Vec<(VertexId, f64)> {
+    best_k(
+        k,
+        n,
+        (0..n as VertexId).filter_map(|v| Some((v, metric(v)?))),
+    )
 }
 
 /// Named, typed vertex property columns.
@@ -177,7 +345,7 @@ impl PropertyStore {
         self.num_vertices = num_vertices;
         self.version += 1;
         for col in self.columns.values_mut() {
-            col.resize(num_vertices);
+            col.grow(num_vertices);
         }
     }
 
@@ -195,9 +363,7 @@ impl PropertyStore {
             .columns
             .entry(name.to_string())
             .or_insert_with(|| Column::new_for(&value, n));
-        if col.len() < n {
-            col.resize(n);
-        }
+        col.grow(n);
         let ok = col.set(v, value);
         if ok {
             self.version += 1;
@@ -209,7 +375,7 @@ impl PropertyStore {
     /// batch analytic computing "a new property for each vertex").
     pub fn set_column_f64(&mut self, name: &str, values: &[f64]) {
         assert_eq!(values.len(), self.num_vertices);
-        let col = Column::F64(values.iter().map(|&x| Some(x)).collect());
+        let col = Column::F64(Dense::full(values.to_vec()));
         self.columns.insert(name.to_string(), col);
         self.version += 1;
     }
@@ -217,7 +383,7 @@ impl PropertyStore {
     /// Bulk write-back of an entire `u64` column.
     pub fn set_column_u64(&mut self, name: &str, values: &[u64]) {
         assert_eq!(values.len(), self.num_vertices);
-        let col = Column::U64(values.iter().map(|&x| Some(x)).collect());
+        let col = Column::U64(Dense::full(values.to_vec()));
         self.columns.insert(name.to_string(), col);
         self.version += 1;
     }
@@ -229,11 +395,15 @@ impl PropertyStore {
 
     /// Read `name[v]` as f64 (numeric columns only).
     pub fn get_f64(&self, name: &str, v: VertexId) -> Option<f64> {
-        match self.get(name, v)? {
-            PropValue::F64(x) => Some(x),
-            PropValue::U64(x) => Some(x as f64),
-            PropValue::Str(_) => None,
-        }
+        self.columns.get(name)?.get_f64(v)
+    }
+
+    /// `name` looked up once: the returned reader answers
+    /// [`Self::get_f64`]`(name, v)` for every `v`, so a scan pays one
+    /// map lookup, not one per vertex.
+    pub fn column_f64(&self, name: &str) -> impl Fn(VertexId) -> Option<f64> + '_ {
+        let col = self.columns.get(name);
+        move |v| col?.get_f64(v)
     }
 
     /// Does the column exist?
@@ -264,22 +434,28 @@ impl PropertyStore {
     /// (descending; ties broken by vertex id). This is the "scan for the
     /// top-k vertices with the highest values of some properties" seed
     /// selection from §III.
+    ///
+    /// Values order by `total_cmp`, so a NaN smuggled into a column
+    /// gets a deterministic rank instead of panicking the selection. One
+    /// pass over the column keeps the best `k` in a bounded heap:
+    /// O(n log k), no per-vertex allocation or lookup.
     pub fn top_k_f64(&self, name: &str, k: usize) -> Vec<(VertexId, f64)> {
-        let mut all: Vec<(VertexId, f64)> = (0..self.num_vertices as VertexId)
-            .filter_map(|v| self.get_f64(name, v).map(|x| (v, x)))
-            .collect();
-        // total_cmp: a NaN smuggled into a column must not panic the
-        // selection path (it gets a deterministic position instead).
-        all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
+        match self.columns.get(name) {
+            Some(Column::F64(col)) => best_k(k, col.len(), col.present_slots()),
+            Some(Column::U64(col)) => {
+                let slots = col.present_slots().map(|(v, x)| (v, x as f64));
+                best_k(k, col.len(), slots)
+            }
+            Some(Column::Str(_)) | None => Vec::new(),
+        }
     }
 
     /// Vertices whose numeric value satisfies the predicate — the
     /// "search for all vertices with a particular property" operation.
     pub fn select_f64(&self, name: &str, pred: impl Fn(f64) -> bool) -> Vec<VertexId> {
+        let read = self.column_f64(name);
         (0..self.num_vertices as VertexId)
-            .filter(|&v| self.get_f64(name, v).is_some_and(&pred))
+            .filter(|&v| read(v).is_some_and(&pred))
             .collect()
     }
 
@@ -331,6 +507,7 @@ impl PropertyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn typed_columns() {
@@ -448,6 +625,50 @@ mod tests {
     }
 
     #[test]
+    fn signed_zeros_and_monotone_columns_rank_exactly() {
+        let mut p = PropertyStore::new(200);
+        // Two -0.0 fill k = 2 first; a later +0.0 outranks them though
+        // the two compare equal as f64.
+        let mut x = vec![-1.0; 130];
+        (x[3], x[5], x[70]) = (-0.0, -0.0, 0.0);
+        x.resize(200, -1.0);
+        p.set_column_f64("x", &x);
+        assert_eq!(
+            bits(p.top_k_f64("x", 2)),
+            vec![(70, 0.0f64.to_bits()), (3, (-0.0f64).to_bits())]
+        );
+        // Descending values: the first `k` are kept, nothing after.
+        let desc: Vec<f64> = (0..200).map(|i| -(i as f64)).collect();
+        p.set_column_f64("d", &desc);
+        let want: Vec<_> = (0..100).map(|i| (i, -(i as f64))).collect();
+        assert_eq!(p.top_k_f64("d", 100), want);
+        // Ascending values: every slot replaces the heap's root.
+        let asc: Vec<f64> = (0..200).map(|i| i as f64).collect();
+        p.set_column_f64("a", &asc);
+        assert_eq!(
+            p.top_k_f64("a", 3),
+            vec![(199, 199.0), (198, 198.0), (197, 197.0)]
+        );
+    }
+
+    #[test]
+    fn any_k_returns_every_present_slot_in_rank_order() {
+        // The heap reserves what the column can fill, not `k`.
+        let mut p = PropertyStore::new(70);
+        p.set("x", 3, 0.5);
+        p.set("x", 66, 2.0);
+        p.set("x", 9, 0.5);
+        p.set("n", 1, 4u64);
+        let want = vec![(66, 2.0), (3, 0.5), (9, 0.5)];
+        assert_eq!(p.top_k_f64("x", usize::MAX), want);
+        assert_eq!(p.top_k_f64("x", 1 << 40), want);
+        assert_eq!(p.top_k_f64("n", usize::MAX), vec![(1, 4.0)]);
+        let by = top_k_by(70, usize::MAX, p.column_f64("x"));
+        assert_eq!(by, want);
+        assert!(top_k_by(0, usize::MAX, |_| Some(1.0)).is_empty());
+    }
+
+    #[test]
     fn version_moves_on_writes_only() {
         let mut p = PropertyStore::new(3);
         assert_eq!(p.version(), 0);
@@ -482,5 +703,99 @@ mod tests {
         let mut p = PropertyStore::new(2);
         p.set("deg", 0, 7u64);
         assert_eq!(p.get_f64("deg", 0), Some(7.0));
+    }
+
+    /// The reference top-k: every present slot, fully sorted, cut to `k`.
+    fn full_sort_top_k(slots: &[Option<f64>], k: usize) -> Vec<(VertexId, u64)> {
+        let mut all: Vec<(VertexId, f64)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(v, x)| x.map(|x| (v as VertexId, x)))
+            .collect();
+        all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.into_iter()
+            .take(k)
+            .map(|(v, x)| (v, x.to_bits()))
+            .collect()
+    }
+
+    fn bits(r: Vec<(VertexId, f64)>) -> Vec<(VertexId, u64)> {
+        r.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
+    }
+
+    /// Slot palettes: ties, ±0.0, ±∞, both NaN signs (last, so a
+    /// narrow case has none), and u64 values that round to one f64
+    /// (2^53 and 2^53 + 1). Picks past the f64 palette are distinct
+    /// finite values.
+    const F64S: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        1.0,
+        -2.5,
+        0.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+    const U64S: [u64; 6] = [0, 1, 7, 7, 1 << 53, (1 << 53) + 1];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn top_k_matches_a_full_sort((n, len, width, picks, k) in (0usize..300).prop_flat_map(|n| {
+            let slot = (0u8..4, 0usize..40);
+            (Just(n), 0..n + 1, 1usize..41, prop::collection::vec(slot, n..n + 1), 0..n + 3)
+        })) {
+            // Columns of `len` ≤ n slots: a shorter column's tail is
+            // absent. A quarter of the slots are absent.
+            let picks: Vec<Option<usize>> = picks[..len]
+                .iter()
+                .map(|&(absent, i)| (absent != 0).then_some(i % width))
+                .collect();
+            let f: Vec<Option<f64>> = picks
+                .iter()
+                .map(|p| p.map(|i| F64S.get(i).copied().unwrap_or(i as f64 / 3.0)))
+                .collect();
+            let u: Vec<Option<u64>> = picks.iter().map(|p| p.map(|i| U64S[i % U64S.len()])).collect();
+            let (mut fd, mut ud) = (Dense::with_capacity(0), Dense::new(len));
+            for (i, &x) in f.iter().enumerate() {
+                fd.push(x);
+                if let Some(x) = u[i] {
+                    ud.set(i, x);
+                }
+            }
+            // Pushed, set and full columns hold what was written.
+            let f_bits = |c: &mut dyn Iterator<Item = Option<f64>>| -> Vec<Option<u64>> {
+                c.map(|x| x.map(f64::to_bits)).collect()
+            };
+            prop_assert_eq!(f_bits(&mut fd.iter()), f_bits(&mut f.iter().copied()));
+            prop_assert_eq!(ud.iter().collect::<Vec<_>>(), u.clone());
+            prop_assert_eq!(fd.count(), f.iter().flatten().count());
+            let all: Vec<u64> = picks.iter().map(|p| p.map_or(9, |i| i as u64)).collect();
+            let mut pushed = Dense::with_capacity(0);
+            all.iter().for_each(|&x| pushed.push(Some(x)));
+            prop_assert_eq!(Dense::full(all), pushed);
+            let s = picks.iter().map(|p| p.map(|i| i.to_string())).collect();
+            let columns = BTreeMap::from([
+                ("f".to_string(), Column::F64(fd)),
+                ("u".to_string(), Column::U64(ud)),
+                ("s".to_string(), Column::Str(s)),
+            ]);
+            let p = PropertyStore::from_raw_parts(n, columns);
+            let u_as_f64: Vec<Option<f64>> = u.iter().map(|x| x.map(|x| x as f64)).collect();
+            prop_assert_eq!(bits(p.top_k_f64("f", k)), full_sort_top_k(&f, k));
+            prop_assert_eq!(bits(p.top_k_f64("u", k)), full_sort_top_k(&u_as_f64, k));
+            prop_assert_eq!(bits(top_k_by(n, k, p.column_f64("f"))), full_sort_top_k(&f, k));
+            prop_assert!(p.top_k_f64("s", k).is_empty());
+            prop_assert!(p.top_k_f64("missing", k).is_empty());
+            for v in 0..n as VertexId + 1 {
+                let want = f.get(v as usize).copied().flatten();
+                prop_assert_eq!(p.get_f64("f", v).map(f64::to_bits), want.map(f64::to_bits));
+                prop_assert_eq!(p.get_f64("s", v), None);
+            }
+        }
     }
 }

@@ -42,17 +42,10 @@ pub struct PageRankResult {
 }
 
 impl PageRankResult {
-    /// The `k` top-ranked vertices, descending (ties by id).
+    /// The `k` top-ranked vertices, descending (ties by id), in
+    /// [`crate::topk::top_k_by`]'s `total_cmp` order.
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let mut v: Vec<(VertexId, f64)> = self
-            .rank
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (i as VertexId, r))
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+        crate::topk::top_k_by(self.rank.len(), k, |v| Some(self.rank[v as usize]))
     }
 }
 
@@ -431,6 +424,15 @@ mod tests {
             completion: Completion::Complete,
         };
         assert_eq!(r.top_k(3), vec![(1, 0.4), (2, 0.4), (0, 0.1)]);
+        // Any `k` past the rank count returns every rank, as a full sort.
+        let all = vec![(1, 0.4), (2, 0.4), (0, 0.1), (3, 0.1)];
+        assert_eq!(r.top_k(usize::MAX), all);
+        // A NaN rank takes its `total_cmp` place instead of panicking.
+        let r = PageRankResult {
+            rank: vec![0.5, f64::NAN, 0.5],
+            ..r
+        };
+        assert_eq!(r.top_k(1)[0].0, 1);
     }
 
     #[test]

@@ -2,65 +2,18 @@
 //!
 //! The Graph Challenge's "largest" searches and the Fig. 2 *selection
 //! criteria* stage both reduce to: rank all vertices by some metric,
-//! keep the k best. A bounded binary heap keeps the scan O(n log k).
+//! keep the k best. [`top_k_by`] keeps them in a bounded binary heap,
+//! O(n log k). It lives beside [`ga_graph::PropertyStore::top_k_f64`]
+//! and shares its heap and order (`total_cmp` descending, then vertex
+//! id ascending), so a NaN metric lands in the same place whichever path
+//! selects seeds.
 
-use ga_graph::{PropertyStore, VertexId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Ordered (metric, vertex) pair usable in a min-heap.
-#[derive(PartialEq)]
-struct Entry(f64, VertexId);
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            // For equal metrics prefer smaller id => it should sort LATER
-            // in the min-heap (be "larger"), so invert the id order.
-            .then(other.1.cmp(&self.1))
-    }
-}
-
-/// Top-`k` vertices by an arbitrary metric, descending (ties by id).
-pub fn top_k_by(
-    n: usize,
-    k: usize,
-    metric: impl Fn(VertexId) -> Option<f64>,
-) -> Vec<(VertexId, f64)> {
-    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::with_capacity(k + 1);
-    for v in 0..n as VertexId {
-        if let Some(m) = metric(v) {
-            heap.push(Reverse(Entry(m, v)));
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-    }
-    let mut out: Vec<(VertexId, f64)> = heap
-        .into_iter()
-        .map(|Reverse(Entry(m, v))| (v, m))
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
-/// Top-`k` by a numeric property column (vertices without the property
-/// are skipped).
-pub fn top_k_property(props: &PropertyStore, name: &str, k: usize) -> Vec<(VertexId, f64)> {
-    top_k_by(props.num_vertices(), k, |v| props.get_f64(name, v))
-}
+pub use ga_graph::props::top_k_by;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_graph::{gen, CsrGraph};
+    use ga_graph::{gen, CsrGraph, PropertyStore, VertexId};
 
     fn top_k_degree(g: &CsrGraph, k: usize) -> Vec<(VertexId, f64)> {
         top_k_by(g.num_vertices(), k, |v| Some(g.degree(v) as f64))
@@ -91,8 +44,28 @@ mod tests {
         let mut p = PropertyStore::new(5);
         p.set("score", 1, 0.5);
         p.set("score", 3, 0.9);
-        let top = top_k_property(&p, "score", 10);
+        let top = p.top_k_f64("score", 10);
         assert_eq!(top, vec![(3, 0.9), (1, 0.5)]);
+    }
+
+    #[test]
+    fn nan_ranks_as_the_property_scan_ranks_it() {
+        // total_cmp puts +NaN above +inf and -NaN below -inf.
+        let mut p = PropertyStore::new(8);
+        let neg_nan = -f64::NAN;
+        p.set_column_f64(
+            "x",
+            &[1.0, f64::NAN, 2.0, neg_nan, 2.0, f64::INFINITY, -0.0, 0.0],
+        );
+        let bits = |r: Vec<(VertexId, f64)>| -> Vec<(VertexId, u64)> {
+            r.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
+        };
+        for k in 0..=9 {
+            let by = top_k_by(p.num_vertices(), k, |v| p.get_f64("x", v));
+            assert_eq!(bits(by), bits(p.top_k_f64("x", k)), "k {k}");
+        }
+        assert_eq!(p.top_k_f64("x", 1)[0].0, 1);
+        assert_eq!(p.top_k_f64("x", 8)[7].0, 3);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::epoch::EpochSnapshot;
 use ga_graph::{CsrGraph, PropertyStore, VertexId};
 use ga_kernels::jaccard;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// One read-only query against a published snapshot generation.
 ///
@@ -208,6 +208,10 @@ pub(crate) fn run_on(csr: &CsrGraph, props: &PropertyStore, q: &Query) -> QueryR
 /// BFS out to `hops` levels; with a filter, only vertices passing it
 /// are visited or traversed (origin included in the result only when it
 /// passes). The origin is excluded from plain k-hop results.
+///
+/// Visits are bits in an n/8-byte set, the last level is marked but
+/// never enqueued, and the answer is the set's bits read in id order up
+/// to `limit`, so no visited list is collected or sorted.
 fn k_hop(
     csr: &CsrGraph,
     origin: VertexId,
@@ -219,38 +223,56 @@ fn k_hop(
     if (origin as usize) >= n {
         return QueryResponse::Missing;
     }
-    let passes = |v: VertexId| match filter {
+    let read = filter.map(|(props, name, min)| (props.column_f64(name), min));
+    let passes = |v: VertexId| match &read {
         None => true,
-        Some((props, name, min)) => props.get_f64(name, v).is_some_and(|x| x >= min),
+        Some((read, min)) => read(v).is_some_and(|x| x >= *min),
     };
-    if filter.is_some() && !passes(origin) {
+    if !passes(origin) {
         return QueryResponse::Vertices(Vec::new());
     }
-    let mut seen = vec![false; n];
-    seen[origin as usize] = true;
-    let mut frontier = VecDeque::from([origin]);
-    let mut out: Vec<VertexId> = Vec::new();
-    for _ in 0..hops {
-        if frontier.is_empty() {
-            break;
-        }
-        for _ in 0..frontier.len() {
-            let u = frontier.pop_front().unwrap();
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    seen[origin as usize / 64] |= 1 << (origin % 64);
+    let mut frontier = vec![origin];
+    let mut next = Vec::new();
+    for level in 1..=hops {
+        let last = level == hops;
+        for &u in &frontier {
             for &v in csr.neighbors(u) {
-                let i = v as usize;
-                if i < n && !seen[i] && passes(v) {
-                    seen[i] = true;
-                    out.push(v);
-                    frontier.push_back(v);
+                if (v as usize) >= n {
+                    continue;
+                }
+                let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+                if seen[w] & bit == 0 && passes(v) {
+                    seen[w] |= bit;
+                    if !last {
+                        next.push(v);
+                    }
                 }
             }
         }
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+        if frontier.is_empty() {
+            break;
+        }
     }
-    if filter.is_some() {
-        out.push(origin);
+    if filter.is_none() {
+        seen[origin as usize / 64] &= !(1 << (origin % 64));
     }
-    out.sort_unstable();
-    out.truncate(limit);
+    let out = seen
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                let b = (bits != 0).then(|| bits.trailing_zeros())?;
+                bits &= bits - 1;
+                Some((w * 64) as VertexId + b)
+            })
+        })
+        .take(limit)
+        .collect();
     QueryResponse::Vertices(out)
 }
 
@@ -328,6 +350,7 @@ fn similar_vertices(csr: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64
 mod tests {
     use super::*;
     use ga_graph::{gen, DynamicGraph, Parallelism, SnapshotCache};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// The legacy fixture: 6 vertices, 0-1, 0-2, 3 shares both with 0,
@@ -578,5 +601,110 @@ mod tests {
                 vertices: vec![0, 2, 1]
             }
         );
+    }
+
+    /// The k-hop the bitset walk replaced: a `VecDeque` BFS over a
+    /// `Vec<bool>`, every visit collected, sorted and cut to `limit`.
+    fn k_hop_oracle(
+        csr: &CsrGraph,
+        origin: VertexId,
+        hops: usize,
+        limit: usize,
+        filter: Option<(&PropertyStore, &str, f64)>,
+    ) -> QueryResponse {
+        use std::collections::VecDeque;
+        let n = csr.num_vertices();
+        if (origin as usize) >= n {
+            return QueryResponse::Missing;
+        }
+        let passes = |v: VertexId| match filter {
+            None => true,
+            Some((props, name, min)) => props.get_f64(name, v).is_some_and(|x| x >= min),
+        };
+        if filter.is_some() && !passes(origin) {
+            return QueryResponse::Vertices(Vec::new());
+        }
+        let mut seen = vec![false; n];
+        seen[origin as usize] = true;
+        let mut frontier = VecDeque::from([origin]);
+        let mut out: Vec<VertexId> = Vec::new();
+        for _ in 0..hops {
+            if frontier.is_empty() {
+                break;
+            }
+            for _ in 0..frontier.len() {
+                let u = frontier.pop_front().unwrap();
+                for &v in csr.neighbors(u) {
+                    let i = v as usize;
+                    if i < n && !seen[i] && passes(v) {
+                        seen[i] = true;
+                        out.push(v);
+                        frontier.push_back(v);
+                    }
+                }
+            }
+        }
+        if filter.is_some() {
+            out.push(origin);
+        }
+        out.sort_unstable();
+        out.truncate(limit);
+        QueryResponse::Vertices(out)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn k_hop_and_filtered_traversal_match_the_sorting_bfs(
+            (n, edges, marks) in (1usize..150).prop_flat_map(|n| {
+                let v = 0..n as VertexId;
+                (
+                    Just(n),
+                    prop::collection::vec((v.clone(), v), 0..4 * n),
+                    prop::collection::vec(0u32..12, n..n + 1),
+                )
+            })
+        ) {
+            // A directed graph; "w" is absent on a quarter of the
+            // vertices, "deg" is a u64 column, "tag" a string column.
+            let mut g = DynamicGraph::new(n);
+            for &(u, v) in &edges {
+                g.insert_edge(u, v, 1.0, 1);
+            }
+            let mut p = PropertyStore::new(n);
+            for (v, &m) in marks.iter().enumerate() {
+                if m < 9 {
+                    p.set("w", v as VertexId, m as f64 / 8.0);
+                }
+                p.set("deg", v as VertexId, m as u64);
+            }
+            p.set("tag", 0, "x");
+            let csr = g.snapshot();
+            for origin in [0, n as VertexId / 2, n as VertexId - 1, n as VertexId] {
+                for hops in 0..4 {
+                    let ball = match k_hop_oracle(&csr, origin, hops, usize::MAX, None) {
+                        QueryResponse::Vertices(all) => all.len(),
+                        _ => 0,
+                    };
+                    for limit in [0, 1, ball / 2, ball, ball + 1, 64] {
+                        let q = Query::KHop { vertex: origin, hops, limit };
+                        prop_assert_eq!(
+                            run_on(&csr, &p, &q),
+                            k_hop_oracle(&csr, origin, hops, limit, None),
+                            "{:?}", q
+                        );
+                        for (name, min) in [("w", 0.0), ("w", 0.5), ("deg", 4.0), ("tag", 0.0), ("none", 0.0)] {
+                            let q = Query::filtered_traversal(origin, hops, name, min, limit);
+                            prop_assert_eq!(
+                                run_on(&csr, &p, &q),
+                                k_hop_oracle(&csr, origin, hops, limit, Some((&p, name, min))),
+                                "{:?}", q
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
