@@ -1,14 +1,16 @@
 //! Criterion benches for the streaming side: update ingestion through
 //! incremental monitors, Firehose detector throughput, experiment E7 —
 //! the per-query latency of streaming Jaccard (the paper's §V-B "10s of
-//! microseconds" claim, here measured on a real CPU) — and the two
-//! serving scans, top-k and k-hop, on a published snapshot (E32).
+//! microseconds" claim, here measured on a real CPU) — the two
+//! serving scans, top-k and k-hop, on a published snapshot (E32), and
+//! two sharded-fleet kernel calls (E15).
 //!
-//! The `queries` group's R-MAT scale defaults to 16; override with
-//! `GA_BENCH_SCALE` (CI smoke uses 10).
+//! The `queries` group's R-MAT scale defaults to 16 and the `fleet`
+//! group's to 13; override both with `GA_BENCH_SCALE` (CI smoke uses 10).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ga_core::flow::FlowEngine;
+use ga_core::sharded::ShardedFlow;
 use ga_graph::{gen, DynamicGraph, PropertyStore};
 use ga_stream::engine::StreamEngine;
 use ga_stream::firehose::{FixedKeyDetector, TwoLevelDetector, UnboundedKeyDetector};
@@ -171,6 +173,31 @@ fn bench_queries(c: &mut Criterion) {
     group.finish();
 }
 
+/// E15: BFS on a 1-shard fleet and components on an 8-shard fleet, the
+/// two fleet timings ROADMAP item 3 judges. Each fleet ingests an
+/// R-MAT stream of 12 updates per vertex (seed 42, batches of 512)
+/// before timing; only the kernel call, with its freeze of the serving
+/// rows and its traffic pricing, is timed.
+fn bench_fleet(c: &mut Criterion) {
+    let scale = ga_bench::scale(13, 10);
+    let n = 1usize << scale;
+    let batches = into_batches(rmat_edge_stream(scale, 12 * n, 0.15, 42), 512, 1);
+    let fleet = |shards: usize| {
+        let mut flow = ShardedFlow::builder(shards)
+            .build(n)
+            .expect("in-memory fleet");
+        for b in &batches {
+            flow.process_batch(b).expect("in-memory ingest");
+        }
+        flow
+    };
+    let (mut one, mut eight) = (fleet(1), fleet(8));
+    let mut group = c.benchmark_group("fleet");
+    group.bench_function("bfs_1_shard", |b| b.iter(|| black_box(one.bfs(0))));
+    group.bench_function("cc_8_shards", |b| b.iter(|| black_box(eight.components())));
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     // Bounded measurement so `cargo bench --workspace` finishes in
@@ -179,6 +206,7 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_update_ingest, bench_jaccard_query_latency, bench_firehose, bench_queries
+    targets = bench_update_ingest, bench_jaccard_query_latency, bench_firehose, bench_queries,
+        bench_fleet
 );
 criterion_main!(benches);

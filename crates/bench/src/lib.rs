@@ -19,8 +19,6 @@
 //!
 //! | binary | sweeps | gate |
 //! |---|---|---|
-//! | `bench_shard` | shard counts 1/2/4/8 (E15) | merged kernels equal the 1-shard run |
-//! | `bench_failover` | one shard killed, WAL vs replica rebuild (E16) | zero update loss, rebuilt = unkilled |
 //! | `bench_tiered` | RAM budgets 100/50/25 % (E18) | zero loss after repair, tier IO priced as disk |
 //! | `bench_serve` | offered QPS, frozen and under ingest (E19) | monotone epochs, served = replay |
 //! | `bench_obs` | recorder off vs on (E14) | overhead < 5 % with `--assert-overhead` |
@@ -31,7 +29,7 @@
 //! | bench | groups |
 //! |---|---|
 //! | `kernels` | `bfs`, `sssp`, `connected_components`, `pagerank`, `triangles`, `jaccard`, `serial_vs_parallel` |
-//! | `streaming` | `stream_ingest`, `jaccard_query_rmat16`, `firehose`, `queries` (E32) |
+//! | `streaming` | `stream_ingest`, `jaccard_query_rmat16`, `firehose`, `queries` (E32), `fleet` (E15) |
 //! | `linalg` | `spmv`, `spgemm`, `matrix_vs_direct` |
 //! | `archsim` | `emu_pointer_chase_100k`, `emu_gups_100k`, `sparse_spgemm_work_4k`, `nora_model_all_configs` |
 //! | `snapshot` | `snapshot_full`, `snapshot_delta` (E12) |

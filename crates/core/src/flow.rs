@@ -324,7 +324,6 @@ pub struct FlowConfig {
     durability_dir: Option<PathBuf>,
     recorder: Recorder,
     shard_label: String,
-    compressed_adjacency: bool,
     tier: Option<ga_graph::tier::TierConfig>,
 }
 
@@ -347,7 +346,6 @@ impl Default for FlowConfig {
             durability_dir: None,
             recorder: Recorder::disabled(),
             shard_label: String::new(),
-            compressed_adjacency: false,
             tier: None,
         }
     }
@@ -425,17 +423,6 @@ impl FlowConfig {
     /// [`FlowEngine::metrics`] reports the whole stack.
     pub fn recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Maintain a delta-varint [`CompressedCsr`] snapshot alongside
-    /// the plain CSR (default off). Each batch run re-serves it through
-    /// the snapshot cache — an unchanged graph costs one `Arc` clone —
-    /// and [`FlowEngine::compressed_snapshot`] hands it to whole-graph
-    /// kernels, which accept it through the `Adjacency` trait and
-    /// return bit-identical results at ~2–4× fewer adjacency bytes.
-    pub fn compressed_adjacency(mut self, on: bool) -> Self {
-        self.compressed_adjacency = on;
         self
     }
 
@@ -547,7 +534,6 @@ impl FlowConfig {
             extract: self.extract,
             project_columns: self.project_columns,
             kernel_ctx,
-            compressed_adjacency: self.compressed_adjacency,
             tier_config: self.tier,
             tier: None,
             serve: None,
@@ -603,9 +589,6 @@ pub struct FlowEngine {
     /// the serial/parallel dispatch policy and the op budget (unlimited
     /// except while a `PartialDeadline` batch is in the pipeline).
     kernel_ctx: KernelCtx,
-    /// When set ([`FlowConfig::compressed_adjacency`]), each batch run
-    /// also refreshes the delta-varint compressed snapshot.
-    compressed_adjacency: bool,
     /// When set ([`FlowConfig::tiered`]), batch extraction reads
     /// through a spilled segment tier instead of the in-RAM snapshot.
     tier_config: Option<ga_graph::tier::TierConfig>,
@@ -650,9 +633,8 @@ impl FlowEngine {
     /// served through the stream engine's snapshot cache. Pass it to
     /// any whole-graph kernel (they are generic over
     /// `ga_graph::Adjacency`) for bit-identical results at the
-    /// compressed representation's byte cost. Available regardless of
-    /// [`FlowConfig::compressed_adjacency`]; the knob only controls
-    /// whether batch runs keep the mirror warm.
+    /// compressed representation's byte cost: ~2–4× fewer adjacency
+    /// bytes. An unchanged graph costs one `Arc` clone.
     pub fn compressed_snapshot(&mut self) -> std::sync::Arc<CompressedCsr> {
         self.stream
             .compressed_csr_snapshot(self.kernel_ctx.parallelism)
@@ -702,11 +684,6 @@ impl FlowEngine {
         if serve.last == Some((stamp, props_version)) {
             return;
         }
-        let compressed = if self.compressed_adjacency {
-            Some(self.stream.compressed_csr_snapshot_stamped(par).0)
-        } else {
-            None
-        };
         self.fold_snapshot_stats();
         let serve = self.serve.as_mut().unwrap();
         let props = match &serve.props {
@@ -722,7 +699,7 @@ impl FlowEngine {
             props_version,
             time: self.stream.last_batch_time(),
             csr,
-            compressed,
+            compressed: None,
             props,
         });
         serve.last = Some((stamp, props_version));
@@ -899,13 +876,6 @@ impl FlowEngine {
         // triggers against an unchanged graph reuse the cached CSR, and
         // after an update batch only the dirtied rows are rebuilt.
         let snap = self.stream.csr_snapshot(self.kernel_ctx.parallelism);
-        if self.compressed_adjacency {
-            // Keep the compressed mirror current while the plain rows
-            // are still warm; a repeat trigger on an unchanged graph is
-            // an Arc clone.
-            self.stream
-                .compressed_csr_snapshot(self.kernel_ctx.parallelism);
-        }
         self.fold_snapshot_stats();
         if let Some(cfg) = &self.tier_config {
             // Respill only when the snapshot actually changed; a repeat
@@ -1706,19 +1676,14 @@ mod tests {
     }
 
     #[test]
-    fn compressed_adjacency_mirror_is_exact_and_accounted() {
+    fn compressed_snapshot_is_exact_and_accounted() {
         let n = 64;
         let mut g = DynamicGraph::new(n);
         g.insert_undirected(&gen::erdos_renyi(n, 200, 5), 1);
-        let props = PropertyStore::new(n);
-        let mut e = FlowEngine::builder()
-            .compressed_adjacency(true)
-            .build_with_graph(g, props)
-            .unwrap();
-        let idx = e.register_analytic(Box::new(ComponentsAnalytic));
-        e.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
-        // The mirror decodes to the exact plain snapshot, and kernels
-        // accept it directly with bit-identical results.
+        let mut e = FlowEngine::with_graph(g.clone(), PropertyStore::new(n));
+        let mut plain_only = FlowEngine::with_graph(g, PropertyStore::new(n));
+        // The compressed snapshot decodes to the exact plain snapshot,
+        // and kernels accept it directly with bit-identical results.
         let compressed = e.compressed_snapshot();
         let plain = e.graph().snapshot();
         let decoded = compressed.to_csr();
@@ -1729,9 +1694,18 @@ mod tests {
         let cc_plain = ga_kernels::cc::wcc_union_find(&plain);
         let cc_comp = ga_kernels::cc::wcc_union_find(compressed.as_ref());
         assert_eq!(cc_plain.label, cc_comp.label);
-        // The compressed build was charged to the snapshot stats the
-        // batch path folds into FlowStats.
-        assert!(e.stats().snapshots.mem_bytes > 0);
+        assert_eq!(cc_plain.count, cc_comp.count);
+        // The encode is charged to the snapshot stats a batch run folds
+        // into FlowStats: exactly the compressed arrays' bytes on top of
+        // the plain freeze an engine without it pays.
+        for engine in [&mut e, &mut plain_only] {
+            let idx = engine.register_analytic(Box::new(ComponentsAnalytic));
+            engine.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
+        }
+        assert_eq!(
+            e.stats().snapshots.mem_bytes - plain_only.stats().snapshots.mem_bytes,
+            compressed.mem_bytes() as usize
+        );
     }
 
     #[test]

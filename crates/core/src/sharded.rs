@@ -65,9 +65,10 @@
 //!
 //! The paper's scale-out argument (§V: network injection bandwidth
 //! bounds sharded graph analytics long before per-node compute does)
-//! is what the traffic model makes measurable: see `bench_shard` for
-//! the scaling curve and `bench_failover` for recovery time and the
-//! degraded window under the shard fault matrix.
+//! is what the traffic model makes measurable. `tests/shard_equivalence.rs`
+//! pins the bytes and the agreement of every shard count with the
+//! 1-shard run; `tests/failover.rs` holds the fleet to zero loss and
+//! exact state through the shard fault matrix.
 
 use crate::faults::{check, with_scope};
 use crate::flow::{FlowConfig, FlowEngine, FlowStats};
@@ -89,7 +90,6 @@ use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Bytes per exchanged PageRank rank value (one `f64`).
 const RANK_WIRE_BYTES: u64 = 8;
@@ -180,17 +180,6 @@ pub struct CrossShardTraffic {
     pub components_bytes: u64,
 }
 
-impl CrossShardTraffic {
-    /// Total cross-shard bytes across all protocols.
-    pub fn total(&self) -> u64 {
-        self.ingest_bytes
-            + self.replication_bytes
-            + self.pagerank_bytes
-            + self.bfs_bytes
-            + self.components_bytes
-    }
-}
-
 /// Health of one shard, as judged by the [`ShardSupervisor`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardHealth {
@@ -245,19 +234,17 @@ pub struct HealthEvent {
 pub struct ShardSupervisor {
     health: Vec<ShardHealth>,
     strikes: Vec<u32>,
-    suspect_strikes: u32,
     events: VecDeque<HealthEvent>,
 }
 
 impl ShardSupervisor {
     /// A supervisor over `num_shards` initially-healthy shards that
-    /// declares death after `suspect_strikes` consecutive failures
-    /// (clamped to at least 1).
-    pub fn new(num_shards: usize, suspect_strikes: u32) -> ShardSupervisor {
+    /// declares death after [`DEFAULT_SUSPECT_STRIKES`] consecutive
+    /// failures.
+    pub fn new(num_shards: usize) -> ShardSupervisor {
         ShardSupervisor {
             health: vec![ShardHealth::Healthy; num_shards],
             strikes: vec![0; num_shards],
-            suspect_strikes: suspect_strikes.max(1),
             events: VecDeque::new(),
         }
     }
@@ -339,7 +326,7 @@ impl ShardSupervisor {
             return None;
         }
         self.strikes[shard] += 1;
-        let to = if self.strikes[shard] >= self.suspect_strikes {
+        let to = if self.strikes[shard] >= DEFAULT_SUSPECT_STRIKES {
             ShardHealth::Dead
         } else {
             ShardHealth::Suspect
@@ -427,10 +414,6 @@ pub struct RebuildReport {
     pub source: RebuildSource,
     /// Backlog batches redelivered after recovery (WAL mode only).
     pub redelivered_batches: usize,
-    /// Updates inside those batches.
-    pub redelivered_updates: usize,
-    /// Wall-clock rebuild time in milliseconds.
-    pub millis: f64,
 }
 
 /// Outcome of one fleet-wide [`ShardedFlow::checkpoint`] sweep.
@@ -476,7 +459,7 @@ pub struct ShardedRun<T> {
 
 /// Builder for a [`ShardedFlow`]. Mirrors the knobs of
 /// [`crate::flow::FlowConfig`] that make sense across a fleet of
-/// engines, plus the fleet-only replication and health knobs.
+/// engines, plus the fleet-only replication knob.
 #[derive(Debug)]
 pub struct ShardedConfig {
     num_shards: usize,
@@ -485,15 +468,13 @@ pub struct ShardedConfig {
     durability_base: Option<PathBuf>,
     record_metrics: bool,
     replicate: bool,
-    suspect_strikes: u32,
     tier: Option<ga_graph::tier::TierConfig>,
 }
 
 impl ShardedConfig {
     /// A config for `num_shards` shards (must be ≥ 1). Defaults match
     /// `FlowConfig`: symmetrize on, no durability, metrics off,
-    /// replication off, death after [`DEFAULT_SUSPECT_STRIKES`]
-    /// consecutive failures.
+    /// replication off.
     pub fn new(num_shards: usize) -> ShardedConfig {
         ShardedConfig {
             num_shards,
@@ -502,7 +483,6 @@ impl ShardedConfig {
             durability_base: None,
             record_metrics: false,
             replicate: false,
-            suspect_strikes: DEFAULT_SUSPECT_STRIKES,
             tier: None,
         }
     }
@@ -547,13 +527,6 @@ impl ShardedConfig {
         self
     }
 
-    /// Consecutive failures before the supervisor declares a shard
-    /// Dead (default [`DEFAULT_SUSPECT_STRIKES`]; clamped to ≥ 1).
-    pub fn suspect_strikes(mut self, strikes: u32) -> Self {
-        self.suspect_strikes = strikes.max(1);
-        self
-    }
-
     /// Give every shard a tiered segment store (see
     /// [`crate::flow::FlowConfig::tiered`]): shard `i` spills under
     /// `cfg.dir/shard-0i`, and its segment IO runs inside the shard's
@@ -577,7 +550,7 @@ impl ShardedConfig {
             // The supervisor owns shard-failure policy: it must
             // classify a shard Dead before the engine-level breaker
             // suspends durability underneath it.
-            .breaker_threshold(self.suspect_strikes.saturating_add(1));
+            .breaker_threshold(DEFAULT_SUSPECT_STRIKES + 1);
         if let Some(limit) = self.vertex_limit {
             cfg = cfg.vertex_limit(limit);
         }
@@ -656,12 +629,11 @@ impl ShardedConfig {
         let n = shards.len();
         ShardedFlow {
             plan: ShardPlan::new(self.num_shards),
-            supervisor: ShardSupervisor::new(n, self.suspect_strikes),
+            supervisor: ShardSupervisor::new(n),
             labels: (0..n).map(shard_label).collect(),
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             shards,
             clock: 0,
-            ghost_updates: 0,
             lost_updates: 0,
             dropped_deliveries: 0,
             traffic: CrossShardTraffic::default(),
@@ -692,7 +664,6 @@ pub struct ShardedFlow {
     /// Fleet clock: the time of the last routed batch, used to stamp
     /// health events and journal lines.
     clock: Timestamp,
-    ghost_updates: u64,
     lost_updates: u64,
     dropped_deliveries: u64,
     traffic: CrossShardTraffic,
@@ -739,11 +710,6 @@ impl ShardedFlow {
     /// Whether every shard logs to its own WAL + checkpoint directory.
     fn durable(&self) -> bool {
         self.config.durability_base.is_some()
-    }
-
-    /// Ghost (second-copy) update deliveries so far.
-    pub fn ghost_updates(&self) -> u64 {
-        self.ghost_updates
     }
 
     /// Updates irrecoverably lost to dead shards. Stays zero whenever
@@ -898,7 +864,6 @@ impl ShardedFlow {
         let (sub, ghosts, replicas) = self
             .plan
             .route_batch_replicated(batch, self.config.replicate);
-        self.ghost_updates += ghosts;
         let ghost_bytes = ghosts * UPDATE_WIRE_BYTES;
         let replica_bytes = replicas * UPDATE_WIRE_BYTES;
         self.traffic.ingest_bytes += ghost_bytes;
@@ -1101,7 +1066,6 @@ impl ShardedFlow {
                 self.supervisor.health(i).name()
             )));
         }
-        let started = Instant::now();
         let tr = self.supervisor.begin_rebuild(self.clock, i);
         self.journal_transition(i, tr, "rebuild started");
         let result = if self.durable() {
@@ -1115,15 +1079,13 @@ impl ShardedFlow {
             )))
         };
         match result {
-            Ok((source, redelivered_batches, redelivered_updates)) => {
+            Ok((source, redelivered_batches)) => {
                 let tr = self.supervisor.complete_rebuild(self.clock, i);
                 self.journal_transition(i, tr, source.name());
                 Ok(RebuildReport {
                     shard: i,
                     source,
                     redelivered_batches,
-                    redelivered_updates,
-                    millis: started.elapsed().as_secs_f64() * 1e3,
                 })
             }
             Err(e) => {
@@ -1135,20 +1097,18 @@ impl ShardedFlow {
         }
     }
 
-    fn rebuild_from_wal(&mut self, i: usize) -> io::Result<(RebuildSource, usize, usize)> {
+    fn rebuild_from_wal(&mut self, i: usize) -> io::Result<(RebuildSource, usize)> {
         self.shards[i] = self.config.recover_shard(i)?;
         // Redeliver the backlog that queued while the shard was dead.
         let mut batches = 0;
-        let mut updates = 0;
         while let Some(batch) = self.pending[i].pop_front() {
             if let Err(e) = self.deliver(i, &batch) {
                 self.pending[i].push_front(batch);
                 return Err(e);
             }
             batches += 1;
-            updates += batch.updates.len();
         }
-        Ok((RebuildSource::WalReplay, batches, updates))
+        Ok((RebuildSource::WalReplay, batches))
     }
 
     /// Exact reconstruction from ring neighbors. Shard `i` holds
@@ -1160,7 +1120,7 @@ impl ShardedFlow {
     /// endpoints is owned by `i` or `pred(i)`, so filtering the
     /// owner's full row to those destinations reproduces the live
     /// edge set shard `i` would hold.
-    fn rebuild_from_replica(&mut self, i: usize) -> io::Result<(RebuildSource, usize, usize)> {
+    fn rebuild_from_replica(&mut self, i: usize) -> io::Result<(RebuildSource, usize)> {
         let succ = self.plan.successor(i);
         let pred = self.plan.predecessor(i);
         let width = self.global_width();
@@ -1195,7 +1155,7 @@ impl ShardedFlow {
         engine.set_last_batch_time(self.clock);
         self.shards[i] = engine;
         self.pending[i].clear();
-        Ok((RebuildSource::Replica, 0, 0))
+        Ok((RebuildSource::Replica, 0))
     }
 
     /// Resolve ghosts into one global graph: each vertex's row comes
@@ -1636,7 +1596,6 @@ mod tests {
         assert!(t.bfs_bytes > 0, "{t:?}");
         assert!(t.components_bytes > 0, "{t:?}");
         assert_eq!(t.replication_bytes, 0, "replication off by default");
-        assert_eq!(t.ingest_bytes, four.ghost_updates() * UPDATE_WIRE_BYTES);
     }
 
     /// On a directed fleet a local edge need not have its reverse, so
@@ -1686,7 +1645,7 @@ mod tests {
 
     #[test]
     fn supervisor_walks_the_health_state_machine() {
-        let mut sup = ShardSupervisor::new(2, 3);
+        let mut sup = ShardSupervisor::new(2);
         assert!(sup.all_healthy());
 
         // One failure: Suspect. A success heals and clears strikes.
@@ -1740,7 +1699,7 @@ mod tests {
         drive(&mut repl, 6, 1000, 7);
 
         assert_eq!(repl.merged_graph(), plain.merged_graph());
-        assert_eq!(repl.ghost_updates(), plain.ghost_updates());
+        assert_eq!(repl.traffic().ingest_bytes, plain.traffic().ingest_bytes);
         assert!(repl.traffic().replication_bytes > 0);
         assert_eq!(plain.traffic().replication_bytes, 0);
 

@@ -25,32 +25,7 @@
 
 use crate::events::{Event, EventKind};
 use crate::update::UpdateBatch;
-use ga_graph::Timestamp;
 use std::collections::VecDeque;
-
-/// Anything the admission queue can gate: an item with a queue-depth
-/// weight (counted against the watermarks) and an event timestamp.
-///
-/// [`UpdateBatch`] is the classic ingest payload (weight = updates in
-/// the batch); the serve layer queues classed queries through the same
-/// watermark machinery (weight = 1 per query), so Bulk scans shed
-/// before High point reads exactly like bulk ingest sheds before
-/// fraud-signal updates.
-pub trait Admissible {
-    /// Depth units this item occupies while queued.
-    fn weight(&self) -> usize;
-    /// Timestamp attached to shed/eviction events for this item.
-    fn time(&self) -> Timestamp;
-}
-
-impl Admissible for UpdateBatch {
-    fn weight(&self) -> usize {
-        self.updates.len()
-    }
-    fn time(&self) -> Timestamp {
-        self.time
-    }
-}
 
 /// Priority class tag for an offered [`UpdateBatch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -180,31 +155,19 @@ impl AdmissionStats {
     }
 }
 
-/// Bounded, priority-classed ingest queue (see module docs). Generic
-/// over the queued item ([`Admissible`]); defaults to [`UpdateBatch`]
-/// so existing ingest callers read as before.
-#[derive(Debug)]
-pub struct AdmissionQueue<T: Admissible = UpdateBatch> {
-    queues: [VecDeque<T>; 3],
+/// Bounded, priority-classed ingest queue of [`UpdateBatch`]es (see
+/// module docs); a batch weighs its update count against the
+/// watermarks.
+#[derive(Debug, Default)]
+pub struct AdmissionQueue {
+    queues: [VecDeque<UpdateBatch>; 3],
     depth: usize,
     cfg: AdmissionConfig,
     stats: AdmissionStats,
     events: Vec<Event>,
 }
 
-impl<T: Admissible> Default for AdmissionQueue<T> {
-    fn default() -> Self {
-        AdmissionQueue {
-            queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-            depth: 0,
-            cfg: AdmissionConfig::default(),
-            stats: AdmissionStats::default(),
-            events: Vec::new(),
-        }
-    }
-}
-
-impl<T: Admissible> AdmissionQueue<T> {
+impl AdmissionQueue {
     /// Empty queue with the given watermarks.
     pub fn new(cfg: AdmissionConfig) -> Self {
         cfg.validate();
@@ -241,9 +204,9 @@ impl<T: Admissible> AdmissionQueue<T> {
 
     /// Offer a batch under `class`. Decisions depend only on the queue
     /// state and the offered sequence (deterministic; no clocks).
-    pub fn offer(&mut self, class: Priority, batch: T) -> AdmissionDecision {
-        let len = batch.weight();
-        let time = batch.time();
+    pub fn offer(&mut self, class: Priority, batch: UpdateBatch) -> AdmissionDecision {
+        let len = batch.updates.len();
+        let time = batch.time;
         self.stats.offered[class.idx()] += len;
         let limit = match class {
             Priority::High => self.cfg.capacity,
@@ -262,12 +225,12 @@ impl<T: Admissible> AdmissionQueue<T> {
                     let Some(b) = self.queues[victim.idx()].pop_back() else {
                         break;
                     };
-                    let v = b.weight();
+                    let v = b.updates.len();
                     self.depth -= v;
                     evicted_updates += v;
                     self.stats.evicted[victim.idx()] += v;
                     self.events.push(Event {
-                        time: b.time(),
+                        time: b.time,
                         source: "admission",
                         kind: EventKind::LoadShed {
                             class: victim.name(),
@@ -313,18 +276,18 @@ impl<T: Admissible> AdmissionQueue<T> {
     /// batch was already admitted, and restoring it merely returns the
     /// queue to its pre-pop depth. No counters change — the batch was
     /// neither offered again nor shed.
-    pub fn requeue_front(&mut self, class: Priority, batch: T) {
-        self.depth += batch.weight();
+    pub fn requeue_front(&mut self, class: Priority, batch: UpdateBatch) {
+        self.depth += batch.updates.len();
         self.stats.high_water = self.stats.high_water.max(self.depth);
         self.queues[class.idx()].push_front(batch);
     }
 
     /// Pop the next batch to process: high first, then normal, then
     /// bulk; FIFO within a class.
-    pub fn pop(&mut self) -> Option<(Priority, T)> {
+    pub fn pop(&mut self) -> Option<(Priority, UpdateBatch)> {
         for class in Priority::ALL {
             if let Some(b) = self.queues[class.idx()].pop_front() {
-                self.depth -= b.weight();
+                self.depth -= b.updates.len();
                 return Some((class, b));
             }
         }
@@ -491,44 +454,9 @@ mod tests {
     }
 
     #[test]
-    fn generic_payloads_share_watermark_semantics() {
-        // A unit-weight query job rides the same machinery as batches.
-        #[derive(Debug)]
-        struct Job(u64);
-        impl Admissible for Job {
-            fn weight(&self) -> usize {
-                1
-            }
-            fn time(&self) -> Timestamp {
-                self.0
-            }
-        }
-        let mut q: AdmissionQueue<Job> = AdmissionQueue::new(AdmissionConfig {
-            capacity: 3,
-            normal_watermark: 2,
-            bulk_watermark: 1,
-        });
-        assert!(q.offer(Priority::Bulk, Job(1)).admitted());
-        assert_eq!(
-            q.offer(Priority::Bulk, Job(2)),
-            AdmissionDecision::Shed(ShedReason::BulkWatermark)
-        );
-        assert!(q.offer(Priority::Normal, Job(3)).admitted());
-        assert!(q.offer(Priority::High, Job(4)).admitted());
-        // Full queue: another High evicts the newest evictable (bulk).
-        assert_eq!(
-            q.offer(Priority::High, Job(5)),
-            AdmissionDecision::Admitted { evicted_updates: 1 }
-        );
-        assert_eq!(q.stats().evicted[Priority::Bulk.idx()], 1);
-        let (class, job) = q.pop().unwrap();
-        assert_eq!((class, job.0), (Priority::High, 4));
-    }
-
-    #[test]
     #[should_panic(expected = "ordered")]
     fn misordered_watermarks_panic() {
-        AdmissionQueue::<UpdateBatch>::new(AdmissionConfig {
+        AdmissionQueue::new(AdmissionConfig {
             capacity: 10,
             normal_watermark: 20,
             bulk_watermark: 5,

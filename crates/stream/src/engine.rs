@@ -194,18 +194,9 @@ impl StreamEngine {
     /// delta-rebuilt first, then re-encoded. Decodes bit-identical to
     /// [`Self::csr_snapshot`].
     pub fn compressed_csr_snapshot(&mut self, par: Parallelism) -> Arc<CompressedCsr> {
-        self.compressed_csr_snapshot_stamped(par).0
-    }
-
-    /// [`Self::compressed_csr_snapshot`] plus the [`SnapshotEpoch`]
-    /// stamp (shared with the plain snapshot of the same version).
-    pub fn compressed_csr_snapshot_stamped(
-        &mut self,
-        par: Parallelism,
-    ) -> (Arc<CompressedCsr>, SnapshotEpoch) {
         let mut span = self.recorder.span(ga_obs::Step::Snapshot);
         let mem_before = self.snapshots.stats().mem_bytes;
-        let out = self.snapshots.compressed_snapshot_stamped(&self.graph, par);
+        let out = self.snapshots.compressed_snapshot(&self.graph, par);
         span.add_mem_bytes(self.snapshots.stats().mem_bytes - mem_before);
         out
     }

@@ -42,7 +42,9 @@ pub struct EpochSnapshot {
     pub time: Timestamp,
     /// The frozen adjacency.
     pub csr: Arc<CsrGraph>,
-    /// Delta-varint twin of `csr` when the engine maintains one.
+    /// Delta-varint twin of `csr`, if the publisher built one. The flow
+    /// engine publishes `None`; its `compressed_snapshot` hands the
+    /// compressed form to kernels.
     pub compressed: Option<Arc<CompressedCsr>>,
     /// Frozen property columns consistent with `csr`.
     pub props: Arc<PropertyStore>,

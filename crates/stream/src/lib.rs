@@ -51,7 +51,7 @@ pub mod tri_inc;
 pub mod update;
 pub mod wal;
 
-pub use admission::{Admissible, AdmissionConfig, AdmissionDecision, AdmissionQueue, Priority};
+pub use admission::{AdmissionConfig, AdmissionDecision, AdmissionQueue, Priority};
 pub use engine::{Monitor, StreamEngine};
 pub use epoch::{EpochSnapshot, SnapshotHandle, SnapshotReader};
 pub use events::{Event, EventKind};

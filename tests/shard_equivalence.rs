@@ -6,7 +6,9 @@
 //! 1. **Kernel agreement**: PageRank / BFS / components results from
 //!    an N-shard [`ShardedFlow`] are *bit-identical* to the unsharded
 //!    kernels on the merged graph — and to the 1-shard run, so the
-//!    whole scaling curve computes one answer.
+//!    whole scaling curve computes one answer. Besides the scale-6
+//!    seeds, one scale-12 sweep holds 2/4/8 shards to the 1-shard run
+//!    on both stream shapes.
 //! 2. **Sharded recovery equivalence**: crash-and-recover on per-shard
 //!    durability directories reproduces graph, properties, and stats
 //!    exactly (recovery is shard-local).
@@ -19,8 +21,9 @@
 //!    replication, after a replica-covered kill, and (all but PageRank)
 //!    after an uncovered one.
 //!
-//! With `GA_SHARDS` set (the CI matrix), only that shard count runs;
-//! unset, counts 1/2/4 all run in-process.
+//! With `GA_SHARDS` set (the CI matrix runs 1/2/4/8), only that shard
+//! count runs; unset, counts 1/2/4 all run in-process, and 2/4/8 in the
+//! scale-12 sweep.
 
 use ga_core::flow::FlowEngine;
 use ga_core::sharded::{shard_dir, shard_label, RebuildSource, ShardedConfig, ShardedFlow};
@@ -142,6 +145,47 @@ fn scatter_gather_agrees_with_unsharded_kernels() {
                 assert_eq!(cc.label, direct.label, "cc labels (shards={shards})");
                 assert_eq!(cc.count, direct.count, "cc count (shards={shards})");
             }
+        }
+    }
+}
+
+/// The scale-12 sweep: 12 updates per vertex in batches of 512 from
+/// seed 42, on an R-MAT and a uniform stream. Every shard count's
+/// PageRank ranks, BFS depths and component labels and count equal the
+/// 1-shard run's bit for bit.
+#[test]
+fn scale_12_fleets_agree_with_one_shard() {
+    const SCALE_12: u32 = 12;
+    let n = 1usize << SCALE_12;
+    let counts = match std::env::var("GA_SHARDS") {
+        Ok(_) => shard_counts(),
+        Err(_) => vec![2, 4, 8],
+    };
+    for uniform in [false, true] {
+        let stream = if uniform {
+            uniform_edge_stream(SCALE_12, 12 * n, 0.15, 42)
+        } else {
+            rmat_edge_stream(SCALE_12, 12 * n, 0.15, 42)
+        };
+        let batches = into_batches(stream, 512, 1);
+        let run = |shards: usize| {
+            let mut flow = ShardedFlow::builder(shards).build(n).unwrap();
+            for b in &batches {
+                flow.process_batch(b).unwrap();
+            }
+            let rank = flow.pagerank(0.85, 1e-9, 50).rank;
+            let depth = flow.bfs(0).value;
+            let cc = flow.components().value;
+            (rank, depth, cc.label, cc.count)
+        };
+        let one = run(1);
+        for &shards in &counts {
+            let got = run(shards);
+            let ctx = format!("shards={shards} uniform={uniform}");
+            assert_eq!(got.0, one.0, "pagerank ranks ({ctx})");
+            assert_eq!(got.1, one.1, "bfs depths ({ctx})");
+            assert_eq!(got.2, one.2, "cc labels ({ctx})");
+            assert_eq!(got.3, one.3, "cc count ({ctx})");
         }
     }
 }
