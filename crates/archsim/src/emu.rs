@@ -293,9 +293,14 @@ pub fn bfs_expand(cfg: &EmuConfig, model: ExecModel, g: &CsrGraph, src: VertexId
     sim.finish(par.min(cfg.total_threads()))
 }
 
-// A minimal BFS order without depending on ga-kernels (avoids a cycle:
-// ga-kernels doesn't depend on us either, but keeping archsim's deps
-// lean lets it build in parallel).
+// The queue's visit order, kept here rather than taken from
+// `ga_kernels::bfs`: the migrating model's price depends on the order
+// within a level (each adjacency visit migrates unless the previous
+// one left the thread on the same nodelet), and `bfs` returns depths
+// and smallest-id parents, from which discovery order cannot be rebuilt
+// past level 2. Ordering by (depth, id) instead moves the numbers: the
+// scale-10 test's migrating run drops from 12 604 to 12 450 messages,
+// and `fig5_emu`'s scale-14 one from 431 699 to 428 837.
 fn ga_kernels_bfs_order(g: &CsrGraph, src: VertexId) -> Vec<VertexId> {
     let n = g.num_vertices();
     let mut seen = vec![false; n];

@@ -2,7 +2,7 @@
 //! incremental monitors, Firehose detector throughput, experiment E7 —
 //! the per-query latency of streaming Jaccard (the paper's §V-B "10s of
 //! microseconds" claim, here measured on a real CPU) — the two
-//! serving scans, top-k and k-hop, on a published snapshot (E32), and
+//! serving scans, top-k and k-hop, on a published snapshot (E32, E33), and
 //! two sharded-fleet kernel calls (E15).
 //!
 //! The `queries` group's R-MAT scale defaults to 16 and the `fleet`
@@ -125,6 +125,9 @@ fn bench_firehose(c: &mut Criterion) {
 /// E32: `TopKByProperty{8}` and `KHop{2, limit 64}` — the scan classes
 /// of `bench_e2e`'s serving mix — on a published R-MAT snapshot with
 /// eight edges per vertex and a "w" column on half the vertices.
+/// `khop_2_limit64` spreads its 64 origins over the id range;
+/// `khop_2_hub` takes 64 whose out-row holds the highest-degree vertex,
+/// where the last level's cap does the work (E33).
 /// `topk_8_ascending` ranks a column that rises with vertex id, where
 /// every slot outranks the heap's floor and replaces its root: the
 /// bounded heap's worst case.
@@ -159,6 +162,34 @@ fn bench_queries(c: &mut Criterion) {
     group.bench_function("khop_2_limit64", |b| {
         b.iter(|| {
             let vertex = origins[i % origins.len()];
+            i += 1;
+            black_box(
+                Query::KHop {
+                    vertex,
+                    hops: 2,
+                    limit: 64,
+                }
+                .run(&snap),
+            )
+        })
+    });
+    // Origins whose out-row holds the highest-degree vertex, so the
+    // last level reads the hub's row on every query.
+    let csr = &snap.csr;
+    let hub = (0..n as u32).max_by_key(|&v| csr.degree(v)).unwrap_or(0);
+    let feeders: Vec<u32> = (0..n as u32)
+        .filter(|&u| csr.neighbors(u).binary_search(&hub).is_ok())
+        .collect();
+    let fed: Vec<u32> = feeders
+        .iter()
+        .step_by((feeders.len() / 64).max(1))
+        .take(64)
+        .copied()
+        .collect();
+    let mut i = 0;
+    group.bench_function("khop_2_hub", |b| {
+        b.iter(|| {
+            let vertex = fed[i % fed.len()];
             i += 1;
             black_box(
                 Query::KHop {

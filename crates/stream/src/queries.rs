@@ -44,6 +44,11 @@ pub enum Query {
     },
     /// Every vertex within `hops` BFS levels of `vertex` (excluding
     /// `vertex` itself), ascending, truncated to `limit`.
+    ///
+    /// Cost: levels before the last read each frontier row in full; the
+    /// last level reads each row (sorted by id) only up to the
+    /// `limit`-th smallest answer found so far, since no larger id can
+    /// enter the answer. [`Query::FilteredTraversal`] costs the same.
     KHop {
         /// BFS origin.
         vertex: VertexId,
@@ -209,9 +214,13 @@ pub(crate) fn run_on(csr: &CsrGraph, props: &PropertyStore, q: &Query) -> QueryR
 /// are visited or traversed (origin included in the result only when it
 /// passes). The origin is excluded from plain k-hop results.
 ///
-/// Visits are bits in an n/8-byte set, the last level is marked but
-/// never enqueued, and the answer is the set's bits read in id order up
-/// to `limit`, so no visited list is collected or sorted.
+/// Visits are bits in an n/8-byte set and the answer is the set's bits
+/// read in id order, so no visited list is collected or sorted. Levels
+/// before the last read every row of their frontier in full. The last
+/// level enqueues nothing, so an id above `cap` — the `limit`-th
+/// smallest answer marked so far, which only falls — can never be
+/// returned; CSR rows are sorted, so each last-level row is read only
+/// up to `cap`, and the answer is the marked ids up to `cap`.
 fn k_hop(
     csr: &CsrGraph,
     origin: VertexId,
@@ -223,6 +232,9 @@ fn k_hop(
     if (origin as usize) >= n {
         return QueryResponse::Missing;
     }
+    if limit == 0 {
+        return QueryResponse::Vertices(Vec::new());
+    }
     let read = filter.map(|(props, name, min)| (props.column_f64(name), min));
     let passes = |v: VertexId| match &read {
         None => true,
@@ -233,18 +245,36 @@ fn k_hop(
     }
     let mut seen = vec![0u64; n.div_ceil(64)];
     seen[origin as usize / 64] |= 1 << (origin % 64);
+    // `own` masks the plain k-hop's origin, marked but no answer, out
+    // of the answer bits; `count` and `top` are the answers marked so
+    // far and the largest of them; `cap` is `MAX` until `limit` are.
+    let (own, mut count, mut top) = match filter {
+        None => (1 << (origin % 64), 0, 0),
+        Some(_) => (0, 1, origin),
+    };
+    let mut cap = if count == limit { top } else { VertexId::MAX };
     let mut frontier = vec![origin];
     let mut next = Vec::new();
     for level in 1..=hops {
         let last = level == hops;
         for &u in &frontier {
             for &v in csr.neighbors(u) {
+                if v > cap && last {
+                    break;
+                }
                 if (v as usize) >= n {
                     continue;
                 }
                 let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
                 if seen[w] & bit == 0 && passes(v) {
                     seen[w] |= bit;
+                    count += 1;
+                    top = top.max(v);
+                    if count == limit {
+                        cap = top;
+                    } else if count > limit && v < cap {
+                        cap = answer_below(&seen, cap, origin, own);
+                    }
                     if !last {
                         next.push(v);
                     }
@@ -257,10 +287,8 @@ fn k_hop(
             break;
         }
     }
-    if filter.is_none() {
-        seen[origin as usize / 64] &= !(1 << (origin % 64));
-    }
-    let out = seen
+    seen[origin as usize / 64] &= !own;
+    let out = seen[..=cap.min(top) as usize / 64]
         .iter()
         .enumerate()
         .flat_map(|(w, &word)| {
@@ -271,9 +299,27 @@ fn k_hop(
                 Some((w * 64) as VertexId + b)
             })
         })
-        .take(limit)
+        .take_while(|&v| v <= cap)
         .collect();
     QueryResponse::Vertices(out)
+}
+
+/// The largest answer bit of `seen` below `cap`, found a word at a
+/// time: `own` is the origin's bit when the origin is no answer. The
+/// caller has just marked an answer below `cap`, so one exists.
+fn answer_below(seen: &[u64], cap: VertexId, origin: VertexId, own: u64) -> VertexId {
+    let mut w = cap as usize / 64;
+    let mut word = seen[w] & ((1 << (cap % 64)) - 1);
+    loop {
+        if w == origin as usize / 64 {
+            word &= !own;
+        }
+        if word != 0 {
+            return (w * 64) as VertexId + 63 - word.leading_zeros();
+        }
+        w -= 1;
+        word = seen[w];
+    }
 }
 
 /// Dijkstra over the frozen CSR (weights ≥ 0 assumed; unweighted
@@ -699,6 +745,75 @@ mod tests {
                             prop_assert_eq!(
                                 run_on(&csr, &p, &q),
                                 k_hop_oracle(&csr, origin, hops, limit, Some((&p, name, min))),
+                                "{:?}", q
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Hub-dominated graphs, where the last level's cap engages on
+        /// most queries: up to three hubs whose rows cover most
+        /// vertices, and origins — the lowest ids among them — whose
+        /// rows point into every hub. The filters reject scattered ids
+        /// ("w") or every id below a cut ("id"), so ids below the cap
+        /// are skipped too.
+        #[test]
+        fn k_hop_through_hubs_matches_the_sorting_bfs(
+            (n, (hubs, cut), cover, edges, marks) in (70usize..260).prop_flat_map(|n| {
+                let v = 0..n as VertexId;
+                (
+                    Just(n),
+                    (prop::collection::vec(v.clone(), 1..4), v.clone()),
+                    prop::collection::vec(0u32..100, 3 * n..3 * n + 1),
+                    prop::collection::vec((v.clone(), v), 0..n),
+                    prop::collection::vec(0u32..12, n..n + 1),
+                )
+            })
+        ) {
+            let origins = [0, 1, 2, hubs[0], n as VertexId / 2, n as VertexId - 1];
+            let mut g = DynamicGraph::new(n);
+            for (i, &h) in hubs.iter().enumerate() {
+                for v in (0..n).filter(|&v| cover[i * n + v] < 85) {
+                    g.insert_edge(h, v as VertexId, 1.0, 1);
+                }
+                for &o in &origins {
+                    g.insert_edge(o, h, 1.0, 1);
+                }
+            }
+            for &(u, v) in &edges {
+                g.insert_edge(u, v, 1.0, 1);
+            }
+            let mut p = PropertyStore::new(n);
+            for (v, &m) in marks.iter().enumerate() {
+                p.set("w", v as VertexId, m as f64 / 8.0);
+                p.set("id", v as VertexId, v as f64);
+            }
+            let csr = g.snapshot();
+            let filters = [None, Some(("w", 0.5)), Some(("id", cut as f64))];
+            for origin in origins {
+                for hops in 1..4 {
+                    for filter in filters {
+                        let filter = filter.map(|(name, min)| (&p, name, min));
+                        let ball = match k_hop_oracle(&csr, origin, hops, usize::MAX, filter) {
+                            QueryResponse::Vertices(all) => all.len(),
+                            _ => 0,
+                        };
+                        for limit in [0, 1, 63, 64, 65, ball.saturating_sub(1), ball] {
+                            let q = match filter {
+                                None => Query::KHop { vertex: origin, hops, limit },
+                                Some((_, name, min)) => {
+                                    Query::filtered_traversal(origin, hops, name, min, limit)
+                                }
+                            };
+                            prop_assert_eq!(
+                                run_on(&csr, &p, &q),
+                                k_hop_oracle(&csr, origin, hops, limit, filter),
                                 "{:?}", q
                             );
                         }
