@@ -1,9 +1,9 @@
 //! Criterion benches for the streaming side: update ingestion through
-//! incremental monitors, Firehose detector throughput, experiment E7 —
-//! the per-query latency of streaming Jaccard (the paper's §V-B "10s of
-//! microseconds" claim, here measured on a real CPU) — the two
-//! serving scans, top-k and k-hop, on a published snapshot (E32, E33), and
-//! two sharded-fleet kernel calls (E15).
+//! incremental monitors, experiment E7 — the per-query latency of
+//! streaming Jaccard (the paper's §V-B "10s of microseconds" claim, here
+//! measured on a real CPU) — the two serving scans, top-k and k-hop, on a
+//! published snapshot (E32, E33), and two sharded-fleet kernel calls
+//! (E15).
 //!
 //! The `queries` group's R-MAT scale defaults to 16 and the `fleet`
 //! group's to 13; override both with `GA_BENCH_SCALE` (CI smoke uses 10).
@@ -13,11 +13,10 @@ use ga_core::flow::FlowEngine;
 use ga_core::sharded::ShardedFlow;
 use ga_graph::{gen, DynamicGraph, PropertyStore};
 use ga_stream::engine::StreamEngine;
-use ga_stream::firehose::{FixedKeyDetector, TwoLevelDetector, UnboundedKeyDetector};
 use ga_stream::jaccard_stream::for_vertex_dynamic;
 use ga_stream::queries::Query;
 use ga_stream::tri_inc::IncrementalTriangles;
-use ga_stream::update::{firehose_stream, into_batches, rmat_edge_stream, two_level_stream};
+use ga_stream::update::{into_batches, rmat_edge_stream};
 use std::hint::black_box;
 
 fn bench_update_ingest(c: &mut Criterion) {
@@ -76,50 +75,6 @@ fn bench_jaccard_query_latency(c: &mut Criterion) {
             black_box(for_vertex_dynamic(engine.graph(), v, 0.1))
         })
     });
-}
-
-fn bench_firehose(c: &mut Criterion) {
-    let mut group = c.benchmark_group("firehose");
-    let packets = firehose_stream(10_000, 100_000, 0.1, 0.9, 0.05, 1);
-    group.throughput(Throughput::Elements(packets.len() as u64));
-    group.bench_function("fixed_key", |b| {
-        b.iter_batched(
-            || (FixedKeyDetector::new(), Vec::new()),
-            |(mut det, mut out)| {
-                for (i, p) in packets.iter().enumerate() {
-                    det.ingest(p, i as u64, &mut out);
-                }
-                black_box(out.len())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("unbounded_key_cap4k", |b| {
-        b.iter_batched(
-            || (UnboundedKeyDetector::new(4000), Vec::new()),
-            |(mut det, mut out)| {
-                for (i, p) in packets.iter().enumerate() {
-                    det.ingest(p, i as u64, &mut out);
-                }
-                black_box(out.len())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    let two_level = two_level_stream(500, 5, 100_000, 2);
-    group.bench_function("two_level", |b| {
-        b.iter_batched(
-            || (TwoLevelDetector::new(25), Vec::new()),
-            |(mut det, mut out)| {
-                for (i, p) in two_level.iter().enumerate() {
-                    det.ingest(p, i as u64, &mut out);
-                }
-                black_box(out.len())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
 }
 
 /// E32: `TopKByProperty{8}` and `KHop{2, limit 64}` — the scan classes
@@ -237,7 +192,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_update_ingest, bench_jaccard_query_latency, bench_firehose, bench_queries,
-        bench_fleet
+    targets = bench_update_ingest, bench_jaccard_query_latency, bench_queries, bench_fleet
 );
 criterion_main!(benches);

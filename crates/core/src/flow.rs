@@ -193,7 +193,7 @@ pub struct OverloadStats {
     /// Updates refused or evicted by admission control under overload
     /// (they never reached the graph).
     pub updates_shed: usize,
-    /// Analytic runs that hit their op/deadline budget and returned a
+    /// Analytic runs that hit their op budget and returned a
     /// typed partial result instead of a complete one.
     pub deadline_partials: usize,
     /// Triggered analytic runs skipped outright at the `SeedsOnly`
@@ -226,7 +226,7 @@ pub enum DegradationLevel {
     /// Normal operation: full analytics on every trigger.
     #[default]
     Full,
-    /// Analytics run under a reduced op/deadline budget and may return
+    /// Analytics run under a reduced op budget and may return
     /// typed partial results.
     PartialDeadline,
     /// Seeds are still selected (cheap) but triggered analytics are
@@ -953,7 +953,7 @@ impl FlowEngine {
         self.stats.analytics.kernel_cpu_ops += ops.cpu_ops as usize;
         self.stats.analytics.kernel_mem_bytes += ops.mem_bytes as usize;
         self.stats.analytics.kernel_edges_touched += ops.edges_touched as usize;
-        // A budgeted run that tripped its op/deadline bound produced a
+        // A budgeted run that tripped its op bound produced a
         // typed partial result (see the Completion fields on kernel
         // results) — count it.
         if self.kernel_ctx.budget.take_hits() > 0 {

@@ -264,13 +264,6 @@ impl ShardSupervisor {
         self.health.iter().all(|&h| h == ShardHealth::Healthy)
     }
 
-    /// Shards currently Dead or Rebuilding.
-    pub fn down_shards(&self) -> Vec<usize> {
-        (0..self.health.len())
-            .filter(|&i| !self.health[i].is_serving())
-            .collect()
-    }
-
     /// Consecutive-failure strikes currently held against `shard`.
     pub fn strikes(&self, shard: usize) -> u32 {
         self.strikes[shard]
@@ -1671,7 +1664,8 @@ mod tests {
         assert!(!sup.is_serving(0));
         assert_eq!(sup.record_error(6, 0, "d"), None);
         assert_eq!(sup.record_success(6, 0), None);
-        assert_eq!(sup.down_shards(), vec![0]);
+        assert_eq!(sup.health(0), ShardHealth::Dead);
+        assert!(sup.is_serving(1), "only shard 0 is down");
 
         // Dead -> Rebuilding -> Healthy; rebuild ops gate on state.
         assert_eq!(sup.begin_rebuild(7, 1), None, "healthy shard: no rebuild");

@@ -125,7 +125,7 @@ pub fn registry() -> Vec<KernelEntry> {
             classes: &[Other],
             suites: &[(Standalone, Streaming), (Firehose, Streaming)],
             outputs: &[ComputeVertexProperty, OutputO1Events],
-            impl_path: "ga_stream::firehose::FixedKeyDetector",
+            impl_path: "",
             variants: &[],
         },
         KernelEntry {
@@ -133,7 +133,7 @@ pub fn registry() -> Vec<KernelEntry> {
             classes: &[Other],
             suites: &[(Standalone, Streaming), (Firehose, Streaming)],
             outputs: &[ComputeVertexProperty, OutputO1Events],
-            impl_path: "ga_stream::firehose::UnboundedKeyDetector",
+            impl_path: "",
             variants: &[],
         },
         KernelEntry {
@@ -141,7 +141,7 @@ pub fn registry() -> Vec<KernelEntry> {
             classes: &[Other],
             suites: &[(Standalone, Streaming), (Firehose, Streaming)],
             outputs: &[OutputGlobalValue, OutputO1Events],
-            impl_path: "ga_stream::firehose::TwoLevelDetector",
+            impl_path: "",
             variants: &[],
         },
         KernelEntry {
@@ -464,6 +464,9 @@ mod tests {
         assert_eq!(
             survey_only,
             [
+                "Anomaly - Fixed Key",
+                "Anomaly - Unbounded Key",
+                "Anomaly - Two-level Key",
                 "BC: Betweenness Centrality",
                 "CCS: Strongly Connected Components",
                 "CD: Community Detection",
@@ -496,9 +499,6 @@ mod tests {
     #[test]
     fn every_impl_path_resolves() {
         let mut resolved = resolved_paths![
-            ga_stream::firehose::FixedKeyDetector,
-            ga_stream::firehose::UnboundedKeyDetector,
-            ga_stream::firehose::TwoLevelDetector,
             ga_kernels::bfs::bfs_with,
             ga_kernels::topk::top_k_by,
             ga_kernels::cc::wcc_union_find,

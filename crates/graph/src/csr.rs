@@ -287,17 +287,6 @@ impl CsrGraph {
         debug_assert_eq!(*offsets.last().unwrap() as usize, sources.len());
         self.rev = Some(Box::new(ReverseIndex { offsets, sources }));
     }
-
-    /// Total degree histogram: `hist[d]` = number of vertices with
-    /// out-degree `d` (capped at `max_bucket`, overflow in last bucket).
-    pub fn degree_histogram(&self, max_bucket: usize) -> Vec<usize> {
-        let mut hist = vec![0usize; max_bucket + 1];
-        for v in self.vertices() {
-            let d = self.degree(v).min(max_bucket);
-            hist[d] += 1;
-        }
-        hist
-    }
 }
 
 /// Configurable CSR construction.
@@ -615,15 +604,6 @@ mod tests {
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e.len(), g.num_edges());
         assert!(e.contains(&(0, 2)));
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let g = diamond();
-        let h = g.degree_histogram(4);
-        assert_eq!(h[0], 1); // vertex 3
-        assert_eq!(h[1], 2); // vertices 1, 2
-        assert_eq!(h[2], 1); // vertex 0
     }
 
     #[test]

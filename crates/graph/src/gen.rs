@@ -38,13 +38,6 @@ impl RmatParams {
         b: 0.19,
         c: 0.19,
     };
-
-    /// A milder skew useful for tests.
-    pub const MILD: RmatParams = RmatParams {
-        a: 0.45,
-        b: 0.22,
-        c: 0.22,
-    };
 }
 
 /// Generate `num_edges` directed R-MAT edges over `2^scale` vertices.

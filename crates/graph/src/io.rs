@@ -1,36 +1,29 @@
-//! Graph I/O: whitespace edge lists and compact binary codecs.
+//! Graph I/O: the compact binary codecs of checkpoint state.
 //!
-//! Three hand-rolled little-endian formats (no serialization
-//! dependency), each `magic + version`-tagged and rejecting corrupt
-//! input with a descriptive [`io::Error`] instead of panicking or
-//! over-allocating from untrusted lengths:
+//! Two hand-rolled little-endian formats (no serialization dependency),
+//! each `magic + version`-tagged and rejecting corrupt input with a
+//! descriptive [`io::Error`] instead of panicking or over-allocating
+//! from untrusted lengths:
 //!
-//! * `GAG1` — immutable [`CsrGraph`] snapshots (offsets, targets,
-//!   optional weights),
 //! * `GAD1` — full [`DynamicGraph`] state, every live slot with its
 //!   weight and timestamp, so a checkpointed graph restores
 //!   bit-identical to the original,
 //! * `GAP1` — [`PropertyStore`] columns (u64/f64/string, with presence
 //!   masks).
 //!
-//! `GAD1` + `GAP1` are the section codecs underneath the flow engine's
-//! checkpoint files; [`crc32`] is the shared integrity checksum for
-//! those files and the write-ahead log.
+//! They are the section codecs underneath the flow engine's checkpoint
+//! files; [`crc32`] is the shared integrity checksum for those files and
+//! the write-ahead log.
 
 use crate::dynamic::EdgeRecord;
 use crate::props::{Column, Dense};
-use crate::{CsrBuilder, CsrGraph, DynamicGraph, PropertyStore, Timestamp, VertexId, Weight};
+use crate::{DynamicGraph, PropertyStore, Timestamp, VertexId};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, BufReader, BufWriter, Read, Write};
 
-const MAGIC: &[u8; 4] = b"GAG1";
 const MAGIC_DYNAMIC: &[u8; 4] = b"GAD1";
 const MAGIC_PROPS: &[u8; 4] = b"GAP1";
 
-/// Current `GAG1` codec version. Version 2 added the explicit version
-/// field itself (version-less seed files are rejected).
-const CSR_VERSION: u16 = 2;
 /// Current `GAD1` codec version.
 const DYNAMIC_VERSION: u16 = 1;
 /// Current `GAP1` codec version.
@@ -122,118 +115,11 @@ impl Default for Crc32 {
 }
 
 // ---------------------------------------------------------------------
-// Plain-text edge lists.
+// Shared header and count checks.
 // ---------------------------------------------------------------------
-
-/// Parse a whitespace/comment edge list: one `src dst [weight]` per
-/// line, `#` comments, blank lines ignored. Vertex count is
-/// `max(id) + 1` unless `num_vertices` is given.
-pub fn read_edge_list(r: impl Read, num_vertices: Option<usize>) -> io::Result<CsrGraph> {
-    let reader = BufReader::new(r);
-    let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::new();
-    let mut weighted = false;
-    let mut max_id: u64 = 0;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>, what: &str| -> io::Result<u64> {
-            tok.ok_or_else(|| bad_line(lineno, what))?
-                .parse::<u64>()
-                .map_err(|_| bad_line(lineno, what))
-        };
-        let u = parse(it.next(), "missing/invalid src")?;
-        let v = parse(it.next(), "missing/invalid dst")?;
-        if u >= VertexId::MAX as u64 || v >= VertexId::MAX as u64 {
-            return Err(bad_line(lineno, "vertex id exceeds u32 range"));
-        }
-        let w = match it.next() {
-            Some(tok) => {
-                weighted = true;
-                tok.parse::<Weight>()
-                    .map_err(|_| bad_line(lineno, "invalid weight"))?
-            }
-            None => 1.0,
-        };
-        max_id = max_id.max(u).max(v);
-        edges.push((u as VertexId, v as VertexId, w));
-    }
-    let n = num_vertices.unwrap_or(if edges.is_empty() {
-        0
-    } else {
-        max_id as usize + 1
-    });
-    let b = CsrBuilder::new(n);
-    let g = if weighted {
-        b.weighted_edges(edges).build()
-    } else {
-        b.edges(edges.into_iter().map(|(u, v, _)| (u, v))).build()
-    };
-    Ok(g)
-}
-
-fn bad_line(lineno: usize, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("edge list line {}: {what}", lineno + 1),
-    )
-}
 
 fn corrupt(format: &str, what: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{format}: {what}"))
-}
-
-/// Write a graph as an edge list (weights included when present).
-pub fn write_edge_list(g: &CsrGraph, w: impl Write) -> io::Result<()> {
-    let mut out = BufWriter::new(w);
-    writeln!(
-        out,
-        "# {} vertices, {} edges",
-        g.num_vertices(),
-        g.num_edges()
-    )?;
-    if g.is_weighted() {
-        for (u, v, wt) in g.weighted_edges() {
-            writeln!(out, "{u} {v} {wt}")?;
-        }
-    } else {
-        for (u, v) in g.edges() {
-            writeln!(out, "{u} {v}")?;
-        }
-    }
-    out.flush()
-}
-
-// ---------------------------------------------------------------------
-// GAG1: CSR snapshots.
-// ---------------------------------------------------------------------
-
-/// Serialize a CSR snapshot to the compact binary format.
-pub fn write_binary(g: &CsrGraph, w: impl Write) -> io::Result<()> {
-    let mut out = BufWriter::new(w);
-    out.write_all(MAGIC)?;
-    out.write_all(&CSR_VERSION.to_le_bytes())?;
-    let flags: u16 = if g.is_weighted() { 1 } else { 0 };
-    out.write_all(&flags.to_le_bytes())?;
-    out.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&(g.num_edges() as u64).to_le_bytes())?;
-    for &off in g.raw_offsets() {
-        out.write_all(&off.to_le_bytes())?;
-    }
-    for &t in g.raw_targets() {
-        out.write_all(&t.to_le_bytes())?;
-    }
-    if g.is_weighted() {
-        for u in g.vertices() {
-            for w in g.edge_weights(u).unwrap_or(&[]) {
-                out.write_all(&w.to_le_bytes())?;
-            }
-        }
-    }
-    out.flush()
 }
 
 fn read_magic(r: &mut impl Read, expect: &[u8; 4], format: &str) -> io::Result<()> {
@@ -272,95 +158,6 @@ fn checked_count(count: u64, what: &str, format: &str) -> io::Result<usize> {
         ));
     }
     Ok(count as usize)
-}
-
-/// Deserialize a CSR snapshot written by [`write_binary`].
-pub fn read_binary(r: impl Read) -> io::Result<CsrGraph> {
-    const F: &str = "GAG1";
-    let mut input = BufReader::new(r);
-    read_magic(&mut input, MAGIC, F)?;
-    read_version(&mut input, CSR_VERSION, F)?;
-    let flags = read_u16(&mut input).map_err(|_| corrupt(F, "truncated in flags field"))?;
-    if flags & !1 != 0 {
-        return Err(corrupt(F, format!("unknown flag bits {flags:#x}")));
-    }
-    let n = checked_count(
-        read_u64(&mut input).map_err(|_| corrupt(F, "truncated in vertex count"))?,
-        "vertex",
-        F,
-    )?;
-    let m = checked_count(
-        read_u64(&mut input).map_err(|_| corrupt(F, "truncated in edge count"))?,
-        "edge",
-        F,
-    )?;
-    let mut offsets = Vec::new();
-    for i in 0..=n {
-        let off =
-            read_u64(&mut input).map_err(|_| corrupt(F, format!("truncated in offset {i}")))?;
-        if let Some(&prev) = offsets.last() {
-            if off < prev {
-                return Err(corrupt(
-                    F,
-                    format!("offsets not monotone at vertex {i} ({off} < {prev})"),
-                ));
-            }
-        }
-        offsets.push(off);
-    }
-    if offsets.first() != Some(&0) || offsets.last() != Some(&(m as u64)) {
-        return Err(corrupt(
-            F,
-            format!(
-                "offset range [{:?}..{:?}] does not span 0..{m}",
-                offsets.first(),
-                offsets.last()
-            ),
-        ));
-    }
-    let mut targets: Vec<VertexId> = Vec::new();
-    for i in 0..m {
-        let t = read_u32(&mut input).map_err(|_| corrupt(F, format!("truncated in target {i}")))?;
-        if t as usize >= n {
-            return Err(corrupt(
-                F,
-                format!("target {t} at slot {i} out of range (n = {n})"),
-            ));
-        }
-        targets.push(t as VertexId);
-    }
-    let weighted = flags & 1 != 0;
-    let mut weights = Vec::new();
-    if weighted {
-        for i in 0..m {
-            weights.push(
-                read_f32(&mut input).map_err(|_| corrupt(F, format!("truncated in weight {i}")))?,
-            );
-        }
-    }
-    let mut edges: Vec<(VertexId, VertexId, Weight)> = Vec::with_capacity(m.min(1 << 20));
-    for u in 0..n {
-        for i in offsets[u] as usize..offsets[u + 1] as usize {
-            let w = if weighted { weights[i] } else { 1.0 };
-            edges.push((u as VertexId, targets[i], w));
-        }
-    }
-    let b = CsrBuilder::new(n);
-    Ok(if weighted {
-        b.weighted_edges(edges).build()
-    } else {
-        b.edges(edges.into_iter().map(|(u, v, _)| (u, v))).build()
-    })
-}
-
-/// Convenience: write binary snapshot to a file path.
-pub fn save(g: &CsrGraph, path: impl AsRef<Path>) -> io::Result<()> {
-    write_binary(g, std::fs::File::create(path)?)
-}
-
-/// Convenience: read binary snapshot from a file path.
-pub fn load(path: impl AsRef<Path>) -> io::Result<CsrGraph> {
-    read_binary(std::fs::File::open(path)?)
 }
 
 // ---------------------------------------------------------------------
@@ -668,7 +465,6 @@ fn read_f64(r: &mut impl Read) -> io::Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
 
     #[test]
     fn crc32_known_vectors() {
@@ -724,146 +520,79 @@ mod tests {
         }
     }
 
+    /// A decoder with its output dropped, so both formats share a type.
+    type Decode = fn(&[u8]) -> io::Result<()>;
+
+    /// A valid `GAD1` file and a valid `GAP1` file, each over two
+    /// vertices, for the header checks both decoders share.
+    fn gad1_and_gap1() -> [(Vec<u8>, Decode); 2] {
+        let mut g = DynamicGraph::new(2);
+        g.insert_edge(0, 1, 1.0, 1);
+        let mut gad1 = Vec::new();
+        write_dynamic(&g, &mut gad1).unwrap();
+        let mut p = PropertyStore::new(2);
+        p.set("a", 1, 3u64);
+        let mut gap1 = Vec::new();
+        write_props(&p, &mut gap1).unwrap();
+        [
+            (gad1, |b| read_dynamic(b).map(drop)),
+            (gap1, |b| read_props(b).map(drop)),
+        ]
+    }
+
     #[test]
-    fn edge_list_round_trip() {
-        let g = CsrGraph::from_edges(5, &gen::star(5));
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(&buf[..], Some(5)).unwrap();
-        assert_eq!(g2.num_edges(), g.num_edges());
-        for v in g.vertices() {
-            assert_eq!(g.neighbors(v), g2.neighbors(v));
+    fn checkpoint_codecs_reject_bad_magic() {
+        for (buf, read) in gad1_and_gap1() {
+            read(&buf).unwrap();
+            let format = String::from_utf8_lossy(&buf[..4]).into_owned();
+            // A wrong magic includes the other checkpoint section's.
+            for magic in [b"NOPE", MAGIC_DYNAMIC, MAGIC_PROPS] {
+                if magic[..] == buf[..4] {
+                    continue;
+                }
+                let mut bad = buf.clone();
+                bad[..4].copy_from_slice(magic);
+                let err = read(&bad).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().starts_with(&format), "{err}");
+                assert!(err.to_string().contains("bad magic"), "{err}");
+            }
+            assert!(read(&buf[..2]).is_err());
         }
     }
 
     #[test]
-    fn edge_list_weighted_round_trip() {
-        let g = CsrGraph::from_weighted_edges(3, &[(0, 1, 2.5), (1, 2, 1.25)]);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let g2 = read_edge_list(&buf[..], None).unwrap();
-        assert!(g2.is_weighted());
-        assert_eq!(g2.edge_weight(0, 1), Some(2.5));
-    }
-
-    #[test]
-    fn edge_list_comments_and_blanks() {
-        let text = "# a comment\n\n0 1\n 1 2 \n";
-        let g = read_edge_list(text.as_bytes(), None).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn edge_list_rejects_garbage() {
-        assert!(read_edge_list("0 x".as_bytes(), None).is_err());
-        assert!(read_edge_list("0".as_bytes(), None).is_err());
-        assert!(read_edge_list("0 1 zzz".as_bytes(), None).is_err());
-        assert!(read_edge_list("0 99999999999".as_bytes(), None).is_err());
-    }
-
-    #[test]
-    fn binary_round_trip_unweighted() {
-        let edges = gen::rmat(8, 2000, gen::RmatParams::GRAPH500, 3);
-        let g = CsrGraph::from_edges(256, &edges);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf[..]).unwrap();
-        assert_eq!(g.num_vertices(), g2.num_vertices());
-        assert_eq!(g.num_edges(), g2.num_edges());
-        for v in g.vertices() {
-            assert_eq!(g.neighbors(v), g2.neighbors(v));
-        }
-        assert!(!g2.is_weighted());
-    }
-
-    #[test]
-    fn binary_round_trip_weighted() {
-        let edges = gen::with_random_weights(&gen::ring(50), 0.5, 2.0, 4);
-        let g = CsrGraph::from_weighted_edges(50, &edges);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf[..]).unwrap();
-        assert!(g2.is_weighted());
-        for v in g.vertices() {
-            assert_eq!(g.edge_weights(v), g2.edge_weights(v));
+    fn checkpoint_codecs_reject_an_unknown_version() {
+        for (buf, read) in gad1_and_gap1() {
+            for version in [0u16, 2, 99] {
+                let mut bad = buf.clone();
+                bad[4..6].copy_from_slice(&version.to_le_bytes());
+                let err = read(&bad).unwrap_err();
+                assert!(
+                    err.to_string()
+                        .contains(&format!("unsupported version {version}")),
+                    "{err}"
+                );
+            }
         }
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
-        assert!(read_binary(&b"NOPE"[..]).is_err());
-        assert!(read_binary(&b"GA"[..]).is_err());
-        let err = read_binary(&b"GAD1"[..]).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_wrong_version() {
-        let g = CsrGraph::from_edges(3, &[(0, 1)]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        buf[4] = 99; // version low byte
-        let err = read_binary(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("unsupported version"), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_truncation_in_every_section() {
-        let g = CsrGraph::from_weighted_edges(4, &[(0, 1, 1.5), (1, 2, 2.5), (2, 3, 3.5)]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        // Sanity: the full buffer parses.
-        assert!(read_binary(&buf[..]).is_ok());
-        // Every proper prefix must error out cleanly (no panic, no
-        // partial graph): magic, version, flags, counts, offsets,
-        // targets, weights.
-        for cut in 0..buf.len() {
-            let err = read_binary(&buf[..cut]);
-            assert!(err.is_err(), "prefix of {cut} bytes parsed");
+    fn checkpoint_codecs_reject_an_absurd_vertex_count() {
+        // The count sits after magic(4) + version(2) + reserved(2) in
+        // both formats; it must be refused before any row is sized.
+        for (buf, read) in gad1_and_gap1() {
+            for n in [MAX_ELEMS + 1, u64::MAX] {
+                let mut huge = buf.clone();
+                huge[8..16].copy_from_slice(&n.to_le_bytes());
+                let err = read(&huge).unwrap_err();
+                assert!(
+                    err.to_string()
+                        .contains(&format!("vertex count {n} exceeds sanity bound")),
+                    "{err}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn binary_rejects_corrupt_structure() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-
-        // Absurd vertex count: must reject, not allocate.
-        let mut huge = buf.clone();
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(read_binary(&huge[..])
-            .unwrap_err()
-            .to_string()
-            .contains("sanity bound"));
-
-        // Non-monotone offsets.
-        let mut bad_off = buf.clone();
-        let off0 = 24; // magic(4) + version(2) + flags(2) + n(8) + m(8)
-        bad_off[off0..off0 + 8].copy_from_slice(&9u64.to_le_bytes());
-        assert!(read_binary(&bad_off[..]).is_err());
-
-        // Target out of range.
-        let mut bad_target = buf.clone();
-        let toff = 24 + 4 * 8; // offsets are (n + 1) = 4 u64s
-        bad_target[toff..toff + 4].copy_from_slice(&77u32.to_le_bytes());
-        assert!(read_binary(&bad_target[..])
-            .unwrap_err()
-            .to_string()
-            .contains("out of range"));
-    }
-
-    #[test]
-    fn file_save_load() {
-        let dir = std::env::temp_dir().join("ga_graph_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("g.bin");
-        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        save(&g, &p).unwrap();
-        let g2 = load(&p).unwrap();
-        assert_eq!(g2.num_edges(), 2);
-        std::fs::remove_file(p).ok();
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   index.
 //!
 //! On top of those sit deterministic workload generators ([`gen`]),
-//! subgraph extraction with property projection ([`sub`]), and
-//! plain-text and binary I/O ([`io`]).
+//! subgraph extraction with property projection ([`sub`]), and the
+//! binary checkpoint codecs ([`io`]).
 //!
 //! ```
 //! use ga_graph::{gen, CsrGraph};

@@ -16,7 +16,6 @@
 
 use ga_graph::counters::{OpCounters, OpSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 // The knob now lives in the storage crate so the snapshot pipeline can
 // share it; re-exported here so existing `ga_kernels::Parallelism`
@@ -32,9 +31,6 @@ pub enum Completion {
     /// The kernel stopped cooperatively at the context's op budget and
     /// returned a typed partial result.
     OpBudgetExhausted,
-    /// The kernel stopped cooperatively at the context's wall-clock
-    /// deadline and returned a typed partial result.
-    DeadlineExpired,
     /// The result was computed with reduced redundancy or reduced
     /// input: in a sharded deployment, at least one shard was dead or
     /// rebuilding, so rows were served from replicas (exact values,
@@ -50,22 +46,22 @@ impl Completion {
     }
 }
 
-/// A cooperative time/op budget for batch kernels.
+/// A cooperative op budget for batch kernels.
 ///
 /// Budgeted kernels consult [`Budget::check`] at iteration boundaries
 /// (per sweep, per level, per block of vertices) with their running op
 /// estimate — the same estimate they flush into [`OpCounters`] — and
-/// stop early with a typed partial result when either bound is hit.
-/// Exhaustions are tallied so the flow layer can count
-/// deadline-partial analytics without threading return values through
-/// every analytic trait.
+/// stop early with a typed partial result when the bound is hit. The
+/// bound counts work, not wall time, so a budgeted run stops at the same
+/// point on every host. Exhaustions are tallied so the flow layer can
+/// count partial analytics (`deadline_partials`) without threading
+/// return values through every analytic trait.
 ///
 /// The default budget is unlimited: `check` is a no-op and kernels run
 /// exactly as before.
 #[derive(Debug, Default)]
 pub struct Budget {
     op_limit: Option<u64>,
-    deadline: Option<Instant>,
     hits: AtomicU64,
 }
 
@@ -73,7 +69,6 @@ impl Clone for Budget {
     fn clone(&self) -> Self {
         Budget {
             op_limit: self.op_limit,
-            deadline: self.deadline,
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
         }
     }
@@ -93,44 +88,19 @@ impl Budget {
         }
     }
 
-    /// Stop once `dur` wall-clock time has elapsed (from now).
-    pub fn deadline_in(dur: Duration) -> Self {
-        Budget {
-            deadline: Some(Instant::now() + dur),
-            ..Budget::default()
-        }
-    }
-
-    /// Both bounds; whichever trips first wins. Deterministic tests
-    /// should use the op bound only (wall-clock varies run to run).
-    pub fn ops_and_deadline(limit: u64, dur: Duration) -> Self {
-        Budget {
-            op_limit: Some(limit),
-            deadline: Some(Instant::now() + dur),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether any bound is set (kernels skip checks entirely if not).
+    /// Whether a bound is set (kernels skip checks entirely if not).
     pub fn is_limited(&self) -> bool {
-        self.op_limit.is_some() || self.deadline.is_some()
+        self.op_limit.is_some()
     }
 
     /// Consult the budget with the kernel's running op estimate.
-    /// Returns the non-`Complete` variant (and tallies a hit) when a
-    /// bound is exhausted. The op bound is checked before the deadline
-    /// so op-only budgets are fully deterministic.
+    /// Returns [`Completion::OpBudgetExhausted`] (and tallies a hit)
+    /// once the bound is reached.
     pub fn check(&self, ops_spent: u64) -> Completion {
         if let Some(limit) = self.op_limit {
             if ops_spent >= limit {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Completion::OpBudgetExhausted;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Completion::DeadlineExpired;
             }
         }
         Completion::Complete
@@ -244,19 +214,5 @@ mod tests {
         assert_eq!(b.check(500), Completion::OpBudgetExhausted);
         assert_eq!(b.take_hits(), 2);
         assert_eq!(b.hits(), 0);
-    }
-
-    #[test]
-    fn expired_deadline_trips() {
-        let b = Budget::deadline_in(Duration::from_secs(0));
-        assert_eq!(b.check(0), Completion::DeadlineExpired);
-        assert!(b.hits() >= 1);
-    }
-
-    #[test]
-    fn op_bound_wins_over_deadline() {
-        // Both exhausted: the deterministic op bound is reported.
-        let b = Budget::ops_and_deadline(10, Duration::from_secs(0));
-        assert_eq!(b.check(10), Completion::OpBudgetExhausted);
     }
 }

@@ -1,7 +1,7 @@
-//! Typed event outputs: what the monitors, the Firehose detectors and
-//! the flow's overload ladder report. Every payload is O(1); Fig. 1's
-//! output columns (O(1) events, O(|V|) and O(|V|^k) lists) are
-//! annotations of the taxonomy rows (`ga_core::taxonomy::OutputCol`).
+//! Typed event outputs: what the monitors and the flow's overload ladder
+//! report. Every payload is O(1); Fig. 1's output columns (O(1) events,
+//! O(|V|) and O(|V|^k) lists) are annotations of the taxonomy rows
+//! (`ga_core::taxonomy::OutputCol`).
 
 use ga_graph::{Timestamp, VertexId};
 
@@ -18,15 +18,6 @@ pub enum EventKind {
         b: VertexId,
         /// The observed value.
         value: f64,
-    },
-    /// An anomalous key was detected (O(1) payload).
-    Anomaly {
-        /// Detector name.
-        detector: &'static str,
-        /// The offending key.
-        key: u64,
-        /// Detection score (lower = more anomalous for Firehose).
-        score: f64,
     },
     /// A global scalar was (re)computed (global-value payload).
     GlobalValue {

@@ -18,12 +18,11 @@
 //!
 //! | module | what it holds | what runs it |
 //! |---|---|---|
-//! | [`update`] | update/query stream types and deterministic generators (R-MAT edge streams, Firehose packet streams) | every front |
+//! | [`update`] | update/query stream types and deterministic generators (R-MAT and uniform edge streams) | every front |
 //! | [`engine`] | [`engine::StreamEngine`]: applies updates to a [`ga_graph::DynamicGraph`], drives registered [`engine::Monitor`]s, collects [`events::Event`]s | `ga_core::flow` |
 //! | [`events`] | typed event payloads | every monitor, the flow's overload ladder |
 //! | [`tri_inc`] | [`tri_inc::IncrementalTriangles`]: global and per-vertex triangle counts (streaming GTC) | `fig2_flow` |
 //! | [`jaccard_stream`] | [`jaccard_stream::JaccardMonitor`] (update-driven threshold pairs) and the live-graph per-vertex query timed by E7 (§V-B's "10s of microseconds") | `FlowEngine` triggers, `fig2_flow`, `calibrated_model`, `bench_obs` |
-//! | [`firehose`] | the three Firehose anomaly detectors: fixed key, unbounded key, two-level key | `streaming_firehose` example, Criterion `firehose` group |
 //! | [`epoch`] | epoch-based snapshot handoff: the ingest thread publishes frozen CSR + property generations that reader threads load wait-free | `ga_core::serve` |
 //! | [`queries`] | the unified [`queries::Query`] surface: point reads, k-hop, filtered traversal, shortest path, similarity, top-k, each a pure function of one [`epoch::EpochSnapshot`] | `ga_core::serve` |
 //! | [`wal`] | CRC32-framed write-ahead log with torn-tail-tolerant replay | durable fronts |
@@ -35,7 +34,9 @@
 //! stream with deletes (`triangles` for [`tri_inc`], `jaccard` for
 //! [`jaccard_stream`]). Fig. 1's streaming marks whose incremental form
 //! nothing runs (components, PageRank, betweenness top-n, geo & temporal
-//! correlation) live in the rows of `ga_core::taxonomy`, not in code.
+//! correlation) live in the rows of `ga_core::taxonomy`, not in code, and
+//! so do the three Firehose anomaly rows: their detectors read key/bit
+//! packets, not graph updates, so no engine path would run them.
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,6 @@ pub mod admission;
 pub mod engine;
 pub mod epoch;
 pub mod events;
-pub mod firehose;
 pub mod jaccard_stream;
 pub mod queries;
 pub mod sharded;

@@ -163,93 +163,6 @@ pub fn into_batches(updates: Vec<Update>, batch_size: usize, t0: Timestamp) -> V
         .collect()
 }
 
-/// A Firehose-style packet: a key and a one-bit value, plus ground truth
-/// for evaluating detectors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Packet {
-    /// Stream key (vertex id / session id / ...).
-    pub key: u64,
-    /// The observed value bit.
-    pub bit: bool,
-    /// Ground truth: was this key planted as anomalous? (Not visible to
-    /// detectors; used only for scoring.)
-    pub truth_anomalous: bool,
-}
-
-/// Generate a Firehose-like biased-key packet stream.
-///
-/// `num_keys` keys; a fraction `anomaly_fraction` are planted anomalous.
-/// Normal keys emit bit=1 with probability `p_normal` (high); anomalous
-/// keys with `p_anomalous` (low). Keys are drawn with a skewed
-/// (power-ish) distribution so some keys reach the observation threshold
-/// quickly, like the real generator.
-pub fn firehose_stream(
-    num_keys: u64,
-    packets: usize,
-    anomaly_fraction: f64,
-    p_normal: f64,
-    p_anomalous: f64,
-    seed: u64,
-) -> Vec<Packet> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let anomalous_cutoff = (num_keys as f64 * anomaly_fraction) as u64;
-    let mut out = Vec::with_capacity(packets);
-    for _ in 0..packets {
-        // Skew: square a uniform draw to bias toward low key ids.
-        let r: f64 = rng.gen();
-        let key = ((r * r) * num_keys as f64) as u64;
-        let key = key.min(num_keys - 1);
-        // Scatter anomalous keys across the id space deterministically.
-        let truth_anomalous = key % 37 < anomalous_cutoff * 37 / num_keys.max(1);
-        let p = if truth_anomalous {
-            p_anomalous
-        } else {
-            p_normal
-        };
-        out.push(Packet {
-            key,
-            bit: rng.gen::<f64>() < p,
-            truth_anomalous,
-        });
-    }
-    out
-}
-
-/// Two-level packet for the third Firehose analytic: an outer key (e.g.
-/// destination) and an inner key (e.g. source).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TwoLevelPacket {
-    /// Outer aggregation key.
-    pub outer: u64,
-    /// Inner key whose distinct count is the metric.
-    pub inner: u64,
-}
-
-/// Generate a two-level stream where `hot_outers` outer keys receive
-/// packets from many distinct inners (the planted anomaly) and the rest
-/// see repeated traffic from few inners.
-pub fn two_level_stream(
-    num_outer: u64,
-    hot_outers: u64,
-    packets: usize,
-    seed: u64,
-) -> Vec<TwoLevelPacket> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(packets);
-    for i in 0..packets {
-        let outer = rng.gen_range(0..num_outer);
-        let inner = if outer < hot_outers {
-            // Hot outers: fresh inner almost every packet.
-            i as u64 * num_outer + outer
-        } else {
-            // Cold outers: one of 3 repeating inners.
-            rng.gen_range(0..3)
-        };
-        out.push(TwoLevelPacket { outer, inner });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,41 +204,5 @@ mod tests {
         assert_eq!(batches[0].updates.len(), 4);
         assert_eq!(batches[2].updates.len(), 2);
         assert_eq!(batches[1].time, 101);
-    }
-
-    #[test]
-    fn firehose_truth_separates_bit_rates() {
-        let pkts = firehose_stream(1000, 50_000, 0.1, 0.9, 0.1, 3);
-        let (mut a_ones, mut a_tot, mut n_ones, mut n_tot) = (0, 0, 0, 0);
-        for p in &pkts {
-            if p.truth_anomalous {
-                a_tot += 1;
-                a_ones += p.bit as usize;
-            } else {
-                n_tot += 1;
-                n_ones += p.bit as usize;
-            }
-        }
-        assert!(a_tot > 0 && n_tot > 0);
-        let (ra, rn) = (a_ones as f64 / a_tot as f64, n_ones as f64 / n_tot as f64);
-        assert!(ra < 0.2 && rn > 0.8, "rates {ra} vs {rn}");
-    }
-
-    #[test]
-    fn two_level_hot_outers_have_many_inners() {
-        let pkts = two_level_stream(100, 3, 20_000, 5);
-        use std::collections::{HashMap, HashSet};
-        let mut inners: HashMap<u64, HashSet<u64>> = HashMap::new();
-        for p in &pkts {
-            inners.entry(p.outer).or_default().insert(p.inner);
-        }
-        for hot in 0..3u64 {
-            assert!(inners[&hot].len() > 50, "hot outer {hot}");
-        }
-        for cold in 10..20u64 {
-            if let Some(s) = inners.get(&cold) {
-                assert!(s.len() <= 3, "cold outer {cold} has {}", s.len());
-            }
-        }
     }
 }

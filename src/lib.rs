@@ -4,10 +4,11 @@
 //! Analytics: Complexity, Scalability, and Architectures"* (IPDPS
 //! Workshops, 2017). This crate re-exports the whole workspace:
 //!
-//! * [`graph`] — CSR + dynamic property-graph substrate, generators, I/O.
+//! * [`graph`] — CSR + dynamic property-graph substrate, generators,
+//!   checkpoint codecs.
 //! * [`kernels`] — batch kernels for every row of the paper's Fig. 1.
-//! * [`stream`] — streaming engine, incremental kernels, Firehose-style
-//!   anomaly detectors, event sinks.
+//! * [`stream`] — streaming engine, incremental kernels, event sinks,
+//!   WAL, admission and the query surface.
 //! * [`linalg`] — GraphBLAS-style sparse linear algebra and
 //!   matrix-language graph algorithms (Kepner–Gilbert).
 //! * [`archsim`] — behavioural simulators for the paper's two emerging

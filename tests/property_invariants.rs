@@ -1,7 +1,7 @@
 //! Workspace-level property-based tests (proptest) over the core data
 //! structures and kernels — the invariants DESIGN.md §6 lists.
 
-use graph_analytics::graph::{io, CompressedCsr, CsrBuilder, CsrGraph, DynamicGraph};
+use graph_analytics::graph::{CompressedCsr, CsrBuilder, CsrGraph, DynamicGraph};
 use graph_analytics::kernels::{bfs, cc, jaccard, pagerank, triangles, KernelCtx, UnionFind};
 use graph_analytics::linalg::ops::{ewise_mul, spgemm, spmv};
 use graph_analytics::linalg::semiring::{OrAnd, PlusTimes};
@@ -27,18 +27,6 @@ fn edge_list() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn csr_binary_round_trip((n, edges) in edge_list()) {
-        let g = CsrGraph::from_edges(n, &edges);
-        let mut buf = Vec::new();
-        io::write_binary(&g, &mut buf).unwrap();
-        let g2 = io::read_binary(&buf[..]).unwrap();
-        prop_assert_eq!(g.num_vertices(), g2.num_vertices());
-        for v in g.vertices() {
-            prop_assert_eq!(g.neighbors(v), g2.neighbors(v));
-        }
-    }
 
     #[test]
     fn csr_neighbors_sorted_and_deduped((n, edges) in edge_list()) {
