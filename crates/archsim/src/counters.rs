@@ -27,15 +27,6 @@ impl TrafficReport {
         }
     }
 
-    /// Bytes per operation.
-    pub fn bytes_per_op(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.ops as f64
-        }
-    }
-
     /// Throughput in operations per second, from the wall estimate.
     pub fn ops_per_sec(&self) -> f64 {
         if self.wall_ns == 0.0 {
@@ -69,7 +60,6 @@ mod tests {
             wall_ns: 1e3,
         };
         assert_eq!(r.latency_per_op_ns(), 100.0);
-        assert_eq!(r.bytes_per_op(), 200.0);
         assert!((r.ops_per_sec() - 5e6).abs() < 1.0);
     }
 
@@ -77,7 +67,6 @@ mod tests {
     fn zero_ops_safe() {
         let r = TrafficReport::default();
         assert_eq!(r.latency_per_op_ns(), 0.0);
-        assert_eq!(r.bytes_per_op(), 0.0);
         assert_eq!(r.ops_per_sec(), 0.0);
     }
 

@@ -90,7 +90,7 @@ impl EmuConfig {
     }
 
     /// Total nodelets.
-    pub fn total_nodelets(&self) -> usize {
+    fn total_nodelets(&self) -> usize {
         self.nodes * self.nodelets_per_node
     }
 
@@ -100,7 +100,7 @@ impl EmuConfig {
     }
 
     /// Owning nodelet of a word address (block-cyclic).
-    pub fn nodelet_of(&self, word_addr: u64) -> usize {
+    fn nodelet_of(&self, word_addr: u64) -> usize {
         ((word_addr / self.interleave_words) % self.total_nodelets() as u64) as usize
     }
 
@@ -188,7 +188,7 @@ impl<'a> ThreadSim<'a> {
     /// single operations at a target location"). Only meaningful under
     /// the migrating model; the remote model must fall back to an
     /// atomic round trip.
-    pub fn remote_single_op(&mut self, word_addr: u64) {
+    fn remote_single_op(&mut self, word_addr: u64) {
         match self.model {
             ExecModel::Migrating => {
                 let target = self.cfg.nodelet_of(word_addr);

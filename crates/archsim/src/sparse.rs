@@ -262,7 +262,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     /// `nnz_per_row` uniform columns per row; repeated columns sum.
-    pub(super) fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix<f64> {
+    fn random_sparse(n: usize, nnz_per_row: usize, seed: u64) -> CsrMatrix<f64> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut edges = Vec::with_capacity(n * nnz_per_row);
         for r in 0..n as u32 {
@@ -347,42 +347,5 @@ mod tests {
         let w = SpgemmWork::default();
         let p = simulate_pipeline(&w, &PipelineNode::fpga_prototype());
         assert_eq!(p.seconds, 0.0);
-    }
-}
-
-/// Element traffic of one SpMV `y = A·x` (the other workhorse the §V-A
-/// machine accelerates: PageRank, BFS-as-SpMV, Bellman–Ford all reduce
-/// to it).
-pub fn spmv_work<T: Copy>(a: &CsrMatrix<T>) -> SpgemmWork {
-    let nnz = a.nnz() as u64;
-    SpgemmWork {
-        macs: nnz,
-        // Stream A's elements plus one x gather per element.
-        elements_in: 2 * nnz,
-        elements_out: a.dim() as u64,
-        row_fetches: nnz,
-    }
-}
-
-#[cfg(test)]
-mod spmv_tests {
-    use super::tests::random_sparse;
-    use super::*;
-
-    #[test]
-    fn spmv_pipeline_advantage_mirrors_spgemm() {
-        let a = random_sparse(1 << 15, 8, 5);
-        let w = spmv_work(&a);
-        assert_eq!(w.macs, a.nnz() as u64);
-        let mut cold = CacheNode::xt4();
-        cold.hit_rate = 0.05;
-        let p = simulate_pipeline(&w, &PipelineNode::fpga_prototype());
-        let c = simulate_cache(&w, &cold);
-        assert!(
-            p.macs_per_sec > 5.0 * c.macs_per_sec,
-            "pipeline {} vs cache {}",
-            p.macs_per_sec,
-            c.macs_per_sec
-        );
     }
 }

@@ -262,7 +262,7 @@ fn main() {
     println!("  mem_bytes             {}", s.snapshots.mem_bytes);
     println!("overload:");
     println!("  updates_shed          {}", s.overload.updates_shed);
-    println!("  deadline_partials     {}", s.overload.deadline_partials);
+    println!("  budget_partials       {}", s.overload.budget_partials);
     println!("  analytics_skipped     {}", s.overload.analytics_skipped);
     println!("durability:");
     println!("  retries               {}", s.durability.retries);

@@ -435,7 +435,7 @@ mod tests {
                 },
                 overload: OverloadStats {
                     updates_shed: 1_500,
-                    deadline_partials: 3,
+                    budget_partials: 3,
                     analytics_skipped: 2,
                 },
                 tier: Default::default(),

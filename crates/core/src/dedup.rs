@@ -200,13 +200,13 @@ pub fn similarity(a: &str, b: &str) -> f64 {
 
 /// Blocking key: first two letters of the last name + birth decade.
 /// Cheap, high-recall: typo'd duplicates usually share it.
-pub fn block_key(r: &RawRecord) -> String {
+fn block_key(r: &RawRecord) -> String {
     let prefix: String = r.last.chars().take(2).collect();
     format!("{}:{}", prefix, r.birth_year / 10)
 }
 
 /// Weighted field similarity of two records.
-pub fn record_similarity(a: &RawRecord, b: &RawRecord) -> f64 {
+fn record_similarity(a: &RawRecord, b: &RawRecord) -> f64 {
     0.3 * similarity(&a.first, &b.first)
         + 0.3 * similarity(&a.last, &b.last)
         + 0.3 * similarity(&a.address, &b.address)

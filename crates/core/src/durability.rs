@@ -112,17 +112,6 @@ fn corrupt(what: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("GAC1: {what}"))
 }
 
-/// Prefix an error with a deployment label (`[shard-03] ...`) so that
-/// in a multi-engine deployment a recovery failure names the engine it
-/// came from. Empty labels pass errors through untouched.
-fn annotate(label: &str, e: io::Error) -> io::Error {
-    if label.is_empty() {
-        e
-    } else {
-        io::Error::new(e.kind(), format!("[{label}] {e}"))
-    }
-}
-
 fn push_group(out: &mut Vec<u8>, fields: &[usize]) {
     out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
     for &f in fields {
@@ -177,7 +166,7 @@ fn push_flow_stats(out: &mut Vec<u8>, s: &FlowStats) {
     let o = &s.overload;
     push_group(
         out,
-        &[o.updates_shed, o.deadline_partials, o.analytics_skipped],
+        &[o.updates_shed, o.budget_partials, o.analytics_skipped],
     );
     let t = &s.tier;
     push_group_u64(
@@ -248,7 +237,7 @@ fn take_flow_stats(r: &mut &[u8]) -> io::Result<FlowStats> {
         },
         overload: OverloadStats {
             updates_shed: o[0],
-            deadline_partials: o[1],
+            budget_partials: o[1],
             analytics_skipped: o[2],
         },
         tier: ga_graph::tier::TierStats {
@@ -586,23 +575,20 @@ impl Durability {
     /// after it. Returns the manager (ready to append), the checkpoint,
     /// and the `(seq, batch)` replay list in order.
     ///
-    /// A non-empty deployment `label` (e.g. `"shard-03"`) is prefixed
-    /// onto every error, and file paths are attached to candidate load
-    /// failures — so a sharded recovery failure read from a CI log names
-    /// both the shard and the checkpoint file that sank it.
+    /// File paths are attached to candidate load failures, so a
+    /// recovery failure read from a log names the checkpoint file that
+    /// sank it.
     #[allow(clippy::type_complexity)]
     pub fn recover(
         dir: impl AsRef<Path>,
-        label: &str,
     ) -> io::Result<(Durability, Checkpoint, Vec<(u64, UpdateBatch)>)> {
         let dir = dir.as_ref().to_path_buf();
-        let tag = |e: io::Error| annotate(label, e);
-        let ckpts = list_numbered(&dir, "ckpt-", ".gac").map_err(tag)?;
+        let ckpts = list_numbered(&dir, "ckpt-", ".gac")?;
         if ckpts.is_empty() {
-            return Err(tag(io::Error::new(
+            return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("{}: no checkpoint files", dir.display()),
-            )));
+            ));
         }
         let mut ckpt = None;
         let mut last_err = None;
@@ -630,9 +616,8 @@ impl Durability {
             }
         }
         let Some(ckpt) = ckpt else {
-            return Err(tag(last_err.unwrap_or_else(|| {
-                corrupt(format!("{}: no usable checkpoint", dir.display()))
-            })));
+            return Err(last_err
+                .unwrap_or_else(|| corrupt(format!("{}: no usable checkpoint", dir.display()))));
         };
 
         // Replay every intact frame at or past the cursor, in order,
@@ -641,7 +626,7 @@ impl Durability {
         let mut frames: Vec<(u64, UpdateBatch)> = Vec::new();
         for (_, path) in &wals {
             let scan = wal::replay(path)
-                .map_err(|e| tag(io::Error::new(e.kind(), format!("{}: {e}", path.display()))))?;
+                .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
             frames.extend(scan.batches);
         }
         frames.sort_by_key(|(seq, _)| *seq);
@@ -662,15 +647,15 @@ impl Durability {
         // tail); `expect` is where the durable history actually ends.
         let wal = match wals.last() {
             Some((start, path)) => {
-                let mut w = Wal::open_append(path, *start).map_err(tag)?;
+                let mut w = Wal::open_append(path, *start)?;
                 if w.next_seq() > expect {
                     // The tail of this segment sits after a gap; a fresh
                     // segment at the true cursor supersedes it.
-                    w = Wal::create(wal_path(&dir, expect), expect).map_err(tag)?;
+                    w = Wal::create(wal_path(&dir, expect), expect)?;
                 }
                 w
             }
-            None => Wal::create(wal_path(&dir, expect), expect).map_err(tag)?,
+            None => Wal::create(wal_path(&dir, expect), expect)?,
         };
         Ok((
             Durability {
@@ -757,7 +742,7 @@ mod tests {
                 },
                 overload: OverloadStats {
                     updates_shed: 17,
-                    deadline_partials: 2,
+                    budget_partials: 2,
                     ..OverloadStats::default()
                 },
                 ..FlowStats::default()
@@ -833,7 +818,7 @@ mod tests {
             d.append(b).unwrap();
         }
         drop(d);
-        let (d2, ckpt, replay) = Durability::recover(&dir, "").unwrap();
+        let (d2, ckpt, replay) = Durability::recover(&dir).unwrap();
         assert_eq!(ckpt, init);
         assert_eq!(replay.len(), 3);
         assert_eq!(replay[0].0, 1);
@@ -867,7 +852,7 @@ mod tests {
         drop(d);
         // Recovery skips the torn file, lands on checkpoint 1, and the
         // WAL suffix still has the batch.
-        let (_, ckpt, replay) = Durability::recover(&dir, "").unwrap();
+        let (_, ckpt, replay) = Durability::recover(&dir).unwrap();
         assert_eq!(ckpt.next_wal_seq, 1);
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].1.updates, batch.updates);
@@ -893,7 +878,7 @@ mod tests {
         // The newest checkpoint fails to load -> fallback to the older
         // one, whose replay frames must still exist.
         faults::arm("checkpoint.load", faults::FaultMode::FailOnce);
-        let (_, ckpt, replay) = Durability::recover(&dir, "").unwrap();
+        let (_, ckpt, replay) = Durability::recover(&dir).unwrap();
         faults::clear_all();
         assert_eq!(ckpt.next_wal_seq, batches.len() as u64);
         assert_eq!(replay.len(), 1);

@@ -33,8 +33,8 @@
 //! | 1 | WAL append, with retry and repair-before-retry, feeding the breaker | the front logs, [`FlowConfig::durability_dir`] / [`FlowConfig::recover`] attached a log, and the breaker has not suspended it |
 //! | 2 | apply to the graph; malformed updates quarantined | always ([`FlowConfig::vertex_limit`], [`FlowConfig::symmetrize`] shape it) |
 //! | 3 | monitor events drained and counted | always (at `Shed` the apply is unmonitored, so there are none) |
-//! | 4 | triggers → seeds → extraction → analytic → write-back | the caller passed a trigger and an analytic; budgeted at `PartialDeadline`, skipped at `SeedsOnly` ([`FlowConfig::overload`]) |
-//! | 5 | freeze the CSR and publish the epoch | [`FlowEngine::serve_handle`] was called; per batch at `Full` and `PartialDeadline`, once per [`FlowEngine::pump`] call for its `SeedsOnly` and `Shed` batches |
+//! | 4 | triggers → seeds → extraction → analytic → write-back | the caller passed a trigger and an analytic; budgeted at `PartialBudget`, skipped at `SeedsOnly` ([`FlowConfig::overload`]) |
+//! | 5 | freeze the CSR and publish the epoch | [`FlowEngine::serve_handle`] was called; per batch at `Full` and `PartialBudget`, once per [`FlowEngine::pump`] call for its `SeedsOnly` and `Shed` batches |
 //!
 //! The fronts only choose *(log?, rung)*: [`FlowEngine::process_stream`]
 //! is the un-logged front; [`FlowEngine::process_stream_durable`],
@@ -195,7 +195,7 @@ pub struct OverloadStats {
     pub updates_shed: usize,
     /// Analytic runs that hit their op budget and returned a
     /// typed partial result instead of a complete one.
-    pub deadline_partials: usize,
+    pub budget_partials: usize,
     /// Triggered analytic runs skipped outright at the `SeedsOnly`
     /// degradation level (seeds were still selected).
     pub analytics_skipped: usize,
@@ -228,7 +228,7 @@ pub enum DegradationLevel {
     Full,
     /// Analytics run under a reduced op budget and may return
     /// typed partial results.
-    PartialDeadline,
+    PartialBudget,
     /// Seeds are still selected (cheap) but triggered analytics are
     /// skipped entirely.
     SeedsOnly,
@@ -242,7 +242,7 @@ impl DegradationLevel {
     pub fn name(self) -> &'static str {
         match self {
             DegradationLevel::Full => "full",
-            DegradationLevel::PartialDeadline => "partial-deadline",
+            DegradationLevel::PartialBudget => "partial-budget",
             DegradationLevel::SeedsOnly => "seeds-only",
             DegradationLevel::Shed => "shed",
         }
@@ -261,7 +261,7 @@ pub struct OverloadConfig {
     pub seeds_only_at: usize,
     /// Queue depth at or above which updates are applied unmonitored.
     pub shed_at: usize,
-    /// Op budget for analytic runs at `PartialDeadline` (see
+    /// Op budget for analytic runs at `PartialBudget` (see
     /// [`ga_kernels::Budget::ops`]).
     pub degraded_budget_ops: u64,
 }
@@ -323,7 +323,6 @@ pub struct FlowConfig {
     symmetrize: bool,
     durability_dir: Option<PathBuf>,
     recorder: Recorder,
-    shard_label: String,
     tier: Option<ga_graph::tier::TierConfig>,
 }
 
@@ -345,7 +344,6 @@ impl Default for FlowConfig {
             symmetrize: true,
             durability_dir: None,
             recorder: Recorder::disabled(),
-            shard_label: String::new(),
             tier: None,
         }
     }
@@ -437,16 +435,6 @@ impl FlowConfig {
         self
     }
 
-    /// Label this engine as one shard of a multi-engine deployment
-    /// (e.g. `"shard-03"`). The label is prefixed onto durability
-    /// errors raised during [`FlowConfig::recover`], so a failed
-    /// shard-local recovery names the shard and checkpoint path in CI
-    /// logs instead of an anonymous `io::Error`.
-    pub fn shard_label(mut self, label: impl Into<String>) -> Self {
-        self.shard_label = label.into();
-        self
-    }
-
     /// Build an engine over an empty persistent graph of
     /// `num_vertices`.
     pub fn build(self, num_vertices: usize) -> io::Result<FlowEngine> {
@@ -492,10 +480,9 @@ impl FlowConfig {
     /// `vertex_limit`, `symmetrize`, and the durability directory itself
     /// — come from the checkpoint, not from the builder, so replay stays
     /// deterministic. Registered analytics and monitors are NOT
-    /// persisted; re-register after recovery. Errors are prefixed with
-    /// [`Self::shard_label`] when one is set.
+    /// persisted; re-register after recovery.
     pub fn recover(self, dir: impl AsRef<Path>) -> io::Result<FlowEngine> {
-        let (durability, ckpt, replay) = Durability::recover(dir, &self.shard_label)?;
+        let (durability, ckpt, replay) = Durability::recover(dir)?;
         let mut stream = StreamEngine::with_graph(ckpt.graph, ckpt.props);
         stream.set_stats(ckpt.stream);
         stream.symmetrize = ckpt.symmetrize;
@@ -587,7 +574,7 @@ pub struct FlowEngine {
     project_columns: Vec<String>,
     /// Kernel execution context handed to every analytic run: carries
     /// the serial/parallel dispatch policy and the op budget (unlimited
-    /// except while a `PartialDeadline` batch is in the pipeline).
+    /// except while a `PartialBudget` batch is in the pipeline).
     kernel_ctx: KernelCtx,
     /// When set ([`FlowConfig::tiered`]), batch extraction reads
     /// through a spilled segment tier instead of the in-RAM snapshot.
@@ -957,7 +944,7 @@ impl FlowEngine {
         // typed partial result (see the Completion fields on kernel
         // results) — count it.
         if self.kernel_ctx.budget.take_hits() > 0 {
-            self.stats.overload.deadline_partials += 1;
+            self.stats.overload.budget_partials += 1;
         }
         self.stats.analytics.batch_runs += 1;
         self.stats.analytics.globals_produced += out.globals.len();
@@ -1043,10 +1030,10 @@ impl FlowEngine {
         let events = self.stream.take_events();
         self.stats.ingest.events_observed += events.len();
 
-        // At `PartialDeadline` analytics run under the degraded budget
+        // At `PartialBudget` analytics run under the degraded budget
         // and may return typed partial results; at `SeedsOnly` triggers
         // still fire and seeds are counted, but the run is skipped.
-        let standing_budget = (level == DegradationLevel::PartialDeadline).then(|| {
+        let standing_budget = (level == DegradationLevel::PartialBudget).then(|| {
             std::mem::replace(
                 &mut self.kernel_ctx.budget,
                 Budget::ops(self.overload.degraded_budget_ops),
@@ -1073,7 +1060,7 @@ impl FlowEngine {
         // which publishes once after its loop.
         if matches!(
             level,
-            DegradationLevel::Full | DegradationLevel::PartialDeadline
+            DegradationLevel::Full | DegradationLevel::PartialBudget
         ) {
             self.publish_epoch();
         }
@@ -1345,7 +1332,7 @@ impl FlowEngine {
         } else if depth >= o.seeds_only_at {
             DegradationLevel::SeedsOnly
         } else if depth >= o.partial_at {
-            DegradationLevel::PartialDeadline
+            DegradationLevel::PartialBudget
         } else {
             DegradationLevel::Full
         }
@@ -1386,9 +1373,9 @@ impl FlowEngine {
     /// popped (high-priority batches first):
     ///
     /// * `Full` — every stage, as [`Self::process_stream_durable`].
-    /// * `PartialDeadline` — analytics run under
+    /// * `PartialBudget` — analytics run under
     ///   [`OverloadConfig::degraded_budget_ops`] and may return typed
-    ///   partial results (`deadline_partials`).
+    ///   partial results (`budget_partials`).
     /// * `SeedsOnly` — triggers still fire and seeds are selected, but
     ///   analytic runs are skipped (`analytics_skipped`).
     /// * `Shed` — updates are applied unmonitored: no events, no
@@ -1397,7 +1384,7 @@ impl FlowEngine {
     /// Durable engines append every pumped batch (with retry) before it
     /// touches the graph, at every level, and serving engines publish
     /// everything pumped before `pump` returns — per batch at `Full` and
-    /// `PartialDeadline`, once after the loop for `SeedsOnly` and `Shed`
+    /// `PartialBudget`, once after the loop for `SeedsOnly` and `Shed`
     /// batches. Degradation sacrifices analytics, never durability or
     /// freshness. If an append fails without tripping the breaker, the
     /// popped batch is re-queued at the front of its class before the
@@ -1958,7 +1945,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_run_counts_deadline_partial() {
+    fn zero_budget_run_counts_a_budget_partial() {
         let analytics: [Box<dyn BatchAnalytic>; 2] = [
             Box::new(ComponentsAnalytic),
             Box::new(TriangleAnalytic {
@@ -1971,11 +1958,11 @@ mod tests {
             let idx = e.register_analytic(analytic);
             e.kernel_ctx.budget = Budget::ops(0);
             e.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
-            assert_eq!(e.stats().overload.deadline_partials, 1, "{name}");
+            assert_eq!(e.stats().overload.budget_partials, 1, "{name}");
             // An unlimited run does not count one.
             e.kernel_ctx.budget = Budget::unlimited();
             e.run_batch(&SelectionCriteria::Explicit(vec![5]), idx);
-            assert_eq!(e.stats().overload.deadline_partials, 1, "{name}");
+            assert_eq!(e.stats().overload.budget_partials, 1, "{name}");
         }
     }
 
@@ -2035,15 +2022,15 @@ mod tests {
         assert_eq!(e.degradation_level(), DegradationLevel::Full);
         let r = e.pump(1, trigger, Some(idx)).unwrap();
         assert_eq!(r.len(), 1);
-        assert_eq!(e.stats().overload.deadline_partials, 0);
+        assert_eq!(e.stats().overload.budget_partials, 0);
 
-        // Depth 150 → PartialDeadline: runs happen but trip the budget.
+        // Depth 150 → PartialBudget: runs happen but trip the budget.
         for t in 2..5 {
             e.offer(Priority::Normal, ring_batch(16, t, 50));
         }
-        assert_eq!(e.degradation_level(), DegradationLevel::PartialDeadline);
+        assert_eq!(e.degradation_level(), DegradationLevel::PartialBudget);
         e.pump(1, trigger, Some(idx)).unwrap();
-        assert_eq!(e.stats().overload.deadline_partials, 1);
+        assert_eq!(e.stats().overload.budget_partials, 1);
         assert_eq!(e.stats().analytics.batch_runs, 2);
         // The standing budget was restored afterwards.
         assert!(!e.kernel_ctx.budget.is_limited());
@@ -2082,7 +2069,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(moves.contains(&("full", "partial-deadline")), "{moves:?}");
+        assert!(moves.contains(&("full", "partial-budget")), "{moves:?}");
         // Recovery is stepwise as the queue drains, but it ends at full
         // and the shed level was both entered and left.
         assert_eq!(moves.last().map(|m| m.1), Some("full"), "{moves:?}");

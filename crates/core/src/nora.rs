@@ -146,12 +146,12 @@ impl NoraWorld {
     }
 
     /// Vertex id of a person in the bipartite graph.
-    pub fn person_vertex(&self, person: u32) -> VertexId {
+    fn person_vertex(&self, person: u32) -> VertexId {
         person
     }
 
     /// Vertex id of an address in the bipartite graph.
-    pub fn address_vertex(&self, address: u32) -> VertexId {
+    fn address_vertex(&self, address: u32) -> VertexId {
         self.num_people as VertexId + address
     }
 

@@ -28,24 +28,27 @@
 //! * **Durability** — each shard owns its WAL + checkpoint directory
 //!   (`base/shard-00`, `base/shard-01`, …), so recovery is
 //!   shard-local and a shard's recovery failure names the shard (its
-//!   errors are prefixed `[shard-NN]` via
-//!   [`crate::flow::FlowConfig::shard_label`]).
-//! * **Replication** — with [`ShardedConfig::replicate`], every
-//!   delivery to a shard is mirrored to that shard's ring successor
-//!   (K=2 chain replication over the same router). The successor of
-//!   `owner(v)` therefore receives *every* update that touches `v`'s
-//!   row, making replica rows exact copies of owner rows. The
-//!   mirror copies are priced at [`UPDATE_WIRE_BYTES`] under
-//!   [`CrossShardTraffic::replication_bytes`].
+//!   errors are prefixed `[shard-NN]`).
+//! * **Replication** — with [`ShardedConfig::replicate`], every row
+//!   also lives on its owner's ring successor (K=2 chain replication
+//!   over the same router), which therefore receives *every* update
+//!   that touches the row, making replica rows exact copies of owner
+//!   rows. The mirror copies are priced at [`UPDATE_WIRE_BYTES`] under
+//!   [`CrossShardTraffic::replication_bytes`]. Which shards hold a row
+//!   is decided in one place, [`ShardPlan`]: routing, failover
+//!   ([`ShardedFlow::row_source`], [`ShardedFlow::coverage`]), loss
+//!   accounting and the replica rebuild all read it.
 //! * **Health supervision** — a [`ShardSupervisor`] classifies each
 //!   shard's delivery/checkpoint errors into a health state machine
 //!   (Healthy → Suspect → Dead → Rebuilding → Healthy). A shard dies
 //!   after [`DEFAULT_SUSPECT_STRIKES`] consecutive failures (or an
 //!   injected/announced crash); a success while Suspect heals it.
-//!   Every transition is journaled through the router recorder.
+//!   Every transition is journaled through the router recorder. Every
+//!   fleet call into a shard engine runs inside that shard's fault
+//!   scope, so an armed `shard-0i/<site>` fault reaches one member.
 //! * **Failover** — while a shard is down, merged views and batch
 //!   analytics serve that shard's vertices from the
-//!   ring-successor replica: values stay exact, and results carry a
+//!   replica holder: values stay exact, and results carry a
 //!   typed [`Completion::Degraded`] instead of panicking or silently
 //!   dropping rows. Without replication the down shard's rows are
 //!   simply missing — still `Degraded`, with the gap reported in
@@ -56,8 +59,9 @@
 //!   while the shard was down; replicated fleets reconstruct the
 //!   shard's rows exactly from its ring neighbors. No acknowledged
 //!   update is lost in either mode ([`ShardedFlow::lost_updates`]
-//!   counts the only loss channel: a dead shard on a fleet with
-//!   neither durability nor replication).
+//!   counts the only loss channel: a dead shard with neither
+//!   durability nor a replica holder — including a 1-shard fleet,
+//!   which has no ring to replicate on).
 //! * **Observability** — one labeled [`Recorder`] per shard plus a
 //!   `"router"` recorder that books cross-shard network bytes and
 //!   journals Failover/Rebuild events, so a merged metrics export
@@ -85,7 +89,7 @@ use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::engine::QuarantinedUpdate;
 use ga_stream::sharded::{ShardPlan, UPDATE_WIRE_BYTES};
 use ga_stream::update::UpdateBatch;
-use ga_stream::{Query, QueryResponse, SnapshotHandle};
+use ga_stream::{Query, QueryResponse};
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::io;
@@ -116,6 +120,14 @@ pub fn shard_dir(base: &Path, shard: usize) -> PathBuf {
 /// prefixes alike.
 pub fn shard_label(shard: usize) -> String {
     format!("shard-{shard:02}")
+}
+
+/// Run `f` inside shard `i`'s fault scope. Every fleet call into a
+/// shard engine — delivery, checkpoint, tier scrub, dead-letter replay,
+/// recovery — goes through here, so an armed `shard-0i/<site>` fault
+/// reaches exactly that shard.
+fn in_shard_scope<T>(i: usize, f: impl FnOnce() -> T) -> T {
+    with_scope(&shard_label(i), f)
 }
 
 /// Copy into `out` every property cell of `store` whose vertex `keep`
@@ -206,7 +218,7 @@ impl ShardHealth {
 
     /// Whether a shard in this state serves reads and accepts
     /// deliveries (Healthy or Suspect).
-    pub fn is_serving(self) -> bool {
+    fn is_serving(self) -> bool {
         matches!(self, ShardHealth::Healthy | ShardHealth::Suspect)
     }
 }
@@ -255,7 +267,7 @@ impl ShardSupervisor {
     }
 
     /// Whether `shard` currently serves reads and deliveries.
-    pub fn is_serving(&self, shard: usize) -> bool {
+    fn is_serving(&self, shard: usize) -> bool {
         self.health[shard].is_serving()
     }
 
@@ -309,7 +321,7 @@ impl ShardSupervisor {
     /// take a strike and become Suspect, then Dead at the threshold.
     /// Errors against Dead/Rebuilding shards are not strikes (the
     /// shard is already down). Returns the transition, if any.
-    pub fn record_error(
+    fn record_error(
         &mut self,
         time: Timestamp,
         shard: usize,
@@ -328,7 +340,7 @@ impl ShardSupervisor {
     }
 
     /// Record one success: clears strikes and heals a Suspect shard.
-    pub fn record_success(
+    fn record_success(
         &mut self,
         time: Timestamp,
         shard: usize,
@@ -342,7 +354,7 @@ impl ShardSupervisor {
 
     /// Declare `shard` Dead unconditionally (crash announcement or
     /// administrative kill).
-    pub fn mark_dead(
+    fn mark_dead(
         &mut self,
         time: Timestamp,
         shard: usize,
@@ -352,7 +364,7 @@ impl ShardSupervisor {
     }
 
     /// Dead → Rebuilding. No-op unless the shard is Dead.
-    pub fn begin_rebuild(
+    fn begin_rebuild(
         &mut self,
         time: Timestamp,
         shard: usize,
@@ -364,7 +376,7 @@ impl ShardSupervisor {
     }
 
     /// Rebuilding → Healthy; clears strikes.
-    pub fn complete_rebuild(
+    fn complete_rebuild(
         &mut self,
         time: Timestamp,
         shard: usize,
@@ -436,7 +448,7 @@ impl CheckpointReport {
 /// computed under. `completion` is [`Completion::Complete`] only when
 /// every shard was serving; otherwise [`Completion::Degraded`], with
 /// the gap itemized: `failed_over` shards were served exactly from
-/// their ring-successor replicas, `uncovered` shards had no serving
+/// their replica holders, `uncovered` shards had no serving
 /// copy at all (their rows were absent from the computation).
 #[derive(Clone, Debug)]
 pub struct ShardedRun<T> {
@@ -559,7 +571,7 @@ impl ShardedConfig {
             t.dir = t.dir.join(&label);
             cfg = cfg.tiered(t);
         }
-        cfg.shard_label(label)
+        cfg
     }
 
     /// Build the fleet over an empty global graph of `num_vertices`.
@@ -607,15 +619,16 @@ impl ShardedConfig {
     }
 
     /// Recover shard `i` from its directory under the durability base,
-    /// inside the shard's fault scope.
+    /// inside the shard's fault scope. Errors are prefixed
+    /// `[shard-0i] `, so a failed recovery read from a log names the
+    /// shard as well as the file.
     fn recover_shard(&self, i: usize) -> io::Result<FlowEngine> {
         let base = self
             .durability_base
             .as_ref()
             .ok_or_else(|| io::Error::other("durable fleet missing its base directory"))?;
-        with_scope(&shard_label(i), || {
-            self.shard_config(i).recover(shard_dir(base, i))
-        })
+        in_shard_scope(i, || self.shard_config(i).recover(shard_dir(base, i)))
+            .map_err(|e| io::Error::new(e.kind(), format!("[{}] {e}", shard_label(i))))
     }
 
     fn assemble(self, shards: Vec<FlowEngine>) -> ShardedFlow {
@@ -623,7 +636,6 @@ impl ShardedConfig {
         ShardedFlow {
             plan: ShardPlan::new(self.num_shards),
             supervisor: ShardSupervisor::new(n),
-            labels: (0..n).map(shard_label).collect(),
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             shards,
             clock: 0,
@@ -646,7 +658,6 @@ pub struct ShardedFlow {
     plan: ShardPlan,
     shards: Vec<FlowEngine>,
     supervisor: ShardSupervisor,
-    labels: Vec<String>,
     /// Per-shard redelivery queues: failed deliveries awaiting retry,
     /// dropped router deliveries, and (durable fleets) the backlog of
     /// a dead shard awaiting its rebuild.
@@ -707,7 +718,8 @@ impl ShardedFlow {
 
     /// Updates irrecoverably lost to dead shards. Stays zero whenever
     /// the fleet has durability (the backlog queues for redelivery)
-    /// or replication (the replica already holds a copy).
+    /// or the dead shard has a replica holder (a replicated fleet of
+    /// ≥ 2 shards: the holder already has a copy).
     pub fn lost_updates(&self) -> u64 {
         self.lost_updates
     }
@@ -730,7 +742,7 @@ impl ShardedFlow {
 
     /// Global vertex width: the widest shard graph (shards grow
     /// independently as updates arrive, so widths can differ).
-    pub fn global_width(&self) -> usize {
+    fn global_width(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.graph().num_vertices())
@@ -748,41 +760,25 @@ impl ShardedFlow {
         }
     }
 
-    /// Down shards currently served exactly from their ring-successor
-    /// replica, and down shards with no serving copy at all.
+    /// Down shards currently served exactly from their replica holder,
+    /// and down shards with no serving copy at all.
     pub fn coverage(&self) -> (Vec<usize>, Vec<usize>) {
-        let n = self.shards.len();
-        let mut failed_over = Vec::new();
-        let mut uncovered = Vec::new();
-        for i in 0..n {
-            if self.supervisor.is_serving(i) {
-                continue;
-            }
-            let succ = self.plan.successor(i);
-            if self.config.replicate && succ != i && self.supervisor.is_serving(succ) {
-                failed_over.push(i);
-            } else {
-                uncovered.push(i);
-            }
-        }
-        (failed_over, uncovered)
+        let down = (0..self.shards.len()).filter(|&i| !self.supervisor.is_serving(i));
+        down.partition(|&i| {
+            self.plan
+                .replica_holder(i, self.config.replicate)
+                .is_some_and(|r| self.supervisor.is_serving(r))
+        })
     }
 
-    /// The shard that serves vertex `v`'s row right now: the owner
-    /// when it is alive, else (replicated fleets) the ring successor,
-    /// else `None` — the row is unreachable until a rebuild.
+    /// The shard that serves vertex `v`'s row right now: the first
+    /// serving shard among its [holders](ShardPlan::holders) — the
+    /// owner, then (replicated fleets) the replica holder — else
+    /// `None`: the row is unreachable until a rebuild.
     pub fn row_source(&self, v: VertexId) -> Option<usize> {
-        let owner = self.plan.owner(v);
-        if self.supervisor.is_serving(owner) {
-            return Some(owner);
-        }
-        if self.config.replicate {
-            let succ = self.plan.successor(owner);
-            if succ != owner && self.supervisor.is_serving(succ) {
-                return Some(succ);
-            }
-        }
-        None
+        self.plan
+            .holders(v, self.config.replicate)
+            .find(|&s| self.supervisor.is_serving(s))
     }
 
     /// Pair a fleet kernel result with the coverage it ran under.
@@ -879,7 +875,8 @@ impl ShardedFlow {
         // takes no delivery, so the site is not evaluated then — an
         // armed FailOnce crash stays armed for the rebuilt shard
         // instead of being consumed by a no-op kill.
-        if self.supervisor.is_serving(i) && check(&format!("{}/crash", self.labels[i])).is_err() {
+        let label = shard_label(i);
+        if self.supervisor.is_serving(i) && check(&format!("{label}/crash")).is_err() {
             self.kill_shard(i, "injected crash");
         }
         if !self.supervisor.is_serving(i) {
@@ -887,50 +884,47 @@ impl ShardedFlow {
                 // The rebuild will recover the WAL and then drain this
                 // backlog, so nothing is lost.
                 self.pending[i].push_back(b);
-            } else if !self.config.replicate {
+            } else if self.plan.replica_holder(i, self.config.replicate).is_none() {
                 // No durability, no replica: this is the one genuine
                 // loss channel, and it is counted.
                 self.lost_updates += b.updates.len() as u64;
             }
-            // Replicated fleets drop the copy: the ring successor
-            // received its own delivery of every update in `b` that
-            // shard `i` will need, and the rebuild copies it back.
+            // Otherwise the copy is dropped: the replica holder received
+            // its own delivery of every update in `b` that shard `i`
+            // will need, and the rebuild copies it back.
             return 0;
         }
         // Router delivery drop (reliable-delivery model: the router
         // notices the lost delivery and requeues it).
-        if check(&format!("{}/route.drop", self.labels[i])).is_err() {
+        if check(&format!("{label}/route.drop")).is_err() {
             self.dropped_deliveries += 1;
             self.recorder.journal(
                 self.clock,
                 "route",
-                format!(
-                    "{}: delivery dropped, queued for redelivery",
-                    self.labels[i]
-                ),
+                format!("{label}: delivery dropped, queued for redelivery"),
             );
             self.pending[i].push_back(b);
             return 0;
         }
         self.pending[i].push_back(b);
-        self.drain_pending(i)
+        let (_, quarantined, failure) = self.drain_pending(i);
+        if let Some(e) = failure {
+            self.strike(i, &e.to_string());
+        }
+        quarantined
     }
 
-    /// Hand one sub-batch to shard `i`'s engine, inside the shard's
-    /// fault scope. Returns updates quarantined.
-    fn deliver(&mut self, i: usize, batch: &UpdateBatch) -> io::Result<usize> {
-        let engine = &mut self.shards[i];
-        with_scope(&self.labels[i], || engine.deliver(batch))
-    }
-
-    /// Deliver shard `i`'s queued sub-batches in order, stopping at
-    /// the first failure (which takes a strike and leaves the batch
-    /// queued for the next attempt). Returns updates quarantined.
-    fn drain_pending(&mut self, i: usize) -> usize {
-        let mut quarantined = 0;
+    /// Deliver shard `i`'s queued sub-batches in order, stopping at the
+    /// first failure, which stays queued for the next attempt. Returns
+    /// the batches delivered, the updates they quarantined, and the
+    /// failure that stopped the drain, if any.
+    fn drain_pending(&mut self, i: usize) -> (usize, usize, Option<io::Error>) {
+        let (mut batches, mut quarantined) = (0, 0);
         while let Some(batch) = self.pending[i].pop_front() {
-            match self.deliver(i, &batch) {
+            let engine = &mut self.shards[i];
+            match in_shard_scope(i, || engine.deliver(&batch)) {
                 Ok(q) => {
+                    batches += 1;
                     quarantined += q;
                     let tr = self.supervisor.record_success(self.clock, i);
                     self.journal_transition(i, tr, "delivery succeeded");
@@ -939,12 +933,11 @@ impl ShardedFlow {
                     // The engine applies nothing on a failed durable
                     // append, so requeuing the whole batch is exact.
                     self.pending[i].push_front(batch);
-                    self.strike(i, &e.to_string());
-                    break;
+                    return (batches, quarantined, Some(e));
                 }
             }
         }
-        quarantined
+        (batches, quarantined, None)
     }
 
     /// Take a health strike against shard `i`; a shard that struck out
@@ -973,10 +966,8 @@ impl ShardedFlow {
                 report.skipped.push(i);
                 continue;
             }
-            let label = &self.labels[i];
             let engine = &mut self.shards[i];
-            let result = with_scope(label, || engine.checkpoint());
-            match result {
+            match in_shard_scope(i, || engine.checkpoint()) {
                 Ok(p) => {
                     let tr = self.supervisor.record_success(self.clock, i);
                     self.journal_transition(i, tr, "checkpoint succeeded");
@@ -1023,15 +1014,15 @@ impl ShardedFlow {
             if !self.supervisor.is_serving(i) {
                 continue;
             }
-            let label = self.labels[i].clone();
             let shard = &mut self.shards[i];
-            if let Some((scrub, repair)) = with_scope(&label, || shard.scrub_tier()) {
+            if let Some((scrub, repair)) = in_shard_scope(i, || shard.scrub_tier()) {
                 if !scrub.corrupt.is_empty() || !repair.unrepairable.is_empty() {
                     self.recorder.journal(
                         self.clock,
                         "tier_scrub",
                         format!(
-                            "{label}: {} corrupt, {} repaired, {} unrepairable",
+                            "{}: {} corrupt, {} repaired, {} unrepairable",
+                            shard_label(i),
                             scrub.corrupt.len(),
                             repair.repaired.len(),
                             repair.unrepairable.len()
@@ -1063,7 +1054,7 @@ impl ShardedFlow {
         self.journal_transition(i, tr, "rebuild started");
         let result = if self.durable() {
             self.rebuild_from_wal(i)
-        } else if self.config.replicate && self.num_shards() >= 2 {
+        } else if self.plan.replica_holder(i, self.config.replicate).is_some() {
             self.rebuild_from_replica(i)
         } else {
             Err(io::Error::other(format!(
@@ -1093,31 +1084,23 @@ impl ShardedFlow {
     fn rebuild_from_wal(&mut self, i: usize) -> io::Result<(RebuildSource, usize)> {
         self.shards[i] = self.config.recover_shard(i)?;
         // Redeliver the backlog that queued while the shard was dead.
-        let mut batches = 0;
-        while let Some(batch) = self.pending[i].pop_front() {
-            if let Err(e) = self.deliver(i, &batch) {
-                self.pending[i].push_front(batch);
-                return Err(e);
-            }
-            batches += 1;
+        match self.drain_pending(i) {
+            (batches, _, None) => Ok((RebuildSource::WalReplay, batches)),
+            (_, _, Some(e)) => Err(e),
         }
-        Ok((RebuildSource::WalReplay, batches))
     }
 
-    /// Exact reconstruction from ring neighbors. Shard `i` holds
-    /// three kinds of rows: its owned rows (full copies live on
-    /// `succ(i)` — the replica), the rows it replicates for `pred(i)`
-    /// (full copies live on `pred(i)` itself), and ghost rows, which
-    /// contain exactly the slots whose destination is owned by `i` or
-    /// `pred(i)` — a delivery reaches `i` iff one of the update's
-    /// endpoints is owned by `i` or `pred(i)`, so filtering the
-    /// owner's full row to those destinations reproduces the live
-    /// edge set shard `i` would hold.
+    /// Exact reconstruction from the other holders of shard `i`'s rows.
+    /// Shard `i` holds two kinds of rows: those whose row it
+    /// [holds](ShardPlan::holders) in full (it owns them, or is their
+    /// replica holder), and ghost rows. A delivery reaches `i` iff
+    /// `i` holds the row of one of the update's endpoints, so a ghost
+    /// row holds exactly the slots whose destination row `i` holds.
+    /// Each row and property is copied from the shard serving it
+    /// ([`Self::row_source`]), filtered by that rule.
     fn rebuild_from_replica(&mut self, i: usize) -> io::Result<(RebuildSource, usize)> {
-        let succ = self.plan.successor(i);
-        let pred = self.plan.predecessor(i);
         let width = self.global_width();
-        let held = |x: VertexId| [i, pred].contains(&self.plan.owner(x));
+        let held = |x: VertexId| self.plan.holders(x, self.config.replicate).any(|s| s == i);
         let mut rows = Vec::with_capacity(width);
         for v in 0..width as VertexId {
             let Some(src) = self.row_source(v) else {
@@ -1136,12 +1119,11 @@ impl ShardedFlow {
             );
         }
         let graph = DynamicGraph::from_rows(rows, self.last_update());
-        // Properties: shard `i` holds its owned columns (replicated on
-        // `succ`) and the replica copies of `pred`'s (live on `pred`).
+        // Properties live with their vertex's row.
         let mut props = PropertyStore::new(0);
-        for (src_shard, owned_by) in [(succ, i), (pred, pred)] {
-            copy_props(&mut props, self.shards[src_shard].props(), |v| {
-                self.plan.owner(v) == owned_by
+        for (shard, engine) in self.shards.iter().enumerate() {
+            copy_props(&mut props, engine.props(), |v| {
+                held(v) && self.row_source(v) == Some(shard)
             });
         }
         let mut engine = self.config.shard_config(i).build_with_graph(graph, props)?;
@@ -1152,9 +1134,9 @@ impl ShardedFlow {
     }
 
     /// Resolve ghosts into one global graph: each vertex's row comes
-    /// verbatim from the shard serving it — its owner, or (while the
-    /// owner is down, on replicated fleets) the ring-successor
-    /// replica, whose rows are exact copies. With every shard
+    /// verbatim from the shard serving it ([`Self::row_source`]) — its
+    /// owner, or (while the owner is down, on replicated fleets) the
+    /// replica holder, whose rows are exact copies. With every shard
     /// serving, the result is bit-identical to an unsharded engine's
     /// graph after the same batches; under single-shard failure with
     /// replication it still is. Rows with no serving copy are empty.
@@ -1227,9 +1209,8 @@ impl ShardedFlow {
             if !self.supervisor.is_serving(i) {
                 continue;
             }
-            let label = &self.labels[i];
             let engine = &mut self.shards[i];
-            let (r, q) = with_scope(label, || engine.replay_dead_letters())?;
+            let (r, q) = in_shard_scope(i, || engine.replay_dead_letters())?;
             replayed += r;
             requeued += q;
         }
@@ -1333,17 +1314,6 @@ impl ShardedFlow {
     // Concurrent query serving: per-shard epoch publication + routing.
     // -----------------------------------------------------------------
 
-    /// Start serving from every shard: publish each shard's current
-    /// state and return the per-shard [`SnapshotHandle`]s (index =
-    /// shard id). Subsequent [`Self::process_batch`] ingest republishes
-    /// automatically through each shard engine's publication hooks.
-    pub fn serve_handles(&mut self) -> Vec<SnapshotHandle> {
-        self.shards
-            .iter_mut()
-            .map(|engine| engine.serve_handle())
-            .collect()
-    }
-
     /// Republish every shard's current generation (useful after
     /// out-of-band mutation through [`Self::shard_mut`]). A no-op on
     /// shards that never started serving.
@@ -1355,14 +1325,19 @@ impl ShardedFlow {
 
     /// A query router over this fleet's published snapshots: point
     /// queries go to the owning shard (exact, thanks to ghost edges),
-    /// top-k scans scatter-gather. Create one per reader thread — the
-    /// router revalidates each shard's snapshot with one atomic load
-    /// and never blocks ingest.
+    /// top-k scans scatter-gather. Starts every shard serving (each
+    /// publishes its current state; later [`Self::process_batch`]
+    /// ingest republishes through the engines' publication hooks).
+    /// Create one per reader thread — the router revalidates each
+    /// shard's snapshot with one atomic load and never blocks ingest.
     pub fn query_router(&mut self) -> ShardedQueryRouter {
-        let handles = self.serve_handles();
         ShardedQueryRouter {
             plan: self.plan,
-            readers: handles.iter().map(|h| h.reader()).collect(),
+            readers: self
+                .shards
+                .iter_mut()
+                .map(|engine| engine.serve_handle().reader())
+                .collect(),
         }
     }
 }
@@ -1782,6 +1757,34 @@ mod tests {
             err.to_string().contains("no rebuild source"),
             "unexpected: {err}"
         );
+    }
+
+    /// `replicate` is a no-op on one shard: with no ring there is no
+    /// replica holder, so a killed 1-shard fleet loses what it is
+    /// offered, reports the shard uncovered and has no rebuild source,
+    /// exactly as without the knob.
+    #[test]
+    fn one_shard_replicated_fleet_counts_loss_like_a_plain_one() {
+        for replicate in [false, true] {
+            let mut fleet = ShardedFlow::builder(1)
+                .replicate(replicate)
+                .build(64)
+                .unwrap();
+            fleet.kill_shard(0, "lone shard");
+            let batch = UpdateBatch {
+                time: 1,
+                updates: rmat_edge_stream(6, 200, 0.0, 3),
+            };
+            fleet.process_batch(&batch).unwrap();
+            assert_eq!(fleet.lost_updates(), 200, "replicate={replicate}");
+            assert_eq!(fleet.coverage(), (vec![], vec![0]), "replicate={replicate}");
+            assert_eq!(fleet.row_source(0), None);
+            let err = fleet.rebuild_shard(0).unwrap_err();
+            assert!(
+                err.to_string().contains("no rebuild source"),
+                "replicate={replicate}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl OpCounters {
     }
 
     /// Record edges examined.
-    pub fn add_edges(&self, n: u64) {
+    fn add_edges(&self, n: u64) {
         self.edges_touched.fetch_add(n, Ordering::Relaxed);
     }
 

@@ -7,10 +7,9 @@
 //! * [`rmat`] — the Graph500 Kronecker/R-MAT generator (skewed degree
 //!   distribution, the canonical "big graph" stand-in),
 //! * [`erdos_renyi`] — uniform G(n, m),
-//! * [`barabasi_albert`] — preferential attachment (power-law),
 //! * [`watts_strogatz`] — small-world rewiring,
-//! * regular topologies ([`grid2d`], [`path`], [`star`], [`complete`],
-//!   [`ring`]) used by unit tests and the architecture simulators.
+//! * regular topologies ([`path`], [`star`], [`complete`], [`ring`])
+//!   used by unit tests and the architecture simulators.
 //!
 //! All generators take an explicit `seed` and use a counter-based PRNG
 //! stream (`ChaCha8`), so every experiment in EXPERIMENTS.md is exactly
@@ -91,41 +90,6 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Vec<Edge> {
     edges
 }
 
-/// Barabási–Albert preferential attachment: starts from a small clique,
-/// each new vertex attaches `k` edges biased toward high-degree targets.
-/// Produces a power-law-ish degree distribution.
-pub fn barabasi_albert(n: usize, k: usize, seed: u64) -> Vec<Edge> {
-    assert!(k >= 1 && n > k, "need n > k >= 1");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut edges: Vec<Edge> = Vec::with_capacity(n * k);
-    // Repeated-endpoint list: sampling uniformly from it is sampling
-    // proportionally to degree.
-    let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * n * k);
-    let core = k + 1;
-    for u in 0..core {
-        for v in 0..u {
-            edges.push((u as VertexId, v as VertexId));
-            endpoints.push(u as VertexId);
-            endpoints.push(v as VertexId);
-        }
-    }
-    for u in core..n {
-        let mut chosen = Vec::with_capacity(k);
-        while chosen.len() < k {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if t != u as VertexId && !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        for &t in &chosen {
-            edges.push((u as VertexId, t));
-            endpoints.push(u as VertexId);
-            endpoints.push(t);
-        }
-    }
-    edges
-}
-
 /// Watts–Strogatz small world: ring lattice with `k` neighbors per side,
 /// each edge rewired with probability `beta`.
 pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Vec<Edge> {
@@ -145,24 +109,6 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Vec<Edge> {
                 }
             }
             edges.push((u as VertexId, v as VertexId));
-        }
-    }
-    edges
-}
-
-/// `rows x cols` 4-neighbor grid (undirected edge set emitted once per
-/// pair; symmetrize when building).
-pub fn grid2d(rows: usize, cols: usize) -> Vec<Edge> {
-    let mut edges = Vec::with_capacity(2 * rows * cols);
-    let id = |r: usize, c: usize| (r * cols + c) as VertexId;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                edges.push((id(r, c), id(r, c + 1)));
-            }
-            if r + 1 < rows {
-                edges.push((id(r, c), id(r + 1, c)));
-            }
         }
     }
     edges
@@ -251,36 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn barabasi_albert_degrees() {
-        let n = 500;
-        let k = 3;
-        let edges = barabasi_albert(n, k, 11);
-        let g = CsrGraph::from_edges_undirected(n, &edges);
-        // Every non-core vertex has at least k undirected neighbors.
-        for v in (k as VertexId + 1)..n as VertexId {
-            assert!(g.degree(v) >= k, "v={v} degree {}", g.degree(v));
-        }
-        // Preferential attachment produces a heavy tail.
-        let max_deg = g.vertices().map(|v| g.degree(v)).max().unwrap();
-        assert!(max_deg >= 4 * k);
-    }
-
-    #[test]
     fn watts_strogatz_edge_count() {
         let edges = watts_strogatz(100, 2, 0.1, 5);
         assert_eq!(edges.len(), 200);
         assert!(edges.iter().all(|&(u, v)| u != v));
-    }
-
-    #[test]
-    fn grid_shape() {
-        let edges = grid2d(3, 4);
-        // 3*3 horizontal + 2*4 vertical = 17
-        assert_eq!(edges.len(), 3 * 3 + 2 * 4);
-        let g = CsrGraph::from_edges_undirected(12, &edges);
-        // Corner degree 2, interior degree 4.
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(5), 4);
     }
 
     #[test]

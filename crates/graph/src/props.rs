@@ -329,7 +329,7 @@ impl PropertyStore {
     }
 
     /// Process-local mutation stamp: moves on every successful write
-    /// (`set`, bulk column writes, `grow`, `drop_column`, `write_back`)
+    /// (`set`, bulk column writes, `grow`)
     /// and is *not* persisted across checkpoints. Equal versions on the
     /// same store instance mean no column changed in between.
     pub fn version(&self) -> u64 {
@@ -421,15 +421,6 @@ impl PropertyStore {
         self.columns.get(name).map_or(0, |c| c.count())
     }
 
-    /// Drop a column, returning whether it existed.
-    pub fn drop_column(&mut self, name: &str) -> bool {
-        let removed = self.columns.remove(name).is_some();
-        if removed {
-            self.version += 1;
-        }
-        removed
-    }
-
     /// The `k` vertices with the largest numeric value in `name`
     /// (descending; ties broken by vertex id). This is the "scan for the
     /// top-k vertices with the highest values of some properties" seed
@@ -487,19 +478,6 @@ impl PropertyStore {
             num_vertices,
             columns,
             version: 0,
-        }
-    }
-
-    /// Merge values from a projected store back into this one (inverse of
-    /// [`Self::project`]): `back_map[new_id] = old_id`.
-    pub fn write_back(&mut self, projected: &PropertyStore, back_map: &[VertexId]) {
-        assert_eq!(projected.num_vertices, back_map.len());
-        for name in projected.column_names().into_iter().map(str::to_string) {
-            for (new_id, &old_id) in back_map.iter().enumerate() {
-                if let Some(value) = projected.get(&name, new_id as VertexId) {
-                    self.set(&name, old_id, value);
-                }
-            }
         }
     }
 }
@@ -567,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn project_and_write_back() {
+    fn project_selects_rows_and_columns() {
         let mut p = PropertyStore::new(6);
         p.set_column_f64("pr", &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
         p.set("label", 4, "seed");
@@ -578,25 +556,6 @@ mod tests {
         assert_eq!(sub.get_f64("pr", 0), Some(0.4));
         assert_eq!(sub.get_f64("pr", 1), Some(0.2));
         assert!(!sub.has_column("label"));
-
-        // Analytic on the subgraph writes a new column; push it back.
-        let mut sub = sub;
-        sub.set_column_f64("bc", &[9.0, 7.0]);
-        p.write_back(&sub, &[4, 2]);
-        assert_eq!(p.get_f64("bc", 4), Some(9.0));
-        assert_eq!(p.get_f64("bc", 2), Some(7.0));
-        assert_eq!(p.get_f64("bc", 0), None);
-        // write_back also refreshed pr values at the mapped slots
-        assert_eq!(p.get_f64("pr", 4), Some(0.4));
-    }
-
-    #[test]
-    fn drop_column_works() {
-        let mut p = PropertyStore::new(2);
-        p.set("x", 0, 1.0);
-        assert!(p.drop_column("x"));
-        assert!(!p.drop_column("x"));
-        assert!(!p.has_column("x"));
     }
 
     #[test]
@@ -687,12 +646,6 @@ mod tests {
         assert_eq!(p.version(), v2);
         p.grow(5);
         assert!(p.version() > v2);
-        let v3 = p.version();
-        assert!(p.drop_column("y"));
-        assert!(p.version() > v3);
-        let v4 = p.version();
-        assert!(!p.drop_column("y"));
-        assert_eq!(p.version(), v4);
         // Equality ignores the process-local stamp.
         let q = p.clone();
         assert_eq!(p, q);

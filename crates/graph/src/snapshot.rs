@@ -179,8 +179,7 @@ pub struct SnapshotStats {
     pub snapshots_served: u64,
     /// Requests answered from the cached CSR without touching a row.
     pub cache_hits: u64,
-    /// Rebuilds that had no previous snapshot to reuse (cold start or
-    /// after [`SnapshotCache::invalidate`]).
+    /// Rebuilds that had no previous snapshot to reuse (cold start).
     pub full_rebuilds: u64,
     /// Rebuilds that reused at least the clean rows of the previous
     /// snapshot.
@@ -307,13 +306,6 @@ impl SnapshotCache {
         std::mem::take(&mut self.stats)
     }
 
-    /// Drop the cached snapshot; the next request is a full rebuild.
-    pub fn invalidate(&mut self) {
-        self.prev = None;
-        self.prev_compressed = None;
-        self.spare = None;
-    }
-
     /// Serve a delta-varint compressed snapshot of `g` (see
     /// [`CompressedCsr`]). The plain CSR is produced (or delta-rebuilt)
     /// through [`Self::snapshot`] first — reusing the row-wise freeze
@@ -330,7 +322,7 @@ impl SnapshotCache {
 
     /// [`Self::compressed_snapshot`] plus the [`SnapshotEpoch`] that
     /// identifies the served generation.
-    pub fn compressed_snapshot_stamped(
+    fn compressed_snapshot_stamped(
         &mut self,
         g: &DynamicGraph,
         par: Parallelism,
@@ -640,7 +632,7 @@ mod tests {
         // so check the capacity too: generation 3 has fewer edges than
         // generation 1 but sits in its allocation.
         let last = c.snapshot(&g, Parallelism::Serial);
-        c.invalidate();
+        drop(c);
         let (_, t, _) = Arc::try_unwrap(last).expect("sole owner").into_parts();
         assert_eq!(t.len(), targets[3].1);
         assert!(t.capacity() >= targets[1].1 && targets[1].1 > t.len());
@@ -677,16 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_forces_full_rebuild() {
-        let g = rmat_dynamic(6, 4, 29);
-        let mut c = SnapshotCache::new();
-        c.snapshot(&g, Parallelism::Serial);
-        c.invalidate();
-        c.snapshot(&g, Parallelism::Serial);
-        assert_eq!(c.stats().full_rebuilds, 2);
-    }
-
-    #[test]
     fn epochs_move_only_on_rebuild() {
         let mut g = rmat_dynamic(6, 4, 41);
         let mut c = SnapshotCache::new();
@@ -702,10 +684,7 @@ mod tests {
         // The compressed serve of the same version shares the stamp.
         let (_, ed) = c.compressed_snapshot_stamped(&g, Parallelism::Serial);
         assert_eq!(ed.epoch, ec.epoch);
-        c.invalidate();
-        let (_, ee) = c.snapshot_stamped(&g, Parallelism::Serial);
-        assert!(ee.epoch > ed.epoch, "invalidate never rewinds the epoch");
-        assert_eq!(c.epoch(), ee.epoch);
+        assert_eq!(c.epoch(), ec.epoch);
     }
 
     #[test]

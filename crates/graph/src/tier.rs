@@ -512,11 +512,7 @@ impl SegmentStore {
     /// the cache. Corrupt frames are quarantined. Returns
     /// `Ok(Some(outcome))` for a healthy segment, `Ok(None)` when the
     /// file is missing, and the read/validation error otherwise.
-    pub fn scrub_one(
-        &self,
-        kind: SegmentKind,
-        id: u64,
-    ) -> Result<Option<IoOutcome>, SegmentReadError> {
+    fn scrub_one(&self, kind: SegmentKind, id: u64) -> Result<Option<IoOutcome>, SegmentReadError> {
         let mut slowed = false;
         match faults::intercept("segment.scrub") {
             Intercept::Proceed => {}
@@ -601,12 +597,6 @@ impl TierConfig {
     /// Set rows per segment.
     pub fn segment_rows(mut self, rows: usize) -> Self {
         self.segment_rows = rows.max(1);
-        self
-    }
-
-    /// Set the per-window IO budget.
-    pub fn io_budget(mut self, bytes: u64) -> Self {
-        self.io_budget_bytes = bytes;
         self
     }
 
@@ -1445,10 +1435,10 @@ mod tests {
         let dir = tmpdir("budget");
         // A 1-byte IO window: every prefetch is denied, demand misses
         // still stream every row correctly.
-        let cfg = TierConfig::new(&dir)
-            .segment_rows(16)
-            .io_budget(1)
-            .keep_pin(false);
+        let cfg = TierConfig {
+            io_budget_bytes: 1,
+            ..TierConfig::new(&dir).segment_rows(16).keep_pin(false)
+        };
         let tier = TieredCsr::spill(&snap, cfg).unwrap();
         tier.begin_io_window();
         for v in snap.vertices() {

@@ -54,7 +54,7 @@ impl Completion {
 /// stop early with a typed partial result when the bound is hit. The
 /// bound counts work, not wall time, so a budgeted run stops at the same
 /// point on every host. Exhaustions are tallied so the flow layer can
-/// count partial analytics (`deadline_partials`) without threading
+/// count partial analytics (`budget_partials`) without threading
 /// return values through every analytic trait.
 ///
 /// The default budget is unlimited: `check` is a no-op and kernels run

@@ -51,7 +51,7 @@ impl UnionFind {
     }
 
     /// Representative without path compression (read-only contexts).
-    pub fn find_const(&self, mut x: VertexId) -> VertexId {
+    fn find_const(&self, mut x: VertexId) -> VertexId {
         while self.parent[x as usize] != x {
             x = self.parent[x as usize];
         }

@@ -118,7 +118,7 @@ impl HistogramSnapshot {
     /// (`0.0 ..= 1.0`), or 0 for an empty histogram. Log2 buckets make
     /// this exact to within a factor of 2 — enough for tail-latency
     /// assertions without storing raw samples.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
+    fn quantile_upper_bound(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;

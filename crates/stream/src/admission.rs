@@ -183,7 +183,7 @@ impl AdmissionQueue {
     }
 
     /// Queued batches across all classes.
-    pub fn len_batches(&self) -> usize {
+    fn len_batches(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
 

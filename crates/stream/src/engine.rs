@@ -201,11 +201,6 @@ impl StreamEngine {
         out
     }
 
-    /// Snapshot-cache counters since the last drain.
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        self.snapshots.stats()
-    }
-
     /// Drain the snapshot-cache counters (the flow engine folds them
     /// into `FlowStats` after each batch run).
     pub fn take_snapshot_stats(&mut self) -> SnapshotStats {
@@ -795,7 +790,7 @@ mod tests {
         let a = e.csr_snapshot(Parallelism::Serial);
         let b = e.csr_snapshot(Parallelism::Serial);
         assert!(Arc::ptr_eq(&a, &b), "unchanged graph must hit the cache");
-        assert_eq!(e.snapshot_stats().cache_hits, 1);
+        assert_eq!(e.take_snapshot_stats().cache_hits, 1);
         // A new update invalidates; the next snapshot is a delta rebuild.
         e.apply_batch(&UpdateBatch {
             time: 2,
@@ -807,13 +802,12 @@ mod tests {
         });
         let c = e.csr_snapshot(Parallelism::Serial);
         assert!(c.has_edge(2, 3) && c.has_edge(3, 2));
-        assert_eq!(e.snapshot_stats().delta_rebuilds, 1);
+        assert_eq!(e.take_snapshot_stats().delta_rebuilds, 1);
         // Bit-identical to the direct freeze.
         let direct = e.graph().snapshot();
         assert_eq!(c.raw_offsets(), direct.raw_offsets());
         assert_eq!(c.raw_targets(), direct.raw_targets());
         // Drain resets.
-        assert!(e.take_snapshot_stats().snapshots_served > 0);
-        assert_eq!(e.snapshot_stats(), SnapshotStats::default());
+        assert_eq!(e.take_snapshot_stats(), SnapshotStats::default());
     }
 }

@@ -21,6 +21,13 @@
 //! Resolving ghosts is therefore trivial: take each vertex's row from
 //! its owner shard and discard the rest.
 //!
+//! [`ShardPlan`] is the one home of the rule that says which shards
+//! hold `v`'s row: `owner(v)`, and on a replicated plan of ≥ 2 shards
+//! also the owner's ring successor ([`ShardPlan::holders`]). Routing
+//! delivers an update to exactly the holders of its endpoints' rows,
+//! and the fleet's failover, loss accounting and replica rebuild read
+//! the same rule instead of restating it.
+//!
 //! This module is routing only. The one fleet type — `ShardedFlow`,
 //! N shard-local flow engines with merged views, checkpointing,
 //! batch analytics and per-shard recovery — lives in
@@ -47,7 +54,9 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The hash partition: which shard owns which vertex.
+/// The hash partition: which shard owns which vertex, and which shards
+/// hold its row. This is the one home of the replica rule: routing,
+/// failover, loss accounting and rebuilds all ask it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     num_shards: usize,
@@ -60,32 +69,23 @@ impl ShardPlan {
         ShardPlan { num_shards }
     }
 
-    /// Number of shards in the plan.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
     /// The shard that owns vertex `v`.
     pub fn owner(&self, v: VertexId) -> usize {
         (splitmix64(v as u64) % self.num_shards as u64) as usize
     }
 
-    /// The ring successor of `shard` — the shard that holds `shard`'s
-    /// replica under K=2 chain replication.
-    pub fn successor(&self, shard: usize) -> usize {
-        (shard + 1) % self.num_shards
+    /// The shard holding a copy of every row `shard` owns: its ring
+    /// successor under K=2 chain replication when `replicate` is on and
+    /// the plan has ≥ 2 shards, else none.
+    pub fn replica_holder(&self, shard: usize, replicate: bool) -> Option<usize> {
+        (replicate && self.num_shards >= 2).then_some((shard + 1) % self.num_shards)
     }
 
-    /// The ring predecessor of `shard` — the shard whose rows `shard`
-    /// replicates under K=2 chain replication.
-    pub fn predecessor(&self, shard: usize) -> usize {
-        (shard + self.num_shards - 1) % self.num_shards
-    }
-
-    /// The shard holding vertex `v`'s replica rows (the owner's ring
-    /// successor). Equal to the owner itself in a 1-shard plan.
-    pub fn replica(&self, v: VertexId) -> usize {
-        self.successor(self.owner(v))
+    /// The shards holding vertex `v`'s row: its owner, then the owner's
+    /// [`Self::replica_holder`] if there is one. The two are distinct.
+    pub fn holders(&self, v: VertexId, replicate: bool) -> impl Iterator<Item = usize> {
+        let owner = self.owner(v);
+        std::iter::once(owner).chain(self.replica_holder(owner, replicate))
     }
 
     /// Route one batch into per-shard sub-batches. Every shard receives
@@ -93,26 +93,26 @@ impl ShardPlan {
     /// the batch-time watermark (and its monotonicity validation)
     /// advances identically on every shard for any shard count.
     ///
-    /// Routing rule: edge updates go to **both** endpoints' owners
-    /// (once, when they coincide); property updates go to the vertex's
-    /// owner only. A *ghost* delivery is the second copy of a
-    /// cross-shard edge update — the router's cross-shard ingest
-    /// traffic in updates.
+    /// Routing rule: an update goes, once, to every shard that
+    /// [holds](Self::holders) the row of one of its endpoints — both
+    /// endpoints of an edge, the vertex of a property write. Without
+    /// replication that is the endpoints' owners. A *ghost* delivery is
+    /// the second owner copy of a cross-shard edge update — the
+    /// router's cross-shard ingest traffic in updates.
     ///
-    /// With `replicate` true (and ≥ 2 shards), K=2 chain replication:
-    /// every delivery to shard `s` is mirrored to `s`'s ring successor,
-    /// so the successor holds a slot-exact copy of every row `s` owns
-    /// and the fleet can fail over to it when `s` dies.
+    /// With `replicate` on (K=2 chain replication), every row also
+    /// lives on its owner's ring successor, so that shard holds a
+    /// slot-exact copy of every row its predecessor owns and the fleet
+    /// can fail over to it when the owner dies.
     ///
     /// Replica deliveries are *additional* fan-out, booked separately
     /// from ghosts: the return is `(sub_batches, ghosts, replicas)`
     /// where `replicas` counts deliveries made only because of the
-    /// successor rule (each priced at [`UPDATE_WIRE_BYTES`] by the
-    /// flow-level router). Because the successor of `v`'s owner sees
-    /// precisely every update the owner sees for `v`'s row — in the
-    /// same order — replica rows inherit invariant 1 of the module
-    /// docs: they are identical to the owner's, weights and timestamps
-    /// included.
+    /// replica holders (each priced at [`UPDATE_WIRE_BYTES`] by the
+    /// flow-level router). Because the replica holder of `v`'s row sees
+    /// precisely every update the owner sees for it — in the same order
+    /// — replica rows inherit invariant 1 of the module docs: they are
+    /// identical to the owner's, weights and timestamps included.
     pub fn route_batch_replicated(
         &self,
         batch: &UpdateBatch,
@@ -124,44 +124,27 @@ impl ShardPlan {
                 updates: Vec::new(),
             })
             .collect();
-        let replicate = replicate && self.num_shards >= 2;
         let mut ghosts = 0u64;
         let mut replicas = 0u64;
         for u in &batch.updates {
-            match u {
-                Update::EdgeInsert { src, dst, .. } | Update::EdgeDelete { src, dst } => {
-                    let a = self.owner(*src);
-                    let b = self.owner(*dst);
-                    shards[a].updates.push(u.clone());
-                    if b != a {
-                        shards[b].updates.push(u.clone());
-                        ghosts += 1;
-                    }
-                    if replicate {
-                        // Mirror to both owners' successors, minus any
-                        // shard already covered by the owner deliveries
-                        // (each shard receives an update at most once).
-                        let sa = self.successor(a);
-                        let sb = self.successor(b);
-                        if sa != a && sa != b {
-                            shards[sa].updates.push(u.clone());
-                            replicas += 1;
-                        }
-                        if sb != sa && sb != a && sb != b {
-                            shards[sb].updates.push(u.clone());
-                            replicas += 1;
-                        }
-                    }
-                }
-                Update::PropertySet { vertex, .. } => {
-                    let o = self.owner(*vertex);
-                    shards[o].updates.push(u.clone());
-                    if replicate {
-                        shards[self.successor(o)].updates.push(u.clone());
-                        replicas += 1;
-                    }
+            let (a, b) = match *u {
+                Update::EdgeInsert { src, dst, .. } | Update::EdgeDelete { src, dst } => (src, dst),
+                Update::PropertySet { vertex, .. } => (vertex, vertex),
+            };
+            let owners = if self.owner(a) == self.owner(b) { 1 } else { 2 };
+            // At most four holders (two rows, each on owner + replica);
+            // each shard receives an update at most once.
+            let mut to = [0usize; 4];
+            let mut n = 0;
+            for s in self.holders(a, replicate).chain(self.holders(b, replicate)) {
+                if !to[..n].contains(&s) {
+                    to[n] = s;
+                    n += 1;
+                    shards[s].updates.push(u.clone());
                 }
             }
+            ghosts += owners - 1;
+            replicas += n as u64 - owners;
         }
         (shards, ghosts, replicas)
     }
@@ -172,6 +155,7 @@ mod tests {
     use super::*;
     use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream};
+    use proptest::prelude::*;
 
     #[test]
     fn owner_is_stable_and_in_range() {
@@ -221,16 +205,18 @@ mod tests {
     fn replica_placement_follows_the_ring() {
         let plan = ShardPlan::new(4);
         for s in 0..4 {
-            assert_eq!(plan.successor(s), (s + 1) % 4);
-            assert_eq!(plan.predecessor(plan.successor(s)), s);
+            assert_eq!(plan.replica_holder(s, true), Some((s + 1) % 4));
+            assert_eq!(plan.replica_holder(s, false), None);
         }
         for v in 0..64u32 {
-            assert_eq!(plan.replica(v), plan.successor(plan.owner(v)));
-            assert_ne!(plan.replica(v), plan.owner(v), "replica must be remote");
+            let holders: Vec<usize> = plan.holders(v, true).collect();
+            assert_eq!(holders, [plan.owner(v), (plan.owner(v) + 1) % 4]);
+            assert_eq!(plan.holders(v, false).collect::<Vec<_>>(), [plan.owner(v)]);
         }
-        // Degenerate 1-shard plan: the replica *is* the owner.
+        // A 1-shard plan has no replica: the owner is the only holder.
         let one = ShardPlan::new(1);
-        assert_eq!(one.replica(7), one.owner(7));
+        assert_eq!(one.replica_holder(0, true), None);
+        assert_eq!(one.holders(7, true).collect::<Vec<_>>(), [0]);
     }
 
     #[test]
@@ -263,8 +249,8 @@ mod tests {
         assert_eq!(r0, 0);
     }
 
-    /// The failover contract at the stream level: the successor of
-    /// `v`'s owner holds a row for `v` that is identical to the
+    /// The failover contract at the stream level: the replica holder
+    /// of `v`'s row holds a row for `v` that is identical to the
     /// owner's, so the fleet can serve `v` from the replica verbatim.
     #[test]
     fn replica_rows_are_slot_exact_copies_of_owner_rows() {
@@ -280,7 +266,7 @@ mod tests {
             }
             for v in 0..64u32 {
                 let owner = &engines[plan.owner(v)];
-                let replica = &engines[plan.replica(v)];
+                let replica = &engines[plan.holders(v, true).nth(1).unwrap()];
                 assert_eq!(
                     owner.graph().row_slots(v),
                     replica.graph().row_slots(v),
@@ -349,6 +335,62 @@ mod tests {
                     *reference.graph(),
                     "{shards}-shard merge diverged (symmetrize={symmetrize})"
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The routing rule the replica rebuild depends on: for random
+        /// batches, with replication on and off, at 1–5 shards, a shard
+        /// receives an update iff it holds the row of one of the
+        /// update's endpoints, and then exactly once, in stream order.
+        #[test]
+        fn a_shard_receives_an_update_iff_it_holds_an_endpoint_row(
+            (script, shards, rep) in (
+                prop::collection::vec((0u8..3, 0u32..40, 0u32..40), 0..120),
+                1usize..6,
+                0u8..2,
+            )
+        ) {
+            let replicate = rep == 1;
+            let updates = script
+                .iter()
+                .map(|&(op, u, v)| match op {
+                    0 => Update::EdgeInsert { src: u, dst: v, weight: 1.0 },
+                    1 => Update::EdgeDelete { src: u, dst: v },
+                    _ => Update::PropertySet { vertex: u, name: "p".into(), value: v as f64 },
+                })
+                .collect();
+            let plan = ShardPlan::new(shards);
+            let batch = UpdateBatch { time: 9, updates };
+            let (sub, _, _) = plan.route_batch_replicated(&batch, replicate);
+            // The rule, written out: the owner, plus its ring successor
+            // on a replicated plan of at least two shards.
+            let holds = |s: usize, v: VertexId| {
+                let o = plan.owner(v);
+                s == o || (replicate && shards >= 2 && s == (o + 1) % shards)
+            };
+            for (s, got) in sub.iter().enumerate() {
+                // Walk the batch and the shard's sub-batch together: the
+                // sub-batch must be exactly the wanted subsequence.
+                let mut got = got.updates.iter().peekable();
+                for u in &batch.updates {
+                    let (a, b) = match *u {
+                        Update::EdgeInsert { src, dst, .. } | Update::EdgeDelete { src, dst } => {
+                            (src, dst)
+                        }
+                        Update::PropertySet { vertex, .. } => (vertex, vertex),
+                    };
+                    prop_assert_eq!(plan.holders(a, replicate).any(|h| h == s), holds(s, a));
+                    let want = holds(s, a) || holds(s, b);
+                    prop_assert_eq!(want, got.peek() == Some(&u), "shard {} {:?}", s, u);
+                    if want {
+                        got.next();
+                    }
+                }
+                prop_assert!(got.next().is_none(), "shard {} got extra updates", s);
             }
         }
     }

@@ -49,19 +49,6 @@ impl IncrementalTriangles {
         self.per_vertex.get(&v).copied().unwrap_or(0)
     }
 
-    /// Live local clustering coefficient of `v`: maintained triangle
-    /// count over the current wedge count — the streaming form of the
-    /// Fig. 1 "CCO" row, for free on top of the triangle monitor.
-    pub fn local_clustering(&self, g: &DynamicGraph, v: VertexId) -> f64 {
-        let d = g.degree(v) as u64;
-        let wedges = d * d.saturating_sub(1) / 2;
-        if wedges == 0 {
-            0.0
-        } else {
-            self.vertex(v) as f64 / wedges as f64
-        }
-    }
-
     /// Live neighbors shared by `u` and `v`: a merge of the two rows,
     /// which the graph keeps sorted by destination.
     fn common_neighbors(g: &DynamicGraph, u: VertexId, v: VertexId) -> Vec<VertexId> {
@@ -249,7 +236,14 @@ mod tests {
         let snap = e.graph().snapshot();
         let batch = ga_kernels::cluster::clustering_coefficients(&snap, &Default::default());
         for v in 0..snap.num_vertices() as u32 {
-            let live = counter.borrow().local_clustering(e.graph(), v);
+            // The streaming form of the Fig. 1 "CCO" row: the maintained
+            // triangle count over the current wedge count.
+            let d = e.graph().degree(v) as u64;
+            let wedges = d * d.saturating_sub(1) / 2;
+            let live = match wedges {
+                0 => 0.0,
+                w => counter.borrow().vertex(v) as f64 / w as f64,
+            };
             assert!(
                 (live - batch.local[v as usize]).abs() < 1e-12,
                 "v={v}: {live} vs {}",

@@ -21,6 +21,10 @@ fn main() {
     for b in &batches[..batches.len() / 2] {
         engine.process_stream(b, |_| None, None);
     }
+    // Give the Bulk scans a column to rank: one PageRank batch run
+    // around the highest-degree seeds writes `pagerank` back.
+    let pagerank = engine.register_analytic(Box::new(PageRankAnalytic { damping: 0.85 }));
+    engine.run_batch(&SelectionCriteria::TopKDegree { k: 16 }, pagerank);
 
     // The serving front end: one High tenant for interactive point
     // reads, one quota'd Bulk tenant for scans. Bulk can shed under
@@ -57,18 +61,18 @@ fn main() {
         let done_ref = &done;
         let mut scanner = service.client(&scans);
         let scan = s.spawn(move || {
-            let mut answered = 0u64;
-            while !done_ref.load(Ordering::Acquire) {
-                if scanner
-                    .run(&Query::top_k_by_property("pagerank", 8))
-                    .response()
-                    .is_some()
-                {
+            let (mut answered, mut rows) = (0u64, 0usize);
+            loop {
+                let outcome = scanner.run(&Query::top_k_by_property("pagerank", 8));
+                if let Some(QueryResponse::Scored(top)) = outcome.response() {
                     answered += 1;
+                    rows += top.len();
+                }
+                if done_ref.load(Ordering::Acquire) {
+                    break (answered, rows);
                 }
                 std::thread::yield_now();
             }
-            answered
         });
         // The firehose: the second half of the stream, ingested while
         // the readers run. Each batch republishes; readers pick the new
@@ -80,9 +84,11 @@ fn main() {
         }
         let final_epochs: Vec<u64> = joins.into_iter().map(|j| j.join().unwrap()).collect();
         done.store(true, Ordering::Release);
-        let scans_answered = scan.join().unwrap();
+        let (scans_answered, scan_rows) = scan.join().unwrap();
         println!("final epochs seen by readers: {final_epochs:?}");
         println!("bulk scans answered while riding along: {scans_answered}");
+        println!("rows those scans returned: {scan_rows}");
+        assert!(scan_rows > 0, "the scans must rank the pagerank column");
     });
 
     let stats = service.stats();

@@ -181,7 +181,7 @@ fn calibration_is_deterministic_and_priceable() {
             },
             overload: OverloadStats {
                 updates_shed: 250,
-                deadline_partials: 1,
+                budget_partials: 1,
                 analytics_skipped: 2,
             },
             tier: Default::default(),

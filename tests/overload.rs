@@ -499,7 +499,7 @@ fn dead_letters_replay_through_the_durable_path() {
 
 /// The freeze rewrites the whole CSR, so the rungs that exist to make a
 /// batch cheap must not pay it per batch: a serving engine publishes per
-/// batch at `Full`/`PartialDeadline`, once per pump for everything it
+/// batch at `Full`/`PartialBudget`, once per pump for everything it
 /// applied at `SeedsOnly`/`Shed` — and readers still see all of it.
 #[test]
 fn degraded_rungs_publish_once_per_pump() {
@@ -534,7 +534,7 @@ fn degraded_rungs_publish_once_per_pump() {
     // Readers see every applied edge (stored in both directions).
     assert_eq!(handle.load().unwrap().csr.num_edges(), 2 * 60);
 
-    // Depths 40, 30 (`SeedsOnly`: deferred), 20 (`PartialDeadline`),
+    // Depths 40, 30 (`SeedsOnly`: deferred), 20 (`PartialBudget`),
     // 10 (`Full`): the last two publish per batch and leave the
     // post-loop publish nothing to do.
     e.pump(10, |_| None, None).unwrap();
