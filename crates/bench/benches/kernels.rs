@@ -2,8 +2,10 @@
 //! Graph500-style R-MAT inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ga_graph::{gen, CsrBuilder, CsrGraph};
+use ga_graph::sub::extract_ball;
+use ga_graph::{gen, CsrBuilder, CsrGraph, ExtractOptions, VertexId};
 use ga_kernels::{bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx};
+use std::cmp::Reverse;
 use std::hint::black_box;
 
 fn rmat_graph(scale: u32, deg: usize) -> CsrGraph {
@@ -88,6 +90,20 @@ fn bench_jaccard(c: &mut Criterion) {
     });
     group.bench_function("for_vertex", |b| {
         b.iter(|| jaccard::for_vertex(black_box(&g), 7, 0.1))
+    });
+    // The input the flow's `JaccardAnalytic` gets: a depth-2 ball,
+    // capped at 4 096 vertices, around the 8 highest-degree vertices.
+    let g = rmat_graph(16, 8);
+    let mut hubs: Vec<VertexId> = g.vertices().collect();
+    hubs.sort_unstable_by_key(|&v| (Reverse(g.degree(v)), v));
+    let opts = ExtractOptions {
+        depth: 2,
+        max_vertices: 4096,
+        undirected_expand: false,
+    };
+    let ball = extract_ball(&g, &hubs[..8], &opts, None).graph;
+    group.bench_function("ball_tau0.5", |b| {
+        b.iter(|| jaccard::all_pairs_above(black_box(&ball), 0.5))
     });
     group.finish();
 }

@@ -60,8 +60,8 @@
 //!   shard's rows exactly from its ring neighbors. No acknowledged
 //!   update is lost in either mode ([`ShardedFlow::lost_updates`]
 //!   counts the only loss channel: a dead shard with neither
-//!   durability nor a replica holder — including a 1-shard fleet,
-//!   which has no ring to replicate on).
+//!   durability nor a serving replica holder — including a 1-shard
+//!   fleet, which has no ring to replicate on).
 //! * **Observability** — one labeled [`Recorder`] per shard plus a
 //!   `"router"` recorder that books cross-shard network bytes and
 //!   journals Failover/Rebuild events, so a merged metrics export
@@ -276,18 +276,8 @@ impl ShardSupervisor {
         self.health.iter().all(|&h| h == ShardHealth::Healthy)
     }
 
-    /// Consecutive-failure strikes currently held against `shard`.
-    pub fn strikes(&self, shard: usize) -> u32 {
-        self.strikes[shard]
-    }
-
-    /// Transitions recorded so far (oldest first, capped at 1024;
+    /// Drain the recorded transitions (oldest first, capped at 1024;
     /// oldest entries are dropped past the cap).
-    pub fn events(&self) -> &VecDeque<HealthEvent> {
-        &self.events
-    }
-
-    /// Drain the recorded transitions.
     pub fn take_events(&mut self) -> Vec<HealthEvent> {
         std::mem::take(&mut self.events).into()
     }
@@ -718,8 +708,8 @@ impl ShardedFlow {
 
     /// Updates irrecoverably lost to dead shards. Stays zero whenever
     /// the fleet has durability (the backlog queues for redelivery)
-    /// or the dead shard has a replica holder (a replicated fleet of
-    /// ≥ 2 shards: the holder already has a copy).
+    /// or the dead shard has a serving replica holder (a replicated
+    /// fleet of ≥ 2 shards whose holder is up: it already has a copy).
     pub fn lost_updates(&self) -> u64 {
         self.lost_updates
     }
@@ -764,11 +754,15 @@ impl ShardedFlow {
     /// and down shards with no serving copy at all.
     pub fn coverage(&self) -> (Vec<usize>, Vec<usize>) {
         let down = (0..self.shards.len()).filter(|&i| !self.supervisor.is_serving(i));
-        down.partition(|&i| {
-            self.plan
-                .replica_holder(i, self.config.replicate)
-                .is_some_and(|r| self.supervisor.is_serving(r))
-        })
+        down.partition(|&i| self.replica_serves(i))
+    }
+
+    /// Whether shard `i`'s rows have a serving copy on its replica
+    /// holder: what decides between failover and loss.
+    fn replica_serves(&self, i: usize) -> bool {
+        self.plan
+            .replica_holder(i, self.config.replicate)
+            .is_some_and(|r| self.supervisor.is_serving(r))
     }
 
     /// The shard that serves vertex `v`'s row right now: the first
@@ -884,14 +878,14 @@ impl ShardedFlow {
                 // The rebuild will recover the WAL and then drain this
                 // backlog, so nothing is lost.
                 self.pending[i].push_back(b);
-            } else if self.plan.replica_holder(i, self.config.replicate).is_none() {
-                // No durability, no replica: this is the one genuine
-                // loss channel, and it is counted.
+            } else if !self.replica_serves(i) {
+                // No durability and no serving replica: this is the one
+                // genuine loss channel, and it is counted.
                 self.lost_updates += b.updates.len() as u64;
             }
-            // Otherwise the copy is dropped: the replica holder received
-            // its own delivery of every update in `b` that shard `i`
-            // will need, and the rebuild copies it back.
+            // Otherwise the copy is dropped: the serving replica holder
+            // received its own delivery of every update in `b` that
+            // shard `i` will need, and the rebuild copies it back.
             return 0;
         }
         // Router delivery drop (reliable-delivery model: the router
@@ -1621,12 +1615,12 @@ mod tests {
             sup.record_error(1, 0, "boom"),
             Some((ShardHealth::Healthy, ShardHealth::Suspect))
         );
-        assert_eq!(sup.strikes(0), 1);
+        assert_eq!(sup.strikes[0], 1);
         assert_eq!(
             sup.record_success(2, 0),
             Some((ShardHealth::Suspect, ShardHealth::Healthy))
         );
-        assert_eq!(sup.strikes(0), 0);
+        assert_eq!(sup.strikes[0], 0);
 
         // Three consecutive failures: Dead. Further errors are not
         // strikes, and success does not resurrect a dead shard.
@@ -1657,7 +1651,7 @@ mod tests {
         let events = sup.take_events();
         assert_eq!(events.len(), 6, "{events:?}");
         assert_eq!(events[0].reason, "boom");
-        assert!(sup.events().is_empty(), "drained");
+        assert!(sup.take_events().is_empty(), "drained");
     }
 
     #[test]
@@ -1785,6 +1779,26 @@ mod tests {
                 "replicate={replicate}: {err}"
             );
         }
+    }
+
+    /// A replica holder that is down too is no safety net: with shards
+    /// 0 and 1 of a replicated 3-shard fleet killed, shard 0's rows
+    /// (replicated on 1) have no serving copy, and what shard 0 is
+    /// offered is lost and counted.
+    #[test]
+    fn dead_replica_holder_counts_loss() {
+        let mut fleet = ShardedFlow::builder(3).replicate(true).build(64).unwrap();
+        fleet.kill_shard(0, "first");
+        fleet.kill_shard(1, "second");
+        let batch = UpdateBatch {
+            time: 1,
+            updates: rmat_edge_stream(6, 200, 0.0, 3),
+        };
+        fleet.process_batch(&batch).unwrap();
+        let orphans = (0..64).filter(|&v| fleet.row_source(v).is_none()).count();
+        assert!(orphans > 0, "some row has no serving copy");
+        assert!(fleet.lost_updates() > 0, "{orphans} orphaned rows, no loss");
+        assert_eq!(fleet.coverage(), (vec![1], vec![0]));
     }
 
     #[test]

@@ -14,15 +14,23 @@
 //! * [`all_pairs_above`] / [`all_pairs_above_with`] — every pair with
 //!   `J >= tau` (the near-quadratic-output batch form, threshold-pruned).
 //!
-//! The all-pairs engine is GAP-style: no hashed container on the inner
-//! loop. Each pool chunk owns one dense `u32` count per vertex plus a
-//! list of the counts it touched. Source `u` walks its wedges
-//! `u – w – v` only into the upper triangle (`v > u`, the tail of the
-//! sorted row `N(w)`), so each pair is counted once, and candidates come
-//! out in ascending `v` without a comparison sort of the output: the
-//! whole pair list arrives in `(u, v)` order.
+//! The all-pairs engine orients work by degree, as GAP's triangle
+//! counting does, with no hashed container on the inner loop. Vertices
+//! are ranked by `(degree, id)`, and one counting pass builds the
+//! transpose in rank space, its rows ascending with no sort. Each pair
+//! is counted once, from its lower-ranked side: for each `w ∈ N(x)`,
+//! source `x` walks only the ranks of `In(w)` in `(rank x, hi(x))` into
+//! a dense per-chunk count array. The fill records, per edge, where that
+//! window starts, so only its end is searched for.
 //!
-//! Expects an undirected snapshot with sorted neighbor slices.
+//! *Size filter:* `inter ≤ min(d_x, d_y)` and `union ≥ max(d_x, d_y)`,
+//! so `J ≥ τ` implies `min(d) ≥ τ·max(d)`, and `hi(x)` is the first rank
+//! whose degree `d` fails `d_x ≥ τ′·d`. *Rounding margin:* with
+//! `τ′ = τ·(1 − 8ε)`, a pruned pair's real `inter / union ≤ d_x / d_y`
+//! stays below `τ·(1 − 6ε)` through the filter's two roundings, so its
+//! rounded quotient is `< τ`: no pair whose coefficient reaches `τ` is
+//! dropped. Kept pairs divide the same integers as [`pair`] (on any
+//! input, the Jaccard of out-neighborhoods), and the list is sorted once.
 
 use crate::ctx::KernelCtx;
 use crate::triangles::intersect_count;
@@ -43,6 +51,9 @@ pub fn pair(g: &CsrGraph, u: VertexId, v: VertexId) -> f64 {
 /// All vertices with a non-zero coefficient against `u`, i.e. u's 2-hop
 /// candidates, with coefficients `>= tau`, sorted descending (ties by
 /// id). `u` itself is excluded.
+///
+/// Expects a symmetric graph: on a directed one it counts
+/// `|N(u) ∩ In(v)|`, not the out-neighborhood overlap [`pair`] uses.
 pub fn for_vertex(g: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
     let nu = g.neighbors(u);
     // Gather 2-hop candidates with shared-neighbor counts via a sparse
@@ -68,140 +79,131 @@ pub fn for_vertex(g: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
 }
 
 /// Every unordered pair `(u, v)` with `J(u, v) >= tau`, parallel over
-/// source vertices. Pairs are emitted once with `u < v`, sorted.
-///
-/// Pruning: only pairs sharing at least one neighbor can have J > 0, so
-/// enumeration walks wedges instead of all O(n^2) pairs.
+/// source vertices. Pairs are emitted once with `u < v`, sorted. Only
+/// pairs that share a neighbor and pass the size filter are visited.
 pub fn all_pairs_above(g: &CsrGraph, tau: f64) -> Vec<(VertexId, VertexId, f64)> {
     all_pairs_above_with(g, tau, &KernelCtx::parallel())
 }
 
-/// Instrumented, dispatching all-pairs form: the dense-accumulator wedge
-/// engine run serially or in parallel over source vertices per the
-/// context's [`crate::Parallelism`]. Both engines count the same integer
-/// `inter` and `union` for every pair and divide once, so they return
-/// bit-identical pairs in the same `(u, v)` order and flush identical
-/// counters: `cpu_ops` = wedges walked + candidates scored, `mem_bytes`
-/// = row bytes read + 4 B per counted wedge, `edges_touched` = row
-/// entries read.
+/// Instrumented, dispatching all-pairs form: the module doc's engine,
+/// serial or parallel over source vertices per the context's
+/// [`crate::Parallelism`]. Both modes do the same work per source and
+/// divide the same integers once, so they return bit-identical pairs in
+/// the same `(u, v)` order and flush identical counters: `cpu_ops` =
+/// wedges walked + candidates scored, `edges_touched` = row entries
+/// read (every row by the transpose pass and by the walk, one per
+/// wedge), `mem_bytes` = 4 B per id read or written, 16 B per edge for
+/// its window start (written, then read) and 4 B per counted wedge.
 pub fn all_pairs_above_with(
     g: &CsrGraph,
     tau: f64,
     ctx: &KernelCtx,
 ) -> Vec<(VertexId, VertexId, f64)> {
     assert!(tau > 0.0, "tau must be positive; 0 would emit O(n^2) pairs");
-    let n = g.num_vertices();
-    let scan = |mut acc: Accumulator, u: VertexId| {
-        acc.visit(g, u, tau);
-        acc
+    let (n, m) = (g.num_vertices(), g.num_edges());
+    // `order[r]` is the vertex of rank `r`.
+    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+    order.sort_unstable_by_key(|&v| (g.degree(v), v));
+    // The transpose in rank space: row `w` is `sources[offsets[w]..
+    // offsets[w + 1]]`, the ranks of `w`'s in-neighbors. One counting
+    // pass sizes the rows, and filling them in rank order sorts them.
+    let mut offsets = vec![0usize; n + 1];
+    for &w in g.raw_targets() {
+        offsets[w as usize + 1] += 1;
+    }
+    for w in 0..n {
+        offsets[w + 1] += offsets[w];
+    }
+    // `above[e]`, for the edge `e` = `x → w`, is where the ranks above
+    // `x` start in row `w`, so no walk searches for its start.
+    let row_of = |v: VertexId| {
+        g.raw_offsets()[v as usize] as usize..g.raw_offsets()[v as usize + 1] as usize
     };
-    let found = if ctx.parallelism.use_parallel(g.num_edges()) {
-        // One accumulator per pool chunk; chunks cover ascending vertex
-        // ranges and come back in base order, so concatenating their
-        // pairs keeps the `(u, v)` order.
-        let parts: Vec<Found> = (0..n as VertexId)
-            .into_par_iter()
-            .fold(|| Accumulator::new(n), scan)
-            .map(|acc| acc.found)
-            .collect();
-        let mut all = Found {
-            pairs: Vec::with_capacity(parts.iter().map(|f| f.pairs.len()).sum()),
-            ..Found::default()
-        };
-        for f in parts {
-            all.pairs.extend(f.pairs);
-            all.wedges += f.wedges;
-            all.scored += f.scored;
+    let (mut next, mut sources, mut above) = (offsets.clone(), vec![0; m], vec![0; m]);
+    for (r, &y) in order.iter().enumerate() {
+        for &w in g.neighbors(y) {
+            sources[next[w as usize]] = r as u32;
+            next[w as usize] += 1;
         }
-        all
-    } else {
-        (0..n as VertexId).fold(Accumulator::new(n), scan).found
-    };
-    // Rows read: every source row in full plus the walked tail of each
-    // neighbor row (one entry per wedge); each wedge also bumps a count.
-    let id = std::mem::size_of::<VertexId>() as u64;
-    let entries = g.num_edges() as u64 + found.wedges;
-    ctx.counters.flush(
-        found.wedges + found.scored,
-        id * entries + 4 * found.wedges,
-        entries,
-    );
-    found.pairs
-}
-
-/// The pairs one run of the engine kept, and the work it did.
-#[derive(Default)]
-struct Found {
-    pairs: Vec<(VertexId, VertexId, f64)>,
-    /// Upper-triangle wedges `u – w – v` (`v > u`) walked.
-    wedges: u64,
-    /// Distinct candidates `v` whose coefficient was computed.
-    scored: u64,
-}
-
-/// Dense shared-neighbor counts of one pool chunk, reused from one
-/// source vertex to the next: every count is back at zero after
-/// [`Accumulator::visit`].
-struct Accumulator {
-    counts: Vec<u32>,
-    /// Candidates whose count left zero for the current source.
-    touched: Vec<VertexId>,
-    found: Found,
-}
-
-impl Accumulator {
-    fn new(n: usize) -> Self {
-        Accumulator {
-            counts: vec![0; n],
-            touched: Vec::new(),
-            found: Found::default(),
+        for (a, &w) in above[row_of(y)].iter_mut().zip(g.neighbors(y)) {
+            *a = next[w as usize];
         }
     }
-
-    /// Count `u`'s upper-triangle wedges and keep each candidate with
-    /// `J >= tau`, in ascending `v`.
-    fn visit(&mut self, g: &CsrGraph, u: VertexId, tau: f64) {
-        let nu = g.neighbors(u);
-        for &w in nu {
-            let nw = g.neighbors(w);
-            let above = &nw[nw.partition_point(|&v| v <= u)..];
-            self.found.wedges += above.len() as u64;
-            for &v in above {
-                let c = &mut self.counts[v as usize];
+    let filter = tau * (1.0 - 8.0 * f64::EPSILON);
+    // Count `x`'s wedges into the ranks in `(rank x, hi(x))`, then keep
+    // each candidate with `J >= tau`.
+    let visit = |mut acc: Chunk, x: VertexId| {
+        let dx = g.degree(x);
+        let hi = order.partition_point(|&y| dx as f64 >= filter * g.degree(y) as f64) as u32;
+        for (&w, &from) in g.neighbors(x).iter().zip(&above[row_of(x)]) {
+            let row = &sources[from..offsets[w as usize + 1]];
+            let window = &row[..row.partition_point(|&r| r < hi)];
+            acc.wedges += window.len() as u64;
+            for &r in window {
+                let c = &mut acc.counts[r as usize];
                 if *c == 0 {
-                    self.touched.push(v);
+                    acc.touched.push(r);
                 }
                 *c += 1;
             }
         }
-        self.found.scored += self.touched.len() as u64;
-        // The same integers `for_vertex` divides, so the same bits.
-        let pairs = &mut self.found.pairs;
-        let mut score = |v: VertexId, inter: u32| {
-            let inter = inter as usize;
-            let union = nu.len() + g.degree(v) - inter;
-            let j = inter as f64 / union as f64;
+        acc.scored += acc.touched.len() as u64;
+        for r in acc.touched.drain(..) {
+            let inter = std::mem::take(&mut acc.counts[r as usize]) as usize;
+            let y = order[r as usize];
+            let j = inter as f64 / (dx + g.degree(y) - inter) as f64;
             if j >= tau {
-                pairs.push((u, v, j));
-            }
-        };
-        // Ascending `v` either way. A dense touched set (over 1/16 of
-        // all vertices) is cheaper to find by scanning the counts above
-        // `u` than by sorting the list.
-        let n = self.counts.len();
-        if self.touched.len() * 16 > n {
-            for (v, c) in self.counts.iter_mut().enumerate().skip(u as usize + 1) {
-                if *c != 0 {
-                    score(v as VertexId, std::mem::take(c));
-                }
-            }
-        } else {
-            self.touched.sort_unstable();
-            for &v in &self.touched {
-                score(v, std::mem::take(&mut self.counts[v as usize]));
+                acc.pairs.push((x.min(y), x.max(y), j));
             }
         }
-        self.touched.clear();
+        acc
+    };
+    let fresh = || Chunk {
+        counts: vec![0; n],
+        ..Chunk::default()
+    };
+    // `(u, v)` keys are unique, so both sorts give the same order.
+    let by_pair = |a: &Pair, b: &Pair| (a.0, a.1).cmp(&(b.0, b.1));
+    let all = if ctx.parallelism.use_parallel(m) {
+        let mut all = (0..n as VertexId)
+            .into_par_iter()
+            .fold(fresh, visit)
+            .reduce(Chunk::default, Chunk::merge);
+        all.pairs.par_sort_unstable_by(by_pair);
+        all
+    } else {
+        let mut all = (0..n as VertexId).fold(fresh(), visit);
+        all.pairs.sort_unstable_by(by_pair);
+        all
+    };
+    let entries = 2 * m as u64 + all.wedges;
+    let bytes = 4 * (entries + 5 * m as u64 + all.wedges);
+    ctx.counters.flush(all.wedges + all.scored, bytes, entries);
+    all.pairs
+}
+
+type Pair = (VertexId, VertexId, f64);
+
+/// One pool chunk of the all-pairs engine: shared-neighbor counts,
+/// dense by rank and back at zero after every source, and what it kept.
+#[derive(Default)]
+struct Chunk {
+    counts: Vec<u32>,
+    /// Ranks whose count left zero for the current source.
+    touched: Vec<u32>,
+    pairs: Vec<Pair>,
+    /// Wedges `x – w – y` walked, `y` inside `x`'s rank window.
+    wedges: u64,
+    /// Distinct candidates `y` whose coefficient was computed.
+    scored: u64,
+}
+
+impl Chunk {
+    fn merge(mut self, other: Chunk) -> Chunk {
+        self.pairs.extend(other.pairs);
+        self.wedges += other.wedges;
+        self.scored += other.scored;
+        self
     }
 }
 
@@ -289,9 +291,8 @@ mod tests {
         }
     }
 
-    /// The parent all-pairs form: `for_vertex` from every source, upper
-    /// half kept, then sorted. The dense engine must reproduce it bit for
-    /// bit, even on directed input where `J` is not symmetric.
+    /// `for_vertex` from every source, upper half kept, then sorted. On
+    /// symmetric input the engine must reproduce it bit for bit.
     fn via_for_vertex(g: &CsrGraph, tau: f64) -> Vec<(VertexId, VertexId, f64)> {
         let mut out: Vec<_> = (0..g.num_vertices() as VertexId)
             .flat_map(|u| {
@@ -354,47 +355,80 @@ mod tests {
             for tau in [0.1, 0.5] {
                 check_engines(&g, tau, &format!("rmat seed {seed} tau {tau}"));
             }
-            // Directed, where J(u, v) from u's side is what both forms
-            // keep: still the parent's bits.
+            // Directed: the Jaccard of out-neighborhoods, as `pair` and
+            // the brute-force reference define it.
             let d = ga_graph::CsrBuilder::new(1 << 9)
                 .edges(edges.iter().copied())
                 .dedup(true)
                 .build();
             let (s, p) = (KernelCtx::serial(), KernelCtx::parallel());
-            let reference = bits(&via_for_vertex(&d, 0.2));
+            let reference = bits(&all_pairs_brute(&d, 0.2));
             assert_eq!(bits(&all_pairs_above_with(&d, 0.2, &s)), reference);
             assert_eq!(bits(&all_pairs_above_with(&d, 0.2, &p)), reference);
+            assert_eq!(s.snapshot(), p.snapshot(), "directed seed {seed}");
         }
     }
 
     #[test]
-    fn both_emission_branches_match_brute_force() {
-        // A star on 0..100 and a path on 100..200: a leaf's upper 2-hop
-        // set is nearly every other leaf (dense: scanned), a path
-        // vertex's is one vertex (sparse: sorted list).
-        let n = 200usize;
+    fn star_and_path_match_brute_force() {
+        // A star on 0..100 and a path on 100..200: every pair of leaves
+        // has J = 1, a path vertex's only candidates are two hops along.
         let mut edges: Vec<(u32, u32)> = (1..100).map(|v| (0, v)).collect();
         edges.extend((100..199).map(|v| (v, v + 1)));
-        let g = und(n, &edges);
-        let upper_two_hop = |u: VertexId| {
-            let mut vs: Vec<VertexId> = g
-                .neighbors(u)
-                .iter()
-                .flat_map(|&w| g.neighbors(w).iter().copied())
-                .filter(|&v| v > u)
-                .collect();
-            vs.sort_unstable();
-            vs.dedup();
-            vs.len()
-        };
-        let sizes: Vec<usize> = (0..n as VertexId).map(upper_two_hop).collect();
-        assert!(sizes.iter().any(|&t| t * 16 > n), "no dense source");
-        assert!(
-            sizes.iter().any(|&t| t > 0 && t * 16 <= n),
-            "no sparse source"
-        );
+        let g = und(200, &edges);
         let pairs = check_engines(&g, 0.3, "star+path");
         assert_eq!(pairs.iter().filter(|p| p.1 < 100).count(), 99 * 98 / 2);
+    }
+
+    #[test]
+    fn pairs_on_the_size_bound_are_kept() {
+        // N(0) = {2, 3} ⊂ N(1) = {2, 3, 4, 5}: J = 2/4 = 0.5 exactly,
+        // and the degree ratio is exactly tau.
+        let g = und(6, &[(0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5)]);
+        assert_eq!(pair(&g, 0, 1), 0.5);
+        let pairs = check_engines(&g, 0.5, "size bound 1/2");
+        assert!(pairs.contains(&(0, 1, 0.5)), "{pairs:?}");
+        // N(0) = 7 of N(1)'s 25 hubs: J rounds to exactly 0.28, but
+        // 0.28 * 25 rounds above 7, so only the margin keeps the pair.
+        let mut edges: Vec<(u32, u32)> = (2..27).map(|h| (1, h)).collect();
+        edges.extend((2..9).map(|h| (0, h)));
+        let g = und(27, &edges);
+        assert_eq!(pair(&g, 0, 1), 0.28);
+        assert!(std::hint::black_box(0.28) * 25.0 > 7.0, "the premise");
+        let pairs = check_engines(&g, 0.28, "size bound 7/25");
+        assert!(pairs.contains(&(0, 1, 0.28)), "{pairs:?}");
+    }
+
+    #[test]
+    fn tau_one_keeps_only_equal_degree_twins() {
+        // 0 and 1 are twins of degree 2, and 2, 3, 4 twins of degree 3
+        // whose rows hold 0's plus 7; hubs 5 and 6 are twins of degree 5.
+        let mut edges = vec![(0, 5), (0, 6), (1, 5), (1, 6), (2, 5), (2, 6), (2, 7)];
+        edges.extend([(3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7)]);
+        let g = und(8, &edges);
+        let pairs = check_engines(&g, 1.0, "tau 1");
+        let twins: Vec<_> = pairs.iter().map(|p| (p.0, p.1)).collect();
+        assert_eq!(twins, [(0, 1), (2, 3), (2, 4), (3, 4), (5, 6)]);
+        for &(u, v, j) in &pairs {
+            assert_eq!(j, 1.0);
+            assert_eq!(g.degree(u), g.degree(v));
+        }
+    }
+
+    #[test]
+    fn random_symmetric_graphs_match_brute_force_at_every_tau() {
+        for seed in 0..6 {
+            let n = 30 + 10 * seed as usize;
+            let edges = gen::erdos_renyi(n, 3 * n, seed);
+            let g = ga_graph::CsrBuilder::new(n)
+                .edges(edges.iter().copied())
+                .symmetrize(true)
+                .dedup(true)
+                .build();
+            for tau in [0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0] {
+                check_engines(&g, tau, &format!("seed {seed} tau {tau}"));
+            }
+        }
     }
 
     #[test]
