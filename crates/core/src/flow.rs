@@ -49,9 +49,7 @@
 use crate::durability::{CheckpointRef, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use ga_graph::sub::{extract_ball, Subgraph};
-use ga_graph::{
-    CompressedCsr, CsrBuilder, DynamicGraph, ExtractOptions, PropertyStore, SnapshotEpoch, VertexId,
-};
+use ga_graph::{CsrBuilder, DynamicGraph, ExtractOptions, PropertyStore, SnapshotEpoch, VertexId};
 use ga_kernels::{topk, Budget, KernelCtx, Parallelism};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::admission::{
@@ -616,17 +614,6 @@ impl FlowEngine {
         FlowConfig::default().recover(dir)
     }
 
-    /// A delta-varint compressed snapshot of the persistent graph,
-    /// served through the stream engine's snapshot cache. Pass it to
-    /// any whole-graph kernel (they are generic over
-    /// `ga_graph::Adjacency`) for bit-identical results at the
-    /// compressed representation's byte cost: ~2–4× fewer adjacency
-    /// bytes. An unchanged graph costs one `Arc` clone.
-    pub fn compressed_snapshot(&mut self) -> std::sync::Arc<CompressedCsr> {
-        self.stream
-            .compressed_csr_snapshot(self.kernel_ctx.parallelism)
-    }
-
     // -----------------------------------------------------------------
     // Concurrent query serving: epoch-based snapshot publication.
     // -----------------------------------------------------------------
@@ -835,6 +822,12 @@ impl FlowEngine {
     /// The full batch path: select seeds → extract (with projection) →
     /// run the analytic → write back vertex properties → collect
     /// globals and alerts.
+    ///
+    /// The write-back sets property columns directly, outside the
+    /// write-ahead log, on a durable engine too: the written values
+    /// survive a crash only through the next [`Self::checkpoint`], and
+    /// [`Self::recover`] drops any written after it. Triggered
+    /// analytics write back the same way.
     pub fn run_batch(
         &mut self,
         criteria: &SelectionCriteria,
@@ -890,9 +883,6 @@ impl FlowEngine {
                     }
                 }
                 drop(span);
-            }
-            if let Some((_, tier)) = &self.tier {
-                tier.begin_io_window();
             }
         } else {
             self.tier = None;
@@ -1660,39 +1650,6 @@ mod tests {
         let s = e.stats();
         assert_eq!(s.analytics.batch_runs, 1);
         assert_eq!(s.analytics.props_written_back, 5);
-    }
-
-    #[test]
-    fn compressed_snapshot_is_exact_and_accounted() {
-        let n = 64;
-        let mut g = DynamicGraph::new(n);
-        g.insert_undirected(&gen::erdos_renyi(n, 200, 5), 1);
-        let mut e = FlowEngine::with_graph(g.clone(), PropertyStore::new(n));
-        let mut plain_only = FlowEngine::with_graph(g, PropertyStore::new(n));
-        // The compressed snapshot decodes to the exact plain snapshot,
-        // and kernels accept it directly with bit-identical results.
-        let compressed = e.compressed_snapshot();
-        let plain = e.graph().snapshot();
-        let decoded = compressed.to_csr();
-        assert_eq!(decoded.num_edges(), plain.num_edges());
-        for v in 0..n as VertexId {
-            assert_eq!(decoded.neighbors(v), plain.neighbors(v));
-        }
-        let cc_plain = ga_kernels::cc::wcc_union_find(&plain);
-        let cc_comp = ga_kernels::cc::wcc_union_find(compressed.as_ref());
-        assert_eq!(cc_plain.label, cc_comp.label);
-        assert_eq!(cc_plain.count, cc_comp.count);
-        // The encode is charged to the snapshot stats a batch run folds
-        // into FlowStats: exactly the compressed arrays' bytes on top of
-        // the plain freeze an engine without it pays.
-        for engine in [&mut e, &mut plain_only] {
-            let idx = engine.register_analytic(Box::new(ComponentsAnalytic));
-            engine.run_batch(&SelectionCriteria::Explicit(vec![0]), idx);
-        }
-        assert_eq!(
-            e.stats().snapshots.mem_bytes - plain_only.stats().snapshots.mem_bytes,
-            compressed.mem_bytes() as usize
-        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! They are the section codecs underneath the flow engine's checkpoint
 //! files; [`crc32`] is the shared integrity checksum for those files and
-//! the write-ahead log.
+//! the write-ahead log. The tier's `GAS1` segment decoder
+//! ([`crate::tier::decode_segment`]) shares the checksum and the magic,
+//! version and count checks below.
 
 use crate::dynamic::EdgeRecord;
 use crate::props::{Column, Dense};
@@ -118,11 +120,11 @@ impl Default for Crc32 {
 // Shared header and count checks.
 // ---------------------------------------------------------------------
 
-fn corrupt(format: &str, what: impl std::fmt::Display) -> io::Error {
+pub(crate) fn corrupt(format: &str, what: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{format}: {what}"))
 }
 
-fn read_magic(r: &mut impl Read, expect: &[u8; 4], format: &str) -> io::Result<()> {
+pub(crate) fn read_magic(r: &mut impl Read, expect: &[u8; 4], format: &str) -> io::Result<()> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)
         .map_err(|_| corrupt(format, "truncated before magic"))?;
@@ -139,7 +141,7 @@ fn read_magic(r: &mut impl Read, expect: &[u8; 4], format: &str) -> io::Result<(
     Ok(())
 }
 
-fn read_version(r: &mut impl Read, expect: u16, format: &str) -> io::Result<()> {
+pub(crate) fn read_version(r: &mut impl Read, expect: u16, format: &str) -> io::Result<()> {
     let v = read_u16(r).map_err(|_| corrupt(format, "truncated in version field"))?;
     if v != expect {
         return Err(corrupt(
@@ -150,7 +152,7 @@ fn read_version(r: &mut impl Read, expect: u16, format: &str) -> io::Result<()> 
     Ok(())
 }
 
-fn checked_count(count: u64, what: &str, format: &str) -> io::Result<usize> {
+pub(crate) fn checked_count(count: u64, what: &str, format: &str) -> io::Result<usize> {
     if count > MAX_ELEMS {
         return Err(corrupt(
             format,
@@ -465,6 +467,7 @@ fn read_f64(r: &mut impl Read) -> io::Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier;
 
     #[test]
     fn crc32_known_vectors() {
@@ -524,8 +527,10 @@ mod tests {
     type Decode = fn(&[u8]) -> io::Result<()>;
 
     /// A valid `GAD1` file and a valid `GAP1` file, each over two
-    /// vertices, for the header checks both decoders share.
-    fn gad1_and_gap1() -> [(Vec<u8>, Decode); 2] {
+    /// vertices, then a valid `GAS1` tier segment: the three decoders
+    /// share the magic and version checks, and the first two the count
+    /// check.
+    fn gad1_gap1_and_gas1() -> [(Vec<u8>, Decode); 3] {
         let mut g = DynamicGraph::new(2);
         g.insert_edge(0, 1, 1.0, 1);
         let mut gad1 = Vec::new();
@@ -534,19 +539,21 @@ mod tests {
         p.set("a", 1, 3u64);
         let mut gap1 = Vec::new();
         write_props(&p, &mut gap1).unwrap();
+        let gas1 = tier::encode_segment(tier::SegmentKind::Rows, 0, b"rows");
         [
             (gad1, |b| read_dynamic(b).map(drop)),
             (gap1, |b| read_props(b).map(drop)),
+            (gas1, |b| tier::decode_segment(b).map(drop)),
         ]
     }
 
     #[test]
     fn checkpoint_codecs_reject_bad_magic() {
-        for (buf, read) in gad1_and_gap1() {
+        for (buf, read) in gad1_gap1_and_gas1() {
             read(&buf).unwrap();
             let format = String::from_utf8_lossy(&buf[..4]).into_owned();
-            // A wrong magic includes the other checkpoint section's.
-            for magic in [b"NOPE", MAGIC_DYNAMIC, MAGIC_PROPS] {
+            // A wrong magic includes the other formats'.
+            for magic in [b"NOPE", MAGIC_DYNAMIC, MAGIC_PROPS, tier::MAGIC_SEGMENT] {
                 if magic[..] == buf[..4] {
                     continue;
                 }
@@ -563,7 +570,7 @@ mod tests {
 
     #[test]
     fn checkpoint_codecs_reject_an_unknown_version() {
-        for (buf, read) in gad1_and_gap1() {
+        for (buf, read) in gad1_gap1_and_gas1() {
             for version in [0u16, 2, 99] {
                 let mut bad = buf.clone();
                 bad[4..6].copy_from_slice(&version.to_le_bytes());
@@ -580,8 +587,9 @@ mod tests {
     #[test]
     fn checkpoint_codecs_reject_an_absurd_vertex_count() {
         // The count sits after magic(4) + version(2) + reserved(2) in
-        // both formats; it must be refused before any row is sized.
-        for (buf, read) in gad1_and_gap1() {
+        // both checkpoint formats; it must be refused before any row is
+        // sized. A GAS1 segment has no vertex count.
+        for (buf, read) in gad1_gap1_and_gas1().into_iter().take(2) {
             for n in [MAX_ELEMS + 1, u64::MAX] {
                 let mut huge = buf.clone();
                 huge[8..16].copy_from_slice(&n.to_le_bytes());

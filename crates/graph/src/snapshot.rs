@@ -26,7 +26,6 @@
 //! evolving-graph workloads are dominated by snapshot/rebuild overhead,
 //! not the kernels themselves.
 
-use crate::compress::CompressedCsr;
 use crate::dynamic::EdgeRecord;
 use crate::par::Parallelism;
 use crate::{CsrGraph, DynamicGraph, VertexId, Weight};
@@ -262,7 +261,6 @@ pub struct SnapshotEpoch {
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotCache {
     prev: Option<CachedSnapshot>,
-    prev_compressed: Option<CachedCompressed>,
     spare: Option<SpareParts>,
     stats: SnapshotStats,
     /// Monotonic rebuild counter backing [`SnapshotEpoch::epoch`].
@@ -277,14 +275,6 @@ struct CachedSnapshot {
     /// Vertex count at freeze time (rows at or past this are new).
     num_vertices: usize,
     /// Rebuild generation that produced this CSR.
-    epoch: u64,
-}
-
-#[derive(Clone, Debug)]
-struct CachedCompressed {
-    csr: Arc<CompressedCsr>,
-    version: u64,
-    num_vertices: usize,
     epoch: u64,
 }
 
@@ -304,54 +294,6 @@ impl SnapshotCache {
     /// this after each batch run to fold snapshot cost into `FlowStats`.
     pub fn take_stats(&mut self) -> SnapshotStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Serve a delta-varint compressed snapshot of `g` (see
-    /// [`CompressedCsr`]). The plain CSR is produced (or delta-rebuilt)
-    /// through [`Self::snapshot`] first — reusing the row-wise freeze
-    /// path — then re-encoded; the compressed form is cached under the
-    /// same `(version, vertex-count)` key, so repeat requests at an
-    /// unchanged version cost nothing.
-    pub fn compressed_snapshot(
-        &mut self,
-        g: &DynamicGraph,
-        par: Parallelism,
-    ) -> Arc<CompressedCsr> {
-        self.compressed_snapshot_stamped(g, par).0
-    }
-
-    /// [`Self::compressed_snapshot`] plus the [`SnapshotEpoch`] that
-    /// identifies the served generation.
-    fn compressed_snapshot_stamped(
-        &mut self,
-        g: &DynamicGraph,
-        par: Parallelism,
-    ) -> (Arc<CompressedCsr>, SnapshotEpoch) {
-        let version = g.version();
-        let n = g.num_vertices();
-        if let Some(prev) = &self.prev_compressed {
-            if prev.version == version && prev.num_vertices == n {
-                self.stats.snapshots_served += 1;
-                self.stats.cache_hits += 1;
-                let stamp = SnapshotEpoch {
-                    epoch: prev.epoch,
-                    graph_version: version,
-                };
-                return (Arc::clone(&prev.csr), stamp);
-            }
-        }
-        let (csr, stamp) = self.snapshot_stamped(g, par);
-        let compressed = Arc::new(CompressedCsr::from_csr(&csr));
-        // The re-encode writes the compressed arrays once — bandwidth
-        // the calibration prices alongside the plain copy step.
-        self.stats.mem_bytes += compressed.mem_bytes();
-        self.prev_compressed = Some(CachedCompressed {
-            csr: Arc::clone(&compressed),
-            version,
-            num_vertices: n,
-            epoch: stamp.epoch,
-        });
-        (compressed, stamp)
     }
 
     /// Serve a snapshot of `g`, reusing the previous CSR's clean rows.
@@ -653,22 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_snapshot_is_cached_and_exact() {
-        let mut g = rmat_dynamic(7, 6, 37);
-        let mut c = SnapshotCache::new();
-        let a = c.compressed_snapshot(&g, Parallelism::Serial);
-        let b = c.compressed_snapshot(&g, Parallelism::Serial);
-        assert!(Arc::ptr_eq(&a, &b), "unchanged version served from cache");
-        assert_identical(&a.to_csr(), &oracle(&g));
-        g.insert_edge(1, 2, 3.0, 888_888);
-        let d = c.compressed_snapshot(&g, Parallelism::Serial);
-        assert!(!Arc::ptr_eq(&a, &d), "version bump must re-encode");
-        assert_identical(&d.to_csr(), &oracle(&g));
-        // Re-encoding went through the plain cache's delta path.
-        assert_eq!(c.stats().delta_rebuilds, 1);
-    }
-
-    #[test]
     fn epochs_move_only_on_rebuild() {
         let mut g = rmat_dynamic(6, 4, 41);
         let mut c = SnapshotCache::new();
@@ -681,9 +607,6 @@ mod tests {
         let (_, ec) = c.snapshot_stamped(&g, Parallelism::Serial);
         assert!(ec.epoch > ea.epoch);
         assert!(ec.graph_version > ea.graph_version);
-        // The compressed serve of the same version shares the stamp.
-        let (_, ed) = c.compressed_snapshot_stamped(&g, Parallelism::Serial);
-        assert_eq!(ed.epoch, ec.epoch);
         assert_eq!(c.epoch(), ec.epoch);
     }
 

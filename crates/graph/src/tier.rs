@@ -12,25 +12,26 @@
 //!
 //! * **`GAS1` segment codec** — one CRC-framed file per segment
 //!   (`magic | version | kind | id | payload len | payload | crc32`),
-//!   sharing the [`crate::io::crc32`] checksum with the WAL and
-//!   checkpoint formats. Every decode error is *detected*: truncation,
-//!   bit flips, and torn writes all fail the frame check instead of
-//!   silently decoding.
+//!   sharing the [`crate::io::crc32`] checksum and the magic, version
+//!   and length checks with the checkpoint formats. Every decode error
+//!   is *detected*: truncation, bit flips, and torn writes all fail the
+//!   frame check instead of silently decoding.
 //! * **[`SegmentStore`]** — the directory of segment files plus a
 //!   `quarantine/` subdirectory corrupt segments are moved to. All IO
 //!   passes the seeded fault registry at the `segment.write`,
 //!   `segment.read`, and `segment.scrub` sites (scope-compatible, so a
 //!   sharded fleet can fault one member's tier), including the slow-IO
-//!   [`crate::faults::FaultMode::Delay`] mode.
+//!   [`crate::faults::FaultMode::Delay`] mode. A demand read and a
+//!   scrub read are one code path and differ only in their fault site.
 //! * **[`TieredCsr`]** — an [`Adjacency`] implementation over spilled
-//!   row segments: a RAM-budgeted LRU page cache, IO-cost-budgeted
-//!   sequential prefetch, CRC-verified reads that quarantine corrupt
-//!   segments, a background [`TieredCsr::scrub`] pass that detects bit
-//!   rot proactively, [`TieredCsr::repair_from`] that restores
-//!   quarantined/missing segments from a source of truth (resident
-//!   copy, or the checkpoint+WAL-recovered graph the flow hands in) —
-//!   with honest refusal and counted loss when no source exists.
-//!   Failed IO goes through the workspace's one retry loop
+//!   row segments: a RAM-budgeted LRU page cache, sequential prefetch
+//!   of the next segment after a demand miss, CRC-verified reads that
+//!   quarantine corrupt segments, a background [`TieredCsr::scrub`]
+//!   pass that detects bit rot proactively, [`TieredCsr::repair_from`]
+//!   that restores quarantined/missing segments from a source of truth
+//!   (resident copy, or the checkpoint+WAL-recovered graph the flow
+//!   hands in) — with honest refusal and counted loss when no source
+//!   exists. Failed IO goes through the workspace's one retry loop
 //!   ([`RetryPolicy::run`]) and one [`CircuitBreaker`], which degrades
 //!   the tier to pinned-in-RAM operation when the device keeps failing.
 //!
@@ -39,7 +40,7 @@
 //! slices; the representation changes, the bits do not.
 
 use crate::faults::{self, Intercept};
-use crate::io::{crc32, Crc32};
+use crate::io::{checked_count, corrupt, crc32, read_magic, read_version};
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use crate::{Adjacency, CsrGraph, VertexId, Weight};
 use std::collections::HashMap;
@@ -51,10 +52,10 @@ use std::time::Duration;
 
 /// Magic tag of the `GAS1` segment file format.
 pub const MAGIC_SEGMENT: &[u8; 4] = b"GAS1";
+/// Format name in `GAS1` error messages.
+const GAS1: &str = "GAS1";
 /// Current `GAS1` codec version.
 const SEGMENT_VERSION: u16 = 1;
-/// Upper bound on any payload length read from an untrusted header.
-const MAX_PAYLOAD: u64 = 1 << 32;
 /// Segment IO is retried twice, immediately: reads retry under the
 /// tier mutex, where a backoff sleep would stall every reader.
 const IO_RETRY: RetryPolicy = RetryPolicy {
@@ -67,36 +68,37 @@ const IO_RETRY: RetryPolicy = RetryPolicy {
 /// the tier degrades to pinned-in-RAM operation.
 const BREAKER_THRESHOLD: u32 = 4;
 
-/// What a segment file holds.
+/// What a segment file holds. The discriminant is the kind's tag in a
+/// `GAS1` header and its index into a tier's per-direction fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SegmentKind {
     /// A contiguous range of forward CSR rows.
-    Rows,
+    Rows = 0,
     /// A contiguous range of reverse (in-edge) CSR rows.
-    RevRows,
+    RevRows = 1,
 }
 
 impl SegmentKind {
-    fn tag(self) -> u8 {
-        match self {
-            SegmentKind::Rows => 0,
-            SegmentKind::RevRows => 1,
-        }
-    }
+    const ALL: [SegmentKind; 2] = [SegmentKind::Rows, SegmentKind::RevRows];
 
     fn from_tag(tag: u8) -> Option<SegmentKind> {
-        match tag {
-            0 => Some(SegmentKind::Rows),
-            1 => Some(SegmentKind::RevRows),
-            _ => None,
-        }
+        SegmentKind::ALL.into_iter().find(|&k| k as u8 == tag)
     }
 
     /// File-name prefix for this kind (`rows-000042.gas`).
-    pub fn prefix(self) -> &'static str {
+    fn prefix(self) -> &'static str {
         match self {
             SegmentKind::Rows => "rows",
             SegmentKind::RevRows => "rev",
+        }
+    }
+
+    /// Row `v` of `csr` in this kind's direction: its targets, and its
+    /// weights when it is a forward row of a weighted graph.
+    fn row_of(self, csr: &CsrGraph, v: VertexId) -> (&[VertexId], Option<&[Weight]>) {
+        match self {
+            SegmentKind::Rows => (csr.neighbors(v), csr.edge_weights(v)),
+            SegmentKind::RevRows => (csr.in_neighbors(v), None),
         }
     }
 }
@@ -115,19 +117,14 @@ pub fn encode_segment(kind: SegmentKind, id: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 28);
     out.extend_from_slice(MAGIC_SEGMENT);
     out.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    out.push(kind.tag());
+    out.push(kind as u8);
     out.push(0); // reserved
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    let mut h = Crc32::new();
-    h.update(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
-}
-
-fn corrupt(what: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("GAS1: {what}"))
 }
 
 /// Decode a `GAS1` segment file image into `(kind, id, payload)`.
@@ -137,37 +134,35 @@ fn corrupt(what: impl std::fmt::Display) -> io::Error {
 pub fn decode_segment(bytes: &[u8]) -> io::Result<(SegmentKind, u64, Vec<u8>)> {
     const HEADER: usize = 4 + 2 + 1 + 1 + 8 + 8;
     if bytes.len() < HEADER + 4 {
-        return Err(corrupt("truncated header"));
+        return Err(corrupt(GAS1, "truncated header"));
     }
-    if &bytes[0..4] != MAGIC_SEGMENT {
-        return Err(corrupt("bad magic"));
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != SEGMENT_VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    let kind = SegmentKind::from_tag(bytes[6]).ok_or_else(|| corrupt("unknown segment kind"))?;
+    let mut header = bytes;
+    read_magic(&mut header, MAGIC_SEGMENT, GAS1)?;
+    read_version(&mut header, SEGMENT_VERSION, GAS1)?;
+    let kind =
+        SegmentKind::from_tag(bytes[6]).ok_or_else(|| corrupt(GAS1, "unknown segment kind"))?;
     if bytes[7] != 0 {
-        return Err(corrupt("nonzero reserved byte"));
+        return Err(corrupt(GAS1, "nonzero reserved byte"));
     }
     let id = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
     let len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(corrupt(format!("payload length {len} exceeds bound")));
-    }
-    let expect = HEADER + len as usize + 4;
+    let expect = HEADER + checked_count(len, "payload byte", GAS1)? + 4;
     if bytes.len() != expect {
-        return Err(corrupt(format!(
-            "length mismatch: file {} bytes, frame says {expect}",
-            bytes.len()
-        )));
+        return Err(corrupt(
+            GAS1,
+            format!(
+                "length mismatch: file {} bytes, frame says {expect}",
+                bytes.len()
+            ),
+        ));
     }
     let stored = u32::from_le_bytes(bytes[expect - 4..].try_into().unwrap());
     let computed = crc32(&bytes[..expect - 4]);
     if stored != computed {
-        return Err(corrupt(format!(
-            "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
-        )));
+        return Err(corrupt(
+            GAS1,
+            format!("crc mismatch: stored {stored:#010x}, computed {computed:#010x}"),
+        ));
     }
     Ok((kind, id, bytes[HEADER..expect - 4].to_vec()))
 }
@@ -199,19 +194,40 @@ impl ResidentSeg {
     fn decoded_bytes(offsets: &[u64], targets: &[VertexId], weights: &Option<Vec<Weight>>) -> u64 {
         (offsets.len() * 8 + targets.len() * 4 + weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
     }
+
+    /// Row `v` (which must lie in this segment's range).
+    fn row(&self, v: VertexId) -> (&[VertexId], Option<&[Weight]>) {
+        let r = (v - self.start) as usize;
+        let (a, b) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+        (
+            &self.targets[a..b],
+            self.weights.as_deref().map(|w| &w[a..b]),
+        )
+    }
+
+    /// Re-encode these rows (repair from the in-RAM copy).
+    fn payload(&self) -> Vec<u8> {
+        let count = (self.offsets.len() - 1) as u32;
+        encode_rows_payload(self.start, count, self.weights.is_some(), |v| self.row(v))
+    }
 }
 
-/// Encode rows `[start, start + count)` of `csr` (forward or reverse)
-/// as a segment payload.
-fn encode_rows_payload(csr: &CsrGraph, rev: bool, start: VertexId, count: u32) -> Vec<u8> {
-    let weighted = !rev && csr.is_weighted();
+/// Encode rows `[start, start + count)` as a segment payload, reading
+/// each row through `row`; the weights are written when `weighted` is
+/// set. The spill (from a CSR) and the repair (from a CSR or a resident
+/// segment) both encode here.
+fn encode_rows_payload<'a>(
+    start: VertexId,
+    count: u32,
+    weighted: bool,
+    row: impl Fn(VertexId) -> (&'a [VertexId], Option<&'a [Weight]>),
+) -> Vec<u8> {
+    let rows = start..start + count;
     let mut offsets: Vec<u64> = Vec::with_capacity(count as usize + 1);
     let mut total: u64 = 0;
     offsets.push(0);
-    for r in 0..count {
-        let v = start + r;
-        let deg = if rev { csr.in_degree(v) } else { csr.degree(v) };
-        total += deg as u64;
+    for v in rows.clone() {
+        total += row(v).0.len() as u64;
         offsets.push(total);
     }
     let mut out = Vec::with_capacity(16 + offsets.len() * 8 + total as usize * 4);
@@ -222,20 +238,14 @@ fn encode_rows_payload(csr: &CsrGraph, rev: bool, start: VertexId, count: u32) -
     for &o in &offsets {
         out.extend_from_slice(&o.to_le_bytes());
     }
-    for r in 0..count {
-        let v = start + r;
-        let row = if rev {
-            csr.in_neighbors(v)
-        } else {
-            csr.neighbors(v)
-        };
-        for &t in row {
+    for v in rows.clone() {
+        for &t in row(v).0 {
             out.extend_from_slice(&t.to_le_bytes());
         }
     }
     if weighted {
-        for r in 0..count {
-            for w in csr.edge_weights(start + r).unwrap_or(&[]) {
+        for v in rows {
+            for w in row(v).1.unwrap_or(&[]) {
                 out.extend_from_slice(&w.to_le_bytes());
             }
         }
@@ -243,32 +253,9 @@ fn encode_rows_payload(csr: &CsrGraph, rev: bool, start: VertexId, count: u32) -
     out
 }
 
-/// Re-encode a resident segment's rows (repair from the in-RAM copy).
-fn encode_resident_payload(seg: &ResidentSeg) -> Vec<u8> {
-    let count = (seg.offsets.len() - 1) as u32;
-    let weighted = seg.weights.is_some();
-    let mut out = Vec::with_capacity(16 + seg.offsets.len() * 8 + seg.targets.len() * 4);
-    out.extend_from_slice(&seg.start.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.push(u8::from(weighted));
-    out.extend_from_slice(&[0u8; 3]);
-    for &o in &seg.offsets {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    for &t in &seg.targets {
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-    if let Some(w) = &seg.weights {
-        for x in w {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-    out
-}
-
 fn decode_rows_payload(payload: &[u8]) -> io::Result<ResidentSeg> {
     if payload.len() < 12 {
-        return Err(corrupt("row payload truncated"));
+        return Err(corrupt(GAS1, "row payload truncated"));
     }
     let start = VertexId::from_le_bytes(payload[0..4].try_into().unwrap());
     let count = u32::from_le_bytes(payload[4..8].try_into().unwrap());
@@ -277,21 +264,17 @@ fn decode_rows_payload(payload: &[u8]) -> io::Result<ResidentSeg> {
     let n_off = count as usize + 1;
     let tgt_base = off_base + n_off * 8;
     if payload.len() < tgt_base {
-        return Err(corrupt("row payload shorter than offsets"));
+        return Err(corrupt(GAS1, "row payload shorter than offsets"));
     }
     let mut offsets = Vec::with_capacity(n_off);
     for i in 0..n_off {
         let a = off_base + i * 8;
         offsets.push(u64::from_le_bytes(payload[a..a + 8].try_into().unwrap()));
     }
-    let m = *offsets.last().unwrap();
-    if m > MAX_PAYLOAD {
-        return Err(corrupt("row payload edge count exceeds bound"));
-    }
-    let m = m as usize;
+    let m = checked_count(*offsets.last().unwrap(), "row edge", GAS1)?;
     let expect = tgt_base + m * 4 + if weighted { m * 4 } else { 0 };
     if payload.len() != expect {
-        return Err(corrupt("row payload length mismatch"));
+        return Err(corrupt(GAS1, "row payload length mismatch"));
     }
     let mut targets = Vec::with_capacity(m);
     for i in 0..m {
@@ -351,6 +334,21 @@ pub enum SegmentReadError {
     Missing,
 }
 
+/// The arms of a fault site every store IO shares: an injected delay is
+/// served and reported as `Ok(true)` (slowed); an injected error is
+/// returned. A short write means something only to the writer, which
+/// handles it before the gate; anywhere else it is an injected error.
+fn gate(site: &str, intercept: Intercept) -> io::Result<bool> {
+    match intercept {
+        Intercept::Proceed => Ok(false),
+        Intercept::Delay(ms) => {
+            faults::apply_delay(ms);
+            Ok(true)
+        }
+        Intercept::Error | Intercept::ShortWrite(_) => Err(faults::injected(site)),
+    }
+}
+
 /// A directory of `GAS1` segment files plus its `quarantine/` corner.
 #[derive(Debug)]
 pub struct SegmentStore {
@@ -387,22 +385,14 @@ impl SegmentStore {
     pub fn write(&self, kind: SegmentKind, id: u64, payload: &[u8]) -> io::Result<IoOutcome> {
         let frame = encode_segment(kind, id, payload);
         let path = self.segment_path(kind, id);
-        let mut slowed = false;
-        match faults::intercept("segment.write") {
-            Intercept::Proceed => {}
-            Intercept::Delay(ms) => {
-                faults::apply_delay(ms);
-                slowed = true;
-            }
-            Intercept::Error => return Err(faults::injected("segment.write")),
-            Intercept::ShortWrite(k) => {
-                let k = k.min(frame.len());
-                let mut f = fs::File::create(&path)?;
-                f.write_all(&frame[..k])?;
-                f.sync_data()?;
-                return Err(faults::injected("segment.write"));
-            }
+        let intercept = faults::intercept("segment.write");
+        if let Intercept::ShortWrite(k) = intercept {
+            let mut f = fs::File::create(&path)?;
+            f.write_all(&frame[..k.min(frame.len())])?;
+            f.sync_data()?;
+            return Err(faults::injected("segment.write"));
         }
+        let slowed = gate("segment.write", intercept)?;
         let mut f = fs::File::create(&path)?;
         f.write_all(&frame)?;
         f.sync_data()?;
@@ -421,41 +411,46 @@ impl SegmentStore {
         kind: SegmentKind,
         id: u64,
     ) -> Result<(Vec<u8>, IoOutcome), SegmentReadError> {
-        let mut slowed = false;
-        match faults::intercept("segment.read") {
-            Intercept::Proceed => {}
-            Intercept::Delay(ms) => {
-                faults::apply_delay(ms);
-                slowed = true;
-            }
-            // A short "write" makes no sense on the read path; both
-            // injected arms are read errors.
-            Intercept::Error | Intercept::ShortWrite(_) => {
-                return Err(SegmentReadError::Io(faults::injected("segment.read")))
-            }
-        }
-        let path = self.segment_path(kind, id);
-        let bytes = match fs::read(&path) {
+        self.read_at("segment.read", kind, id)
+    }
+
+    /// The one read path, behind the fault site `site` (`segment.read`
+    /// for a demand read, `segment.scrub` for a scrub): read the file,
+    /// check the frame and that it names `(kind, id)`, and quarantine
+    /// it when either check fails.
+    fn read_at(
+        &self,
+        site: &str,
+        kind: SegmentKind,
+        id: u64,
+    ) -> Result<(Vec<u8>, IoOutcome), SegmentReadError> {
+        let slowed = gate(site, faults::intercept(site)).map_err(SegmentReadError::Io)?;
+        let bytes = match fs::read(self.segment_path(kind, id)) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(SegmentReadError::Missing),
             Err(e) => return Err(SegmentReadError::Io(e)),
         };
-        match decode_segment(&bytes) {
-            Ok((got_kind, got_id, payload)) if got_kind == kind && got_id == id => Ok((
+        let checked = decode_segment(&bytes).and_then(|(got_kind, got_id, payload)| {
+            if (got_kind, got_id) == (kind, id) {
+                Ok(payload)
+            } else {
+                Err(corrupt(
+                    GAS1,
+                    format!(
+                        "segment identity mismatch: file says {got_kind:?}/{got_id}, \
+                         expected {kind:?}/{id}"
+                    ),
+                ))
+            }
+        });
+        match checked {
+            Ok(payload) => Ok((
                 payload,
                 IoOutcome {
                     bytes: bytes.len() as u64,
                     slowed,
                 },
             )),
-            Ok((got_kind, got_id, _)) => {
-                let e = corrupt(format!(
-                    "segment identity mismatch: file says {:?}/{got_id}, expected {kind:?}/{id}",
-                    got_kind
-                ));
-                let _ = self.quarantine(kind, id);
-                Err(SegmentReadError::Corrupt(e))
-            }
             Err(e) => {
                 let _ = self.quarantine(kind, id);
                 Err(SegmentReadError::Corrupt(e))
@@ -465,7 +460,7 @@ impl SegmentStore {
 
     /// Move a segment file into `quarantine/` (idempotent; missing
     /// files are fine).
-    pub fn quarantine(&self, kind: SegmentKind, id: u64) -> io::Result<()> {
+    fn quarantine(&self, kind: SegmentKind, id: u64) -> io::Result<()> {
         let from = self.segment_path(kind, id);
         match fs::rename(&from, self.quarantine_path(kind, id)) {
             Ok(()) => Ok(()),
@@ -474,75 +469,22 @@ impl SegmentStore {
         }
     }
 
-    /// True when segment `(kind, id)` has a (possibly corrupt) file at
-    /// its live path.
-    pub fn exists(&self, kind: SegmentKind, id: u64) -> bool {
-        self.segment_path(kind, id).exists()
-    }
-
-    /// Indexes of all live segments of `kind`, sorted.
-    pub fn list(&self, kind: SegmentKind) -> io::Result<Vec<u64>> {
-        let mut ids = Vec::new();
+    /// Remove all live segment files of `kind` (fresh respill).
+    fn clear(&self, kind: SegmentKind) -> io::Result<()> {
         let prefix = format!("{}-", kind.prefix());
         for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
+            let entry = entry?;
+            let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(rest) = name.strip_prefix(&prefix) {
-                if let Some(idx) = rest.strip_suffix(".gas") {
-                    if let Ok(id) = idx.parse::<u64>() {
-                        ids.push(id);
-                    }
-                }
+            let live = name
+                .strip_prefix(&prefix)
+                .and_then(|rest| rest.strip_suffix(".gas"))
+                .is_some_and(|idx| idx.parse::<u64>().is_ok());
+            if live {
+                fs::remove_file(entry.path())?;
             }
-        }
-        ids.sort_unstable();
-        Ok(ids)
-    }
-
-    /// Remove all live segment files of `kind` (fresh respill).
-    pub fn clear(&self, kind: SegmentKind) -> io::Result<()> {
-        for id in self.list(kind)? {
-            fs::remove_file(self.segment_path(kind, id))?;
         }
         Ok(())
-    }
-
-    /// Scrub one segment through the `segment.scrub` fault site: read
-    /// its live file and validate the frame without decoding rows into
-    /// the cache. Corrupt frames are quarantined. Returns
-    /// `Ok(Some(outcome))` for a healthy segment, `Ok(None)` when the
-    /// file is missing, and the read/validation error otherwise.
-    fn scrub_one(&self, kind: SegmentKind, id: u64) -> Result<Option<IoOutcome>, SegmentReadError> {
-        let mut slowed = false;
-        match faults::intercept("segment.scrub") {
-            Intercept::Proceed => {}
-            Intercept::Delay(ms) => {
-                faults::apply_delay(ms);
-                slowed = true;
-            }
-            Intercept::Error | Intercept::ShortWrite(_) => {
-                return Err(SegmentReadError::Io(faults::injected("segment.scrub")))
-            }
-        }
-        let path = self.segment_path(kind, id);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(SegmentReadError::Io(e)),
-        };
-        match decode_segment(&bytes) {
-            Ok((got_kind, got_id, _)) if got_kind == kind && got_id == id => Ok(Some(IoOutcome {
-                bytes: bytes.len() as u64,
-                slowed,
-            })),
-            Ok(_) | Err(_) => {
-                let _ = self.quarantine(kind, id);
-                Err(SegmentReadError::Corrupt(corrupt(format!(
-                    "scrub found corrupt segment {}/{id}",
-                    kind.prefix()
-                ))))
-            }
-        }
     }
 }
 
@@ -552,9 +494,9 @@ impl SegmentStore {
 
 /// Knobs for a [`TieredCsr`]. Built with struct-update syntax over
 /// [`TierConfig::new`] or the builder-style methods. Sequential
-/// prefetch (always on, shaped by the IO budget), the IO retry budget
-/// (2 immediate retries) and the breaker threshold (4 consecutive
-/// failures) are constants: no caller ever needed another value.
+/// prefetch (always on), the IO retry budget (2 immediate retries) and
+/// the breaker threshold (4 consecutive failures) are constants: no
+/// caller ever needed another value.
 #[derive(Clone, Debug)]
 pub struct TierConfig {
     /// Directory segments spill to.
@@ -563,12 +505,8 @@ pub struct TierConfig {
     /// index (8 bytes/vertex, the tier's "page table") is accounted
     /// separately and not evictable.
     pub ram_budget_bytes: u64,
-    /// Rows per segment.
+    /// Rows per segment; 0 is taken as 1.
     pub segment_rows: usize,
-    /// IO-cost budget per window ([`TieredCsr::begin_io_window`]):
-    /// prefetch only spends budget left over after demand misses, so a
-    /// tight budget degrades to demand paging instead of thrashing.
-    pub io_budget_bytes: u64,
     /// Keep the source snapshot `Arc` as the pinned-in-RAM fallback.
     /// Without it, a tripped breaker (or an unrepairable segment) can
     /// only count the loss honestly.
@@ -576,14 +514,13 @@ pub struct TierConfig {
 }
 
 impl TierConfig {
-    /// Defaults: 64 MiB RAM budget, 1024-row segments, unlimited IO
-    /// budget, pinned fallback kept.
+    /// Defaults: 64 MiB RAM budget, 1024-row segments, pinned fallback
+    /// kept.
     pub fn new(dir: impl Into<PathBuf>) -> TierConfig {
         TierConfig {
             dir: dir.into(),
             ram_budget_bytes: 64 << 20,
             segment_rows: 1024,
-            io_budget_bytes: u64::MAX,
             keep_pin: true,
         }
     }
@@ -623,7 +560,9 @@ pub struct TierStats {
     pub read_bytes: u64,
     /// Sequential prefetches issued.
     pub prefetches: u64,
-    /// Prefetches skipped because the IO window budget was exhausted.
+    /// Always 0: prefetch has no IO budget that could deny it. The
+    /// field keeps its slot in the GAC1 v3 stats section, which is
+    /// positional with an exact field count.
     pub prefetch_denied: u64,
     /// Segments evicted to stay inside the RAM budget.
     pub evictions: u64,
@@ -724,10 +663,9 @@ pub struct RepairReport {
 // ---------------------------------------------------------------------
 
 struct TierState {
-    resident: HashMap<(bool, usize), ResidentSeg>,
+    resident: HashMap<SegmentId, ResidentSeg>,
     resident_bytes: u64,
     clock: u64,
-    io_window_spent: u64,
     /// Open = pinned-in-RAM operation.
     breaker: CircuitBreaker,
     quarantined: Vec<SegmentId>,
@@ -740,6 +678,20 @@ impl TierState {
         if self.breaker.record_failure() {
             self.stats.breaker_trips += 1;
         }
+    }
+
+    /// Count segment `id` as found corrupt and quarantined.
+    fn found_corrupt(&mut self, id: SegmentId) {
+        self.stats.corrupt_segments += 1;
+        self.quarantined.push(id);
+    }
+
+    /// Make `seg` resident as `id`, stamped most recently used.
+    fn admit(&mut self, id: SegmentId, mut seg: ResidentSeg) {
+        self.clock += 1;
+        seg.last_used = self.clock;
+        self.resident_bytes += seg.bytes;
+        self.resident.insert(id, seg);
     }
 }
 
@@ -756,16 +708,11 @@ pub struct TieredCsr {
     num_edges: usize,
     weighted: bool,
     has_reverse: bool,
-    /// Per-vertex out-degrees (the RAM-resident index).
-    degrees: Vec<u32>,
-    /// Per-vertex in-degrees when the source has a reverse index.
-    in_degrees: Vec<u32>,
-    num_fwd_segs: usize,
-    num_rev_segs: usize,
-    /// Encoded on-disk size per forward/reverse segment (prefetch
-    /// pricing).
-    fwd_seg_bytes: Vec<u64>,
-    rev_seg_bytes: Vec<u64>,
+    /// Per-vertex out-degrees and, when the source has a reverse index,
+    /// in-degrees (the RAM-resident index), indexed by [`SegmentKind`].
+    degrees: [Vec<u32>; 2],
+    /// Segments of each kind, indexed by [`SegmentKind`].
+    num_segs: [usize; 2],
     /// Pinned-in-RAM fallback (see [`TierConfig::keep_pin`]).
     pin: Option<Arc<CsrGraph>>,
     state: Mutex<TierState>,
@@ -776,7 +723,7 @@ impl std::fmt::Debug for TieredCsr {
         f.debug_struct("TieredCsr")
             .field("num_vertices", &self.num_vertices)
             .field("num_edges", &self.num_edges)
-            .field("segments", &(self.num_fwd_segs + self.num_rev_segs))
+            .field("segments", &self.num_segs.iter().sum::<usize>())
             .field("dir", &self.config.dir)
             .finish()
     }
@@ -788,93 +735,91 @@ impl TieredCsr {
     /// segment whose write keeps failing after retries stays resident
     /// and non-evictable — the rows are never abandoned to a disk that
     /// did not accept them — and counts toward the breaker.
-    pub fn spill(snap: &Arc<CsrGraph>, config: TierConfig) -> io::Result<TieredCsr> {
+    pub fn spill(snap: &Arc<CsrGraph>, mut config: TierConfig) -> io::Result<TieredCsr> {
         let store = SegmentStore::open(&config.dir)?;
-        store.clear(SegmentKind::Rows)?;
-        store.clear(SegmentKind::RevRows)?;
+        for kind in SegmentKind::ALL {
+            store.clear(kind)?;
+        }
+        config.segment_rows = config.segment_rows.max(1);
         let n = snap.num_vertices();
-        let seg_rows = config.segment_rows.max(1);
-        let num_fwd_segs = n.div_ceil(seg_rows);
-        let num_rev_segs = if snap.has_reverse() { num_fwd_segs } else { 0 };
-        let mut tier = TieredCsr {
+        let num_fwd_segs = n.div_ceil(config.segment_rows);
+        let in_degrees = if snap.has_reverse() {
+            (0..n)
+                .map(|v| snap.in_degree(v as VertexId) as u32)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let tier = TieredCsr {
             store,
             num_vertices: n,
             num_edges: snap.num_edges(),
             weighted: snap.is_weighted(),
             has_reverse: snap.has_reverse(),
-            degrees: (0..n).map(|v| snap.degree(v as VertexId) as u32).collect(),
-            in_degrees: if snap.has_reverse() {
-                (0..n)
-                    .map(|v| snap.in_degree(v as VertexId) as u32)
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            num_fwd_segs,
-            num_rev_segs,
-            fwd_seg_bytes: vec![0; num_fwd_segs],
-            rev_seg_bytes: vec![0; num_rev_segs],
+            degrees: [
+                (0..n).map(|v| snap.degree(v as VertexId) as u32).collect(),
+                in_degrees,
+            ],
+            num_segs: [
+                num_fwd_segs,
+                if snap.has_reverse() { num_fwd_segs } else { 0 },
+            ],
             pin: config.keep_pin.then(|| Arc::clone(snap)),
             config,
             state: Mutex::new(TierState {
                 resident: HashMap::new(),
                 resident_bytes: 0,
                 clock: 0,
-                io_window_spent: 0,
                 breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
                 quarantined: Vec::new(),
                 stats: TierStats::default(),
             }),
         };
-        for seg in 0..num_fwd_segs {
-            tier.spill_one(snap, false, seg);
-        }
-        for seg in 0..num_rev_segs {
-            tier.spill_one(snap, true, seg);
+        for id in tier.segments() {
+            tier.spill_one(snap, id);
         }
         Ok(tier)
     }
 
-    fn seg_range(&self, seg: usize) -> (VertexId, u32) {
-        let start = seg * self.config.segment_rows;
+    /// Every segment this tier owns: the forward rows', then the
+    /// reverse rows'.
+    fn segments(&self) -> impl Iterator<Item = SegmentId> + '_ {
+        SegmentKind::ALL.into_iter().flat_map(move |kind| {
+            (0..self.num_segs[kind as usize] as u64).map(move |seg| (kind, seg))
+        })
+    }
+
+    fn seg_range(&self, seg: u64) -> (VertexId, u32) {
+        let start = seg as usize * self.config.segment_rows;
         let count = self.config.segment_rows.min(self.num_vertices - start);
         (start as VertexId, count as u32)
     }
 
+    /// Encode segment `id`'s rows as `csr` holds them.
+    fn payload_from(&self, csr: &CsrGraph, (kind, seg): SegmentId) -> Vec<u8> {
+        let (start, count) = self.seg_range(seg);
+        let weighted = kind == SegmentKind::Rows && csr.is_weighted();
+        encode_rows_payload(start, count, weighted, |v| kind.row_of(csr, v))
+    }
+
     /// One segment write through the one retry loop.
-    fn write_retrying(
-        &self,
-        kind: SegmentKind,
-        seg: usize,
-        payload: &[u8],
-    ) -> io::Result<IoOutcome> {
-        let write = |_: &mut ()| self.store.write(kind, seg as u64, payload);
+    fn write_retrying(&self, (kind, seg): SegmentId, payload: &[u8]) -> io::Result<IoOutcome> {
+        let write = |_: &mut ()| self.store.write(kind, seg, payload);
         IO_RETRY.run(&mut (), write, |_| Ok(())).0
     }
 
     /// Spill one segment. On persistent failure the segment is kept
     /// resident (non-evictable) instead of lost.
-    fn spill_one(&mut self, snap: &CsrGraph, rev: bool, seg: usize) {
-        let (start, count) = self.seg_range(seg);
-        let payload = encode_rows_payload(snap, rev, start, count);
-        let kind = if rev {
-            SegmentKind::RevRows
-        } else {
-            SegmentKind::Rows
-        };
-        let written = self.write_retrying(kind, seg, &payload);
-        let state = self.state.get_mut().unwrap();
+    fn spill_one(&self, snap: &CsrGraph, id: SegmentId) {
+        let payload = self.payload_from(snap, id);
+        let written = self.write_retrying(id, &payload);
+        let mut state = self.state.lock().unwrap();
         match written {
             Ok(out) => {
                 state.stats.spilled_segments += 1;
                 state.stats.spilled_bytes += out.bytes;
                 state.stats.slow_ios += u64::from(out.slowed);
                 state.breaker.record_success();
-                if rev {
-                    self.rev_seg_bytes[seg] = out.bytes;
-                } else {
-                    self.fwd_seg_bytes[seg] = out.bytes;
-                }
             }
             Err(_) => {
                 // Keep the rows resident; a disk that refused the
@@ -884,10 +829,7 @@ impl TieredCsr {
                 let mut decoded =
                     decode_rows_payload(&payload).expect("freshly encoded payload must decode");
                 decoded.no_disk_copy = true;
-                state.clock += 1;
-                decoded.last_used = state.clock;
-                state.resident_bytes += decoded.bytes;
-                state.resident.insert((rev, seg), decoded);
+                state.admit(id, decoded);
             }
         }
     }
@@ -911,7 +853,8 @@ impl TieredCsr {
     /// hold): the basis benchmarks size their budgets against.
     pub fn working_set_bytes(&self) -> u64 {
         let m = self.num_edges as u64;
-        let fwd = m * 4 + (self.num_vertices as u64 + self.num_fwd_segs as u64) * 8;
+        let fwd = m * 4
+            + (self.num_vertices as u64 + self.num_segs[SegmentKind::Rows as usize] as u64) * 8;
         let w = if self.weighted { m * 4 } else { 0 };
         let rev = if self.has_reverse { fwd } else { 0 };
         fwd + w + rev
@@ -938,29 +881,17 @@ impl TieredCsr {
         std::mem::take(&mut self.state.lock().unwrap().stats)
     }
 
-    /// Start a fresh IO-cost window: demand misses and prefetches
-    /// inside one window share [`TierConfig::io_budget_bytes`]; once
-    /// spent, prefetch is denied (demand misses always proceed — the
-    /// budget shapes speculation, not correctness).
-    pub fn begin_io_window(&self) {
-        self.state.lock().unwrap().io_window_spent = 0;
-    }
-
-    fn seg_of(&self, v: VertexId) -> usize {
-        v as usize / self.config.segment_rows
+    fn seg_of(&self, v: VertexId) -> u64 {
+        (v as usize / self.config.segment_rows) as u64
     }
 
     /// Fetch a segment into the cache (caller holds the lock via
     /// `state`). Returns false when the segment could not be fetched.
-    fn fetch_locked(&self, state: &mut TierState, rev: bool, seg: usize) -> bool {
-        let kind = if rev {
-            SegmentKind::RevRows
-        } else {
-            SegmentKind::Rows
-        };
+    fn fetch_locked(&self, state: &mut TierState, id: SegmentId) -> bool {
+        let (kind, seg) = id;
         // Only a failed IO is retried; a verdict on the bytes (corrupt,
         // missing) is final the first time.
-        let read = |_: &mut ()| match self.store.read(kind, seg as u64) {
+        let read = |_: &mut ()| match self.store.read(kind, seg) {
             Err(SegmentReadError::Io(e)) => Err(e),
             verdict => Ok(verdict),
         };
@@ -968,30 +899,20 @@ impl TieredCsr {
             Ok(Ok((payload, out))) => {
                 state.stats.read_bytes += out.bytes;
                 state.stats.slow_ios += u64::from(out.slowed);
-                state.io_window_spent = state.io_window_spent.saturating_add(out.bytes);
                 state.breaker.record_success();
-                match decode_rows_payload(&payload) {
-                    Ok(mut decoded) => {
-                        state.clock += 1;
-                        decoded.last_used = state.clock;
-                        state.resident_bytes += decoded.bytes;
-                        state.resident.insert((rev, seg), decoded);
-                        self.evict_over_budget(state, (rev, seg));
-                        true
-                    }
-                    Err(_) => {
-                        // Frame CRC passed but the payload lied —
-                        // treat as corrupt, same as the store would.
-                        let _ = self.store.quarantine(kind, seg as u64);
-                        state.stats.corrupt_segments += 1;
-                        state.quarantined.push((kind, seg as u64));
-                        false
-                    }
-                }
+                let Ok(decoded) = decode_rows_payload(&payload) else {
+                    // Frame CRC passed but the payload lied — treat as
+                    // corrupt, same as the store would.
+                    let _ = self.store.quarantine(kind, seg);
+                    state.found_corrupt(id);
+                    return false;
+                };
+                state.admit(id, decoded);
+                self.evict_over_budget(state, id);
+                true
             }
             Ok(Err(SegmentReadError::Corrupt(_))) => {
-                state.stats.corrupt_segments += 1;
-                state.quarantined.push((kind, seg as u64));
+                state.found_corrupt(id);
                 false
             }
             // Missing: repair's job, not a device failure.
@@ -1007,7 +928,7 @@ impl TieredCsr {
     /// Evict least-recently-used segments until resident bytes fit the
     /// budget. The just-inserted segment and segments without a disk
     /// copy are exempt (evicting either would break correctness).
-    fn evict_over_budget(&self, state: &mut TierState, keep: (bool, usize)) {
+    fn evict_over_budget(&self, state: &mut TierState, keep: SegmentId) {
         while state.resident_bytes > self.config.ram_budget_bytes {
             let victim = state
                 .resident
@@ -1026,98 +947,70 @@ impl TieredCsr {
         }
     }
 
-    /// Issue a budgeted sequential prefetch of `seg + 1` after a
-    /// demand miss of `seg`.
-    fn maybe_prefetch(&self, state: &mut TierState, rev: bool, seg: usize) {
-        if state.breaker.is_open() {
+    /// Issue a sequential prefetch of the segment after `(kind, seg)`,
+    /// which a demand miss just fetched.
+    fn maybe_prefetch(&self, state: &mut TierState, (kind, seg): SegmentId) {
+        let next = (kind, seg + 1);
+        if state.breaker.is_open()
+            || next.1 >= self.num_segs[kind as usize] as u64
+            || state.resident.contains_key(&next)
+        {
             return;
         }
-        let next = seg + 1;
-        let count = if rev {
-            self.num_rev_segs
-        } else {
-            self.num_fwd_segs
-        };
-        if next >= count || state.resident.contains_key(&(rev, next)) {
-            return;
-        }
-        let price = if rev {
-            self.rev_seg_bytes[next]
-        } else {
-            self.fwd_seg_bytes[next]
-        };
-        if state.io_window_spent.saturating_add(price) > self.config.io_budget_bytes {
-            state.stats.prefetch_denied += 1;
-            return;
-        }
-        if self.fetch_locked(state, rev, next) {
+        if self.fetch_locked(state, next) {
             state.stats.prefetches += 1;
         }
     }
 
-    /// Run `f` on row `v` (forward or reverse): `(targets, weights)`.
-    /// Falls back to the pin on IO failure, and to an empty row — with
-    /// `lost_rows` counted — when no pin exists.
+    /// Run `f` on row `v` of direction `kind`: `(targets, weights)`.
+    /// Falls back to the pin in pinned mode or when the segment cannot
+    /// be fetched, and to an empty row — with `lost_rows` counted —
+    /// when no pin exists.
     fn with_row<R>(
         &self,
         v: VertexId,
-        rev: bool,
+        kind: SegmentKind,
         f: impl FnOnce(&[VertexId], Option<&[Weight]>) -> R,
     ) -> R {
-        let seg = self.seg_of(v);
+        let id = (kind, self.seg_of(v));
         let mut state = self.state.lock().unwrap();
-        if state.breaker.is_open() {
-            if let Some(pin) = &self.pin {
-                state.stats.pinned_fallbacks += 1;
-                let row = if rev {
-                    pin.in_neighbors(v)
-                } else {
-                    pin.neighbors(v)
-                };
-                let w = if rev { None } else { pin.edge_weights(v) };
-                return f(row, w);
-            }
-        }
         let mut missed = false;
-        if !state.resident.contains_key(&(rev, seg)) {
+        let cached = if state.breaker.is_open() && self.pin.is_some() {
+            false
+        } else if state.resident.contains_key(&id) {
+            state.stats.cache_hits += 1;
+            true
+        } else {
             state.stats.cache_misses += 1;
             missed = true;
-            if !self.fetch_locked(&mut state, rev, seg) {
-                // Unfetchable (IO failure, corrupt, or missing): serve
-                // from the pin when we have one, else count the loss.
-                if let Some(pin) = &self.pin {
+            self.fetch_locked(&mut state, id)
+        };
+        if !cached {
+            // Pinned mode, or the segment is unfetchable (IO failure,
+            // corrupt, or missing): serve from the pin when we have
+            // one, else count the loss.
+            return match &self.pin {
+                Some(pin) => {
                     state.stats.pinned_fallbacks += 1;
-                    let row = if rev {
-                        pin.in_neighbors(v)
-                    } else {
-                        pin.neighbors(v)
-                    };
-                    let w = if rev { None } else { pin.edge_weights(v) };
-                    return f(row, w);
+                    let (targets, weights) = kind.row_of(pin, v);
+                    f(targets, weights)
                 }
-                state.stats.lost_rows += 1;
-                return f(&[], None);
-            }
-        } else {
-            state.stats.cache_hits += 1;
+                None => {
+                    state.stats.lost_rows += 1;
+                    f(&[], None)
+                }
+            };
         }
         state.clock += 1;
         let clock = state.clock;
-        let resident = state.resident.get_mut(&(rev, seg)).unwrap();
+        let resident = state.resident.get_mut(&id).unwrap();
         resident.last_used = clock;
-        let r = (v - resident.start) as usize;
-        let (a, b) = (
-            resident.offsets[r] as usize,
-            resident.offsets[r + 1] as usize,
-        );
-        let out = f(
-            &resident.targets[a..b],
-            resident.weights.as_deref().map(|w| &w[a..b]),
-        );
+        let (targets, weights) = resident.row(v);
+        let out = f(targets, weights);
         if missed {
             // Prefetch only after the row has been served: under a
             // tight budget the speculative segment may evict this one.
-            self.maybe_prefetch(&mut state, rev, seg);
+            self.maybe_prefetch(&mut state, id);
         }
         out
     }
@@ -1129,32 +1022,25 @@ impl TieredCsr {
     pub fn scrub(&self) -> ScrubReport {
         let mut report = ScrubReport::default();
         let mut state = self.state.lock().unwrap();
-        let kinds = [
-            (SegmentKind::Rows, self.num_fwd_segs),
-            (SegmentKind::RevRows, self.num_rev_segs),
-        ];
-        for (kind, count) in kinds {
-            for seg in 0..count {
-                match self.store.scrub_one(kind, seg as u64) {
-                    Ok(Some(out)) => {
-                        report.clean += 1;
-                        report.bytes += out.bytes;
-                        state.stats.scrubbed_segments += 1;
-                        state.stats.scrub_bytes += out.bytes;
-                        state.stats.slow_ios += u64::from(out.slowed);
-                    }
-                    Ok(None) => report.missing.push((kind, seg as u64)),
-                    Err(SegmentReadError::Corrupt(_)) => {
-                        state.stats.corrupt_segments += 1;
-                        state.quarantined.push((kind, seg as u64));
-                        report.corrupt.push((kind, seg as u64));
-                    }
-                    Err(_) => {
-                        // Device error, not a verdict on the bytes: the
-                        // segment stays live, the error is counted.
-                        state.stats.scrub_errors += 1;
-                        report.errors += 1;
-                    }
+        for id @ (kind, seg) in self.segments() {
+            match self.store.read_at("segment.scrub", kind, seg) {
+                Ok((_, out)) => {
+                    report.clean += 1;
+                    report.bytes += out.bytes;
+                    state.stats.scrubbed_segments += 1;
+                    state.stats.scrub_bytes += out.bytes;
+                    state.stats.slow_ios += u64::from(out.slowed);
+                }
+                Err(SegmentReadError::Missing) => report.missing.push(id),
+                Err(SegmentReadError::Corrupt(_)) => {
+                    state.found_corrupt(id);
+                    report.corrupt.push(id);
+                }
+                Err(SegmentReadError::Io(_)) => {
+                    // Device error, not a verdict on the bytes: the
+                    // segment stays live, the error is counted.
+                    state.stats.scrub_errors += 1;
+                    report.errors += 1;
                 }
             }
         }
@@ -1164,54 +1050,41 @@ impl TieredCsr {
     /// Restore every quarantined/missing segment. Source priority: the
     /// resident in-RAM copy (still good), then `source` (the
     /// checkpoint+WAL-recovered graph the flow hands in, or a replica
-    /// reconstruction in the sharded fleet). With neither, the segment
-    /// is reported unrepairable and counted lost — never fabricated.
+    /// reconstruction in the sharded fleet), then the pin. With none of
+    /// them, the segment is reported unrepairable and counted lost —
+    /// never fabricated.
     pub fn repair_from(&self, source: Option<&CsrGraph>) -> RepairReport {
         let mut report = RepairReport::default();
         let mut state = self.state.lock().unwrap();
-        let kinds = [
-            (SegmentKind::Rows, self.num_fwd_segs, false),
-            (SegmentKind::RevRows, self.num_rev_segs, true),
-        ];
-        for (kind, count, rev) in kinds {
-            for seg in 0..count {
-                if self.store.exists(kind, seg as u64) {
+        for id @ (kind, seg) in self.segments() {
+            if self.store.segment_path(kind, seg).exists() {
+                continue;
+            }
+            let payload = match (state.resident.get(&id), source.or(self.pin.as_deref())) {
+                (Some(res), _) => res.payload(),
+                (None, Some(src)) => self.payload_from(src, id),
+                (None, None) => {
+                    state.stats.lost_segments += 1;
+                    report.unrepairable.push(id);
                     continue;
                 }
-                let payload = if let Some(res) = state.resident.get(&(rev, seg)) {
-                    Some(encode_resident_payload(res))
-                } else if let Some(src) = source {
-                    let (start, rows) = self.seg_range(seg);
-                    Some(encode_rows_payload(src, rev, start, rows))
-                } else {
-                    self.pin.as_ref().map(|pin| {
-                        let (start, rows) = self.seg_range(seg);
-                        encode_rows_payload(pin, rev, start, rows)
-                    })
-                };
-                match payload {
-                    Some(payload) => match self.write_retrying(kind, seg, &payload) {
-                        Ok(out) => {
-                            state.stats.repaired_segments += 1;
-                            state.stats.spilled_bytes += out.bytes;
-                            state.stats.slow_ios += u64::from(out.slowed);
-                            report.repaired.push((kind, seg as u64));
-                            report.bytes += out.bytes;
-                            // The rewritten copy is good again: a
-                            // resident twin may evict freely.
-                            if let Some(res) = state.resident.get_mut(&(rev, seg)) {
-                                res.no_disk_copy = false;
-                            }
-                        }
-                        Err(_) => {
-                            state.stats.write_failures += 1;
-                            report.unrepairable.push((kind, seg as u64));
-                        }
-                    },
-                    None => {
-                        state.stats.lost_segments += 1;
-                        report.unrepairable.push((kind, seg as u64));
+            };
+            match self.write_retrying(id, &payload) {
+                Ok(out) => {
+                    state.stats.repaired_segments += 1;
+                    state.stats.spilled_bytes += out.bytes;
+                    state.stats.slow_ios += u64::from(out.slowed);
+                    report.repaired.push(id);
+                    report.bytes += out.bytes;
+                    // The rewritten copy is good again: a resident twin
+                    // may evict freely.
+                    if let Some(res) = state.resident.get_mut(&id) {
+                        res.no_disk_copy = false;
                     }
+                }
+                Err(_) => {
+                    state.stats.write_failures += 1;
+                    report.unrepairable.push(id);
                 }
             }
         }
@@ -1233,15 +1106,16 @@ impl Adjacency for TieredCsr {
     }
 
     fn degree(&self, v: VertexId) -> usize {
-        self.degrees[v as usize] as usize
+        self.degrees[SegmentKind::Rows as usize][v as usize] as usize
     }
 
     fn neighbors(&self, v: VertexId) -> Self::Neighbors<'_> {
-        self.with_row(v, false, |t, _| t.to_vec()).into_iter()
+        self.with_row(v, SegmentKind::Rows, |t, _| t.to_vec())
+            .into_iter()
     }
 
     fn weighted_neighbors(&self, v: VertexId) -> Self::WeightedNeighbors<'_> {
-        self.with_row(v, false, |t, w| match w {
+        self.with_row(v, SegmentKind::Rows, |t, w| match w {
             Some(w) => t.iter().copied().zip(w.iter().copied()).collect::<Vec<_>>(),
             None => t.iter().map(|&x| (x, 1.0)).collect(),
         })
@@ -1258,12 +1132,13 @@ impl Adjacency for TieredCsr {
 
     fn in_degree(&self, v: VertexId) -> usize {
         assert!(self.has_reverse, "no reverse index");
-        self.in_degrees[v as usize] as usize
+        self.degrees[SegmentKind::RevRows as usize][v as usize] as usize
     }
 
     fn in_neighbors(&self, v: VertexId) -> Self::Neighbors<'_> {
         assert!(self.has_reverse, "no reverse index");
-        self.with_row(v, true, |t, _| t.to_vec()).into_iter()
+        self.with_row(v, SegmentKind::RevRows, |t, _| t.to_vec())
+            .into_iter()
     }
 }
 
@@ -1429,25 +1304,93 @@ mod tests {
     }
 
     #[test]
-    fn io_budget_denies_prefetch_but_not_demand() {
+    fn zero_segment_rows_is_taken_as_one() {
         let _g = LOCK.lock().unwrap();
-        let snap = sample_graph();
-        let dir = tmpdir("budget");
-        // A 1-byte IO window: every prefetch is denied, demand misses
-        // still stream every row correctly.
+        let dir = tmpdir("zero-rows");
+        let snap = Arc::new(CsrGraph::from_edges(4, &gen::path(4)));
         let cfg = TierConfig {
-            io_budget_bytes: 1,
-            ..TierConfig::new(&dir).segment_rows(16).keep_pin(false)
+            segment_rows: 0,
+            ..TierConfig::new(&dir).keep_pin(false)
         };
         let tier = TieredCsr::spill(&snap, cfg).unwrap();
-        tier.begin_io_window();
         for v in snap.vertices() {
             let got: Vec<VertexId> = Adjacency::neighbors(&tier, v).collect();
-            assert_eq!(got, snap.neighbors(v));
+            assert_eq!(got, snap.neighbors(v), "row {v}");
         }
-        let s = tier.stats();
-        assert_eq!(s.prefetches, 0);
-        assert!(s.prefetch_denied > 0);
+        assert_eq!(tier.segment_rows(), 1);
+        assert_eq!(tier.stats().spilled_segments, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// What one read path made of a segment file: its verdict, and
+    /// whether the file was moved to `quarantine/`.
+    type Verdict = (&'static str, bool);
+
+    /// Read segment `Rows/1` by a demand read or by a scrub pass.
+    fn verdict(tier: &TieredCsr, scrub: bool) -> Verdict {
+        let (kind, id) = (SegmentKind::Rows, 1);
+        let said = if scrub {
+            let report = tier.scrub();
+            assert_eq!(report.errors, 0);
+            if report.corrupt.contains(&(kind, id)) {
+                "corrupt"
+            } else if report.missing.contains(&(kind, id)) {
+                "missing"
+            } else {
+                "clean"
+            }
+        } else {
+            match tier.store.read(kind, id) {
+                Ok(_) => "clean",
+                Err(SegmentReadError::Corrupt(_)) => "corrupt",
+                Err(SegmentReadError::Missing) => "missing",
+                Err(SegmentReadError::Io(e)) => panic!("no IO fault is armed: {e}"),
+            }
+        };
+        let quarantine = tier.store.quarantine_path(kind, id);
+        let moved = quarantine.exists();
+        assert!(!(moved && tier.store.segment_path(kind, id).exists()));
+        let _ = fs::remove_file(quarantine);
+        (said, moved)
+    }
+
+    #[test]
+    fn read_and_scrub_agree_on_every_frame() {
+        let _g = LOCK.lock().unwrap();
+        faults::clear_all();
+        let snap = sample_graph();
+        let dir = tmpdir("agree");
+        let cfg = TierConfig::new(&dir).segment_rows(64).keep_pin(false);
+        let tier = TieredCsr::spill(&snap, cfg).unwrap();
+        let path = tier.store.segment_path(SegmentKind::Rows, 1);
+        let good = fs::read(&path).unwrap();
+        let other = fs::read(tier.store.segment_path(SegmentKind::Rows, 2)).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x01;
+        let cases: [(&str, Option<&[u8]>, Verdict); 5] = [
+            ("clean", Some(&good), ("clean", false)),
+            ("bit flip", Some(&flipped), ("corrupt", true)),
+            (
+                "truncation",
+                Some(&good[..good.len() - 5]),
+                ("corrupt", true),
+            ),
+            ("another id's frame", Some(&other), ("corrupt", true)),
+            ("missing", None, ("missing", false)),
+        ];
+        for (case, bytes, expect) in cases {
+            let mut seen = Vec::new();
+            for scrub in [false, true] {
+                match bytes {
+                    Some(b) => fs::write(&path, b).unwrap(),
+                    None => {
+                        let _ = fs::remove_file(&path);
+                    }
+                }
+                seen.push(verdict(&tier, scrub));
+            }
+            assert_eq!(seen, [expect, expect], "{case}: read, then scrub");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,8 +10,8 @@ use crate::events::Event;
 use crate::update::{Update, UpdateBatch};
 use ga_graph::dynamic::ApplyResult;
 use ga_graph::{
-    CompressedCsr, CsrGraph, DynamicGraph, Parallelism, PropertyStore, SnapshotCache,
-    SnapshotEpoch, SnapshotStats, Timestamp, VertexId,
+    CsrGraph, DynamicGraph, Parallelism, PropertyStore, SnapshotCache, SnapshotEpoch,
+    SnapshotStats, Timestamp, VertexId,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -184,19 +184,6 @@ impl StreamEngine {
         let mut span = self.recorder.span(ga_obs::Step::Snapshot);
         let mem_before = self.snapshots.stats().mem_bytes;
         let out = self.snapshots.snapshot_stamped(&self.graph, par);
-        span.add_mem_bytes(self.snapshots.stats().mem_bytes - mem_before);
-        out
-    }
-
-    /// A delta-varint [`CompressedCsr`] snapshot of the live graph,
-    /// cached alongside the plain snapshot: unchanged graph → the
-    /// cached `Arc` back; changed graph → the plain snapshot is
-    /// delta-rebuilt first, then re-encoded. Decodes bit-identical to
-    /// [`Self::csr_snapshot`].
-    pub fn compressed_csr_snapshot(&mut self, par: Parallelism) -> Arc<CompressedCsr> {
-        let mut span = self.recorder.span(ga_obs::Step::Snapshot);
-        let mem_before = self.snapshots.stats().mem_bytes;
-        let out = self.snapshots.compressed_snapshot(&self.graph, par);
         span.add_mem_bytes(self.snapshots.stats().mem_bytes - mem_before);
         out
     }

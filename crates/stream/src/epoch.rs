@@ -43,8 +43,8 @@ pub struct EpochSnapshot {
     /// The frozen adjacency.
     pub csr: Arc<CsrGraph>,
     /// Delta-varint twin of `csr`, if the publisher built one. The flow
-    /// engine publishes `None`; its `compressed_snapshot` hands the
-    /// compressed form to kernels.
+    /// engine publishes `None`; a caller that wants the compressed form
+    /// builds it from `csr` with [`CompressedCsr::from_csr`].
     pub compressed: Option<Arc<CompressedCsr>>,
     /// Frozen property columns consistent with `csr`.
     pub props: Arc<PropertyStore>,
