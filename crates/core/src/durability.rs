@@ -23,6 +23,9 @@
 //! only once it is fully covered by the *older* retained checkpoint, so
 //! the fallback path always has the frames it needs.
 //!
+//! The decoder reads through [`ga_graph::io::ByteReader`], the one
+//! bounded reader behind every on-disk format.
+//!
 //! Fault sites: `"checkpoint.write"` (veto or tear the file) and
 //! `"checkpoint.load"` (veto a candidate during recovery); WAL appends
 //! carry their own `"wal.append"` site.
@@ -31,7 +34,7 @@ use crate::faults;
 use crate::flow::{
     AnalyticsStats, DurabilityStats, FlowStats, IngestStats, OverloadStats, SnapshotStats,
 };
-use ga_graph::io::{self as gio, crc32};
+use ga_graph::io::{self as gio, crc32, ByteReader};
 use ga_graph::{DynamicGraph, PropertyStore, Timestamp};
 use ga_obs::{Recorder, Step};
 use ga_stream::engine::StreamStats;
@@ -106,10 +109,6 @@ impl<'a> From<&'a Checkpoint> for CheckpointRef<'a> {
             next_wal_seq: c.next_wal_seq,
         }
     }
-}
-
-fn corrupt(what: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("GAC1: {what}"))
 }
 
 fn push_group(out: &mut Vec<u8>, fields: &[usize]) {
@@ -197,7 +196,7 @@ fn push_flow_stats(out: &mut Vec<u8>, s: &FlowStats) {
 }
 
 /// Decode what [`push_flow_stats`] wrote.
-fn take_flow_stats(r: &mut &[u8]) -> io::Result<FlowStats> {
+fn take_flow_stats(r: &mut ByteReader) -> io::Result<FlowStats> {
     let i = take_stats(r, 6, "IngestStats")?;
     let a = take_stats(r, 11, "AnalyticsStats")?;
     let sn = take_stats(r, 3, "SnapshotStats")?;
@@ -282,33 +281,14 @@ fn push_stream_stats(out: &mut Vec<u8>, s: &StreamStats) {
     }
 }
 
-fn take_stats(r: &mut &[u8], expect: usize, what: &str) -> io::Result<Vec<usize>> {
-    let count = take_u32(r, what)? as usize;
+fn take_stats(r: &mut ByteReader, expect: usize, what: &str) -> io::Result<Vec<usize>> {
+    let count = r.u32(what)? as usize;
     if count != expect {
-        return Err(corrupt(format!(
+        return Err(r.corrupt(format_args!(
             "{what}: {count} fields on disk, this build expects {expect}"
         )));
     }
-    (0..count)
-        .map(|_| Ok(take_u64(r, what)? as usize))
-        .collect()
-}
-
-fn take_array<const N: usize>(r: &mut &[u8], what: &str) -> io::Result<[u8; N]> {
-    if r.len() < N {
-        return Err(corrupt(format!("truncated in {what}")));
-    }
-    let (head, rest) = r.split_at(N);
-    *r = rest;
-    Ok(head.try_into().unwrap())
-}
-
-fn take_u32(r: &mut &[u8], what: &str) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(take_array(r, what)?))
-}
-
-fn take_u64(r: &mut &[u8], what: &str) -> io::Result<u64> {
-    Ok(u64::from_le_bytes(take_array(r, what)?))
+    (0..count).map(|_| Ok(r.u64(what)? as usize)).collect()
 }
 
 /// Serialize a checkpoint (including the trailing CRC32).
@@ -347,51 +327,27 @@ fn push_section(
 
 /// Deserialize and CRC-verify a checkpoint.
 pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
-    if bytes.len() < 4 {
-        return Err(corrupt("file shorter than its checksum"));
+    let mut file = ByteReader::new(bytes, "GAC1");
+    let body = file.bytes(bytes.len().saturating_sub(4), "body")?;
+    if crc32(body) != file.u32("checksum")? {
+        return Err(file.corrupt("checksum mismatch (torn or corrupt file)"));
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(corrupt("checksum mismatch (torn or corrupt file)"));
-    }
-    let mut r = body;
-    let magic: [u8; 4] = take_array(&mut r, "magic")?;
-    if &magic != MAGIC {
-        return Err(corrupt(format!(
-            "bad magic {:?}",
-            String::from_utf8_lossy(&magic)
-        )));
-    }
-    let version = u16::from_le_bytes(take_array(&mut r, "version")?);
-    if version != VERSION {
-        return Err(corrupt(format!(
-            "unsupported version {version} (this build reads version {VERSION})"
-        )));
-    }
-    let _reserved = u16::from_le_bytes(take_array::<2>(&mut r, "header")?);
-    let symmetrize = match take_array::<1>(&mut r, "symmetrize flag")?[0] {
-        0 => false,
-        1 => true,
-        x => return Err(corrupt(format!("invalid symmetrize flag {x}"))),
+    let mut r = ByteReader::new(body, "GAC1");
+    r.magic(MAGIC)?;
+    r.version(VERSION)?;
+    let _reserved: [u8; 2] = r.array("header")?;
+    let symmetrize = match r.array("symmetrize flag")? {
+        [0] => false,
+        [1] => true,
+        [x] => return Err(r.corrupt(format_args!("invalid symmetrize flag {x}"))),
     };
-    let vertex_limit = take_u64(&mut r, "vertex_limit")?;
-    let last_batch_time = take_u64(&mut r, "last_batch_time")?;
-    let next_wal_seq = take_u64(&mut r, "next_wal_seq")?;
-    let graph_len = take_u64(&mut r, "graph section length")? as usize;
-    if r.len() < graph_len {
-        return Err(corrupt("truncated in graph section"));
-    }
-    let (graph_bytes, rest) = r.split_at(graph_len);
-    r = rest;
-    let graph = gio::read_dynamic(graph_bytes)?;
-    let props_len = take_u64(&mut r, "props section length")? as usize;
-    if r.len() < props_len {
-        return Err(corrupt("truncated in props section"));
-    }
-    let (props_bytes, rest) = r.split_at(props_len);
-    r = rest;
-    let props = gio::read_props(props_bytes)?;
+    let vertex_limit = r.u64("vertex_limit")?;
+    let last_batch_time = r.u64("last_batch_time")?;
+    let next_wal_seq = r.u64("next_wal_seq")?;
+    let graph_len = r.u64("graph section length")?;
+    let graph = gio::read_dynamic(r.bytes(graph_len as usize, "graph section")?)?;
+    let props_len = r.u64("props section length")?;
+    let props = gio::read_props(r.bytes(props_len as usize, "props section")?)?;
     let flow = take_flow_stats(&mut r)?;
     let s = take_stats(&mut r, 8, "StreamStats")?;
     let stream = StreamStats {
@@ -404,9 +360,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
         events_emitted: s[6],
         updates_quarantined: s[7],
     };
-    if !r.is_empty() {
-        return Err(corrupt(format!("{} trailing bytes", r.len())));
-    }
+    r.finish()?;
     Ok(Checkpoint {
         graph,
         props,
@@ -584,40 +538,37 @@ impl Durability {
     ) -> io::Result<(Durability, Checkpoint, Vec<(u64, UpdateBatch)>)> {
         let dir = dir.as_ref().to_path_buf();
         let ckpts = list_numbered(&dir, "ckpt-", ".gac")?;
-        if ckpts.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("{}: no checkpoint files", dir.display()),
-            ));
-        }
+        let mut last_err = io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("{}: no checkpoint files", dir.display()),
+        );
         let mut ckpt = None;
-        let mut last_err = None;
         for (seq, path) in ckpts.iter().rev() {
             // A vetoed or corrupt candidate falls through to the next
             // older checkpoint; the WAL suffix covers the difference.
             let attempt = faults::check("checkpoint.load")
                 .and_then(|()| fs::read(path))
                 .and_then(|bytes| decode_checkpoint(&bytes))
+                .and_then(|c| {
+                    if c.next_wal_seq == *seq {
+                        return Ok(c);
+                    }
+                    Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("GAC1: cursor {} disagrees with filename", c.next_wal_seq),
+                    ))
+                })
                 .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())));
             match attempt {
                 Ok(c) => {
-                    if c.next_wal_seq != *seq {
-                        last_err = Some(corrupt(format!(
-                            "{}: cursor {} disagrees with filename",
-                            path.display(),
-                            c.next_wal_seq
-                        )));
-                        continue;
-                    }
                     ckpt = Some(c);
                     break;
                 }
-                Err(e) => last_err = Some(e),
+                Err(e) => last_err = e,
             }
         }
         let Some(ckpt) = ckpt else {
-            return Err(last_err
-                .unwrap_or_else(|| corrupt(format!("{}: no usable checkpoint", dir.display()))));
+            return Err(last_err);
         };
 
         // Replay every intact frame at or past the cursor, in order,

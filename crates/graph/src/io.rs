@@ -1,9 +1,19 @@
-//! Graph I/O: the compact binary codecs of checkpoint state.
+//! Graph I/O: the compact binary codecs of checkpoint state, and the
+//! one reader every on-disk decoder reads through.
 //!
-//! Two hand-rolled little-endian formats (no serialization dependency),
-//! each `magic + version`-tagged and rejecting corrupt input with a
-//! descriptive [`io::Error`] instead of panicking or over-allocating
-//! from untrusted lengths:
+//! [`ByteReader`] is the single home of byte reading in the workspace's
+//! five decoders — `GAC1` checkpoints (`ga_core::durability`), the
+//! `GAD1`/`GAP1` sections below, `GAS1` tier segments and their row
+//! payloads ([`crate::tier`]) and WAL frames (`ga_stream::wal`). It
+//! reads every little-endian field, checks every magic and version,
+//! bounds every element count (a 2^32 sanity bound first,
+//! then what the remaining bytes can hold, so no allocation outgrows
+//! its input) and words every error as `InvalidData` with the format's
+//! name in front. A decoder fed arbitrary bytes returns a value or that
+//! error; it neither panics nor over-allocates.
+//!
+//! The two checkpoint section codecs here are hand-rolled little-endian
+//! formats (no serialization dependency), each `magic + version`-tagged:
 //!
 //! * `GAD1` — full [`DynamicGraph`] state, every live slot with its
 //!   weight and timestamp, so a checkpointed graph restores
@@ -11,17 +21,15 @@
 //! * `GAP1` — [`PropertyStore`] columns (u64/f64/string, with presence
 //!   masks).
 //!
-//! They are the section codecs underneath the flow engine's checkpoint
-//! files; [`crc32`] is the shared integrity checksum for those files and
-//! the write-ahead log. The tier's `GAS1` segment decoder
-//! ([`crate::tier::decode_segment`]) shares the checksum and the magic,
-//! version and count checks below.
+//! [`crc32`] is the shared integrity checksum for the checkpoint files,
+//! the tier's segments and the write-ahead log.
 
 use crate::dynamic::EdgeRecord;
 use crate::props::{Column, Dense};
 use crate::{DynamicGraph, PropertyStore, Timestamp, VertexId};
 use std::collections::BTreeMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fmt::Display;
+use std::io;
 
 const MAGIC_DYNAMIC: &[u8; 4] = b"GAD1";
 const MAGIC_PROPS: &[u8; 4] = b"GAP1";
@@ -92,12 +100,12 @@ impl Crc32 {
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         let t = &CRC32_TABLES;
         let mut c = self.state;
-        let mut words = data.chunks_exact(8);
-        for w in &mut words {
-            let x = u64::from_le_bytes(w.try_into().unwrap()) ^ c as u64;
+        let (words, tail) = data.as_chunks::<8>();
+        for &w in words {
+            let x = u64::from_le_bytes(w) ^ c as u64;
             c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as usize & 0xFF]);
         }
-        for &b in words.remainder() {
+        for &b in tail {
             c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
@@ -117,54 +125,133 @@ impl Default for Crc32 {
 }
 
 // ---------------------------------------------------------------------
-// Shared header and count checks.
+// ByteReader: the one bounded cursor behind every decoder.
 // ---------------------------------------------------------------------
 
-pub(crate) fn corrupt(format: &str, what: impl std::fmt::Display) -> io::Error {
+/// An `InvalidData` error worded `"{format}: {what}"`.
+pub(crate) fn corrupt(format: &str, what: impl Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{format}: {what}"))
 }
 
-pub(crate) fn read_magic(r: &mut impl Read, expect: &[u8; 4], format: &str) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|_| corrupt(format, "truncated before magic"))?;
-    if &magic != expect {
-        return Err(corrupt(
+/// A cursor over untrusted bytes: every read is bounds-checked, and
+/// every failure is an `InvalidData` error prefixed with the format's
+/// name. The `what` arguments name the field for the error and are only
+/// formatted when a read fails, so `format_args!` costs nothing on the
+/// good path.
+#[derive(Clone, Copy, Debug)]
+pub struct ByteReader<'a> {
+    rest: &'a [u8],
+    format: &'static str,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader over `bytes`, naming `format` in its errors.
+    pub fn new(bytes: &'a [u8], format: &'static str) -> ByteReader<'a> {
+        ByteReader {
+            rest: bytes,
             format,
-            format!(
+        }
+    }
+
+    /// An `InvalidData` error in this reader's format.
+    pub fn corrupt(&self, what: impl Display) -> io::Error {
+        corrupt(self.format, what)
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize, what: impl Display) -> io::Result<&'a [u8]> {
+        let Some((head, rest)) = self.rest.split_at_checked(n) else {
+            return Err(self.corrupt(format_args!("truncated in {what}")));
+        };
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, as an array.
+    pub fn array<const N: usize>(&mut self, what: impl Display) -> io::Result<[u8; N]> {
+        match self.rest.split_first_chunk::<N>() {
+            Some((head, rest)) => {
+                self.rest = rest;
+                Ok(*head)
+            }
+            None => Err(self.corrupt(format_args!("truncated in {what}"))),
+        }
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self, what: impl Display) -> io::Result<u32> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self, what: impl Display) -> io::Result<u64> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// Check the four-byte magic tag.
+    pub fn magic(&mut self, expect: &[u8; 4]) -> io::Result<()> {
+        let magic: [u8; 4] = self.array("magic")?;
+        if &magic != expect {
+            return Err(self.corrupt(format_args!(
                 "bad magic {:?} (expected {:?})",
                 String::from_utf8_lossy(&magic),
                 String::from_utf8_lossy(expect)
-            ),
-        ));
+            )));
+        }
+        Ok(())
     }
-    Ok(())
-}
 
-pub(crate) fn read_version(r: &mut impl Read, expect: u16, format: &str) -> io::Result<()> {
-    let v = read_u16(r).map_err(|_| corrupt(format, "truncated in version field"))?;
-    if v != expect {
-        return Err(corrupt(
-            format,
-            format!("unsupported version {v} (this build reads version {expect})"),
-        ));
+    /// Check the little-endian `u16` format version.
+    pub fn version(&mut self, expect: u16) -> io::Result<()> {
+        let v = u16::from_le_bytes(self.array("version")?);
+        if v != expect {
+            return Err(self.corrupt(format_args!(
+                "unsupported version {v} (this build reads version {expect})"
+            )));
+        }
+        Ok(())
     }
-    Ok(())
-}
 
-pub(crate) fn checked_count(count: u64, what: &str, format: &str) -> io::Result<usize> {
-    if count > MAX_ELEMS {
-        return Err(corrupt(
-            format,
-            format!("{what} count {count} exceeds sanity bound {MAX_ELEMS}"),
-        ));
+    /// Admit an element count read from the input: at most 2^32, and
+    /// no more elements of at least `min_elem_bytes` each than the
+    /// remaining bytes can hold. A count that passes can size an
+    /// allocation.
+    pub fn count(&self, n: u64, min_elem_bytes: usize, what: impl Display) -> io::Result<usize> {
+        if n > MAX_ELEMS {
+            return Err(self.corrupt(format_args!(
+                "{what} count {n} exceeds sanity bound {MAX_ELEMS}"
+            )));
+        }
+        if n.saturating_mul(min_elem_bytes as u64) > self.rest.len() as u64 {
+            return Err(self.corrupt(format_args!(
+                "{what} count {n} needs {min_elem_bytes} bytes each, {} remain",
+                self.rest.len()
+            )));
+        }
+        Ok(n as usize)
     }
-    Ok(count as usize)
+
+    /// Refuse trailing bytes: the input must be used up.
+    pub fn finish(self) -> io::Result<()> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(self.corrupt(format_args!("{n} trailing bytes"))),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // GAD1: DynamicGraph checkpoints (live slots + timestamps).
 // ---------------------------------------------------------------------
+
+/// Bytes of one `GAD1` slot: dst u32, weight f32, timestamp u64 and the
+/// deletion flag.
+const SLOT_BYTES: usize = 4 + 4 + 8 + 1;
 
 /// Serialize the *complete* dynamic graph state — every row's live
 /// slots in `dst` order, with weights and timestamps — so that
@@ -173,96 +260,79 @@ pub(crate) fn checked_count(count: u64, what: &str, format: &str) -> io::Result<
 /// Each slot ends in a one-byte deletion flag, kept so the layout is
 /// unchanged from files whose rows still held deleted slots: this
 /// writer always writes 0, and [`read_dynamic`] drops a slot flagged 1.
-pub fn write_dynamic(g: &DynamicGraph, w: impl Write) -> io::Result<()> {
-    let mut out = BufWriter::new(w);
-    out.write_all(MAGIC_DYNAMIC)?;
-    out.write_all(&DYNAMIC_VERSION.to_le_bytes())?;
-    out.write_all(&0u16.to_le_bytes())?; // reserved
-    out.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&g.last_update().to_le_bytes())?;
+pub fn write_dynamic(g: &DynamicGraph, out: &mut Vec<u8>) -> io::Result<()> {
+    out.reserve(24 + g.num_vertices() * 8 + g.num_live_edges() * SLOT_BYTES);
+    out.extend_from_slice(MAGIC_DYNAMIC);
+    out.extend_from_slice(&DYNAMIC_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // reserved
+    out.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    out.extend_from_slice(&g.last_update().to_le_bytes());
     for v in 0..g.num_vertices() as VertexId {
         let row = g.row_slots(v);
-        out.write_all(&(row.len() as u64).to_le_bytes())?;
+        out.extend_from_slice(&(row.len() as u64).to_le_bytes());
         for rec in row {
-            out.write_all(&rec.dst.to_le_bytes())?;
-            out.write_all(&rec.weight.to_le_bytes())?;
-            out.write_all(&rec.timestamp.to_le_bytes())?;
-            out.write_all(&[0])?; // deletion flag
+            out.extend_from_slice(&rec.dst.to_le_bytes());
+            out.extend_from_slice(&rec.weight.to_le_bytes());
+            out.extend_from_slice(&rec.timestamp.to_le_bytes());
+            out.push(0); // deletion flag
         }
     }
-    out.flush()
+    Ok(())
 }
 
 /// Deserialize a dynamic graph written by [`write_dynamic`]. A row out
 /// of `dst` order is sorted; a row naming one target twice (flagged or
 /// not) is corrupt; a slot whose deletion flag is 1 is dropped, so a
 /// file whose rows hold deleted slots loads to its live edges.
-pub fn read_dynamic(r: impl Read) -> io::Result<DynamicGraph> {
-    const F: &str = "GAD1";
-    let mut input = BufReader::new(r);
-    read_magic(&mut input, MAGIC_DYNAMIC, F)?;
-    read_version(&mut input, DYNAMIC_VERSION, F)?;
-    let _reserved = read_u16(&mut input).map_err(|_| corrupt(F, "truncated in header"))?;
-    let n = checked_count(
-        read_u64(&mut input).map_err(|_| corrupt(F, "truncated in vertex count"))?,
-        "vertex",
-        F,
-    )?;
-    let last_update: Timestamp =
-        read_u64(&mut input).map_err(|_| corrupt(F, "truncated in last_update"))?;
-    let mut adj: Vec<Vec<EdgeRecord>> = Vec::with_capacity(n.min(1 << 20));
+pub fn read_dynamic(bytes: &[u8]) -> io::Result<DynamicGraph> {
+    let mut r = ByteReader::new(bytes, "GAD1");
+    r.magic(MAGIC_DYNAMIC)?;
+    r.version(DYNAMIC_VERSION)?;
+    let _reserved: [u8; 2] = r.array("header")?;
+    let n = r.u64("vertex count")?;
+    let n = r.count(n, 8, "vertex")?;
+    let last_update: Timestamp = r.u64("last_update")?;
+    let mut adj: Vec<Vec<EdgeRecord>> = Vec::with_capacity(n);
     // One row's slots with their deletion flags, reused across rows.
     let mut slots: Vec<(EdgeRecord, bool)> = Vec::new();
     for u in 0..n {
-        let len = checked_count(
-            read_u64(&mut input).map_err(|_| corrupt(F, format!("truncated in row {u} length")))?,
-            "row",
-            F,
-        )?;
+        let len = r.u64(format_args!("row {u} length"))?;
+        let len = r.count(len, SLOT_BYTES, format_args!("row {u} slot"))?;
         slots.clear();
         for s in 0..len {
-            let dst = read_u32(&mut input)
-                .map_err(|_| corrupt(F, format!("truncated in row {u} slot {s}")))?;
+            let dst = r.u32(format_args!("row {u} slot {s}"))?;
             if dst as usize >= n {
-                return Err(corrupt(
-                    F,
-                    format!("row {u} slot {s}: target {dst} out of range (n = {n})"),
-                ));
-            }
-            let weight = read_f32(&mut input)
-                .map_err(|_| corrupt(F, format!("truncated in row {u} slot {s} weight")))?;
-            let timestamp = read_u64(&mut input)
-                .map_err(|_| corrupt(F, format!("truncated in row {u} slot {s} timestamp")))?;
-            let mut flag = [0u8; 1];
-            input
-                .read_exact(&mut flag)
-                .map_err(|_| corrupt(F, format!("truncated in row {u} slot {s} flags")))?;
-            if flag[0] > 1 {
-                return Err(corrupt(
-                    F,
-                    format!("row {u} slot {s}: invalid deletion flag {}", flag[0]),
-                ));
+                return Err(r.corrupt(format_args!(
+                    "row {u} slot {s}: target {dst} out of range (n = {n})"
+                )));
             }
             let rec = EdgeRecord {
                 dst,
-                weight,
-                timestamp,
+                weight: f32::from_le_bytes(r.array(format_args!("row {u} slot {s} weight"))?),
+                timestamp: r.u64(format_args!("row {u} slot {s} timestamp"))?,
             };
-            slots.push((rec, flag[0] == 1));
+            let deleted = match r.array(format_args!("row {u} slot {s} flags"))? {
+                [0] => false,
+                [1] => true,
+                [x] => {
+                    return Err(
+                        r.corrupt(format_args!("row {u} slot {s}: invalid deletion flag {x}"))
+                    )
+                }
+            };
+            slots.push((rec, deleted));
         }
         // Rows are sorted by `dst` in memory; files written before that
         // invariant may hold them in insertion order.
         slots.sort_unstable_by_key(|(r, _)| r.dst);
         if let Some(p) = slots.windows(2).find(|p| p[0].0.dst == p[1].0.dst) {
-            return Err(corrupt(
-                F,
-                format!("row {u}: repeated target {}", p[0].0.dst),
-            ));
+            return Err(r.corrupt(format_args!("row {u}: repeated target {}", p[0].0.dst)));
         }
         let mut row = Vec::with_capacity(slots.len());
         row.extend(slots.iter().filter(|s| !s.1).map(|s| s.0));
         adj.push(row);
     }
+    r.finish()?;
     Ok(DynamicGraph::from_rows(adj, last_update))
 }
 
@@ -274,194 +344,141 @@ const COL_TAG_U64: u8 = 0;
 const COL_TAG_F64: u8 = 1;
 const COL_TAG_STR: u8 = 2;
 
+/// Write one numeric slot: a presence byte, then the value if present.
+fn push_slot<const N: usize>(out: &mut Vec<u8>, value: Option<[u8; N]>) {
+    match value {
+        Some(bytes) => {
+            out.push(1);
+            out.extend_from_slice(&bytes);
+        }
+        None => out.push(0),
+    }
+}
+
 /// Serialize every property column (names, types, presence masks,
 /// values).
-pub fn write_props(p: &PropertyStore, w: impl Write) -> io::Result<()> {
-    const F: &str = "GAP1";
-    let mut out = BufWriter::new(w);
-    out.write_all(MAGIC_PROPS)?;
-    out.write_all(&PROPS_VERSION.to_le_bytes())?;
-    out.write_all(&0u16.to_le_bytes())?; // reserved
-    out.write_all(&(p.num_vertices() as u64).to_le_bytes())?;
-    out.write_all(&(p.columns.len() as u32).to_le_bytes())?;
+pub fn write_props(p: &PropertyStore, out: &mut Vec<u8>) -> io::Result<()> {
+    out.extend_from_slice(MAGIC_PROPS);
+    out.extend_from_slice(&PROPS_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // reserved
+    out.extend_from_slice(&(p.num_vertices() as u64).to_le_bytes());
+    out.extend_from_slice(&(p.columns.len() as u32).to_le_bytes());
     for (name, col) in &p.columns {
         if name.len() > u16::MAX as usize {
-            return Err(corrupt(F, format!("column name longer than {}", u16::MAX)));
+            return Err(corrupt(
+                "GAP1",
+                format_args!("column name longer than {}", u16::MAX),
+            ));
         }
-        out.write_all(&(name.len() as u16).to_le_bytes())?;
-        out.write_all(name.as_bytes())?;
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
         match col {
             Column::U64(vals) => {
-                out.write_all(&[COL_TAG_U64])?;
+                out.push(COL_TAG_U64);
                 for v in vals.iter() {
-                    match v {
-                        Some(x) => {
-                            out.write_all(&[1])?;
-                            out.write_all(&x.to_le_bytes())?;
-                        }
-                        None => out.write_all(&[0])?,
-                    }
+                    push_slot(out, v.map(u64::to_le_bytes));
                 }
             }
             Column::F64(vals) => {
-                out.write_all(&[COL_TAG_F64])?;
+                out.push(COL_TAG_F64);
                 for v in vals.iter() {
-                    match v {
-                        Some(x) => {
-                            out.write_all(&[1])?;
-                            out.write_all(&x.to_le_bytes())?;
-                        }
-                        None => out.write_all(&[0])?,
-                    }
+                    push_slot(out, v.map(f64::to_le_bytes));
                 }
             }
             Column::Str(vals) => {
-                out.write_all(&[COL_TAG_STR])?;
+                out.push(COL_TAG_STR);
                 for v in vals {
-                    match v {
-                        Some(s) => {
-                            out.write_all(&[1])?;
-                            out.write_all(&(s.len() as u32).to_le_bytes())?;
-                            out.write_all(s.as_bytes())?;
-                        }
-                        None => out.write_all(&[0])?,
+                    if let Some(s) = v {
+                        out.push(1);
+                        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                        out.extend_from_slice(s.as_bytes());
+                    } else {
+                        out.push(0);
                     }
                 }
             }
         }
     }
-    out.flush()
+    Ok(())
+}
+
+/// A `GAP1` slot's presence byte: whether a value of column `name`
+/// follows.
+fn presence(r: &mut ByteReader, name: &str) -> io::Result<bool> {
+    match r.array(format_args!("{name} presence byte"))? {
+        [0] => Ok(false),
+        [1] => Ok(true),
+        [x] => Err(r.corrupt(format_args!("{name}: invalid presence byte {x}"))),
+    }
 }
 
 /// Deserialize a property store written by [`write_props`].
-pub fn read_props(r: impl Read) -> io::Result<PropertyStore> {
-    const F: &str = "GAP1";
-    let mut input = BufReader::new(r);
-    read_magic(&mut input, MAGIC_PROPS, F)?;
-    read_version(&mut input, PROPS_VERSION, F)?;
-    let _reserved = read_u16(&mut input).map_err(|_| corrupt(F, "truncated in header"))?;
-    let n = checked_count(
-        read_u64(&mut input).map_err(|_| corrupt(F, "truncated in vertex count"))?,
-        "vertex",
-        F,
-    )?;
-    let ncols = read_u32(&mut input).map_err(|_| corrupt(F, "truncated in column count"))?;
-    let ncols = checked_count(ncols as u64, "column", F)?;
+pub fn read_props(bytes: &[u8]) -> io::Result<PropertyStore> {
+    let mut r = ByteReader::new(bytes, "GAP1");
+    r.magic(MAGIC_PROPS)?;
+    r.version(PROPS_VERSION)?;
+    let _reserved: [u8; 2] = r.array("header")?;
+    let n = r.u64("vertex count")?;
+    // A store may hold vertices and no column: the count alone sizes
+    // nothing, and each column's slots are bounded below.
+    let n = r.count(n, 0, "vertex")?;
+    let ncols = r.u32("column count")?;
+    // A column is at least a name length and a type tag.
+    let ncols = r.count(ncols.into(), 3, "column")?;
     let mut columns: BTreeMap<String, Column> = BTreeMap::new();
-    fn presence(input: &mut impl Read, what: &str) -> io::Result<bool> {
-        let mut b = [0u8; 1];
-        input
-            .read_exact(&mut b)
-            .map_err(|_| corrupt("GAP1", format!("truncated in {what} presence byte")))?;
-        match b[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            x => Err(corrupt(
-                "GAP1",
-                format!("{what}: invalid presence byte {x}"),
-            )),
-        }
-    }
     for c in 0..ncols {
-        let name_len = read_u16(&mut input)
-            .map_err(|_| corrupt(F, format!("truncated in column {c} name length")))?
-            as usize;
-        let mut name_bytes = vec![0u8; name_len];
-        input
-            .read_exact(&mut name_bytes)
-            .map_err(|_| corrupt(F, format!("truncated in column {c} name")))?;
-        let name = String::from_utf8(name_bytes)
-            .map_err(|_| corrupt(F, format!("column {c} name is not UTF-8")))?;
-        let mut tag = [0u8; 1];
-        input
-            .read_exact(&mut tag)
-            .map_err(|_| corrupt(F, format!("truncated in column {name:?} type tag")))?;
-        let col = match tag[0] {
+        let name_len = u16::from_le_bytes(r.array(format_args!("column {c} name length"))?);
+        let name = std::str::from_utf8(r.bytes(name_len.into(), format_args!("column {c} name"))?)
+            .map_err(|_| r.corrupt(format_args!("column {c} name is not UTF-8")))?
+            .to_owned();
+        let [tag] = r.array(format_args!("column {name:?} type tag"))?;
+        // Every slot holds at least its presence byte.
+        let slots = r.count(n as u64, 1, format_args!("column {name:?} slot"))?;
+        let value = format_args!("column {name:?} value");
+        let col = match tag {
             COL_TAG_U64 => {
-                let mut vals = Dense::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    vals.push(if presence(&mut input, &name)? {
-                        Some(read_u64(&mut input).map_err(|_| {
-                            corrupt(F, format!("truncated in column {name:?} value"))
-                        })?)
-                    } else {
-                        None
-                    });
+                let mut vals = Dense::with_capacity(slots);
+                for _ in 0..slots {
+                    let v = presence(&mut r, &name)?.then(|| r.u64(value)).transpose()?;
+                    vals.push(v);
                 }
                 Column::U64(vals)
             }
             COL_TAG_F64 => {
-                let mut vals = Dense::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    vals.push(if presence(&mut input, &name)? {
-                        Some(read_f64(&mut input).map_err(|_| {
-                            corrupt(F, format!("truncated in column {name:?} value"))
-                        })?)
-                    } else {
-                        None
-                    });
+                let mut vals = Dense::with_capacity(slots);
+                for _ in 0..slots {
+                    let v = presence(&mut r, &name)?
+                        .then(|| r.array(value).map(f64::from_le_bytes))
+                        .transpose()?;
+                    vals.push(v);
                 }
                 Column::F64(vals)
             }
             COL_TAG_STR => {
-                let mut vals = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    vals.push(if presence(&mut input, &name)? {
-                        let len = checked_count(
-                            read_u32(&mut input).map_err(|_| {
-                                corrupt(F, format!("truncated in column {name:?} string length"))
-                            })? as u64,
-                            "string",
-                            F,
-                        )?;
-                        let mut bytes = vec![0u8; len];
-                        input.read_exact(&mut bytes).map_err(|_| {
-                            corrupt(F, format!("truncated in column {name:?} string"))
-                        })?;
-                        Some(String::from_utf8(bytes).map_err(|_| {
-                            corrupt(F, format!("column {name:?} string is not UTF-8"))
-                        })?)
-                    } else {
-                        None
-                    });
+                let mut vals = Vec::with_capacity(slots);
+                for _ in 0..slots {
+                    let v = match presence(&mut r, &name)? {
+                        false => None,
+                        true => {
+                            let len = r.u32(format_args!("column {name:?} string length"))?;
+                            let bytes =
+                                r.bytes(len as usize, format_args!("column {name:?} string"))?;
+                            let s = std::str::from_utf8(bytes).map_err(|_| {
+                                r.corrupt(format_args!("column {name:?} string is not UTF-8"))
+                            })?;
+                            Some(s.to_owned())
+                        }
+                    };
+                    vals.push(v);
                 }
                 Column::Str(vals)
             }
-            x => return Err(corrupt(F, format!("column {name:?}: unknown type tag {x}"))),
+            x => return Err(r.corrupt(format_args!("column {name:?}: unknown type tag {x}"))),
         };
         columns.insert(name, col);
     }
+    r.finish()?;
     Ok(PropertyStore::from_raw_parts(n, columns))
-}
-
-fn read_u16(r: &mut impl Read) -> io::Result<u16> {
-    let mut b = [0u8; 2];
-    r.read_exact(&mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn read_f64(r: &mut impl Read) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
 }
 
 #[cfg(test)]

@@ -12,10 +12,12 @@
 //!
 //! * **`GAS1` segment codec** — one CRC-framed file per segment
 //!   (`magic | version | kind | id | payload len | payload | crc32`),
-//!   sharing the [`crate::io::crc32`] checksum and the magic, version
-//!   and length checks with the checkpoint formats. Every decode error
-//!   is *detected*: truncation, bit flips, and torn writes all fail the
-//!   frame check instead of silently decoding.
+//!   read, like every on-disk format, through [`crate::io::ByteReader`]
+//!   and checked with [`crate::io::crc32`]. Every decode error is
+//!   *detected*: truncation, bit flips, and torn writes all fail the
+//!   frame check instead of silently decoding, and a CRC-valid row
+//!   payload that names another row range or whose offsets do not
+//!   ascend is refused and quarantined like a corrupt frame.
 //! * **[`SegmentStore`]** — the directory of segment files plus a
 //!   `quarantine/` subdirectory corrupt segments are moved to. All IO
 //!   passes the seeded fault registry at the `segment.write`,
@@ -40,7 +42,7 @@
 //! slices; the representation changes, the bits do not.
 
 use crate::faults::{self, Intercept};
-use crate::io::{checked_count, corrupt, crc32, read_magic, read_version};
+use crate::io::{corrupt, crc32, ByteReader};
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use crate::{Adjacency, CsrGraph, VertexId, Weight};
 use std::collections::HashMap;
@@ -132,39 +134,27 @@ pub fn encode_segment(kind: SegmentKind, id: u64, payload: &[u8]) -> Vec<u8> {
 /// torn tail — is detected and reported as `InvalidData`; a corrupt
 /// segment never silently decodes.
 pub fn decode_segment(bytes: &[u8]) -> io::Result<(SegmentKind, u64, Vec<u8>)> {
-    const HEADER: usize = 4 + 2 + 1 + 1 + 8 + 8;
-    if bytes.len() < HEADER + 4 {
-        return Err(corrupt(GAS1, "truncated header"));
+    let mut r = ByteReader::new(bytes, GAS1);
+    r.magic(MAGIC_SEGMENT)?;
+    r.version(SEGMENT_VERSION)?;
+    let [tag, reserved] = r.array("segment kind")?;
+    let kind = SegmentKind::from_tag(tag).ok_or_else(|| r.corrupt("unknown segment kind"))?;
+    if reserved != 0 {
+        return Err(r.corrupt("nonzero reserved byte"));
     }
-    let mut header = bytes;
-    read_magic(&mut header, MAGIC_SEGMENT, GAS1)?;
-    read_version(&mut header, SEGMENT_VERSION, GAS1)?;
-    let kind =
-        SegmentKind::from_tag(bytes[6]).ok_or_else(|| corrupt(GAS1, "unknown segment kind"))?;
-    if bytes[7] != 0 {
-        return Err(corrupt(GAS1, "nonzero reserved byte"));
-    }
-    let id = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let expect = HEADER + checked_count(len, "payload byte", GAS1)? + 4;
-    if bytes.len() != expect {
-        return Err(corrupt(
-            GAS1,
-            format!(
-                "length mismatch: file {} bytes, frame says {expect}",
-                bytes.len()
-            ),
-        ));
-    }
-    let stored = u32::from_le_bytes(bytes[expect - 4..].try_into().unwrap());
-    let computed = crc32(&bytes[..expect - 4]);
+    let id = r.u64("segment id")?;
+    let len = r.u64("payload length")?;
+    let len = r.count(len, 1, "payload byte")?;
+    let payload = r.bytes(len, "payload")?;
+    let stored = r.u32("checksum")?;
+    r.finish()?;
+    let computed = crc32(&bytes[..bytes.len() - 4]);
     if stored != computed {
-        return Err(corrupt(
-            GAS1,
-            format!("crc mismatch: stored {stored:#010x}, computed {computed:#010x}"),
-        ));
+        return Err(r.corrupt(format_args!(
+            "crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        )));
     }
-    Ok((kind, id, bytes[HEADER..expect - 4].to_vec()))
+    Ok((kind, id, payload.to_vec()))
 }
 
 // ---------------------------------------------------------------------
@@ -253,45 +243,41 @@ fn encode_rows_payload<'a>(
     out
 }
 
-fn decode_rows_payload(payload: &[u8]) -> io::Result<ResidentSeg> {
-    if payload.len() < 12 {
-        return Err(corrupt(GAS1, "row payload truncated"));
+/// Decode the rows of the segment that holds `count` rows from
+/// `start`. A payload that names another range, whose offsets do not
+/// ascend from 0, or whose length disagrees with its last offset is
+/// refused, so a CRC-valid frame can never index outside its own rows.
+fn decode_rows_payload(payload: &[u8], (start, count): (VertexId, u32)) -> io::Result<ResidentSeg> {
+    let mut r = ByteReader::new(payload, GAS1);
+    let got = (r.u32("row range start")?, r.u32("row count")?);
+    if got != (start, count) {
+        return Err(r.corrupt(format_args!(
+            "row payload holds {} rows from {}, the segment {count} from {start}",
+            got.1, got.0
+        )));
     }
-    let start = VertexId::from_le_bytes(payload[0..4].try_into().unwrap());
-    let count = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-    let weighted = payload[8] != 0;
-    let off_base = 12;
-    let n_off = count as usize + 1;
-    let tgt_base = off_base + n_off * 8;
-    if payload.len() < tgt_base {
-        return Err(corrupt(GAS1, "row payload shorter than offsets"));
+    let [flag, _, _, _] = r.array("row flags")?;
+    let weighted = flag != 0;
+    let n_off = r.count(u64::from(count) + 1, 8, "row offset")?;
+    let offsets = (0..n_off)
+        .map(|_| r.u64("row offset"))
+        .collect::<io::Result<Vec<u64>>>()?;
+    if offsets[0] != 0 || offsets.windows(2).any(|p| p[0] > p[1]) {
+        return Err(r.corrupt("row offsets do not ascend from 0"));
     }
-    let mut offsets = Vec::with_capacity(n_off);
-    for i in 0..n_off {
-        let a = off_base + i * 8;
-        offsets.push(u64::from_le_bytes(payload[a..a + 8].try_into().unwrap()));
-    }
-    let m = checked_count(*offsets.last().unwrap(), "row edge", GAS1)?;
-    let expect = tgt_base + m * 4 + if weighted { m * 4 } else { 0 };
-    if payload.len() != expect {
-        return Err(corrupt(GAS1, "row payload length mismatch"));
-    }
-    let mut targets = Vec::with_capacity(m);
-    for i in 0..m {
-        let a = tgt_base + i * 4;
-        targets.push(VertexId::from_le_bytes(
-            payload[a..a + 4].try_into().unwrap(),
-        ));
-    }
-    let weights = weighted.then(|| {
-        let w_base = tgt_base + m * 4;
-        (0..m)
-            .map(|i| {
-                let a = w_base + i * 4;
-                Weight::from_le_bytes(payload[a..a + 4].try_into().unwrap())
-            })
-            .collect::<Vec<Weight>>()
-    });
+    let edge_bytes = if weighted { 8 } else { 4 };
+    let m = r.count(offsets[count as usize], edge_bytes, "row edge")?;
+    let targets = (0..m)
+        .map(|_| r.u32("row target"))
+        .collect::<io::Result<Vec<VertexId>>>()?;
+    let weights = weighted
+        .then(|| {
+            (0..m)
+                .map(|_| r.array("row weight").map(Weight::from_le_bytes))
+                .collect::<io::Result<Vec<Weight>>>()
+        })
+        .transpose()?;
+    r.finish()?;
     let bytes = ResidentSeg::decoded_bytes(&offsets, &targets, &weights);
     Ok(ResidentSeg {
         start,
@@ -826,8 +812,8 @@ impl TieredCsr {
                 // write does not get to own the only copy.
                 state.stats.write_failures += 1;
                 state.io_failed();
-                let mut decoded =
-                    decode_rows_payload(&payload).expect("freshly encoded payload must decode");
+                let mut decoded = decode_rows_payload(&payload, self.seg_range(id.1))
+                    .expect("freshly encoded payload must decode");
                 decoded.no_disk_copy = true;
                 state.admit(id, decoded);
             }
@@ -900,7 +886,7 @@ impl TieredCsr {
                 state.stats.read_bytes += out.bytes;
                 state.stats.slow_ios += u64::from(out.slowed);
                 state.breaker.record_success();
-                let Ok(decoded) = decode_rows_payload(&payload) else {
+                let Ok(decoded) = decode_rows_payload(&payload, self.seg_range(seg)) else {
                     // Frame CRC passed but the payload lied — treat as
                     // corrupt, same as the store would.
                     let _ = self.store.quarantine(kind, seg);
@@ -1319,6 +1305,29 @@ mod tests {
         }
         assert_eq!(tier.segment_rows(), 1);
         assert_eq!(tier.stats().spilled_segments, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_payload_naming_other_rows_is_quarantined_not_served() {
+        let _g = LOCK.lock().unwrap();
+        faults::clear_all();
+        let snap = sample_graph();
+        let dir = tmpdir("misnamed");
+        let tier = TieredCsr::spill(&snap, TierConfig::new(&dir).segment_rows(32)).unwrap();
+        // A CRC-valid `rows/1` frame whose payload holds rows 0-31.
+        let (rows_0_to_31, _) = tier.store.read(SegmentKind::Rows, 0).unwrap();
+        tier.store
+            .write(SegmentKind::Rows, 1, &rows_0_to_31)
+            .unwrap();
+        for v in [40, 41, 40] {
+            let got: Vec<VertexId> = Adjacency::neighbors(&tier, v).collect();
+            assert_eq!(got, snap.neighbors(v), "row {v} through the pin");
+        }
+        let s = tier.stats();
+        assert_eq!(s.corrupt_segments, 1);
+        assert_eq!(s.pinned_fallbacks, 3);
+        assert_eq!(tier.quarantined(), vec![(SegmentKind::Rows, 1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -55,8 +55,8 @@ pub struct StreamStats {
     /// Events emitted by all monitors.
     pub events_emitted: usize,
     /// Malformed updates routed to the dead-letter queue instead of
-    /// being applied (out-of-range ids, non-finite weights,
-    /// non-monotonic batch timestamps).
+    /// being applied (out-of-range ids, non-finite weights, property
+    /// names too long to log, non-monotonic batch timestamps).
     pub updates_quarantined: usize,
 }
 
@@ -70,6 +70,9 @@ pub enum QuarantineReason {
     /// The batch timestamp went backwards relative to the last applied
     /// batch.
     NonMonotonicTime,
+    /// A property name longer than the write-ahead log can carry whole
+    /// (`u16::MAX - 4` bytes; see [`crate::wal::encode_batch`]).
+    NameTooLong,
 }
 
 /// A quarantined (dead-lettered) update, kept for inspection.
@@ -333,11 +336,17 @@ impl StreamEngine {
                     None
                 }
             }
-            Update::PropertySet { vertex, value, .. } => {
+            Update::PropertySet {
+                vertex,
+                name,
+                value,
+            } => {
                 if (*vertex as u64) >= limit {
                     Some(QuarantineReason::VertexOutOfRange)
                 } else if !value.is_finite() {
                     Some(QuarantineReason::NonFiniteWeight)
+                } else if name.len() > crate::wal::MAX_NAME_BYTES {
+                    Some(QuarantineReason::NameTooLong)
                 } else {
                     None
                 }

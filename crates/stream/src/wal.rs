@@ -19,6 +19,17 @@
 //! the updates the original run rejected, keeping recovered counters
 //! identical to an uninterrupted run.
 //!
+//! A property name travels behind a `u16` length, so a name longer than
+//! 65 535 bytes cannot be logged whole: [`encode_batch`] cuts it at a
+//! char boundary, and the stream engine quarantines every name longer
+//! than 65 531 bytes (`u16::MAX - 4`, under
+//! [`crate::engine::QuarantineReason::NameTooLong`]). A cut keeps at
+//! least 65 532 bytes, so replay quarantines the cut name exactly as the
+//! live run quarantined the full one, and every frame decodes.
+//!
+//! Frames and payloads are read through [`ga_graph::io::ByteReader`],
+//! the one bounded reader behind every on-disk decoder.
+//!
 //! Fault injection: appends pass through the `"wal.append"` site of
 //! [`ga_graph::faults`], which can veto the write entirely or tear it
 //! after a chosen number of bytes; tail repair passes through
@@ -26,7 +37,7 @@
 //! truncate fails too.
 
 use crate::update::{Update, UpdateBatch};
-use ga_graph::io::crc32;
+use ga_graph::io::{crc32, ByteReader};
 use ga_graph::{faults, Timestamp};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -39,6 +50,10 @@ const MAX_PAYLOAD: u32 = 1 << 28;
 const TAG_EDGE_INSERT: u8 = 0;
 const TAG_EDGE_DELETE: u8 = 1;
 const TAG_PROPERTY_SET: u8 = 2;
+
+/// Longest property name the stream engine applies: below the shortest
+/// cut [`encode_batch`] can make (see the module docs).
+pub(crate) const MAX_NAME_BYTES: usize = u16::MAX as usize - 4;
 
 /// Serialize one batch to the WAL payload encoding.
 pub fn encode_batch(batch: &UpdateBatch) -> Vec<u8> {
@@ -65,9 +80,9 @@ pub fn encode_batch(batch: &UpdateBatch) -> Vec<u8> {
             } => {
                 out.push(TAG_PROPERTY_SET);
                 out.extend_from_slice(&vertex.to_le_bytes());
-                let name_len = name.len().min(u16::MAX as usize) as u16;
-                out.extend_from_slice(&name_len.to_le_bytes());
-                out.extend_from_slice(&name.as_bytes()[..name_len as usize]);
+                let name = &name[..name.floor_char_boundary(u16::MAX as usize)];
+                out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
                 out.extend_from_slice(&value.to_le_bytes());
             }
         }
@@ -77,71 +92,41 @@ pub fn encode_batch(batch: &UpdateBatch) -> Vec<u8> {
 
 /// Deserialize a WAL payload produced by [`encode_batch`].
 pub fn decode_batch(payload: &[u8]) -> io::Result<UpdateBatch> {
-    let mut r = payload;
-    let time: Timestamp = take_u64(&mut r, "batch time")?;
-    let count = take_u32(&mut r, "update count")?;
-    let mut updates = Vec::with_capacity((count as usize).min(1 << 20));
+    let mut r = ByteReader::new(payload, "WAL");
+    let time: Timestamp = r.u64("batch time")?;
+    let count = r.u32("update count")?;
+    // The shortest update, a delete, is a tag and two ids.
+    let count = r.count(count.into(), 9, "update")?;
+    let mut updates = Vec::with_capacity(count);
     for i in 0..count {
-        let tag = take_u8(&mut r, "update tag")?;
+        let [tag] = r.array("update tag")?;
         let u = match tag {
             TAG_EDGE_INSERT => Update::EdgeInsert {
-                src: take_u32(&mut r, "src")?,
-                dst: take_u32(&mut r, "dst")?,
-                weight: f32::from_le_bytes(take_array(&mut r, "weight")?),
+                src: r.u32("src")?,
+                dst: r.u32("dst")?,
+                weight: f32::from_le_bytes(r.array("weight")?),
             },
             TAG_EDGE_DELETE => Update::EdgeDelete {
-                src: take_u32(&mut r, "src")?,
-                dst: take_u32(&mut r, "dst")?,
+                src: r.u32("src")?,
+                dst: r.u32("dst")?,
             },
             TAG_PROPERTY_SET => {
-                let vertex = take_u32(&mut r, "vertex")?;
-                let name_len = u16::from_le_bytes(take_array(&mut r, "name length")?) as usize;
-                if r.len() < name_len {
-                    return Err(wal_corrupt("truncated in property name"));
-                }
-                let (name_bytes, rest) = r.split_at(name_len);
-                r = rest;
-                let name = String::from_utf8(name_bytes.to_vec())
-                    .map_err(|_| wal_corrupt("property name is not UTF-8"))?;
+                let vertex = r.u32("vertex")?;
+                let name_len = u16::from_le_bytes(r.array("name length")?);
+                let name = std::str::from_utf8(r.bytes(name_len.into(), "property name")?)
+                    .map_err(|_| r.corrupt("property name is not UTF-8"))?;
                 Update::PropertySet {
                     vertex,
-                    name,
-                    value: f64::from_le_bytes(take_array(&mut r, "value")?),
+                    name: name.to_owned(),
+                    value: f64::from_le_bytes(r.array("value")?),
                 }
             }
-            x => return Err(wal_corrupt(format!("unknown update tag {x} at index {i}"))),
+            x => return Err(r.corrupt(format_args!("unknown update tag {x} at index {i}"))),
         };
         updates.push(u);
     }
-    if !r.is_empty() {
-        return Err(wal_corrupt(format!("{} trailing payload bytes", r.len())));
-    }
+    r.finish()?;
     Ok(UpdateBatch { time, updates })
-}
-
-fn wal_corrupt(what: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("WAL: {what}"))
-}
-
-fn take_array<const N: usize>(r: &mut &[u8], what: &str) -> io::Result<[u8; N]> {
-    if r.len() < N {
-        return Err(wal_corrupt(format!("truncated in {what}")));
-    }
-    let (head, rest) = r.split_at(N);
-    *r = rest;
-    Ok(head.try_into().unwrap())
-}
-
-fn take_u8(r: &mut &[u8], what: &str) -> io::Result<u8> {
-    Ok(take_array::<1>(r, what)?[0])
-}
-
-fn take_u32(r: &mut &[u8], what: &str) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(take_array(r, what)?))
-}
-
-fn take_u64(r: &mut &[u8], what: &str) -> io::Result<u64> {
-    Ok(u64::from_le_bytes(take_array(r, what)?))
 }
 
 /// Build the full on-disk frame for (`seq`, `payload`).
@@ -177,38 +162,38 @@ pub fn replay(path: impl AsRef<Path>) -> io::Result<WalReplay> {
 }
 
 fn replay_bytes(bytes: &[u8]) -> io::Result<WalReplay> {
+    let mut r = ByteReader::new(bytes, "WAL");
     let mut batches = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            break; // corrupt length field
-        }
-        let frame_len = 4 + 8 + len as usize + 4;
-        if rest.len() < frame_len {
-            break; // torn tail
-        }
-        let seq = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-        let crc_input = &rest[4..12 + len as usize];
-        let stored_crc = u32::from_le_bytes(rest[12 + len as usize..frame_len].try_into().unwrap());
-        if crc32(crc_input) != stored_crc {
-            break; // bit rot or torn write inside the frame
-        }
+    let mut valid_len = 0;
+    while let Some((seq, payload)) = next_frame(&mut r) {
         // A frame that passes its CRC but fails to decode is a real
         // format error, not a torn tail — surface it.
-        let batch = decode_batch(&rest[12..12 + len as usize])?;
-        batches.push((seq, batch));
-        pos += frame_len;
+        batches.push((seq, decode_batch(payload)?));
+        valid_len = bytes.len() - r.remaining();
     }
     Ok(WalReplay {
         batches,
-        valid_len: pos as u64,
-        torn: pos < bytes.len(),
+        valid_len: valid_len as u64,
+        torn: valid_len < bytes.len(),
     })
+}
+
+/// The `(seq, payload)` of the frame at `r`, or `None` at a short or
+/// corrupt one: a torn tail, a corrupt length field, or bit rot or a
+/// torn write inside the frame.
+fn next_frame<'a>(r: &mut ByteReader<'a>) -> Option<(u64, &'a [u8])> {
+    let len = r
+        .u32("frame length")
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD)?;
+    let crc_input = r.bytes(8 + len as usize, "frame").ok()?;
+    let stored_crc = r.u32("frame checksum").ok()?;
+    if crc32(crc_input) != stored_crc {
+        return None;
+    }
+    let mut body = ByteReader::new(crc_input, "WAL");
+    let seq = body.u64("sequence number").ok()?;
+    Some((seq, body.bytes(len as usize, "payload").ok()?))
 }
 
 /// An open write-ahead log file.

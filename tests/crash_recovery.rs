@@ -325,6 +325,50 @@ fn poisoned_updates_never_panic_and_are_counted() {
 }
 
 #[test]
+fn over_long_property_names_recover_to_the_live_state() {
+    let _g = LOCK.lock().unwrap();
+    faults::clear_all();
+    let dir = tmpdir("long-names");
+    let mut e = fresh_engine(&dir);
+    // The WAL's name-length field is a u16. Cut at 65 535 bytes, the
+    // first name would replay as another name, and the second would
+    // end inside its two-byte `é`. The third is the longest name the
+    // log carries whole.
+    let names = [
+        "n".repeat(70_000),
+        format!("{}é", "a".repeat(65_534)),
+        "b".repeat(65_531),
+    ];
+    for (t, name) in names.iter().enumerate() {
+        let batch = UpdateBatch {
+            time: t as u64 + 1,
+            updates: vec![
+                Update::PropertySet {
+                    vertex: 1,
+                    name: name.clone(),
+                    value: 2.5,
+                },
+                Update::EdgeInsert {
+                    src: 0,
+                    dst: t as u32 + 1,
+                    weight: 1.0,
+                },
+            ],
+        };
+        e.process_stream_durable(&batch, |_| None, None).unwrap();
+    }
+    assert_eq!(e.stats().ingest.updates_quarantined, 2);
+    assert_eq!(e.props().get_f64(&names[2], 1), Some(2.5));
+    let live = state_of(&e);
+    drop(e);
+    let mut r = FlowEngine::recover(&dir).unwrap();
+    assert_equivalent("long names", &live, &state_of(&r));
+    // The store holds no name a checkpoint cannot write.
+    r.checkpoint().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn monitors_reattach_after_recovery() {
     let _g = LOCK.lock().unwrap();
     faults::clear_all();
