@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ga_graph::sub::extract_ball;
 use ga_graph::{gen, CsrBuilder, CsrGraph, ExtractOptions, VertexId};
-use ga_kernels::{bfs, cc, jaccard, pagerank, sssp, triangles, KernelCtx};
+use ga_kernels::{bfs, cc, cluster, jaccard, pagerank, sssp, triangles, KernelCtx};
 use std::cmp::Reverse;
 use std::hint::black_box;
 
@@ -91,19 +91,46 @@ fn bench_jaccard(c: &mut Criterion) {
     group.bench_function("for_vertex", |b| {
         b.iter(|| jaccard::for_vertex(black_box(&g), 7, 0.1))
     });
-    // The input the flow's `JaccardAnalytic` gets: a depth-2 ball,
-    // capped at 4 096 vertices, around the 8 highest-degree vertices.
+    let (g, hubs, opts) = hub_ball();
+    let ball = extract_ball(&g, &hubs, &opts, None).graph;
+    group.bench_function("ball_tau0.5", |b| {
+        b.iter(|| jaccard::all_pairs_above(black_box(&ball), 0.5))
+    });
+    group.finish();
+}
+
+/// The ball the flow's batch analytics get: a depth-2 ball, capped at
+/// 4 096 vertices, around the 8 highest-degree vertices of an R-MAT 16
+/// graph. Returns the source graph, the seeds and the options.
+fn hub_ball() -> (CsrGraph, Vec<VertexId>, ExtractOptions) {
     let g = rmat_graph(16, 8);
     let mut hubs: Vec<VertexId> = g.vertices().collect();
     hubs.sort_unstable_by_key(|&v| (Reverse(g.degree(v)), v));
+    hubs.truncate(8);
     let opts = ExtractOptions {
         depth: 2,
         max_vertices: 4096,
         undirected_expand: false,
     };
-    let ball = extract_ball(&g, &hubs[..8], &opts, None).graph;
-    group.bench_function("ball_tau0.5", |b| {
-        b.iter(|| jaccard::all_pairs_above(black_box(&ball), 0.5))
+    (g, hubs, opts)
+}
+
+/// One batch run's build and kernel on that ball, apart: the copy
+/// (`extract`), the reverse index PageRank pulls through
+/// (`with_reverse`), and the per-vertex triangle walk behind the
+/// clustering analytic (`clustering`, serial).
+fn bench_ball(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ball");
+    let (g, hubs, opts) = hub_ball();
+    group.bench_function("extract", |b| {
+        b.iter(|| extract_ball(black_box(&g), &hubs, &opts, None))
+    });
+    let ball = extract_ball(&g, &hubs, &opts, None).graph;
+    group.bench_function("with_reverse", |b| {
+        b.iter(|| black_box(&ball).with_reverse())
+    });
+    group.bench_function("clustering", |b| {
+        b.iter(|| cluster::clustering_coefficients(black_box(&ball), &KernelCtx::serial()))
     });
     group.finish();
 }
@@ -143,6 +170,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_jaccard, bench_serial_vs_parallel
+    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_jaccard, bench_ball, bench_serial_vs_parallel
 );
 criterion_main!(benches);

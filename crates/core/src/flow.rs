@@ -49,7 +49,7 @@
 use crate::durability::{CheckpointRef, Durability};
 use crate::retry::{CircuitBreaker, RetryPolicy};
 use ga_graph::sub::{extract_ball, Subgraph};
-use ga_graph::{CsrBuilder, DynamicGraph, ExtractOptions, PropertyStore, SnapshotEpoch, VertexId};
+use ga_graph::{DynamicGraph, ExtractOptions, PropertyStore, SnapshotEpoch, VertexId};
 use ga_kernels::{topk, Budget, KernelCtx, Parallelism};
 use ga_obs::{MetricsSnapshot, Recorder, Step};
 use ga_stream::admission::{
@@ -1510,10 +1510,7 @@ impl BatchAnalytic for PageRankAnalytic {
     }
     fn run(&self, sub: &Subgraph, ctx: &KernelCtx) -> AnalyticOutput {
         // Pull PageRank reads in-neighbors: give the ball a reverse index.
-        let g = CsrBuilder::new(sub.num_vertices())
-            .edges(sub.graph.edges())
-            .reverse(true)
-            .build();
+        let g = sub.graph.with_reverse();
         let r = ga_kernels::pagerank::pagerank_with(&g, self.damping, 1e-4, 20, ctx);
         AnalyticOutput {
             globals: vec![("pagerank_iters".into(), r.work as f64)],

@@ -77,9 +77,7 @@
 use crate::faults::{check, with_scope};
 use crate::flow::{FlowConfig, FlowEngine, FlowStats};
 use ga_graph::snapshot::freeze;
-use ga_graph::{
-    CsrBuilder, CsrGraph, DynamicGraph, Parallelism, PropertyStore, Timestamp, VertexId,
-};
+use ga_graph::{CsrGraph, DynamicGraph, Parallelism, PropertyStore, Timestamp, VertexId};
 use ga_kernels::bfs::bfs_with;
 use ga_kernels::cc::{wcc_with, Components};
 use ga_kernels::pagerank::{pagerank_with, PageRankResult};
@@ -1242,10 +1240,7 @@ impl ShardedFlow {
     pub fn pagerank(&mut self, damping: f64, tol: f64, max_iters: usize) -> PageRankResult {
         let mut span = self.recorder.span(Step::BatchAnalytic);
         let (snap, serve) = self.frozen_merge();
-        let csr = CsrBuilder::new(snap.num_vertices())
-            .edges(snap.edges())
-            .reverse(true)
-            .build();
+        let csr = snap.with_reverse();
         let mut run = pagerank_with(&csr, damping, tol, max_iters, &KernelCtx::default());
         let cross = cross_edges(&snap, &serve, |_| true);
         let bytes = run.work as u64 * RANK_WIRE_BYTES * cross;
@@ -1426,6 +1421,7 @@ impl ShardedQueryRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ga_graph::CsrBuilder;
     use ga_kernels::cc::wcc_union_find;
     use ga_stream::update::{into_batches, rmat_edge_stream};
 

@@ -21,7 +21,7 @@ pub struct CsrGraph {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
     weights: Option<Vec<Weight>>,
-    /// Reverse (in-edge) index, built on demand via [`CsrBuilder::reverse`].
+    /// In-edge index, from [`CsrBuilder::reverse`] or [`CsrGraph::with_reverse`].
     rev: Option<Box<ReverseIndex>>,
 }
 
@@ -210,6 +210,17 @@ impl CsrGraph {
         }
     }
 
+    /// This graph with an in-neighbor index attached: the rows
+    /// [`CsrBuilder::reverse`] builds, from the one counting pass of
+    /// [`Self::transpose`] instead of a re-sort of every edge.
+    pub fn with_reverse(&self) -> CsrGraph {
+        let mut g = CsrGraph::from_parts(self.offsets.clone(), self.targets.clone(), None);
+        let t = g.transpose();
+        g.attach_reverse(t.offsets, t.targets);
+        g.weights = self.weights.clone();
+        g
+    }
+
     /// Raw offsets array (`num_vertices + 1` entries): row `v` is
     /// `raw_targets()[offsets[v]..offsets[v + 1]]`. A `ga-linalg`
     /// matrix is an unweighted graph plus a value array indexed the same
@@ -234,7 +245,8 @@ impl CsrGraph {
 
     /// Assemble an unweighted graph from CSR arrays whose rows are
     /// already sorted — the constructor for code that emits rows in
-    /// order itself (the sparse-matrix products of `ga-linalg`).
+    /// order itself (the sparse-matrix products of `ga-linalg`, the
+    /// ball copy of [`crate::sub::extract_ball`]).
     ///
     /// # Panics
     /// Panics unless `offsets` is non-empty, starts at 0, never
@@ -567,6 +579,33 @@ mod tests {
         let t = g.transpose();
         assert_eq!(t.edge_weight(1, 0), Some(7.0));
         assert_eq!(t.edge_weight(2, 1), Some(9.0));
+    }
+
+    /// `with_reverse` equals the builder's reverse index, in-row by
+    /// in-row, and keeps the forward rows and weights as they were.
+    #[test]
+    fn with_reverse_matches_builder_reverse() {
+        for seed in 0..3 {
+            let edges = crate::gen::rmat(8, 3000, crate::gen::RmatParams::GRAPH500, seed);
+            let weighted = edges
+                .iter()
+                .enumerate()
+                .map(|(i, &(u, v))| (u, v, i as Weight));
+            for b in [
+                CsrBuilder::new(256).edges(edges.iter().copied()),
+                CsrBuilder::new(256)
+                    .edges(edges.iter().copied())
+                    .dedup(true),
+                CsrBuilder::new(256).weighted_edges(weighted),
+            ] {
+                let want = b.clone().reverse(true).build();
+                let got = b.build().with_reverse();
+                assert_eq!(got, want, "seed {seed}");
+                for v in want.vertices() {
+                    assert_eq!(got.in_neighbors(v), want.in_neighbors(v));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! a small subset of the properties — into a smaller, faster memory for
 //! the heavy batch analytics. [`Subgraph`] is that copy: a renumbered
 //! [`CsrGraph`] plus a `back_map` to translate results back to the
-//! persistent graph's ids.
+//! persistent graph's ids. It is copied once, row by row, with no sort.
 
-use crate::{Adjacency, CsrBuilder, CsrGraph, PropertyStore, VertexId};
+use crate::{Adjacency, CsrGraph, PropertyStore, VertexId};
 use std::collections::VecDeque;
 
 /// Extraction parameters.
@@ -79,9 +79,7 @@ pub fn extract_ball<A: Adjacency + ?Sized>(
         seeds,
         opts,
     );
-    induce(g.num_vertices(), &members, props, |u, out| {
-        out.extend(g.neighbors(u))
-    })
+    induce(g, &members, props)
 }
 
 fn bfs_ball_members(
@@ -131,33 +129,39 @@ fn bfs_ball_members(
     order
 }
 
-fn induce(
-    n: usize,
+/// The one copy of the ball: each member's row is renumbered into `row`
+/// and appended to the new `targets`. Sorted `members` keep every row
+/// sorted. Each entry is written, and kept by moving the cursor, only if
+/// it is a member and not a repeat of the entry before (which dedups a
+/// source row that repeats a target) — no branch on whether it is kept.
+fn induce<A: Adjacency + ?Sized>(
+    g: &A,
     members: &[VertexId],
     props: Option<(&PropertyStore, &[&str])>,
-    mut neighbors_of: impl FnMut(VertexId, &mut Vec<VertexId>),
 ) -> Subgraph {
     // Dense old->new map; members are few relative to n in the intended
     // use, but a dense array keeps the inner loop branch-cheap.
-    let mut renumber: Vec<VertexId> = vec![VertexId::MAX; n];
+    let mut renumber: Vec<VertexId> = vec![VertexId::MAX; g.num_vertices()];
     for (new_id, &old) in members.iter().enumerate() {
         renumber[old as usize] = new_id as VertexId;
     }
-    let mut b = CsrBuilder::new(members.len());
-    let mut scratch = Vec::new();
-    let mut edges = Vec::new();
-    for (new_u, &old_u) in members.iter().enumerate() {
-        scratch.clear();
-        neighbors_of(old_u, &mut scratch);
-        for &old_v in &scratch {
+    let mut offsets = Vec::with_capacity(members.len() + 1);
+    offsets.push(0);
+    let mut targets = Vec::new();
+    let mut row = Vec::new();
+    for &old_u in members {
+        row.resize(row.len().max(g.degree(old_u)), 0);
+        let (mut kept, mut prev) = (0, VertexId::MAX);
+        for old_v in g.neighbors(old_u) {
             let new_v = renumber[old_v as usize];
-            if new_v != VertexId::MAX {
-                edges.push((new_u as VertexId, new_v));
-            }
+            row[kept] = new_v;
+            kept += (new_v != VertexId::MAX && old_v != prev) as usize;
+            prev = old_v;
         }
+        targets.extend_from_slice(&row[..kept]);
+        offsets.push(targets.len() as u64);
     }
-    b = b.edges(edges).dedup(true);
-    let graph = b.build();
+    let graph = CsrGraph::from_sorted_rows(offsets, targets);
     let props = match props {
         Some((store, cols)) => store.project(members, cols),
         None => PropertyStore::new(members.len()),
@@ -172,7 +176,92 @@ fn induce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use crate::{gen, CompressedCsr, CsrBuilder, TierConfig, TieredCsr};
+    use std::sync::Arc;
+
+    /// The extraction `induce` replaced, kept as its oracle: every kept
+    /// edge through `CsrBuilder`'s global sort and dedup.
+    fn extract_reference<A: Adjacency + ?Sized>(
+        g: &A,
+        seeds: &[VertexId],
+        opts: &ExtractOptions,
+    ) -> (CsrGraph, Vec<VertexId>) {
+        let expand = |v, out: &mut Vec<VertexId>| {
+            out.extend(g.neighbors(v));
+            if opts.undirected_expand && g.has_reverse() {
+                out.extend(g.in_neighbors(v));
+            }
+        };
+        let members = bfs_ball_members(expand, g.num_vertices(), seeds, opts);
+        let mut renumber = vec![VertexId::MAX; g.num_vertices()];
+        for (new_id, &old) in members.iter().enumerate() {
+            renumber[old as usize] = new_id as VertexId;
+        }
+        let mut edges = Vec::new();
+        for (new_u, &old_u) in members.iter().enumerate() {
+            for old_v in g.neighbors(old_u) {
+                let new_v = renumber[old_v as usize];
+                if new_v != VertexId::MAX {
+                    edges.push((new_u as VertexId, new_v));
+                }
+            }
+        }
+        let b = CsrBuilder::new(members.len()).edges(edges).dedup(true);
+        (b.build(), members)
+    }
+
+    /// Every ball of `g` this oracle test extracts equals the
+    /// builder-based reference: same `offsets`, `targets`, `back_map`.
+    fn assert_matches_reference<A: Adjacency + ?Sized>(g: &A, what: &str) {
+        for cap in [0, 3, 7, 20, 50] {
+            for (depth, undirected_expand) in [(1, false), (2, false), (2, true), (3, true)] {
+                let opts = ExtractOptions {
+                    depth,
+                    max_vertices: cap,
+                    undirected_expand,
+                };
+                let seeds = [0, 5, 77];
+                let sub = extract_ball(g, &seeds, &opts, None);
+                let (want, members) = extract_reference(g, &seeds, &opts);
+                let case =
+                    format!("{what}: cap {cap} depth {depth} undirected {undirected_expand}");
+                assert_eq!(sub.back_map, members, "{case}");
+                assert_eq!(sub.graph.raw_offsets(), want.raw_offsets(), "{case}");
+                assert_eq!(sub.graph.raw_targets(), want.raw_targets(), "{case}");
+                assert!(!sub.graph.is_weighted() && !sub.graph.has_reverse());
+                if cap == 7 {
+                    // Hub 0's row alone holds more than 7 distinct ids.
+                    assert_eq!(sub.num_vertices(), cap, "{case}: cap hit mid-row");
+                }
+            }
+        }
+    }
+
+    /// Directed R-MAT multigraphs (repeated targets, self-loops kept)
+    /// over plain, compressed and tiered sources, with vertex caps that
+    /// stop the ball in the middle of a row: the one-copy extraction
+    /// equals the builder-based oracle.
+    #[test]
+    fn induce_matches_builder_oracle() {
+        let dir = std::env::temp_dir().join(format!("ga-sub-oracle-{}", std::process::id()));
+        for seed in 0..4 {
+            let edges = gen::rmat(7, 1500, gen::RmatParams::GRAPH500, seed);
+            let b = CsrBuilder::new(128).edges(edges).dedup(false);
+            let g = Arc::new(b.reverse(true).build());
+            let repeats = |v| g.neighbors(v).windows(2).any(|p| p[0] == p[1]);
+            assert!(g.vertices().any(repeats), "seed {seed}: no repeated target");
+            assert!(
+                g.vertices().any(|v| g.has_edge(v, v)),
+                "seed {seed}: no self-loop"
+            );
+            assert_matches_reference(&*g, "plain");
+            assert_matches_reference(&CompressedCsr::from_csr(&g), "compressed");
+            let cfg = TierConfig::new(&dir).segment_rows(16).ram_budget(1 << 10);
+            let _g = crate::tier::tests::LOCK.lock().unwrap();
+            assert_matches_reference(&TieredCsr::spill(&g, cfg).unwrap(), "tiered");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn line_graph(n: usize) -> CsrGraph {
         CsrGraph::from_edges_undirected(n, &gen::path(n))

@@ -1129,16 +1129,16 @@ impl Adjacency for TieredCsr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::faults::FaultMode;
     use crate::gen;
     use std::sync::Mutex as StdMutex;
 
-    // The fault registry is process-global: every test that spills or
-    // reads segments holds this lock, so a fault armed by one test never
-    // fires in another.
-    static LOCK: StdMutex<()> = StdMutex::new(());
+    // The fault registry is process-global: every test in the crate that
+    // spills or reads segments holds this lock, so a fault armed by one
+    // test never fires in another.
+    pub(crate) static LOCK: StdMutex<()> = StdMutex::new(());
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ga-tier-{tag}-{}", std::process::id()));

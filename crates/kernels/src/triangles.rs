@@ -9,7 +9,8 @@
 //! walk stamps `u`'s oriented row into a dense marker array, then probes
 //! the marker once per entry of each oriented neighbor's row — one
 //! predictable load per wedge entry instead of a sorted-list merge (the
-//! dense per-chunk accumulator of [`crate::jaccard`]).
+//! dense per-chunk accumulator of [`crate::jaccard`]). A probe adds its
+//! 0/1 hit without a branch: whether a wedge closes is unpredictable.
 
 use crate::ctx::KernelCtx;
 use ga_graph::{Adjacency, CsrGraph, VertexId};
@@ -76,20 +77,23 @@ fn oriented<G: Adjacency>(g: &G, parallel: bool) -> (Vec<usize>, Vec<VertexId>) 
     (offsets, targets)
 }
 
-/// The oriented-triangle walk behind both entry points: `triangle(found,
-/// u, v, w)` runs once per triangle, at its lowest-ranked corner `u`.
-/// Serial or parallel over source vertices per the context's
-/// [`crate::Parallelism`]; each pool chunk keeps one `found`, combined
-/// by `merge`, and one marker array, reused from source to source
-/// (source `u` stamps `u + 1`, so none is ever cleared). A limited
-/// budget forces the serial engine: it is consulted every 256 sources,
-/// and a partial result is only meaningful with a deterministic vertex
-/// order. `cpu_ops` counts the stamps set plus the probes made.
+/// The oriented-triangle walk behind both entry points: for each
+/// oriented edge `u → v`, `probe(found, u, v, row, stamp, mark)` gets
+/// `v`'s oriented row, whose `w` closes a triangle at its lowest-ranked
+/// corner `u` exactly when `stamp[w] == mark` — a 0/1 hit the probes
+/// add without a branch. Serial or parallel over source vertices per
+/// the context's [`crate::Parallelism`]; each pool chunk keeps one
+/// `found`, combined by `merge`, and one marker array, reused from
+/// source to source (source `u` stamps `u + 1`, so none is ever
+/// cleared). A limited budget forces the serial engine: it is consulted
+/// every 256 sources, and a partial result is only meaningful with a
+/// deterministic vertex order. `cpu_ops` counts the stamps set plus the
+/// probes made.
 fn walk<G: Adjacency, A: Send>(
     g: &G,
     ctx: &KernelCtx,
     empty: impl Fn() -> A + Sync,
-    triangle: impl Fn(&mut A, usize, VertexId, VertexId) + Sync,
+    probe: impl Fn(&mut A, usize, VertexId, &[VertexId], &[u32], u32) + Sync,
     merge: impl Fn(A, A) -> A + Sync,
 ) -> A {
     let n = g.num_vertices();
@@ -104,11 +108,7 @@ fn walk<G: Adjacency, A: Send>(
         ops += row(u).len() as u64;
         for &v in row(u) {
             ops += row(v as usize).len() as u64;
-            for &w in row(v as usize) {
-                if stamp[w as usize] == mark {
-                    triangle(&mut found, u, v, w);
-                }
-            }
+            probe(&mut found, u, v, row(v as usize), &stamp, mark);
         }
         (stamp, found, ops)
     };
@@ -148,7 +148,13 @@ pub fn count_global<G: Adjacency>(g: &G) -> u64 {
 /// count is an exact integer sum, so both engines return the identical
 /// value.
 pub fn count_global_with<G: Adjacency>(g: &G, ctx: &KernelCtx) -> u64 {
-    walk(g, ctx, || 0, |c, _, _, _| *c += 1, |a, b| a + b)
+    let probe = |c: &mut u64, _, _, row: &[VertexId], stamp: &[u32], mark| {
+        *c += row
+            .iter()
+            .map(|&w| (stamp[w as usize] == mark) as u64)
+            .sum::<u64>();
+    };
+    walk(g, ctx, || 0, probe, |a, b| a + b)
 }
 
 /// Per-vertex triangle counts (each triangle increments all three
@@ -161,10 +167,15 @@ pub fn count_per_vertex<G: Adjacency>(g: &G, ctx: &KernelCtx) -> Vec<u64> {
         g,
         ctx,
         || vec![0; n],
-        |c, u, v, w| {
-            c[u] += 1;
-            c[v as usize] += 1;
-            c[w as usize] += 1;
+        |c, u, v, row, stamp, mark| {
+            let mut hits = 0;
+            for &w in row {
+                let hit = (stamp[w as usize] == mark) as u64;
+                c[w as usize] += hit;
+                hits += hit;
+            }
+            c[u] += hits;
+            c[v as usize] += hits;
         },
         |a, b| a.into_iter().zip(b).map(|(x, y)| x + y).collect(),
     )
@@ -257,6 +268,50 @@ mod tests {
         assert_eq!(s.snapshot(), p.snapshot());
         assert_eq!(serial.iter().sum::<u64>(), 3 * count_global(&g));
         assert!(count_global(&g) > 0, "want a non-trivial instance");
+    }
+
+    /// Per-vertex oracle: the number of adjacent pairs in `N(v)`.
+    fn per_vertex_brute_force(g: &CsrGraph) -> Vec<u64> {
+        let pairs = |v| {
+            let nv = g.neighbors(v);
+            let adjacent = |(i, &a): (usize, &VertexId)| {
+                nv[i + 1..].iter().filter(|&&b| g.has_edge(a, b)).count()
+            };
+            nv.iter().enumerate().map(adjacent).sum::<usize>() as u64
+        };
+        g.vertices().map(pairs).collect()
+    }
+
+    /// Serial, parallel and compressed per-vertex counts equal the
+    /// brute-force oracle corner by corner, on random graphs and on the
+    /// hub ball the batch analytics get (an R-MAT ball, smaller here).
+    #[test]
+    fn per_vertex_matches_brute_force() {
+        let mut inputs: Vec<CsrGraph> = (0..6)
+            .map(|seed| {
+                let n = 50 + 10 * seed as usize;
+                und(n, &gen::erdos_renyi(n, 400, seed))
+            })
+            .collect();
+        let edges = gen::rmat(12, 8 << 12, gen::RmatParams::GRAPH500, 42);
+        let g = und(1 << 12, &edges);
+        let mut hubs: Vec<VertexId> = g.vertices().collect();
+        hubs.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+        let opts = ga_graph::ExtractOptions {
+            depth: 2,
+            max_vertices: 1024,
+            undirected_expand: false,
+        };
+        inputs.push(ga_graph::sub::extract_ball(&g, &hubs[..8], &opts, None).graph);
+        for (i, g) in inputs.iter().enumerate() {
+            let want = per_vertex_brute_force(g);
+            assert!(want.iter().sum::<u64>() > 0, "input {i} is trivial");
+            let c = ga_graph::CompressedCsr::from_csr(g);
+            for ctx in [KernelCtx::serial(), KernelCtx::parallel()] {
+                assert_eq!(count_per_vertex(g, &ctx), want, "input {i}");
+                assert_eq!(count_per_vertex(&c, &ctx), want, "input {i} compressed");
+            }
+        }
     }
 
     #[test]
