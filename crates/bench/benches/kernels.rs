@@ -2,6 +2,7 @@
 //! Graph500-style R-MAT inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ga_core::nora::{self, NoraParams, NoraWorld};
 use ga_graph::sub::extract_ball;
 use ga_graph::{gen, CsrBuilder, CsrGraph, ExtractOptions, VertexId};
 use ga_kernels::{bfs, cc, cluster, jaccard, pagerank, sssp, triangles, KernelCtx};
@@ -135,6 +136,24 @@ fn bench_ball(c: &mut Criterion) {
     group.finish();
 }
 
+/// NORA's weekly boil (§III) on the default world with eight times its
+/// people, addresses and rings, seed 7: the person-row freeze, the
+/// all-pairs shared-address count and the scored, indexed answer set.
+fn bench_nora(c: &mut Criterion) {
+    let d = NoraParams::default();
+    let params = NoraParams {
+        num_people: 8 * d.num_people,
+        num_addresses: 8 * d.num_addresses,
+        num_rings: 8 * d.num_rings,
+        ..d
+    };
+    let world = NoraWorld::generate(params, 7);
+    let g = world.build_graph();
+    let mut group = c.benchmark_group("nora");
+    group.bench_function("boil", |b| b.iter(|| nora::boil(black_box(&world), &g)));
+    group.finish();
+}
+
 /// Serial vs parallel on the same input, for the kernels whose work
 /// goes on the pool under `Parallelism` (BFS's bottom-up steps, the
 /// PageRank sweep, triangles; WCC runs serially in both modes, and
@@ -170,6 +189,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_jaccard, bench_ball, bench_serial_vs_parallel
+    targets = bench_bfs, bench_sssp, bench_cc, bench_pagerank, bench_triangles, bench_jaccard, bench_ball, bench_nora, bench_serial_vs_parallel
 );
 criterion_main!(benches);

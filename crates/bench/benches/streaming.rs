@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use ga_core::flow::FlowEngine;
 use ga_core::sharded::ShardedFlow;
 use ga_graph::{gen, DynamicGraph, PropertyStore};
+use ga_kernels::jaccard;
 use ga_stream::engine::StreamEngine;
-use ga_stream::jaccard_stream::for_vertex_dynamic;
 use ga_stream::queries::Query;
 use ga_stream::tri_inc::IncrementalTriangles;
 use ga_stream::update::{into_batches, rmat_edge_stream};
@@ -72,7 +72,8 @@ fn bench_jaccard_query_latency(c: &mut Criterion) {
         b.iter(|| {
             let v = targets[i % targets.len()];
             i += 1;
-            black_box(for_vertex_dynamic(engine.graph(), v, 0.1))
+            let g = engine.graph();
+            black_box(jaccard::two_hop(v, |x| g.neighbor_ids(x), |_, j| j >= 0.1))
         })
     });
 }

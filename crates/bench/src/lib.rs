@@ -28,7 +28,7 @@
 //!
 //! | bench | groups |
 //! |---|---|
-//! | `kernels` | `bfs`, `sssp`, `connected_components`, `pagerank`, `triangles`, `jaccard`, `serial_vs_parallel` |
+//! | `kernels` | `bfs`, `sssp`, `connected_components`, `pagerank`, `triangles`, `jaccard`, `ball`, `nora` (E40), `serial_vs_parallel` |
 //! | `streaming` | `stream_ingest`, `jaccard_query_rmat16`, `queries` (E32, E33), `fleet` (E15) |
 //! | `linalg` | `spmv`, `spgemm`, `matrix_vs_direct` |
 //! | `archsim` | `emu_pointer_chase_100k`, `emu_gups_100k`, `sparse_spgemm_work_4k`, `nora_model_all_configs` |

@@ -15,14 +15,18 @@
 //! relationship search should surface). Both paper modes exist:
 //!
 //! * [`boil`] — the weekly batch: find all related pairs
-//!   ([`relationships`]), attach scores, and return the precomputed
-//!   answer set.
+//!   ([`relationships`], on the Jaccard kernel's all-pairs engine),
+//!   attach scores, and return the precomputed answer set.
 //! * [`QuoteServer`] — the real-time side: per-applicant relationship
-//!   queries against the live graph (the latency-sensitive path the
-//!   paper wants streaming systems to serve), plus incremental record
-//!   ingest with threshold events.
+//!   queries against the live graph ([`jaccard::two_hop`], the
+//!   latency-sensitive path the paper wants streaming systems to serve),
+//!   plus incremental record ingest with threshold events.
+//!
+//! The tests keep the hash-map wedge search as the oracle of both.
 
-use ga_graph::{DynamicGraph, VertexId};
+use ga_graph::dynamic::ApplyResult;
+use ga_graph::{snapshot, DynamicGraph, Parallelism, VertexId};
+use ga_kernels::{jaccard, KernelCtx};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
@@ -197,51 +201,55 @@ pub struct NoraStats {
 }
 
 /// Find all pairs of people sharing at least `min_shared` distinct
-/// addresses. Walks address adjacency (the 2-hop wedge enumeration that
-/// makes NORA "close to the Jaccard coefficient kernel").
+/// addresses, best score first. NORA's query is "close to the Jaccard
+/// coefficient kernel", and runs on it: the person rows are frozen,
+/// address vertices with empty out-rows, and [`jaccard::pairs_sharing`]
+/// counts each pair's common addresses once, from the wedges
+/// `p – address – q`.
 pub fn relationships(
     world: &NoraWorld,
     g: &DynamicGraph,
     min_shared: u32,
 ) -> (Vec<Relationship>, NoraStats) {
-    let mut stats = NoraStats::default();
-    let mut shared: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-    for addr in 0..world.num_addresses as u32 {
-        let av = world.address_vertex(addr);
-        let people: Vec<u32> = g.neighbor_ids(av).collect();
-        for (i, &p) in people.iter().enumerate() {
-            for &q in &people[i + 1..] {
-                stats.pair_candidates += 1;
-                let key = (p.min(q), p.max(q));
-                let addrs = shared.entry(key).or_default();
-                if !addrs.contains(&addr) {
-                    addrs.push(addr);
-                }
-            }
-        }
-    }
-    let mut out: Vec<Relationship> = shared
-        .into_iter()
-        .filter(|(_, addrs)| addrs.len() as u32 >= min_shared)
-        .map(|((a, b), addrs)| {
+    let people = world.num_people as VertexId;
+    let person_row = |v: VertexId| if v < people { g.row_slots(v) } else { &[] };
+    // Every residence is stored both ways, so the person rows hold half.
+    let edges = g.num_live_edges() / 2;
+    let frozen = snapshot::freeze(g.num_vertices(), edges, person_row, Parallelism::Auto);
+    let pairs = jaccard::pairs_sharing(&frozen, min_shared, &KernelCtx::default());
+    let out = ranked(world, pairs.into_iter());
+    let pair_candidates = (0..world.num_addresses as u32)
+        .map(|a| g.degree(world.address_vertex(a)) as u64)
+        .map(|d| d * d.saturating_sub(1) / 2)
+        .sum();
+    let stats = NoraStats {
+        pair_candidates,
+        relationships: out.len() as u64,
+    };
+    (out, stats)
+}
+
+/// Relationships of the person pairs `(a, b, shared addresses)`, `a < b`,
+/// best score first, ties by pair.
+fn ranked(world: &NoraWorld, pairs: impl Iterator<Item = (u32, u32, u32)>) -> Vec<Relationship> {
+    let mut out: Vec<Relationship> = pairs
+        .map(|(a, b, shared)| {
             let same = world.last_name[a as usize] == world.last_name[b as usize];
             Relationship {
                 a,
                 b,
-                shared_addresses: addrs.len() as u32,
+                shared_addresses: shared,
                 same_last_name: same,
-                score: score(addrs.len() as u32, same),
+                score: score(shared, same),
             }
         })
         .collect();
     out.sort_by(|x, y| {
         y.score
-            .partial_cmp(&x.score)
-            .unwrap()
+            .total_cmp(&x.score)
             .then((x.a, x.b).cmp(&(y.a, y.b)))
     });
-    stats.relationships = out.len() as u64;
-    (out, stats)
+    out
 }
 
 /// The weekly batch "boil": all relationships with ≥2 shared addresses,
@@ -334,15 +342,120 @@ impl QuoteServer {
 
     /// Real-time applicant query: all relationships of `person` with at
     /// least `min_shared` shared addresses, computed on the live graph
-    /// (no staleness — the advantage §III credits streaming with).
+    /// (no staleness — the advantage §III credits streaming with). An id
+    /// outside the world's people has none.
     pub fn quote(&mut self, person: u32, min_shared: u32) -> Vec<Relationship> {
+        if person as usize >= self.world.num_people {
+            return Vec::new();
+        }
         self.queries += 1;
-        let pv = self.world.person_vertex(person);
+        let g = &self.graph;
+        let hits = jaccard::two_hop(person, |v| g.neighbor_ids(v), |n, _| n >= min_shared);
+        let pairs = hits
+            .into_iter()
+            .map(|(q, n, _)| (person.min(q), person.max(q), n));
+        ranked(&self.world, pairs)
+    }
+
+    /// Streaming ingest of a new residence record. Returns any
+    /// relationship that crossed the alert threshold because of it (the
+    /// "test of some sort that, if passed, may trigger larger
+    /// computations"). A record naming a person or address outside the
+    /// world is refused: nothing changes and nothing is returned.
+    pub fn ingest(&mut self, r: Residence) -> Vec<Relationship> {
+        let world = &self.world;
+        if r.person as usize >= world.num_people || r.address as usize >= world.num_addresses {
+            return Vec::new();
+        }
+        let (pv, av) = (
+            world.person_vertex(r.person),
+            world.address_vertex(r.address),
+        );
+        let added = self.graph.insert_edge(pv, av, 1.0, r.year as u64) == ApplyResult::Inserted;
+        self.graph.insert_edge(av, pv, 1.0, r.year as u64);
+        self.world.residences.push(r);
+        // A refreshed residence changes no count. A new one adds one shared
+        // address to each pair with a person already at it, and changes no
+        // other pair; one that shared nothing before had no relationship.
+        if !added {
+            return Vec::new();
+        }
+        let threshold = self.alert_threshold;
+        let mut alerts = self.quote(r.person, 1);
+        alerts.retain(|rel| {
+            let other = if rel.a == r.person { rel.b } else { rel.a };
+            let was = rel.shared_addresses - 1;
+            rel.score >= threshold
+                && self.graph.has_edge(av, other)
+                && (was == 0 || score(was, rel.same_last_name) < threshold)
+        });
+        alerts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A hash-map search over every wedge: the oracle for the pairs,
+    /// counts, scores and order `relationships` returns.
+    fn relationships_by_hash(
+        world: &NoraWorld,
+        g: &DynamicGraph,
+        min_shared: u32,
+    ) -> (Vec<Relationship>, NoraStats) {
+        let mut stats = NoraStats::default();
+        let mut shared: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+        for addr in 0..world.num_addresses as u32 {
+            let av = world.address_vertex(addr);
+            let people: Vec<u32> = g.neighbor_ids(av).collect();
+            for (i, &p) in people.iter().enumerate() {
+                for &q in &people[i + 1..] {
+                    stats.pair_candidates += 1;
+                    let key = (p.min(q), p.max(q));
+                    let addrs = shared.entry(key).or_default();
+                    if !addrs.contains(&addr) {
+                        addrs.push(addr);
+                    }
+                }
+            }
+        }
+        let mut out: Vec<Relationship> = shared
+            .into_iter()
+            .filter(|(_, addrs)| addrs.len() as u32 >= min_shared)
+            .map(|((a, b), addrs)| {
+                let same = world.last_name[a as usize] == world.last_name[b as usize];
+                Relationship {
+                    a,
+                    b,
+                    shared_addresses: addrs.len() as u32,
+                    same_last_name: same,
+                    score: score(addrs.len() as u32, same),
+                }
+            })
+            .collect();
+        out.sort_by(|x, y| {
+            y.score
+                .partial_cmp(&x.score)
+                .unwrap()
+                .then((x.a, x.b).cmp(&(y.a, y.b)))
+        });
+        stats.relationships = out.len() as u64;
+        (out, stats)
+    }
+
+    /// One applicant's hash-map wedge walk: the oracle for `quote`.
+    fn quote_by_hash(
+        world: &NoraWorld,
+        g: &DynamicGraph,
+        person: u32,
+        k: u32,
+    ) -> Vec<Relationship> {
+        let pv = world.person_vertex(person);
         let mut shared: HashMap<u32, Vec<u32>> = HashMap::new();
-        for av in self.graph.neighbor_ids(pv).collect::<Vec<_>>() {
-            let addr = av - self.world.num_people as u32;
-            for qv in self.graph.neighbor_ids(av) {
-                let q = qv;
+        for av in g.neighbor_ids(pv) {
+            let addr = av - world.num_people as u32;
+            for q in g.neighbor_ids(av) {
                 if q != person {
                     let entry = shared.entry(q).or_default();
                     if !entry.contains(&addr) {
@@ -353,10 +466,9 @@ impl QuoteServer {
         }
         let mut out: Vec<Relationship> = shared
             .into_iter()
-            .filter(|(_, addrs)| addrs.len() as u32 >= min_shared)
+            .filter(|(_, addrs)| addrs.len() as u32 >= k)
             .map(|(q, addrs)| {
-                let same =
-                    self.world.last_name[person as usize] == self.world.last_name[q as usize];
+                let same = world.last_name[person as usize] == world.last_name[q as usize];
                 Relationship {
                     a: person.min(q),
                     b: person.max(q),
@@ -375,35 +487,146 @@ impl QuoteServer {
         out
     }
 
-    /// Streaming ingest of a new residence record. Returns any
-    /// relationship that crossed the alert threshold because of it (the
-    /// "test of some sort that, if passed, may trigger larger
-    /// computations").
-    pub fn ingest(&mut self, r: Residence) -> Vec<Relationship> {
+    /// Ingest by quoting before and after the insert and keeping the
+    /// pairs that reached the threshold in between: the oracle for
+    /// `ingest`'s single quote.
+    fn ingest_two_quotes(server: &mut QuoteServer, r: Residence) -> Vec<Relationship> {
+        let world = &server.world;
         let (pv, av) = (
-            self.world.person_vertex(r.person),
-            self.world.address_vertex(r.address),
+            world.person_vertex(r.person),
+            world.address_vertex(r.address),
         );
-        let before = self.quote(r.person, 1);
-        self.graph.insert_edge(pv, av, 1.0, r.year as u64);
-        self.graph.insert_edge(av, pv, 1.0, r.year as u64);
-        self.world.residences.push(r);
-        let after = self.quote(r.person, 1);
+        let before = quote_by_hash(world, &server.graph, r.person, 1);
+        server.graph.insert_edge(pv, av, 1.0, r.year as u64);
+        server.graph.insert_edge(av, pv, 1.0, r.year as u64);
+        server.world.residences.push(r);
+        let after = quote_by_hash(&server.world, &server.graph, r.person, 1);
+        let t = server.alert_threshold;
         after
             .into_iter()
             .filter(|rel| {
-                rel.score >= self.alert_threshold
+                rel.score >= t
                     && !before
                         .iter()
-                        .any(|o| (o.a, o.b) == (rel.a, rel.b) && o.score >= self.alert_threshold)
+                        .any(|o| (o.a, o.b) == (rel.a, rel.b) && o.score >= t)
             })
             .collect()
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Every field, the score as bits.
+    fn bits(rels: &[Relationship]) -> Vec<(u32, u32, u32, bool, u64)> {
+        rels.iter()
+            .map(|r| {
+                (
+                    r.a,
+                    r.b,
+                    r.shared_addresses,
+                    r.same_last_name,
+                    r.score.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// The default world with `f` times the people, addresses and rings.
+    fn scaled(f: usize) -> NoraParams {
+        let d = NoraParams::default();
+        NoraParams {
+            num_people: d.num_people * f,
+            num_addresses: d.num_addresses * f,
+            num_rings: d.num_rings * f,
+            ..d
+        }
+    }
+
+    #[test]
+    fn relationships_and_quotes_match_the_hash_oracle() {
+        for f in [1, 8] {
+            for seed in 0..5 {
+                let w = NoraWorld::generate(scaled(f), seed);
+                let g = w.build_graph();
+                for k in 1..=3 {
+                    let tag = format!("x{f} seed {seed} k {k}");
+                    let (rels, stats) = relationships(&w, &g, k);
+                    let (want, want_stats) = relationships_by_hash(&w, &g, k);
+                    assert_eq!(bits(&rels), bits(&want), "{tag}");
+                    assert_eq!(stats.pair_candidates, want_stats.pair_candidates, "{tag}");
+                    assert_eq!(stats.relationships, want_stats.relationships, "{tag}");
+                }
+                let b = boil(&w, &g);
+                assert_eq!(b.ring_recall(&w), 1.0, "x{f} seed {seed}");
+                let mut server = QuoteServer::new(w.clone());
+                for person in (0..w.num_people as u32).step_by(7 * f) {
+                    for k in 1..=3 {
+                        let want = quote_by_hash(&w, &g, person, k);
+                        assert_eq!(bits(&server.quote(person, k)), bits(&want), "p {person}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_ids_are_refused() {
+        let w = NoraWorld::generate(NoraParams::default(), 7);
+        let (people, addresses) = (w.num_people as u32, w.num_addresses as u32);
+        let mut server = QuoteServer::new(w);
+        let (edges, records) = (server.graph.num_live_edges(), server.world.residences.len());
+        let version = server.graph.version();
+        for (person, address) in [(people, 5), (people + 1, 0), (3, addresses), (3, u32::MAX)] {
+            let r = Residence {
+                person,
+                address,
+                year: 2024,
+            };
+            assert!(server.ingest(r).is_empty(), "{r:?}");
+        }
+        assert!(server.quote(people, 1).is_empty());
+        assert!(server.quote(people + 1, 1).is_empty());
+        assert_eq!(server.graph.num_live_edges(), edges);
+        assert_eq!(server.graph.version(), version);
+        assert_eq!(server.world.residences.len(), records);
+    }
+
+    #[test]
+    fn one_quote_ingest_matches_the_two_quote_oracle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut stream: Vec<Residence> = Vec::new();
+        for i in 0..600 {
+            // One record in five repeats an earlier one with a new year.
+            let r = match stream.len() {
+                n if n > 0 && i % 5 == 0 => Residence {
+                    year: 2030,
+                    ..stream[rng.gen_range(0..n)]
+                },
+                _ => Residence {
+                    person: rng.gen_range(0..40),
+                    address: rng.gen_range(0..30),
+                    year: 2025,
+                },
+            };
+            stream.push(r);
+        }
+        // The default threshold, and 0, where every new pair alerts.
+        for threshold in [3.0, 0.0] {
+            let w = small_world();
+            let (mut fast, mut slow) = (QuoteServer::new(w.clone()), QuoteServer::new(w));
+            (fast.alert_threshold, slow.alert_threshold) = (threshold, threshold);
+            let (mut alerts, mut repeats) = (0, 0);
+            for &r in &stream {
+                let av = fast.world.address_vertex(r.address);
+                repeats += fast.graph.has_edge(r.person, av) as usize;
+                let got = fast.ingest(r);
+                assert_eq!(bits(&got), bits(&ingest_two_quotes(&mut slow, r)), "{r:?}");
+                alerts += got.len();
+            }
+            let tag = format!("threshold {threshold}: alerts {alerts}, repeats {repeats}");
+            assert!(alerts > 20 && repeats > 100, "{tag}");
+            assert_eq!(fast.world.residences, slow.world.residences, "{tag}");
+            let edges = |s: &QuoteServer| s.graph.edges().collect::<Vec<_>>();
+            assert_eq!(edges(&fast), edges(&slow), "{tag}");
+        }
+    }
 
     fn small_world() -> NoraWorld {
         NoraWorld::generate(

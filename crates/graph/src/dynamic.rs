@@ -266,8 +266,8 @@ impl DynamicGraph {
     }
 
     /// Iterate live out-neighbor ids of `v`.
-    pub fn neighbor_ids(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
-        self.neighbors(v).map(|r| r.dst)
+    pub fn neighbor_ids(&self, v: VertexId) -> impl ExactSizeIterator<Item = VertexId> + '_ {
+        self.row_slots(v).iter().map(|r| r.dst)
     }
 
     /// Iterate all live edges as `(src, dst, weight, timestamp)`.

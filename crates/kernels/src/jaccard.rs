@@ -10,9 +10,11 @@
 //! Three access patterns, matching §II's description:
 //! * [`pair`] — one coefficient,
 //! * [`for_vertex`] — all non-zero coefficients of one vertex against its
-//!   2-hop neighborhood (the streaming *query* form's batch core),
+//!   2-hop neighborhood (the streaming *query* form's batch core), on
+//!   [`two_hop`], the one single-source count, which reads live rows too,
 //! * [`all_pairs_above`] / [`all_pairs_above_with`] — every pair with
-//!   `J >= tau` (the near-quadratic-output batch form, threshold-pruned).
+//!   `J >= tau` (the near-quadratic-output batch form, threshold-pruned);
+//!   [`pairs_sharing`] keeps `inter ≥ k` instead, unfiltered (NORA's).
 //!
 //! The all-pairs engine orients work by degree, as GAP's triangle
 //! counting does, with no hashed container on the inner loop. Vertices
@@ -55,26 +57,29 @@ pub fn pair(g: &CsrGraph, u: VertexId, v: VertexId) -> f64 {
 /// Expects a symmetric graph: on a directed one it counts
 /// `|N(u) ∩ In(v)|`, not the out-neighborhood overlap [`pair`] uses.
 pub fn for_vertex(g: &CsrGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
-    let nu = g.neighbors(u);
-    // Gather 2-hop candidates with shared-neighbor counts via a sparse
-    // accumulator.
-    let mut counts: std::collections::HashMap<VertexId, usize> = Default::default();
-    for &w in nu {
-        for &v in g.neighbors(w) {
-            if v != u {
-                *counts.entry(v).or_default() += 1;
-            }
-        }
-    }
-    let mut out: Vec<(VertexId, f64)> = counts
-        .into_iter()
-        .filter_map(|(v, inter)| {
-            let union = nu.len() + g.degree(v) - inter;
-            let j = inter as f64 / union as f64;
-            (j >= tau && j > 0.0).then_some((v, j))
-        })
+    let hits = two_hop(u, |v| g.neighbors(v).iter().copied(), |_, j| j >= tau);
+    hits.into_iter().map(|(v, _, j)| (v, j)).collect()
+}
+
+/// The single-source 2-hop count over rows read through `row`: each
+/// `v ≠ u` ending a wedge `u → w → v` goes to `keep` with `inter`, its
+/// number of such `w`, and `J = inter / (d_u + d_v − inter)`; the kept
+/// `(v, inter, J)` come by descending `J`, ties by id, after one sort of the wedge ends.
+pub fn two_hop<R: ExactSizeIterator<Item = VertexId>>(
+    u: VertexId,
+    row: impl Fn(VertexId) -> R,
+    keep: impl Fn(u32, f64) -> bool,
+) -> Vec<(VertexId, u32, f64)> {
+    let du = row(u).len();
+    let mut ends: Vec<VertexId> = row(u).flat_map(&row).filter(|&v| v != u).collect();
+    ends.sort_unstable();
+    let mut out: Vec<_> = ends
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .map(|(v, n)| (v, n as u32, n as f64 / (du + row(v).len() - n) as f64))
+        .filter(|&(_, inter, j)| keep(inter, j))
         .collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    out.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap().then(a.0.cmp(&b.0)));
     out
 }
 
@@ -100,6 +105,34 @@ pub fn all_pairs_above_with(
     ctx: &KernelCtx,
 ) -> Vec<(VertexId, VertexId, f64)> {
     assert!(tau > 0.0, "tau must be positive; 0 would emit O(n^2) pairs");
+    let filter = tau * (1.0 - 8.0 * f64::EPSILON);
+    ranked_pairs(g, ctx, Some(filter), |dx, dy, inter| {
+        let j = inter as f64 / (dx + dy - inter) as f64;
+        (j >= tau).then_some(j)
+    })
+}
+
+/// Every unordered pair `(u, v)`, `u < v`, with at least `k` common
+/// out-neighbors and that count, sorted: the module doc's engine with no
+/// size filter, so a source's window holds every higher rank (`k = 0`
+/// acts as `k = 1`). Both modes agree and flush counters as
+/// [`all_pairs_above_with`] does; it walks `Σ_w C(|In(w)|, 2)` wedges.
+pub fn pairs_sharing(g: &CsrGraph, k: u32, ctx: &KernelCtx) -> Vec<(VertexId, VertexId, u32)> {
+    ranked_pairs(g, ctx, None, |_, _, inter| {
+        (inter >= k as usize).then_some(inter as u32)
+    })
+}
+
+/// The engine under [`all_pairs_above_with`] and [`pairs_sharing`]: a
+/// source `x` of degree `d_x` counts wedges into the higher ranks whose
+/// degree `d` keeps `d_x ≥ filter·d` (all, with no filter), and
+/// `keep(d_x, d_y, inter)` scores each candidate `y` or drops it.
+fn ranked_pairs<T: Copy + Default + Send + Sync>(
+    g: &CsrGraph,
+    ctx: &KernelCtx,
+    filter: Option<f64>,
+    keep: impl Fn(usize, usize, usize) -> Option<T> + Sync,
+) -> Vec<Pair<T>> {
     let (n, m) = (g.num_vertices(), g.num_edges());
     // `order[r]` is the vertex of rank `r`.
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
@@ -129,12 +162,12 @@ pub fn all_pairs_above_with(
             *a = next[w as usize];
         }
     }
-    let filter = tau * (1.0 - 8.0 * f64::EPSILON);
     // Count `x`'s wedges into the ranks in `(rank x, hi(x))`, then keep
-    // each candidate with `J >= tau`.
-    let visit = |mut acc: Chunk, x: VertexId| {
+    // each candidate the rule scores.
+    let visit = |mut acc: Chunk<T>, x: VertexId| {
         let dx = g.degree(x);
-        let hi = order.partition_point(|&y| dx as f64 >= filter * g.degree(y) as f64) as u32;
+        let filtered = |f| order.partition_point(|&y| dx as f64 >= f * g.degree(y) as f64);
+        let hi = filter.map_or(n, filtered) as u32;
         for (&w, &from) in g.neighbors(x).iter().zip(&above[row_of(x)]) {
             let row = &sources[from..offsets[w as usize + 1]];
             let window = &row[..row.partition_point(|&r| r < hi)];
@@ -151,9 +184,8 @@ pub fn all_pairs_above_with(
         for r in acc.touched.drain(..) {
             let inter = std::mem::take(&mut acc.counts[r as usize]) as usize;
             let y = order[r as usize];
-            let j = inter as f64 / (dx + g.degree(y) - inter) as f64;
-            if j >= tau {
-                acc.pairs.push((x.min(y), x.max(y), j));
+            if let Some(score) = keep(dx, g.degree(y), inter) {
+                acc.pairs.push((x.min(y), x.max(y), score));
             }
         }
         acc
@@ -163,7 +195,7 @@ pub fn all_pairs_above_with(
         ..Chunk::default()
     };
     // `(u, v)` keys are unique, so both sorts give the same order.
-    let by_pair = |a: &Pair, b: &Pair| (a.0, a.1).cmp(&(b.0, b.1));
+    let by_pair = |a: &Pair<T>, b: &Pair<T>| (a.0, a.1).cmp(&(b.0, b.1));
     let all = if ctx.parallelism.use_parallel(m) {
         let mut all = (0..n as VertexId)
             .into_par_iter()
@@ -182,24 +214,24 @@ pub fn all_pairs_above_with(
     all.pairs
 }
 
-type Pair = (VertexId, VertexId, f64);
+type Pair<T> = (VertexId, VertexId, T);
 
-/// One pool chunk of the all-pairs engine: shared-neighbor counts,
+/// One pool chunk of the ranked-pair engine: shared-neighbor counts,
 /// dense by rank and back at zero after every source, and what it kept.
 #[derive(Default)]
-struct Chunk {
+struct Chunk<T> {
     counts: Vec<u32>,
     /// Ranks whose count left zero for the current source.
     touched: Vec<u32>,
-    pairs: Vec<Pair>,
+    pairs: Vec<Pair<T>>,
     /// Wedges `x – w – y` walked, `y` inside `x`'s rank window.
     wedges: u64,
-    /// Distinct candidates `y` whose coefficient was computed.
+    /// Distinct candidates `y` offered to the keep rule.
     scored: u64,
 }
 
-impl Chunk {
-    fn merge(mut self, other: Chunk) -> Chunk {
+impl<T> Chunk<T> {
+    fn merge(mut self, other: Chunk<T>) -> Chunk<T> {
         self.pairs.extend(other.pairs);
         self.wedges += other.wedges;
         self.scored += other.scored;
@@ -207,25 +239,25 @@ impl Chunk {
     }
 }
 
-/// Brute-force reference for tests.
-pub fn all_pairs_brute(g: &CsrGraph, tau: f64) -> Vec<(VertexId, VertexId, f64)> {
-    let n = g.num_vertices() as VertexId;
-    let mut out = Vec::new();
-    for u in 0..n {
-        for v in (u + 1)..n {
-            let j = pair(g, u, v);
-            if j >= tau && j > 0.0 {
-                out.push((u, v, j));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ga_graph::gen;
+
+    /// Brute-force reference.
+    fn all_pairs_brute(g: &CsrGraph, tau: f64) -> Vec<(VertexId, VertexId, f64)> {
+        let n = g.num_vertices() as VertexId;
+        let mut out = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                let j = pair(g, u, v);
+                if j >= tau && j > 0.0 {
+                    out.push((u, v, j));
+                }
+            }
+        }
+        out
+    }
 
     fn und(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
         CsrGraph::from_edges_undirected(n, edges)
@@ -427,6 +459,55 @@ mod tests {
                 .build();
             for tau in [0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0] {
                 check_engines(&g, tau, &format!("seed {seed} tau {tau}"));
+            }
+        }
+    }
+
+    /// Every pair with at least `k` common out-neighbors, by brute force.
+    fn sharing_brute(g: &CsrGraph, k: u32) -> Vec<(VertexId, VertexId, u32)> {
+        let n = g.num_vertices() as VertexId;
+        let mut out = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                let inter = intersect_count(g.neighbors(u), g.neighbors(v)) as u32;
+                if inter >= k.max(1) {
+                    out.push((u, v, inter));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pairs_sharing_matches_brute_force() {
+        for seed in 0..4 {
+            let n = 40 + 10 * seed as usize;
+            let edges = gen::erdos_renyi(n, 4 * n, seed);
+            let build = |symmetrize| {
+                ga_graph::CsrBuilder::new(n)
+                    .edges(edges.iter().copied())
+                    .symmetrize(symmetrize)
+                    .dedup(true)
+                    .build()
+            };
+            for (g, shape) in [(build(false), "directed"), (build(true), "symmetric")] {
+                // Every wedge `x – w – y` is walked once, from its lower rank.
+                let mut in_deg = vec![0u64; n];
+                g.raw_targets()
+                    .iter()
+                    .for_each(|&w| in_deg[w as usize] += 1);
+                let wedges: u64 = in_deg.iter().map(|&d| d * d.saturating_sub(1) / 2).sum();
+                for k in 1..=3 {
+                    let tag = format!("{shape} seed {seed} k {k}");
+                    let (s, p) = (KernelCtx::serial(), KernelCtx::parallel());
+                    let serial = pairs_sharing(&g, k, &s);
+                    assert_eq!(serial, sharing_brute(&g, k), "{tag}");
+                    assert_eq!(pairs_sharing(&g, k, &p), serial, "{tag}");
+                    assert_eq!(s.snapshot(), p.snapshot(), "{tag}: counters differ");
+                    let touched = 2 * g.num_edges() as u64 + wedges;
+                    assert_eq!(s.snapshot().edges_touched, touched, "{tag}");
+                    assert!(k > 1 || !serial.is_empty(), "{tag}: no pair");
+                }
             }
         }
     }

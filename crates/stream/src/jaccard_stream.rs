@@ -10,42 +10,19 @@
 //! **Form 2 (query-driven):** "a sequence of vertices, where for each
 //! provided vertex the kernel should return what other vertices have a
 //! non-zero Jaccard coefficient (perhaps greater than some threshold)" —
-//! [`for_vertex_dynamic`] answers one such query against the live graph;
-//! its per-query latency is experiment E7 (the paper projects "10s of
-//! microseconds" on Emu-class hardware).
+//! [`ga_kernels::jaccard::two_hop`] over [`DynamicGraph::neighbor_ids`]
+//! answers one such query against the live graph, the same count
+//! `jaccard::for_vertex` runs on a snapshot; its per-query latency is
+//! experiment E7 (the paper projects "10s of microseconds" on Emu-class
+//! hardware).
 
 use crate::engine::Monitor;
 use crate::events::{Event, EventKind};
 use crate::update::Update;
 use ga_graph::dynamic::ApplyResult;
 use ga_graph::{DynamicGraph, Timestamp, VertexId};
-use std::collections::{HashMap, HashSet};
-
-/// All vertices with Jaccard >= tau against `u` on the live graph,
-/// sorted by descending coefficient (ties by id). The 2-hop candidate
-/// walk makes one query O(Σ_{w∈N(u)} deg(w)).
-pub fn for_vertex_dynamic(g: &DynamicGraph, u: VertexId, tau: f64) -> Vec<(VertexId, f64)> {
-    let nu: Vec<VertexId> = g.neighbor_ids(u).collect();
-    let deg_u = nu.len();
-    let mut shared: HashMap<VertexId, usize> = HashMap::new();
-    for &w in &nu {
-        for x in g.neighbor_ids(w) {
-            if x != u {
-                *shared.entry(x).or_default() += 1;
-            }
-        }
-    }
-    let mut out: Vec<(VertexId, f64)> = shared
-        .into_iter()
-        .filter_map(|(v, inter)| {
-            let union = deg_u + g.degree(v) - inter;
-            let j = inter as f64 / union as f64;
-            (j >= tau && j > 0.0).then_some((v, j))
-        })
-        .collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    out
-}
+use ga_kernels::jaccard;
+use std::collections::HashSet;
 
 /// Form 1: update-driven threshold monitoring.
 pub struct JaccardMonitor {
@@ -80,7 +57,7 @@ impl JaccardMonitor {
         if g.degree(v) > self.degree_cap {
             return;
         }
-        for (other, j) in for_vertex_dynamic(g, v, self.tau) {
+        for (other, _, j) in jaccard::two_hop(v, |x| g.neighbor_ids(x), |_, j| j >= self.tau) {
             let key = (v.min(other), v.max(other));
             if self.reported.insert(key) {
                 out.push(Event {
@@ -129,7 +106,8 @@ mod tests {
     use super::*;
     use crate::engine::StreamEngine;
     use crate::update::{into_batches, rmat_edge_stream, UpdateBatch};
-    use ga_kernels::{jaccard, KernelCtx};
+    use ga_kernels::KernelCtx;
+    use std::collections::HashMap;
 
     fn insert(src: VertexId, dst: VertexId) -> Update {
         Update::EdgeInsert {
@@ -228,15 +206,18 @@ mod tests {
         for b in into_batches(rmat_edge_stream(6, 400, 0.0, 5), 100, 0) {
             e.apply_batch(&b);
         }
-        let snap = e.graph().snapshot();
+        let (g, snap) = (e.graph(), e.graph().snapshot());
         for u in [0u32, 3, 17, 40] {
-            let a = for_vertex_dynamic(e.graph(), u, 0.2);
-            let b = jaccard::for_vertex(&snap, u, 0.2);
-            assert_eq!(a.len(), b.len(), "u={u}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.0, y.0);
-                assert!((x.1 - y.1).abs() < 1e-12);
-            }
+            let live: Vec<_> = jaccard::two_hop(u, |x| g.neighbor_ids(x), |_, j| j >= 0.2)
+                .into_iter()
+                .map(|(v, _, j)| (v, j.to_bits()))
+                .collect();
+            let frozen: Vec<_> = jaccard::for_vertex(&snap, u, 0.2)
+                .into_iter()
+                .map(|(v, j)| (v, j.to_bits()))
+                .collect();
+            assert!(!live.is_empty(), "u={u}");
+            assert_eq!(live, frozen, "u={u}");
         }
     }
 

@@ -22,7 +22,7 @@
 //! | [`engine`] | [`engine::StreamEngine`]: applies updates to a [`ga_graph::DynamicGraph`], drives registered [`engine::Monitor`]s, collects [`events::Event`]s | `ga_core::flow` |
 //! | [`events`] | typed event payloads | every monitor, the flow's overload ladder |
 //! | [`tri_inc`] | [`tri_inc::IncrementalTriangles`]: global and per-vertex triangle counts (streaming GTC) | `fig2_flow` |
-//! | [`jaccard_stream`] | [`jaccard_stream::JaccardMonitor`] (update-driven threshold pairs) and the live-graph per-vertex query timed by E7 (§V-B's "10s of microseconds") | `FlowEngine` triggers, `fig2_flow`, `calibrated_model`, `bench_obs` |
+//! | [`jaccard_stream`] | [`jaccard_stream::JaccardMonitor`] (update-driven threshold pairs) on `ga_kernels::jaccard::two_hop` over the live rows, the per-vertex query E7 times (§V-B's "10s of microseconds") | `FlowEngine` triggers, `fig2_flow`, `calibrated_model`, `bench_obs` |
 //! | [`epoch`] | epoch-based snapshot handoff: the ingest thread publishes frozen CSR + property generations that reader threads load wait-free | `ga_core::serve` |
 //! | [`queries`] | the unified [`queries::Query`] surface: point reads, k-hop, filtered traversal, shortest path, similarity, top-k, each a pure function of one [`epoch::EpochSnapshot`] | `ga_core::serve` |
 //! | [`wal`] | CRC32-framed write-ahead log with torn-tail-tolerant replay | durable fronts |
