@@ -16,11 +16,13 @@
 //!   `(u, v, w)` tuple vector is materialized, nothing is filtered and
 //!   no sort of any kind runs; the output is bit-identical to the
 //!   global-sort `CsrBuilder` path.
-//! * [`SnapshotCache`] — serves repeat snapshots by memcpy-ing the
-//!   previous CSR's clean-row slices and rebuilding only rows whose
-//!   [`DynamicGraph::version`] generation moved, with retired snapshot
-//!   arrays recycled as scratch instead of re-allocated. A trigger that
-//!   dirties 0.1% of rows pays for 0.1% of the row gathers.
+//! * [`SnapshotCache`] — serves repeat snapshots in one serial, in-order
+//!   pass: each maximal run of clean rows is one memcpy of the previous
+//!   CSR's targets and weights (its offsets shifted by one constant),
+//!   and only rows whose [`DynamicGraph::version`] generation moved are
+//!   re-gathered, into retired snapshot arrays recycled as scratch. A
+//!   trigger that dirties 0.1% of rows pays for 0.1% of the row gathers
+//!   and a few long copies (EXPERIMENTS E41).
 //!
 //! LDBC Graphalytics makes the same point from the benchmark side:
 //! evolving-graph workloads are dominated by snapshot/rebuild overhead,
@@ -31,10 +33,11 @@ use crate::par::Parallelism;
 use crate::{CsrGraph, DynamicGraph, VertexId, Weight};
 use std::sync::Arc;
 
-/// Row ranges below this many edges are filled sequentially inside one
-/// rayon task; above it the range is split and both halves run
-/// concurrently. Only a load-balance grain: the delta freeze measures
-/// the same from 1 k to 256 k edges per leaf (EXPERIMENTS E20).
+/// Row ranges of a [`freeze`] below this many edges are filled
+/// sequentially inside one rayon task; above it the range is split and
+/// both halves run concurrently. Only a load-balance grain: the freeze
+/// measured the same from 1 k to 256 k edges per leaf (EXPERIMENTS E20).
+/// The cache's delta pass is serial and does not use it.
 const PAR_LEAF_EDGES: usize = 8_192;
 
 /// Freeze `n` rows, row `v` read through `row(v)` and sorted by `dst`
@@ -48,46 +51,21 @@ pub fn freeze<'g>(
     row: impl Fn(VertexId) -> &'g [EdgeRecord] + Sync,
     par: Parallelism,
 ) -> CsrGraph {
-    let gather = |u: usize, tgt: &mut [VertexId], wts: &mut [Weight]| {
-        gather_row(row(u as VertexId), tgt, wts)
-    };
     let parallel = par.use_parallel(edges);
-    assemble(n, &row, parallel, &gather, SpareParts::default())
-}
-
-/// The one CSR build under [`freeze`] and the delta rebuild: row `v`'s
-/// length `row(v).len()` gives its offsets, then `fill(u, tgt, wts)`
-/// writes row `u`'s slice, into `spare`'s arrays (cleared, reused).
-fn assemble<'g>(
-    n: usize,
-    row: &(impl Fn(VertexId) -> &'g [EdgeRecord] + Sync),
-    parallel: bool,
-    fill: &(impl Fn(usize, &mut [VertexId], &mut [Weight]) + Sync),
-    (mut offsets, mut targets, mut weights): SpareParts,
-) -> CsrGraph {
-    offsets.clear();
-    offsets.resize(n + 1, 0);
+    let mut offsets = vec![0; n + 1];
     let len = |u| row(u as VertexId).len() as u64;
     count_rows(&mut offsets[1..], 0, parallel, &len);
     prefix_sum(&mut offsets);
     let total = offsets[n] as usize;
-    targets.clear();
-    targets.resize(total, 0);
-    weights.clear();
-    weights.resize(total, 0.0);
-    fill_rows(
-        &offsets,
-        0,
-        n,
-        0,
-        &mut targets,
-        &mut weights,
-        parallel,
-        fill,
-    );
-    // `CsrBuilder` only marks a graph weighted once it sees an edge;
-    // match it bit-for-bit on the edgeless case.
-    let weights = (total > 0).then_some(weights);
+    let (mut targets, mut weights) = (vec![0; total], vec![0.0; total]);
+    fill_rows(&offsets, 0, n, &mut targets, &mut weights, parallel, &row);
+    csr_from(offsets, targets, weights)
+}
+
+/// `CsrBuilder` only marks a graph weighted once it sees an edge; match
+/// it bit-for-bit on the edgeless case.
+fn csr_from(offsets: Vec<u64>, targets: Vec<VertexId>, weights: Vec<Weight>) -> CsrGraph {
+    let weights = (!targets.is_empty()).then_some(weights);
     CsrGraph::from_parts(offsets, targets, weights)
 }
 
@@ -133,30 +111,25 @@ fn gather_row(row: &[EdgeRecord], tgt: &mut [VertexId], wts: &mut [Weight]) {
     }
 }
 
-/// Run `fill(u, targets_slice, weights_slice)` for every row in
-/// `lo..hi`, handing each row exactly its slice of the output arrays.
-/// `base` is the edge offset where `targets`/`weights` begin. Large
+/// Copy rows `lo..hi` of `row` into `targets`/`weights`, which begin
+/// at edge offset `offsets[lo]`, each row into exactly its slice. Large
 /// ranges split recursively via `rayon::join` on disjoint sub-slices, so
 /// the parallelism is safe-Rust and allocation-free.
-#[allow(clippy::too_many_arguments)]
-fn fill_rows<F>(
+fn fill_rows<'g>(
     offsets: &[u64],
     lo: usize,
     hi: usize,
-    base: u64,
     targets: &mut [VertexId],
     weights: &mut [Weight],
     parallel: bool,
-    fill: &F,
-) where
-    F: Fn(usize, &mut [VertexId], &mut [Weight]) + Sync,
-{
-    let work = (offsets[hi] - offsets[lo]) as usize;
-    if !parallel || hi - lo <= 1 || work <= PAR_LEAF_EDGES {
+    row: &(impl Fn(VertexId) -> &'g [EdgeRecord] + Sync),
+) {
+    let base = offsets[lo];
+    if !parallel || hi - lo <= 1 || (offsets[hi] - base) as usize <= PAR_LEAF_EDGES {
         for u in lo..hi {
             let s = (offsets[u] - base) as usize;
             let e = (offsets[u + 1] - base) as usize;
-            fill(u, &mut targets[s..e], &mut weights[s..e]);
+            gather_row(row(u as VertexId), &mut targets[s..e], &mut weights[s..e]);
         }
         return;
     }
@@ -165,8 +138,8 @@ fn fill_rows<F>(
     let (t1, t2) = targets.split_at_mut(cut);
     let (w1, w2) = weights.split_at_mut(cut);
     rayon::join(
-        || fill_rows(offsets, lo, mid, base, t1, w1, true, fill),
-        || fill_rows(offsets, mid, hi, offsets[mid], t2, w2, true, fill),
+        || fill_rows(offsets, lo, mid, t1, w1, true, row),
+        || fill_rows(offsets, mid, hi, t2, w2, true, row),
     );
 }
 
@@ -237,12 +210,13 @@ pub struct SnapshotEpoch {
 /// Serves repeat [`DynamicGraph`] → [`CsrGraph`] freezes incrementally.
 ///
 /// The cache remembers the CSR it produced last time together with the
-/// graph version it observed. On the next request it memcpy's the
-/// slices of every row whose generation counter did not move and
-/// re-gathers only dirty rows — so a trigger-driven batch run whose
-/// update batch touched 50 of a million rows re-gathers 50 rows. Retired
-/// snapshot arrays are recycled as build buffers when no analytic still
-/// holds the `Arc`.
+/// graph version it observed. On the next request it walks the rows in
+/// order, copies each run of rows whose generation counter did not move
+/// with one memcpy, and re-gathers only dirty rows — so a trigger-driven
+/// batch run whose update batch touched 50 of a million rows re-gathers
+/// 50 rows and makes at most 51 copies. The walk is serial: `par` only
+/// steers a cold [`freeze`]. Retired snapshot arrays are recycled as
+/// build buffers when no analytic still holds the `Arc`.
 ///
 /// ```
 /// use ga_graph::snapshot::SnapshotCache;
@@ -350,44 +324,56 @@ impl SnapshotCache {
         self.epoch
     }
 
-    /// Build the new CSR, copying clean-row slices from the previous
-    /// snapshot and re-gathering dirty rows from the dynamic graph. A
-    /// cold cache has nothing to copy from (and no retired arrays to
-    /// recycle): that is a plain [`freeze`].
+    /// Build the new CSR in one in-order pass: each maximal run of
+    /// clean rows `[a, b)` is one copy of the previous snapshot's
+    /// `targets`/`weights[poff[a]..poff[b]]`, with offsets
+    /// `poff[a+1..=b]` shifted by one constant, and each dirty or new row
+    /// is gathered from the dynamic graph. The arrays are reserved from
+    /// the live edge count, so nothing is zero-filled. A cold cache has
+    /// nothing to copy from: that is a plain [`freeze`].
     fn rebuild(&mut self, g: &DynamicGraph, par: Parallelism) -> CsrGraph {
-        let n = g.num_vertices();
+        let (n, m) = (g.num_vertices(), g.num_live_edges());
         let Some(p) = self.prev.as_ref() else {
-            let csr = freeze(n, g.num_live_edges(), |v| g.row_slots(v), par);
+            let csr = freeze(n, m, |v| g.row_slots(v), par);
             self.stats.full_rebuilds += 1;
             self.stats.rows_rebuilt += n as u64;
             self.stats.mem_bytes += written_bytes(&csr);
             return csr;
         };
+        let (mut offsets, mut targets, mut weights) = self.spare.take().unwrap_or_default();
+        offsets.clear();
+        offsets.reserve(n + 1);
+        offsets.push(0);
+        targets.clear();
+        targets.reserve(m);
+        weights.clear();
+        weights.reserve(m);
+        let (poff, ptgt) = (p.csr.raw_offsets(), p.csr.raw_targets());
+        let pwts = p.csr.raw_weights().unwrap_or(&[]);
         // A row is dirty when its generation moved past the cached
         // version or it did not exist at the previous freeze.
-        let dirty: Vec<bool> = (0..n)
-            .map(|u| u >= p.num_vertices || g.row_changed_since(u as VertexId, p.version))
-            .collect();
-
-        let poff = p.csr.raw_offsets();
-        let ptgt = p.csr.raw_targets();
-        let pwts = p.csr.raw_weights().unwrap_or(&[]);
-        let fill = |u: usize, tgt: &mut [VertexId], wts: &mut [Weight]| {
-            if dirty[u] {
-                gather_row(g.row_slots(u as VertexId), tgt, wts);
+        let clean = |u: usize| u < p.num_vertices && !g.row_changed_since(u as VertexId, p.version);
+        let (mut u, mut rebuilt) = (0, 0);
+        while u < n {
+            if clean(u) {
+                let a = u;
+                while u < n && clean(u) {
+                    u += 1;
+                }
+                let (s, e, base) = (poff[a], poff[u] as usize, targets.len() as u64);
+                targets.extend_from_slice(&ptgt[s as usize..e]);
+                weights.extend_from_slice(&pwts[s as usize..e]);
+                offsets.extend(poff[a + 1..=u].iter().map(|&o| o - s + base));
             } else {
-                let (s, e) = (poff[u] as usize, poff[u + 1] as usize);
-                tgt.copy_from_slice(&ptgt[s..e]);
-                wts.copy_from_slice(&pwts[s..e]);
+                let row = g.row_slots(u as VertexId);
+                targets.extend(row.iter().map(|r| r.dst));
+                weights.extend(row.iter().map(|r| r.weight));
+                offsets.push(targets.len() as u64);
+                rebuilt += 1;
+                u += 1;
             }
-        };
-        // A clean row's length is its previous CSR degree, so every row
-        // counts its offsets from the graph.
-        let rows = |v| g.row_slots(v);
-        let parallel = par.use_parallel(g.num_live_edges());
-        let spare = self.spare.take().unwrap_or_default();
-        let csr = assemble(n, &rows, parallel, &fill, spare);
-        let rebuilt = dirty.iter().filter(|&&d| d).count() as u64;
+        }
+        let csr = csr_from(offsets, targets, weights);
         self.stats.delta_rebuilds += 1;
         self.stats.rows_rebuilt += rebuilt;
         self.stats.rows_reused += n as u64 - rebuilt;
@@ -431,7 +417,11 @@ mod tests {
     fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
         assert_eq!(a.raw_offsets(), b.raw_offsets(), "offsets differ");
         assert_eq!(a.raw_targets(), b.raw_targets(), "targets differ");
-        assert_eq!(a.raw_weights(), b.raw_weights(), "weights differ");
+        let bits = |c: &CsrGraph| {
+            c.raw_weights()
+                .map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(a), bits(b), "weight bits differ");
     }
 
     fn rmat_dynamic(scale: u32, edges_per_v: usize, seed: u64) -> DynamicGraph {
@@ -539,12 +529,87 @@ mod tests {
         let mut g = rmat_dynamic(7, 4, 19);
         let mut c = SnapshotCache::new();
         c.snapshot(&g, Parallelism::Serial);
-        for u in 0..g.num_vertices() as VertexId {
-            g.insert_edge(u, (u + 1) % g.num_vertices() as VertexId, 9.0, 600_000);
+        let n = g.num_vertices() as VertexId;
+        for u in 0..n {
+            g.insert_edge(u, (u + 1) % n, 9.0, 600_000);
         }
-        let snap = c.snapshot(&g, Parallelism::Parallel);
-        assert_identical(&snap, &oracle(&g));
-        assert_eq!(c.stats().rows_reused, 0);
+        assert_delta_is_freeze(&mut c, &g, n as u64);
+    }
+
+    /// Serve a delta snapshot of `g` from the warm cache `c` and check
+    /// it against a cold [`freeze`] of the same rows: the same arrays
+    /// bit for bit, `dirty` rows rebuilt and the rest reused, and the
+    /// freeze's bytes counted as written.
+    fn assert_delta_is_freeze(c: &mut SnapshotCache, g: &DynamicGraph, dirty: u64) {
+        let before = c.stats();
+        let snap = c.snapshot(g, Parallelism::Auto);
+        let cold = freeze_g(g, Parallelism::Serial);
+        assert_identical(&snap, &cold);
+        let n = g.num_vertices() as u64;
+        let want = SnapshotStats {
+            snapshots_served: before.snapshots_served + 1,
+            delta_rebuilds: before.delta_rebuilds + 1,
+            rows_rebuilt: before.rows_rebuilt + dirty,
+            rows_reused: before.rows_reused + n - dirty,
+            mem_bytes: before.mem_bytes + written_bytes(&cold),
+            ..before
+        };
+        assert_eq!(c.stats(), want);
+    }
+
+    /// A warm cache over `g`.
+    fn warm(g: &DynamicGraph) -> SnapshotCache {
+        let mut c = SnapshotCache::new();
+        c.snapshot(g, Parallelism::Serial);
+        c
+    }
+
+    #[test]
+    fn delta_with_the_first_or_the_last_row_dirty_is_a_freeze() {
+        let mut g = rmat_dynamic(7, 4, 43);
+        let last = g.num_vertices() as VertexId - 1;
+        for rows in [vec![0], vec![last], vec![0, last]] {
+            let mut c = warm(&g);
+            for &u in &rows {
+                g.insert_edge(u, last / 2, 3.5, 700_000 + u as Timestamp);
+            }
+            assert_delta_is_freeze(&mut c, &g, rows.len() as u64);
+        }
+    }
+
+    #[test]
+    fn delta_with_vertex_growth_and_no_dirty_row_is_a_freeze() {
+        let mut g = rmat_dynamic(6, 4, 47);
+        let mut c = warm(&g);
+        g.add_vertices(5);
+        assert_delta_is_freeze(&mut c, &g, 5);
+    }
+
+    #[test]
+    fn delta_with_alternating_dirty_and_clean_rows_is_a_freeze() {
+        let mut g = rmat_dynamic(7, 4, 53);
+        let mut c = warm(&g);
+        let n = g.num_vertices() as VertexId;
+        for u in (0..n).step_by(2) {
+            g.insert_edge(u, n - 1 - u, 1.5, 800_000 + u as Timestamp);
+        }
+        assert_delta_is_freeze(&mut c, &g, n as u64 / 2);
+    }
+
+    #[test]
+    fn delta_from_an_edgeless_snapshot_is_a_freeze() {
+        let mut g = DynamicGraph::new(9);
+        let mut c = warm(&g);
+        assert!(c.snapshot(&g, Parallelism::Serial).raw_weights().is_none());
+        g.insert_edge(4, 2, 2.5, 1);
+        g.insert_edge(4, 7, 0.5, 2);
+        g.insert_edge(8, 0, 1.0, 3);
+        assert_delta_is_freeze(&mut c, &g, 2);
+        // And back to no edges, with every row clean but the two.
+        for (u, v) in [(4, 2), (4, 7), (8, 0)] {
+            g.delete_edge(u, v, 4);
+        }
+        assert_delta_is_freeze(&mut c, &g, 2);
     }
 
     /// Delete one live edge, so the next rebuild needs no more room than

@@ -18,12 +18,13 @@
 //!
 //! The all-pairs engine orients work by degree, as GAP's triangle
 //! counting does, with no hashed container on the inner loop. Vertices
-//! are ranked by `(degree, id)`, and one counting pass builds the
-//! transpose in rank space, its rows ascending with no sort. Each pair
-//! is counted once, from its lower-ranked side: for each `w ∈ N(x)`,
-//! source `x` walks only the ranks of `In(w)` in `(rank x, hi(x))` into
-//! a dense per-chunk count array. The fill records, per edge, where that
-//! window starts, so only its end is searched for.
+//! are ranked by `(degree, id)` with the counting sort the triangle
+//! walk ranks by, and one counting pass builds the transpose in rank
+//! space, its rows ascending with no sort. Each pair is counted once,
+//! from its lower-ranked side: for each `w ∈ N(x)`, source `x` walks
+//! only the ranks of `In(w)` in `(rank x, hi(x))` into a dense
+//! per-chunk count array. The fill records, per edge, where that window
+//! starts, so only its end is searched for.
 //!
 //! *Size filter:* `inter ≤ min(d_x, d_y)` and `union ≥ max(d_x, d_y)`,
 //! so `J ≥ τ` implies `min(d) ≥ τ·max(d)`, and `hi(x)` is the first rank
@@ -35,7 +36,7 @@
 //! input, the Jaccard of out-neighborhoods), and the list is sorted once.
 
 use crate::ctx::KernelCtx;
-use crate::triangles::intersect_count;
+use crate::triangles::{degree_order, intersect_count};
 use ga_graph::{CsrGraph, VertexId};
 use rayon::prelude::*;
 
@@ -135,8 +136,7 @@ fn ranked_pairs<T: Copy + Default + Send + Sync>(
 ) -> Vec<Pair<T>> {
     let (n, m) = (g.num_vertices(), g.num_edges());
     // `order[r]` is the vertex of rank `r`.
-    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-    order.sort_unstable_by_key(|&v| (g.degree(v), v));
+    let order = degree_order(g);
     // The transpose in rank space: row `w` is `sources[offsets[w]..
     // offsets[w + 1]]`, the ranks of `w`'s in-neighbors. One counting
     // pass sizes the rows, and filling them in rank order sorts them.

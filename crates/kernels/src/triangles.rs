@@ -34,15 +34,35 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
     c
 }
 
+/// Vertices by ascending `(degree, id)`, the rank order of this module
+/// and of [`crate::jaccard`], by one counting sort: the degrees size one
+/// bucket per degree, and placing vertices in id order breaks ties by id.
+pub(crate) fn degree_order<G: Adjacency>(g: &G) -> Vec<VertexId> {
+    let n = g.num_vertices();
+    let degree: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
+    // After the prefix sum, bucket `d` begins at `start[d]`: the number
+    // of vertices of degree below `d`.
+    let mut start = vec![0; degree.iter().max().map_or(1, |&d| d + 2)];
+    for &d in &degree {
+        start[d + 1] += 1;
+    }
+    for d in 1..start.len() {
+        start[d] += start[d - 1];
+    }
+    let mut order = vec![0; n];
+    for (v, &d) in degree.iter().enumerate() {
+        order[start[d]] = v as VertexId;
+        start[d] += 1;
+    }
+    order
+}
+
 /// Rank vertices by (degree, id); orienting edges low-rank -> high-rank
 /// turns the undirected graph into a DAG whose out-wedges are exactly
 /// the triangles, counted once each.
 fn rank_order<G: Adjacency>(g: &G) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut by_deg: Vec<VertexId> = (0..n as VertexId).collect();
-    by_deg.sort_by_key(|&v| (g.degree(v), v));
-    let mut rank = vec![0u32; n];
-    for (r, &v) in by_deg.iter().enumerate() {
+    let mut rank = vec![0u32; g.num_vertices()];
+    for (r, v) in degree_order(g).into_iter().enumerate() {
         rank[v as usize] = r as u32;
     }
     rank
@@ -235,6 +255,30 @@ mod tests {
             let g = und(n, &gen::complete(n));
             let expect = (n * (n - 1) * (n - 2) / 6) as u64;
             assert_eq!(count_global(&g), expect, "K{n}");
+        }
+    }
+
+    #[test]
+    fn degree_order_is_the_degree_id_sort() {
+        let sorted = |g: &CsrGraph| {
+            let mut order: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+            order.sort_by_key(|&v| (g.degree(v), v));
+            order
+        };
+        for seed in 0..4 {
+            let er = und(300, &gen::erdos_renyi(300, 1_500, seed));
+            let directed = CsrGraph::from_edges(300, &gen::erdos_renyi(300, 900, seed));
+            let rmat = und(
+                1 << 10,
+                &gen::rmat(10, 8 << 10, gen::RmatParams::GRAPH500, seed),
+            );
+            for g in [er, directed, rmat] {
+                assert_eq!(degree_order(&g), sorted(&g), "seed {seed}");
+            }
+        }
+        for n in [0, 1, 5] {
+            let g = CsrGraph::from_edges(n, &[]);
+            assert_eq!(degree_order(&g), sorted(&g), "edgeless n = {n}");
         }
     }
 

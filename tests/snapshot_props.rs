@@ -3,7 +3,9 @@
 //! freeze and the cached delta rebuild must be **bit-identical**
 //! (`raw_offsets` / `raw_targets` / `raw_weights`) to the legacy
 //! tuple-materializing `CsrBuilder` snapshot — including delete-heavy
-//! histories, all-rows-dirty batches, and vertex growth mid-stream.
+//! histories, all-rows-dirty batches, and vertex growth mid-stream —
+//! and, after every batch of a random stream, to a cold `freeze` of the
+//! same rows with the counters the cache reports.
 //! Every op of a history is also checked against a `BTreeMap` model of
 //! the live edges: every row, slot for slot, the binary-searched
 //! lookups, and the sorted-row invariant the freeze relies on.
@@ -121,10 +123,22 @@ fn oracle(g: &DynamicGraph) -> CsrGraph {
         .build()
 }
 
+/// The same three arrays, weights compared by their bits.
 fn assert_identical(a: &CsrGraph, b: &CsrGraph) {
     assert_eq!(a.raw_offsets(), b.raw_offsets(), "offsets differ");
     assert_eq!(a.raw_targets(), b.raw_targets(), "targets differ");
-    assert_eq!(a.raw_weights(), b.raw_weights(), "weights differ");
+    let bits = |c: &CsrGraph| {
+        c.raw_weights()
+            .map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+    };
+    assert_eq!(bits(a), bits(b), "weights differ");
+}
+
+/// Bytes of a CSR's three arrays, as `SnapshotStats::mem_bytes` counts.
+fn csr_bytes(c: &CsrGraph) -> u64 {
+    (std::mem::size_of_val(c.raw_offsets())
+        + std::mem::size_of_val(c.raw_targets())
+        + c.raw_weights().map_or(0, std::mem::size_of_val)) as u64
 }
 
 proptest! {
@@ -227,5 +241,44 @@ proptest! {
         }
         let snap = cache.snapshot(&g, Parallelism::Parallel);
         assert_identical(&snap, &oracle(&g));
+    }
+
+    /// A random update stream cut into random batches: after every
+    /// batch the delta freeze equals a cold `freeze` of the same rows,
+    /// weight bits included, and its counters name exactly the rows
+    /// that changed or appeared since the last freeze.
+    #[test]
+    fn delta_freeze_is_a_cold_freeze_after_every_batch(
+        ((n, ops), cuts) in (history(), prop::collection::vec(1usize..16, 1..40))
+    ) {
+        let mut g = DynamicGraph::new(n);
+        let mut cache = SnapshotCache::new();
+        let mut prev = cache.snapshot(&g, Parallelism::Serial);
+        let mut rest = &ops[..];
+        for (i, &cut) in cuts.iter().enumerate() {
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            rest = tail;
+            let (v0, n0) = (g.version(), g.num_vertices());
+            apply(&mut g, batch, (i * 16) as u64);
+            let before = cache.stats();
+            let snap = cache.snapshot(&g, Parallelism::Auto);
+            let (m, edges) = (g.num_vertices(), g.num_live_edges());
+            let cold = freeze(m, edges, |v| g.row_slots(v), Parallelism::Serial);
+            assert_identical(&snap, &cold);
+            let after = cache.stats();
+            if g.version() == v0 && m == n0 {
+                prop_assert!(std::sync::Arc::ptr_eq(&snap, &prev));
+                prop_assert_eq!(after.cache_hits, before.cache_hits + 1);
+                continue;
+            }
+            let dirty = (0..m)
+                .filter(|&u| u >= n0 || g.row_changed_since(u as u32, v0))
+                .count() as u64;
+            prop_assert_eq!(after.delta_rebuilds, before.delta_rebuilds + 1);
+            prop_assert_eq!(after.rows_rebuilt, before.rows_rebuilt + dirty);
+            prop_assert_eq!(after.rows_reused, before.rows_reused + m as u64 - dirty);
+            prop_assert_eq!(after.mem_bytes, before.mem_bytes + csr_bytes(&cold));
+            prev = snap;
+        }
     }
 }
